@@ -1,13 +1,12 @@
-# Developer entry points. `make check` is the tier-1.5 gate CI runs: build,
-# vet, full test suite, and the concurrency-sensitive packages again under
-# the race detector.
+# Developer entry points. `make check` is the tier-1.5 gate, defined here
+# once: scripts/check.sh execs it and CI runs its targets step by step.
 
 GO ?= go
 
-.PHONY: build vet test race check simtest cluster crash load stream bench bench-smoke bench-sharded bench-json report staticcheck
+.PHONY: build vet test race check simtest cluster crash load stream bench bench-smoke report staticcheck
 
 # Optional deeper linting: runs only when staticcheck is installed, so the
-# gate works on minimal toolchains (CI installs it; see scripts/check.sh).
+# gate works on minimal toolchains (CI installs it).
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping"; fi
@@ -21,9 +20,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# The sharded server, the concurrent engine drain, the remote transport and
-# the metrics registry are the packages with real concurrency; run them
-# under -race.
+# The router, the concurrent engine drain, the remote transport and the
+# metrics registry are the packages with real concurrency; run them under
+# -race.
 race:
 	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/remote/... ./internal/obs/... ./internal/cluster/... ./internal/history/...
 
@@ -38,13 +37,16 @@ simtest:
 	$(GO) test -run '^$$' -fuzz '^FuzzWire$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/remote/
 
-# Cluster gate: the three-way differential oracle (serial vs sharded vs
-# clustered, byte-identical snapshots and cost ledgers) over the seeded
-# sweeps — including node kill, cell-range rebalancing and cross-node
-# handoff under injected frame faults — plus the wire-tier cluster package
-# itself, all under the race detector.
+# Cluster gate: the differential oracle (serial vs the router over
+# journaled and un-journaled nodes, byte-identical snapshots and cost
+# ledgers) over the seeded sweeps — including node kill, cell-range
+# rebalancing and cross-node handoff under injected frame faults — plus the
+# wire-tier cluster package itself, all under the race detector. The -list
+# line fails the gate when the -run pattern no longer matches the sweep, so
+# a rename cannot make the gate pass vacuously.
 cluster:
-	$(GO) test -race -count=1 -run 'ThreeWay|Cluster' ./internal/simtest/
+	$(GO) test -race -list 'Cluster' ./internal/simtest/ | grep -qx TestClusterLockstepSweep
+	$(GO) test -race -count=1 -run 'Cluster' ./internal/simtest/
 	$(GO) test -race -count=1 ./internal/cluster/
 
 # Crash-recovery gate: the seeded crash-schedule sweep (ungraceful kills,
@@ -56,45 +58,33 @@ crash:
 	$(GO) test -race -count=1 -run 'Crash|Checkpoint|Recovery' ./internal/simtest/ ./internal/core/ ./internal/cluster/ ./internal/obs/telemetry/
 
 # Load-observatory gate: the open-loop generator's smoke suite under -race —
-# a short coordinated-omission-safe run against every backend (serial,
-# sharded, clustered, TCP), the traced stage-decomposition identity, and the
-# queue-depth-gauges-zero-at-quiescence check (see internal/obs/load).
+# a short coordinated-omission-safe run against every backend (serial, the
+# router over shards and over journaled nodes, TCP), the traced
+# stage-decomposition identity, and the queue-depth-gauge-zero-at-quiescence
+# check (see internal/obs/load).
 load:
 	$(GO) test -race -count=1 ./internal/obs/load/
 
-# Stream & history gate: snapshot-then-delta gap-freeness across all three
-# backends, slow-consumer eviction under a deliberately stalled reader, the
-# history log codec and bounded store, the remote SSE/admin wiring, and the
-# simtest replay oracle (log vs live-subscription ground truth), under the
-# race detector (see internal/obs/stream, internal/history, DESIGN.md §17).
+# Stream & history gate: snapshot-then-delta gap-freeness across the serial
+# server and both router renderings, slow-consumer eviction under a
+# deliberately stalled reader, the history log codec and bounded store, the
+# remote SSE/admin wiring, and the simtest replay oracle (log vs
+# live-subscription ground truth), under the race detector (see
+# internal/obs/stream, internal/history, DESIGN.md §17).
 stream:
 	$(GO) test -race -count=1 ./internal/obs/stream/ ./internal/history/
 	$(GO) test -race -count=1 -run 'Stream|History|AdminSubHist|Gateway' ./internal/remote/ ./internal/simtest/
 
-check: build vet staticcheck test race simtest cluster crash load stream
+check: build vet staticcheck test race simtest cluster crash load stream bench-smoke
 
 bench:
 	$(GO) test -bench . -benchtime 1s ./internal/core/
 
 # One iteration of every benchmark in the repo: catches benchmarks that
-# no longer compile or panic, without the cost of real measurement (CI runs
-# this).
+# no longer compile or panic, without the cost of real measurement. The
+# measurements themselves are `bash benchmark/run.sh` (BENCHMARK.json).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# Serial vs sharded vs clustered uplink throughput (see EXPERIMENTS.md).
-bench-sharded:
-	$(GO) test -run xxx -bench 'BenchmarkUplink' -benchtime 2s ./internal/core/
-	$(GO) test -run xxx -bench 'BenchmarkEngineStep' -benchtime 20x .
-
-# Machine-readable results of the cost-accounting, instrumentation-overhead,
-# flight-recorder, telemetry-plane and uplink throughput benchmarks —
-# including the router-forwarding-overhead comparison (clustered vs sharded
-# uplinks at 10k/100k objects), the per-heartbeat telemetry cost, the
-# open-loop sustained-throughput series at 10k/100k objects, and the stream
-# fan-out / history append costs (see scripts/bench_json.sh).
-bench-json:
-	sh scripts/bench_json.sh BENCH_PR10.json
 
 # The structured §5 cost & accuracy report (ledger sweeps, EQP-vs-LQP
 # quality, baselines, qualitative checks) → results/runreport.{json,txt}.

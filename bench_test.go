@@ -275,21 +275,6 @@ func BenchmarkFig13SafePeriodOn(b *testing.B) {
 	})
 }
 
-// --- Sharded server: serial vs grid-partitioned engine ---------------------------
-
-// The engine-level counterpart of the internal/core uplink benchmarks:
-// a full simulation step, with the step's uplink batch drained through the
-// serial server or the sharded server with a concurrent worker pool.
-func BenchmarkEngineStepSerialServer(b *testing.B) {
-	stepBenchMobiEyes(b, benchConfig(), nil)
-}
-
-func BenchmarkEngineStepShardedServer(b *testing.B) {
-	cfg := benchConfig()
-	cfg.ServerShards = 4
-	stepBenchMobiEyes(b, cfg, nil)
-}
-
 // --- Ablations beyond the paper's figures ---------------------------------------
 
 // Query grouping (§4.1) on a workload with heavy focal sharing.

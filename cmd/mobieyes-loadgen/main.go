@@ -19,6 +19,9 @@
 //	                 [-metrics-addr :7072]
 //	                 [-mutex-profile-fraction N] [-block-profile-rate NS]
 //
+// "sharded" and "cluster" are the same router (core.ClusterServer) over
+// in-process nodes: un-journaled, as mobieyes-server -shards runs them, and
+// journaled with the handoff checkpoint barrier, as -cluster-nodes does.
 // -backend all runs every backend in sequence with the same workload and
 // writes them as one report file. With -trace, each run additionally
 // records causal traces and reports the per-stage pipeline decomposition
@@ -48,7 +51,7 @@ func main() {
 		objects  = flag.Int("objects", 10000, "moving-object population")
 		queries  = flag.Int("queries", 0, "installed queries (0 = objects/20)")
 		workers  = flag.Int("workers", 0, "issuing worker pool size (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "sharded/tcp backend partitions (0 = GOMAXPROCS)")
+		shards   = flag.Int("shards", 0, "sharded/tcp backend router nodes (0 = GOMAXPROCS)")
 		nodes    = flag.Int("nodes", 4, "cluster backend worker nodes")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		traced   = flag.Bool("trace", false, "record causal traces and report the per-stage pipeline decomposition")

@@ -86,15 +86,15 @@ func main() {
 		lazy     = flag.Bool("lazy", false, "lazy query propagation")
 		grouping = flag.Bool("grouping", false, "query grouping")
 		restore  = flag.String("restore", "", "restore query state from a snapshot file")
-		shards   = flag.Int("shards", 0, "server grid partitions (0 = GOMAXPROCS)")
+		shards   = flag.Int("shards", 0, "in-process router nodes of the default backend (0 = GOMAXPROCS); they share the server's fate, so they are not journaled")
 		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /healthz and pprof on this address (empty = off)")
 		traceSz  = flag.Int("trace-events", 0, "causal-tracing flight recorder size in events (0 = off); exposed on /debug/events and the admin TRACE command")
-		costs    = flag.Bool("costs", false, "attribute protocol costs per message kind, shard, cell, query and object; exposed on /debug/costs and the admin COSTS command")
+		costs    = flag.Bool("costs", false, "attribute protocol costs per message kind, node, cell, query and object; exposed on /debug/costs and the admin COSTS command")
 		streamOn = flag.Bool("stream", false, "publish live result streams: SSE with snapshot-then-delta on /debug/stream (needs -metrics-addr) and the admin SUB command")
 		histSz   = flag.Int("history-bytes", 0, "record result transitions and position samples into an append-only in-memory log bounded to N bytes (0 = off); /debug/history and the admin HIST command")
 		role     = flag.String("cluster", "", `cluster role: "router" (route over -workers) or "worker" (serve one node on -addr)`)
 		workers  = flag.String("workers", "", "comma-separated worker addresses for -cluster router")
-		nodes    = flag.Int("cluster-nodes", 0, "run the clustered backend with N in-process worker nodes (ignored with -cluster)")
+		nodes    = flag.Int("cluster-nodes", 0, "run the router over N journaled in-process worker nodes instead of -shards (ignored with -cluster)")
 		autoRec  = flag.Bool("auto-recover", true, "with -cluster router: fence and replay a worker that misses its heartbeat deadline (checkpointed crash recovery, DESIGN.md §15)")
 		mutexPF  = flag.Int("mutex-profile-fraction", 0, "sample 1/N mutex contention events on /debug/pprof/mutex (0 = leave off, -1 = disable)")
 		blockPR  = flag.Int("block-profile-rate", 0, "sample blocking events lasting ≥ N ns on /debug/pprof/block (0 = leave off, -1 = disable)")

@@ -12,11 +12,11 @@ import (
 )
 
 // ServerAPI is the server-side surface of the MobiEyes protocol, implemented
-// by the serial Server, the grid-partitioned ShardedServer and the
-// router-plus-worker-nodes ClusterServer. Engines and transports program
-// against this interface so the implementations are interchangeable; the
-// sharded and cluster implementations are additionally safe for concurrent
-// use by multiple goroutines.
+// by the serial Server and by the router-over-nodes ClusterServer, whatever
+// its nodes are (in-process shards, in-process journaled workers, remote
+// worker processes). Engines and transports program against this interface
+// so the implementations are interchangeable; the router is additionally
+// safe for concurrent use by multiple goroutines.
 type ServerAPI interface {
 	// Query lifecycle (§3.3).
 	InstallQuery(focal model.ObjectID, region model.Region, filter model.Filter, focalMaxVel float64) model.QueryID
@@ -35,7 +35,7 @@ type ServerAPI interface {
 	SetTracer(rec *trace.Recorder)
 
 	// SetAccountant attaches a cost accountant (nil = off; the default):
-	// uplinks are attributed per shard and per query/object, downlinks per
+	// uplinks are attributed per node and per query/object, downlinks per
 	// query/object at the broadcast/unicast funnels, and server work is
 	// charged as computation units. See internal/obs/cost and DESIGN.md §12.
 	SetAccountant(a *cost.Accountant)
@@ -62,6 +62,5 @@ type ServerAPI interface {
 
 var (
 	_ ServerAPI = (*Server)(nil)
-	_ ServerAPI = (*ShardedServer)(nil)
 	_ ServerAPI = (*ClusterServer)(nil)
 )

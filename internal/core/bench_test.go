@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"mobieyes/internal/geo"
@@ -84,24 +83,17 @@ func BenchmarkServerContainmentReport(b *testing.B) {
 	}
 }
 
-// benchBackend builds a serial or sharded server with nQueries queries over
-// distinct focal objects on a 200×200-cell grid.
-func benchBackend(b *testing.B, sharded bool, nQueries int) (ServerAPI, *grid.Grid) {
-	b.Helper()
-	g := grid.New(geo.NewRect(0, 0, 1000, 1000), 5)
-	var srv ServerAPI
-	if sharded {
-		srv = NewShardedServer(g, Options{}, nullDown{}, 8)
-	} else {
-		srv = NewServer(g, Options{}, nullDown{})
-	}
+// benchBackend installs nQueries queries over distinct focal objects on
+// srv, over a 200×200-cell grid.
+func benchBackend(srv ServerAPI, nQueries int) {
 	for i := 0; i < nQueries; i++ {
 		oid := model.ObjectID(i + 1)
 		srv.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: benchPos(i)})
 		srv.InstallQuery(oid, model.CircleRegion{R: 3}, model.Filter{Seed: uint64(i), Permille: 750}, 250)
 	}
-	return srv, g
 }
+
+func benchGrid() *grid.Grid { return grid.New(geo.NewRect(0, 0, 1000, 1000), 5) }
 
 func benchPos(i int) geo.Point {
 	return geo.Pt(float64((i*13)%990)+5, float64((i*31)%990)+5)
@@ -130,49 +122,13 @@ func benchUplink(g *grid.Grid, i, nObjects, nQueries int) msg.Message {
 	}
 }
 
-// benchUplinkThroughput measures HandleUplink throughput over the mixed
-// workload. The sharded backend is driven from concurrent goroutines
-// (RunParallel), the serial server from one — exactly how each is used.
-func benchUplinkThroughput(b *testing.B, sharded bool, nObjects int) {
+// benchUplinkThroughput measures single-goroutine HandleUplink throughput
+// over the mixed workload. Against the serial server, the Clustered rows
+// show the router-forwarding overhead: routing-table lookup, NodeHandle
+// indirection, the router mutex on every uplink and the journaled handoff.
+func benchUplinkThroughput(b *testing.B, srv ServerAPI, g *grid.Grid, nObjects int) {
 	const nQueries = 1000
-	srv, g := benchBackend(b, sharded, nQueries)
-	b.ResetTimer()
-	if sharded {
-		var next atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				i := int(next.Add(1)) - 1
-				srv.HandleUplink(benchUplink(g, i, nObjects, nQueries))
-			}
-		})
-	} else {
-		for i := 0; i < b.N; i++ {
-			srv.HandleUplink(benchUplink(g, i, nObjects, nQueries))
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "uplinks/sec")
-}
-
-func BenchmarkUplinkSerial10k(b *testing.B)   { benchUplinkThroughput(b, false, 10000) }
-func BenchmarkUplinkSharded10k(b *testing.B)  { benchUplinkThroughput(b, true, 10000) }
-func BenchmarkUplinkSerial100k(b *testing.B)  { benchUplinkThroughput(b, false, 100000) }
-func BenchmarkUplinkSharded100k(b *testing.B) { benchUplinkThroughput(b, true, 100000) }
-
-// benchUplinkThroughputClustered measures the router-forwarding overhead of
-// the cluster tier: the same mixed workload as the serial/sharded
-// throughput benchmarks, dispatched through a 3-node in-process
-// ClusterServer (routing-table lookup, NodeHandle indirection and the
-// router mutex on every uplink). Compare against BenchmarkUplinkSharded*
-// for the clustered-vs-sharded uplink latency delta.
-func benchUplinkThroughputClustered(b *testing.B, nObjects int) {
-	const nQueries = 1000
-	g := grid.New(geo.NewRect(0, 0, 1000, 1000), 5)
-	srv := NewClusterServer(g, Options{}, nullDown{}, 3)
-	for i := 0; i < nQueries; i++ {
-		oid := model.ObjectID(i + 1)
-		srv.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: benchPos(i)})
-		srv.InstallQuery(oid, model.CircleRegion{R: 3}, model.Filter{Seed: uint64(i), Permille: 750}, 250)
-	}
+	benchBackend(srv, nQueries)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv.HandleUplink(benchUplink(g, i, nObjects, nQueries))
@@ -180,8 +136,20 @@ func benchUplinkThroughputClustered(b *testing.B, nObjects int) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "uplinks/sec")
 }
 
-func BenchmarkUplinkClustered10k(b *testing.B)  { benchUplinkThroughputClustered(b, 10000) }
-func BenchmarkUplinkClustered100k(b *testing.B) { benchUplinkThroughputClustered(b, 100000) }
+func benchUplinkSerial(b *testing.B, nObjects int) {
+	g := benchGrid()
+	benchUplinkThroughput(b, NewServer(g, Options{}, nullDown{}), g, nObjects)
+}
+
+func benchUplinkClustered(b *testing.B, nObjects int) {
+	g := benchGrid()
+	benchUplinkThroughput(b, NewClusterServer(g, Options{}, nullDown{}, 3), g, nObjects)
+}
+
+func BenchmarkUplinkSerial10k(b *testing.B)     { benchUplinkSerial(b, 10000) }
+func BenchmarkUplinkSerial100k(b *testing.B)    { benchUplinkSerial(b, 100000) }
+func BenchmarkUplinkClustered10k(b *testing.B)  { benchUplinkClustered(b, 10000) }
+func BenchmarkUplinkClustered100k(b *testing.B) { benchUplinkClustered(b, 100000) }
 
 // benchClient builds a client with n LQT entries bound to k focal objects.
 func benchClient(b *testing.B, opts Options, n, k int) *Client {

@@ -184,6 +184,9 @@ func (cs *ClusterServer) CrashNode(i int) error {
 	if liveCount == 1 {
 		return fmt.Errorf("core: cannot crash the last live node")
 	}
+	if _, ok := cs.nodes[i].(fateSharingNode); ok {
+		return fmt.Errorf("core: node %d shares the router's process and is not journaled; it cannot crash alone", i)
+	}
 	cs.crashLocked(i, 0)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -19,27 +20,27 @@ import (
 	"mobieyes/internal/obs/trace"
 )
 
-// ClusterServer is the distributed MobiEyes server: a router tier that owns
-// query lifecycle and message routing, over N worker nodes each holding the
+// ClusterServer is the one concurrent MobiEyes server: a router tier that
+// owns query lifecycle and message routing, over N nodes each holding the
 // FOT, SQT and RQI rows of the focal objects whose current grid cell falls
 // in that node's assigned cell range. Nodes are driven through the
 // NodeHandle surface, so the same router runs over in-process NodeServers
-// (the configuration the differential oracle compares against the serial
-// and sharded servers) and over internal/cluster RemoteNodes speaking the
+// (journaled workers, NewClusterServer; fate-sharing shards,
+// NewShardedServer — both held byte-identical to the serial server by the
+// differential oracle) and over internal/cluster RemoteNodes speaking the
 // wire protocol to worker processes.
 //
-// Unlike the sharded server's hash partitioning, nodes own contiguous cell
-// ranges (spans) so a worker's working set is spatially local and
-// rebalancing moves a boundary rather than rehashing the world. The router
-// serializes all dispatch under one mutex: the cluster tier distributes
-// state, the sharded tier parallelizes it — a worker node can itself be
-// deployed over a sharded engine later without changing this router.
+// Nodes own contiguous cell ranges (spans) so a node's working set is
+// spatially local and rebalancing moves a boundary rather than rehashing
+// the world. The router is safe for concurrent use and serializes all
+// dispatch under one mutex: no workload the repo measures is faster with
+// per-node locks (DESIGN.md §13).
 //
 // Cross-node focal handoff is a two-phase, byte-mediated transfer: the
 // source node drains its sends and detaches the focal's complete state as
 // an encoded focal slice (ExtractFocal), then the destination installs the
 // slice and acknowledges (InjectFocal) before the router flips its routing
-// tables — no result entry is lost or duplicated, which the three-way
+// tables — no result entry is lost or duplicated, which the differential
 // snapshot oracle verifies byte-for-byte. See DESIGN.md §13.
 type ClusterServer struct {
 	g     *grid.Grid
@@ -91,10 +92,9 @@ type ClusterServer struct {
 	tel   *telemetry.Plane
 	probe func(node int) error
 
-	// mu serializes all routing and node dispatch. Routing tables mirror the
-	// sharded server's: focalNode/queryNode map ownership, pending holds
-	// installations waiting on a FocalInfoRequest (queries exist only at the
-	// router until their focal object is located).
+	// mu serializes all routing and node dispatch. focalNode/queryNode map
+	// ownership, pending holds installations waiting on a FocalInfoRequest
+	// (queries exist only at the router until their focal object is located).
 	mu         sync.Mutex
 	focalNode  map[model.ObjectID]int
 	queryNode  map[model.QueryID]int
@@ -129,6 +129,34 @@ func NewClusterServer(g *grid.Grid, opts Options, down Downlink, n int) *Cluster
 		local[i] = ns
 	}
 	return newClusterServer(g, opts, down, handles, local)
+}
+
+// NewShardedServer returns the router over in-process nodes that share its
+// process and fate — what -shards N runs; shards <= 0 selects GOMAXPROCS.
+// Such a node cannot die without the router, so it is not journaled: the
+// handoff checkpoint barrier cost engine_mix +13 % live heap and +50 %
+// set-up time for a recovery path that cannot fire (DESIGN.md §13), and
+// CrashNode refuses these nodes. The name, and UplinksByShard below, are
+// kept only because the frozen benchmark/ calls them.
+func NewShardedServer(g *grid.Grid, opts Options, down Downlink, shards int) *ClusterServer {
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	handles := make([]NodeHandle, shards)
+	local := make([]*NodeServer, shards)
+	for i := range handles {
+		local[i] = NewNodeServer(g, opts, down)
+		handles[i] = fateSharingNode{local[i]}
+	}
+	return newClusterServer(g, opts, down, handles, local)
+}
+
+// fateSharingNode is an in-process node that is never journaled: its
+// checkpoint delta is always empty, so the router's journal stays at (0, 0).
+type fateSharingNode struct{ *NodeServer }
+
+func (fateSharingNode) CheckpointDelta(since uint64) (CheckpointDelta, error) {
+	return CheckpointDelta{Seq: since}, nil
 }
 
 // NewClusterServerOver returns a cluster router over caller-provided node
@@ -1037,6 +1065,9 @@ func (cs *ClusterServer) UplinksByNode() []int64 {
 	return out
 }
 
+// UplinksByShard is UplinksByNode under the name the frozen benchmark/ calls.
+func (cs *ClusterServer) UplinksByShard() []int64 { return cs.UplinksByNode() }
+
 // NodeSpan describes one node's current assignment for introspection and
 // the admin `nodes` command. Fault carries the node's sticky transport
 // error, when it has one — the explicit marker that this row's counts are
@@ -1071,10 +1102,10 @@ func (cs *ClusterServer) Spans() []NodeSpan {
 	return out
 }
 
-// Instrument attaches the cluster server's metrics to reg: router-level ops
-// and uplink counters (node="router"), per-node counters and table-size
-// gauges for in-process nodes, the handoff counter, and per-kind uplink
-// latency measured at the router.
+// Instrument attaches the router's metrics to reg: router-level ops and
+// uplink counters (node="router"), per-node counters, broadcast fan-out and
+// table-size gauges for in-process nodes, the handoff counter, and per-kind
+// uplink latency measured at the router.
 func (cs *ClusterServer) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -1099,6 +1130,10 @@ func (cs *ClusterServer) Instrument(reg *obs.Registry) {
 		label := strconv.Itoa(i)
 		reg.RegisterCounter(metricOps, helpOps, srv.ops, "node", label)
 		reg.RegisterCounter(metricUplinks, helpUplinks, cs.nUpl[i], "node", label)
+		srv.obsm = &serverObs{
+			broadcasts:     reg.Counter(metricBroadcasts, helpBroadcasts, "node", label),
+			broadcastCells: reg.Histogram(metricBroadcastCells, helpBroadcastCells, obs.SizeBuckets, "node", label),
+		}
 		locked := func(fn func(*Server) int) func() float64 {
 			return func() float64 {
 				cs.mu.Lock()
@@ -1112,9 +1147,9 @@ func (cs *ClusterServer) Instrument(reg *obs.Registry) {
 	}
 }
 
-// Snapshot serializes the cluster's durable state in the same MOBS format
-// as the serial and sharded servers — snapshots move freely between all
-// three implementations and across node counts.
+// Snapshot serializes the router's durable state in the same MOBS format
+// as the serial server — snapshots move freely between the two
+// implementations and across node counts.
 func (cs *ClusterServer) Snapshot(w io.Writer) error {
 	cs.mu.Lock()
 	d := snapData{nextQID: model.QueryID(cs.qidCounter) + 1}
@@ -1154,20 +1189,23 @@ func (cs *ClusterServer) Snapshot(w io.Writer) error {
 	return writeSnapshot(w, d)
 }
 
-// RestoreClusterServer rebuilds an in-process cluster server from a
-// snapshot written by any implementation. Each restored query lands on the
-// node whose span owns its focal object's current cell; pending
-// installations re-issue their FocalInfoRequests through down.
-func RestoreClusterServer(g *grid.Grid, opts Options, down Downlink, n int, r io.Reader) (*ClusterServer, error) {
+// Restore loads a snapshot written by any implementation into a freshly
+// constructed router over in-process nodes. Each restored query lands on
+// the node whose span owns its focal object's current cell; pending
+// installations re-issue their FocalInfoRequests through the downlink.
+func (cs *ClusterServer) Restore(r io.Reader) error {
 	d, err := readSnapshot(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cs := NewClusterServer(g, opts, down, n)
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	cs.qidCounter = int64(d.nextQID) - 1
 	for _, q := range d.queries {
-		cell := g.CellOf(q.state.State.Pos)
-		ni := cs.nodeOf(cell)
+		ni := cs.nodeOf(cs.g.CellOf(q.state.State.Pos))
+		if cs.local[ni] == nil {
+			return fmt.Errorf("core: restore needs in-process nodes: node %d is remote", ni)
+		}
 		cs.local[ni].srv.restoreQuery(q)
 		cs.focalNode[q.state.Focal] = ni
 		cs.queryNode[q.state.QID] = ni
@@ -1186,7 +1224,7 @@ func RestoreClusterServer(g *grid.Grid, opts Options, down Downlink, n int, r io
 			cs.unicast(focal, msg.FocalInfoRequest{OID: focal}, 0)
 		}
 	}
-	return cs, nil
+	return nil
 }
 
 // CheckInvariants validates every node's internal consistency plus the

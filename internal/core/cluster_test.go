@@ -5,33 +5,22 @@ import (
 	"testing"
 
 	"mobieyes/internal/geo"
-	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
 )
 
-// newClusterHarness is newHarness with an in-process ClusterServer backend;
-// everything else (clients, queued delivery) is identical, which makes the
-// serial-vs-clustered equivalence tests direct comparisons.
-func newClusterHarness(g *grid.Grid, opts Options, nodes int) *harness {
-	h := &harness{
-		g:         g,
-		byOID:     make(map[model.ObjectID]int),
-		upCount:   make(map[msg.Kind]int),
-		downCount: make(map[msg.Kind]int),
-	}
-	h.server = NewClusterServer(g, opts, harnessDown{h}, nodes)
-	h.optsVal = opts
-	return h
+// TestClusterServerMatchesSerial: the scripted workload against a serial
+// Server and the router over 3 nodes — journaled and not — must leave
+// identical query state — same installed IDs, descriptors, monitoring
+// regions and result sets — and must actually exercise cross-node focal
+// handoffs.
+func TestClusterServerMatchesSerial(t *testing.T) {
+	t.Run("nodes", func(t *testing.T) { routerMatchesSerial(t, newClusterHarness(smallGrid(), Options{}, 3)) })
+	t.Run("shards", func(t *testing.T) { routerMatchesSerial(t, newShardedHarness(smallGrid(), Options{}, 3)) })
 }
 
-// TestClusterServerMatchesSerial: the scripted workload against a serial
-// Server and a 3-node ClusterServer must leave identical query state — same
-// installed IDs, descriptors, monitoring regions and result sets — and must
-// actually exercise cross-node focal handoffs.
-func TestClusterServerMatchesSerial(t *testing.T) {
+func routerMatchesSerial(t *testing.T, cluster *harness) {
 	serial := newHarness(smallGrid(), Options{})
-	cluster := newClusterHarness(smallGrid(), Options{}, 3)
 	qidsA := runScenario(serial)
 	qidsB := runScenario(cluster)
 
@@ -232,10 +221,10 @@ func TestClusterRebalance(t *testing.T) {
 	}
 }
 
-// TestClusterSnapshotCrossRestore: a clustered snapshot restores into a
-// serial server and a cluster with a different node count, byte-identically
-// re-snapshotting from each — MOBS stays implementation-independent across
-// all three tiers.
+// TestClusterSnapshotCrossRestore: a router snapshot restores into a serial
+// server and into routers of either rendering with a different node count
+// — same queries, descriptors, results and monitoring regions — and each
+// re-snapshots byte-identically: MOBS stays implementation-independent.
 func TestClusterSnapshotCrossRestore(t *testing.T) {
 	cluster := newClusterHarness(smallGrid(), Options{}, 3)
 	runScenario(cluster)
@@ -252,17 +241,39 @@ func TestClusterSnapshotCrossRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reclustered, err := RestoreClusterServer(smallGrid(), Options{}, nullDown{}, 2, bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	restoredAll := []ServerAPI{serial}
+	for _, r := range routerRenderings {
+		cs := r.new(smallGrid(), Options{}, nullDown{}, 2)
+		if err := cs.Restore(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.CheckInvariants(); err != nil {
+			t.Fatalf("restored router (%s) invariants: %v", r.name, err)
+		}
+		restoredAll = append(restoredAll, cs)
 	}
-	if err := reclustered.CheckInvariants(); err != nil {
-		t.Fatalf("restored cluster invariants: %v", err)
+	if err := NewClusterServer(smallGrid(), Options{}, nullDown{}, 2).Restore(bytes.NewReader(data[:len(data)/2])); err == nil {
+		t.Error("truncated snapshot restored without error")
 	}
 	want := cluster.server.QueryIDs()
-	for _, restored := range []ServerAPI{serial, reclustered} {
+	for _, restored := range restoredAll {
 		if got := restored.QueryIDs(); !qidsEqual(got, want) {
 			t.Fatalf("restored QueryIDs %v, want %v", got, want)
+		}
+		for _, qid := range want {
+			q0, _ := cluster.server.Query(qid)
+			q1, ok := restored.Query(qid)
+			if !ok || q0 != q1 {
+				t.Errorf("query %d descriptor: %+v vs %+v (ok=%v)", qid, q0, q1, ok)
+			}
+			if !idsEqual(cluster.server.Result(qid), restored.Result(qid)) {
+				t.Errorf("query %d result differs after restore", qid)
+			}
+			m0, _ := cluster.server.MonRegion(qid)
+			m1, _ := restored.MonRegion(qid)
+			if m0 != m1 {
+				t.Errorf("query %d monitoring region: %+v vs %+v", qid, m0, m1)
+			}
 		}
 		var again bytes.Buffer
 		if err := restored.Snapshot(&again); err != nil {

@@ -47,7 +47,7 @@ func runCostScenario(h *harness, a *cost.Accountant) {
 }
 
 // totalUplinks is the number of uplink messages the harness delivered to the
-// server — the external truth the shard ledgers must account for.
+// server — the external truth the node ledgers must account for.
 func totalUplinks(h *harness) int64 {
 	var n int64
 	for _, c := range h.upCount {
@@ -56,33 +56,35 @@ func totalUplinks(h *harness) int64 {
 	return n
 }
 
-// TestCostShardSumIdentity pins the shard attribution invariant: every
-// dispatched uplink is charged to exactly one shard ledger (or the router
-// ledger for stale drops and departures), so the shard sum plus router
+// TestCostNodeSumIdentity pins the node attribution invariant: every
+// dispatched uplink is charged to exactly one node ledger (or the router
+// ledger for stale drops and departures), so the node sum plus router
 // equals the uplinks delivered — no lost or double-counted messages even
-// when focal objects migrate between partitions.
-func TestCostShardSumIdentity(t *testing.T) {
-	h := newShardedHarness(smallGrid(), Options{}, 4)
+// when focal objects hand off between nodes.
+func TestCostNodeSumIdentity(t *testing.T) {
+	// 8 nodes over 20 rows: spans end mid-row, so the scenario's short
+	// trips cross node boundaries in both directions.
+	h := newShardedHarness(smallGrid(), Options{}, 8)
 	a := cost.New()
-	a.Configure(smallGrid().NumCells(), 0, 4)
+	a.Configure(smallGrid().NumCells(), 0, 8)
 	runCostScenario(h, a)
 
 	got := a.Router().UplinkMsgs()
 	nonzero := 0
-	for _, s := range a.Shards() {
+	for _, s := range a.Nodes() {
 		if s.UplinkMsgs() > 0 {
 			nonzero++
 		}
 		got += s.UplinkMsgs()
 	}
 	if want := totalUplinks(h); got != want {
-		t.Errorf("shard+router uplink msgs = %d, harness delivered %d", got, want)
+		t.Errorf("node+router uplink msgs = %d, harness delivered %d", got, want)
 	}
 	if nonzero < 2 {
-		t.Errorf("uplinks charged to %d shards — scenario too weak to test migration attribution", nonzero)
+		t.Errorf("uplinks charged to %d nodes — scenario too weak to test handoff attribution", nonzero)
 	}
-	if h.server.(*ShardedServer).Migrations() == 0 {
-		t.Error("scenario produced no cross-shard migrations — weak test")
+	if h.server.(*ClusterServer).Migrations() == 0 {
+		t.Error("scenario produced no cross-node handoffs — weak test")
 	}
 	snap := a.Global()
 	for _, u := range []cost.Unit{cost.UnitTableOp, cost.UnitRQITouch, cost.UnitDeadReckoning, cost.UnitContainment, cost.UnitLQTScan} {
@@ -92,11 +94,11 @@ func TestCostShardSumIdentity(t *testing.T) {
 	}
 }
 
-// TestCostSerialShardedEntityParity runs the same scripted workload against
-// the serial and the 4-shard server and requires identical per-query and
-// per-object tallies: attribution must not depend on which implementation
-// (or which partition) handled a message.
-func TestCostSerialShardedEntityParity(t *testing.T) {
+// TestCostSerialRouterEntityParity runs the same scripted workload against
+// the serial server and the 4-node router and requires identical per-query
+// and per-object tallies: attribution must not depend on which
+// implementation (or which node) handled a message.
+func TestCostSerialRouterEntityParity(t *testing.T) {
 	serial, sharded := newHarness(smallGrid(), Options{}), newShardedHarness(smallGrid(), Options{}, 4)
 	sa, ha := cost.New(), cost.New()
 	sa.Configure(smallGrid().NumCells(), 0, 0)
@@ -106,22 +108,22 @@ func TestCostSerialShardedEntityParity(t *testing.T) {
 
 	ss, hs := sa.Snapshot(), ha.Snapshot()
 	if !reflect.DeepEqual(ss.Queries, hs.Queries) {
-		t.Errorf("per-query tallies diverged:\nserial  %+v\nsharded %+v", ss.Queries, hs.Queries)
+		t.Errorf("per-query tallies diverged:\nserial %+v\nrouter %+v", ss.Queries, hs.Queries)
 	}
 	if !reflect.DeepEqual(ss.Objects, hs.Objects) {
-		t.Errorf("per-object tallies diverged:\nserial  %+v\nsharded %+v", ss.Objects, hs.Objects)
+		t.Errorf("per-object tallies diverged:\nserial %+v\nrouter %+v", ss.Objects, hs.Objects)
 	}
 	if len(ss.Queries) == 0 || len(ss.Objects) == 0 {
 		t.Fatalf("scenario recorded no per-entity traffic (queries %d, objects %d)", len(ss.Queries), len(ss.Objects))
 	}
 }
 
-// TestCostConcurrentShardAttribution hammers a ShardedServer from many
+// TestCostConcurrentNodeAttribution hammers the router from many
 // goroutines — fresh velocity and containment reports interleaved with
 // stale ones for unknown entities — while a scraper snapshots the
-// accountant, then checks the shard-sum identity. Run under -race this also
+// accountant, then checks the node-sum identity. Run under -race this also
 // proves attribution involves no unsynchronized state.
-func TestCostConcurrentShardAttribution(t *testing.T) {
+func TestCostConcurrentNodeAttribution(t *testing.T) {
 	g := smallGrid()
 	ss := NewShardedServer(g, Options{}, nullDown{}, 4)
 	a := cost.New()
@@ -149,7 +151,7 @@ func TestCostConcurrentShardAttribution(t *testing.T) {
 				return
 			default:
 				_ = a.Snapshot()
-				_ = a.Shards()
+				_ = a.Nodes()
 			}
 		}
 	}()
@@ -176,11 +178,11 @@ func TestCostConcurrentShardAttribution(t *testing.T) {
 	scraper.Wait()
 
 	got := a.Router().UplinkMsgs()
-	for _, s := range a.Shards() {
+	for _, s := range a.Nodes() {
 		got += s.UplinkMsgs()
 	}
 	if want := base + workers*perWorker; got != want {
-		t.Errorf("shard+router uplink msgs = %d, want %d", got, want)
+		t.Errorf("node+router uplink msgs = %d, want %d", got, want)
 	}
 	if err := ss.CheckInvariants(); err != nil {
 		t.Errorf("invariants after concurrent run: %v", err)

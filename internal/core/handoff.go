@@ -10,6 +10,7 @@ import (
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
+	"mobieyes/internal/obs/cost"
 	"mobieyes/internal/wire"
 )
 
@@ -157,3 +158,67 @@ func decodeFocalSlice(b []byte) (focalRecord, model.MotionState, grid.CellID, er
 }
 
 var errNoFocal = errors.New("core: node does not own that focal object")
+
+// focalRecord is a focal object's complete server-side state — its FOT row
+// and the SQT rows of every query bound to it — detached from one node for
+// handoff into another.
+type focalRecord struct {
+	oid model.ObjectID
+	fe  *fotEntry
+	// entries are the SQT rows of fe.queries, in the same order.
+	entries []*sqtEntry
+}
+
+// extractFocal detaches oid's FOT row and every bound query from s's tables
+// (SQT, RQI, expiries) without emitting any messages. The caller must know
+// oid is present and re-inject the record elsewhere with injectFocal.
+func (s *Server) extractFocal(oid model.ObjectID) focalRecord {
+	fe := s.fot[oid]
+	rec := focalRecord{oid: oid, fe: fe, entries: make([]*sqtEntry, 0, len(fe.queries))}
+	for _, qid := range fe.queries {
+		e := s.sqt[qid]
+		s.rqiRemove(qid, e.monRegion)
+		delete(s.sqt, qid)
+		delete(s.expiries, qid)
+		rec.entries = append(rec.entries, e)
+	}
+	delete(s.fot, oid)
+	return rec
+}
+
+// injectFocal installs a migrated focal record with the given motion state
+// and current cell. With relocate set (a §3.5 cell crossing) each query's
+// monitoring region is recomputed and — matching the serial relocateQuery —
+// its refreshed state is broadcast to the union of the old and new regions.
+// Without relocate (a focal-info refresh) monitoring regions are preserved
+// and nothing is sent, matching the serial OnFocalInfoResponse.
+func (s *Server) injectFocal(rec focalRecord, st model.MotionState, cell grid.CellID, relocate bool) {
+	fe := rec.fe
+	fe.state = st
+	fe.currCell = cell
+	s.fot[rec.oid] = fe
+	for i, qid := range fe.queries {
+		e := rec.entries[i]
+		oldRegion := e.monRegion
+		e.currCell = cell
+		s.sqt[qid] = e
+		if e.expiry != 0 {
+			s.expiries[qid] = e.expiry
+		}
+		if relocate {
+			e.monRegion = s.g.MonitoringRegion(cell, e.query.Region.EnclosingRadius())
+		}
+		s.rqiAdd(qid, e.monRegion)
+		if relocate {
+			s.broadcast(oldRegion.Union(e.monRegion), msg.QueryInstall{
+				Queries: []msg.QueryState{s.queryState(qid)},
+			})
+			s.ops.Add(2)
+			// Same table update the serial relocateQuery charges; the RQI
+			// touches above already match (a cell change always moves the
+			// monitoring region), so migrated and serial relocations cost
+			// the same.
+			s.acct.Compute(cost.UnitTableOp, 1)
+		}
+	}
+}

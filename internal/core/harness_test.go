@@ -36,30 +36,35 @@ type queuedDown struct {
 }
 
 func newHarness(g *grid.Grid, opts Options) *harness {
+	return newHarnessOver(g, opts, func(down Downlink) ServerAPI { return NewServer(g, opts, down) })
+}
+
+// newHarnessOver builds a harness around the server newServer returns;
+// everything else (clients, queued delivery) is identical across servers,
+// which is what makes the serial-vs-router equivalence tests direct
+// comparisons.
+func newHarnessOver(g *grid.Grid, opts Options, newServer func(Downlink) ServerAPI) *harness {
 	h := &harness{
 		g:         g,
 		byOID:     make(map[model.ObjectID]int),
 		upCount:   make(map[msg.Kind]int),
 		downCount: make(map[msg.Kind]int),
+		optsVal:   opts,
 	}
-	h.server = NewServer(g, opts, harnessDown{h})
-	h.optsVal = opts
+	h.server = newServer(harnessDown{h})
 	return h
 }
 
-// newShardedHarness is newHarness with a ShardedServer backend; everything
-// else (clients, queued delivery) is identical, which is what makes the
-// serial-vs-sharded equivalence tests direct comparisons.
+// newShardedHarness is newHarness over the router with un-journaled
+// in-process nodes (NewShardedServer).
 func newShardedHarness(g *grid.Grid, opts Options, shards int) *harness {
-	h := &harness{
-		g:         g,
-		byOID:     make(map[model.ObjectID]int),
-		upCount:   make(map[msg.Kind]int),
-		downCount: make(map[msg.Kind]int),
-	}
-	h.server = NewShardedServer(g, opts, harnessDown{h}, shards)
-	h.optsVal = opts
-	return h
+	return newHarnessOver(g, opts, func(down Downlink) ServerAPI { return NewShardedServer(g, opts, down, shards) })
+}
+
+// newClusterHarness is newHarness over the router with journaled in-process
+// worker nodes (NewClusterServer).
+func newClusterHarness(g *grid.Grid, opts Options, nodes int) *harness {
+	return newHarnessOver(g, opts, func(down Downlink) ServerAPI { return NewClusterServer(g, opts, down, nodes) })
 }
 
 func (h *harness) addObject(oid model.ObjectID, pos geo.Point, vel geo.Vector, maxVel float64, key uint64) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"time"
 
 	"mobieyes/internal/grid"
@@ -11,8 +10,8 @@ import (
 )
 
 // Metric names of the server layer (scheme mobieyes_<layer>_<name>; see
-// DESIGN.md §9). Per-shard series carry shard="N" (shard="router" for work
-// the ShardedServer does outside any partition); latency histograms carry
+// DESIGN.md §9). Under the router, per-node series carry node="N"
+// (node="router" for work done outside any node); latency histograms carry
 // kind="VelocityReport" etc.
 const (
 	metricOps            = "mobieyes_server_ops_total"
@@ -25,7 +24,6 @@ const (
 	metricSQTSize        = "mobieyes_server_sqt_size"
 	metricRQIEntries     = "mobieyes_server_rqi_entries"
 	metricPending        = "mobieyes_server_pending_installs"
-	metricShardDepth     = "mobieyes_server_shard_pending_uplinks"
 	metricInflight       = "mobieyes_cluster_inflight_ops"
 
 	helpOps            = "Elementary server-side operations (table updates, RQI touches, sends)."
@@ -33,13 +31,12 @@ const (
 	helpUplinkSeconds  = "Uplink message handling latency in seconds."
 	helpBroadcasts     = "Downlink broadcasts issued."
 	helpBroadcastCells = "Grid cells addressed per downlink broadcast."
-	helpMigrations     = "Focal-object migrations between shards."
+	helpMigrations     = "Cross-node focal handoffs."
 	helpFOTSize        = "Focal object table rows."
 	helpSQTSize        = "Server query table rows."
 	helpRQIEntries     = "Total (cell, query) entries in the reverse query index."
 	helpPending        = "Query installations awaiting the focal object's motion state."
-	helpShardDepth     = "Uplinks currently queued on or executing in the shard (0 at quiescence)."
-	helpInflight       = "Uplinks currently inside the cluster router's dispatch funnel (0 at quiescence)."
+	helpInflight       = "Uplinks currently inside the router's dispatch funnel (0 at quiescence)."
 )
 
 // kindLatency is a per-message-kind set of latency histograms covering the
@@ -69,20 +66,19 @@ func (kl *kindLatency) observe(k msg.Kind, start time.Time) {
 }
 
 // serverObs is the optional instrumentation of one serial Server (standalone
-// or as a shard). When nil — the default — the server is completely
+// or as a router node). When nil — the default — the server is completely
 // uninstrumented beyond its always-on ops and uplink counters, and the
 // deterministic behavior is untouched either way: instrumentation only
 // counts and times, it never alters protocol decisions or message contents.
 type serverObs struct {
-	// uplinkLat times HandleUplink by message kind; nil for shard servers
-	// (the ShardedServer router times dispatch instead, since shard
-	// handlers are invoked directly).
+	// uplinkLat times HandleUplink by message kind; the router holds one of
+	// its own, since node handlers are invoked directly.
 	uplinkLat      *kindLatency
 	broadcasts     *obs.Counter
 	broadcastCells *obs.Histogram
 	// Table-size gauges of a standalone serial Server, published by
-	// syncTableGauges from the owning goroutine; nil for shard servers,
-	// whose table gauges are scrape-time closures under the shard locks.
+	// syncTableGauges from the owning goroutine; a router's nodes publish
+	// scrape-time closures under the router lock instead.
 	fotSize    *obs.Gauge
 	sqtSize    *obs.Gauge
 	rqiEntries *obs.Gauge
@@ -119,7 +115,7 @@ func (s *Server) Instrument(reg *obs.Registry) {
 // syncTableGauges publishes the current table sizes into the atomic gauges.
 // The owning goroutine calls it after every mutation entry point; all sizes
 // are O(1) reads (RQI entries are tracked incrementally). No-op when the
-// server is uninstrumented or runs as a shard.
+// server is uninstrumented or runs as a router node.
 func (s *Server) syncTableGauges() {
 	o := s.obsm
 	if o == nil || o.fotSize == nil {
@@ -161,75 +157,3 @@ func (s *Server) broadcast(region grid.CellRange, m msg.Message) {
 	}
 	s.down.Broadcast(region, m)
 }
-
-// Instrument attaches the sharded server's metrics to reg: per-shard ops and
-// uplink counters (shard="0"… plus shard="router" for work outside any
-// partition), per-shard broadcast metrics and lock-protected table-size
-// gauges, the cross-shard migration counter, and per-kind uplink latency
-// measured at the router. Safe with a nil registry; idempotent per registry.
-func (ss *ShardedServer) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.RegisterCounter(metricOps, helpOps, ss.ops, "shard", "router")
-	reg.RegisterCounter(metricUplinks, helpUplinks, ss.upl, "shard", "router")
-	reg.RegisterCounter(metricMigrations, helpMigrations, ss.migrations)
-	ss.obsm = &serverObs{uplinkLat: newKindLatency(reg, metricUplinkSeconds, helpUplinkSeconds)}
-	reg.GaugeFunc(metricPending, helpPending, func() float64 {
-		ss.mu.RLock()
-		defer ss.mu.RUnlock()
-		return float64(len(ss.pending))
-	})
-	reg.GaugeFunc(metricShardDepth, helpShardDepth, func() float64 {
-		return float64(ss.inflight.Load())
-	}, "shard", "router")
-	for i, sh := range ss.shards {
-		sh := sh
-		label := strconv.Itoa(i)
-		reg.RegisterCounter(metricOps, helpOps, sh.srv.ops, "shard", label)
-		reg.RegisterCounter(metricUplinks, helpUplinks, sh.upl, "shard", label)
-		sh.srv.obsm = &serverObs{
-			broadcasts:     reg.Counter(metricBroadcasts, helpBroadcasts, "shard", label),
-			broadcastCells: reg.Histogram(metricBroadcastCells, helpBroadcastCells, obs.SizeBuckets, "shard", label),
-		}
-		locked := func(fn func(*Server) int) func() float64 {
-			return func() float64 {
-				sh.mu.Lock()
-				defer sh.mu.Unlock()
-				return float64(fn(sh.srv))
-			}
-		}
-		reg.GaugeFunc(metricFOTSize, helpFOTSize, locked(func(s *Server) int { return len(s.fot) }), "shard", label)
-		reg.GaugeFunc(metricSQTSize, helpSQTSize, locked(func(s *Server) int { return len(s.sqt) }), "shard", label)
-		reg.GaugeFunc(metricRQIEntries, helpRQIEntries, locked(func(s *Server) int { return s.rqiCount }), "shard", label)
-		reg.GaugeFunc(metricShardDepth, helpShardDepth, func() float64 {
-			return float64(sh.inflight.Load())
-		}, "shard", label)
-	}
-}
-
-// OpsByShard returns each shard's cumulative operation count, indexed by
-// shard — the deterministic per-partition load breakdown (the router's own
-// count is excluded; see Ops for the total).
-func (ss *ShardedServer) OpsByShard() []int64 {
-	out := make([]int64, len(ss.shards))
-	for i, sh := range ss.shards {
-		out[i] = sh.srv.Ops()
-	}
-	return out
-}
-
-// UplinksByShard returns the number of uplink messages dispatched to each
-// shard, indexed by shard.
-func (ss *ShardedServer) UplinksByShard() []int64 {
-	out := make([]int64, len(ss.shards))
-	for i, sh := range ss.shards {
-		out[i] = sh.upl.Value()
-	}
-	return out
-}
-
-// Migrations returns the cumulative number of cross-shard focal-object
-// migrations (cell crossings or motion-state refreshes whose new cell hashed
-// into a different partition).
-func (ss *ShardedServer) Migrations() int64 { return ss.migrations.Value() }

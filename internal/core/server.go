@@ -70,9 +70,8 @@ type Server struct {
 	// ops counts elementary server-side operations (table updates, RQI
 	// touches, broadcasts); a deterministic proxy for server load used by
 	// tests, complementing the wall-clock measurement of the experiments.
-	// It is an obs counter (atomic underneath) so Ops() stays meaningful
-	// when Servers run as shards of a concurrent ShardedServer, and so
-	// Instrument can expose the same counter over /metrics. upl counts
+	// It is an obs counter (atomic underneath) so Instrument can expose the
+	// same counter over /metrics and scrapes never race dispatch. upl counts
 	// uplink messages dispatched through HandleUplink.
 	ops *obs.Counter
 	upl *obs.Counter
@@ -83,10 +82,10 @@ type Server struct {
 
 	// Causal tracing (see internal/obs/trace and DESIGN.md §11). rec is the
 	// flight recorder attached by SetTracer (nil = off); actor names this
-	// server in events ("server", or "shardN" under a ShardedServer); tdown
+	// server in events ("server", or "nodeN" under the router); tdown
 	// caches the downlink's TracedDownlink extension, if any. curTrace is
 	// the trace ID of the dispatch in flight; owned by the single dispatch
-	// goroutine (or the shard lock when running as a shard).
+	// goroutine (or the router lock when running as a node).
 	rec      *trace.Recorder
 	actor    string
 	tdown    TracedDownlink
@@ -398,9 +397,8 @@ func (s *Server) clearObjectFromResults(oid model.ObjectID) {
 }
 
 // focalCellChange applies a focal object's move to newCell: the FOT row is
-// refreshed and every bound query relocated. Extracted so the sharded
-// engine can run the same logic after migrating the focal's rows between
-// shards.
+// refreshed and every bound query relocated. NodeServer.FocalCellChange
+// enters here directly.
 func (s *Server) focalCellChange(fe *fotEntry, st model.MotionState, newCell grid.CellID) {
 	fe.state = st
 	fe.currCell = newCell
@@ -443,7 +441,7 @@ func (s *Server) sendNewNearbyQueries(oid model.ObjectID, prevCell, newCell grid
 
 // freshQueryStates returns the wire states of RQI(newCell) \ RQI(prevCell),
 // ascending by query ID — the queries an object entering newCell from
-// prevCell has not seen yet. The sharded server unions this across shards.
+// prevCell has not seen yet. The router unions this across nodes.
 func (s *Server) freshQueryStates(prevCell, newCell grid.CellID) []msg.QueryState {
 	if !s.g.Valid(newCell) {
 		return nil

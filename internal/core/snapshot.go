@@ -324,69 +324,3 @@ func RestoreServer(g *grid.Grid, opts Options, down Downlink, r io.Reader) (*Ser
 	}
 	return s, nil
 }
-
-// Snapshot serializes the sharded server's durable state in the same MOBS
-// format as the serial server — snapshots move freely between the two
-// implementations and across shard counts. The whole server is frozen while
-// records are collected.
-func (ss *ShardedServer) Snapshot(w io.Writer) error {
-	ss.lockAll()
-	d := snapData{nextQID: model.QueryID(ss.qidCounter.Load()) + 1}
-	for _, sh := range ss.shards {
-		sd := sh.srv.snapshotData()
-		d.queries = append(d.queries, sd.queries...)
-	}
-	sort.Slice(d.queries, func(i, j int) bool { return d.queries[i].state.QID < d.queries[j].state.QID })
-	var pendingFocals []model.ObjectID
-	for focal := range ss.pending {
-		pendingFocals = append(pendingFocals, focal)
-	}
-	sort.Slice(pendingFocals, func(i, j int) bool { return pendingFocals[i] < pendingFocals[j] })
-	for _, focal := range pendingFocals {
-		for _, p := range ss.pending[focal] {
-			d.pending = append(d.pending, snapPending{
-				qid:    p.qid,
-				query:  p.query,
-				maxVel: p.maxVel,
-				expiry: ss.pendingExp[p.qid],
-			})
-		}
-	}
-	ss.unlockAll()
-	return writeSnapshot(w, d)
-}
-
-// RestoreShardedServer rebuilds a sharded server from a snapshot written by
-// either implementation. Each restored query lands on the shard its focal
-// object's current cell hashes to; pending installations re-issue their
-// FocalInfoRequests through down.
-func RestoreShardedServer(g *grid.Grid, opts Options, down Downlink, shards int, r io.Reader) (*ShardedServer, error) {
-	d, err := readSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	ss := NewShardedServer(g, opts, down, shards)
-	ss.qidCounter.Store(int64(d.nextQID) - 1)
-	for _, q := range d.queries {
-		cell := g.CellOf(q.state.State.Pos)
-		si := ss.shardOf(cell)
-		ss.shards[si].srv.restoreQuery(q)
-		ss.focalShard[q.state.Focal] = si
-		ss.queryShard[q.state.QID] = si
-	}
-	for _, p := range d.pending {
-		focal := p.query.Focal
-		ss.pending[focal] = append(ss.pending[focal], pendingInstall{
-			qid:    p.qid,
-			query:  p.query,
-			maxVel: p.maxVel,
-		})
-		if p.expiry != 0 {
-			ss.pendingExp[p.qid] = p.expiry
-		}
-		if len(ss.pending[focal]) == 1 {
-			ss.unicast(focal, msg.FocalInfoRequest{OID: focal}, 0)
-		}
-	}
-	return ss, nil
-}

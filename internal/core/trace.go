@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
@@ -125,51 +123,4 @@ func (s *Server) unicast(oid model.ObjectID, m msg.Message) {
 		}
 	}
 	s.down.Unicast(oid, m)
-}
-
-// SetTracer attaches a flight recorder to the router and every shard.
-// Shards record as "shard0", "shard1", …; router-level work (migrations,
-// cross-shard unicasts, uplink ingress) records as "router". Not safe to
-// call concurrently with message dispatch.
-func (ss *ShardedServer) SetTracer(rec *trace.Recorder) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	ss.rec = rec
-	ss.tdown, _ = ss.down.(TracedDownlink)
-	for i, sh := range ss.shards {
-		sh.mu.Lock()
-		sh.srv.setTracer(rec, "shard"+strconv.Itoa(i))
-		sh.mu.Unlock()
-	}
-}
-
-// mintRoot starts a fresh trace for a router-level API ingress.
-func (ss *ShardedServer) mintRoot(oid model.ObjectID, qid model.QueryID, note string) trace.ID {
-	if ss.rec == nil {
-		return 0
-	}
-	tid := ss.rec.NextID()
-	ss.rec.Event(tid, trace.KindIngress, "router", int64(oid), int64(qid), note)
-	return tid
-}
-
-// unicast is the router-level unicast funnel (sends outside any shard).
-func (ss *ShardedServer) unicast(oid model.ObjectID, m msg.Message, tid trace.ID) {
-	if ss.acct != nil {
-		_, qid := TraceRef(m)
-		sz := m.Size()
-		ss.acct.ObjectDown(int64(oid), sz, 1)
-		if qid != 0 {
-			ss.acct.QueryDown(qid, sz, 1)
-		}
-	}
-	if ss.rec != nil {
-		_, qid := TraceRef(m)
-		ss.rec.Event(tid, trace.KindUnicast, "router", int64(oid), qid, m.Kind().String())
-		if ss.tdown != nil {
-			ss.tdown.UnicastTraced(oid, m, tid)
-			return
-		}
-	}
-	ss.down.Unicast(oid, m)
 }

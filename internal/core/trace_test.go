@@ -123,12 +123,12 @@ func TestSerialServerTracing(t *testing.T) {
 	}
 }
 
-func TestShardedServerTracingAndMigration(t *testing.T) {
+func TestRouterTracingAndMigration(t *testing.T) {
 	h := newShardedHarness(smallGrid(), Options{}, 4)
 	rec := trace.NewRecorder(4096)
 	h.server.SetTracer(rec)
-	// A focal object moving fast enough to cross cells (and with 4 shards
-	// over a 20×20 grid, inevitably partitions).
+	// A focal object moving fast enough to cross cells (and with 4 spans of
+	// five rows each over a 20×20 grid, inevitably span boundaries).
 	h.addObject(1, geo.Pt(10, 10), geo.Vec(20, 15), 100, 11)
 	h.addObject(2, geo.Pt(12, 10), geo.Vec(18, 11), 100, 22)
 	qid := h.install(1, 6, matchAll, 100)
@@ -150,22 +150,22 @@ func TestShardedServerTracingAndMigration(t *testing.T) {
 			t.Fatalf("untraced event: %v", e)
 		}
 		actors[e.Actor] = true
-		if e.Actor != "router" && !strings.HasPrefix(e.Actor, "shard") {
+		if e.Actor != "router" && !strings.HasPrefix(e.Actor, "node") {
 			t.Fatalf("unexpected actor %q: %v", e.Actor, e)
 		}
 	}
 	if !actors["router"] {
 		t.Fatal("no router-level events recorded")
 	}
-	// With 40 steps across a 4-shard partitioning, the focal must have
-	// migrated at least once; each migration is recorded and its trace also
-	// contains the shard-side relocation broadcast.
+	// With 40 steps across 4 spans, the focal must have handed off at least
+	// once; each handoff is recorded and its trace also contains the
+	// node-side relocation broadcast.
 	migs := rec.Events(trace.Filter{Kind: trace.KindMigrate})
 	if len(migs) == 0 {
 		t.Fatal("no migration events despite cell crossings")
 	}
 	mig := migs[len(migs)-1]
-	if mig.Actor != "router" || mig.OID != 1 || !strings.Contains(mig.Note, "-> shard") {
+	if mig.Actor != "router" || mig.OID != 1 || !strings.Contains(mig.Note, "-> node") {
 		t.Fatalf("malformed migration event: %v", mig)
 	}
 	chain := rec.Events(trace.Filter{Trace: mig.Trace})

@@ -42,10 +42,10 @@ type RunOpts struct {
 	ScaleDiv int
 	Seed     int64
 	// Shards selects the server implementation for the MobiEyes runs:
-	// 0 or 1 = the serial deterministic server, >1 = the grid-partitioned
-	// ShardedServer with a concurrent uplink drain (see sim.Config
-	// .ServerShards). Results are equivalent; wall-clock server load
-	// benefits from extra cores.
+	// 0 or 1 = the serial deterministic server, >1 = the router over that
+	// many in-process nodes with a concurrent uplink drain (see sim.Config
+	// .ServerShards). Results are equivalent; the router serializes
+	// dispatch, so wall-clock server load does not improve.
 	Shards int
 	// Metrics, when non-nil, instruments every engine the experiments
 	// build against this registry (see sim.Config.Metrics) — useful with

@@ -42,12 +42,12 @@ func BenchmarkCostDownlinkEnabled(b *testing.B) {
 	}
 }
 
-func BenchmarkCostShardUplinkEnabled(b *testing.B) {
+func BenchmarkCostNodeUplinkEnabled(b *testing.B) {
 	a := New()
 	a.Configure(0, 0, 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.ShardUplink(i&7, msg.KindVelocityReport, 30)
+		a.NodeUplink(i&7, msg.KindVelocityReport, 30)
 	}
 }
 

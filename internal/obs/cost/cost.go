@@ -13,12 +13,11 @@
 //     (internal/remote, bytes-on-wire including the length prefix). A
 //     broadcast relayed through k base stations counts as k downlink
 //     messages, matching the paper's wireless-medium accounting.
-//   - Per-shard ledgers are filled at the sharded router's dispatch points,
-//     attributing each uplink to the shard whose tables it mutates. Uplinks
-//     the router drops as stale (the owning shard moved mid-flight) or
-//     handles itself go to the router ledger, so
-//     sum(shards) + router == global uplinks, exactly, even across focal
-//     migrations.
+//   - Per-node ledgers are filled at the router's dispatch points,
+//     attributing each uplink to the node whose tables it mutates. Uplinks
+//     the router drops as stale or handles itself go to the router ledger,
+//     so sum(nodes) + router == global uplinks, exactly, even across focal
+//     handoffs.
 //   - Per-cell and per-station tallies are filled by the transport: an
 //     uplink is charged to the sender's current grid cell and covering base
 //     station; a broadcast is charged to every station it is relayed
@@ -125,7 +124,7 @@ func (l *Ledger) ComputeUnits(u Unit) int64 { return l.compute[u].Value() }
 
 // LedgerSnap is a point-in-time copy of a Ledger. It is a comparable value
 // (fixed-size arrays), so two snapshots can be checked for exact equality
-// with == — the property the simtest serial-vs-sharded ledger oracle uses.
+// with == — the property the simtest serial-vs-router ledger oracle uses.
 type LedgerSnap struct {
 	UpMsgs    [msg.NumKinds]int64
 	UpBytes   [msg.NumKinds]int64
@@ -260,7 +259,7 @@ type quality struct {
 }
 
 // An Accountant is the root of the ledger hierarchy for one running system:
-// a global transport ledger, a per-shard ledger array plus the router
+// a global transport ledger, a per-node ledger array plus the router
 // ledger, per-cell and per-station tallies, per-query and per-object
 // tallies, and the answer-quality instruments.
 //
@@ -273,16 +272,9 @@ type Accountant struct {
 
 	// Fixed-size scopes, sized by Configure. Updates to these slices'
 	// elements are atomic; the slice headers only change in Configure.
-	shards   []Ledger
+	nodes    []Ledger
 	cells    []Tally
 	stations []Tally
-
-	// nodes are the per-cluster-node ledgers, sized by ConfigureNodes. They
-	// mirror the shard level one tier up: the clustered router attributes
-	// each dispatched uplink to the node whose tables it mutates, with the
-	// router ledger absorbing stale drops and router-handled work, so
-	// sum(nodes) + router == global uplinks.
-	nodes []Ledger
 
 	mu      sync.RWMutex // guards queries, objects, mode
 	queries map[int64]*Tally
@@ -306,7 +298,7 @@ type Accountant struct {
 }
 
 // New returns an enabled accountant. Call Configure before use to size the
-// per-shard/cell/station scopes (unscoped accounting works without it).
+// per-node/cell/station scopes (unscoped accounting works without it).
 func New() *Accountant {
 	return &Accountant{
 		queries: make(map[int64]*Tally),
@@ -314,17 +306,18 @@ func New() *Accountant {
 	}
 }
 
-// Configure (re)allocates the fixed per-shard, per-cell and per-station
-// scopes. Zero or negative sizes disable that scope. Not safe to call
-// concurrently with accounting updates — call before the system runs.
-func (a *Accountant) Configure(numCells, numStations, numShards int) {
+// Configure (re)allocates the fixed per-node (router nodes: in-process
+// shards or cluster workers), per-cell and per-station scopes. Zero or
+// negative sizes disable that scope. Not safe to call concurrently with
+// accounting updates — call before the system runs.
+func (a *Accountant) Configure(numCells, numStations, numNodes int) {
 	if a == nil {
 		return
 	}
-	if numShards > 0 {
-		a.shards = make([]Ledger, numShards)
+	if numNodes > 0 {
+		a.nodes = make([]Ledger, numNodes)
 	} else {
-		a.shards = nil
+		a.nodes = nil
 	}
 	if numCells > 0 {
 		a.cells = make([]Tally, numCells)
@@ -335,20 +328,6 @@ func (a *Accountant) Configure(numCells, numStations, numShards int) {
 		a.stations = make([]Tally, numStations)
 	} else {
 		a.stations = nil
-	}
-}
-
-// ConfigureNodes (re)allocates the per-cluster-node ledgers. Zero or
-// negative disables the node scope. Like Configure, call before the system
-// runs.
-func (a *Accountant) ConfigureNodes(numNodes int) {
-	if a == nil {
-		return
-	}
-	if numNodes > 0 {
-		a.nodes = make([]Ledger, numNodes)
-	} else {
-		a.nodes = nil
 	}
 }
 
@@ -392,24 +371,10 @@ func (a *Accountant) Downlink(k msg.Kind, bytes, copies int) {
 	a.global.downlink(k, int64(bytes), int64(copies))
 }
 
-// ShardUplink charges one uplink to the shard that processed it. An index
+// NodeUplink charges one uplink to the node that processed it. An index
 // outside the configured range — in particular the router's conventional -1
 // for stale drops and router-handled messages — goes to the router ledger,
-// preserving sum(shards) + router == global uplinks.
-func (a *Accountant) ShardUplink(shard int, k msg.Kind, bytes int) {
-	if a == nil {
-		return
-	}
-	if shard < 0 || shard >= len(a.shards) {
-		a.router.uplink(k, int64(bytes))
-		return
-	}
-	a.shards[shard].uplink(k, int64(bytes))
-}
-
-// NodeUplink charges one uplink to the cluster node that processed it. An
-// index outside the configured range — the router's conventional -1 — goes
-// to the router ledger, preserving sum(nodes) + router == global uplinks.
+// preserving sum(nodes) + router == global uplinks.
 func (a *Accountant) NodeUplink(node int, k msg.Kind, bytes int) {
 	if a == nil {
 		return
@@ -598,7 +563,7 @@ func (a *Accountant) Global() LedgerSnap {
 }
 
 // Router returns a snapshot of the router ledger (stale drops and
-// router-handled uplinks on the sharded server).
+// router-handled uplinks).
 func (a *Accountant) Router() LedgerSnap {
 	if a == nil {
 		return LedgerSnap{}
@@ -606,19 +571,7 @@ func (a *Accountant) Router() LedgerSnap {
 	return a.router.snap()
 }
 
-// Shards returns snapshots of the per-shard ledgers.
-func (a *Accountant) Shards() []LedgerSnap {
-	if a == nil {
-		return nil
-	}
-	out := make([]LedgerSnap, len(a.shards))
-	for i := range a.shards {
-		out[i] = a.shards[i].snap()
-	}
-	return out
-}
-
-// Nodes returns snapshots of the per-cluster-node ledgers.
+// Nodes returns snapshots of the per-node ledgers.
 func (a *Accountant) Nodes() []LedgerSnap {
 	if a == nil {
 		return nil
@@ -666,9 +619,6 @@ func (a *Accountant) Reset() {
 	zero(&a.egress.historyBytes)
 	a.global.reset()
 	a.router.reset()
-	for i := range a.shards {
-		a.shards[i].reset()
-	}
 	for i := range a.nodes {
 		a.nodes[i].reset()
 	}

@@ -17,7 +17,7 @@ func TestNilAccountant(t *testing.T) {
 	a.SetMode("EQP")
 	a.Uplink(msg.KindVelocityReport, 32)
 	a.Downlink(msg.KindVelocityChange, 64, 3)
-	a.ShardUplink(1, msg.KindVelocityReport, 32)
+	a.NodeUplink(1, msg.KindVelocityReport, 32)
 	a.CellUp(3, 32)
 	a.CellDown(3, 64)
 	a.StationUp(1, 32)
@@ -79,23 +79,23 @@ func TestGlobalAttribution(t *testing.T) {
 	}
 }
 
-// TestShardRouterIdentity pins the migration-attribution invariant:
-// uplinks charged to shards plus the router ledger must equal the global
-// uplink count, including stale drops (out-of-range shard index → router).
-func TestShardRouterIdentity(t *testing.T) {
+// TestNodeRouterIdentity pins the migration-attribution invariant:
+// uplinks charged to nodes plus the router ledger must equal the global
+// uplink count, including stale drops (out-of-range node index → router).
+func TestNodeRouterIdentity(t *testing.T) {
 	a := New()
 	a.Configure(0, 0, 3)
 	kinds := []msg.Kind{msg.KindVelocityReport, msg.KindContainmentReport, msg.KindCellChangeReport}
-	shardIdx := []int{0, 1, 2, -1, 1, 99, 0} // -1 and 99 → router
-	for i, sh := range shardIdx {
+	nodeIdx := []int{0, 1, 2, -1, 1, 99, 0} // -1 and 99 → router
+	for i, sh := range nodeIdx {
 		k := kinds[i%len(kinds)]
 		a.Uplink(k, 30)
-		a.ShardUplink(sh, k, 30)
+		a.NodeUplink(sh, k, 30)
 	}
-	var shardSum int64
-	for _, s := range a.Shards() {
+	var nodeSum int64
+	for _, s := range a.Nodes() {
 		for k := 0; k < msg.NumKinds; k++ {
-			shardSum += s.UpMsgs[k]
+			nodeSum += s.UpMsgs[k]
 		}
 	}
 	var routerSum int64
@@ -109,8 +109,8 @@ func TestShardRouterIdentity(t *testing.T) {
 	if routerSum != 2 {
 		t.Errorf("router uplinks = %d, want 2", routerSum)
 	}
-	if shardSum+routerSum != globalSum {
-		t.Errorf("shards(%d) + router(%d) != global(%d)", shardSum, routerSum, globalSum)
+	if nodeSum+routerSum != globalSum {
+		t.Errorf("nodes(%d) + router(%d) != global(%d)", nodeSum, routerSum, globalSum)
 	}
 }
 
@@ -211,8 +211,8 @@ func TestReset(t *testing.T) {
 	a.Configure(4, 2, 2)
 	a.SetMode("EQP")
 	a.Uplink(msg.KindPositionReport, 26)
-	a.ShardUplink(1, msg.KindPositionReport, 26)
-	a.ShardUplink(-1, msg.KindPositionReport, 26)
+	a.NodeUplink(1, msg.KindPositionReport, 26)
+	a.NodeUplink(-1, msg.KindPositionReport, 26)
 	a.CellUp(1, 26)
 	a.StationDown(0, 40)
 	a.QueryUp(1, 26)
@@ -229,8 +229,8 @@ func TestReset(t *testing.T) {
 		len(s.Queries) != 0 || len(s.Objects) != 0 || s.Quality != nil {
 		t.Errorf("scopes not reset: %+v", s)
 	}
-	if len(s.Shards) != 2 {
-		t.Errorf("Reset dropped shard configuration: %d shards", len(s.Shards))
+	if len(s.Nodes) != 2 {
+		t.Errorf("Reset dropped node configuration: %d nodes", len(s.Nodes))
 	}
 	if s.Mode != "EQP" {
 		t.Errorf("Reset cleared mode: %q", s.Mode)
@@ -261,7 +261,7 @@ func TestScrapeDuringUpdate(t *testing.T) {
 				k := msg.Kind(i % msg.NumKinds)
 				a.Uplink(k, 30)
 				a.Downlink(k, 40, 2)
-				a.ShardUplink(i%5-1, k, 30)
+				a.NodeUplink(i%5-1, k, 30)
 				a.CellUp(int32(i%64), 30)
 				a.StationDown(int32(i%8), 40)
 				a.QueryUp(int64(i%10), 30)
@@ -326,7 +326,7 @@ func TestWriteText(t *testing.T) {
 	a.Configure(4, 2, 2)
 	a.SetMode("EQP")
 	a.Uplink(msg.KindVelocityReport, 30)
-	a.ShardUplink(0, msg.KindVelocityReport, 30)
+	a.NodeUplink(0, msg.KindVelocityReport, 30)
 	a.Downlink(msg.KindVelocityChange, 50, 2)
 	a.StationDown(1, 50)
 	a.Compute(UnitSetCover, 1)
@@ -336,7 +336,7 @@ func TestWriteText(t *testing.T) {
 	a.Snapshot().WriteText(&sb)
 	out := sb.String()
 	for _, want := range []string{"mode", "EQP", "VelocityReport", "VelocityChange",
-		"SetCover", "shard 0", "station 1", "precision", "staleness"} {
+		"SetCover", "node 0", "station 1", "precision", "staleness"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text report missing %q:\n%s", want, out)
 		}

@@ -13,8 +13,8 @@ import (
 //	mobieyes_cost_msgs_total{dir,kind}      global transport message counts
 //	mobieyes_cost_bytes_total{dir,kind}     global transport wire bytes
 //	mobieyes_cost_compute_total{unit}       computation units by kind
-//	mobieyes_cost_shard_uplink_msgs{shard}  per-shard uplink attribution
-//	                                        (shard="router" for drops)
+//	mobieyes_cost_node_uplink_msgs{node}    per-node uplink attribution
+//	                                        (node="router" for drops)
 //	mobieyes_cost_precision / _recall       latest-step answer quality
 //	mobieyes_cost_quality_total{outcome}    cumulative tp/fp/fn
 //	mobieyes_cost_staleness_total{le}       staleness bucket counts (steps,
@@ -24,7 +24,7 @@ import (
 //	mobieyes_cost_egress_bytes_total{sink}  gateway/history egress bytes
 //
 // The registered counters are the live ledger counters — no copying, no
-// per-update registry work. Call after Configure so per-shard series exist.
+// per-update registry work. Call after Configure so per-node series exist.
 // No-op when a or reg is nil.
 func (a *Accountant) Instrument(reg *obs.Registry) {
 	if a == nil || reg == nil {
@@ -50,24 +50,17 @@ func (a *Accountant) Instrument(reg *obs.Registry) {
 			"Computation units by kind (client and server work).",
 			&a.global.compute[u], "unit", Unit(u).String())
 	}
-	for i := range a.shards {
-		sh := &a.shards[i]
-		reg.GaugeFunc("mobieyes_cost_shard_uplink_msgs",
-			"Uplink messages attributed to each server shard.",
-			func() float64 { return float64(sh.UplinkMsgs()) },
-			"shard", strconv.Itoa(i))
-	}
-	reg.GaugeFunc("mobieyes_cost_shard_uplink_msgs",
-		"Uplink messages attributed to each server shard.",
-		func() float64 { return float64(a.router.UplinkMsgs()) },
-		"shard", "router")
 	for i := range a.nodes {
 		nd := &a.nodes[i]
 		reg.GaugeFunc("mobieyes_cost_node_uplink_msgs",
-			"Uplink messages attributed to each cluster node.",
+			"Uplink messages attributed to each router node.",
 			func() float64 { return float64(nd.UplinkMsgs()) },
 			"node", strconv.Itoa(i))
 	}
+	reg.GaugeFunc("mobieyes_cost_node_uplink_msgs",
+		"Uplink messages attributed to each router node.",
+		func() float64 { return float64(a.router.UplinkMsgs()) },
+		"node", "router")
 	reg.GaugeFunc("mobieyes_cost_precision",
 		"Latest-step result-set precision against ground truth.",
 		a.q.precision.Value)

@@ -92,7 +92,6 @@ type Snapshot struct {
 	Mode     string         `json:"mode,omitempty"`
 	Global   LedgerReport   `json:"global"`
 	Router   *LedgerReport  `json:"router,omitempty"`
-	Shards   []LedgerReport `json:"shards,omitempty"`
 	Nodes    []LedgerReport `json:"nodes,omitempty"`
 	Cells    []TallySnap    `json:"cells,omitempty"`
 	Stations []TallySnap    `json:"stations,omitempty"`
@@ -126,9 +125,6 @@ func (a *Accountant) Snapshot() Snapshot {
 	if r := a.router.snap(); r != (LedgerSnap{}) {
 		rep := r.Report()
 		s.Router = &rep
-	}
-	for i := range a.shards {
-		s.Shards = append(s.Shards, a.shards[i].snap().Report())
 	}
 	for i := range a.nodes {
 		s.Nodes = append(s.Nodes, a.nodes[i].snap().Report())
@@ -264,7 +260,7 @@ func (a *Accountant) ObjectSnap(oid int64) (TallySnap, bool) {
 }
 
 // WriteText renders the snapshot as a human-readable report: the global
-// per-kind traffic table, compute units, shard attribution, the busiest
+// per-kind traffic table, compute units, node attribution, the busiest
 // base stations by downlink bytes, and the quality section.
 func (s Snapshot) WriteText(w io.Writer) {
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
@@ -279,9 +275,6 @@ func (s Snapshot) WriteText(w io.Writer) {
 	}
 	for _, u := range s.Global.Compute {
 		fmt.Fprintf(tw, "  compute %s\t%d\n", u.Unit, u.N)
-	}
-	for i, sh := range s.Shards {
-		fmt.Fprintf(tw, "shard %d\tup %d msgs / %d B\n", i, sh.UpMsgs, sh.UpBytes)
 	}
 	for i, nd := range s.Nodes {
 		fmt.Fprintf(tw, "node %d\tup %d msgs / %d B\n", i, nd.UpMsgs, nd.UpBytes)

@@ -17,7 +17,7 @@ import (
 //	trace=N      only events of causal chain N
 //	oid=N        only events about object N
 //	qid=N        only events about query N
-//	actor=S      only events recorded by actor S (e.g. "router", "shard3")
+//	actor=S      only events recorded by actor S (e.g. "router", "node3")
 //	n=N          at most the newest N matches (default 100; n=0 means all)
 //	causal=1     replace the oid/qid filters with the full causal closure:
 //	             every chain that ever touched the object or query

@@ -28,7 +28,5 @@ func benchSustained(b *testing.B, backend string, objects int) {
 	}
 }
 
-func BenchmarkSustainedSerial10k(b *testing.B)   { benchSustained(b, "serial", 10_000) }
-func BenchmarkSustainedSerial100k(b *testing.B)  { benchSustained(b, "serial", 100_000) }
-func BenchmarkSustainedSharded10k(b *testing.B)  { benchSustained(b, "sharded", 10_000) }
-func BenchmarkSustainedSharded100k(b *testing.B) { benchSustained(b, "sharded", 100_000) }
+func BenchmarkSustainedSerial10k(b *testing.B)  { benchSustained(b, "serial", 10_000) }
+func BenchmarkSustainedSerial100k(b *testing.B) { benchSustained(b, "serial", 100_000) }

@@ -30,7 +30,8 @@ type Config struct {
 	// backend stalls, ops queue behind the schedule instead of spawning
 	// unbounded goroutines, and the lateness is charged to their latency.
 	Workers int
-	// Shards and Nodes configure the sharded/tcp and cluster backends.
+	// Shards sizes the sharded and tcp backends' router, Nodes the cluster
+	// backend's.
 	Shards int
 	Nodes  int
 	// Seed makes the op stream deterministic.

@@ -143,9 +143,9 @@ func TestRunTracedStageDecomposition(t *testing.T) {
 	}
 }
 
-// TestRunQueueDepthGaugesQuiesce checks satellite 3: the sharded per-shard
-// pending-uplink gauges and the cluster in-flight gauge read zero once a run
-// has quiesced — nothing leaks a depth increment.
+// TestRunQueueDepthGaugesQuiesce checks satellite 3: the router's in-flight
+// gauge reads zero once a run has quiesced, over either node rendering —
+// nothing leaks a depth increment.
 func TestRunQueueDepthGaugesQuiesce(t *testing.T) {
 	for _, backend := range []string{"sharded", "cluster"} {
 		backend := backend
@@ -164,9 +164,7 @@ func TestRunQueueDepthGaugesQuiesce(t *testing.T) {
 			}
 			found := false
 			for name, v := range reg.Snapshot() {
-				isDepth := strings.HasPrefix(name, "mobieyes_server_shard_pending_uplinks") ||
-					strings.HasPrefix(name, "mobieyes_cluster_inflight_ops")
-				if !isDepth {
+				if !strings.HasPrefix(name, "mobieyes_cluster_inflight_ops") {
 					continue
 				}
 				found = true

@@ -33,8 +33,8 @@ type Target interface {
 	// Quiesce blocks until all in-flight work has drained.
 	Quiesce() error
 	// Depth samples the backend's instantaneous internal queue depth
-	// (pending sharded uplinks, cluster in-flight ops); 0 where the
-	// backend has no internal queues.
+	// (the router's in-flight ops); 0 where the backend has no internal
+	// queues.
 	Depth() int64
 	// Delivered counts downlink messages the backend emitted so far.
 	Delivered() int64
@@ -96,12 +96,12 @@ func (t *serialTarget) Depth() int64     { return 0 }
 func (t *serialTarget) Delivered() int64 { return t.sink.delivered.Load() }
 func (t *serialTarget) Close() error     { return nil }
 
-// apiTarget wraps a concurrency-safe backend (sharded or cluster).
+// apiTarget wraps the concurrency-safe router, over fate-sharing shards
+// ("sharded") or journaled in-process worker nodes ("cluster").
 type apiTarget struct {
-	name  string
-	srv   core.ServerAPI
-	sink  *sink
-	depth func() int64
+	name string
+	srv  *core.ClusterServer
+	sink *sink
 }
 
 func (t *apiTarget) Name() string        { return t.name }
@@ -114,7 +114,7 @@ func (t *apiTarget) Do(worker int, m msg.Message) error {
 	return nil
 }
 func (t *apiTarget) Quiesce() error   { return nil }
-func (t *apiTarget) Depth() int64     { return t.depth() }
+func (t *apiTarget) Depth() int64     { return t.srv.InflightOps() }
 func (t *apiTarget) Delivered() int64 { return t.sink.delivered.Load() }
 func (t *apiTarget) Close() error     { return nil }
 
@@ -130,30 +130,16 @@ func newTarget(cfg Config, w *Workload, rec *trace.Recorder, reg *obs.Registry) 
 		srv.SetTracer(rec)
 		srv.Instrument(reg)
 		return &serialTarget{srv: srv, sink: sk}, nil
-	case "sharded":
+	case "sharded", "cluster":
 		sk := &sink{rec: rec}
-		srv := core.NewShardedServer(w.G, opts, sk, cfg.Shards)
+		newRouter, n := core.NewShardedServer, cfg.Shards
+		if cfg.Backend == "cluster" {
+			newRouter, n = core.NewClusterServer, cfg.Nodes
+		}
+		srv := newRouter(w.G, opts, sk, n)
 		srv.SetTracer(rec)
 		srv.Instrument(reg)
-		return &apiTarget{
-			name: "sharded", srv: srv, sink: sk,
-			depth: func() int64 {
-				var sum int64
-				for _, d := range srv.PendingUplinksByShard() {
-					sum += d
-				}
-				return sum
-			},
-		}, nil
-	case "cluster":
-		sk := &sink{rec: rec}
-		srv := core.NewClusterServer(w.G, opts, sk, cfg.Nodes)
-		srv.SetTracer(rec)
-		srv.Instrument(reg)
-		return &apiTarget{
-			name: "cluster", srv: srv, sink: sk,
-			depth: srv.InflightOps,
-		}, nil
+		return &apiTarget{name: cfg.Backend, srv: srv, sink: sk}, nil
 	case "tcp":
 		return newTCPTarget(cfg, w, rec, reg)
 	default:

@@ -8,7 +8,7 @@
 // coordinated-omission error; see EXPERIMENTS.md).
 //
 // The generator drives any core.ServerAPI backend — the serial server, the
-// sharded engine, the in-process cluster, and the real TCP stack via
+// router over in-process shards or journaled nodes, and the real TCP stack via
 // internal/remote — and emits a time-series Report (one sample per interval:
 // throughput, latency quantiles, backlog, GC pause, goroutines) plus an
 // optional per-stage pipeline decomposition derived from the causal-tracing

@@ -20,8 +20,8 @@
 //
 // Metric naming follows mobieyes_<layer>_<name>: layer is the package that
 // owns the signal (server, remote, sim, go for runtime internals), and
-// counters end in _total per Prometheus convention. Per-shard series carry a
-// shard="N" label; per-message-kind series carry kind="VelocityReport" etc.
+// counters end in _total per Prometheus convention. Per-node series carry a
+// node="N" label; per-message-kind series carry kind="VelocityReport" etc.
 package obs
 
 import (

@@ -2,7 +2,8 @@ package stream_test
 
 // Backend tests: the tap fed from core.ServerAPI.SetResultListener must
 // deliver snapshot-then-delta streams that match the engine's result sets
-// exactly, identically across the serial, sharded, and cluster backends.
+// exactly, identically across the serial server and the router over
+// un-journaled ("sharded") and journaled ("cluster") in-process nodes.
 
 import (
 	"fmt"

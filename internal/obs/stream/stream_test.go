@@ -68,7 +68,7 @@ func TestSlowConsumerEviction(t *testing.T) {
 }
 
 // TestTapConcurrentGapFree hammers the tap from concurrent publishers
-// (mirroring the sharded backend's concurrent listener callbacks) while
+// (mirroring a concurrent backend's listener callbacks) while
 // subscribers attach mid-stream; every subscriber must observe contiguous
 // per-query sequences from its snapshot cut. Run with -race.
 func TestTapConcurrentGapFree(t *testing.T) {

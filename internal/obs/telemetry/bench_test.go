@@ -109,7 +109,7 @@ func BenchmarkPlaneApply(b *testing.B) {
 // healthy four-node cluster with live ledgers.
 func BenchmarkWatchdogRound(b *testing.B) {
 	acct := cost.New()
-	acct.ConfigureNodes(4)
+	acct.Configure(0, 0, 4)
 	for n := 0; n < 4; n++ {
 		for k := 0; k < 4; k++ {
 			acct.Uplink(msg.Kind(k), 64)

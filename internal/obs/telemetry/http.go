@@ -13,7 +13,7 @@ import (
 //
 //	format=json    JSON Snapshot instead of the human-readable text report
 //
-// When p is nil (no telemetry plane — serial or sharded mode) the endpoint
+// When p is nil (no telemetry plane — serial or -shards mode) the endpoint
 // answers 404, so probes can distinguish "no cluster" from "healthy
 // cluster", matching cost.Attach's convention for /debug/costs.
 func Attach(mux *http.ServeMux, p *Plane) {

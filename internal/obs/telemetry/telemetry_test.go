@@ -363,7 +363,7 @@ func TestWatchdogLedgerIdentity(t *testing.T) {
 	clock := newFakeClock()
 	reg := obs.NewRegistry()
 	acct := cost.New()
-	acct.ConfigureNodes(2)
+	acct.Configure(0, 0, 2)
 	p := New(Config{Metrics: reg, Costs: acct, Now: clock.Now})
 	v := healthyView()
 

@@ -9,8 +9,8 @@ import "time"
 type Stage uint8
 
 const (
-	// StageDispatch is ingress → first table mutation: trace minting, shard
-	// or node routing, lock acquisition, queueing.
+	// StageDispatch is ingress → first table mutation: trace minting, node
+	// routing, lock acquisition, queueing.
 	StageDispatch Stage = iota
 	// StageTable covers the server table mutations (FOT/SQT/RQI, migration,
 	// result flips).

@@ -57,7 +57,7 @@ const (
 	// KindResult is a differential result change (object entered or left
 	// a query's result set).
 	KindResult
-	// KindMigrate is a cross-shard focal-object migration.
+	// KindMigrate is a cross-node focal-object handoff.
 	KindMigrate
 	// KindDeliver is a downlink message delivered to a client.
 	KindDeliver

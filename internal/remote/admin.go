@@ -23,10 +23,12 @@ import (
 //	remove <qid>                             → "ok"
 //	result <qid>                             → "result <id> <oid…>"
 //	conns                                    → "conns <n>"
-//	nodes                                    → per-worker-node cell spans and
-//	                                           table sizes of a clustered
-//	                                           backend, "." terminated
-//	                                           ("err not clustered" otherwise)
+//	nodes                                    → the router's span epoch and
+//	                                           per-node cell spans and table
+//	                                           sizes (-shards and cluster
+//	                                           backends alike), "." terminated
+//	                                           ("err not clustered" only for a
+//	                                           custom non-router Backend)
 //	stats                                    → "stats <up> <down> <upB> <downB>"
 //	STATS                                    → full metric registry in Prometheus
 //	                                           text format, terminated by a "." line
@@ -42,7 +44,7 @@ import (
 //	                                           ("err tracing disabled" without
 //	                                           -trace-events)
 //	COSTS [qid <id> | oid <id>]              → cost-ledger report (global traffic
-//	                                           by kind, compute units, shard
+//	                                           by kind, compute units, node
 //	                                           attribution, quality) or one
 //	                                           entity's tally, "." terminated
 //	HEALTH                                   → cluster telemetry watchdog report:

@@ -91,7 +91,7 @@ func TestRemoteCostWireBoundary(t *testing.T) {
 
 // TestRemoteCostEndToEnd drives real objects over TCP with accounting on
 // and checks the system-level invariants: meter and global ledger agree in
-// both directions, dispatched uplinks are fully attributed across shard
+// both directions, dispatched uplinks are fully attributed across node
 // ledgers plus the router, per-entity tallies exist, and the backend
 // charged server-side work.
 func TestRemoteCostEndToEnd(t *testing.T) {
@@ -112,11 +112,11 @@ func TestRemoteCostEndToEnd(t *testing.T) {
 		t.Errorf("ledger downlink %d/%dB, meter %d/%dB", g.DownlinkMsgs(), g.DownlinkBytes(), down, downB)
 	}
 	dispatched := a.Router().UplinkMsgs()
-	for _, sh := range a.Shards() {
+	for _, sh := range a.Nodes() {
 		dispatched += sh.UplinkMsgs()
 	}
 	if dispatched != g.UplinkMsgs() {
-		t.Errorf("shard+router uplinks %d, transport charged %d", dispatched, g.UplinkMsgs())
+		t.Errorf("node+router uplinks %d, transport charged %d", dispatched, g.UplinkMsgs())
 	}
 	snap := a.Snapshot()
 	if len(snap.Objects) == 0 {

@@ -65,7 +65,7 @@ func TestRemoteMetrics(t *testing.T) {
 	reg.WritePrometheus(&text)
 	expo := text.String()
 	for _, want := range []string{
-		`mobieyes_server_uplinks_total{shard="router"}`,
+		`mobieyes_server_uplinks_total{node="router"}`,
 		`mobieyes_remote_uplink_seconds_count{kind="VelocityReport"}`,
 		"mobieyes_remote_broadcast_fanout_count",
 		"mobieyes_server_fot_size",

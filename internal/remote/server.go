@@ -33,23 +33,23 @@ type ServerConfig struct {
 	Alpha float64
 	// Options selects the protocol variant.
 	Options core.Options
-	// Shards is the number of grid partitions in the sharded backend;
-	// 0 defaults to GOMAXPROCS. Each connection goroutine dispatches its
-	// uplinks straight into the partitioned engine, so independent
-	// objects are processed concurrently instead of through one funnel.
-	// Ignored when ClusterNodes selects the clustered backend.
+	// Shards is the number of in-process nodes the default backend's
+	// router (core.ClusterServer) spreads the grid over; 0 defaults to
+	// GOMAXPROCS. These nodes share the server's fate, so they are not
+	// journaled (core.NewShardedServer). Every connection goroutine
+	// dispatches its uplinks straight into the router, which is safe for
+	// concurrent use. Ignored when ClusterNodes is set.
 	Shards int
-	// ClusterNodes > 0 selects the router-plus-workers clustered backend
-	// (core.ClusterServer) with that many in-process worker nodes instead
-	// of the sharded backend: the server process acts as the router tier,
-	// owning query lifecycle and forwarding uplinks to the worker owning
-	// the reported cell.
+	// ClusterNodes > 0 runs the same router over that many in-process
+	// worker nodes with the full crash-recovery machinery — checkpoint
+	// journal, epoch fence, replay (core.NewClusterServer) — the
+	// single-process rendering of the TCP cluster tier.
 	ClusterNodes int
 	// Backend, when non-nil, constructs the query engine over the server's
-	// grid and downlink instead of the built-in sharded or clustered
-	// engines — the hook the cluster-router entrypoint uses to route over
-	// TCP worker processes (internal/cluster). Shards and ClusterNodes are
-	// ignored when set; ListenAndRestore does not support it.
+	// grid and downlink instead of the built-in in-process routers — the
+	// hook the cluster-router entrypoint uses to route over TCP worker
+	// processes (internal/cluster). Shards and ClusterNodes are ignored
+	// when set; ListenAndRestore does not support it.
 	Backend func(g *grid.Grid, opts core.Options, down core.Downlink) (core.ServerAPI, error)
 	// Metrics is the registry transport and backend metrics attach to,
 	// typically shared with an obs.HTTPServer. Nil means the server keeps
@@ -72,7 +72,7 @@ type ServerConfig struct {
 	// and backend work to (see internal/obs/cost and DESIGN.md §12): the
 	// transport charges every protocol frame at the codec boundary with its
 	// true on-the-wire size (length prefix included), and the backend
-	// charges per-shard dispatch, per-entity traffic, and compute units.
+	// charges per-node dispatch, per-entity traffic, and compute units.
 	// The server Configures it at startup (no base stations — the TCP
 	// fabric has no lattice) and exposes it via Costs() and the admin COSTS
 	// command. Nil disables accounting (the default).
@@ -109,7 +109,7 @@ type Server struct {
 	g   *grid.Grid
 	ln  net.Listener
 
-	backend core.ServerAPI // *core.ShardedServer, or *core.ClusterServer with cfg.ClusterNodes
+	backend core.ServerAPI // a *core.ClusterServer unless cfg.Backend built something else
 	rec     *trace.Recorder
 	lat     *obs.LatencyView // per-stage latency over rec; nil without tracing
 	acct    *cost.Accountant // nil-safe; charged at the frame codec boundary
@@ -171,45 +171,54 @@ func ListenAndServe(cfg ServerConfig) (*Server, error) {
 // cannot reach its workers); the built-in backends cannot fail.
 func Serve(cfg ServerConfig, ln net.Listener) (*Server, error) {
 	s := newServer(cfg, ln)
-	switch {
-	case cfg.Backend != nil:
+	if cfg.Backend != nil {
 		backend, err := cfg.Backend(s.g, cfg.Options, serverDownlink{s})
 		if err != nil {
 			ln.Close()
 			return nil, err
 		}
 		s.backend = backend
-	case cfg.ClusterNodes > 0:
-		s.backend = core.NewClusterServer(s.g, cfg.Options, serverDownlink{s}, cfg.ClusterNodes)
-	default:
-		s.backend = core.NewShardedServer(s.g, cfg.Options, serverDownlink{s}, cfg.Shards)
+	} else {
+		s.backend = s.builtinBackend()
 	}
+	s.wire()
+	return s, nil
+}
+
+// builtinBackend is the in-process router cfg selects: journaled worker
+// nodes with ClusterNodes, fate-sharing shards otherwise.
+func (s *Server) builtinBackend() *core.ClusterServer {
+	if s.cfg.ClusterNodes > 0 {
+		return core.NewClusterServer(s.g, s.cfg.Options, serverDownlink{s}, s.cfg.ClusterNodes)
+	}
+	return core.NewShardedServer(s.g, s.cfg.Options, serverDownlink{s}, s.cfg.Shards)
+}
+
+// wire attaches the configured observers to the freshly built backend and
+// starts serving.
+func (s *Server) wire() {
 	if s.rec != nil {
 		s.backend.SetTracer(s.rec)
 	}
 	s.wireCosts()
 	s.wireStream()
 	s.start()
-	return s, nil
 }
 
 // wireCosts connects the configured accountant: sized to the grid and the
-// backend's partition or node count (no base stations over TCP),
-// instrumented into the server's registry, and attached to the backend for
-// per-shard/per-node and per-entity attribution.
+// router's node count (no base stations over TCP), instrumented into the
+// server's registry, and attached to the backend for per-node and
+// per-entity attribution.
 func (s *Server) wireCosts() {
 	if s.cfg.Costs == nil {
 		return
 	}
 	s.acct = s.cfg.Costs
-	shards := 0
-	if b, ok := s.backend.(*core.ShardedServer); ok {
-		shards = b.NumShards()
-	}
-	s.acct.Configure(s.g.NumCells(), 0, shards)
+	nodes := 0
 	if b, ok := s.backend.(*core.ClusterServer); ok {
-		s.acct.ConfigureNodes(b.NumNodes())
+		nodes = b.NumNodes()
 	}
+	s.acct.Configure(s.g.NumCells(), 0, nodes)
 	s.acct.Instrument(s.reg)
 	s.backend.SetAccountant(s.acct)
 }
@@ -317,12 +326,12 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// expiryLoop sweeps duration-bound queries once a second, and — for a
-// clustered backend with a telemetry plane attached — runs the periodic
-// telemetry round on the same tick: probe every live node (which pumps the
-// workers' pending telemetry into the plane) and evaluate the invariant
-// watchdog. The sharded backend is safe for concurrent use, so the sweep
-// runs alongside the connection goroutines' uplink dispatch.
+// expiryLoop sweeps duration-bound queries once a second, and — with a
+// telemetry plane attached — runs the periodic telemetry round on the same
+// tick: probe every live node (which pumps the workers' pending telemetry
+// into the plane) and evaluate the invariant watchdog. The router is safe
+// for concurrent use, so the sweep runs alongside the connection
+// goroutines' uplink dispatch.
 func (s *Server) expiryLoop() {
 	defer s.wg.Done()
 	expiry := time.NewTicker(time.Second)
@@ -450,23 +459,13 @@ func ListenAndRestore(cfg ServerConfig, snapshot io.Reader) (*Server, error) {
 		return nil, err
 	}
 	s := newServer(cfg, ln)
-	var backend core.ServerAPI
-	if cfg.ClusterNodes > 0 {
-		backend, err = core.RestoreClusterServer(s.g, cfg.Options, serverDownlink{s}, cfg.ClusterNodes, snapshot)
-	} else {
-		backend, err = core.RestoreShardedServer(s.g, cfg.Options, serverDownlink{s}, cfg.Shards, snapshot)
-	}
-	if err != nil {
+	backend := s.builtinBackend()
+	if err := backend.Restore(snapshot); err != nil {
 		ln.Close()
 		return nil, err
 	}
 	s.backend = backend
-	if s.rec != nil {
-		s.backend.SetTracer(s.rec)
-	}
-	s.wireCosts()
-	s.wireStream()
-	s.start()
+	s.wire()
 	return s, nil
 }
 
@@ -539,11 +538,9 @@ func (s *Server) acceptLoop() {
 }
 
 // serveConn handles one object connection: handshake, register, then
-// dispatch uplink frames straight into the sharded backend — each
-// connection goroutine drives the partitioned engine directly, so
-// objects on different shards are processed in parallel. A vanished
-// connection is treated as a departure so the population stays
-// consistent.
+// dispatch uplink frames straight into the backend — each connection
+// goroutine drives the router directly. A vanished connection is treated
+// as a departure so the population stays consistent.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	br := bufio.NewReader(conn)

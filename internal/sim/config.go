@@ -100,11 +100,13 @@ type Config struct {
 
 	// ServerShards selects the server implementation. 0 or 1 runs the
 	// serial core.Server with the deterministic one-message-at-a-time
-	// drain. >1 runs a core.ShardedServer with that many grid partitions
-	// and handles each step's uplink batch across that many worker
-	// goroutines; query results are equivalent to the serial engine's,
-	// but message ordering (and therefore exact message/byte counts under
-	// races) is unspecified. Ignored by the centralized baselines.
+	// drain. >1 runs the core.ClusterServer router over that many
+	// in-process, un-journaled nodes (core.NewShardedServer) and feeds it
+	// each step's uplink batch from that many worker goroutines; the
+	// router serializes dispatch, so query results are equivalent to the
+	// serial engine's, but message ordering (and therefore exact
+	// message/byte counts under races) is unspecified. Ignored by the
+	// centralized baselines.
 	ServerShards int
 
 	// Metrics, when non-nil, instruments the engine and its server against
@@ -124,7 +126,7 @@ type Config struct {
 	// Costs, when non-nil, attaches a cost accountant to the whole system:
 	// the engine charges every message at the simulated transport (global
 	// ledger plus per-cell and per-base-station tallies), the server
-	// attributes uplinks per shard and traffic per query/object, and
+	// attributes uplinks per node and traffic per query/object, and
 	// clients charge their computation units (see internal/obs/cost and
 	// DESIGN.md §12). The engine calls Configure on it and resets it at the
 	// same quiescent points as the message meter (after installation and

@@ -63,10 +63,10 @@ func TestEngineCostTransportIdentity(t *testing.T) {
 	}
 }
 
-// TestEngineCostParallelAndShardedIdentity runs the parallel-client and
-// sharded-server engines with accounting and checks the same meter
-// identity, plus the shard-sum invariant at the engine level: all uplinks
-// flow through the router, so the shard ledgers plus the router ledger must
+// TestEngineCostParallelAndShardedIdentity runs the parallel-client engine
+// over the router (ServerShards) with accounting and checks the same meter
+// identity, plus the node-sum invariant at the engine level: all uplinks
+// flow through the router, so the node ledgers plus the router ledger must
 // account for exactly the global uplink count.
 func TestEngineCostParallelAndShardedIdentity(t *testing.T) {
 	cfg := smallConfig()
@@ -81,11 +81,11 @@ func TestEngineCostParallelAndShardedIdentity(t *testing.T) {
 			g.UplinkMsgs(), g.DownlinkMsgs(), m.UplinkMsgs, m.DownlinkMsgs)
 	}
 	dispatched := cfg.Costs.Router().UplinkMsgs()
-	for _, s := range cfg.Costs.Shards() {
+	for _, s := range cfg.Costs.Nodes() {
 		dispatched += s.UplinkMsgs()
 	}
 	if dispatched != g.UplinkMsgs() {
-		t.Errorf("shard+router uplinks %d, transport charged %d", dispatched, g.UplinkMsgs())
+		t.Errorf("node+router uplinks %d, transport charged %d", dispatched, g.UplinkMsgs())
 	}
 }
 

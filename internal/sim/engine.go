@@ -46,7 +46,7 @@ type Engine struct {
 	qids []model.QueryID // installed queries, parallel to w.Queries
 
 	// transport queues (drained between phases). downMu guards downQueue
-	// and the meter's downlink counters: with a sharded server the drain
+	// and the meter's downlink counters: with ServerShards the drain
 	// processes uplink batches across goroutines, so the downlink sink must
 	// accept concurrent senders. (Serial runs pay one uncontended lock.)
 	downMu    sync.Mutex
@@ -235,8 +235,8 @@ func (e *Engine) samplePositions() {
 func (e *Engine) Grid() *grid.Grid { return e.g }
 
 // Server returns the MobiEyes server under simulation — the serial
-// core.Server by default, a core.ShardedServer when Config.ServerShards
-// selects one. Both satisfy core.ServerAPI.
+// core.Server by default, the core.ClusterServer router when
+// Config.ServerShards selects it. Both satisfy core.ServerAPI.
 func (e *Engine) Server() core.ServerAPI { return e.srv }
 
 // Clients returns the per-object protocol clients.
@@ -352,7 +352,7 @@ func (e *Engine) acctUplink(i int, m msg.Message) {
 
 // drain processes queued uplinks (timed as server work) and delivers queued
 // downlinks (which may enqueue more uplinks) until both queues are empty.
-// With a sharded server the queued uplinks are handled as concurrent
+// With ServerShards the queued uplinks are handled as concurrent
 // batches (see handleUplinkBatch); delivery to clients stays serial either
 // way, so client state is only ever touched from one goroutine here.
 func (e *Engine) drain() {
@@ -388,8 +388,8 @@ func (e *Engine) drain() {
 	}
 }
 
-// handleUplinkBatch feeds a batch of uplink messages to the (sharded,
-// concurrency-safe) server across ServerShards worker goroutines. Tiny
+// handleUplinkBatch feeds a batch of uplink messages to the
+// concurrency-safe router across ServerShards worker goroutines. Tiny
 // batches are handled inline — goroutine startup would dominate.
 func (e *Engine) handleUplinkBatch(batch []upEntry) {
 	workers := e.cfg.ServerShards

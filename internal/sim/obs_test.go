@@ -103,9 +103,9 @@ func TestScrapeWhileSerialEngineRuns(t *testing.T) {
 	}
 }
 
-// TestInstrumentedShardedEquivalence re-runs the serial-vs-sharded
+// TestInstrumentedShardedEquivalence re-runs the serial-vs-router
 // equivalence acceptance check with both engines instrumented, and checks
-// the sharded registry carries per-shard series.
+// the router's registry carries per-node series.
 func TestInstrumentedShardedEquivalence(t *testing.T) {
 	serialCfg := smallConfig()
 	serialCfg.Core = core.Options{}
@@ -140,9 +140,9 @@ func TestInstrumentedShardedEquivalence(t *testing.T) {
 	shardedCfg.Metrics.WritePrometheus(&text)
 	expo := text.String()
 	for _, want := range []string{
-		`mobieyes_server_ops_total{shard="0"}`,
-		`mobieyes_server_ops_total{shard="router"}`,
-		`mobieyes_server_fot_size{shard="3"}`,
+		`mobieyes_server_ops_total{node="0"}`,
+		`mobieyes_server_ops_total{node="router"}`,
+		`mobieyes_server_fot_size{node="3"}`,
 		"mobieyes_server_migrations_total",
 		"mobieyes_sim_steps_total 10",
 	} {
@@ -151,13 +151,13 @@ func TestInstrumentedShardedEquivalence(t *testing.T) {
 		}
 	}
 
-	// The per-shard breakdown accessors agree with the registry's totals.
-	ss := sharded.Server().(*core.ShardedServer)
+	// The per-node breakdown accessors agree with the registry's totals.
+	cs := sharded.Server().(*core.ClusterServer)
 	var uplinks int64
-	for _, v := range ss.UplinksByShard() {
+	for _, v := range cs.UplinksByNode() {
 		uplinks += v
 	}
 	if uplinks == 0 {
-		t.Error("no per-shard uplinks recorded")
+		t.Error("no per-node uplinks recorded")
 	}
 }

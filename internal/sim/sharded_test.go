@@ -6,11 +6,12 @@ import (
 	"mobieyes/internal/core"
 )
 
-// TestShardedEngineEquivalentResults is the acceptance check for the
-// sharded server: a fixed-seed workload driven through a serial engine and
-// a 4-shard engine (concurrent uplink drain) produces the same installed
-// queries with identical Result and ResultSize at every step, and both stay
-// exact against brute-force ground truth (EQP, Δ = 0).
+// TestShardedEngineEquivalentResults is the acceptance check for
+// ServerShards: a fixed-seed workload driven through a serial engine and an
+// engine over the 4-node router (concurrent uplink drain) produces the same
+// installed queries with identical Result and ResultSize at every step,
+// both stay exact against brute-force ground truth (EQP, Δ = 0), and the
+// router ends with cross-node handoffs behind it and its invariants intact.
 func TestShardedEngineEquivalentResults(t *testing.T) {
 	serialCfg := smallConfig()
 	serialCfg.Core = core.Options{}
@@ -52,12 +53,15 @@ func TestShardedEngineEquivalentResults(t *testing.T) {
 			}
 		}
 	}
-	if ss, ok := sharded.Server().(*core.ShardedServer); ok {
-		if err := ss.CheckInvariants(); err != nil {
-			t.Fatalf("sharded invariants: %v", err)
-		}
-	} else {
-		t.Fatal("ServerShards=4 engine did not build a ShardedServer")
+	cs, ok := sharded.Server().(*core.ClusterServer)
+	if !ok {
+		t.Fatal("ServerShards=4 engine did not build the router")
+	}
+	if err := cs.CheckInvariants(); err != nil {
+		t.Fatalf("router invariants: %v", err)
+	}
+	if cs.NumNodes() != 4 || cs.Migrations() == 0 {
+		t.Errorf("%d nodes, %d handoffs — the concurrent drain never crossed a span boundary", cs.NumNodes(), cs.Migrations())
 	}
 }
 
@@ -84,7 +88,7 @@ func TestShardedEngineExactnessAllOptions(t *testing.T) {
 }
 
 // TestShardedEngineRunMetrics: the metrics pipeline (meter, ops counter,
-// energy model) works over the sharded backend.
+// energy model) works over the router backend.
 func TestShardedEngineRunMetrics(t *testing.T) {
 	cfg := smallConfig()
 	cfg.ServerShards = 2

@@ -12,13 +12,13 @@ import (
 	"mobieyes/internal/workload"
 )
 
-// clusterScenario builds a three-way differential scenario — serial,
-// sharded and clustered engines in lockstep under the full oracle
+// clusterScenario builds a differential scenario — the serial server and
+// the router over journaled worker nodes in lockstep under the full oracle
 // hierarchy, cost ledgers included. Every third seed additionally injects
-// node-level faults into the clustered engine: a mid-schedule rebalance and
-// a node kill. Both are drained through charge-free admin handoffs, so the
-// strict oracles (byte-identical snapshots and ledgers) must keep holding
-// across them — there is no weakened window for cluster events.
+// node-level faults into the router: a mid-schedule rebalance and a node
+// kill. Both are drained through charge-free admin handoffs, so the strict
+// oracles (byte-identical snapshots and ledgers) must keep holding across
+// them — there is no weakened window for cluster events.
 func clusterScenario(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed))
 	sc := Scenario{
@@ -47,37 +47,48 @@ func clusterScenario(seed int64) Scenario {
 	return sc
 }
 
-// TestThreeWayLockstepSweep is the cluster tier's differential acceptance
-// sweep: serial vs sharded vs clustered through seeded random schedules,
-// asserting after every operation that query sets, per-query results,
-// ground truth (for exact variants), cost ledgers and durable snapshots are
-// identical across all three — including the seeds that kill a worker node
-// and rebalance cell ranges mid-schedule.
-func TestThreeWayLockstepSweep(t *testing.T) {
+// TestClusterLockstepSweep is the router's differential acceptance sweep:
+// serial vs router through seeded random schedules, asserting after every
+// operation that query sets, per-query results, ground truth (for exact
+// variants), cost ledgers and durable snapshots are identical — including
+// the seeds that kill a node and rebalance cell ranges mid-schedule. Every
+// seed runs twice: over journaled worker nodes (core.NewClusterServer) and,
+// same schedule and node count, over the un-journaled fate-sharing nodes
+// -shards runs (core.NewShardedServer), so both handles sit under the same
+// oracle.
+func TestClusterLockstepSweep(t *testing.T) {
 	seeds := 24
 	if testing.Short() {
 		seeds = 8
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		sc := clusterScenario(seed)
-		t.Run(fmt.Sprintf("seed=%d/%s/nodes=%d", seed, sc.Opts.Mode, sc.Nodes), func(t *testing.T) {
-			t.Parallel()
-			if err := RunScenario(sc); err != nil {
-				t.Fatalf("oracle violation: %v\nrepro:\n%s", err, ReproCase(sc))
-			}
-		})
+		journaled := clusterScenario(seed)
+		shards := journaled
+		shards.Shards, shards.Nodes = journaled.Nodes, 0
+		for _, tc := range []struct {
+			rendering string
+			sc        Scenario
+		}{{"nodes", journaled}, {"shards", shards}} {
+			sc := tc.sc
+			t.Run(fmt.Sprintf("seed=%d/%s/%s=%d", seed, sc.Opts.Mode, tc.rendering, journaled.Nodes), func(t *testing.T) {
+				t.Parallel()
+				if err := RunScenario(sc); err != nil {
+					t.Fatalf("oracle violation: %v\nrepro:\n%s", err, ReproCase(sc))
+				}
+			})
+		}
 	}
 }
 
-// TestClusteredColumnExercisesHandoffs pins that the sweep's schedules are
-// not vacuous: a clustered engine run through a representative schedule
-// must perform cross-node focal handoffs and spread focals over several
-// nodes — otherwise the three-way oracle never tests the transfer path.
-func TestClusteredColumnExercisesHandoffs(t *testing.T) {
+// TestClusterColumnExercisesHandoffs pins that the sweep's schedules are
+// not vacuous: a router engine run through a representative schedule must
+// perform cross-node focal handoffs and spread focals over several nodes —
+// otherwise the differential oracle never tests the transfer path.
+func TestClusterColumnExercisesHandoffs(t *testing.T) {
 	sc := Scenario{Seed: 2, NumObjects: 40, NumSpecs: 10}
 	wl := workload.New(sc.workloadConfig())
 	g := grid.New(wl.Config().UoD, alphaMiles)
-	ls := newLocalSystem("clustered", g, core.Options{}, wl.Objects, 0, 3, 0, false)
+	ls := newLocalSystem("router", g, core.Options{}, wl.Objects, 0, 3, 0, false)
 	tstep := model.FromSeconds(wl.Config().StepSeconds)
 	var now model.Time
 	for _, o := range wl.Objects {
@@ -106,16 +117,16 @@ func TestClusteredColumnExercisesHandoffs(t *testing.T) {
 	}
 }
 
-// TestThreeWayOracleCatchesClusterDrop is the clustered column's teeth
-// check: an engine whose router silently skips broadcasts must be caught by
-// the three-way differential oracle within a handful of seeds.
-func TestThreeWayOracleCatchesClusterDrop(t *testing.T) {
+// TestClusterOracleCatchesDrop is the router column's teeth check: an
+// engine whose router silently skips broadcasts must be caught by the
+// differential oracle within a handful of seeds.
+func TestClusterOracleCatchesDrop(t *testing.T) {
 	caught := 0
 	const seeds = 8
 	for seed := int64(801); seed < 801+seeds; seed++ {
 		sc := clusterScenario(seed)
 		sc.ClusterEvents = nil // keep the failure shrinkable
-		sc.ClusterDropNth = 3
+		sc.DropNthBroadcast = 3
 		if err := RunScenario(sc); err != nil {
 			t.Logf("seed %d caught: %v", seed, err)
 			caught++
@@ -126,16 +137,15 @@ func TestThreeWayOracleCatchesClusterDrop(t *testing.T) {
 	}
 }
 
-// TestClusterShrinkProducesRepro minimizes a failing clustered scenario
-// with delta debugging and replays the printed repro: the ddmin path works
-// for clustered failures exactly as for sharded ones.
+// TestClusterShrinkProducesRepro minimizes a failing journaled-router
+// scenario with delta debugging and replays the printed repro.
 func TestClusterShrinkProducesRepro(t *testing.T) {
 	var failing Scenario
 	found := false
 	for seed := int64(801); seed < 821 && !found; seed++ {
 		sc := clusterScenario(seed)
 		sc.ClusterEvents = nil
-		sc.ClusterDropNth = 3
+		sc.DropNthBroadcast = 3
 		if RunScenario(sc) != nil {
 			failing, found = sc, true
 		}
@@ -203,9 +213,9 @@ func TestShrinkRemapsClusterEvents(t *testing.T) {
 	}
 }
 
-// clusterFaultScenario puts the clustered backend behind the remote
-// transport and injects frame faults: the remote engine runs the
-// router-plus-workers ClusterServer while the relay drops, duplicates and
+// clusterFaultScenario puts the journaled router behind the remote
+// transport and injects frame faults: the remote engine runs the router
+// over journaled worker nodes while the relay drops, duplicates and
 // reorders object frames, and severs two connections. Cross-node focal
 // handoffs therefore happen while the uplink stream is degraded; after the
 // window heals, the strict oracles must resume within ConvergeSteps — which

@@ -8,10 +8,10 @@ import (
 )
 
 // TestLedgerOracleEQP runs seeded random schedules — steps, installs,
-// removals, churn — under the ledger oracle: the serial and 4-shard
+// removals, churn — under the ledger oracle: the serial and 4-node router
 // engines must charge identical global cost ledgers after every operation,
-// and the sharded engine's shard+router ledgers must always sum to its
-// global uplink count.
+// and the router's node+router ledgers must always sum to its global
+// uplink count.
 func TestLedgerOracleEQP(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -10,9 +10,9 @@ import (
 	"mobieyes/internal/core"
 )
 
-// crashScenario builds one crash-schedule differential run: serial, sharded
-// and clustered engines in lockstep with the runner checkpointing the
-// clustered engine after every op, plus a seeded ungraceful-kill pattern
+// crashScenario builds one crash-schedule differential run: the serial
+// server and the journaled router in lockstep with the runner checkpointing
+// the router after every op, plus a seeded ungraceful-kill pattern
 // chosen by seed — a plain crash landing right after a step (the
 // in-flight-uplink case), an armed mid-handoff crash, a double kill of two
 // distinct nodes, or a crash at a rebalance edge. The strict oracles —
@@ -114,7 +114,7 @@ func saveCrashRepro(t *testing.T, sc Scenario) string {
 // TestCrashScheduleSweep is the crash-recovery acceptance sweep: 16 seeded
 // crash schedules covering plain kills behind uplink waves, armed
 // mid-handoff kills, double kills and kills at rebalance edges, each run
-// under the full three-way strict oracle hierarchy with per-op
+// under the full strict oracle hierarchy with per-op
 // checkpoints. Any violation is shrunk to a minimal replayable repro.
 func TestCrashScheduleSweep(t *testing.T) {
 	seeds := 16

@@ -13,11 +13,10 @@ import (
 	"mobieyes/internal/workload"
 )
 
-// TestQueueDepthGaugesZeroAtQuiescence (PR 9 satellite): the sharded
-// per-shard pending-uplink gauges and the cluster in-flight-ops gauge must
-// read exactly zero whenever the system is quiescent — every depth
-// increment taken during dispatch must be paired with a decrement on every
-// exit path. The harness drives a full protocol schedule (joins, installs,
+// TestQueueDepthGaugesZeroAtQuiescence (PR 9 satellite): the router's
+// in-flight-ops gauge must read exactly zero whenever the system is
+// quiescent, over either node rendering — every depth increment taken
+// during dispatch must be paired with a decrement on every exit path. The harness drives a full protocol schedule (joins, installs,
 // mobility steps, departures) and checks the gauges between every phase:
 // local drivers dispatch synchronously, so any nonzero reading is a leaked
 // increment, not in-flight work.
@@ -41,21 +40,18 @@ func TestQueueDepthGaugesZeroAtQuiescence(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		shards, nodes int
-		gaugePrefix   string
 	}{
-		{"sharded", 4, 0, "mobieyes_server_shard_pending_uplinks"},
-		{"clustered", 0, 3, "mobieyes_cluster_inflight_ops"},
+		{"shards", 4, 0},
+		{"nodes", 0, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ls := newLocalSystem(tc.name, g, core.Options{}, wl.Objects, tc.shards, tc.nodes, 0, false)
 			reg := obs.NewRegistry()
-			// Instrument before traffic: the sharded engine only maintains
-			// its depth counters when instrumented (the routing peek costs).
 			ls.srv.Instrument(reg)
 
 			check := func(phase string) {
 				t.Helper()
-				if err := depthGaugesZero(ls.srv, reg, tc.gaugePrefix); err != nil {
+				if err := depthGaugesZero(ls.srv.(*core.ClusterServer), reg); err != nil {
 					t.Fatalf("after %s: %v", phase, err)
 				}
 			}
@@ -90,21 +86,13 @@ func TestQueueDepthGaugesZeroAtQuiescence(t *testing.T) {
 	}
 }
 
-// depthGaugesZero checks both the direct accessors and the registry's view
-// of the queue-depth gauges.
-func depthGaugesZero(srv core.ServerAPI, reg *obs.Registry, prefix string) error {
-	switch s := srv.(type) {
-	case *core.ShardedServer:
-		for shard, d := range s.PendingUplinksByShard() {
-			if d != 0 {
-				return fmt.Errorf("shard %d pending uplinks = %d, want 0", shard, d)
-			}
-		}
-	case *core.ClusterServer:
-		if n := s.InflightOps(); n != 0 {
-			return fmt.Errorf("inflight ops = %d, want 0", n)
-		}
+// depthGaugesZero checks both the direct accessor and the registry's view
+// of the queue-depth gauge.
+func depthGaugesZero(cs *core.ClusterServer, reg *obs.Registry) error {
+	if n := cs.InflightOps(); n != 0 {
+		return fmt.Errorf("inflight ops = %d, want 0", n)
 	}
+	const prefix = "mobieyes_cluster_inflight_ops"
 	found := false
 	for name, v := range reg.Snapshot() {
 		if !strings.HasPrefix(name, prefix) {

@@ -14,9 +14,9 @@ import (
 	"mobieyes/internal/workload"
 )
 
-// system is one engine under test. All three implementations (serial,
-// sharded, remote) are driven through this interface by the runner, with
-// the shared workload objects as the single source of positional truth.
+// system is one engine under test. All three (serial, router, remote) are
+// driven through this interface by the runner, with the shared workload
+// objects as the single source of positional truth.
 // Local implementations cannot fail mid-operation; the remote one can
 // (settle timeout = suspected deadlock), hence the error returns.
 type system interface {
@@ -35,8 +35,8 @@ type system interface {
 	close()
 }
 
-// localSystem drives a core.Server, core.ShardedServer or core.ClusterServer
-// with in-process clients and queued FIFO message delivery — the
+// localSystem drives a core.Server or the core.ClusterServer router with
+// in-process clients and queued FIFO message delivery — the
 // internal/core test-harness idiom. Broadcasts reach every active object
 // (one giant base station); clients self-filter by monitoring region, which
 // is the protocol behavior under test.
@@ -77,11 +77,12 @@ type queuedDown struct {
 }
 
 // newLocalSystem builds a local engine over the shared object population.
-// nodes > 0 selects the router-plus-workers ClusterServer with that many
-// worker nodes; otherwise shards > 0 selects a ShardedServer with that many
-// partitions, and zero for both the serial core.Server. traced attaches a
-// per-system flight recorder so oracle failures can print the causal
-// timeline of the divergence.
+// nodes > 0 selects the router over that many journaled worker nodes
+// (core.NewClusterServer); otherwise shards > 0 selects the router over that
+// many fate-sharing, un-journaled nodes (core.NewShardedServer), and zero
+// for both the serial core.Server. traced attaches a per-system flight
+// recorder so oracle failures can print the causal timeline of the
+// divergence.
 func newLocalSystem(label string, g *grid.Grid, opts core.Options, objs []*model.MovingObject, shards, nodes, dropNth int, traced bool) *localSystem {
 	ls := &localSystem{
 		label:            label,
@@ -108,7 +109,7 @@ func newLocalSystem(label string, g *grid.Grid, opts core.Options, objs []*model
 }
 
 // attachCosts wires a cost accountant into the system: the server (and its
-// shards) for per-entity and per-shard attribution, the transport for
+// nodes) for per-entity and per-node attribution, the transport for
 // global ledger charges, and every client — present and future (join
 // attaches fresh clients) — for compute units. Call before the first join.
 func (ls *localSystem) attachCosts(a *cost.Accountant) {

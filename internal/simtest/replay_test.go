@@ -26,14 +26,15 @@ import (
 //     and the last reconstructed frame carries the objects' exact final
 //     positions.
 //
-// Runs on the serial and the sharded engine: shards race on the tap, but
-// per-query sequencing and the sink/subscriber agreement are lock-ordered,
-// so the oracle holds either way.
+// Runs on the serial engine and on the router with the concurrent drain:
+// drain workers race into the router, but per-query sequencing and the
+// sink/subscriber agreement are lock-ordered, so the oracle holds either
+// way.
 func TestHistoryReplayOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		shards int
-	}{{"serial", 0}, {"sharded", 4}} {
+	}{{"serial", 0}, {"router", 4}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := sim.DefaultConfig()
 			cfg.AreaSqMiles = 2500

@@ -31,41 +31,38 @@ type Scenario struct {
 	NumSpecs   int
 	Opts       core.Options
 	Mobility   workload.MobilityModel
-	// Shards is the sharded engine's partition count (0 = 4).
+	// Every scenario runs the serial server against the core.ClusterServer
+	// router ("router") under the differential, ledger and snapshot
+	// oracles. Nodes > 0 renders the router over that many journaled worker
+	// nodes (core.NewClusterServer); Nodes == 0 over Shards fate-sharing,
+	// un-journaled nodes (core.NewShardedServer; 0 = 4).
 	Shards int
-	// Nodes > 0 adds the router-plus-workers ClusterServer with that many
-	// worker nodes as a third local engine ("clustered"), under the same
-	// differential, ledger and snapshot oracles as the first two.
-	Nodes int
-	// ClusterEvents are node-level fault injections applied to the
-	// clustered engine (requires Nodes > 0): a node kill drains its focals
-	// to the survivors, a rebalance recomputes span boundaries and migrates
-	// misplaced focals, a crash ungracefully fail-stops a node (no drain)
-	// and recovers it from the router's checkpoint journal. All use
-	// charge-free admin transfers, and the runner checkpoints the clustered
-	// engine after every op (a zero-loss watermark), so the strict oracles
-	// — including byte-identical snapshots and ledgers — keep holding
-	// across every event; there is no weakened window.
+	Nodes  int
+	// ClusterEvents are node-level fault injections applied to the router:
+	// a node kill drains its focals to the survivors, a rebalance
+	// recomputes span boundaries and migrates misplaced focals, a crash
+	// ungracefully fail-stops a node (no drain) and recovers it from the
+	// router's checkpoint journal (the router refuses it on un-journaled
+	// nodes, so crashes need Nodes > 0). All use charge-free admin
+	// transfers, and the runner checkpoints the router after every op (a
+	// zero-loss watermark), so the strict oracles — including
+	// byte-identical snapshots and ledgers — keep holding across every
+	// event; there is no weakened window.
 	ClusterEvents []ClusterEvent
 	// ClusterSuppressReplay plants the deliberate recovery bug: crash
 	// recovery fences and sweeps the dead node but skips the journal
 	// replay, cleanly losing its focal state. The teeth test uses it to
 	// prove the convergence oracle notices suppressed replay.
 	ClusterSuppressReplay bool
-	// ClusterDropNth plants the deliberate equivalence bug into the
-	// clustered engine — every Nth broadcast is skipped — the clustered
-	// counterpart of DropNthBroadcast, used to prove the three-way oracle
-	// has teeth and to feed the Shrink minimizer a clustered failure.
-	ClusterDropNth int
 	// Remote adds the internal/remote server over in-memory pipes as a
 	// further engine.
 	Remote bool
 	// Faults injects transport faults into the remote engine (requires
 	// Remote).
 	Faults *FaultPlan
-	// DropNthBroadcast plants a deliberate equivalence bug into the
-	// sharded engine — every Nth broadcast is skipped — to prove the
-	// oracle catches real protocol divergence.
+	// DropNthBroadcast plants a deliberate equivalence bug into the router
+	// engine — every Nth broadcast is skipped — to prove the oracle catches
+	// real protocol divergence and to feed the Shrink minimizer a failure.
 	DropNthBroadcast int
 	// Trace attaches a causal flight recorder to every engine; when an
 	// oracle fails, the returned error carries the causal event timeline of
@@ -73,14 +70,14 @@ type Scenario struct {
 	Trace bool
 	// Costs attaches a cost accountant to each local engine and adds the
 	// ledger oracle: after every strict-mode operation the serial and
-	// sharded engines must have charged byte-for-byte identical global
-	// ledgers (traffic by kind plus compute units), and the sharded
-	// engine's per-shard ledgers plus the router ledger must sum to its
-	// global uplink count — no message attributed twice or lost.
+	// router engines must have charged byte-for-byte identical global
+	// ledgers (traffic by kind plus compute units), and the router's
+	// per-node ledgers plus its own must sum to its global uplink count —
+	// no message attributed twice or lost.
 	Costs bool
 	Ops   []Op
 
-	// inspectCluster, when set, is called with the clustered engine after
+	// inspectCluster, when set, is called with the router engine after
 	// the whole schedule ran without an oracle violation — test-side
 	// introspection (e.g. "did the armed crash actually fire?").
 	inspectCluster func(cs *core.ClusterServer)
@@ -105,7 +102,7 @@ const (
 	ClusterCrashOnHandoff = "crash-on-handoff"
 )
 
-// ClusterEvent schedules one node-level fault on the clustered engine:
+// ClusterEvent schedules one node-level fault on the router engine:
 // before executing op AtOp, node Node is killed or the cluster rebalanced.
 type ClusterEvent struct {
 	AtOp int
@@ -155,38 +152,19 @@ func RunScenario(sc Scenario) error {
 		shards = 4
 	}
 
-	if len(sc.ClusterEvents) > 0 && sc.Nodes <= 0 {
-		return fmt.Errorf("simtest: scenario %q has cluster events but no clustered engine (Nodes == 0)", sc.Name)
-	}
-
 	serial := newLocalSystem("serial", g, sc.Opts, wl.Objects, 0, 0, 0, sc.Trace)
-	sharded := newLocalSystem("sharded", g, sc.Opts, wl.Objects, shards, 0, sc.DropNthBroadcast, sc.Trace)
-	locals := []*localSystem{serial, sharded}
-	var csys *localSystem
-	if sc.Nodes > 0 {
-		csys = newLocalSystem("clustered", g, sc.Opts, wl.Objects, 0, sc.Nodes, sc.ClusterDropNth, sc.Trace)
-		locals = append(locals, csys)
-	}
+	router := newLocalSystem("router", g, sc.Opts, wl.Objects, shards, sc.Nodes, sc.DropNthBroadcast, sc.Trace)
+	cs := router.srv.(*core.ClusterServer)
 	var ledgered []*localSystem
 	if sc.Costs {
-		for _, ls := range locals {
+		for ls, nodes := range map[*localSystem]int{serial: 0, router: cs.NumNodes()} {
 			a := cost.New()
-			n := 0
-			if ls == sharded {
-				n = shards
-			}
-			a.Configure(g.NumCells(), 0, n)
-			if ls == csys {
-				a.ConfigureNodes(sc.Nodes)
-			}
+			a.Configure(g.NumCells(), 0, nodes)
 			ls.attachCosts(a)
-			ledgered = append(ledgered, ls)
 		}
+		ledgered = []*localSystem{serial, router}
 	}
-	systems := make([]system, 0, len(locals)+1)
-	for _, ls := range locals {
-		systems = append(systems, ls)
-	}
+	systems := []system{serial, router}
 	var rsys *remoteSystem
 	if sc.Remote {
 		rsys = newRemoteSystem("remote", wl.Config().UoD, alphaMiles, sc.Opts, wl.Objects, shards, sc.Nodes, sc.Faults, sc.Trace)
@@ -200,13 +178,13 @@ func RunScenario(sc Scenario) error {
 		g:         g,
 		systems:   systems,
 		ledgered:  ledgered,
-		csys:      csys,
+		cs:        cs,
 		rsys:      rsys,
 		active:    make(map[model.ObjectID]bool),
 		specByQID: make(map[model.QueryID]workload.QuerySpec),
 	}
-	if csys != nil && sc.ClusterSuppressReplay {
-		csys.srv.(*core.ClusterServer).SuppressRecoveryReplay(true)
+	if sc.ClusterSuppressReplay {
+		cs.SuppressRecoveryReplay(true)
 	}
 	for _, o := range wl.Objects {
 		for _, sys := range systems {
@@ -218,10 +196,8 @@ func RunScenario(sc Scenario) error {
 	}
 	// Baseline checkpoint before the first op, so a crash scheduled at op 0
 	// already has a (possibly empty) journal at the current watermark.
-	if csys != nil {
-		if err := csys.srv.(*core.ClusterServer).Checkpoint(); err != nil {
-			return fmt.Errorf("seed %d: baseline checkpoint: %w", sc.Seed, err)
-		}
+	if err := cs.Checkpoint(); err != nil {
+		return fmt.Errorf("seed %d: baseline checkpoint: %w", sc.Seed, err)
 	}
 	for i, op := range sc.Ops {
 		if err := r.apply(i, op); err != nil {
@@ -231,8 +207,8 @@ func RunScenario(sc Scenario) error {
 			return err
 		}
 	}
-	if sc.inspectCluster != nil && csys != nil {
-		sc.inspectCluster(csys.srv.(*core.ClusterServer))
+	if sc.inspectCluster != nil {
+		sc.inspectCluster(cs)
 	}
 	return nil
 }
@@ -287,8 +263,8 @@ type runner struct {
 	wl       *workload.Workload
 	g        *grid.Grid
 	systems  []system
-	ledgered []*localSystem // systems under the ledger oracle (Scenario.Costs)
-	csys     *localSystem   // the clustered engine (Scenario.Nodes > 0); nil otherwise
+	ledgered []*localSystem      // systems under the ledger oracle (Scenario.Costs)
+	cs       *core.ClusterServer // the router engine's server
 	rsys     *remoteSystem
 	now      model.Time
 
@@ -332,14 +308,11 @@ func (r *runner) faultPhase(i int) error {
 }
 
 // clusterPhase applies the scheduled cluster events before op i runs: node
-// kills and rebalances on the clustered engine. Both drain or migrate
+// kills and rebalances on the router engine. Both drain or migrate
 // focals via charge-free admin handoffs, so no oracle weakening follows —
 // the strict check after the op doubles as the convergence assertion.
 func (r *runner) clusterPhase(i int) error {
-	if r.csys == nil {
-		return nil
-	}
-	cs := r.csys.srv.(*core.ClusterServer)
+	cs := r.cs
 	for _, ev := range r.sc.ClusterEvents {
 		if ev.AtOp != i {
 			continue
@@ -463,15 +436,13 @@ func (r *runner) apply(i int, op Op) error {
 		r.active[oid] = true
 		r.gtValid = false
 	}
-	// Checkpoint the clustered engine after every op: the journal watermark
+	// Checkpoint the router engine after every op: the journal watermark
 	// is never more than one op behind, so a crash fired at the next op
 	// boundary loses nothing and the strict oracle doubles as the
 	// recovery-convergence assertion. (A live deployment checkpoints on the
 	// ~1s telemetry round instead; loss is bounded by that watermark.)
-	if r.csys != nil {
-		if err := r.csys.srv.(*core.ClusterServer).Checkpoint(); err != nil {
-			return fail(fmt.Errorf("checkpoint: %w", err))
-		}
+	if err := r.cs.Checkpoint(); err != nil {
+		return fail(fmt.Errorf("checkpoint: %w", err))
 	}
 	if err := r.checkOracle(r.strictAt(i)); err != nil {
 		return fail(err)
@@ -578,10 +549,10 @@ func (r *runner) checkOracle(strict bool) error {
 
 // checkLedgers is the ledger oracle (Scenario.Costs): engines that ran the
 // exact same schedule must have charged identical global cost ledgers —
-// LedgerSnap is a comparable value, so this is one == per pair — and each
-// sharded engine must attribute every dispatched uplink to exactly one
-// shard (or the router for messages about unknown entities), making the
-// shard sum plus router equal the global uplink count.
+// LedgerSnap is a comparable value, so this is one == per pair — and the
+// router must attribute every dispatched uplink to exactly one node (or to
+// itself for messages about unknown entities), making the node sum plus
+// router equal the global uplink count, across kills and rebalances too.
 func (r *runner) checkLedgers() error {
 	if len(r.ledgered) == 0 {
 		return nil
@@ -594,23 +565,6 @@ func (r *runner) checkLedgers() error {
 				base.name(), ls.name(), want, got)
 		}
 	}
-	for _, ls := range r.ledgered {
-		shards := ls.acct.Shards()
-		if len(shards) == 0 {
-			continue
-		}
-		dispatched := ls.acct.Router().UplinkMsgs()
-		for _, s := range shards {
-			dispatched += s.UplinkMsgs()
-		}
-		if global := ls.acct.Global().UplinkMsgs(); dispatched != global {
-			return fmt.Errorf("%s: shard+router ledgers account for %d uplinks, transport charged %d",
-				ls.name(), dispatched, global)
-		}
-	}
-	// The clustered counterpart: the router plus the worker-node ledgers
-	// must account for every dispatched uplink exactly once, across kills
-	// and rebalances too.
 	for _, ls := range r.ledgered {
 		nodes := ls.acct.Nodes()
 		if len(nodes) == 0 {

@@ -1,5 +1,5 @@
 // Package simtest is the deterministic simulation-test harness: it drives
-// the serial core.Server, the concurrent core.ShardedServer, and the
+// the serial core.Server, the concurrent core.ClusterServer router, and the
 // internal/remote network server over in-memory pipes through identical
 // seeded operation schedules, asserting after every operation that all
 // three agree with each other and — when the protocol variant is exact —

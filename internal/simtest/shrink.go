@@ -87,9 +87,9 @@ func remapEvents(evs []ClusterEvent, start, end, n int) []ClusterEvent {
 // ParseSchedule + RunScenario.
 func ReproCase(sc Scenario) string {
 	head := fmt.Sprintf(
-		"# simtest repro: seed=%d objects=%d specs=%d opts=%+v mobility=%v nodes=%d remote=%v dropNth=%d clusterDropNth=%d suppressReplay=%v\n",
+		"# simtest repro: seed=%d objects=%d specs=%d opts=%+v mobility=%v nodes=%d remote=%v dropNth=%d suppressReplay=%v\n",
 		sc.Seed, sc.NumObjects, sc.NumSpecs, sc.Opts, sc.Mobility, sc.Nodes, sc.Remote,
-		sc.DropNthBroadcast, sc.ClusterDropNth, sc.ClusterSuppressReplay)
+		sc.DropNthBroadcast, sc.ClusterSuppressReplay)
 	for _, ev := range sc.ClusterEvents {
 		head += fmt.Sprintf("# cluster-event at=%d node=%d kind=%s\n", ev.AtOp, ev.Node, ev.Kind)
 	}

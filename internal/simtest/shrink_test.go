@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// buggyScenario plants the deliberate equivalence bug: the sharded engine
+// buggyScenario plants the deliberate equivalence bug: the router engine
 // silently skips every 3rd broadcast, so part of some monitoring-region
 // update never reaches the clients.
 func buggyScenario(seed int64) Scenario {

@@ -26,7 +26,8 @@ var mobilities = []workload.MobilityModel{
 	workload.RandomWalk, workload.RandomWaypoint, workload.GaussMarkov,
 }
 
-// localScenario builds a fault-free serial-vs-sharded scenario for a seed.
+// localScenario builds a fault-free serial-vs-router scenario for a seed
+// (the router over Shards un-journaled nodes).
 func localScenario(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed))
 	sc := Scenario{
@@ -46,7 +47,7 @@ func localScenario(seed int64) Scenario {
 	return sc
 }
 
-// TestLockstepSweep drives the serial and sharded engines through seeded
+// TestLockstepSweep drives the serial and router engines through seeded
 // random schedules — installs, removals, expiries, churn and mobility —
 // asserting the full oracle hierarchy after every operation.
 func TestLockstepSweep(t *testing.T) {
@@ -66,7 +67,7 @@ func TestLockstepSweep(t *testing.T) {
 }
 
 // remoteScenario builds a fault-free three-engine scenario: serial,
-// sharded, and the remote server over in-memory pipes. No expiry ops (the
+// router, and the remote server over in-memory pipes. No expiry ops (the
 // remote expiry sweep runs on the wall clock, not simulation time).
 func remoteScenario(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed))

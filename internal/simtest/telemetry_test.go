@@ -13,7 +13,7 @@ import (
 	"mobieyes/internal/workload"
 )
 
-// telemetrySystem builds a clustered local engine with a telemetry plane
+// telemetrySystem builds a journaled router engine with a telemetry plane
 // attached, so every handoff/rebalance edge and explicit round runs the
 // invariant watchdog against live ledgers.
 func telemetrySystem(t *testing.T, seed int64, nodes int) (*localSystem, *core.ClusterServer, *telemetry.Plane, *cost.Accountant, *workload.Workload) {
@@ -21,9 +21,9 @@ func telemetrySystem(t *testing.T, seed int64, nodes int) (*localSystem, *core.C
 	sc := Scenario{Seed: seed, NumObjects: 40, NumSpecs: 10}
 	wl := workload.New(sc.workloadConfig())
 	g := grid.New(wl.Config().UoD, alphaMiles)
-	ls := newLocalSystem("clustered", g, core.Options{}, wl.Objects, 0, nodes, 0, false)
+	ls := newLocalSystem("router", g, core.Options{}, wl.Objects, 0, nodes, 0, false)
 	acct := cost.New()
-	acct.ConfigureNodes(nodes)
+	acct.Configure(0, 0, nodes)
 	ls.attachCosts(acct)
 	cs := ls.srv.(*core.ClusterServer)
 	plane := telemetry.New(telemetry.Config{Metrics: obs.NewRegistry(), Costs: acct})
@@ -32,7 +32,7 @@ func telemetrySystem(t *testing.T, seed int64, nodes int) (*localSystem, *core.C
 }
 
 // TestWatchdogSilentAcrossSeeds is the no-false-positives gate: seeded
-// protocol schedules on a clustered engine — including a mid-run rebalance
+// protocol schedules on a router engine — including a mid-run rebalance
 // and a node kill, whose handoff edges each trigger an inline watchdog
 // round — must never raise an alert. The ledger identity is evaluated at
 // every edge, so a single mis-charged dispatch anywhere in the handoff path

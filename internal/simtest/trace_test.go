@@ -26,9 +26,9 @@ func TestTracedFailureDumpsCausalTimeline(t *testing.T) {
 	for _, want := range []string{
 		"causal timeline",  // the dump header with the pinned oid/qid
 		"--- serial:",      // one section per engine
-		"--- sharded:",     //
+		"--- router:",      //
 		"ingress",          // the chain starts at an uplink ingress
-		"(injected fault)", // the sharded engine recorded the dropped broadcast
+		"(injected fault)", // the router engine recorded the dropped broadcast
 		"drop",             // ...as a KindDrop event
 	} {
 		if !strings.Contains(dump, want) {
