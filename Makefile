@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check simtest cluster crash load stream bench bench-smoke report staticcheck
+.PHONY: build vet test race check simtest cluster crash load stream bench bench-smoke bench-pair report staticcheck
 
 # Optional deeper linting: runs only when staticcheck is installed, so the
 # gate works on minimal toolchains (CI installs it).
@@ -85,6 +85,15 @@ bench:
 # measurements themselves are `bash benchmark/run.sh` (BENCHMARK.json).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Paired parent/change benchmark runs — how a performance claim is measured
+# (ROADMAP ground rules, EXPERIMENTS.md "Paired benchmark runs"). PARENT and
+# CHANGE are git refs or checkout directories:
+#   make bench-pair PARENT=HEAD~1 CHANGE=HEAD ARGS='--workload cluster_focal'
+PARENT ?= HEAD~1
+CHANGE ?= HEAD
+bench-pair:
+	scripts/bench_pair.sh $(PARENT) $(CHANGE) $(ARGS)
 
 # The structured §5 cost & accuracy report (ledger sweeps, EQP-vs-LQP
 # quality, baselines, qualitative checks) → results/runreport.{json,txt}.

@@ -385,3 +385,93 @@ func TestWireClusterRebalanceAndKill(t *testing.T) {
 		}
 	}
 }
+
+// TestWireCheckpointDelta: the wire tier gets the dirty-set delta, not the
+// table. A worker holding 40 focals is pulled once (the tracking-starting
+// full scan); three focals are then written, one is removed, and one is
+// created and removed again between the pulls. The next pull through
+// RemoteNode must carry exactly the three slices and the two Removed oids —
+// ascending, one of them never journaled, which the NodeCheckpoint decoder's
+// canonicity guards (strictly ascending removals, non-empty slices) accept —
+// and a router journaling it must end up with 39 slices. A desynced pull
+// then fails the handle and must leave the worker's marks in place.
+func TestWireCheckpointDelta(t *testing.T) {
+	g := testGrid()
+	down := &sinkDown{}
+	rns, workers, errc := startWorkers(t, 1, core.Options{}, down)
+	rn := rns[0]
+	state := func(oid model.ObjectID, tm model.Time) model.MotionState {
+		return model.MotionState{Pos: geo.Pt(2.5*float64(oid)-1, 50), Vel: geo.Vec(1, 0), Tm: tm}
+	}
+	for oid := model.ObjectID(1); oid <= 40; oid++ {
+		rn.UpsertFocal(oid, state(oid, 1), 0)
+		q := model.Query{ID: model.QueryID(oid), Focal: oid, Region: model.CircleRegion{R: 3}}
+		rn.CompleteInstall(q.ID, q, 15, 0, 0)
+	}
+	journal := make(map[model.ObjectID][]byte)
+	apply := func(d core.CheckpointDelta) {
+		t.Helper()
+		for i, oid := range d.Removed {
+			if i > 0 && oid <= d.Removed[i-1] {
+				t.Fatalf("Removed not strictly ascending: %v", d.Removed)
+			}
+			delete(journal, oid) // a no-op for an oid never journaled
+		}
+		for _, s := range d.Slices {
+			oid, err := core.FocalSliceOID(s)
+			if err != nil {
+				t.Fatalf("delta slice: %v", err)
+			}
+			journal[oid] = s
+		}
+	}
+	first, err := rn.CheckpointDelta(0)
+	if err != nil || len(first.Slices) != 40 || len(first.Removed) != 0 || first.Seq != 1 {
+		t.Fatalf("first pull = %d slices, %d removed, seq %d, %v; want 40, 0, 1", len(first.Slices), len(first.Removed), first.Seq, err)
+	}
+	apply(first)
+
+	st := state(7, 2)
+	rn.VelocityReport(msg.VelocityReport{OID: 7, Pos: st.Pos, Vel: geo.Vec(0, 3), Tm: st.Tm}, 0)
+	rn.ContainmentReport(msg.ContainmentReport{OID: 500, QID: 19, IsTarget: true}, 0)
+	st = state(33, 2)
+	rn.FocalCellChange(33, st, grid.CellID{Col: g.CellOf(st.Pos).Col, Row: 11}, 0)
+	rn.RemoveQuery(3, 0)
+	rn.UpsertFocal(99, state(20, 2), 0)
+	rn.DepartFocal(99, 0)
+
+	d, err := rn.CheckpointDelta(1)
+	if err != nil {
+		t.Fatalf("second pull: %v", err)
+	}
+	var got []model.ObjectID
+	for _, s := range d.Slices {
+		oid, _ := core.FocalSliceOID(s)
+		got = append(got, oid)
+	}
+	if fmt.Sprint(got) != "[7 19 33]" || fmt.Sprint(d.Removed) != "[3 99]" || d.Seq != 2 {
+		t.Fatalf("second pull = slices %v, removed %v, seq %d; want [7 19 33], [3 99], 2", got, d.Removed, d.Seq)
+	}
+	apply(d)
+	if len(journal) != 39 {
+		t.Errorf("journal holds %d slices after the delta, want 39", len(journal))
+	}
+	if idle, err := rn.CheckpointDelta(2); err != nil || idle.Seq != 2 || len(idle.Slices)+len(idle.Removed) != 0 {
+		t.Errorf("idle pull = %+v, %v; want empty at seq 2", idle, err)
+	}
+
+	// Desync: the worker refuses, the handle treats the refusal as a failed
+	// exchange and closes, and the mark made just before is still there.
+	rn.VelocityReport(msg.VelocityReport{OID: 11, Pos: state(11, 3).Pos, Vel: geo.Vec(2, 2), Tm: 3}, 0)
+	if _, err := rn.CheckpointDelta(9); err == nil {
+		t.Fatal("desynced pull succeeded")
+	}
+	<-errc // the worker's serve loop has returned: its node is ours to read
+	kept, err := workers[0].Node().CheckpointDelta(2)
+	if err != nil || len(kept.Slices) != 1 || len(kept.Removed) != 0 {
+		t.Fatalf("pull after the desync = %d slices, %d removed, %v; want focal 11's slice", len(kept.Slices), len(kept.Removed), err)
+	}
+	if oid, _ := core.FocalSliceOID(kept.Slices[0]); oid != 11 {
+		t.Errorf("slice kept across the desync is focal %d, want 11", oid)
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -22,7 +21,7 @@ import (
 // once and anything newer is re-derived from the next uplinks.
 
 // CheckpointDelta is the incremental checkpoint of one node's focal rows:
-// every focal slice that changed since the previous checkpoint sequence,
+// the slice of every focal written since the previous checkpoint sequence,
 // plus the oids whose rows vanished. An empty delta (no slices, no
 // removals) leaves Seq unchanged — the journal is already current.
 type CheckpointDelta struct {
@@ -52,45 +51,46 @@ func FocalSliceOID(b []byte) (model.ObjectID, error) {
 	return model.ObjectID(binary.LittleEndian.Uint32(b[2:])), nil
 }
 
-// CheckpointDelta computes the node's checkpoint delta against the base the
-// node itself remembers; since must match the node's current checkpoint
-// sequence (the router always requests with the sequence it last journaled,
-// and the exchange is synchronous, so a mismatch means the two sides have
-// diverged — an error, not something to paper over).
+// CheckpointDelta builds the node's checkpoint delta from the wrapped
+// server's dirty set: a slice for every marked focal still in the FOT, a
+// Removed entry for every marked focal that is not, ascending by oid — work
+// proportional to what changed since the last pull, not to the table. The
+// first pull of a node finds no set (nobody was tracking), scans the whole
+// FOT and starts tracking. A mark is conservative: a focal whose bytes ended
+// up unchanged ships a redundant slice, and one created and removed between
+// two pulls ships a Removed oid the router's journal never held, which its
+// delete ignores. The set is cleared only once the delta is built.
+//
+// since must match the node's current checkpoint sequence (the router always
+// requests with the sequence it last journaled, and the exchange is
+// synchronous, so a mismatch means the two sides have diverged — an error,
+// not something to paper over); it leaves the dirty set intact.
 func (n *NodeServer) CheckpointDelta(since uint64) (CheckpointDelta, error) {
 	if since != n.ckptSeq {
 		return CheckpointDelta{}, fmt.Errorf("core: checkpoint desync: node at seq %d, router requested since %d", n.ckptSeq, since)
 	}
-	if n.ckptBase == nil {
-		n.ckptBase = make(map[model.ObjectID][]byte)
+	s := n.srv
+	var oids []model.ObjectID
+	if s.dirty == nil {
+		oids = n.FocalIDs()
+		s.dirty = make(map[model.ObjectID]struct{})
+	} else {
+		oids = make([]model.ObjectID, 0, len(s.dirty))
+		for oid := range s.dirty {
+			oids = append(oids, oid)
+		}
+		sortOIDs(oids)
 	}
 	d := CheckpointDelta{Seq: n.ckptSeq}
-	oids := make([]model.ObjectID, 0, len(n.srv.fot))
-	for oid := range n.srv.fot {
-		oids = append(oids, oid)
-	}
-	sortOIDs(oids)
-	dirty := false
 	for _, oid := range oids {
-		enc := n.srv.encodeFocalState(oid)
-		if prev, ok := n.ckptBase[oid]; ok && bytes.Equal(prev, enc) {
-			continue
-		}
-		n.ckptBase[oid] = enc
-		d.Slices = append(d.Slices, enc)
-		dirty = true
-	}
-	for oid := range n.ckptBase {
-		if _, ok := n.srv.fot[oid]; !ok {
+		if _, ok := s.fot[oid]; ok {
+			d.Slices = append(d.Slices, s.encodeFocalState(oid))
+		} else {
 			d.Removed = append(d.Removed, oid)
-			dirty = true
 		}
 	}
-	sortOIDs(d.Removed)
-	for _, oid := range d.Removed {
-		delete(n.ckptBase, oid)
-	}
-	if dirty {
+	clear(s.dirty)
+	if len(oids) > 0 {
 		n.ckptSeq++
 		d.Seq = n.ckptSeq
 	}

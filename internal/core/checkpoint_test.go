@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"mobieyes/internal/geo"
 	"mobieyes/internal/model"
+	"mobieyes/internal/msg"
 )
 
 // TestCheckpointDeltaRoundTrip: pulling checkpoints after a busy scenario
@@ -279,4 +282,251 @@ func TestCrashStaleWatermarkKeepsInvariants(t *testing.T) {
 	if err := cs.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after post-crash steps: %v", err)
 	}
+}
+
+// TestCheckpointDeltaPerMutationKind: one case per kind of write that
+// changes a focal's encoded slice. After the tracking-starting first pull,
+// each mutation must put exactly its focal into the next delta — as a slice
+// equal to the live encoding, or as a Removed entry once the row is gone —
+// and the pull after that must be empty at an unchanged sequence. The node
+// holds bystander focals throughout: none of them may ride along.
+func TestCheckpointDeltaPerMutationKind(t *testing.T) {
+	const (
+		target = model.ObjectID(5)  // the focal each case mutates
+		member = model.ObjectID(50) // a non-focal object entering/leaving results
+		q1     = model.QueryID(105) // target's first query (bystander i has 100+i)
+		q2     = model.QueryID(205) // target's second query, when a case installs one
+	)
+	g := smallGrid()
+	state := func(x, y float64) model.MotionState {
+		return model.MotionState{Pos: geo.Pt(x, y), Vel: geo.Vec(1, 0), Tm: 1}
+	}
+	query := func(qid model.QueryID, focal model.ObjectID) model.Query {
+		return model.Query{ID: qid, Focal: focal, Region: model.CircleRegion{R: 3}, Filter: matchAll}
+	}
+	enter := func(n *NodeServer) {
+		n.ContainmentReport(msg.ContainmentReport{OID: member, QID: q1, IsTarget: true}, 0)
+	}
+	secondQuery := func(n *NodeServer) { n.CompleteInstall(q2, query(q2, target), 100, 0, 0) }
+	none := func(*NodeServer) {}
+
+	cases := []struct {
+		name    string
+		oid     model.ObjectID
+		setup   func(n *NodeServer) // before the first pull
+		mutate  func(n *NodeServer) // between the first pull and the asserted one
+		removed bool
+	}{
+		{"velocity report", target, none, func(n *NodeServer) {
+			n.VelocityReport(msg.VelocityReport{OID: target, Pos: geo.Pt(52, 52), Vel: geo.Vec(0, 2), Tm: 2}, 0)
+		}, false},
+		{"in-span cell change", target, none, func(n *NodeServer) {
+			st := state(58, 52)
+			n.FocalCellChange(target, st, g.CellOf(st.Pos), 0)
+		}, false},
+		{"serial cell-change report", target, none, func(n *NodeServer) {
+			st := state(58, 52)
+			n.srv.HandleUplink(msg.CellChangeReport{OID: target, PrevCell: g.CellOf(geo.Pt(52, 52)),
+				NewCell: g.CellOf(st.Pos), Pos: st.Pos, Vel: st.Vel, Tm: st.Tm})
+		}, false},
+		{"focal info refresh", target, none, func(n *NodeServer) { n.UpsertFocal(target, state(53, 52), 0) }, false},
+		{"second query on a focal", target, none, secondQuery, false},
+		{"remove one of two queries", target, secondQuery, func(n *NodeServer) { n.RemoveQuery(q2, 0) }, false},
+		{"remove the last query", target, none, func(n *NodeServer) { n.RemoveQuery(q1, 0) }, true},
+		{"expiry", target, func(n *NodeServer) {
+			n.CompleteInstall(q2, query(q2, target), 100, model.FromSeconds(10), 0)
+		}, func(n *NodeServer) {
+			for _, qid := range n.DueExpiries(model.FromSeconds(11)) {
+				n.RemoveQuery(qid, 0)
+			}
+		}, false},
+		{"expiry write on an installed query", target, none, func(n *NodeServer) {
+			n.srv.InstallQueryUntil(target, model.CircleRegion{R: 2}, matchAll, 100, model.FromSeconds(10))
+		}, false},
+		{"containment enter", target, none, enter, false},
+		{"containment leave", target, enter, func(n *NodeServer) {
+			n.ContainmentReport(msg.ContainmentReport{OID: member, QID: q1, IsTarget: false}, 0)
+		}, false},
+		{"group containment", target, secondQuery, func(n *NodeServer) {
+			bm := msg.NewBitmap(2)
+			bm.Set(1, true)
+			n.GroupContainmentReport(msg.GroupContainmentReport{OID: member, Focal: target,
+				QIDs: []model.QueryID{q1, q2}, Bitmap: bm}, 0)
+		}, false},
+		{"departure of a result member", target, enter, func(n *NodeServer) { n.DepartSweep(member, 0) }, false},
+		{"serial departure of a result member", target, enter, func(n *NodeServer) {
+			n.srv.HandleUplink(msg.DepartureReport{OID: member})
+		}, false},
+		{"rejoin ClearResults", target, enter, func(n *NodeServer) { n.ClearResults(member, 0) }, false},
+		{"departure of the focal", target, none, func(n *NodeServer) { n.DepartFocal(target, 0) }, true},
+		{"serial departure of the focal", target, none, func(n *NodeServer) {
+			n.srv.HandleUplink(msg.DepartureReport{OID: target})
+		}, true},
+		{"departure of a query-less focal", 60, func(n *NodeServer) { n.UpsertFocal(60, state(20, 20), 0) },
+			func(n *NodeServer) { n.srv.HandleUplink(msg.DepartureReport{OID: 60}) }, true},
+		{"router departure of a query-less focal", 60, func(n *NodeServer) { n.UpsertFocal(60, state(20, 20), 0) },
+			func(n *NodeServer) { n.DepartFocal(60, 0) }, true},
+		{"extract", target, none, func(n *NodeServer) {
+			if _, err := n.ExtractFocal(target, false, 0); err != nil {
+				t.Fatalf("extract: %v", err)
+			}
+		}, true},
+		{"inject", 70, none, func(n *NodeServer) {
+			other := NewNodeServer(g, Options{}, nullDown{})
+			other.UpsertFocal(70, state(80, 80), 0)
+			other.CompleteInstall(170, query(170, 70), 100, 0, 0)
+			slice, err := other.ExtractFocal(70, false, 0)
+			if err != nil {
+				t.Fatalf("extract: %v", err)
+			}
+			st := state(70, 70)
+			if err := n.InjectFocal(slice, st, g.CellOf(st.Pos), true, false, 0); err != nil {
+				t.Fatalf("inject: %v", err)
+			}
+		}, false},
+		{"snapshot restore of a query", 80, none, func(n *NodeServer) {
+			n.srv.restoreQuery(snapQuery{state: msg.QueryState{QID: 180, Focal: 80, State: state(30, 30),
+				Region: model.CircleRegion{R: 2}, Filter: matchAll, FocalMaxVel: 100}})
+		}, false},
+		// The router's journal never held this oid: the Removed entry is a
+		// delete of nothing there.
+		{"create then remove between two pulls", 90, none, func(n *NodeServer) {
+			n.UpsertFocal(90, state(40, 40), 0)
+			n.CompleteInstall(190, query(190, 90), 100, 0, 0)
+			n.RemoveQuery(190, 0)
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := NewNodeServer(g, Options{}, nullDown{})
+			for i := 1; i <= 9; i++ {
+				oid := model.ObjectID(i)
+				n.UpsertFocal(oid, state(float64(10*i)+2, float64(10*i)+2), 0)
+				n.CompleteInstall(model.QueryID(100+i), query(model.QueryID(100+i), oid), 100, 0, 0)
+			}
+			tc.setup(n)
+			first, err := n.CheckpointDelta(0)
+			if err != nil || len(first.Slices) < 9 || len(first.Removed) != 0 || first.Seq != 1 {
+				t.Fatalf("first pull = %d slices, %d removed, seq %d, err %v; want the full table at seq 1",
+					len(first.Slices), len(first.Removed), first.Seq, err)
+			}
+			tc.mutate(n)
+			d, err := n.CheckpointDelta(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Seq != 2 {
+				t.Errorf("delta seq = %d, want 2", d.Seq)
+			}
+			if tc.removed {
+				if len(d.Slices) != 0 || len(d.Removed) != 1 || d.Removed[0] != tc.oid {
+					t.Fatalf("delta = %d slices, removed %v; want only focal %d removed", len(d.Slices), d.Removed, tc.oid)
+				}
+			} else {
+				if len(d.Removed) != 0 || len(d.Slices) != 1 {
+					t.Fatalf("delta = %d slices, removed %v; want only focal %d's slice", len(d.Slices), d.Removed, tc.oid)
+				}
+				if oid, err := FocalSliceOID(d.Slices[0]); err != nil || oid != tc.oid {
+					t.Fatalf("delta slice is focal %d (%v), want %d", oid, err, tc.oid)
+				}
+				if !bytes.Equal(d.Slices[0], n.srv.encodeFocalState(tc.oid)) {
+					t.Error("delta slice differs from the live encoding")
+				}
+			}
+			idle, err := n.CheckpointDelta(2)
+			if err != nil || idle.Seq != 2 || len(idle.Slices) != 0 || len(idle.Removed) != 0 {
+				t.Errorf("idle pull = %+v, %v; want empty at seq 2", idle, err)
+			}
+			if err := n.CheckInvariants(); err != nil {
+				t.Errorf("invariants: %v", err)
+			}
+		})
+	}
+}
+
+// TestCheckpointDesyncKeepsDirtySet: a refused pull must not consume the
+// marks — the next matching pull still carries them.
+func TestCheckpointDesyncKeepsDirtySet(t *testing.T) {
+	n := NewNodeServer(smallGrid(), Options{}, nullDown{})
+	st := model.MotionState{Pos: geo.Pt(50, 50), Tm: 1}
+	n.UpsertFocal(1, st, 0)
+	if _, err := n.CheckpointDelta(0); err != nil {
+		t.Fatal(err)
+	}
+	n.UpsertFocal(2, st, 0)
+	if _, err := n.CheckpointDelta(9); err == nil {
+		t.Fatal("desynced since accepted")
+	}
+	d, err := n.CheckpointDelta(1)
+	if err != nil || len(d.Slices) != 1 || d.Seq != 2 {
+		t.Fatalf("pull after a desync = %d slices, seq %d, %v; want focal 2's slice at seq 2", len(d.Slices), d.Seq, err)
+	}
+}
+
+// TestCheckInvariantsCatchesMissedMark is the teeth test of the journal
+// check in ClusterServer.CheckInvariants: a write to a checkpointed focal's
+// row or result set that bypasses markDirty, and a row deleted without a
+// mark, must each fail it; the mark repairs it.
+func TestCheckInvariantsCatchesMissedMark(t *testing.T) {
+	cluster := newClusterHarness(smallGrid(), Options{}, 3)
+	runScenario(cluster)
+	cs := cluster.server.(*ClusterServer)
+	// A failure must come from the journal check, not from a routing
+	// invariant the bypass happened to break as well.
+	check := func(want bool, what string) {
+		t.Helper()
+		err := cs.CheckInvariants()
+		if (err == nil) != want || (err != nil && !strings.Contains(err.Error(), "journal")) {
+			t.Fatalf("%s: CheckInvariants = %v", what, err)
+		}
+	}
+	if err := cs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check(true, "after a full checkpoint")
+	var srv *Server
+	var oid model.ObjectID
+	for _, ns := range cs.local {
+		for o, fe := range ns.srv.fot {
+			if len(fe.queries) > 0 {
+				srv, oid = ns.srv, o
+			}
+		}
+	}
+	if srv == nil {
+		t.Fatal("scenario left no focal with a query — weak test")
+	}
+	fe := srv.fot[oid]
+
+	fe.state.Tm++ // an FOT write with no mark
+	check(false, "unmarked FOT write")
+	srv.markDirty(oid)
+	check(true, "FOT write once marked")
+	if err := cs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv.sqt[fe.queries[0]].result[9999] = struct{}{} // a result write around notifyResult
+	check(false, "unmarked result write")
+	srv.markDirty(oid)
+	if err := cs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check(true, "result write once checkpointed")
+
+	// A departure whose FOT delete forgot its mark: rows and routes go, the
+	// journal keeps a slice nothing will ever report Removed.
+	qids := append([]model.QueryID(nil), fe.queries...)
+	srv.extractFocal(oid)
+	delete(srv.dirty, oid)
+	delete(cs.focalNode, oid)
+	for _, qid := range qids {
+		delete(cs.queryNode, qid)
+	}
+	check(false, "unmarked FOT delete")
+	srv.markDirty(oid)
+	if err := cs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check(true, "FOT delete once checkpointed")
 }

@@ -1230,8 +1230,10 @@ func (cs *ClusterServer) Restore(r io.Reader) error {
 // CheckInvariants validates every node's internal consistency plus the
 // cluster invariants: routing tables agree with node contents in both
 // directions, each focal row lives in the node whose span owns its current
-// cell, live spans partition the grid, dead nodes are empty, and pending
-// expiries refer to pending queries. Intended for tests and debugging.
+// cell, live spans partition the grid, dead nodes are empty, pending
+// expiries refer to pending queries, and every difference between a node's
+// tables and its checkpoint journal is in the node's dirty set. Intended for
+// tests and debugging.
 func (cs *ClusterServer) CheckInvariants() error {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -1295,6 +1297,27 @@ func (cs *ClusterServer) CheckInvariants() error {
 		}
 		if !found {
 			return fmt.Errorf("core: pending expiry recorded for non-pending query %d", qid)
+		}
+	}
+	// Checkpoint mark-site completeness: on an in-process node that has been
+	// pulled, whatever the journal and the tables disagree on must be marked
+	// for the next delta — a missed markDirty fails here on the op it skips.
+	for i, ns := range cs.local {
+		if ns == nil || !cs.live[i] || ns.srv.dirty == nil {
+			continue
+		}
+		journaled := cs.journal[i].slices
+		for oid := range ns.srv.fot {
+			if _, marked := ns.srv.dirty[oid]; !marked && !bytes.Equal(journaled[oid], ns.srv.encodeFocalState(oid)) {
+				return fmt.Errorf("core: node %d focal %d differs from its journaled slice but is not marked dirty", i, oid)
+			}
+		}
+		for oid := range journaled {
+			_, inFOT := ns.srv.fot[oid]
+			_, marked := ns.srv.dirty[oid]
+			if !inFOT && !marked {
+				return fmt.Errorf("core: node %d journal holds focal %d, which left the node unmarked", i, oid)
+			}
 		}
 	}
 	return nil

@@ -24,10 +24,15 @@ func (s *Server) SetResultListener(fn func(ResultEvent)) {
 	s.onResult = fn
 }
 
-// notifyResult emits a result event if a listener is installed, and records
-// the flip on the flight recorder when tracing: result changes are the tail
-// of every causal chain the oracle cares about.
+// notifyResult is the single funnel every result add/remove passes through
+// while the query's SQT row is still in place: it marks the query's focal
+// dirty for the next checkpoint, emits a result event if a listener is
+// installed, and records the flip on the flight recorder when tracing —
+// result changes are the tail of every causal chain the oracle cares about.
 func (s *Server) notifyResult(qid model.QueryID, oid model.ObjectID, entered bool) {
+	if s.dirty != nil {
+		s.dirty[s.sqt[qid].query.Focal] = struct{}{}
+	}
 	if s.rec != nil {
 		note := "leave"
 		if entered {

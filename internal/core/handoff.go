@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"mobieyes/internal/geo"
 	"mobieyes/internal/grid"
@@ -19,19 +20,32 @@ import (
 // so the byte-mediated path is what the differential oracle exercises).
 const focalSliceVersion = uint16(1)
 
+// focalSliceHeaderLen is the fixed prefix of a focal slice: version, oid,
+// motion state (5 floats), max velocity, current cell, query count.
+const focalSliceHeaderLen = 2 + 4 + 6*8 + 2*4 + 4
+
 // encodeFocalSlice serializes a detached focal record — the FOT row plus
 // every bound query's SQT row and result set — into the self-contained byte
 // slice a Handoff frame carries. Query rows reuse the snapshot idiom: each
 // is a length-prefixed wire-encoded QueryInstall holding one QueryState, so
 // regions, filters and monitoring regions round-trip bit-exactly.
 func encodeFocalSlice(rec focalRecord) []byte {
-	var b []byte
+	fe := rec.fe
+	// Size the buffer once: per query only the region's wire size and the
+	// result count vary. One scratch slice serves every result's sort.
+	size, maxRes := focalSliceHeaderLen, 0
+	for _, e := range rec.entries {
+		qi := msg.QueryInstall{Queries: []msg.QueryState{{Region: e.query.Region}}}
+		size += 4 + qi.Size() + 8 + 4 + 4*len(e.result)
+		maxRes = max(maxRes, len(e.result))
+	}
+	b := make([]byte, 0, size)
+	res := make([]model.ObjectID, 0, maxRes)
+	states := make([]msg.QueryState, 1)
 	le := binary.LittleEndian
-	u16 := func(v uint16) { b = le.AppendUint16(b, v) }
 	u32 := func(v uint32) { b = le.AppendUint32(b, v) }
 	f64 := func(v float64) { b = le.AppendUint64(b, math.Float64bits(v)) }
-	fe := rec.fe
-	u16(focalSliceVersion)
+	b = le.AppendUint16(b, focalSliceVersion)
 	u32(uint32(rec.oid))
 	f64(fe.state.Pos.X)
 	f64(fe.state.Pos.Y)
@@ -44,7 +58,7 @@ func encodeFocalSlice(rec focalRecord) []byte {
 	u32(uint32(len(fe.queries)))
 	for i, qid := range fe.queries {
 		e := rec.entries[i]
-		qs := msg.QueryState{
+		states[0] = msg.QueryState{
 			QID:         qid,
 			Focal:       rec.oid,
 			State:       fe.state,
@@ -53,11 +67,11 @@ func encodeFocalSlice(rec focalRecord) []byte {
 			MonRegion:   e.monRegion,
 			FocalMaxVel: fe.maxVel,
 		}
-		enc := wire.Encode(msg.QueryInstall{Queries: []msg.QueryState{qs}})
+		enc := wire.Encode(msg.QueryInstall{Queries: states})
 		u32(uint32(len(enc)))
 		b = append(b, enc...)
 		f64(float64(e.expiry))
-		res := make([]model.ObjectID, 0, len(e.result))
+		res = res[:0]
 		for oid := range e.result {
 			res = append(res, oid)
 		}
@@ -70,13 +84,7 @@ func encodeFocalSlice(rec focalRecord) []byte {
 	return b
 }
 
-func sortOIDs(ids []model.ObjectID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
+func sortOIDs(ids []model.ObjectID) { slices.Sort(ids) }
 
 // decodeFocalSlice parses an encoded focal slice back into a detached focal
 // record plus the motion state and grid cell it was extracted at. The
@@ -92,7 +100,7 @@ func decodeFocalSlice(b []byte) (focalRecord, model.MotionState, grid.CellID, er
 	u16 := func() uint16 { v := le.Uint16(b[off:]); off += 2; return v }
 	u32 := func() uint32 { v := le.Uint32(b[off:]); off += 4; return v }
 	f64 := func() float64 { v := math.Float64frombits(le.Uint64(b[off:])); off += 8; return v }
-	if !need(2 + 4 + 6*8 + 2*4 + 4) {
+	if !need(focalSliceHeaderLen) {
 		return fail("truncated header")
 	}
 	if v := u16(); v != focalSliceVersion {
@@ -183,6 +191,7 @@ func (s *Server) extractFocal(oid model.ObjectID) focalRecord {
 		rec.entries = append(rec.entries, e)
 	}
 	delete(s.fot, oid)
+	s.markDirty(oid)
 	return rec
 }
 
@@ -197,6 +206,7 @@ func (s *Server) injectFocal(rec focalRecord, st model.MotionState, cell grid.Ce
 	fe.state = st
 	fe.currCell = cell
 	s.fot[rec.oid] = fe
+	s.markDirty(rec.oid)
 	for i, qid := range fe.queries {
 		e := rec.entries[i]
 		oldRegion := e.monRegion

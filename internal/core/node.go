@@ -76,11 +76,10 @@ type NodeHandle interface {
 type NodeServer struct {
 	srv *Server
 
-	// Checkpoint baseline: the focal-slice bytes as of the last
-	// CheckpointDelta exchange, used to diff the next delta. ckptSeq bumps
-	// only when the delta is non-empty.
-	ckptSeq  uint64
-	ckptBase map[model.ObjectID][]byte
+	// ckptSeq is the checkpoint sequence, bumped by every non-empty
+	// CheckpointDelta. What the next delta carries is the wrapped server's
+	// dirty set; the node keeps no copy of what it last shipped.
+	ckptSeq uint64
 }
 
 // NewNodeServer returns a node executor over grid g sending through down.
@@ -154,11 +153,7 @@ func (n *NodeServer) GroupContainmentReport(m msg.GroupContainmentReport, tid tr
 }
 
 func (n *NodeServer) FocalCellChange(oid model.ObjectID, st model.MotionState, newCell grid.CellID, tid trace.ID) {
-	n.run(tid, func(s *Server) {
-		if fe, ok := s.fot[oid]; ok {
-			s.focalCellChange(fe, st, newCell)
-		}
-	})
+	n.run(tid, func(s *Server) { s.focalCellChange(oid, st, newCell) })
 }
 
 func (n *NodeServer) FreshQueryStates(prevCell, newCell grid.CellID) []msg.QueryState {
@@ -192,6 +187,7 @@ func (n *NodeServer) DepartFocal(oid model.ObjectID, tid trace.ID) []model.Query
 			s.RemoveQuery(qid)
 		}
 		delete(s.fot, oid)
+		s.markDirty(oid)
 	})
 	return qids
 }

@@ -64,6 +64,14 @@ type Server struct {
 	expiries map[model.QueryID]model.Time
 	nextQID  model.QueryID
 
+	// dirty holds the focal oids whose encoded slice (encodeFocalState) may
+	// have changed since the last NodeServer.CheckpointDelta pull — marked
+	// wherever an FOT row, a bound SQT row or a result set is written. nil
+	// means not tracking: nothing has pulled a checkpoint from this server,
+	// marking costs a nil check, and the first pull is a full scan that
+	// starts tracking (DESIGN.md §15).
+	dirty map[model.ObjectID]struct{}
+
 	// onResult, when set, receives every differential result change.
 	onResult func(ResultEvent)
 
@@ -136,6 +144,13 @@ func (s *Server) SetAccountant(a *cost.Accountant) {
 // NumQueries returns the number of installed queries.
 func (s *Server) NumQueries() int { return len(s.sqt) }
 
+// markDirty records that oid's encoded focal slice may have changed.
+func (s *Server) markDirty(oid model.ObjectID) {
+	if s.dirty != nil {
+		s.dirty[oid] = struct{}{}
+	}
+}
+
 // InstallQuery starts installation of a moving query (§3.3). The request
 // is the paper's (oid, region, filter) triple plus the focal object's
 // maximum velocity. The returned query identifier is assigned immediately;
@@ -171,6 +186,7 @@ func (s *Server) InstallQueryUntil(focal model.ObjectID, region model.Region, fi
 	s.expiries[qid] = expiry
 	if e, ok := s.sqt[qid]; ok {
 		e.expiry = expiry
+		s.markDirty(focal)
 	}
 	return qid
 }
@@ -216,6 +232,7 @@ func (s *Server) upsertFocal(oid model.ObjectID, st model.MotionState) *fotEntry
 		fe = &fotEntry{state: st, currCell: s.g.CellOf(st.Pos)}
 		s.fot[oid] = fe
 	}
+	s.markDirty(oid)
 	s.ev(trace.KindTable, oid, 0, "FOT upsert")
 	s.ops.Add(1)
 	s.acct.Compute(cost.UnitTableOp, 1)
@@ -231,6 +248,7 @@ func (s *Server) completeInstall(qid model.QueryID, q model.Query, focalMaxVel f
 		fe.maxVel = focalMaxVel
 	}
 	fe.queries = insertSortedQID(fe.queries, qid)
+	s.markDirty(q.Focal)
 
 	currCell := fe.currCell
 	monRegion := s.g.MonitoringRegion(currCell, q.Region.EnclosingRadius())
@@ -272,6 +290,7 @@ func (s *Server) RemoveQuery(qid model.QueryID) bool {
 	delete(s.sqt, qid)
 	fe := s.fot[e.query.Focal]
 	fe.queries = removeSortedQID(fe.queries, qid)
+	s.markDirty(e.query.Focal)
 	s.ev(trace.KindTable, e.query.Focal, qid, "SQT delete")
 	s.broadcast(e.monRegion, msg.QueryRemove{QIDs: []model.QueryID{qid}})
 	if len(fe.queries) == 0 {
@@ -295,6 +314,7 @@ func (s *Server) OnVelocityReport(m msg.VelocityReport) {
 		return // not a focal object (stale report after query removal)
 	}
 	fe.state = model.MotionState{Pos: m.Pos, Vel: m.Vel, Tm: m.Tm}
+	s.markDirty(m.OID)
 	s.ev(trace.KindTable, m.OID, 0, "FOT refresh")
 	s.ops.Add(1)
 	s.acct.Compute(cost.UnitTableOp, 1)
@@ -373,10 +393,7 @@ func (s *Server) OnCellChangeReport(m msg.CellChangeReport) {
 	if len(s.pending[m.OID]) > 0 {
 		s.OnFocalInfoResponse(msg.FocalInfoResponse{OID: m.OID, Pos: m.Pos, Vel: m.Vel, Tm: m.Tm})
 	}
-	fe, isFocal := s.fot[m.OID]
-	if isFocal {
-		s.focalCellChange(fe, model.MotionState{Pos: m.Pos, Vel: m.Vel, Tm: m.Tm}, m.NewCell)
-	}
+	s.focalCellChange(m.OID, model.MotionState{Pos: m.Pos, Vel: m.Vel, Tm: m.Tm}, m.NewCell)
 	// Ship the newly nearby queries. Under eager propagation every object
 	// reports cell changes and receives this; under lazy propagation only
 	// focal objects report, and they get the same treatment for free.
@@ -397,11 +414,16 @@ func (s *Server) clearObjectFromResults(oid model.ObjectID) {
 }
 
 // focalCellChange applies a focal object's move to newCell: the FOT row is
-// refreshed and every bound query relocated. NodeServer.FocalCellChange
-// enters here directly.
-func (s *Server) focalCellChange(fe *fotEntry, st model.MotionState, newCell grid.CellID) {
+// refreshed and every bound query relocated; a non-focal oid is a no-op.
+// NodeServer.FocalCellChange enters here directly.
+func (s *Server) focalCellChange(oid model.ObjectID, st model.MotionState, newCell grid.CellID) {
+	fe, ok := s.fot[oid]
+	if !ok {
+		return
+	}
 	fe.state = st
 	fe.currCell = newCell
+	s.markDirty(oid)
 	for _, qid := range fe.queries {
 		s.relocateQuery(qid, newCell)
 	}
@@ -528,6 +550,7 @@ func (s *Server) OnDepartureReport(m msg.DepartureReport) {
 			s.RemoveQuery(qid)
 		}
 		delete(s.fot, m.OID)
+		s.markDirty(m.OID)
 	}
 	delete(s.pending, m.OID)
 	s.ops.Add(1)

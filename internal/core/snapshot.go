@@ -278,6 +278,7 @@ func (s *Server) restoreQuery(q snapQuery) {
 		fe.maxVel = qs.FocalMaxVel
 	}
 	fe.queries = insertSortedQID(fe.queries, qs.QID)
+	s.markDirty(qs.Focal)
 	result := make(map[model.ObjectID]struct{}, len(q.result))
 	for _, oid := range q.result {
 		result[oid] = struct{}{}

@@ -130,20 +130,17 @@ func TestConcurrentMutation(t *testing.T) {
 // TestScrapeDuringRegistration scrapes while another goroutine keeps
 // creating brand-new series in the same families — the case where the scrape
 // walks a family's series map as a registration inserts into it. Under -race
-// this pins that snapshotting holds the registry lock.
+// this pins that snapshotting holds the registry lock. The churn is bounded
+// (512 rounds of five new series) and the scraper runs exactly as long as
+// the churn does, so every scrape overlaps registrations and none walks more
+// than 2,560 series: a fixed scrape count against unbounded churn lets the
+// registry outgrow the scraper under -race, and the test's time with it.
 func TestScrapeDuringRegistration(t *testing.T) {
 	r := NewRegistry()
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	churned := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
+		defer close(churned)
+		for i := 0; i < 512; i++ {
 			sh := strconv.Itoa(i)
 			r.Counter("churn_total", "", "shard", sh).Inc()
 			r.Gauge("churn_load", "", "shard", sh).Set(float64(i))
@@ -152,14 +149,17 @@ func TestScrapeDuringRegistration(t *testing.T) {
 			r.GaugeFunc("churn_fn", "", func() float64 { return float64(i) }, "shard", sh)
 		}
 	}()
-	for i := 0; i < 300; i++ {
+	for scrapes, done := 0, false; !done; scrapes++ {
+		select {
+		case <-churned:
+			done = true // one last scrape sees the full registry
+		default:
+		}
 		if err := r.WritePrometheus(discard{}); err != nil {
-			t.Fatalf("scrape %d: %v", i, err)
+			t.Fatalf("scrape %d: %v", scrapes, err)
 		}
 		r.Snapshot()
 	}
-	close(done)
-	wg.Wait()
 }
 
 // TestFirstUseConcurrent races many goroutines on the FIRST constructor call
