@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check simtest cluster crash load stream bench bench-smoke bench-pair report staticcheck
+.PHONY: build vet fmt test race check simtest cluster crash load stream bench bench-smoke bench-pair report staticcheck
 
 # Optional deeper linting: runs only when staticcheck is installed, so the
 # gate works on minimal toolchains (CI installs it).
@@ -16,6 +16,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any file is not gofmt-formatted, listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -75,7 +79,7 @@ stream:
 	$(GO) test -race -count=1 ./internal/obs/stream/ ./internal/history/
 	$(GO) test -race -count=1 -run 'Stream|History|AdminSubHist|Gateway' ./internal/remote/ ./internal/simtest/
 
-check: build vet staticcheck test race simtest cluster crash load stream bench-smoke
+check: build vet fmt staticcheck test race simtest cluster crash load stream bench-smoke
 
 bench:
 	$(GO) test -bench . -benchtime 1s ./internal/core/

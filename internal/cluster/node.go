@@ -296,11 +296,11 @@ func (rn *RemoteNode) FocalCellChange(oid model.ObjectID, st model.MotionState, 
 	rn.mustOp(opFocalCellChange, p.b, tid)
 }
 
-func (rn *RemoteNode) FreshQueryStates(prevCell, newCell grid.CellID) []msg.QueryState {
+func (rn *RemoteNode) FreshQueryStates(dst []msg.QueryState, prevCell, newCell grid.CellID) []msg.QueryState {
 	var p pbuf
 	p.cell(prevCell)
 	p.cell(newCell)
-	return rn.mustOp(opFreshQueryStates, p.b, 0).queryStates()
+	return append(dst, rn.mustOp(opFreshQueryStates, p.b, 0).queryStates()...)
 }
 
 func (rn *RemoteNode) ClearResults(oid model.ObjectID, tid trace.ID) {

@@ -100,10 +100,10 @@ const adminSeqBit = uint64(1) << 63
 // pbuf builds little-endian op payloads, mirroring the focal-slice codec.
 type pbuf struct{ b []byte }
 
-func (p *pbuf) u8(v uint8)   { p.b = append(p.b, v) }
-func (p *pbuf) u16(v uint16) { p.b = binary.LittleEndian.AppendUint16(p.b, v) }
-func (p *pbuf) u32(v uint32) { p.b = binary.LittleEndian.AppendUint32(p.b, v) }
-func (p *pbuf) u64(v uint64) { p.b = binary.LittleEndian.AppendUint64(p.b, v) }
+func (p *pbuf) u8(v uint8)    { p.b = append(p.b, v) }
+func (p *pbuf) u16(v uint16)  { p.b = binary.LittleEndian.AppendUint16(p.b, v) }
+func (p *pbuf) u32(v uint32)  { p.b = binary.LittleEndian.AppendUint32(p.b, v) }
+func (p *pbuf) u64(v uint64)  { p.b = binary.LittleEndian.AppendUint64(p.b, v) }
 func (p *pbuf) f64(v float64) { p.u64(math.Float64bits(v)) }
 func (p *pbuf) bool(v bool) {
 	if v {

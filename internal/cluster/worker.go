@@ -332,7 +332,7 @@ func (w *Worker) apply(code uint8, data []byte, tid trace.ID) ([]byte, error) {
 		if err := in.done(); err != nil {
 			return nil, err
 		}
-		out.queryStates(n.FreshQueryStates(prev, next))
+		out.queryStates(n.FreshQueryStates(nil, prev, next))
 	case opClearResults:
 		oid := in.oid()
 		if err := in.done(); err != nil {

@@ -343,16 +343,18 @@ func (*crashedNode) CompleteInstall(model.QueryID, model.Query, float64, model.T
 func (*crashedNode) RemoveQuery(model.QueryID, trace.ID) (bool, model.ObjectID, bool) {
 	return false, 0, false
 }
-func (*crashedNode) DueExpiries(model.Time) []model.QueryID                           { return nil }
-func (*crashedNode) UpsertFocal(model.ObjectID, model.MotionState, trace.ID)          {}
-func (*crashedNode) VelocityReport(msg.VelocityReport, trace.ID)                      {}
-func (*crashedNode) ContainmentReport(msg.ContainmentReport, trace.ID)                {}
-func (*crashedNode) GroupContainmentReport(msg.GroupContainmentReport, trace.ID)      {}
+func (*crashedNode) DueExpiries(model.Time) []model.QueryID                      { return nil }
+func (*crashedNode) UpsertFocal(model.ObjectID, model.MotionState, trace.ID)     {}
+func (*crashedNode) VelocityReport(msg.VelocityReport, trace.ID)                 {}
+func (*crashedNode) ContainmentReport(msg.ContainmentReport, trace.ID)           {}
+func (*crashedNode) GroupContainmentReport(msg.GroupContainmentReport, trace.ID) {}
 func (*crashedNode) FocalCellChange(model.ObjectID, model.MotionState, grid.CellID, trace.ID) {
 }
-func (*crashedNode) FreshQueryStates(_, _ grid.CellID) []msg.QueryState { return nil }
-func (*crashedNode) ClearResults(model.ObjectID, trace.ID)              {}
-func (*crashedNode) DepartSweep(model.ObjectID, trace.ID)               {}
+func (*crashedNode) FreshQueryStates(dst []msg.QueryState, _, _ grid.CellID) []msg.QueryState {
+	return dst
+}
+func (*crashedNode) ClearResults(model.ObjectID, trace.ID) {}
+func (*crashedNode) DepartSweep(model.ObjectID, trace.ID)  {}
 func (*crashedNode) DepartFocal(model.ObjectID, trace.ID) []model.QueryID {
 	return nil
 }
@@ -365,19 +367,19 @@ func (c *crashedNode) InjectFocal([]byte, model.MotionState, grid.CellID, bool, 
 func (c *crashedNode) CheckpointDelta(uint64) (CheckpointDelta, error) {
 	return CheckpointDelta{}, c.reason
 }
-func (*crashedNode) Result(model.QueryID) []model.ObjectID                  { return nil }
-func (*crashedNode) ResultContains(model.QueryID, model.ObjectID) bool      { return false }
-func (*crashedNode) ResultSize(model.QueryID) int                           { return 0 }
-func (*crashedNode) Query(model.QueryID) (model.Query, bool)                { return model.Query{}, false }
-func (*crashedNode) MonRegion(model.QueryID) (grid.CellRange, bool)         { return grid.CellRange{}, false }
-func (*crashedNode) NumQueries() int                                        { return 0 }
-func (*crashedNode) QueryIDs() []model.QueryID                              { return nil }
-func (*crashedNode) NearbyQueries(grid.CellID) []model.QueryID              { return nil }
-func (*crashedNode) FocalIDs() []model.ObjectID                             { return nil }
-func (*crashedNode) FocalCell(model.ObjectID) (grid.CellID, bool)           { return grid.CellID{}, false }
-func (*crashedNode) Ops() int64                                             { return 0 }
-func (c *crashedNode) SnapshotData() ([]byte, error)                        { return nil, c.reason }
-func (*crashedNode) CheckInvariants() error                                 { return nil }
-func (*crashedNode) Close() error                                           { return nil }
+func (*crashedNode) Result(model.QueryID) []model.ObjectID             { return nil }
+func (*crashedNode) ResultContains(model.QueryID, model.ObjectID) bool { return false }
+func (*crashedNode) ResultSize(model.QueryID) int                      { return 0 }
+func (*crashedNode) Query(model.QueryID) (model.Query, bool)           { return model.Query{}, false }
+func (*crashedNode) MonRegion(model.QueryID) (grid.CellRange, bool)    { return grid.CellRange{}, false }
+func (*crashedNode) NumQueries() int                                   { return 0 }
+func (*crashedNode) QueryIDs() []model.QueryID                         { return nil }
+func (*crashedNode) NearbyQueries(grid.CellID) []model.QueryID         { return nil }
+func (*crashedNode) FocalIDs() []model.ObjectID                        { return nil }
+func (*crashedNode) FocalCell(model.ObjectID) (grid.CellID, bool)      { return grid.CellID{}, false }
+func (*crashedNode) Ops() int64                                        { return 0 }
+func (c *crashedNode) SnapshotData() ([]byte, error)                   { return nil, c.reason }
+func (*crashedNode) CheckInvariants() error                            { return nil }
+func (*crashedNode) Close() error                                      { return nil }
 
 var _ NodeHandle = (*crashedNode)(nil)

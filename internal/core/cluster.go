@@ -2,10 +2,11 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -418,14 +419,16 @@ func (cs *ClusterServer) SetAccountant(a *cost.Accountant) {
 	a.SetMode(cs.opts.Mode.String())
 }
 
-// acctNodeUplink charges one dispatched uplink to node ni's ledger (-1 =
-// the router ledger, for stale drops and router-level work), keeping the
-// node-sum-plus-router == global identity the ledger oracle checks.
-func (cs *ClusterServer) acctNodeUplink(ni int, m msg.Message) {
+// acctNodeUplink charges one dispatched uplink of kind k and model size sz to
+// node ni's ledger (-1 = the router ledger, for stale drops and router-level
+// work), keeping the node-sum-plus-router == global identity the ledger
+// oracle checks. It takes kind and size, not the message, so the accountant-
+// off path does not box every uplink into a msg.Message.
+func (cs *ClusterServer) acctNodeUplink(ni int, k msg.Kind, sz int) {
 	if cs.acct == nil {
 		return
 	}
-	cs.acct.NodeUplink(ni, m.Kind(), m.Size())
+	cs.acct.NodeUplink(ni, k, sz)
 }
 
 // SetTracer attaches a flight recorder to the router and every in-process
@@ -552,7 +555,7 @@ func (cs *ClusterServer) ExpireQueries(now model.Time) []model.QueryID {
 			expired = append(expired, qid)
 		}
 	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
+	slices.Sort(expired)
 	for _, qid := range expired {
 		cs.removeQueryLocked(qid, tid)
 	}
@@ -622,22 +625,22 @@ func (cs *ClusterServer) dispatchUplink(m msg.Message, tid trace.ID) {
 func (cs *ClusterServer) onVelocityReport(m msg.VelocityReport, tid trace.ID) {
 	ni, ok := cs.focalNode[m.OID]
 	if !ok {
-		cs.acctNodeUplink(-1, m) // stale drop: charge the router ledger
+		cs.acctNodeUplink(-1, m.Kind(), m.Size()) // stale drop: charge the router ledger
 		return
 	}
 	cs.nUpl[ni].Add(1)
-	cs.acctNodeUplink(ni, m)
+	cs.acctNodeUplink(ni, m.Kind(), m.Size())
 	cs.nodes[ni].VelocityReport(m, tid)
 }
 
 func (cs *ClusterServer) onContainmentReport(m msg.ContainmentReport, tid trace.ID) {
 	ni, ok := cs.queryNode[m.QID]
 	if !ok {
-		cs.acctNodeUplink(-1, m) // stale drop: charge the router ledger
+		cs.acctNodeUplink(-1, m.Kind(), m.Size()) // stale drop: charge the router ledger
 		return
 	}
 	cs.nUpl[ni].Add(1)
-	cs.acctNodeUplink(ni, m)
+	cs.acctNodeUplink(ni, m.Kind(), m.Size())
 	cs.nodes[ni].ContainmentReport(m, tid)
 }
 
@@ -647,18 +650,18 @@ func (cs *ClusterServer) onGroupContainmentReport(m msg.GroupContainmentReport, 
 	for _, qid := range m.QIDs {
 		if ni, ok := cs.queryNode[qid]; ok {
 			cs.nUpl[ni].Add(1)
-			cs.acctNodeUplink(ni, m)
+			cs.acctNodeUplink(ni, m.Kind(), m.Size())
 			cs.nodes[ni].GroupContainmentReport(m, tid)
 			return
 		}
 	}
-	cs.acctNodeUplink(-1, m) // no query resolvable: charge the router ledger
+	cs.acctNodeUplink(-1, m.Kind(), m.Size()) // no query resolvable: charge the router ledger
 }
 
 func (cs *ClusterServer) onFocalInfoResponse(m msg.FocalInfoResponse, tid trace.ID) {
 	ni := cs.nodeOf(cs.g.CellOf(m.Pos))
 	cs.nUpl[ni].Add(1)
-	cs.acctNodeUplink(ni, m)
+	cs.acctNodeUplink(ni, m.Kind(), m.Size())
 	cs.applyFocalInfo(m.OID, model.MotionState{Pos: m.Pos, Vel: m.Vel, Tm: m.Tm}, tid)
 }
 
@@ -757,7 +760,7 @@ func (cs *ClusterServer) onCellChangeReport(m msg.CellChangeReport, tid trace.ID
 	}
 	ni := cs.nodeOf(m.NewCell)
 	cs.nUpl[ni].Add(1)
-	cs.acctNodeUplink(ni, m)
+	cs.acctNodeUplink(ni, m.Kind(), m.Size())
 	cs.focalCellChange(m.OID, st, m.NewCell, tid)
 	cs.sendNewNearbyQueries(m.OID, m.PrevCell, m.NewCell, tid)
 	cs.ops.Add(1)
@@ -786,20 +789,23 @@ func (cs *ClusterServer) sendNewNearbyQueries(oid model.ObjectID, prevCell, newC
 	var fresh []msg.QueryState
 	for i, nd := range cs.nodes {
 		if cs.live[i] {
-			fresh = append(fresh, nd.FreshQueryStates(prevCell, newCell)...)
+			fresh = nd.FreshQueryStates(fresh, prevCell, newCell)
 		}
 	}
 	if len(fresh) == 0 {
 		return
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].QID < fresh[j].QID })
+	// Each node appended an ascending run and a query lives on one node, so
+	// this is already ordered unless several nodes contributed (cells near a
+	// span boundary) — and then nearly so.
+	slices.SortFunc(fresh, func(a, b msg.QueryState) int { return cmp.Compare(a.QID, b.QID) })
 	cs.unicast(oid, msg.QueryInstall{Queries: fresh}, tid)
 	cs.ops.Add(1)
 }
 
 func (cs *ClusterServer) onDepartureReport(m msg.DepartureReport, tid trace.ID) {
 	cs.upl.Add(1)
-	cs.acctNodeUplink(-1, m) // handled across nodes: charge the router ledger
+	cs.acctNodeUplink(-1, m.Kind(), m.Size()) // handled across nodes: charge the router ledger
 	for i, nd := range cs.nodes {
 		if cs.live[i] {
 			nd.DepartSweep(m.OID, tid)
@@ -1006,7 +1012,7 @@ func (cs *ClusterServer) QueryIDs() []model.QueryID {
 			out = append(out, nd.QueryIDs()...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -1020,7 +1026,7 @@ func (cs *ClusterServer) NearbyQueries(cell grid.CellID) []model.QueryID {
 			out = append(out, nd.NearbyQueries(cell)...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -1169,12 +1175,12 @@ func (cs *ClusterServer) Snapshot(w io.Writer) error {
 		}
 		d.queries = append(d.queries, sd.queries...)
 	}
-	sort.Slice(d.queries, func(i, j int) bool { return d.queries[i].state.QID < d.queries[j].state.QID })
+	slices.SortFunc(d.queries, func(a, b snapQuery) int { return cmp.Compare(a.state.QID, b.state.QID) })
 	var pendingFocals []model.ObjectID
 	for focal := range cs.pending {
 		pendingFocals = append(pendingFocals, focal)
 	}
-	sort.Slice(pendingFocals, func(i, j int) bool { return pendingFocals[i] < pendingFocals[j] })
+	sortOIDs(pendingFocals)
 	for _, focal := range pendingFocals {
 		for _, p := range cs.pending[focal] {
 			d.pending = append(d.pending, snapPending{

@@ -11,7 +11,6 @@ import (
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
-	"mobieyes/internal/obs/cost"
 	"mobieyes/internal/wire"
 )
 
@@ -178,14 +177,15 @@ type focalRecord struct {
 }
 
 // extractFocal detaches oid's FOT row and every bound query from s's tables
-// (SQT, RQI, expiries) without emitting any messages. The caller must know
-// oid is present and re-inject the record elsewhere with injectFocal.
+// (SQT, RQI, expiries) without emitting any messages or charging any cost:
+// moving rows between nodes is not a protocol event. The caller must know oid
+// is present and re-inject the record elsewhere with injectFocal.
 func (s *Server) extractFocal(oid model.ObjectID) focalRecord {
 	fe := s.fot[oid]
 	rec := focalRecord{oid: oid, fe: fe, entries: make([]*sqtEntry, 0, len(fe.queries))}
 	for _, qid := range fe.queries {
 		e := s.sqt[qid]
-		s.rqiRemove(qid, e.monRegion)
+		s.rqiRemove(e, e.monRegion)
 		delete(s.sqt, qid)
 		delete(s.expiries, qid)
 		rec.entries = append(rec.entries, e)
@@ -196,11 +196,12 @@ func (s *Server) extractFocal(oid model.ObjectID) focalRecord {
 }
 
 // injectFocal installs a migrated focal record with the given motion state
-// and current cell. With relocate set (a §3.5 cell crossing) each query's
-// monitoring region is recomputed and — matching the serial relocateQuery —
-// its refreshed state is broadcast to the union of the old and new regions.
-// Without relocate (a focal-info refresh) monitoring regions are preserved
-// and nothing is sent, matching the serial OnFocalInfoResponse.
+// and current cell. The rows enter the tables as they left the source —
+// same monitoring regions, uncharged — and nothing is sent, matching the
+// serial OnFocalInfoResponse. With relocate set (a §3.5 cell crossing) every
+// query is then relocated exactly as the serial server does it in-table, so
+// a migrated relocation broadcasts and costs what a serial one does: the
+// cells whose RQI membership changed, not the two whole regions re-indexed.
 func (s *Server) injectFocal(rec focalRecord, st model.MotionState, cell grid.CellID, relocate bool) {
 	fe := rec.fe
 	fe.state = st
@@ -209,26 +210,17 @@ func (s *Server) injectFocal(rec focalRecord, st model.MotionState, cell grid.Ce
 	s.markDirty(rec.oid)
 	for i, qid := range fe.queries {
 		e := rec.entries[i]
-		oldRegion := e.monRegion
+		e.fe = fe
 		e.currCell = cell
 		s.sqt[qid] = e
 		if e.expiry != 0 {
 			s.expiries[qid] = e.expiry
 		}
-		if relocate {
-			e.monRegion = s.g.MonitoringRegion(cell, e.query.Region.EnclosingRadius())
-		}
-		s.rqiAdd(qid, e.monRegion)
-		if relocate {
-			s.broadcast(oldRegion.Union(e.monRegion), msg.QueryInstall{
-				Queries: []msg.QueryState{s.queryState(qid)},
-			})
-			s.ops.Add(2)
-			// Same table update the serial relocateQuery charges; the RQI
-			// touches above already match (a cell change always moves the
-			// monitoring region), so migrated and serial relocations cost
-			// the same.
-			s.acct.Compute(cost.UnitTableOp, 1)
+		s.rqiAdd(e, e.monRegion)
+	}
+	if relocate {
+		for _, e := range rec.entries {
+			s.relocateQuery(e, cell)
 		}
 	}
 }

@@ -31,7 +31,9 @@ type NodeHandle interface {
 	ContainmentReport(m msg.ContainmentReport, tid trace.ID)
 	GroupContainmentReport(m msg.GroupContainmentReport, tid trace.ID)
 	FocalCellChange(oid model.ObjectID, st model.MotionState, newCell grid.CellID, tid trace.ID)
-	FreshQueryStates(prevCell, newCell grid.CellID) []msg.QueryState
+	// FreshQueryStates appends RQI(newCell) ∖ RQI(prevCell) to dst, ascending
+	// by query ID, and returns the extended slice.
+	FreshQueryStates(dst []msg.QueryState, prevCell, newCell grid.CellID) []msg.QueryState
 	ClearResults(oid model.ObjectID, tid trace.ID)
 	DepartSweep(oid model.ObjectID, tid trace.ID)
 	DepartFocal(oid model.ObjectID, tid trace.ID) []model.QueryID
@@ -156,8 +158,8 @@ func (n *NodeServer) FocalCellChange(oid model.ObjectID, st model.MotionState, n
 	n.run(tid, func(s *Server) { s.focalCellChange(oid, st, newCell) })
 }
 
-func (n *NodeServer) FreshQueryStates(prevCell, newCell grid.CellID) []msg.QueryState {
-	return n.srv.freshQueryStates(prevCell, newCell)
+func (n *NodeServer) FreshQueryStates(dst []msg.QueryState, prevCell, newCell grid.CellID) []msg.QueryState {
+	return n.srv.freshQueryStates(dst, prevCell, newCell)
 }
 
 func (n *NodeServer) ClearResults(oid model.ObjectID, tid trace.ID) {
@@ -231,13 +233,13 @@ func (n *NodeServer) Result(qid model.QueryID) []model.ObjectID { return n.srv.R
 func (n *NodeServer) ResultContains(qid model.QueryID, oid model.ObjectID) bool {
 	return n.srv.ResultContains(qid, oid)
 }
-func (n *NodeServer) ResultSize(qid model.QueryID) int          { return n.srv.ResultSize(qid) }
+func (n *NodeServer) ResultSize(qid model.QueryID) int            { return n.srv.ResultSize(qid) }
 func (n *NodeServer) Query(qid model.QueryID) (model.Query, bool) { return n.srv.Query(qid) }
 func (n *NodeServer) MonRegion(qid model.QueryID) (grid.CellRange, bool) {
 	return n.srv.MonRegion(qid)
 }
-func (n *NodeServer) NumQueries() int            { return n.srv.NumQueries() }
-func (n *NodeServer) QueryIDs() []model.QueryID  { return n.srv.QueryIDs() }
+func (n *NodeServer) NumQueries() int           { return n.srv.NumQueries() }
+func (n *NodeServer) QueryIDs() []model.QueryID { return n.srv.QueryIDs() }
 func (n *NodeServer) NearbyQueries(cell grid.CellID) []model.QueryID {
 	return n.srv.NearbyQueries(cell)
 }

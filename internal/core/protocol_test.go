@@ -930,11 +930,11 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	// Corrupt the RQI: drop the query from one monitoring-region cell.
 	srv := h.server.(*Server)
 	mr, _ := srv.MonRegion(qid)
-	srv.rqiRemove(qid, grid.CellRange{Min: mr.Min, Max: mr.Min})
+	srv.rqiRemove(srv.sqt[qid], grid.CellRange{Min: mr.Min, Max: mr.Min})
 	if err := srv.CheckInvariants(); err == nil {
 		t.Fatal("RQI corruption not detected")
 	}
-	srv.rqiAdd(qid, grid.CellRange{Min: mr.Min, Max: mr.Min})
+	srv.rqiAdd(srv.sqt[qid], grid.CellRange{Min: mr.Min, Max: mr.Min})
 	if err := srv.CheckInvariants(); err != nil {
 		t.Fatalf("repair not recognized: %v", err)
 	}

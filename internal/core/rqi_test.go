@@ -1,0 +1,244 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"mobieyes/internal/geo"
+	"mobieyes/internal/grid"
+	"mobieyes/internal/model"
+	"mobieyes/internal/msg"
+	"mobieyes/internal/obs/cost"
+)
+
+// cellMoves are the (prev, new) cell pairs the RQI tests share, on
+// smallGrid's 20×20 cells with the 2-node span boundary between rows 9 and
+// 10. As an object's cell change they exercise RQI(new) ∖ RQI(prev); as a
+// focal's they exercise delta relocation, several of them across the span
+// boundary.
+var cellMoves = []struct {
+	name      string
+	prev, new grid.CellID
+}{
+	{"adjacent east", grid.CellID{Col: 9, Row: 9}, grid.CellID{Col: 10, Row: 9}},
+	{"adjacent north across the span boundary", grid.CellID{Col: 10, Row: 9}, grid.CellID{Col: 10, Row: 10}},
+	{"adjacent south across the span boundary", grid.CellID{Col: 10, Row: 10}, grid.CellID{Col: 10, Row: 9}},
+	{"diagonal across the span boundary", grid.CellID{Col: 9, Row: 9}, grid.CellID{Col: 10, Row: 10}},
+	{"diagonal inside a span", grid.CellID{Col: 4, Row: 4}, grid.CellID{Col: 3, Row: 5}},
+	{"jump with disjoint regions", grid.CellID{Col: 2, Row: 2}, grid.CellID{Col: 15, Row: 16}},
+	{"jump along a row", grid.CellID{Col: 3, Row: 12}, grid.CellID{Col: 11, Row: 12}},
+	{"same cell", grid.CellID{Col: 7, Row: 7}, grid.CellID{Col: 7, Row: 7}},
+	{"rejoin from an invalid cell", grid.CellID{Col: -1, Row: -1}, grid.CellID{Col: 10, Row: 10}},
+	{"into a clamped corner", grid.CellID{Col: 1, Row: 1}, grid.CellID{Col: 0, Row: 0}},
+	{"along a clamped border", grid.CellID{Col: 19, Row: 8}, grid.CellID{Col: 19, Row: 11}},
+}
+
+func cellCenter(g *grid.Grid, c grid.CellID) geo.Point {
+	r := g.CellRect(c)
+	return geo.Pt(r.LX+g.Alpha()/2, r.LY+g.Alpha()/2)
+}
+
+// rqiServers are the two servers every RQI test runs on: the serial server
+// and the router over two nodes, whose spans split smallGrid at row 10.
+func rqiServers() map[string]*harness {
+	return map[string]*harness{
+		"serial": newHarness(smallGrid(), Options{}),
+		"router": newShardedHarness(smallGrid(), Options{}, 2),
+	}
+}
+
+// installSpread installs one query on each of 36 stationary focals spread
+// over the whole grid, borders and both spans included, with radii from
+// sub-cell to three cells — so every cell has a non-trivial RQI list.
+func installSpread(h *harness) {
+	for i := 0; i < 36; i++ {
+		oid := model.ObjectID(i + 1)
+		pos := geo.Pt(1+float64(i%6)*19.5, 1+float64(i/6)*19.5)
+		h.addObject(oid, pos, geo.Vec(0, 0), 100, uint64(i+1))
+		h.install(oid, 1+float64(i%5)*3.5, matchAll, 100)
+	}
+}
+
+func qidsOf(states []msg.QueryState) []model.QueryID {
+	var out []model.QueryID
+	for _, qs := range states {
+		out = append(out, qs.QID)
+	}
+	return out
+}
+
+// lastQueryInstallTo returns the queries of the last QueryInstall unicast to
+// oid still queued on the harness downlink, and drops the queue.
+func lastQueryInstallTo(h *harness, oid model.ObjectID) []model.QueryID {
+	var out []model.QueryID
+	for _, q := range h.downQueue {
+		if qi, ok := q.m.(msg.QueryInstall); ok && q.target == oid {
+			out = qidsOf(qi.Queries)
+		}
+	}
+	h.downQueue = nil
+	return out
+}
+
+// TestFreshQueryStatesMatchesBruteForce: what a non-focal cell change ships
+// equals NearbyQueries(new) ∖ NearbyQueries(prev), ascending, for every kind
+// of move — on the serial server straight from freshQueryStates, on the
+// router as the union it unicasts.
+func TestFreshQueryStatesMatchesBruteForce(t *testing.T) {
+	const mover = model.ObjectID(1000) // never focal
+	for name, h := range rqiServers() {
+		installSpread(h)
+		for _, mv := range cellMoves {
+			t.Run(name+"/"+mv.name, func(t *testing.T) {
+				var want []model.QueryID
+				prev := h.server.NearbyQueries(mv.prev)
+				for _, qid := range h.server.NearbyQueries(mv.new) {
+					if !slices.Contains(prev, qid) {
+						want = append(want, qid)
+					}
+				}
+				if srv, ok := h.server.(*Server); ok {
+					if got := qidsOf(srv.freshQueryStates(nil, mv.prev, mv.new)); !slices.Equal(got, want) {
+						t.Errorf("freshQueryStates = %v, want %v", got, want)
+					}
+				}
+				h.downQueue = nil
+				h.server.HandleUplink(msg.CellChangeReport{OID: mover, PrevCell: mv.prev, NewCell: mv.new, Pos: cellCenter(h.g, mv.new)})
+				if got := lastQueryInstallTo(h, mover); !slices.Equal(got, want) {
+					t.Errorf("shipped %v, want %v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestRelocateQueryDelta: a focal cell change leaves the RQI equal to a
+// from-scratch rebuild from the SQT's monitoring regions and charges exactly
+// the cells that changed membership, |old △ new| summed over the focal's
+// queries — in-table on the serial server, and through the handoff when the
+// move crosses the router's span boundary.
+func TestRelocateQueryDelta(t *testing.T) {
+	const focal = model.ObjectID(500)
+	radii := []float64{0.5, 4, 11}
+	for _, mv := range cellMoves {
+		if !smallGrid().Valid(mv.prev) {
+			continue // a focal always has a current cell
+		}
+		for name, h := range rqiServers() {
+			t.Run(name+"/"+mv.name, func(t *testing.T) {
+				acct := cost.New()
+				h.server.SetAccountant(acct)
+				installSpread(h)
+				h.addObject(focal, cellCenter(h.g, mv.prev), geo.Vec(0, 0), 100, 1)
+				var qids []model.QueryID
+				for _, r := range radii {
+					qids = append(qids, h.install(focal, r, matchAll, 100))
+				}
+				old := make([]grid.CellRange, len(qids))
+				for i, qid := range qids {
+					old[i], _ = h.server.MonRegion(qid)
+				}
+				var migrations int64
+				if cs, ok := h.server.(*ClusterServer); ok {
+					migrations = cs.Migrations()
+				}
+				before := acct.Global().ComputeUnits(cost.UnitRQITouch)
+
+				h.server.HandleUplink(msg.CellChangeReport{OID: focal, PrevCell: mv.prev, NewCell: mv.new, Pos: cellCenter(h.g, mv.new)})
+
+				want := int64(0)
+				for i, qid := range qids {
+					now, _ := h.server.MonRegion(qid)
+					if mr := h.g.MonitoringRegion(mv.new, radii[i]); now != mr {
+						t.Errorf("query %d monitoring region %v, want %v", qid, now, mr)
+					}
+					for idx := 0; idx < h.g.NumCells(); idx++ {
+						if c := h.g.CellAt(idx); old[i].Contains(c) != now.Contains(c) {
+							want++
+						}
+					}
+				}
+				if got := acct.Global().ComputeUnits(cost.UnitRQITouch) - before; got != want {
+					t.Errorf("charged %d RQI touches, want |old △ new| = %d", got, want)
+				}
+				if cs, ok := h.server.(*ClusterServer); ok {
+					crosses := (mv.prev.Row < 10) != (mv.new.Row < 10)
+					if handed := cs.Migrations() > migrations; handed != crosses {
+						t.Errorf("handoff = %v, want %v", handed, crosses)
+					}
+				}
+				if err := rqiMatchesRebuild(h.server, h.g); err != nil {
+					t.Error(err)
+				}
+				if err := h.server.CheckInvariants(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+}
+
+// rqiMatchesRebuild compares every cell's RQI list with the one rebuilt from
+// scratch out of the installed queries' monitoring regions.
+func rqiMatchesRebuild(s ServerAPI, g *grid.Grid) error {
+	qids := s.QueryIDs()
+	for idx := 0; idx < g.NumCells(); idx++ {
+		c := g.CellAt(idx)
+		var want []model.QueryID
+		for _, qid := range qids {
+			if mr, _ := s.MonRegion(qid); mr.Contains(c) {
+				want = append(want, qid)
+			}
+		}
+		if got := s.NearbyQueries(c); !slices.Equal(got, want) {
+			return fmt.Errorf("RQI(%v) = %v, rebuilt from the SQT %v", c, got, want)
+		}
+	}
+	return nil
+}
+
+// TestCheckInvariantsCatchesStaleIndexRows: the posting lists hold SQT rows
+// and the SQT rows hold FOT rows by pointer, so CheckInvariants must fail on
+// a list out of order, on a list holding a copy of a row, and on a row whose
+// focal pointer is not the live FOT row.
+func TestCheckInvariantsCatchesStaleIndexRows(t *testing.T) {
+	setup := func() (*Server, *sqtEntry, *[]*sqtEntry) {
+		h := newHarness(smallGrid(), Options{})
+		h.addObject(1, geo.Pt(50, 50), geo.Vec(0, 0), 100, 1)
+		h.install(1, 3, matchAll, 100)
+		qid := h.install(1, 6, matchAll, 100)
+		srv := h.server.(*Server)
+		if err := srv.CheckInvariants(); err != nil {
+			t.Fatalf("healthy server flagged: %v", err)
+		}
+		list := &srv.rqi[srv.g.CellIndex(srv.g.CellOf(geo.Pt(50, 50)))]
+		if len(*list) != 2 {
+			t.Fatalf("focal cell lists %d queries, want 2", len(*list))
+		}
+		return srv, srv.sqt[qid], list
+	}
+	t.Run("order", func(t *testing.T) {
+		srv, _, list := setup()
+		slices.Reverse(*list)
+		if srv.CheckInvariants() == nil {
+			t.Error("descending posting list not detected")
+		}
+	})
+	t.Run("stale SQT row", func(t *testing.T) {
+		srv, e, list := setup()
+		stale := *e
+		(*list)[1] = &stale
+		if srv.CheckInvariants() == nil {
+			t.Error("posting list holding a copy of the SQT row not detected")
+		}
+	})
+	t.Run("stale FOT row", func(t *testing.T) {
+		srv, e, _ := setup()
+		stale := *e.fe
+		e.fe = &stale
+		if srv.CheckInvariants() == nil {
+			t.Error("SQT row pointing at a copy of the FOT row not detected")
+		}
+	})
+}

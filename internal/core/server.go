@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mobieyes/internal/grid"
@@ -26,7 +27,11 @@ type fotEntry struct {
 // sqtEntry is one row of the server-side moving query table
 // SQT = (qid, oid, region, curr_cell, mon_region, filter, {result}), §3.2.
 type sqtEntry struct {
-	query     model.Query
+	query model.Query
+	// fe is the FOT row of query.Focal — s.fot[query.Focal] by pointer, set
+	// wherever a row enters the SQT — so building the query's wire state from
+	// an RQI posting list needs no table look-up.
+	fe        *fotEntry
 	currCell  grid.CellID
 	monRegion grid.CellRange
 	result    map[model.ObjectID]struct{}
@@ -52,11 +57,14 @@ type Server struct {
 	opts Options
 	down Downlink
 
-	fot     map[model.ObjectID]*fotEntry
-	sqt     map[model.QueryID]*sqtEntry
-	rqi     []map[model.QueryID]struct{} // indexed by grid cell index
+	fot map[model.ObjectID]*fotEntry
+	sqt map[model.QueryID]*sqtEntry
+	// rqi is the reverse query index, indexed by grid cell index: per cell,
+	// the posting list of the SQT rows whose monitoring region contains the
+	// cell, ascending by query ID (DESIGN.md §13).
+	rqi [][]*sqtEntry
 	// rqiCount tracks the total number of (cell, query) entries across rqi,
-	// maintained incrementally by rqiAdd/rqiRemove so reporting it is O(1).
+	// maintained incrementally by rqiEdit so reporting it is O(1).
 	rqiCount int
 	pending  map[model.ObjectID][]pendingInstall
 	// expiries holds the deadline of duration-bound queries (pending ones
@@ -114,21 +122,13 @@ func NewServer(g *grid.Grid, opts Options, down Downlink) *Server {
 		down:     down,
 		fot:      make(map[model.ObjectID]*fotEntry),
 		sqt:      make(map[model.QueryID]*sqtEntry),
-		rqi:      makeRQI(g.NumCells()),
+		rqi:      make([][]*sqtEntry, g.NumCells()),
 		pending:  make(map[model.ObjectID][]pendingInstall),
 		expiries: make(map[model.QueryID]model.Time),
 		nextQID:  1,
 		ops:      obs.NewCounter(),
 		upl:      obs.NewCounter(),
 	}
-}
-
-func makeRQI(n int) []map[model.QueryID]struct{} {
-	r := make([]map[model.QueryID]struct{}, n)
-	for i := range r {
-		r[i] = make(map[model.QueryID]struct{})
-	}
-	return r
 }
 
 // Ops returns the cumulative deterministic operation count.
@@ -203,7 +203,7 @@ func (s *Server) ExpireQueries(now model.Time) []model.QueryID {
 			expired = append(expired, qid)
 		}
 	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
+	slices.Sort(expired)
 	for _, qid := range expired {
 		delete(s.expiries, qid)
 		s.RemoveQuery(qid)
@@ -252,21 +252,23 @@ func (s *Server) completeInstall(qid model.QueryID, q model.Query, focalMaxVel f
 
 	currCell := fe.currCell
 	monRegion := s.g.MonitoringRegion(currCell, q.Region.EnclosingRadius())
-	s.sqt[qid] = &sqtEntry{
+	e := &sqtEntry{
 		query:     q,
+		fe:        fe,
 		currCell:  currCell,
 		monRegion: monRegion,
 		result:    make(map[model.ObjectID]struct{}),
 		expiry:    s.expiries[qid],
 	}
-	s.rqiAdd(qid, monRegion)
+	s.sqt[qid] = e
+	s.chargeRQI(s.rqiAdd(e, monRegion))
 	s.ev(trace.KindTable, q.Focal, qid, "SQT insert")
 
 	// Tell the object it is now focal (sets hasMQ)…
 	s.unicast(q.Focal, msg.FocalNotify{OID: q.Focal, QID: qid, Install: true})
 	// …and ship the query to every object in the monitoring region.
 	s.broadcast(monRegion, msg.QueryInstall{
-		Queries: []msg.QueryState{s.queryState(qid)},
+		Queries: []msg.QueryState{e.wireState()},
 	})
 	s.ops.Add(3)
 	s.acct.Compute(cost.UnitTableOp, 1)
@@ -286,7 +288,7 @@ func (s *Server) RemoveQuery(qid model.QueryID) bool {
 		s.notifyResult(qid, oid, false)
 	}
 	delete(s.expiries, qid)
-	s.rqiRemove(qid, e.monRegion)
+	s.chargeRQI(s.rqiRemove(e, e.monRegion))
 	delete(s.sqt, qid)
 	fe := s.fot[e.query.Focal]
 	fe.queries = removeSortedQID(fe.queries, qid)
@@ -350,7 +352,7 @@ func (s *Server) broadcastVelocityChange(focal model.ObjectID, fe *fotEntry, qid
 		// §3.5: expand the notification with region and filter so objects
 		// that changed cells silently can self-install.
 		for _, qid := range qids {
-			vc.Queries = append(vc.Queries, s.queryState(qid))
+			vc.Queries = append(vc.Queries, s.sqt[qid].wireState())
 		}
 	}
 	s.broadcast(region, vc)
@@ -425,26 +427,25 @@ func (s *Server) focalCellChange(oid model.ObjectID, st model.MotionState, newCe
 	fe.currCell = newCell
 	s.markDirty(oid)
 	for _, qid := range fe.queries {
-		s.relocateQuery(qid, newCell)
+		s.relocateQuery(s.sqt[qid], newCell)
 	}
 }
 
 // relocateQuery updates one query after its focal object moved to newCell:
-// SQT and RQI are refreshed and the union of old and new monitoring regions
+// the SQT row is refreshed, the RQI changes only in the cells the monitoring
+// region left or entered, and the union of old and new monitoring regions
 // receives the query's new state (§3.5).
-func (s *Server) relocateQuery(qid model.QueryID, newCell grid.CellID) {
-	e := s.sqt[qid]
+func (s *Server) relocateQuery(e *sqtEntry, newCell grid.CellID) {
 	oldRegion := e.monRegion
 	newRegion := s.g.MonitoringRegion(newCell, e.query.Region.EnclosingRadius())
 	e.currCell = newCell
 	if newRegion != oldRegion {
-		s.rqiRemove(qid, oldRegion)
-		s.rqiAdd(qid, newRegion)
+		s.chargeRQI(s.rqiMove(e, oldRegion, newRegion))
 		e.monRegion = newRegion
-		s.ev(trace.KindTable, e.query.Focal, qid, "RQI relocate")
+		s.ev(trace.KindTable, e.query.Focal, e.query.ID, "RQI relocate")
 	}
 	s.broadcast(oldRegion.Union(newRegion), msg.QueryInstall{
-		Queries: []msg.QueryState{s.queryState(qid)},
+		Queries: []msg.QueryState{e.wireState()},
 	})
 	s.ops.Add(2)
 	s.acct.Compute(cost.UnitTableOp, 1)
@@ -453,7 +454,7 @@ func (s *Server) relocateQuery(qid model.QueryID, newCell grid.CellID) {
 // sendNewNearbyQueries computes RQI(newCell) \ RQI(prevCell) and sends those
 // queries to the object one-to-one.
 func (s *Server) sendNewNearbyQueries(oid model.ObjectID, prevCell, newCell grid.CellID) {
-	fresh := s.freshQueryStates(prevCell, newCell)
+	fresh := s.freshQueryStates(nil, prevCell, newCell)
 	if len(fresh) == 0 {
 		return
 	}
@@ -461,36 +462,37 @@ func (s *Server) sendNewNearbyQueries(oid model.ObjectID, prevCell, newCell grid
 	s.ops.Add(1)
 }
 
-// freshQueryStates returns the wire states of RQI(newCell) \ RQI(prevCell),
-// ascending by query ID — the queries an object entering newCell from
-// prevCell has not seen yet. The router unions this across nodes.
-func (s *Server) freshQueryStates(prevCell, newCell grid.CellID) []msg.QueryState {
+// freshQueryStates appends to dst the wire states of RQI(newCell) \
+// RQI(prevCell), ascending by query ID — the queries an object entering
+// newCell from prevCell has not seen yet — growing dst at most once, to the
+// exact size. The router collects this across nodes.
+//
+// A row of RQI(newCell) is in RQI(prevCell) exactly when its monitoring
+// region contains prevCell (the RQI ↔ SQT agreement CheckInvariants
+// enforces), so the difference is one pass over one posting list; an invalid
+// prevCell (a rejoin) is in no cell's list.
+func (s *Server) freshQueryStates(dst []msg.QueryState, prevCell, newCell grid.CellID) []msg.QueryState {
 	if !s.g.Valid(newCell) {
-		return nil
+		return dst
 	}
-	newSet := s.rqi[s.g.CellIndex(newCell)]
-	if len(newSet) == 0 {
-		return nil
-	}
-	var oldSet map[model.QueryID]struct{}
-	if s.g.Valid(prevCell) {
-		oldSet = s.rqi[s.g.CellIndex(prevCell)]
-	}
-	var fresh []model.QueryID
-	for qid := range newSet {
-		if _, ok := oldSet[qid]; !ok {
-			fresh = append(fresh, qid)
+	list := s.rqi[s.g.CellIndex(newCell)]
+	rejoin := !s.g.Valid(prevCell)
+	n := 0
+	for _, e := range list {
+		if rejoin || !e.monRegion.Contains(prevCell) {
+			n++
 		}
 	}
-	if len(fresh) == 0 {
-		return nil
+	if n == 0 {
+		return dst
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i] < fresh[j] })
-	states := make([]msg.QueryState, 0, len(fresh))
-	for _, qid := range fresh {
-		states = append(states, s.queryState(qid))
+	dst = slices.Grow(dst, n)
+	for _, e := range list {
+		if rejoin || !e.monRegion.Contains(prevCell) {
+			dst = append(dst, e.wireState())
+		}
 	}
-	return states
+	return dst
 }
 
 // OnContainmentReport applies a differential result update (§3.6).
@@ -632,7 +634,7 @@ func (s *Server) Result(qid model.QueryID) []model.ObjectID {
 	for oid := range e.result {
 		out = append(out, oid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	sortOIDs(out)
 	return out
 }
 
@@ -661,7 +663,7 @@ func (s *Server) QueryIDs() []model.QueryID {
 	for qid := range s.sqt {
 		out = append(out, qid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -689,104 +691,144 @@ func (s *Server) NearbyQueries(cell grid.CellID) []model.QueryID {
 	if !s.g.Valid(cell) {
 		return nil
 	}
-	set := s.rqi[s.g.CellIndex(cell)]
-	out := make([]model.QueryID, 0, len(set))
-	for qid := range set {
-		out = append(out, qid)
+	list := s.rqi[s.g.CellIndex(cell)]
+	out := make([]model.QueryID, len(list))
+	for i, e := range list {
+		out[i] = e.query.ID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// queryState builds the wire representation of a query for clients.
-func (s *Server) queryState(qid model.QueryID) msg.QueryState {
-	e := s.sqt[qid]
-	fe := s.fot[e.query.Focal]
+// wireState builds the wire representation of a query for clients.
+func (e *sqtEntry) wireState() msg.QueryState {
 	return msg.QueryState{
-		QID:         qid,
+		QID:         e.query.ID,
 		Focal:       e.query.Focal,
-		State:       fe.state,
+		State:       e.fe.state,
 		Region:      e.query.Region,
 		Filter:      e.query.Filter,
 		MonRegion:   e.monRegion,
-		FocalMaxVel: fe.maxVel,
+		FocalMaxVel: e.fe.maxVel,
 	}
 }
 
-func (s *Server) rqiAdd(qid model.QueryID, region grid.CellRange) {
-	region.ForEach(func(c grid.CellID) {
-		if s.g.Valid(c) {
-			set := s.rqi[s.g.CellIndex(c)]
-			if _, ok := set[qid]; !ok {
-				set[qid] = struct{}{}
-				s.rqiCount++
+// noCells is the empty cell range: it contains nothing and iterates nothing.
+var noCells = grid.CellRange{Min: grid.CellID{Col: 0, Row: 0}, Max: grid.CellID{Col: -1, Row: -1}}
+
+// rqiAdd indexes e under every cell of region; rqiRemove drops it from them;
+// rqiMove re-indexes e from one monitoring region to another, touching only
+// the posting lists of from ∖ to and to ∖ from. All three return the number
+// of cells whose membership changed and charge nothing: see chargeRQI.
+func (s *Server) rqiAdd(e *sqtEntry, region grid.CellRange) int {
+	return s.rqiEdit(e, region, noCells, true)
+}
+
+func (s *Server) rqiRemove(e *sqtEntry, region grid.CellRange) int {
+	return s.rqiEdit(e, region, noCells, false)
+}
+
+func (s *Server) rqiMove(e *sqtEntry, from, to grid.CellRange) int {
+	return s.rqiEdit(e, from, to, false) + s.rqiEdit(e, to, from, true)
+}
+
+// rqiEdit inserts e into (add) or deletes it from the posting list of every
+// valid cell of in ∖ out, and returns how many lists changed.
+func (s *Server) rqiEdit(e *sqtEntry, in, out grid.CellRange, add bool) int {
+	changed := 0
+	for row := in.Min.Row; row <= in.Max.Row; row++ {
+		for col := in.Min.Col; col <= in.Max.Col; col++ {
+			c := grid.CellID{Col: col, Row: row}
+			if out.Contains(c) || !s.g.Valid(c) {
+				continue
 			}
-			s.ops.Add(1)
-			s.acct.Compute(cost.UnitRQITouch, 1)
+			list := &s.rqi[s.g.CellIndex(c)]
+			i, found := rqiSearch(*list, e.query.ID)
+			switch {
+			case add && !found:
+				*list = slices.Insert(*list, i, e)
+				s.rqiCount++
+				changed++
+			case !add && found:
+				*list = slices.Delete(*list, i, i+1)
+				s.rqiCount--
+				changed++
+			}
 		}
+	}
+	return changed
+}
+
+// rqiSearch finds qid's position in a posting list.
+func rqiSearch(list []*sqtEntry, qid model.QueryID) (int, bool) {
+	return slices.BinarySearchFunc(list, qid, func(e *sqtEntry, qid model.QueryID) int {
+		return cmp.Compare(e.query.ID, qid)
 	})
 }
 
-func (s *Server) rqiRemove(qid model.QueryID, region grid.CellRange) {
-	region.ForEach(func(c grid.CellID) {
-		if s.g.Valid(c) {
-			set := s.rqi[s.g.CellIndex(c)]
-			if _, ok := set[qid]; ok {
-				delete(set, qid)
-				s.rqiCount--
-			}
-			s.ops.Add(1)
-			s.acct.Compute(cost.UnitRQITouch, 1)
-		}
-	})
+// chargeRQI charges n RQI touches to the ops counter and the cost ledger. A
+// touch is one monitoring-region cell that changed membership — gained or
+// lost a query — because of a protocol event (install, removal, §3.5
+// relocation); moving rows between nodes re-indexes them uncharged.
+func (s *Server) chargeRQI(n int) {
+	s.ops.Add(int64(n))
+	s.acct.Compute(cost.UnitRQITouch, int64(n))
 }
 
 func insertSortedQID(qs []model.QueryID, qid model.QueryID) []model.QueryID {
-	i := sort.Search(len(qs), func(i int) bool { return qs[i] >= qid })
-	qs = append(qs, 0)
-	copy(qs[i+1:], qs[i:])
-	qs[i] = qid
-	return qs
+	i, _ := slices.BinarySearch(qs, qid)
+	return slices.Insert(qs, i, qid)
 }
 
 func removeSortedQID(qs []model.QueryID, qid model.QueryID) []model.QueryID {
-	i := sort.Search(len(qs), func(i int) bool { return qs[i] >= qid })
-	if i < len(qs) && qs[i] == qid {
-		return append(qs[:i], qs[i+1:]...)
+	if i, ok := slices.BinarySearch(qs, qid); ok {
+		return slices.Delete(qs, i, i+1)
 	}
 	return qs
 }
 
 // CheckInvariants validates the server's internal consistency: every SQT
 // entry is indexed in exactly the RQI cells of its monitoring region, every
-// focal-object record lists exactly its live queries, and expiry
-// bookkeeping matches the SQT. It returns the first violation found, or
-// nil. Intended for tests and debugging; it walks every table.
+// posting list is strictly ascending and holds the live SQT rows themselves,
+// every SQT row points at its focal's live FOT row, every focal-object record
+// lists exactly its live queries, and expiry bookkeeping matches the SQT. It
+// returns the first violation found, or nil. Intended for tests and
+// debugging; it walks every table.
 func (s *Server) CheckInvariants() error {
 	// RQI ↔ SQT agreement.
 	for qid, e := range s.sqt {
-		var count int
+		if e.query.ID != qid {
+			return fmt.Errorf("core: SQT row %d carries query ID %d", qid, e.query.ID)
+		}
+		if e.fe == nil || e.fe != s.fot[e.query.Focal] {
+			return fmt.Errorf("core: query %d does not point at the FOT row of its focal %d", qid, e.query.Focal)
+		}
+		missing := false
 		e.monRegion.ForEach(func(c grid.CellID) {
 			if !s.g.Valid(c) {
 				return
 			}
-			if _, ok := s.rqi[s.g.CellIndex(c)][qid]; ok {
-				count++
-			} else {
-				count = -1 << 30
+			if _, ok := rqiSearch(s.rqi[s.g.CellIndex(c)], qid); !ok {
+				missing = true
 			}
 		})
-		if count < 0 {
+		if missing {
 			return fmt.Errorf("core: query %d missing from RQI cells of its monitoring region", qid)
 		}
 	}
 	entries := 0
-	for idx, set := range s.rqi {
-		entries += len(set)
-		for qid := range set {
-			e, ok := s.sqt[qid]
+	for idx, list := range s.rqi {
+		entries += len(list)
+		for i, e := range list {
+			qid := e.query.ID
+			if i > 0 && list[i-1].query.ID >= qid {
+				return fmt.Errorf("core: RQI cell %d posting list not strictly ascending at query %d", idx, qid)
+			}
+			live, ok := s.sqt[qid]
 			if !ok {
 				return fmt.Errorf("core: RQI cell %d lists unknown query %d", idx, qid)
+			}
+			if live != e {
+				return fmt.Errorf("core: RQI cell %d holds a stale row of query %d", idx, qid)
 			}
 			if !e.monRegion.Contains(s.g.CellAt(idx)) {
 				return fmt.Errorf("core: RQI cell %d lists query %d outside its monitoring region", idx, qid)

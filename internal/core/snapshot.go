@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
@@ -230,7 +229,7 @@ func (s *Server) snapshotData() snapData {
 	for _, qid := range s.QueryIDs() {
 		e := s.sqt[qid]
 		d.queries = append(d.queries, snapQuery{
-			state:  s.queryState(qid),
+			state:  e.wireState(),
 			expiry: e.expiry,
 			result: s.Result(qid),
 		})
@@ -239,7 +238,7 @@ func (s *Server) snapshotData() snapData {
 	for focal := range s.pending {
 		pendingFocals = append(pendingFocals, focal)
 	}
-	sort.Slice(pendingFocals, func(i, j int) bool { return pendingFocals[i] < pendingFocals[j] })
+	sortOIDs(pendingFocals)
 	for _, focal := range pendingFocals {
 		for _, p := range s.pending[focal] {
 			d.pending = append(d.pending, snapPending{
@@ -283,14 +282,16 @@ func (s *Server) restoreQuery(q snapQuery) {
 	for _, oid := range q.result {
 		result[oid] = struct{}{}
 	}
-	s.sqt[qs.QID] = &sqtEntry{
+	e := &sqtEntry{
 		query:     model.Query{ID: qs.QID, Focal: qs.Focal, Region: qs.Region, Filter: qs.Filter},
+		fe:        fe,
 		currCell:  fe.currCell,
 		monRegion: qs.MonRegion,
 		result:    result,
 		expiry:    q.expiry,
 	}
-	s.rqiAdd(qs.QID, qs.MonRegion)
+	s.sqt[qs.QID] = e
+	s.chargeRQI(s.rqiAdd(e, qs.MonRegion))
 	if q.expiry != 0 {
 		s.expiries[qs.QID] = q.expiry
 	}

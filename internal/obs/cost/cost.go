@@ -61,7 +61,9 @@ const (
 	UnitLQTScan
 	// UnitTableOp is one server-side FOT/SQT/result-table operation.
 	UnitTableOp
-	// UnitRQITouch is one server-side RQI cell insert/remove.
+	// UnitRQITouch is one monitoring-region cell whose RQI membership a
+	// protocol event changed: every cell of the region at install and
+	// removal, the cells left plus the cells entered at a relocation.
 	UnitRQITouch
 	// UnitSetCover is one greedy set-cover computation for broadcast
 	// planning (network.Deployment.Cover).

@@ -162,8 +162,8 @@ func TestScopedTallies(t *testing.T) {
 
 func TestQuality(t *testing.T) {
 	a := New()
-	a.QualityStep(8, 2, 0)  // precision 0.8, recall 1
-	a.QualityStep(9, 1, 3)  // precision 0.9, recall 0.75
+	a.QualityStep(8, 2, 0) // precision 0.8, recall 1
+	a.QualityStep(9, 1, 3) // precision 0.9, recall 0.75
 	q := a.Snapshot().Quality
 	if q == nil {
 		t.Fatal("no quality section")

@@ -121,10 +121,10 @@ func TestCostsScopeFilters(t *testing.T) {
 func TestCostsScopeErrors(t *testing.T) {
 	mux := newTestMux(populated())
 	for _, url := range []string{
-		"/debug/costs?cell=99",    // out of configured range
-		"/debug/costs?station=9",  // out of configured range
-		"/debug/costs?qid=12345",  // no traffic recorded
-		"/debug/costs?oid=12345",  // no traffic recorded
+		"/debug/costs?cell=99",   // out of configured range
+		"/debug/costs?station=9", // out of configured range
+		"/debug/costs?qid=12345", // no traffic recorded
+		"/debug/costs?oid=12345", // no traffic recorded
 	} {
 		if rr := get(t, mux, url); rr.Code != http.StatusNotFound {
 			t.Errorf("%s status = %d, want 404", url, rr.Code)

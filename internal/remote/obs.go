@@ -40,10 +40,10 @@ const (
 // server always carries a registry (its own if the config supplies none), so
 // unlike core's serverObs this is never nil on a running server.
 type remoteObs struct {
-	connects     *obs.Counter
-	framesIn     *obs.Counter
-	framesOut    *obs.Counter
-	bytesIn      *obs.Counter
+	connects       *obs.Counter
+	framesIn       *obs.Counter
+	framesOut      *obs.Counter
+	bytesIn        *obs.Counter
 	bytesOut       *obs.Counter
 	decodeErrors   *obs.Counter
 	versionRejects *obs.Counter

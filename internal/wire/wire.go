@@ -187,7 +187,7 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) f64() float64     { return math.Float64frombits(d.u64()) }
+func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 func (d *decoder) boolByte() bool {
 	// Strict: only 0 and 1 are valid, so every accepted payload has
 	// exactly one encoding (found by FuzzWire's canonicity property).
