@@ -24,11 +24,11 @@ fmt:
 test:
 	$(GO) test ./...
 
-# The router, the concurrent engine drain, the remote transport and the
-# metrics registry are the packages with real concurrency; run them under
-# -race.
+# The router, the concurrent engine drain (and the set cover it calls from
+# several goroutines), the remote transport and the metrics registry are the
+# packages with real concurrency; run them under -race.
 race:
-	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/remote/... ./internal/obs/... ./internal/cluster/... ./internal/history/...
+	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/network/... ./internal/remote/... ./internal/obs/... ./internal/cluster/... ./internal/history/...
 
 # Differential simulation sweep under the race detector — including one
 # fault-injection seed with causal tracing enabled (TestTracedFaultInjection),

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mobieyes/internal/geo"
 	"mobieyes/internal/grid"
@@ -21,6 +22,23 @@ type lqtEntry struct {
 	ptm      model.Time // earliest time the entry must be evaluated again
 }
 
+// lqtTable is the local query table, ascending by query ID. An object holds
+// a handful of queries, so a sorted slice serves look-ups (binary search) and
+// walks alike, and iterates deterministically without a sort.
+type lqtTable []*lqtEntry
+
+// find returns the position of qid in t, or where it would be inserted, and
+// its entry (nil when qid is not installed).
+func (t lqtTable) find(qid model.QueryID) (int, *lqtEntry) {
+	i, ok := slices.BinarySearchFunc(t, qid, func(e *lqtEntry, qid model.QueryID) int {
+		return cmp.Compare(e.qs.QID, qid)
+	})
+	if !ok {
+		return i, nil
+	}
+	return i, t[i]
+}
+
 // Client is the moving-object side of MobiEyes. One Client instance runs on
 // (or, in simulation, stands for) each moving object. The owner feeds it
 // position samples through the Tick* methods and delivers downlink messages
@@ -34,7 +52,7 @@ type Client struct {
 	props  model.Props
 	maxVel float64
 
-	lqt      map[model.QueryID]*lqtEntry
+	lqt      lqtTable
 	currCell grid.CellID
 	hasMQ    bool
 	// lastRelayed is the dead-reckoning state: what the rest of the system
@@ -47,13 +65,12 @@ type Client struct {
 	// skipped counts evaluations suppressed by the safe-period check.
 	skipped int64
 
-	// groupCache holds the LQT's queries bucketed by focal object (each
+	// groupCache holds the LQT's entries bucketed by focal object (each
 	// bucket sorted by query ID, buckets sorted by focal ID); it is
 	// rebuilt lazily when LQT membership changes. Grouped evaluation runs
 	// every tick while the LQT changes rarely, so caching this structure
 	// keeps the §4.1 optimization a net win on the device.
 	groupCache []focalGroup
-	qidCache   []model.QueryID
 	groupDirty bool
 
 	// acct is the cost accountant attached by SetAccountant (nil = off):
@@ -73,13 +90,13 @@ type Client struct {
 	curVel geo.Vector
 }
 
-// focalGroup is one grouped-evaluation bucket. qids is ascending (the
-// reporting order); evalOrder is descending by enclosing radius (the §4.1
-// evaluation order: once outside some radius, outside all smaller ones).
+// focalGroup is one grouped-evaluation bucket. entries is ascending by query
+// ID (the reporting order); evalOrder is descending by enclosing radius (the
+// §4.1 evaluation order: once outside some radius, outside all smaller ones).
 type focalGroup struct {
 	focal     model.ObjectID
-	qids      []model.QueryID
-	evalOrder []model.QueryID
+	entries   []*lqtEntry
+	evalOrder []*lqtEntry
 }
 
 // NewClient returns the MobiEyes client for one moving object. startPos
@@ -92,7 +109,6 @@ func NewClient(g *grid.Grid, opts Options, up Uplink, oid model.ObjectID, props 
 		oid:      oid,
 		props:    props,
 		maxVel:   maxVel,
-		lqt:      make(map[model.QueryID]*lqtEntry),
 		currCell: g.CellOf(startPos),
 	}
 }
@@ -179,12 +195,13 @@ func (c *Client) applyQueryState(qs msg.QueryState, now model.Time) {
 	if !qs.Filter.Matches(c.props) {
 		return
 	}
-	if e, ok := c.lqt[qs.QID]; ok {
+	i, e := c.lqt.find(qs.QID)
+	if e != nil {
 		e.qs = qs
 		e.ptm = 0 // focal state changed: previous safe period is void
 		return
 	}
-	c.lqt[qs.QID] = &lqtEntry{qs: qs}
+	c.lqt = slices.Insert(c.lqt, i, &lqtEntry{qs: qs})
 	c.groupDirty = true
 }
 
@@ -193,14 +210,19 @@ func (c *Client) applyQueryState(qs msg.QueryState, now model.Time) {
 // outside a query's monitoring region cannot be inside its spatial region,
 // so leaving the monitoring region implies leaving the result.
 func (c *Client) removeQuery(qid model.QueryID) {
-	e, ok := c.lqt[qid]
-	if !ok {
+	i, e := c.lqt.find(qid)
+	if e == nil {
 		return
 	}
+	c.leave(e)
+	c.lqt = slices.Delete(c.lqt, i, i+1)
+}
+
+// leave sends the leave report owed for an entry being dropped from the LQT.
+func (c *Client) leave(e *lqtEntry) {
 	if e.isTarget {
-		c.up.Send(msg.ContainmentReport{OID: c.oid, QID: qid, IsTarget: false})
+		c.up.Send(msg.ContainmentReport{OID: c.oid, QID: e.qs.QID, IsTarget: false})
 	}
-	delete(c.lqt, qid)
 	c.groupDirty = true
 }
 
@@ -256,9 +278,9 @@ func (c *Client) Resync(pos geo.Point, vel geo.Vector, now model.Time) {
 		c.lastRelayed = model.MotionState{Pos: pos, Vel: vel, Tm: now}
 		c.up.Send(msg.VelocityReport{OID: c.oid, Pos: pos, Vel: vel, Tm: now})
 	}
-	for _, qid := range c.sortedQIDs() {
-		if c.lqt[qid].isTarget {
-			c.up.Send(msg.ContainmentReport{OID: c.oid, QID: qid, IsTarget: true})
+	for _, e := range c.lqt {
+		if e.isTarget {
+			c.up.Send(msg.ContainmentReport{OID: c.oid, QID: e.qs.QID, IsTarget: true})
 		}
 	}
 }
@@ -268,7 +290,7 @@ func (c *Client) Resync(pos geo.Point, vel geo.Vector, now model.Time) {
 // tears down its queries.
 func (c *Client) Depart() {
 	c.up.Send(msg.DepartureReport{OID: c.oid})
-	c.lqt = make(map[model.QueryID]*lqtEntry)
+	c.lqt = nil
 	c.hasMQ = false
 	c.lastRelayed = model.MotionState{}
 }
@@ -284,12 +306,15 @@ func (c *Client) TickCellChange(pos geo.Point, vel geo.Vector, now model.Time) {
 	}
 	prev := c.currCell
 	c.currCell = newCell
-	// Remove queries whose monitoring region no longer covers us.
-	for _, qid := range c.sortedQIDs() {
-		if !c.lqt[qid].qs.MonRegion.Contains(newCell) {
-			c.removeQuery(qid)
+	// Remove queries whose monitoring region no longer covers us,
+	// compacting the LQT in place; leave reports go out in QID order.
+	c.lqt = slices.DeleteFunc(c.lqt, func(e *lqtEntry) bool {
+		if e.qs.MonRegion.Contains(newCell) {
+			return false
 		}
-	}
+		c.leave(e)
+		return true
+	})
 	if c.opts.Mode == EagerPropagation || c.hasMQ {
 		c.up.Send(msg.CellChangeReport{
 			OID: c.oid, PrevCell: prev, NewCell: newCell,
@@ -346,21 +371,14 @@ func (c *Client) TickEvaluate(pos geo.Point, vel geo.Vector, now model.Time) {
 		c.evaluateGrouped(pos, now)
 		return
 	}
-	// Deterministic iteration: cached sorted QIDs (the LQT changes far
-	// less often than it is evaluated).
-	if c.groupDirty || c.qidCache == nil {
-		c.qidCache = c.sortedQIDsInto(c.qidCache[:0])
-		c.groupDirty = false
-	}
-	for _, qid := range c.qidCache {
-		e := c.lqt[qid]
+	for _, e := range c.lqt {
 		inside, evaluated := c.evaluateEntry(e, pos, now)
 		if !evaluated {
 			continue
 		}
 		if inside != e.isTarget {
 			e.isTarget = inside
-			c.up.Send(msg.ContainmentReport{OID: c.oid, QID: qid, IsTarget: inside})
+			c.up.Send(msg.ContainmentReport{OID: c.oid, QID: e.qs.QID, IsTarget: inside})
 		}
 	}
 }
@@ -411,34 +429,34 @@ func (c *Client) schedule(e *lqtEntry, pos, focalPos geo.Point, now model.Time) 
 // all of its queries; matching-monitoring-region groups of two or more
 // queries report via a query bitmap.
 func (c *Client) evaluateGrouped(pos geo.Point, now model.Time) {
-	if c.groupDirty || c.groupCache == nil {
+	if c.groupDirty {
 		c.rebuildGroupCache()
-		c.qidCache = c.sortedQIDsInto(c.qidCache[:0])
 	}
 	for i := range c.groupCache {
 		c.evaluateFocalGroup(&c.groupCache[i], pos, now)
 	}
 }
 
-// rebuildGroupCache re-buckets the LQT by focal object, deterministically.
+// rebuildGroupCache re-buckets the LQT by focal object: a stable sort by
+// focal keeps each bucket in QID order.
 func (c *Client) rebuildGroupCache() {
-	byFocal := make(map[model.ObjectID][]model.QueryID, len(c.lqt))
-	for qid, e := range c.lqt {
-		byFocal[e.qs.Focal] = append(byFocal[e.qs.Focal], qid)
-	}
+	byFocal := slices.Clone(c.lqt)
+	slices.SortStableFunc(byFocal, func(a, b *lqtEntry) int { return cmp.Compare(a.qs.Focal, b.qs.Focal) })
 	c.groupCache = c.groupCache[:0]
-	for f, qids := range byFocal {
-		sort.Slice(qids, func(i, j int) bool { return qids[i] < qids[j] })
-		order := append([]model.QueryID(nil), qids...)
-		sort.SliceStable(order, func(i, j int) bool {
-			return c.lqt[order[i]].qs.Region.EnclosingRadius() >
-				c.lqt[order[j]].qs.Region.EnclosingRadius()
+	for len(byFocal) > 0 {
+		f := byFocal[0].qs.Focal
+		n := 1
+		for n < len(byFocal) && byFocal[n].qs.Focal == f {
+			n++
+		}
+		entries := byFocal[:n:n]
+		order := slices.Clone(entries)
+		slices.SortStableFunc(order, func(a, b *lqtEntry) int {
+			return cmp.Compare(b.qs.Region.EnclosingRadius(), a.qs.Region.EnclosingRadius())
 		})
-		c.groupCache = append(c.groupCache, focalGroup{focal: f, qids: qids, evalOrder: order})
+		c.groupCache = append(c.groupCache, focalGroup{focal: f, entries: entries, evalOrder: order})
+		byFocal = byFocal[n:]
 	}
-	sort.Slice(c.groupCache, func(i, j int) bool {
-		return c.groupCache[i].focal < c.groupCache[j].focal
-	})
 	c.groupDirty = false
 }
 
@@ -453,8 +471,7 @@ func (c *Client) evaluateFocalGroup(g *focalGroup, pos geo.Point, now model.Time
 	// First pass: find the freshest recorded focal state among due entries
 	// (states can differ transiently when an entry installed later).
 	var freshest *lqtEntry
-	for _, qid := range g.evalOrder {
-		e := c.lqt[qid]
+	for _, e := range g.evalOrder {
 		if c.skipsEnabled() && e.ptm > now {
 			continue
 		}
@@ -471,9 +488,8 @@ func (c *Client) evaluateFocalGroup(g *focalGroup, pos geo.Point, now model.Time
 	c.acct.Compute(cost.UnitContainment, 1)
 	dist := pos.Dist(focalPos)
 
-	var changed map[model.QueryID]bool
-	for _, qid := range g.evalOrder {
-		e := c.lqt[qid]
+	var changed map[*lqtEntry]bool
+	for _, e := range g.evalOrder {
 		if c.skipsEnabled() && e.ptm > now {
 			c.skipped++
 			continue
@@ -485,9 +501,9 @@ func (c *Client) evaluateFocalGroup(g *focalGroup, pos geo.Point, now model.Time
 		if inside != e.isTarget {
 			e.isTarget = inside
 			if changed == nil {
-				changed = make(map[model.QueryID]bool, len(g.evalOrder))
+				changed = make(map[*lqtEntry]bool, len(g.evalOrder))
 			}
-			changed[qid] = true
+			changed[e] = true
 		}
 	}
 	if changed == nil {
@@ -496,7 +512,7 @@ func (c *Client) evaluateFocalGroup(g *focalGroup, pos geo.Point, now model.Time
 	// Matching monitoring regions with ≥2 queries report as one bitmap;
 	// everything else reports individually. Skipped entries report their
 	// previous status inside bitmaps (idempotent at the server).
-	c.reportGroupResults(g.focal, g.qids, changed)
+	c.reportGroupResults(g.focal, g.entries, changed)
 }
 
 // reportGroupResults sends result updates for the given queries: bitmap
@@ -504,41 +520,35 @@ func (c *Client) evaluateFocalGroup(g *focalGroup, pos geo.Point, now model.Time
 // otherwise. Groups report only when at least one member changed; singleton
 // queries only when they themselves changed. All queries belong to one
 // focal object.
-func (c *Client) reportGroupResults(focal model.ObjectID, qids []model.QueryID, changed map[model.QueryID]bool) {
-	byRegion := make(map[grid.CellRange][]model.QueryID)
+func (c *Client) reportGroupResults(focal model.ObjectID, entries []*lqtEntry, changed map[*lqtEntry]bool) {
+	byRegion := make(map[grid.CellRange][]*lqtEntry)
 	var regions []grid.CellRange
-	for _, qid := range qids { // qids sorted ascending
-		r := c.lqt[qid].qs.MonRegion
+	for _, e := range entries { // ascending by QID
+		r := e.qs.MonRegion
 		if _, ok := byRegion[r]; !ok {
 			regions = append(regions, r)
 		}
-		byRegion[r] = append(byRegion[r], qid)
+		byRegion[r] = append(byRegion[r], e)
 	}
 	for _, r := range regions {
 		group := byRegion[r]
 		if len(group) == 1 {
-			qid := group[0]
-			if changed[qid] {
-				c.up.Send(msg.ContainmentReport{OID: c.oid, QID: qid, IsTarget: c.lqt[qid].isTarget})
+			if e := group[0]; changed[e] {
+				c.up.Send(msg.ContainmentReport{OID: c.oid, QID: e.qs.QID, IsTarget: e.isTarget})
 			}
 			continue
 		}
-		groupChanged := false
-		for _, qid := range group {
-			if changed[qid] {
-				groupChanged = true
-				break
-			}
-		}
-		if !groupChanged {
+		if !slices.ContainsFunc(group, func(e *lqtEntry) bool { return changed[e] }) {
 			continue
 		}
+		qids := make([]model.QueryID, len(group))
 		bm := msg.NewBitmap(len(group))
-		for i, qid := range group {
-			bm.Set(i, c.lqt[qid].isTarget)
+		for i, e := range group {
+			qids[i] = e.qs.QID
+			bm.Set(i, e.isTarget)
 		}
 		c.up.Send(msg.GroupContainmentReport{
-			OID: c.oid, Focal: focal, QIDs: group, Bitmap: bm,
+			OID: c.oid, Focal: focal, QIDs: qids, Bitmap: bm,
 		})
 	}
 }
@@ -546,21 +556,15 @@ func (c *Client) reportGroupResults(focal model.ObjectID, qids []model.QueryID, 
 // IsTarget reports the client's local belief about being inside a query's
 // region (false for queries not in the LQT).
 func (c *Client) IsTarget(qid model.QueryID) bool {
-	e, ok := c.lqt[qid]
-	return ok && e.isTarget
+	_, e := c.lqt.find(qid)
+	return e != nil && e.isTarget
 }
 
 // InstalledQueries returns the sorted IDs of queries in the LQT.
-func (c *Client) InstalledQueries() []model.QueryID { return c.sortedQIDs() }
-
-func (c *Client) sortedQIDs() []model.QueryID {
-	return c.sortedQIDsInto(nil)
-}
-
-func (c *Client) sortedQIDsInto(qids []model.QueryID) []model.QueryID {
-	for qid := range c.lqt {
-		qids = append(qids, qid)
+func (c *Client) InstalledQueries() []model.QueryID {
+	var qids []model.QueryID
+	for _, e := range c.lqt {
+		qids = append(qids, e.qs.QID)
 	}
-	sort.Slice(qids, func(i, j int) bool { return qids[i] < qids[j] })
 	return qids
 }

@@ -14,6 +14,7 @@ package network
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mobieyes/internal/geo"
 	"mobieyes/internal/grid"
@@ -58,19 +59,37 @@ func NewDeployment(g *grid.Grid, alen float64) *Deployment {
 		}
 	}
 	// Precompute Bmap: for each grid cell, the stations whose coverage
-	// intersects the cell (§2.2: Bmap(i,j) = {b : b ∩ A_{i,j} ≠ ∅}).
+	// intersects the cell (§2.2: Bmap(i,j) = {b : b ∩ A_{i,j} ≠ ∅}). A
+	// station's center lies in its lattice square, so only stations whose
+	// square lies within one radius of the cell can intersect it: each cell
+	// tests a constant-size window of the lattice, rows then columns, which
+	// keeps every list ascending.
 	d.byCell = make([][]StationID, g.NumCells())
 	d.cellsOf = make([][]int32, len(d.stations))
-	for idx := 0; idx < g.NumCells(); idx++ {
-		cellRect := g.CellRect(g.CellAt(idx))
-		for sid, s := range d.stations {
-			if s.IntersectsRect(cellRect) {
-				d.byCell[idx] = append(d.byCell[idx], StationID(sid))
-				d.cellsOf[sid] = append(d.cellsOf[sid], int32(idx))
+	for idx := range d.byCell {
+		rect := g.CellRect(g.CellAt(idx))
+		c0, c1 := latticeSpan(rect.LX-u.LX-radius, rect.HX-u.LX+radius, alen, cols)
+		r0, r1 := latticeSpan(rect.LY-u.LY-radius, rect.HY-u.LY+radius, alen, rows)
+		for r := r0; r <= r1; r++ {
+			for c := c0; c <= c1; c++ {
+				if sid := r*cols + c; d.stations[sid].IntersectsRect(rect) {
+					d.byCell[idx] = append(d.byCell[idx], StationID(sid))
+					d.cellsOf[sid] = append(d.cellsOf[sid], int32(idx))
+				}
 			}
 		}
 	}
 	return d
+}
+
+// latticeSpan returns, clamped to [0, n), the indices i of the lattice
+// squares [i·alen, (i+1)·alen] that meet [a, b] (offsets from the UoD's lower
+// edge) and one more on each side, so that rounding in the intersection test
+// cannot reach a station outside the span.
+func latticeSpan(a, b, alen float64, n int) (lo, hi int) {
+	lo = int(math.Ceil(a/alen)) - 2
+	hi = int(math.Floor(b/alen)) + 1
+	return max(lo, 0), min(hi, n-1)
 }
 
 // SetAccountant attaches a cost accountant (nil = off; the default): each
@@ -119,111 +138,156 @@ func (d *Deployment) StationOf(p geo.Point) StationID {
 	return StationID(r*d.cols + c)
 }
 
+// coverStackWords is the size, in 64-bit words, of the uncovered-cell bitmap
+// Cover keeps on the stack: regions of up to 256 cells (16×16).
+const coverStackWords = 4
+
 // Cover returns a small set of stations whose coverage jointly intersects
 // every cell of region, computed with the classic greedy set-cover
 // heuristic over the Bmap (§3.3: "the server uses the mapping Bmap to
 // determine the minimal set of base stations that covers the monitoring
-// region").
+// region"). The greedy runs on the precomputed lists alone: the candidates
+// are the stations Bmap lists for the region's cells, a candidate's gain is
+// the number of still-uncovered region cells in its inverse list, and ties
+// go to the lowest station ID. Cells outside the grid are ignored. Cover
+// allocates only its result and is safe for concurrent use.
 func (d *Deployment) Cover(region grid.CellRange) []StationID {
 	d.acct.Compute(cost.UnitSetCover, 1)
-	// Collect the cells to cover and the candidate stations.
-	type cellKey = grid.CellID
-	uncovered := make(map[cellKey]struct{}, region.NumCells())
-	candSet := make(map[StationID]struct{})
-	region.ForEach(func(c grid.CellID) {
-		if !d.g.Valid(c) {
-			return
-		}
-		uncovered[c] = struct{}{}
-		for _, sid := range d.StationsForCell(c) {
-			candSet[sid] = struct{}{}
-		}
-	})
-	if len(uncovered) == 0 {
+	rc, ok := d.clip(region)
+	if !ok {
 		return nil
 	}
-	cands := make([]StationID, 0, len(candSet))
-	for sid := range candSet {
-		cands = append(cands, sid)
+	// The uncovered cells, one bit each, row-major from rc.Min.
+	n := rc.NumCells()
+	var stack [coverStackWords]uint64
+	unc := stack[:]
+	if words := (n + 63) / 64; words <= len(stack) {
+		unc = stack[:words]
+	} else {
+		unc = make([]uint64, words)
+	}
+	for b := 0; b < n; b++ {
+		unc[b>>6] |= 1 << (b & 63)
+	}
+	var candBuf [128]StationID
+	cands := candBuf[:0]
+	for row := rc.Min.Row; row <= rc.Max.Row; row++ {
+		for idx := row*d.g.Cols() + rc.Min.Col; idx <= row*d.g.Cols()+rc.Max.Col; idx++ {
+			for _, sid := range d.byCell[idx] {
+				cands = insertStation(cands, sid)
+			}
+		}
 	}
 
-	var cover []StationID
-	for len(uncovered) > 0 {
+	var coverBuf [64]StationID
+	cover := coverBuf[:0]
+	for left := n; left > 0; {
+		// Candidates are ascending, so the first maximum is the lowest
+		// station ID among the ties. A candidate that covers nothing new
+		// never will again and is dropped.
 		best, bestCount := StationID(-1), 0
+		live := cands[:0]
 		for _, sid := range cands {
-			count := 0
-			circ := d.stations[sid]
-			for c := range uncovered {
-				if circ.IntersectsRect(d.g.CellRect(c)) {
-					count++
-				}
+			count := d.regionCells(sid, rc, unc, false)
+			if count == 0 {
+				continue
 			}
-			if count > bestCount || (count == bestCount && count > 0 && (best == -1 || sid < best)) {
+			live = append(live, sid)
+			if count > bestCount {
 				best, bestCount = sid, count
 			}
 		}
+		cands = live
 		if best == -1 {
 			// Cannot happen while the deployment covers the UoD; guard
 			// against infinite loops regardless.
 			break
 		}
 		cover = append(cover, best)
-		circ := d.stations[best]
-		for c := range uncovered {
-			if circ.IntersectsRect(d.g.CellRect(c)) {
-				delete(uncovered, c)
+		left -= d.regionCells(best, rc, unc, true)
+	}
+	return append([]StationID(nil), d.pruneCover(cover, rc)...)
+}
+
+// clip returns region clipped to the grid, and whether any cell remains.
+func (d *Deployment) clip(region grid.CellRange) (grid.CellRange, bool) {
+	rc := grid.CellRange{
+		Min: grid.CellID{Col: max(region.Min.Col, 0), Row: max(region.Min.Row, 0)},
+		Max: grid.CellID{Col: min(region.Max.Col, d.g.Cols()-1), Row: min(region.Max.Row, d.g.Rows()-1)},
+	}
+	return rc, rc.Min.Col <= rc.Max.Col && rc.Min.Row <= rc.Max.Row
+}
+
+// insertStation adds sid to the ascending set s.
+func insertStation(s []StationID, sid StationID) []StationID {
+	if len(s) == 0 || s[len(s)-1] < sid {
+		return append(s, sid)
+	}
+	i, found := slices.BinarySearch(s, sid)
+	if found {
+		return s
+	}
+	return slices.Insert(s, i, sid)
+}
+
+// regionCells counts the cells of station sid's inverse Bmap list that lie
+// in rc and are still set in unc, the uncovered bitmap of rc; take clears
+// them as well.
+func (d *Deployment) regionCells(sid StationID, rc grid.CellRange, unc []uint64, take bool) int {
+	cols, w := d.g.Cols(), rc.Max.Col-rc.Min.Col+1
+	count := 0
+	for _, ci := range d.cellsOf[sid] {
+		c := grid.CellID{Col: int(ci) % cols, Row: int(ci) / cols}
+		if !rc.Contains(c) {
+			continue
+		}
+		b := (c.Row-rc.Min.Row)*w + c.Col - rc.Min.Col
+		if bit := uint64(1) << (b & 63); unc[b>>6]&bit != 0 {
+			count++
+			if take {
+				unc[b>>6] &^= bit
 			}
 		}
 	}
-	return d.pruneCover(cover, region)
+	return count
 }
 
 // pruneCover drops stations the rest of the cover makes redundant: greedy
 // picks can be subsumed by the union of later picks (the classic greedy
 // set-cover artifact), and "minimal set of base stations" should at least
-// mean no member is removable. Each station is tested against the cover
-// with it removed; survivors form an irredundant cover of region.
-func (d *Deployment) pruneCover(cover []StationID, region grid.CellRange) []StationID {
+// mean no member is removable. Each station, in pick order, is tested
+// against the cover with it and the stations already dropped removed;
+// survivors form an irredundant cover of rc. It filters cover in place.
+func (d *Deployment) pruneCover(cover []StationID, rc grid.CellRange) []StationID {
 	if len(cover) <= 1 {
 		return cover
 	}
-	var cells []grid.CellID
-	region.ForEach(func(c grid.CellID) {
-		if d.g.Valid(c) {
-			cells = append(cells, c)
-		}
-	})
-	removed := make([]bool, len(cover))
-	for i := range cover {
-		redundant := true
-		for _, c := range cells {
-			rect := d.g.CellRect(c)
-			coveredByOther := false
-			for j, sid := range cover {
-				if j == i || removed[j] {
-					continue
-				}
-				if d.stations[sid].IntersectsRect(rect) {
-					coveredByOther = true
-					break
-				}
-			}
-			if !coveredByOther && d.stations[cover[i]].IntersectsRect(rect) {
-				redundant = false
-				break
-			}
-		}
-		if redundant {
-			removed[i] = true
-		}
-	}
 	out := cover[:0]
 	for i, sid := range cover {
-		if !removed[i] {
+		// out holds the survivors so far and never overtakes i, so the
+		// stations still to test are intact.
+		if d.needed(sid, rc, out, cover[i+1:]) {
 			out = append(out, sid)
 		}
 	}
 	return out
+}
+
+// needed reports whether some cell of rc that station sid covers is covered
+// by none of the stations in kept and rest.
+func (d *Deployment) needed(sid StationID, rc grid.CellRange, kept, rest []StationID) bool {
+	cols := d.g.Cols()
+	for _, ci := range d.cellsOf[sid] {
+		if !rc.Contains(grid.CellID{Col: int(ci) % cols, Row: int(ci) / cols}) {
+			continue
+		}
+		if !slices.ContainsFunc(d.byCell[ci], func(s StationID) bool {
+			return slices.Contains(kept, s) || slices.Contains(rest, s)
+		}) {
+			return true
+		}
+	}
+	return false
 }
 
 // Covers reports whether station id's coverage contains point p.

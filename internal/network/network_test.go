@@ -1,7 +1,9 @@
 package network
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mobieyes/internal/geo"
@@ -61,24 +63,32 @@ func TestDeploymentCoversUoD(t *testing.T) {
 }
 
 // Property: Bmap is non-empty for every cell and lists exactly the stations
-// whose coverage intersects the cell.
+// an all-pairs circle–rectangle test finds, ascending; its inverse lists each
+// station's cells ascending. The build itself tests only a lattice window
+// around each cell.
 func TestBmapCorrectness(t *testing.T) {
-	g := testGrid()
-	d := NewDeployment(g, 10)
-	for idx := 0; idx < g.NumCells(); idx++ {
-		c := g.CellAt(idx)
-		got := map[StationID]bool{}
-		for _, sid := range d.StationsForCell(c) {
-			got[sid] = true
+	for _, gm := range coverGeometries {
+		g, d := coverDeployment(gm.side, gm.alpha, gm.alen)
+		cellsOf := make([][]int32, d.NumStations())
+		for idx := 0; idx < g.NumCells(); idx++ {
+			c := g.CellAt(idx)
+			var want []StationID
+			for sid := 0; sid < d.NumStations(); sid++ {
+				if d.Station(StationID(sid)).IntersectsRect(g.CellRect(c)) {
+					want = append(want, StationID(sid))
+					cellsOf[sid] = append(cellsOf[sid], int32(idx))
+				}
+			}
+			if len(want) == 0 {
+				t.Fatalf("%+v: Bmap empty for %v", gm, c)
+			}
+			if got := d.StationsForCell(c); !slices.Equal(got, want) {
+				t.Fatalf("%+v: Bmap(%v) = %v, all-pairs %v", gm, c, got, want)
+			}
 		}
-		if len(got) == 0 {
-			t.Fatalf("Bmap empty for %v", c)
-		}
-		cellRect := g.CellRect(c)
-		for sid := 0; sid < d.NumStations(); sid++ {
-			want := d.Station(StationID(sid)).IntersectsRect(cellRect)
-			if got[StationID(sid)] != want {
-				t.Fatalf("Bmap(%v) station %d: got %v, want %v", c, sid, got[StationID(sid)], want)
+		for sid, want := range cellsOf {
+			if got := d.CellsForStation(StationID(sid)); !slices.Equal(got, want) {
+				t.Fatalf("%+v: cells of station %d = %v, all-pairs %v", gm, sid, got, want)
 			}
 		}
 	}
@@ -236,6 +246,14 @@ func BenchmarkCover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = d.Cover(region)
+	}
+}
+
+func BenchmarkNewDeployment(b *testing.B) {
+	g := grid.New(geo.NewRect(0, 0, math.Sqrt(100000), math.Sqrt(100000)), 5) // Table 1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = NewDeployment(g, 10)
 	}
 }
 

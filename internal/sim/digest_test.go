@@ -1,0 +1,116 @@
+package sim
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"mobieyes/internal/core"
+	"mobieyes/internal/grid"
+)
+
+// TestBehaviourDigest pins what the serial engine does at equal step counts
+// under every protocol variant: per-kind message and byte counts, evaluation
+// and skip counts, the mean LQT size, the server's snapshot bytes and every
+// client's installed queries and counters, hashed after 3 warm-up and 40
+// measured steps. The digests were computed before the set-cover, broadcast
+// and LQT representations were last rewritten, so a representation change
+// that alters any message, delivery or evaluation fails here — including in
+// the approximate modes (Δ > 0, LQP) that VerifyExact cannot judge.
+//
+// Serial engine only: with ServerShards > 1 message order is unspecified
+// (see Config.ServerShards), so two runs need not hash alike.
+func TestBehaviourDigest(t *testing.T) {
+	const dr = 0.01 // DefaultConfig's dead-reckoning threshold
+	columns := []struct {
+		name string
+		opts core.Options
+		want string
+	}{
+		{"EQP/Δ=0", core.Options{}, "e891cd8162acd176"},
+		{"EQP/Δ=0.01", core.Options{DeadReckoningThreshold: dr}, "ad8346e650ff6cf7"},
+		{"LQP", core.Options{Mode: core.LazyPropagation, DeadReckoningThreshold: dr}, "c83f066fa0abf319"},
+		{"SafePeriod", core.Options{SafePeriod: true}, "177661f38384b815"},
+		{"Predictive", core.Options{Predictive: true}, "16d912a6e8fffd0e"},
+		{"Grouping", core.Options{Grouping: true}, "64e1b2d242dc0382"},
+		{"LQP+SafePeriod+Grouping", core.Options{Mode: core.LazyPropagation, DeadReckoningThreshold: dr, SafePeriod: true, Grouping: true}, "95f0bdab4ec5f5ab"},
+		{"Default", DefaultConfig().Core, "ad8346e650ff6cf7"},
+	}
+	for _, col := range columns {
+		t.Run(col.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := DefaultConfig()
+			cfg.NumObjects = 3000
+			cfg.NumQueries = 300
+			cfg.VelocityChangesPerStep = 300
+			cfg.Seed = 1
+			cfg.Warmup, cfg.Steps = 3, 40
+			cfg.Core = col.opts
+			if got := behaviourDigest(t, NewEngine(cfg)); got != col.want {
+				t.Errorf("digest %s, want %s", got, col.want)
+			}
+		})
+	}
+}
+
+// behaviourDigest runs e and hashes the deterministic part of what it did.
+func behaviourDigest(t *testing.T, e *Engine) string {
+	t.Helper()
+	m := e.Run()
+	h := sha256.New()
+	fmt.Fprintf(h, "up %d %d down %d %d evals %d skipped %d lqt %v\n",
+		m.UplinkMsgs, m.UplinkBytes, m.DownlinkMsgs, m.DownlinkBytes, m.Evals, m.Skipped, m.AvgLQTSize)
+	for _, k := range m.ByKind {
+		fmt.Fprintf(h, "kind %d %d %d %d %d\n", k.Kind, k.UplinkMsgs, k.DownlinkMsgs, k.UplinkBytes, k.DownlinkBytes)
+	}
+	var snap bytes.Buffer
+	if err := e.Server().Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	h.Write(snap.Bytes())
+	for _, c := range e.Clients() {
+		fmt.Fprintf(h, "client %d %v %d %d\n", c.OID(), c.InstalledQueries(), c.Evals(), c.SkippedEvals())
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestBroadcastCellUnion: the cells a broadcast reaches are its stations'
+// cells, each once, in first-seen order — station order, then each station's
+// cell order — which is the order deliveries, and so uplinks, happen in. The
+// stamps stay correct across an epoch wrap.
+func TestBroadcastCellUnion(t *testing.T) {
+	e := NewEngine(smallConfig())
+	g := e.Grid()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		if i == 1000 {
+			e.cellEpoch = ^uint32(0) - 1
+		}
+		c0, r0 := rng.Intn(g.Cols()), rng.Intn(g.Rows())
+		region := grid.CellRange{
+			Min: grid.CellID{Col: c0, Row: r0},
+			Max: grid.CellID{Col: c0 + rng.Intn(8), Row: r0 + rng.Intn(8)},
+		}
+		stations := e.dep.Cover(region)
+		var want []int32
+		seen := map[int32]bool{}
+		for _, sid := range stations {
+			for _, ci := range e.dep.CellsForStation(sid) {
+				if !seen[ci] {
+					seen[ci] = true
+					want = append(want, ci)
+				}
+			}
+		}
+		e.downMu.Lock()
+		got := e.cellUnion(stations)
+		e.downMu.Unlock()
+		if !slices.Equal(got, want) {
+			t.Fatalf("region %v, stations %v: cells %v, want %v", region, stations, got, want)
+		}
+	}
+}

@@ -45,13 +45,18 @@ type Engine struct {
 
 	qids []model.QueryID // installed queries, parallel to w.Queries
 
-	// transport queues (drained between phases). downMu guards downQueue
-	// and the meter's downlink counters: with ServerShards the drain
-	// processes uplink batches across goroutines, so the downlink sink must
-	// accept concurrent senders. (Serial runs pay one uncontended lock.)
+	// transport queues (drained between phases). downMu guards downQueue,
+	// the meter's downlink counters and the broadcast cell stamps: with
+	// ServerShards the drain processes uplink batches across goroutines, so
+	// the downlink sink must accept concurrent senders. (Serial runs pay one
+	// uncontended lock.)
 	downMu    sync.Mutex
 	upQueue   []upEntry
 	downQueue []engineDown
+	// cellStamp[ci] == cellEpoch marks cell ci as already in the union being
+	// built by cellUnion; each broadcast takes a new epoch.
+	cellStamp []uint32
+	cellEpoch uint32
 	// clientUp buffers each client's uplinks during a parallel phase; the
 	// buffers merge into upQueue in object order afterwards, keeping
 	// parallel runs bit-for-bit identical to serial ones.
@@ -127,6 +132,7 @@ func NewEngine(cfg Config) *Engine {
 		dep:       network.NewDeployment(g, cfg.Alen),
 		w:         workload.New(cfg.WorkloadConfig()),
 		bkt:       newBuckets(g),
+		cellStamp: make([]uint32, g.NumCells()),
 		gtScratch: make(map[model.ObjectID]struct{}),
 	}
 	if cfg.ServerShards > 1 {
@@ -262,17 +268,11 @@ func (d engineDownlink) Broadcast(region grid.CellRange, m msg.Message) {
 func (d engineDownlink) BroadcastTraced(region grid.CellRange, m msg.Message, tid trace.ID) {
 	e := d.e
 	stations := e.dep.Cover(region)
-	// Union of target cells across chosen stations, deduplicated.
-	var cells []int32
-	seen := map[int32]struct{}{}
-	for _, sid := range stations {
-		for _, ci := range e.dep.CellsForStation(sid) {
-			if _, ok := seen[ci]; !ok {
-				seen[ci] = struct{}{}
-				cells = append(cells, ci)
-			}
-		}
-	}
+	e.downMu.Lock()
+	cells := e.cellUnion(stations)
+	e.meter.RecordDownlink(m, len(stations))
+	e.downQueue = append(e.downQueue, engineDown{target: -1, cells: cells, m: m, tid: tid})
+	e.downMu.Unlock()
 	if e.acct != nil {
 		// Transport-level attribution: one transmission per relaying base
 		// station in the global ledger, one delivery per station and per
@@ -287,10 +287,32 @@ func (d engineDownlink) BroadcastTraced(region grid.CellRange, m msg.Message, ti
 			e.acct.CellDown(ci, size)
 		}
 	}
-	e.downMu.Lock()
-	e.meter.RecordDownlink(m, len(stations))
-	e.downQueue = append(e.downQueue, engineDown{target: -1, cells: cells, m: m, tid: tid})
-	e.downMu.Unlock()
+}
+
+// cellUnion returns the cells the stations reach, each once, in first-seen
+// order: station order, then each station's cell order. A cell is taken when
+// its stamp is not yet this broadcast's epoch. The caller holds downMu, which
+// guards the stamps.
+func (e *Engine) cellUnion(stations []network.StationID) []int32 {
+	e.cellEpoch++
+	if e.cellEpoch == 0 { // wrapped: no stamp may match a future epoch
+		clear(e.cellStamp)
+		e.cellEpoch = 1
+	}
+	n := 0
+	for _, sid := range stations {
+		n += len(e.dep.CellsForStation(sid))
+	}
+	cells := make([]int32, 0, n)
+	for _, sid := range stations {
+		for _, ci := range e.dep.CellsForStation(sid) {
+			if e.cellStamp[ci] != e.cellEpoch {
+				e.cellStamp[ci] = e.cellEpoch
+				cells = append(cells, ci)
+			}
+		}
+	}
+	return cells
 }
 
 func (d engineDownlink) Unicast(oid model.ObjectID, m msg.Message) {
