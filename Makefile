@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt test race check simtest cluster crash load stream bench bench-smoke bench-pair report staticcheck
+.PHONY: build vet fmt test race check simtest cluster crash stream bench bench-smoke bench-pair report staticcheck
 
 # Optional deeper linting: runs only when staticcheck is installed, so the
 # gate works on minimal toolchains (CI installs it).
@@ -34,12 +34,13 @@ race:
 # fault-injection seed with causal tracing enabled (TestTracedFaultInjection),
 # so trace propagation stays race-clean on the faulty transport — plus a
 # short fuzz smoke of the wire codec and the remote frame reader (the two
-# trust boundaries for peer-supplied bytes). CI runs this next to the race
-# gate.
+# trust boundaries for peer-supplied bytes) and of the mobility-trace file
+# reader. CI runs this next to the race gate.
 simtest:
 	$(GO) test -race -count=1 ./internal/simtest/
 	$(GO) test -run '^$$' -fuzz '^FuzzWire$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/remote/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/workload/
 
 # Cluster gate: the differential oracle (serial vs the router over
 # journaled and un-journaled nodes, byte-identical snapshots and cost
@@ -61,14 +62,6 @@ cluster:
 crash:
 	$(GO) test -race -count=1 -run 'Crash|Checkpoint|Recovery' ./internal/simtest/ ./internal/core/ ./internal/cluster/ ./internal/obs/telemetry/
 
-# Load-observatory gate: the open-loop generator's smoke suite under -race —
-# a short coordinated-omission-safe run against every backend (serial, the
-# router over shards and over journaled nodes, TCP), the traced
-# stage-decomposition identity, and the queue-depth-gauge-zero-at-quiescence
-# check (see internal/obs/load).
-load:
-	$(GO) test -race -count=1 ./internal/obs/load/
-
 # Stream & history gate: snapshot-then-delta gap-freeness across the serial
 # server and both router renderings, slow-consumer eviction under a
 # deliberately stalled reader, the history log codec and bounded store, the
@@ -79,7 +72,7 @@ stream:
 	$(GO) test -race -count=1 ./internal/obs/stream/ ./internal/history/
 	$(GO) test -race -count=1 -run 'Stream|History|AdminSubHist|Gateway' ./internal/remote/ ./internal/simtest/
 
-check: build vet fmt staticcheck test race simtest cluster crash load stream bench-smoke
+check: build vet fmt staticcheck test race simtest cluster crash stream bench-smoke
 
 bench:
 	$(GO) test -bench . -benchtime 1s ./internal/core/

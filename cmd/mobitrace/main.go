@@ -1,5 +1,5 @@
 // Command mobitrace records, inspects and replays mobility traces
-// (internal/trace): portable, deterministic captures of a workload run that
+// (workload.Trace): portable, deterministic captures of a workload run that
 // make protocol scenarios reproducible across machines and versions.
 //
 // Usage:
@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"mobieyes/internal/geo"
-	"mobieyes/internal/trace"
 	"mobieyes/internal/workload"
 )
 
@@ -74,7 +73,7 @@ func record(args []string) {
 		os.Exit(2)
 	}
 	w := workload.New(cfg)
-	tr := trace.Record(w, *steps)
+	tr := w.Record(*steps)
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -117,7 +116,7 @@ func replay(args []string) {
 
 	// Replay twice and verify the trajectories are identical — the
 	// determinism check that makes traces trustworthy regression inputs.
-	a, b := trace.NewPlayer(tr), trace.NewPlayer(tr)
+	a, b := workload.NewPlayer(tr), workload.NewPlayer(tr)
 	steps := 0
 	for !a.Done() {
 		a.Step()
@@ -150,7 +149,7 @@ func replay(args []string) {
 	fmt.Printf("final positions span [%.1f, %.1f] × [%.1f, %.1f]\n", lo.X, hi.X, lo.Y, hi.Y)
 }
 
-func mustRead(path string) *trace.Trace {
+func mustRead(path string) *workload.Trace {
 	if path == "" {
 		fmt.Fprintln(os.Stderr, "mobitrace: -in is required")
 		os.Exit(2)
@@ -160,7 +159,7 @@ func mustRead(path string) *trace.Trace {
 		fatal(err)
 	}
 	defer f.Close()
-	tr, err := trace.Read(f)
+	tr, err := workload.ReadTrace(f)
 	if err != nil {
 		fatal(err)
 	}
@@ -170,11 +169,4 @@ func mustRead(path string) *trace.Trace {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mobitrace:", err)
 	os.Exit(1)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 // Replay: record a mobility scenario, serialize it, read it back and
 // replay it bit-for-bit — the workflow for turning a live incident into a
-// reproducible regression input (see also cmd/mobitrace).
+// reproducible regression input (see also cmd/mobitrace). It exits 1 when
+// the replay diverges from the recorded run, so it doubles as a check.
 //
 //	go run ./examples/replay
 package main
@@ -8,9 +9,9 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
 
 	"mobieyes/internal/geo"
-	"mobieyes/internal/trace"
 	"mobieyes/internal/workload"
 )
 
@@ -24,7 +25,7 @@ func main() {
 	w := workload.New(cfg)
 
 	fmt.Println("recording 120 steps (one simulated hour) of waypoint mobility…")
-	tr := trace.Record(w, 120)
+	tr := w.Record(120)
 
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
@@ -33,11 +34,11 @@ func main() {
 	fmt.Printf("serialized trace: %d bytes for %d objects × %d steps\n",
 		buf.Len(), len(tr.Objects), len(tr.Steps))
 
-	back, err := trace.Read(&buf)
+	back, err := workload.ReadTrace(&buf)
 	if err != nil {
 		panic(err)
 	}
-	player := trace.NewPlayer(back)
+	player := workload.NewPlayer(back)
 	for !player.Done() {
 		player.Step()
 	}
@@ -51,8 +52,8 @@ func main() {
 	fmt.Printf("replayed positions exactly matching the original run: %d/%d\n",
 		exact, len(w.Objects))
 	if exact != len(w.Objects) {
-		fmt.Println("!! divergence — replay is broken")
-		return
+		fmt.Fprintln(os.Stderr, "!! divergence — replay is broken")
+		os.Exit(1)
 	}
 	fmt.Println("the serialized scenario reproduces the run bit-for-bit")
 }

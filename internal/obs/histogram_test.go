@@ -97,8 +97,8 @@ func TestQuantileSkipsEmptyLeadingBuckets(t *testing.T) {
 	}
 }
 
-// PR 9 satellite: the HDR log-bucketed latency preset and the exact-max
-// tracking that back the load generator's SLO quantiles.
+// The HDR log-bucketed latency preset and the exact-max tracking behind the
+// stage-latency view's quantiles (LatencyView, /debug/latency).
 
 // TestLogBuckets pins the generator's shape: log-spaced, deduplicated,
 // strictly increasing, covering [lo, hi].

@@ -123,24 +123,6 @@ func (lv *LatencyView) Collect() {
 	lv.watermark = mark
 }
 
-// Discard advances the watermark past every trace currently in the ring
-// without folding anything in. The load generator calls it at the warmup
-// boundary so setup and warmup traffic is excluded from the measured stage
-// decomposition.
-func (lv *LatencyView) Discard() {
-	if lv == nil || lv.rec == nil {
-		return
-	}
-	evs := lv.rec.Events(trace.Filter{})
-	lv.mu.Lock()
-	defer lv.mu.Unlock()
-	for _, e := range evs {
-		if e.Kind == trace.KindIngress && e.Seq > lv.watermark {
-			lv.watermark = e.Seq
-		}
-	}
-}
-
 // StageSnap is the exported summary of one latency histogram.
 type StageSnap struct {
 	Stage string  `json:"stage"`

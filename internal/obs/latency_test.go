@@ -44,20 +44,6 @@ func TestLatencyViewWatermark(t *testing.T) {
 	}
 }
 
-// TestLatencyViewDiscard: Discard consumes pending traces without folding
-// them in — the loadgen's warmup boundary.
-func TestLatencyViewDiscard(t *testing.T) {
-	rec := trace.NewRecorder(1024)
-	lv := NewLatencyView(rec)
-	recordChain(rec)
-	recordChain(rec)
-	lv.Discard()
-	recordChain(rec)
-	if snap := lv.Snapshot(); snap.Traces != 1 {
-		t.Fatalf("traces = %d after discard, want 1", snap.Traces)
-	}
-}
-
 // TestLatencyViewPartialAndNil: chains missing stages count as partial;
 // nil receivers and nil recorders are inert.
 func TestLatencyViewPartialAndNil(t *testing.T) {
@@ -73,7 +59,6 @@ func TestLatencyViewPartialAndNil(t *testing.T) {
 
 	var nilLV *LatencyView
 	nilLV.Collect()
-	nilLV.Discard()
 	if s := nilLV.Snapshot(); s.Traces != 0 {
 		t.Fatal("nil view reported traces")
 	}

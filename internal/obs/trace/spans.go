@@ -137,25 +137,3 @@ func max64(a, b int64) int64 {
 	}
 	return b
 }
-
-// DecomposeAll groups a ring scan by trace ID and decomposes each group.
-// Untraced events (ID 0) and traces without an ingress are skipped; orphans
-// counts the skipped trace groups. Results are in no particular order.
-func DecomposeAll(evs []Event) (spans []Spans, orphans int) {
-	byTrace := make(map[ID][]Event)
-	for _, e := range evs {
-		if e.Trace == 0 {
-			continue
-		}
-		byTrace[e.Trace] = append(byTrace[e.Trace], e)
-	}
-	for _, group := range byTrace {
-		sp, ok := Decompose(group)
-		if !ok {
-			orphans++
-			continue
-		}
-		spans = append(spans, sp)
-	}
-	return spans, orphans
-}

@@ -171,24 +171,6 @@ func TestDecomposeOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestDecomposeAll groups a mixed ring: two complete traces, one untraced
-// event, one orphan (no ingress).
-func TestDecomposeAll(t *testing.T) {
-	evs := []Event{
-		ev(1, KindIngress, 100), ev(1, KindTable, 200),
-		ev(0, KindNote, 150), // untraced: skipped silently
-		ev(2, KindIngress, 300), ev(2, KindDeliver, 700),
-		ev(9, KindTable, 400), // orphan: ingress lost
-	}
-	spans, orphans := DecomposeAll(evs)
-	if len(spans) != 2 {
-		t.Fatalf("decomposed %d traces, want 2", len(spans))
-	}
-	if orphans != 1 {
-		t.Fatalf("orphans = %d, want 1", orphans)
-	}
-}
-
 // TestStageString pins the stage names used in metric labels and the LAT
 // table — renaming them breaks dashboards.
 func TestStageString(t *testing.T) {

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -132,9 +133,9 @@ func TestAdminTraceDisabled(t *testing.T) {
 	}
 }
 
-// TestAdminLatency (PR 9): the admin LAT command and the server's
-// LatencyView expose the per-stage pipeline decomposition of a live traced
-// deployment, and degrade to a clear error when tracing is off.
+// TestAdminLatency: the admin LAT command and the server's LatencyView
+// expose the per-stage pipeline decomposition of a live traced deployment,
+// and its stage totals add up to the end-to-end total.
 func TestAdminLatency(t *testing.T) {
 	rec := trace.NewRecorder(4096)
 	s, err := ListenAndServe(ServerConfig{
@@ -185,8 +186,23 @@ func TestAdminLatency(t *testing.T) {
 		}
 	}
 	// The same view backs /debug/latency.
-	if snap := s.Latency().Snapshot(); snap.Traces == 0 {
-		t.Error("latency view snapshot has no traces")
+	snap := s.Latency().Snapshot()
+	if snap.Traces == 0 {
+		t.Fatal("latency view snapshot has no traces")
+	}
+	// The stages telescope: each trace's present stages sum exactly to its
+	// end-to-end span, so the totals over every folded trace agree too.
+	var stageSum float64
+	for _, st := range snap.Stages {
+		stageSum += st.Mean * float64(st.Count)
+	}
+	e2eSum := snap.E2E.Mean * float64(snap.E2E.Count)
+	if e2eSum <= 0 {
+		t.Fatalf("end-to-end total = %v over %d chains", e2eSum, snap.E2E.Count)
+	}
+	if rel := math.Abs(stageSum-e2eSum) / e2eSum; rel > 0.01 {
+		t.Fatalf("Σ(stage mean × count) = %v diverges from e2e mean × count = %v (rel %v)",
+			stageSum, e2eSum, rel)
 	}
 }
 
