@@ -61,7 +61,7 @@ func main() {
 	}
 	if *metrics != "" {
 		reg := obs.NewRegistry()
-		ms, err := obs.ListenAndServeTraced(*metrics, reg, opts.Trace)
+		ms, err := obs.ListenAndServe(*metrics, reg, obs.EventsView(opts.Trace))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)

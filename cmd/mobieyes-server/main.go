@@ -11,46 +11,21 @@
 //	                [-cluster router -workers host:port,… | -cluster worker]
 //	                [-cluster-nodes N] [-auto-recover=false]
 //
-// Cluster deployment: `-cluster router` makes this process the cluster's
-// router tier, owning query lifecycle and routing uplinks to the worker
-// processes named by -workers (each a mobieyes-worker, or a
-// `mobieyes-server -cluster worker`, with matching grid flags).
-// `-cluster worker` runs a bare worker node on -addr instead of an object
-// server. `-cluster-nodes N` runs router plus N worker nodes inside this
-// process — the clustered topology without the TCP hops. The router
-// checkpoints worker focal state every telemetry round and, with
-// -auto-recover (the default), fences and replays a worker that misses
-// its heartbeat deadline (DESIGN.md §15).
+// Cluster deployment: `-cluster worker` runs one bare worker node on -addr
+// instead of an object server; `-cluster router` makes this process the
+// cluster's router tier, owning query lifecycle and routing uplinks to the
+// workers named by -workers (matching grid and protocol flags). A worker's
+// -metrics-addr, -trace-events and -costs serve its own events and costs
+// views, and its telemetry ships to the router either way. `-cluster-nodes
+// N` runs router plus N worker nodes inside this process — the clustered
+// topology without the TCP hops. The router checkpoints worker focal state
+// every telemetry round and, with -auto-recover (the default), fences and
+// replays a worker that misses its heartbeat deadline (DESIGN.md §15).
 //
-// Admin protocol (one command per line, e.g. via netcat):
-//
-//	install <focalOID> <radius> <permille>   → "qid <id>"
-//	remove <qid>                             → "ok"
-//	result <qid>                             → "result <id> <oid…>"
-//	conns                                    → "conns <n>"
-//	TRACE [n | oid N | qid N | trace N]      → event journal (needs -trace-events)
-//	LAT                                      → per-stage pipeline latency table
-//	                                           (needs -trace-events; same data
-//	                                           as /debug/latency)
-//	COSTS [qid N | oid N]                    → cost ledgers (needs -costs)
-//	SUB <qid> [n]                            → snapshot + n live deltas (needs -stream)
-//	HIST [qid N | oid N]                     → history log (needs -history-bytes)
-//	quit                                     → closes the admin session
-//
-// With -costs, a cost accountant attributes every protocol action (see
-// internal/obs/cost): the admin COSTS command prints the ledgers, and the
-// metrics endpoint additionally serves /debug/costs with ?cell=, ?station=,
-// ?qid= and ?oid= scope filters.
-//
-// With -stream, every differential result transition is published to a live
-// tap: /debug/stream on the metrics address serves SSE subscriptions with
-// snapshot-then-delta semantics (?qid=N for one query, default firehose),
-// and the admin SUB command is its line-based twin. Slow subscribers are
-// evicted, never blocking uplink processing. With -history-bytes N, the
-// same transitions plus object position samples are teed into an
-// append-only in-memory log bounded to N bytes, served on /debug/history
-// (?qid=, ?oid=, ?format=json|raw) and the admin HIST command; the raw form
-// replays through cmd/mobiviz -replay. See DESIGN.md §17.
+// The admin port takes one command per line; `help` lists them. The
+// metrics address serves /metrics, /debug/vars, /healthz, /readyz, pprof,
+// the SSE result stream /debug/stream (with -stream) and the same debug
+// views as the admin port, indexed at /debug/ (DESIGN.md §9).
 package main
 
 import (
@@ -58,7 +33,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -87,7 +61,7 @@ func main() {
 		grouping = flag.Bool("grouping", false, "query grouping")
 		restore  = flag.String("restore", "", "restore query state from a snapshot file")
 		shards   = flag.Int("shards", 0, "in-process router nodes of the default backend (0 = GOMAXPROCS); they share the server's fate, so they are not journaled")
-		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /healthz and pprof on this address (empty = off)")
+		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /healthz, /readyz, pprof and the /debug/ views on this address (empty = off)")
 		traceSz  = flag.Int("trace-events", 0, "causal-tracing flight recorder size in events (0 = off); exposed on /debug/events and the admin TRACE command")
 		costs    = flag.Bool("costs", false, "attribute protocol costs per message kind, node, cell, query and object; exposed on /debug/costs and the admin COSTS command")
 		streamOn = flag.Bool("stream", false, "publish live result streams: SSE with snapshot-then-delta on /debug/stream (needs -metrics-addr) and the admin SUB command")
@@ -103,12 +77,8 @@ func main() {
 	obs.SetContentionProfiling(*mutexPF, *blockPR)
 
 	var rec *trace.Recorder
-	var lat *obs.LatencyView
 	if *traceSz > 0 {
 		rec = trace.NewRecorder(*traceSz)
-		// The per-stage pipeline latency view over the recorder: shared
-		// between /debug/latency on the metrics mux and the admin LAT command.
-		lat = obs.NewLatencyView(rec)
 	}
 	var acct *cost.Accountant
 	if *costs {
@@ -128,33 +98,21 @@ func main() {
 	if *histSz > 0 {
 		hist = history.NewStore(*histSz)
 	}
-	reg := obs.NewRegistry()
+	var reg *obs.Registry
+	if *role != "worker" || *metrics != "" || rec != nil || acct != nil {
+		// A worker needs a registry only when some observability is on: even
+		// without a local HTTP endpoint, its collector ships series to the
+		// router.
+		reg = obs.NewRegistry()
+	}
 	gw.Instrument(reg)
 	// The router role runs the cluster telemetry plane: workers push metric,
 	// cost and trace deltas over the wire tier; the plane re-exports them
 	// under node="N" labels, stitches the trace timeline, and watches the
-	// cluster invariants (DESIGN.md §14). /debug/cluster and /readyz on the
-	// metrics mux, HEALTH on the admin port.
+	// cluster invariants (DESIGN.md §14) — the cluster view and /readyz.
 	var plane *telemetry.Plane
 	if *role == "router" {
 		plane = telemetry.New(telemetry.Config{Metrics: reg, Trace: rec, Costs: acct})
-	}
-	if *metrics != "" {
-		ms, err := obs.ListenAndServeWith(*metrics, reg, rec, func(mux *http.ServeMux) {
-			cost.Attach(mux, acct)
-			telemetry.Attach(mux, plane)
-			obs.AttachLatency(mux, lat)
-			stream.Attach(mux, gw)
-			history.Attach(mux, hist)
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer ms.Close()
-		if plane != nil {
-			ms.SetReady(plane.Ready)
-		}
-		fmt.Printf("mobieyes-server: metrics on http://%v/metrics\n", ms.Addr())
 	}
 
 	opts := core.Options{DeadReckoningThreshold: 0.01, Grouping: *grouping}
@@ -173,6 +131,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		if *metrics != "" {
+			ms := startMetrics(*metrics, reg, obs.EventsView(rec), acct.View())
+			defer ms.Close()
+		}
 		fmt.Printf("mobieyes-server: cluster worker on %v, UoD %.0f×%.0f mi, alpha %.1f, %v\n",
 			ln.Addr(), side, side, *alpha, opts.Mode)
 		if err := w.Serve(ln); err != nil {
@@ -190,13 +152,12 @@ func main() {
 		ClusterNodes: *nodes,
 		Metrics:      reg,
 		Trace:        rec,
-		Latency:      lat,
 		Costs:        acct,
 		Stream:       tap,
 		History:      hist,
 	}
 	switch *role {
-	case "", "worker":
+	case "":
 	case "router":
 		addrs := strings.Split(*workers, ",")
 		if *workers == "" || len(addrs) == 0 {
@@ -238,6 +199,15 @@ func main() {
 		srv.SetTelemetry(plane)
 	}
 
+	if *metrics != "" {
+		ms := startMetrics(*metrics, reg, srv.Views()...)
+		defer ms.Close()
+		ms.Handle("/debug/stream", gw)
+		if plane != nil {
+			ms.SetReady(plane.Ready)
+		}
+	}
+
 	adminSrv, err := remote.ServeAdmin(*admin, srv)
 	if err != nil {
 		fatal(err)
@@ -251,6 +221,16 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down")
+}
+
+// startMetrics serves reg and views on addr (see obs.ListenAndServe).
+func startMetrics(addr string, reg *obs.Registry, views ...obs.View) *obs.HTTPServer {
+	ms, err := obs.ListenAndServe(addr, reg, views...)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("mobieyes-server: metrics on http://%v/metrics\n", ms.Addr())
+	return ms
 }
 
 func fatal(err error) {

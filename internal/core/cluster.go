@@ -1048,19 +1048,6 @@ func (cs *ClusterServer) Ops() int64 {
 // focal handoffs (admin rebalancing moves are not counted).
 func (cs *ClusterServer) Migrations() int64 { return cs.migrations.Value() }
 
-// OpsByNode returns each node's cumulative operation count, indexed by node.
-func (cs *ClusterServer) OpsByNode() []int64 {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	out := make([]int64, len(cs.nodes))
-	for i, nd := range cs.nodes {
-		if cs.live[i] {
-			out[i] = nd.Ops()
-		}
-	}
-	return out
-}
-
 // UplinksByNode returns the number of uplink messages dispatched to each
 // node, indexed by node.
 func (cs *ClusterServer) UplinksByNode() []int64 {

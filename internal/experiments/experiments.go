@@ -52,8 +52,8 @@ type RunOpts struct {
 	// obs.ListenAndServe to watch a long sweep live over /metrics.
 	Metrics *obs.Registry
 	// Trace, when non-nil, attaches this causal flight recorder to every
-	// engine (see sim.Config.Trace) — useful with obs.ListenAndServeTraced
-	// to inspect /debug/events while a sweep runs.
+	// engine (see sim.Config.Trace) — useful with obs.ListenAndServe and
+	// obs.EventsView to inspect /debug/events while a sweep runs.
 	Trace *trace.Recorder
 }
 

@@ -247,7 +247,7 @@ func TestHTTPEndpoint(t *testing.T) {
 	s.AppendResult(0.5, 1, 1, 9, true)
 
 	mux := http.NewServeMux()
-	Attach(mux, s)
+	mux.Handle("/debug/history", s.View())
 	get := func(url string) *httptest.ResponseRecorder {
 		rw := httptest.NewRecorder()
 		mux.ServeHTTP(rw, httptest.NewRequest("GET", url, nil))
@@ -282,7 +282,7 @@ func TestHTTPEndpoint(t *testing.T) {
 
 	// A nil store answers 404 so probes can tell "disabled" from "empty".
 	mux2 := http.NewServeMux()
-	Attach(mux2, nil)
+	mux2.Handle("/debug/history", (*Store)(nil).View())
 	rw2 := httptest.NewRecorder()
 	mux2.ServeHTTP(rw2, httptest.NewRequest("GET", "/debug/history", nil))
 	if rw2.Code != http.StatusNotFound {

@@ -12,7 +12,7 @@ import (
 
 func newTestMux(a *Accountant) *http.ServeMux {
 	mux := http.NewServeMux()
-	Attach(mux, a)
+	mux.Handle("/debug/costs", a.View())
 	return mux
 }
 

@@ -262,7 +262,7 @@ func (a *Accountant) ObjectSnap(oid int64) (TallySnap, bool) {
 // WriteText renders the snapshot as a human-readable report: the global
 // per-kind traffic table, compute units, node attribution, the busiest
 // base stations by downlink bytes, and the quality section.
-func (s Snapshot) WriteText(w io.Writer) {
+func (s Snapshot) WriteText(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
 	if s.Mode != "" {
 		fmt.Fprintf(tw, "mode\t%s\n", s.Mode)
@@ -314,5 +314,5 @@ func (s Snapshot) WriteText(w io.Writer) {
 			}
 		}
 	}
-	tw.Flush()
+	return tw.Flush()
 }

@@ -8,21 +8,21 @@ import (
 	"net/http/pprof"
 	"sync/atomic"
 	"time"
-
-	"mobieyes/internal/obs/trace"
 )
 
-// NewMux returns an http.ServeMux exposing the registry and the stdlib
-// profiling endpoints:
+// NewMux returns an http.ServeMux exposing the registry, the stdlib
+// profiling endpoints and views:
 //
 //	/metrics       Prometheus text exposition format
 //	/debug/vars    flat JSON snapshot (expvar-style), histograms with p50/p90/p99
 //	/healthz       "ok" (liveness)
 //	/debug/pprof/  the full net/http/pprof suite (profile, heap, trace, …)
+//	/debug/        the index of views (WriteIndex)
+//	View.Path      each view, served by View.ServeHTTP
 //
 // Mount it on a dedicated listener (see ListenAndServe) so profiling and
 // scraping never contend with the protocol's own ports.
-func NewMux(r *Registry) *http.ServeMux {
+func NewMux(r *Registry, views ...View) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -42,12 +42,21 @@ func NewMux(r *Registry) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/debug/{$}", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		WriteIndex(w, views, false)
+		io.WriteString(w, "Also /metrics, /debug/vars, /healthz, /readyz, /debug/pprof/, and /debug/stream (SSE) where mounted.\n")
+	})
+	for _, v := range views {
+		mux.Handle(v.Path, v)
+	}
 	return mux
 }
 
 // HTTPServer is a metrics/pprof endpoint bound to its own listener.
 type HTTPServer struct {
 	ln    net.Listener
+	mux   *http.ServeMux
 	srv   *http.Server
 	ready atomic.Pointer[func() (string, bool)]
 }
@@ -69,33 +78,16 @@ func (h *HTTPServer) SetReady(fn func() (string, bool)) {
 }
 
 // ListenAndServe starts serving the registry (plus runtime gauges and
-// pprof) on addr — ":0" picks a free port, see Addr. The server runs until
-// Close.
-func ListenAndServe(addr string, r *Registry) (*HTTPServer, error) {
-	return ListenAndServeTraced(addr, r, nil)
-}
-
-// ListenAndServeTraced is ListenAndServe plus the /debug/events flight-
-// recorder endpoint backed by rec (see AttachEvents). A nil rec serves 404
-// on /debug/events, so callers can pass their recorder unconditionally.
-func ListenAndServeTraced(addr string, r *Registry, rec *trace.Recorder) (*HTTPServer, error) {
-	return ListenAndServeWith(addr, r, rec, nil)
-}
-
-// ListenAndServeWith is ListenAndServeTraced with a hook: attach (if
-// non-nil) runs against the mux before the listener starts serving, so
-// callers can mount extra debug endpoints — e.g. cost.Attach for
-// /debug/costs — without this package importing theirs.
-func ListenAndServeWith(addr string, r *Registry, rec *trace.Recorder, attach func(*http.ServeMux)) (*HTTPServer, error) {
+// pprof) and views (see NewMux) on addr — ":0" picks a free port, see Addr.
+// The server runs until Close.
+func ListenAndServe(addr string, r *Registry, views ...View) (*HTTPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	RegisterRuntime(r)
-	mux := NewMux(r)
-	AttachEvents(mux, rec)
-	h := &HTTPServer{ln: ln}
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+	h := &HTTPServer{ln: ln, mux: NewMux(r, views...)}
+	h.mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
 		status, ok := "ok", true
 		if fn := h.ready.Load(); fn != nil {
 			status, ok = (*fn)()
@@ -105,16 +97,17 @@ func ListenAndServeWith(addr string, r *Registry, rec *trace.Recorder, attach fu
 		}
 		io.WriteString(w, status+"\n")
 	})
-	if attach != nil {
-		attach(mux)
-	}
 	h.srv = &http.Server{
-		Handler:           mux,
+		Handler:           h.mux,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	go h.srv.Serve(ln)
 	return h, nil
 }
+
+// Handle mounts one more handler, e.g. the SSE stream gateway, on the
+// endpoint. Safe while serving.
+func (h *HTTPServer) Handle(pattern string, handler http.Handler) { h.mux.Handle(pattern, handler) }
 
 // Addr returns the bound address.
 func (h *HTTPServer) Addr() net.Addr { return h.ln.Addr() }

@@ -139,7 +139,7 @@ func eventsFixture() *trace.Recorder {
 func TestDebugEventsEndpoint(t *testing.T) {
 	rec := eventsFixture()
 	mux := http.NewServeMux()
-	AttachEvents(mux, rec)
+	mux.Handle("/debug/events", EventsView(rec))
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
@@ -195,7 +195,7 @@ func TestDebugEventsEndpoint(t *testing.T) {
 // "tracing off" from "no events recorded yet".
 func TestDebugEventsDisabled(t *testing.T) {
 	mux := http.NewServeMux()
-	AttachEvents(mux, nil)
+	mux.Handle("/debug/events", EventsView(nil))
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	if code, _, _ := httpGet(t, ts, "/debug/events"); code != http.StatusNotFound {
@@ -203,12 +203,12 @@ func TestDebugEventsDisabled(t *testing.T) {
 	}
 }
 
-// TestListenAndServeTraced: the standalone endpoint wires the recorder in
+// TestListenAndServeTraced: the standalone endpoint mounts the events view
 // and still serves runtime gauges on /metrics.
 func TestListenAndServeTraced(t *testing.T) {
 	r := NewRegistry()
 	rec := eventsFixture()
-	h, err := ListenAndServeTraced("127.0.0.1:0", r, rec)
+	h, err := ListenAndServe("127.0.0.1:0", r, EventsView(rec))
 	if err != nil {
 		t.Fatal(err)
 	}

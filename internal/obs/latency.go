@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"sync"
 
 	"mobieyes/internal/obs/trace"
@@ -195,53 +193,34 @@ func fmtDur(sec float64) string {
 	}
 }
 
-// WriteText writes the summary as an aligned human-readable table — the
-// admin LAT command's payload.
-func (lv *LatencyView) WriteText(w io.Writer) error {
-	snap := lv.Snapshot()
-	var err error
-	pr := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	pr("traces %d  partial %d  orphans %d\n", snap.Traces, snap.Partial, snap.Orphans)
-	pr("%-9s %8s %10s %10s %10s %10s %10s %10s\n",
+// WriteText writes the summary as an aligned human-readable table.
+func (snap LatencySnap) WriteText(w io.Writer) error {
+	p := TextWriter{W: w}
+	p.Printf("traces %d  partial %d  orphans %d\n", snap.Traces, snap.Partial, snap.Orphans)
+	p.Printf("%-9s %8s %10s %10s %10s %10s %10s %10s\n",
 		"stage", "count", "mean", "p50", "p90", "p99", "p99.9", "max")
 	row := func(s StageSnap) {
-		pr("%-9s %8d %10s %10s %10s %10s %10s %10s\n", s.Stage, s.Count,
+		p.Printf("%-9s %8d %10s %10s %10s %10s %10s %10s\n", s.Stage, s.Count,
 			fmtDur(s.Mean), fmtDur(s.P50), fmtDur(s.P90), fmtDur(s.P99), fmtDur(s.P999), fmtDur(s.Max))
 	}
 	for _, s := range snap.Stages {
 		row(s)
 	}
 	row(snap.E2E)
-	return err
+	return p.Err
 }
 
-// AttachLatency mounts the pipeline-latency endpoint on mux:
-//
-//	/debug/latency    per-stage and end-to-end latency quantiles derived
-//	                  from the flight recorder's causal chains
-//
-// ?format=json returns the LatencySnap as JSON; the default is the LAT
-// command's text table. Every request folds newly recorded traces in first.
-// When lv is nil (tracing disabled) the endpoint answers 404, mirroring
-// /debug/events.
-func AttachLatency(mux *http.ServeMux, lv *LatencyView) {
-	mux.HandleFunc("/debug/latency", func(w http.ResponseWriter, req *http.Request) {
-		if lv == nil {
-			http.Error(w, "tracing disabled", http.StatusNotFound)
-			return
-		}
-		if req.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(lv.Snapshot())
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		lv.WriteText(w)
-	})
+// View is the stage-latency view (/debug/latency, admin LAT): every request
+// folds newly recorded traces in first. A nil lv is disabled.
+func (lv *LatencyView) View() View {
+	return View{
+		Name: "latency", Path: "/debug/latency", Word: "LAT",
+		Doc: "per-stage and end-to-end latency of traced uplinks (needs -trace-events)",
+		Get: func(Args) (Body, error) {
+			if lv == nil {
+				return nil, Disabled("tracing")
+			}
+			return lv.Snapshot(), nil
+		},
+	}
 }

@@ -62,7 +62,7 @@ func TestLatencyViewPartialAndNil(t *testing.T) {
 	if s := nilLV.Snapshot(); s.Traces != 0 {
 		t.Fatal("nil view reported traces")
 	}
-	if err := NewLatencyView(nil).WriteText(&strings.Builder{}); err != nil {
+	if err := NewLatencyView(nil).Snapshot().WriteText(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,7 +96,7 @@ func TestAttachLatencyHTTP(t *testing.T) {
 	lv := NewLatencyView(rec)
 	recordChain(rec)
 	mux := http.NewServeMux()
-	AttachLatency(mux, lv)
+	mux.Handle("/debug/latency", lv.View())
 
 	rr := httptest.NewRecorder()
 	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/latency", nil))
@@ -121,7 +121,7 @@ func TestAttachLatencyHTTP(t *testing.T) {
 	}
 
 	mux = http.NewServeMux()
-	AttachLatency(mux, nil)
+	mux.Handle("/debug/latency", (*LatencyView)(nil).View())
 	rr = httptest.NewRecorder()
 	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/latency", nil))
 	if rr.Code != http.StatusNotFound {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"mobieyes/internal/obs"
@@ -48,14 +47,6 @@ func NewGateway(tap *Tap) *Gateway {
 	return &Gateway{tap: tap, BufCap: 1024, WriteTimeout: 5 * time.Second, Heartbeat: 15 * time.Second}
 }
 
-// Tap returns the gateway's tap.
-func (g *Gateway) Tap() *Tap {
-	if g == nil {
-		return nil
-	}
-	return g.tap
-}
-
 // SetCostHook installs the encode-boundary charging hook (e.g.
 // cost.Accountant.GatewayEgress): it is called with the exact SSE bytes of
 // every write. Call before traffic; nil disables.
@@ -84,41 +75,26 @@ func (g *Gateway) Instrument(reg *obs.Registry) {
 		"SSE bytes written to stream subscribers.", &g.bytesOut)
 }
 
-// Attach mounts the gateway on mux at /debug/stream. A nil gateway answers
-// 404 (streaming disabled).
-func Attach(mux *http.ServeMux, g *Gateway) {
-	mux.HandleFunc("/debug/stream", func(w http.ResponseWriter, req *http.Request) {
-		if g == nil || g.tap == nil {
-			http.Error(w, "streaming disabled", http.StatusNotFound)
-			return
-		}
-		g.serve(w, req)
-	})
-}
-
-func (g *Gateway) serve(w http.ResponseWriter, req *http.Request) {
-	qid := Firehose
-	if v := req.URL.Query().Get("qid"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			http.Error(w, "bad qid parameter", http.StatusBadRequest)
-			return
-		}
-		qid = n
+// ServeHTTP serves one SSE subscription; mount it at /debug/stream. Its
+// qid and buf filters follow the debug views' rules (obs.ParseQuery). A nil
+// gateway answers 404 (streaming disabled).
+func (g *Gateway) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	if g == nil || g.tap == nil {
+		http.Error(w, "streaming disabled", http.StatusNotFound)
+		return
 	}
-	bufCap := g.BufCap
+	args, err := obs.ParseQuery(req.URL.Query(), []string{"qid", "buf"})
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	qid, _ := args.Int("qid") // absent: 0, the firehose
+	bufCap := int64(g.BufCap)
 	if bufCap <= 0 {
 		bufCap = 1024
 	}
-	if v := req.URL.Query().Get("buf"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			http.Error(w, "bad buf parameter", http.StatusBadRequest)
-			return
-		}
-		if n < bufCap {
-			bufCap = n
-		}
+	if n, ok := args.Int("buf"); ok && n < bufCap {
+		bufCap = n
 	}
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -166,7 +142,7 @@ func (g *Gateway) serve(w http.ResponseWriter, req *http.Request) {
 		return rc.Flush()
 	}
 
-	sub, snap := g.tap.Subscribe(qid, bufCap)
+	sub, snap := g.tap.Subscribe(qid, int(bufCap))
 	defer sub.Close()
 
 	for _, e := range snap {

@@ -54,7 +54,7 @@ func readSSE(r *bufio.Reader, fn func(sseEvent) bool) error {
 func newSSEServer(t *testing.T, g *stream.Gateway) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
-	stream.Attach(mux, g)
+	mux.Handle("/debug/stream", g)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
@@ -299,7 +299,7 @@ func TestGatewayCostBoundary(t *testing.T) {
 	req := httptest.NewRequest("GET", "/debug/stream", nil).WithContext(ctx)
 	rw := httptest.NewRecorder()
 	mux := http.NewServeMux()
-	stream.Attach(mux, g)
+	mux.Handle("/debug/stream", g)
 	done := make(chan struct{})
 	go func() {
 		mux.ServeHTTP(rw, req)
@@ -321,7 +321,7 @@ func TestGatewayCostBoundary(t *testing.T) {
 // TestGatewayDisabled pins the nil-gateway 404.
 func TestGatewayDisabled(t *testing.T) {
 	mux := http.NewServeMux()
-	stream.Attach(mux, nil)
+	mux.Handle("/debug/stream", (*stream.Gateway)(nil))
 	rw := httptest.NewRecorder()
 	mux.ServeHTTP(rw, httptest.NewRequest("GET", "/debug/stream", nil))
 	if rw.Code != http.StatusNotFound {

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"sync"
@@ -631,8 +630,7 @@ type Snapshot struct {
 	Nodes      []NodeSnapshot `json:"nodes"`
 }
 
-// Snapshot returns the plane's current state for the /debug/cluster
-// endpoint and the admin HEALTH command.
+// Snapshot returns the plane's current state: the cluster view's body.
 func (p *Plane) Snapshot() Snapshot {
 	if p == nil {
 		return Snapshot{Health: HealthOK}
@@ -688,30 +686,4 @@ func (p *Plane) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// WriteHealth writes the admin HEALTH view: one status line, then one line
-// per node, then any active alerts.
-func (p *Plane) WriteHealth(w io.Writer) {
-	s := p.Snapshot()
-	fmt.Fprintf(w, "health %s epoch %d rounds %d handoffs %d recoveries %d\n",
-		s.Health, s.Epoch, s.Rounds, s.Handoffs, s.Recoveries)
-	for _, n := range s.Nodes {
-		state := "live"
-		if !n.Live {
-			state = "dead"
-		}
-		if n.Recovering {
-			state = "recovering"
-		}
-		fmt.Fprintf(w, "node %d %s cells [%d,%d) epoch %d ops %d batches %d events %d age %.1fs rtt %.2fms",
-			n.Node, state, n.Lo, n.Hi, n.Epoch, n.Ops, n.Batches, n.Events, n.AgeSeconds, n.RTTMillis)
-		if n.ProbeError != "" {
-			fmt.Fprintf(w, " fault %q", n.ProbeError)
-		}
-		fmt.Fprintln(w)
-	}
-	for _, a := range s.Alerts {
-		fmt.Fprintln(w, a.String())
-	}
 }

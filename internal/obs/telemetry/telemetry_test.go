@@ -552,9 +552,9 @@ func TestWatchdogRecoveryDegrades(t *testing.T) {
 		t.Errorf("snapshot does not mark node 1 recovering: %+v", snap.Nodes)
 	}
 	var sb strings.Builder
-	p.WriteHealth(&sb)
+	p.Snapshot().WriteText(&sb)
 	if !strings.Contains(sb.String(), "node 1 recovering") {
-		t.Errorf("WriteHealth missing recovering state: %q", sb.String())
+		t.Errorf("health text missing recovering state: %q", sb.String())
 	}
 
 	// The post-fence round: node 1 has left the live set, its span folded
@@ -638,17 +638,17 @@ func TestSnapshotAndHTTP(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	p.WriteHealth(&sb)
+	p.Snapshot().WriteText(&sb)
 	out := sb.String()
 	if !strings.HasPrefix(out, "health ok epoch 2") {
-		t.Errorf("WriteHealth header: %q", out)
+		t.Errorf("health text header: %q", out)
 	}
 	if !strings.Contains(out, "node 0 live cells [0,50)") {
-		t.Errorf("WriteHealth missing node line: %q", out)
+		t.Errorf("health text missing node line: %q", out)
 	}
 
 	mux := http.NewServeMux()
-	Attach(mux, p)
+	mux.Handle("/debug/cluster", p.View())
 	rr := httptest.NewRecorder()
 	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/cluster?format=json", nil))
 	if rr.Code != http.StatusOK {
@@ -670,7 +670,7 @@ func TestSnapshotAndHTTP(t *testing.T) {
 
 	// A nil plane serves 404, like the other optional debug endpoints.
 	mux2 := http.NewServeMux()
-	Attach(mux2, nil)
+	mux2.Handle("/debug/cluster", (*Plane)(nil).View())
 	rr = httptest.NewRecorder()
 	mux2.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/cluster", nil))
 	if rr.Code != http.StatusNotFound {

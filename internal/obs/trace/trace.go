@@ -308,8 +308,11 @@ func (r *Recorder) Causal(oid, qid int64) []Event {
 }
 
 // Format writes events one per line.
-func Format(w io.Writer, evs []Event) {
+func Format(w io.Writer, evs []Event) error {
 	for _, e := range evs {
-		fmt.Fprintln(w, e.String())
+		if _, err := fmt.Fprintln(w, e.String()); err != nil {
+			return err
+		}
 	}
+	return nil
 }

@@ -9,66 +9,15 @@ import (
 	"strings"
 	"sync"
 
-	"mobieyes/internal/core"
-	"mobieyes/internal/history"
 	"mobieyes/internal/model"
-	"mobieyes/internal/obs/cost"
-	"mobieyes/internal/obs/trace"
+	"mobieyes/internal/obs"
 )
 
 // AdminServer exposes a line-based text interface for managing a running
-// Server — the operational surface of a deployment, usable with netcat:
-//
-//	install <focalOID> <radius> <permille>   → "qid <id>"
-//	remove <qid>                             → "ok"
-//	result <qid>                             → "result <id> <oid…>"
-//	conns                                    → "conns <n>"
-//	nodes                                    → the router's span epoch and
-//	                                           per-node cell spans and table
-//	                                           sizes (-shards and cluster
-//	                                           backends alike), "." terminated
-//	                                           ("err not clustered" only for a
-//	                                           custom non-router Backend)
-//	stats                                    → "stats <up> <down> <upB> <downB>"
-//	STATS                                    → full metric registry in Prometheus
-//	                                           text format, terminated by a "." line
-//	TRACE [n | oid <id> | qid <id> | trace <id>]
-//	                                         → flight-recorder event dump (most
-//	                                           recent n, default 40; or the causal
-//	                                           timeline of an object / query; or
-//	                                           one trace chain), "." terminated
-//	LAT                                      → per-stage pipeline latency table
-//	                                           (dispatch/table/fanout/deliver +
-//	                                           end-to-end quantiles derived from
-//	                                           the flight recorder), "." terminated
-//	                                           ("err tracing disabled" without
-//	                                           -trace-events)
-//	COSTS [qid <id> | oid <id>]              → cost-ledger report (global traffic
-//	                                           by kind, compute units, node
-//	                                           attribution, quality) or one
-//	                                           entity's tally, "." terminated
-//	HEALTH                                   → cluster telemetry watchdog report:
-//	                                           health line, per-node state, and
-//	                                           active alerts, "." terminated
-//	                                           ("err telemetry disabled" without
-//	                                           a telemetry plane)
-//	SUB <qid> [n]                            → live result subscription with
-//	                                           snapshot-then-delta semantics:
-//	                                           one "snapshot" line per query
-//	                                           (qid 0 = every query), then up
-//	                                           to n (default 10) "event" delta
-//	                                           lines as they happen, "."
-//	                                           terminated ("err streaming
-//	                                           disabled" without a stream tap;
-//	                                           "err evicted" if this session
-//	                                           falls behind the event rate)
-//	HIST [qid <id> | oid <id>]               → history-store summary, or a
-//	                                           query's replay timeline /
-//	                                           an object's position samples,
-//	                                           "." terminated ("err history
-//	                                           disabled" without a store)
-//	snapshot <path>                          → "ok" (writes a state snapshot)
-//	quit                                     → closes the session
+// Server — the operational surface of a deployment, usable with netcat. One
+// command per line; `help` lists them all: adminCommands, then the server's
+// debug views (Server.Views), which answer by their Word with the same text
+// as their /debug/ URL plus a "." line. Errors are one "err …" line.
 type AdminServer struct {
 	ln   net.Listener
 	srv  *Server
@@ -89,7 +38,16 @@ func ServeAdmin(addr string, srv *Server) (*AdminServer, error) {
 	a := &AdminServer{ln: ln, srv: srv, done: make(chan struct{}),
 		sessions: make(map[net.Conn]struct{})}
 	a.wg.Add(1)
-	go a.acceptLoop()
+	go func() {
+		defer a.wg.Done()
+		acceptLoop(ln, a.done, func(conn net.Conn) {
+			a.wg.Add(1)
+			go func() {
+				defer a.wg.Done()
+				a.serveSession(conn)
+			}()
+		})
+	}()
 	return a, nil
 }
 
@@ -108,26 +66,6 @@ func (a *AdminServer) Close() {
 		a.mu.Unlock()
 	})
 	a.wg.Wait()
-}
-
-func (a *AdminServer) acceptLoop() {
-	defer a.wg.Done()
-	for {
-		conn, err := a.ln.Accept()
-		if err != nil {
-			select {
-			case <-a.done:
-				return
-			default:
-				continue
-			}
-		}
-		a.wg.Add(1)
-		go func() {
-			defer a.wg.Done()
-			a.serveSession(conn)
-		}()
-	}
 }
 
 func (a *AdminServer) serveSession(conn net.Conn) {
@@ -153,10 +91,32 @@ func (a *AdminServer) serveSession(conn net.Conn) {
 	}
 }
 
+// adminCommands are the admin port's own commands, usage → doc; help lists
+// them before the debug views.
+var adminCommands = [][2]string{
+	{"install <focalOID> <radius> <permille>", "install a circular query → qid <id>"},
+	{"remove <qid>", "remove a query → ok"},
+	{"result <qid>", "a query's result → result <id> <oid…>"},
+	{"conns", "connected objects → conns <n>"},
+	{"stats", "traffic totals → stats <up> <down> <upB> <downB>"},
+	{"STATS", "the metric registry in Prometheus text format"},
+	{"SUB <qid> [n N]", "snapshot, then n (default 10) live result deltas; qid 0 = all (needs -stream)"},
+	{"snapshot <path>", "write a state snapshot → ok"},
+	{"help", "this list"},
+	{"quit", "close the session"},
+}
+
 // handleCommand executes one admin command; false ends the session.
 func (a *AdminServer) handleCommand(conn net.Conn, fields []string) bool {
 	if len(fields) == 0 {
 		return true
+	}
+	views := a.srv.Views()
+	for _, v := range views {
+		if v.Word == fields[0] {
+			v.ServeWords(conn, fields[1:])
+			return true
+		}
 	}
 	switch fields[0] {
 	case "install":
@@ -196,58 +156,14 @@ func (a *AdminServer) handleCommand(conn net.Conn, fields []string) bool {
 		fmt.Fprintln(conn)
 	case "conns":
 		fmt.Fprintf(conn, "conns %d\n", a.srv.NumConnected())
-	case "nodes":
-		cs, ok := a.srv.backend.(*core.ClusterServer)
-		if !ok {
-			fmt.Fprintln(conn, "err not clustered")
-			return true
-		}
-		fmt.Fprintf(conn, "epoch %d\n", cs.Epoch())
-		for _, sp := range cs.Spans() {
-			state := "live"
-			if !sp.Live {
-				state = "dead"
-			}
-			fmt.Fprintf(conn, "node %d %s cells [%d,%d) focals %d queries %d",
-				sp.Node, state, sp.Lo, sp.Hi, sp.Focals, sp.Queries)
-			if sp.Fault != "" {
-				// Unreachable node: its counts above are zeros because the
-				// transport is dead, not because its tables are empty.
-				fmt.Fprintf(conn, " fault %q", sp.Fault)
-			}
-			fmt.Fprintln(conn)
-		}
-		fmt.Fprintln(conn, ".")
 	case "stats":
 		up, down, upB, downB, _ := a.srv.Stats()
 		fmt.Fprintf(conn, "stats %d %d %d %d\n", up, down, upB, downB)
 	case "STATS":
 		a.srv.Metrics().WritePrometheus(conn)
 		fmt.Fprintln(conn, ".")
-	case "TRACE":
-		a.handleTrace(conn, fields[1:])
-	case "LAT":
-		lv := a.srv.Latency()
-		if lv == nil {
-			fmt.Fprintln(conn, "err tracing disabled")
-			return true
-		}
-		lv.WriteText(conn)
-		fmt.Fprintln(conn, ".")
-	case "COSTS":
-		a.handleCosts(conn, fields[1:])
 	case "SUB":
 		a.handleSub(conn, fields[1:])
-	case "HIST":
-		a.handleHist(conn, fields[1:])
-	case "HEALTH":
-		p := a.srv.Telemetry()
-		if p == nil {
-			fmt.Fprintln(conn, "err telemetry disabled")
-			return true
-		}
-		p.WriteHealth(conn)
-		fmt.Fprintln(conn, ".")
 	case "snapshot":
 		if len(fields) != 2 {
 			fmt.Fprintln(conn, "err usage: snapshot <path>")
@@ -258,6 +174,12 @@ func (a *AdminServer) handleCommand(conn net.Conn, fields []string) bool {
 			return true
 		}
 		fmt.Fprintln(conn, "ok")
+	case "help":
+		for _, c := range adminCommands {
+			fmt.Fprintf(conn, "%-40s %s\n", c[0], c[1])
+		}
+		obs.WriteIndex(conn, views, true)
+		fmt.Fprintln(conn, ".")
 	case "quit":
 		return false
 	default:
@@ -279,93 +201,6 @@ func parseQID(conn net.Conn, fields []string) (model.QueryID, bool) {
 	return model.QueryID(qid), true
 }
 
-// handleTrace serves the TRACE command: a human-readable dump of the flight
-// recorder, terminated by a "." line so scripted clients know where it ends.
-func (a *AdminServer) handleTrace(conn net.Conn, args []string) {
-	rec := a.srv.Tracer()
-	if rec == nil {
-		fmt.Fprintln(conn, "err tracing disabled")
-		return
-	}
-	var evs []trace.Event
-	switch {
-	case len(args) == 0:
-		evs = rec.Events(trace.Filter{Limit: 40})
-	case len(args) == 1:
-		n, err := strconv.Atoi(args[0])
-		if err != nil || n <= 0 {
-			fmt.Fprintln(conn, "err usage: TRACE [n | oid <id> | qid <id> | trace <id>]")
-			return
-		}
-		evs = rec.Events(trace.Filter{Limit: n})
-	case len(args) == 2:
-		n, err := strconv.ParseUint(args[1], 10, 64)
-		if err != nil {
-			fmt.Fprintln(conn, "err bad id")
-			return
-		}
-		switch args[0] {
-		case "oid":
-			evs = rec.Causal(int64(n), 0)
-		case "qid":
-			evs = rec.Causal(0, int64(n))
-		case "trace":
-			evs = rec.Events(trace.Filter{Trace: trace.ID(n)})
-		default:
-			fmt.Fprintln(conn, "err usage: TRACE [n | oid <id> | qid <id> | trace <id>]")
-			return
-		}
-	default:
-		fmt.Fprintln(conn, "err usage: TRACE [n | oid <id> | qid <id> | trace <id>]")
-		return
-	}
-	trace.Format(conn, evs)
-	fmt.Fprintln(conn, ".")
-}
-
-// handleCosts serves the COSTS command: the full cost-ledger report, or one
-// query's/object's tally, "." terminated like STATS and TRACE.
-func (a *AdminServer) handleCosts(conn net.Conn, args []string) {
-	acct := a.srv.Costs()
-	if acct == nil {
-		fmt.Fprintln(conn, "err accounting disabled")
-		return
-	}
-	switch {
-	case len(args) == 0:
-		acct.Snapshot().WriteText(conn)
-	case len(args) == 2:
-		id, err := strconv.ParseInt(args[1], 10, 64)
-		if err != nil {
-			fmt.Fprintln(conn, "err bad id")
-			return
-		}
-		var (
-			t  cost.TallySnap
-			ok bool
-		)
-		switch args[0] {
-		case "qid":
-			t, ok = acct.QuerySnap(id)
-		case "oid":
-			t, ok = acct.ObjectSnap(id)
-		default:
-			fmt.Fprintln(conn, "err usage: COSTS [qid <id> | oid <id>]")
-			return
-		}
-		if !ok {
-			fmt.Fprintln(conn, "err no traffic recorded")
-			return
-		}
-		fmt.Fprintf(conn, "%s %d up %d msgs / %d B down %d msgs / %d B\n",
-			args[0], t.ID, t.UpMsgs, t.UpBytes, t.DownMsgs, t.DownBytes)
-	default:
-		fmt.Fprintln(conn, "err usage: COSTS [qid <id> | oid <id>]")
-		return
-	}
-	fmt.Fprintln(conn, ".")
-}
-
 // handleSub serves the SUB command: a snapshot of the subscribed query (or
 // all queries for qid 0), then up to n live delta events, "." terminated —
 // the admin-plane twin of the SSE gateway, with the same bounded-buffer
@@ -376,22 +211,16 @@ func (a *AdminServer) handleSub(conn net.Conn, args []string) {
 		fmt.Fprintln(conn, "err streaming disabled")
 		return
 	}
-	if len(args) < 1 || len(args) > 2 {
-		fmt.Fprintln(conn, "err usage: SUB <qid> [n]")
+	// The leading qid is positional; the rest follow the views' filter rules.
+	f, err := obs.ParseWords(append([]string{"qid"}, args...), []string{"qid", "n"})
+	if err != nil {
+		fmt.Fprintf(conn, "err %v\n", err)
 		return
 	}
-	qid, err := strconv.ParseInt(args[0], 10, 64)
-	if err != nil || qid < 0 {
-		fmt.Fprintln(conn, "err bad qid")
-		return
-	}
-	n := 10
-	if len(args) == 2 {
-		n, err = strconv.Atoi(args[1])
-		if err != nil || n < 0 {
-			fmt.Fprintln(conn, "err bad count")
-			return
-		}
+	qid, _ := f.Int("qid")
+	n, ok := f.Int("n")
+	if !ok {
+		n = 10
 	}
 
 	sub, snap := tap.Subscribe(qid, 1024)
@@ -403,7 +232,7 @@ func (a *AdminServer) handleSub(conn net.Conn, args []string) {
 		}
 		fmt.Fprintln(conn)
 	}
-	for seen := 0; seen < n; {
+	for seen := int64(0); seen < n; {
 		select {
 		case <-a.done:
 			return
@@ -428,48 +257,6 @@ func (a *AdminServer) handleSub(conn net.Conn, args []string) {
 			fmt.Fprintln(conn, "err evicted")
 			return
 		}
-	}
-	fmt.Fprintln(conn, ".")
-}
-
-// handleHist serves the HIST command: the history store's summary, one
-// query's replay timeline, or one object's position samples, "."
-// terminated like TRACE and COSTS.
-func (a *AdminServer) handleHist(conn net.Conn, args []string) {
-	st := a.srv.History()
-	if st == nil {
-		fmt.Fprintln(conn, "err history disabled")
-		return
-	}
-	switch {
-	case len(args) == 0:
-		sum := st.Summarize()
-		fmt.Fprintf(conn, "history %d bytes %d records appended %d evicted %d\n",
-			sum.Bytes, sum.Records, sum.Appended, sum.EvictedRecs)
-	case len(args) == 2:
-		id, err := strconv.ParseInt(args[1], 10, 64)
-		if err != nil {
-			fmt.Fprintln(conn, "err bad id")
-			return
-		}
-		switch args[0] {
-		case "qid":
-			history.WriteText(conn, st.Replay(id))
-		case "oid":
-			var recs []history.Record
-			for _, r := range st.All() {
-				if r.Kind == history.KindPos && r.OID == id {
-					recs = append(recs, r)
-				}
-			}
-			history.WriteText(conn, recs)
-		default:
-			fmt.Fprintln(conn, "err usage: HIST [qid <id> | oid <id>]")
-			return
-		}
-	default:
-		fmt.Fprintln(conn, "err usage: HIST [qid <id> | oid <id>]")
-		return
 	}
 	fmt.Fprintln(conn, ".")
 }

@@ -1,8 +1,10 @@
 package remote
 
 import (
+	"io"
 	"time"
 
+	"mobieyes/internal/core"
 	"mobieyes/internal/msg"
 	"mobieyes/internal/obs"
 )
@@ -99,3 +101,61 @@ func (s *Server) instrument() {
 // Metrics returns the server's metric registry — the one given in
 // ServerConfig.Metrics, or the server's own if none was supplied. Never nil.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
+
+// Views returns the server's debug views — events, latency, costs, history,
+// cluster, nodes — served by the admin port and, via obs.ListenAndServe, a
+// metrics endpoint. A view whose backing is off answers disabled.
+func (s *Server) Views() []obs.View {
+	cs, _ := s.backend.(*core.ClusterServer)
+	return []obs.View{
+		obs.EventsView(s.rec),
+		s.lat.View(),
+		s.acct.View(),
+		s.hist.View(),
+		s.Telemetry().View(),
+		nodesView(cs),
+	}
+}
+
+// Nodes is the nodes view's body: the router's span epoch and each node's
+// cell span and table sizes.
+type Nodes struct {
+	Epoch uint64          `json:"epoch"`
+	Nodes []core.NodeSpan `json:"nodes"`
+}
+
+// WriteText writes the epoch line, then one line per node.
+func (n Nodes) WriteText(w io.Writer) error {
+	p := obs.TextWriter{W: w}
+	p.Printf("epoch %d\n", n.Epoch)
+	for _, sp := range n.Nodes {
+		state := "live"
+		if !sp.Live {
+			state = "dead"
+		}
+		p.Printf("node %d %s cells [%d,%d) focals %d queries %d",
+			sp.Node, state, sp.Lo, sp.Hi, sp.Focals, sp.Queries)
+		if sp.Fault != "" {
+			// Unreachable node: its counts above are zeros because the
+			// transport is dead, not because its tables are empty.
+			p.Printf(" fault %q", sp.Fault)
+		}
+		p.Printf("\n")
+	}
+	return p.Err
+}
+
+// nodesView is the router's span view (/debug/nodes, admin nodes); nil cs —
+// a custom non-router Backend — is disabled.
+func nodesView(cs *core.ClusterServer) obs.View {
+	return obs.View{
+		Name: "nodes", Path: "/debug/nodes", Word: "nodes",
+		Doc: "the router's span epoch, per-node cell spans and table sizes",
+		Get: func(obs.Args) (obs.Body, error) {
+			if cs == nil {
+				return nil, obs.Disabled("clustering")
+			}
+			return Nodes{Epoch: cs.Epoch(), Nodes: cs.Spans()}, nil
+		},
+	}
+}

@@ -62,12 +62,6 @@ type ServerConfig struct {
 	// ID back to the object. Nil disables tracing (the default) — the
 	// disabled path costs a single nil check per event site.
 	Trace *trace.Recorder
-	// Latency, when non-nil, is the pipeline-latency view folding Trace's
-	// causal chains into per-stage histograms (obs.LatencyView), shared with
-	// a metrics endpoint's /debug/latency. When nil and Trace is set, the
-	// server creates its own view — either way Latency() returns it and the
-	// admin LAT command reports it. Ignored without Trace.
-	Latency *obs.LatencyView
 	// Costs is the cost accountant the server attributes protocol traffic
 	// and backend work to (see internal/obs/cost and DESIGN.md §12): the
 	// transport charges every protocol frame at the codec boundary with its
@@ -90,7 +84,7 @@ type ServerConfig struct {
 	// through Stream, or through a private tap when Stream is nil) plus
 	// object position samples from uplinks into it, stamped with
 	// wall-clock hours. Appends are charged to Costs' history egress
-	// meter. Exposed via History() and the admin HIST command.
+	// meter. Exposed by the history view (Views).
 	History *history.Store
 	// DisconnectGrace defers the synthesized DepartureReport after an
 	// abrupt disconnect (one without a DepartureReport frame) by this long,
@@ -277,11 +271,9 @@ func newServer(cfg ServerConfig, ln net.Listener) *Server {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	lat := cfg.Latency
-	if lat == nil && cfg.Trace != nil {
+	var lat *obs.LatencyView
+	if cfg.Trace != nil {
 		lat = obs.NewLatencyView(cfg.Trace)
-	}
-	if lat != nil {
 		lat.Instrument(reg)
 	}
 	return &Server{
@@ -302,7 +294,13 @@ func (s *Server) start() {
 	s.instrument()
 	s.wg.Add(2)
 	go s.expiryLoop()
-	go s.acceptLoop()
+	go func() {
+		defer s.wg.Done()
+		acceptLoop(s.ln, s.done, func(conn net.Conn) {
+			s.wg.Add(1)
+			go s.serveConn(conn)
+		})
+	}()
 }
 
 // Addr returns the bound listen address (useful with ":0").
@@ -404,12 +402,8 @@ func (s *Server) QueryIDs() []model.QueryID { return s.backend.QueryIDs() }
 // core.Server.CheckInvariants).
 func (s *Server) CheckInvariants() error { return s.backend.CheckInvariants() }
 
-// Tracer returns the attached flight recorder, or nil when tracing is off.
-func (s *Server) Tracer() *trace.Recorder { return s.rec }
-
 // Latency returns the per-stage latency view over the flight recorder, or
-// nil when tracing is off. It backs the admin LAT command and can be mounted
-// on a metrics mux with obs.AttachLatency.
+// nil when tracing is off.
 func (s *Server) Latency() *obs.LatencyView { return s.lat }
 
 // Result returns a query's current result set.
@@ -436,13 +430,8 @@ func (s *Server) SetResultListener(fn func(core.ResultEvent)) {
 }
 
 // Stream returns the result fan-out tap, or nil when streaming is off. It
-// backs the admin SUB command and can be served as SSE by mounting a
-// stream.Gateway on a metrics mux.
+// backs the admin SUB command and can be served as SSE by a stream.Gateway.
 func (s *Server) Stream() *stream.Tap { return s.tap }
-
-// History returns the append-only replay store, or nil when history is
-// off. It backs the admin HIST command and history.Attach.
-func (s *Server) History() *history.Store { return s.hist }
 
 // Snapshot serializes the server's durable query state (see
 // core.Server.Snapshot) for restart without reinstalling queries.
@@ -519,21 +508,25 @@ func (s *Server) NumConnected() int {
 	return len(s.conns)
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
+// acceptLoop hands every connection ln accepts to serve until done closes.
+// A failed Accept (EMFILE, say) is retried after a pause that starts at
+// 5 ms and doubles up to 1 s, as net/http does, and resets on success — a
+// persistent error must not pin a core.
+func acceptLoop(ln net.Listener, done <-chan struct{}, serve func(net.Conn)) {
+	var pause time.Duration
 	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.done:
-				return
-			default:
-				// Transient accept errors: keep serving.
-				continue
-			}
+		conn, err := ln.Accept()
+		if err == nil {
+			pause = 0
+			serve(conn)
+			continue
 		}
-		s.wg.Add(1)
-		go s.serveConn(conn)
+		pause = min(max(2*pause, 5*time.Millisecond), time.Second)
+		select {
+		case <-done:
+			return
+		case <-time.After(pause):
+		}
 	}
 }
 

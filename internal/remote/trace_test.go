@@ -82,7 +82,7 @@ func TestRemoteTracing(t *testing.T) {
 	if got := a.dump(t, "TRACE"); !strings.Contains(got, "ingress") {
 		t.Errorf("TRACE dump lacks ingress events:\n%s", got)
 	}
-	if got := a.dump(t, fmt.Sprintf("TRACE qid %d", qid)); !strings.Contains(got, "broadcast") {
+	if got := a.dump(t, fmt.Sprintf("TRACE qid %d causal 1", qid)); !strings.Contains(got, "broadcast") {
 		t.Errorf("TRACE qid dump lacks the install broadcast:\n%s", got)
 	}
 	if got := a.dump(t, "TRACE oid 2"); !strings.Contains(got, "oid=2") {

@@ -564,11 +564,6 @@ func (e *Engine) Step() {
 	}
 }
 
-// ResultTap returns the live result tap, or nil when neither Config.Stream
-// nor Config.ResultLog enabled one. Subscribe here for snapshot-then-delta
-// result streams; the tap owns the server's result-listener slot.
-func (e *Engine) ResultTap() *stream.Tap { return e.tap }
-
 // ResultLog returns the history store recording this run, or nil when
 // Config.ResultLog is unset.
 func (e *Engine) ResultLog() *history.Store { return e.hist }
