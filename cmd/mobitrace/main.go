@@ -116,12 +116,14 @@ func replay(args []string) {
 
 	// Replay twice and verify the trajectories are identical — the
 	// determinism check that makes traces trustworthy regression inputs.
-	a, b := workload.NewPlayer(tr), workload.NewPlayer(tr)
-	steps := 0
-	for !a.Done() {
+	a, err := workload.FromTrace(tr)
+	if err != nil {
+		fatal(err)
+	}
+	b, _ := workload.FromTrace(tr) // same trace: err is nil
+	for range tr.Steps {
 		a.Step()
 		b.Step()
-		steps++
 	}
 	for i := range a.Objects {
 		if a.Objects[i].Pos != b.Objects[i].Pos {
@@ -145,7 +147,7 @@ func replay(args []string) {
 			hi.Y = o.Pos.Y
 		}
 	}
-	fmt.Printf("replayed %d steps over %d objects deterministically\n", steps, len(a.Objects))
+	fmt.Printf("replayed %d steps over %d objects deterministically\n", len(tr.Steps), len(a.Objects))
 	fmt.Printf("final positions span [%.1f, %.1f] × [%.1f, %.1f]\n", lo.X, hi.X, lo.Y, hi.Y)
 }
 

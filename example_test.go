@@ -2,11 +2,11 @@ package mobieyes_test
 
 import (
 	"fmt"
-	"time"
 
 	"mobieyes"
 	"mobieyes/internal/geo"
-	"mobieyes/internal/model"
+	"mobieyes/internal/sim"
+	"mobieyes/internal/workload"
 )
 
 // ExampleRun simulates a small MobiEyes deployment and prints whether the
@@ -29,31 +29,38 @@ func ExampleRun() {
 	// exact results: true
 }
 
-// ExampleNewLiveSystem runs a two-object live system and waits for the
-// query result to converge.
-func ExampleNewLiveSystem() {
-	sys := mobieyes.NewLiveSystem(mobieyes.LiveConfig{
-		UoD:          geo.NewRect(0, 0, 50, 50),
-		Alpha:        5,
-		TickInterval: time.Millisecond,
-		TimeScale:    600,
+// Example_scenario scripts a scenario on the simulation engine: explicit
+// objects from a step-less trace, one circle query, and a velocity change
+// between steps. Object 2 drives east out of the query's 3-mile circle.
+func Example_scenario() {
+	cfg := mobieyes.DefaultConfig()
+	cfg.AreaSqMiles = 50 * 50
+	cfg.Core = mobieyes.Options{} // Δ = 0: results are exact
+	w, err := workload.FromTrace(&workload.Trace{
+		StepSeconds: cfg.StepSeconds,
+		Objects: []workload.ObjectInit{
+			{ID: 1, Pos: geo.Pt(25, 25), MaxVel: 100, PropsKey: 1},
+			{ID: 2, Pos: geo.Pt(26, 25), MaxVel: 100, PropsKey: 2},
+		},
 	})
-	defer sys.Close()
-
-	anyone := mobieyes.Filter{Seed: 1, Permille: 1000}
-	sys.AddObject(1, geo.Pt(25, 25), geo.Vec(0, 0), 100, model.Props{Key: 1})
-	sys.AddObject(2, geo.Pt(26, 25), geo.Vec(0, 0), 100, model.Props{Key: 2})
-	qid := sys.InstallQuery(1, mobieyes.CircleRegion{R: 3}, anyone, 100)
-
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if r := sys.Result(qid); len(r) == 2 {
-			fmt.Printf("targets: %v\n", r)
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err != nil {
+		panic(err)
 	}
-	fmt.Println("did not converge")
+	anyone := mobieyes.Filter{Seed: 1, Permille: 1000}
+	w.Queries = []workload.QuerySpec{{Focal: 1, Radius: 3, Filter: anyone}}
+	e := sim.NewEngineOver(cfg, w)
+	qid := e.Server().QueryIDs()[0]
+
+	e.Step()
+	fmt.Printf("targets: %v\n", e.Server().Result(qid))
+	e.Workload().Objects[1].Vel = geo.Vec(100, 0)
+	for i := 0; i < 4; i++ {
+		e.Step()
+	}
+	fmt.Printf("after 2 minutes at 100 mph: %v\n", e.Server().Result(qid))
+	fmt.Println("exact:", e.VerifyExact() == nil)
 	// Output:
 	// targets: [1 2]
+	// after 2 minutes at 100 mph: [1]
+	// exact: true
 }

@@ -1,9 +1,10 @@
-// Geofence: a rectangular moving query region combined with the live
-// runtime's event subscription. A delivery van carries a 2×1 mile
-// rectangular "loading zone" query (§2.3 allows any closed shape with a
-// cheap containment check); couriers around the city enter and leave the
-// zone as everyone moves, and the application consumes the enter/leave
-// event stream from WatchQuery instead of polling.
+// Geofence: a rectangular moving query region combined with result events.
+// A delivery van carries a 4×2 mile rectangular "loading zone" query (§2.3
+// allows any closed shape with a cheap containment check); couriers waiting
+// along the van's street enter and leave the zone as it drives past, and the
+// application consumes the enter/leave events from the server's result
+// listener instead of polling. The scenario is scripted on the simulation
+// engine, so its times are simulated minutes.
 //
 //	go run ./examples/geofence
 package main
@@ -11,75 +12,65 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"mobieyes"
 	"mobieyes/internal/geo"
 	"mobieyes/internal/model"
+	"mobieyes/internal/sim"
+	"mobieyes/internal/workload"
 )
 
 func main() {
-	sys := mobieyes.NewLiveSystem(mobieyes.LiveConfig{
-		UoD:          geo.NewRect(0, 0, 30, 30),
-		Alpha:        3,
-		TickInterval: 5 * time.Millisecond,
-		TimeScale:    300, // one wall second = 5 simulated minutes
-	})
-	defer sys.Close()
+	cfg := mobieyes.DefaultConfig()
+	cfg.AreaSqMiles = 30 * 30
+	cfg.Alpha = 3
+	cfg.Core = mobieyes.Options{} // Δ = 0: results are exact
 
 	rng := rand.New(rand.NewSource(5))
 	courierFilter := model.Filter{Seed: 0xBEEF, Permille: 500}
 
-	const van = model.ObjectID(1)
-	sys.AddObject(van, geo.Pt(4, 15), geo.Vec(18, 0), 40,
-		model.Props{Key: model.MineKey(courierFilter, false, rng)})
-
+	// The van (object 1) drives east along y = 15 at 18 mph.
+	objs := []workload.ObjectInit{{ID: 1, Pos: geo.Pt(4, 15), Vel: geo.Vec(18, 0), MaxVel: 40,
+		PropsKey: model.MineKey(courierFilter, false, rng)}}
+	add := func(pos geo.Point, vel geo.Vector, courier bool) {
+		objs = append(objs, workload.ObjectInit{ID: model.ObjectID(len(objs) + 1), Pos: pos, Vel: vel,
+			MaxVel: 40, PropsKey: model.MineKey(courierFilter, courier, rng)})
+	}
 	// One courier waits at the curb of every cross street on the van's
-	// route (y = 15, slow drift), plus background traffic the query filter
-	// rejects.
-	id := model.ObjectID(2)
+	// route (slow drift), plus background traffic the query filter rejects
+	// driving north on the same streets.
 	couriers := 0
 	for lane := 6.0; lane <= 18; lane += 3 {
-		drift := rng.Float64()*1 - 0.5
-		sys.AddObject(id, geo.Pt(lane, 15), geo.Vec(0, drift), 40,
-			model.Props{Key: model.MineKey(courierFilter, true, rng)})
+		add(geo.Pt(lane, 15), geo.Vec(0, rng.Float64()-0.5), true)
 		couriers++
-		id++
-		// Non-courier traffic crossing the same streets at speed.
-		vy := 15 + rng.Float64()*10
-		sys.AddObject(id, geo.Pt(lane, 3+rng.Float64()*24), geo.Vec(0, vy), 40,
-			model.Props{Key: model.MineKey(courierFilter, false, rng)})
-		id++
+		add(geo.Pt(lane, 3+rng.Float64()*12), geo.Vec(0, 6+rng.Float64()*4), false)
 	}
-	fmt.Printf("geofence: 1 van, %d vehicles (%d couriers) on the grid\n\n", int(id)-2, couriers)
+	fmt.Printf("geofence: 1 van, %d vehicles (%d couriers) on the grid\n\n", len(objs)-1, couriers)
 
-	zone := mobieyes.RectRegion{W: 4, H: 2} // 4×2 mile zone centered on the van
-	qid := sys.InstallQuery(van, zone, courierFilter, 40)
-	events := sys.WatchQuery(qid)
+	w, err := workload.FromTrace(&workload.Trace{StepSeconds: cfg.StepSeconds, Objects: objs})
+	if err != nil {
+		panic(err)
+	}
+	e := sim.NewEngineOver(cfg, w)
+	van := w.Objects[0]
 
-	timeout := time.After(8 * time.Second)
 	enters, leaves := 0, 0
-	for {
-		select {
-		case ev := <-events:
-			pos, _ := sys.Position(van)
-			verb := "ENTERED"
-			if !ev.Entered {
-				verb = "left"
-			}
-			if ev.Entered {
-				enters++
-			} else {
-				leaves++
-			}
-			fmt.Printf("van at (%4.1f, %4.1f): courier %-3d %s the loading zone\n",
-				pos.X, pos.Y, ev.OID, verb)
-		case <-timeout:
-			fmt.Printf("\n%d zone entries, %d exits observed via the event stream\n", enters, leaves)
-			if enters == 0 {
-				fmt.Println("(no couriers crossed the zone this run)")
-			}
-			return
+	e.Server().SetResultListener(func(ev mobieyes.ResultEvent) {
+		verb := "left"
+		if ev.Entered {
+			verb = "ENTERED"
+			enters++
+		} else {
+			leaves++
 		}
+		fmt.Printf("t=%4.1f min  van at (%4.1f, %4.1f): courier %-3d %s the loading zone\n",
+			e.Now().Seconds()/60, van.Pos.X, van.Pos.Y, ev.OID, verb)
+	})
+	zone := mobieyes.RectRegion{W: 4, H: 2} // 4×2 mile zone centered on the van
+	e.Server().InstallQuery(van.ID, zone, courierFilter, van.MaxVel)
+
+	for step := 0; step < int(40*60/cfg.StepSeconds); step++ { // 40 minutes
+		e.Step()
 	}
+	fmt.Printf("\n%d zone entries, %d exits observed via the event stream\n", enters, leaves)
 }

@@ -38,14 +38,17 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	player := workload.NewPlayer(back)
-	for !player.Done() {
-		player.Step()
+	replay, err := workload.FromTrace(back)
+	if err != nil {
+		panic(err)
+	}
+	for range back.Steps {
+		replay.Step()
 	}
 
 	exact := 0
 	for i, o := range w.Objects {
-		if player.Objects[i].Pos == o.Pos {
+		if replay.Objects[i].Pos == o.Pos {
 			exact++
 		}
 	}

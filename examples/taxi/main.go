@@ -1,9 +1,9 @@
 // Taxi: the paper's motivating query MQ₂ — "give me the positions of those
 // customers who are looking for a taxi and are within 5 miles of my
-// location during the next 20 minutes" — running on the live
-// goroutine-per-object runtime. A taxi cruises a 40×40 mile city; customers
-// appear parked around town, some hailing a ride and some not. The moving
-// query travels with the taxi and its result updates as the taxi drives.
+// location during the next 20 minutes" — scripted on the simulation engine.
+// A taxi cruises a 40×40 mile city; customers wait parked around town, some
+// hailing a ride and some not. The moving query travels with the taxi and
+// its result updates as the taxi drives.
 //
 //	go run ./examples/taxi
 package main
@@ -11,23 +11,19 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"mobieyes"
 	"mobieyes/internal/geo"
 	"mobieyes/internal/model"
+	"mobieyes/internal/sim"
+	"mobieyes/internal/workload"
 )
 
 func main() {
-	sys := mobieyes.NewLiveSystem(mobieyes.LiveConfig{
-		UoD:          geo.NewRect(0, 0, 40, 40),
-		Alpha:        4,
-		TickInterval: 5 * time.Millisecond,
-		// One wall second = 2 simulated minutes: the 20-minute ride fits
-		// into a ten-second demo.
-		TimeScale: 120,
-	})
-	defer sys.Close()
+	cfg := mobieyes.DefaultConfig()
+	cfg.AreaSqMiles = 40 * 40
+	cfg.Alpha = 4
+	cfg.Core = mobieyes.Options{} // Δ = 0: results are exact
 
 	// The filter encoding "is looking for a taxi": customers hailing a ride
 	// carry property keys the filter accepts; everyone else gets keys it
@@ -35,51 +31,48 @@ func main() {
 	rng := rand.New(rand.NewSource(7))
 	hailing := model.Filter{Seed: 0xCAB, Permille: 500}
 
-	const taxiID = model.ObjectID(1)
-	// The taxi starts downtown, driving northeast at 30 mph.
-	sys.AddObject(taxiID, geo.Pt(8, 8), geo.Vec(21, 21), 60, model.Props{
-		Key: model.MineKey(hailing, false, rng),
-	})
-
+	// The taxi (object 1) starts downtown, driving northeast at 30 mph.
+	objs := []workload.ObjectInit{{ID: 1, Pos: geo.Pt(8, 8), Vel: geo.Vec(21, 21), MaxVel: 60,
+		PropsKey: model.MineKey(hailing, false, rng)}}
 	// Customers: a grid of parked people around town, 40% hailing.
-	var wantRide []model.ObjectID
-	id := model.ObjectID(2)
+	hails := 0
 	for x := 4.0; x <= 36; x += 4 {
 		for y := 4.0; y <= 36; y += 4 {
-			hails := rng.Float64() < 0.4
-			key := model.MineKey(hailing, hails, rng)
-			sys.AddObject(id, geo.Pt(x, y), geo.Vec(0, 0), 3, model.Props{Key: key})
-			if hails {
-				wantRide = append(wantRide, id)
+			h := rng.Float64() < 0.4
+			if h {
+				hails++
 			}
-			id++
+			objs = append(objs, workload.ObjectInit{ID: model.ObjectID(len(objs) + 1),
+				Pos: geo.Pt(x, y), MaxVel: 3, PropsKey: model.MineKey(hailing, h, rng)})
 		}
 	}
-	fmt.Printf("city: 1 taxi, %d people parked, %d of them hailing a ride\n\n",
-		int(id)-2, len(wantRide))
+	fmt.Printf("city: 1 taxi, %d people parked, %d of them hailing a ride\n\n", len(objs)-1, hails)
+
+	w, err := workload.FromTrace(&workload.Trace{StepSeconds: cfg.StepSeconds, Objects: objs})
+	if err != nil {
+		panic(err)
+	}
+	e := sim.NewEngineOver(cfg, w)
+	taxi := w.Objects[0]
 
 	// "…during the next 20 minutes": the query carries its lifetime, as in
 	// the paper's MQ₂, and uninstalls itself when the shift segment ends.
-	qid := sys.InstallQueryFor(taxiID, model.CircleRegion{R: 5}, hailing, 60, 20*60)
+	qid := e.Server().InstallQueryUntil(taxi.ID, model.CircleRegion{R: 5}, hailing, taxi.MaxVel,
+		e.Now()+model.FromSeconds(20*60))
 
-	// Watch the result evolve for ~20 simulated minutes.
-	for i := 0; i < 10; i++ {
-		time.Sleep(time.Second)
-		pos, _ := sys.Position(taxiID)
-		res := sys.Result(qid)
+	perReport := int(2 * 60 / cfg.StepSeconds) // steps in two minutes
+	for minute := 2; minute <= 20; minute += 2 {
+		for i := 0; i < perReport; i++ {
+			e.Step()
+		}
 		fmt.Printf("t=%2d min  taxi at (%4.1f, %4.1f)  customers in range: %v\n",
-			(i+1)*2, pos.X, pos.Y, res)
-		if i == 4 {
-			// The driver turns south-east.
-			sys.SetVelocity(taxiID, geo.Vec(25, -12))
+			minute, taxi.Pos.X, taxi.Pos.Y, e.Server().Result(qid))
+		if minute == 10 {
+			taxi.Vel = geo.Vec(25, -12)
 			fmt.Println("          (taxi turns south-east)")
 		}
 	}
-
-	// At t = 20 min the duration-bound query has expired on its own.
-	time.Sleep(300 * time.Millisecond)
-	if rest := sys.Result(qid); len(rest) == 0 {
+	if len(e.Server().QueryIDs()) == 0 {
 		fmt.Println("\nquery expired after its 20 minutes — result cleared")
 	}
-
 }

@@ -18,8 +18,8 @@
 //
 // Both state machines are deterministic and transport-agnostic: the server
 // talks through a Downlink and clients through an Uplink, so the same code
-// runs under the deterministic simulation engine (internal/sim), the
-// goroutine-per-object live runtime (internal/live) and unit tests.
+// runs under the deterministic simulation engine (internal/sim), the TCP
+// deployment (internal/remote) and unit tests.
 package core
 
 import (

@@ -19,7 +19,7 @@ type ResultEvent struct {
 // server's goroutine/callsite) for every result change, including the
 // implicit leaves when a query is removed. A nil listener disables
 // notifications. Only one listener is supported; fan-out belongs to the
-// caller (see internal/live.WatchQuery).
+// caller (see internal/obs/stream.Tap).
 func (s *Server) SetResultListener(fn func(ResultEvent)) {
 	s.onResult = fn
 }

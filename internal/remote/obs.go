@@ -21,6 +21,7 @@ const (
 	metricBytesOut        = "mobieyes_remote_bytes_out_total"
 	metricDecodeErrors    = "mobieyes_remote_decode_errors_total"
 	metricVersionRejects  = "mobieyes_remote_version_rejects_total"
+	metricRejectedFrames  = "mobieyes_remote_rejected_frames_total"
 	metricUplinkSecondsRm = "mobieyes_remote_uplink_seconds"
 	metricBroadcastConns  = "mobieyes_remote_broadcast_fanout"
 	metricPendingUni      = "mobieyes_remote_pending_unicasts"
@@ -33,6 +34,7 @@ const (
 	helpBytesOut        = "Bytes written to objects, length prefixes included."
 	helpDecodeErrors    = "Received frames that failed protocol decoding."
 	helpVersionRejects  = "Handshakes refused for a mismatched protocol version."
+	helpRejectedFrames  = "Decoded frames refused before dispatch (not an uplink kind, or a cell change off the grid)."
 	helpUplinkSecondsRm = "Uplink dispatch latency into the backend, in seconds."
 	helpBroadcastConns  = "Connections addressed per downlink broadcast."
 	helpPendingUni      = "Unicast frames queued for not-yet-connected objects."
@@ -49,6 +51,7 @@ type remoteObs struct {
 	bytesOut       *obs.Counter
 	decodeErrors   *obs.Counter
 	versionRejects *obs.Counter
+	rejectedFrames *obs.Counter
 	// uplinkLat is indexed by message kind; only uplink kinds are populated
 	// (downlink kinds never arrive on the uplink path).
 	uplinkLat       [msg.NumKinds]*obs.Histogram
@@ -64,6 +67,7 @@ func newRemoteObs(reg *obs.Registry) *remoteObs {
 		bytesOut:        reg.Counter(metricBytesOut, helpBytesOut),
 		decodeErrors:    reg.Counter(metricDecodeErrors, helpDecodeErrors),
 		versionRejects:  reg.Counter(metricVersionRejects, helpVersionRejects),
+		rejectedFrames:  reg.Counter(metricRejectedFrames, helpRejectedFrames),
 		broadcastFanout: reg.Histogram(metricBroadcastConns, helpBroadcastConns, obs.SizeBuckets),
 	}
 	for k := msg.Kind(0); int(k) < msg.NumKinds; k++ {

@@ -11,6 +11,7 @@ import (
 
 	"mobieyes/internal/core"
 	"mobieyes/internal/geo"
+	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
 	"mobieyes/internal/wire"
@@ -210,6 +211,77 @@ func TestRemoteRejectsGarbage(t *testing.T) {
 	qid := s.InstallQuery(1, model.CircleRegion{R: 3}, acceptAll, 100000)
 	if !waitFor(t, 3*time.Second, func() bool { return len(s.Result(qid)) == 1 }) {
 		t.Fatal("server unhealthy after garbage connections")
+	}
+}
+
+// TestRemoteRejectsInadmissibleFrames: after a valid handshake, one frame
+// that decodes but that the backend cannot dispatch — a kind it does not
+// handle, or a cell change onto a cell off the grid — drops its connection
+// and is counted instead of panicking the server. An off-grid PrevCell is
+// the rejoin marker and is admitted. Honest devices keep their results.
+func TestRemoteRejectsInadmissibleFrames(t *testing.T) {
+	s := testServer(t)
+	dialObject(t, s, 1, geo.Pt(50, 50), geo.Vec(0, 0))
+	dialObject(t, s, 2, geo.Pt(51, 50), geo.Vec(0, 0))
+	qid := s.InstallQuery(1, model.CircleRegion{R: 3}, acceptAll, 100000)
+	honest := func() bool {
+		r := s.Result(qid)
+		return len(r) == 2 && r[0] == 1 && r[1] == 2
+	}
+	if !waitFor(t, 3*time.Second, honest) {
+		t.Fatalf("precondition: result = %v", s.Result(qid))
+	}
+
+	// kept handshakes as oid, sends m and then a Ping, and reports whether
+	// the Pong came back — false when the server dropped the connection.
+	kept := func(oid model.ObjectID, m msg.Message) bool {
+		conn, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		for _, frame := range [][]byte{EncodeHello(oid), messageFrame(m), messageFrame(msg.Ping{Token: 7})} {
+			if err := WriteFrame(conn, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+		br := bufio.NewReader(conn)
+		for {
+			payload, err := ReadFrame(br)
+			if err != nil {
+				return false
+			}
+			if m, err := wire.Decode(payload); err == nil {
+				if _, pong := m.(msg.Pong); pong {
+					return true
+				}
+			}
+		}
+	}
+	pos := geo.Pt(52, 52)
+	onGrid := s.g.CellOf(pos)
+	for oid, m := range map[model.ObjectID]msg.Message{
+		41: msg.PositionReport{OID: 41, Pos: pos},
+		42: msg.CellChangeReport{OID: 42, PrevCell: onGrid, NewCell: grid.CellID{Col: -1, Row: 0}, Pos: pos},
+		43: msg.CellChangeReport{OID: 43, PrevCell: onGrid, NewCell: grid.CellID{Col: 1000, Row: 1000}, Pos: pos},
+	} {
+		if kept(oid, m) {
+			t.Errorf("%+v: connection kept", m)
+		}
+	}
+	if got := s.om.rejectedFrames.Value(); got != 3 {
+		t.Errorf("rejected frames = %d, want 3", got)
+	}
+	rejoin := msg.CellChangeReport{OID: 44, PrevCell: grid.CellID{Col: -1, Row: -1}, NewCell: onGrid, Pos: pos}
+	if !kept(44, rejoin) {
+		t.Error("rejoin cell change (off-grid PrevCell) dropped the connection")
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !waitFor(t, 3*time.Second, honest) {
+		t.Fatalf("honest result after rejected frames = %v", s.Result(qid))
 	}
 }
 

@@ -599,14 +599,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			sc.out.send(messageFrame(msg.Pong{Token: p.Token}))
 			continue
 		}
+		if !s.admit(m) {
+			s.om.rejectedFrames.Add(1)
+			break // protocol violation: drop the connection
+		}
 		s.recordUplinkWire(m.Kind(), 4+len(payload))
 		if s.hist != nil {
 			// Tee position-bearing uplinks into the replay store so a
 			// recorded log can reconstruct visible state, not just result
 			// membership.
 			switch v := m.(type) {
-			case msg.PositionReport:
-				s.hist.AppendPos(float64(nowHours()), int64(v.OID), v.Pos.X, v.Pos.Y)
 			case msg.VelocityReport:
 				s.hist.AppendPos(float64(nowHours()), int64(v.OID), v.Pos.X, v.Pos.Y)
 			case msg.CellChangeReport:
@@ -664,6 +666,23 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	s.backend.HandleUplink(msg.DepartureReport{OID: oid})
+}
+
+// admit reports whether a decoded uplink may reach the backend, whose
+// dispatch panics on anything else: one of the six MobiEyes uplink kinds,
+// and for a cell change a NewCell on the grid. An off-grid PrevCell stays
+// legal — it marks a join or rejoin. The sender's OID is not checked against
+// the session's Hello: a client may multiplex several objects over one
+// connection.
+func (s *Server) admit(m msg.Message) bool {
+	switch v := m.(type) {
+	case msg.CellChangeReport:
+		return s.g.Valid(v.NewCell)
+	case msg.VelocityReport, msg.ContainmentReport, msg.GroupContainmentReport,
+		msg.FocalInfoResponse, msg.DepartureReport:
+		return true
+	}
+	return false
 }
 
 // graceDeparture fires when an abruptly disconnected object's grace period

@@ -122,15 +122,25 @@ type qualityKey struct {
 	oid model.ObjectID
 }
 
-// NewEngine builds a MobiEyes simulation from cfg and installs all queries.
-// It panics on configurations the constructors reject (zero objects, bad α).
+// NewEngine builds a MobiEyes simulation over the workload cfg generates
+// and installs all its queries. It panics on configurations the
+// constructors reject (zero objects, bad α).
 func NewEngine(cfg Config) *Engine {
+	return NewEngineOver(cfg, workload.New(cfg.WorkloadConfig()))
+}
+
+// NewEngineOver builds a MobiEyes simulation over w — generated, or a
+// scripted scenario from workload.FromTrace — and installs w.Queries. The
+// engine owns w from here on: each Step perturbs and moves its objects by
+// cfg.StepSeconds, and a caller may set an object's velocity between steps.
+// Object i must have ID i+1. The workload fields of cfg are not used.
+func NewEngineOver(cfg Config, w *workload.Workload) *Engine {
 	g := grid.New(cfg.UoD(), cfg.Alpha)
 	e := &Engine{
 		cfg:       cfg,
 		g:         g,
 		dep:       network.NewDeployment(g, cfg.Alen),
-		w:         workload.New(cfg.WorkloadConfig()),
+		w:         w,
 		bkt:       newBuckets(g),
 		cellStamp: make([]uint32, g.NumCells()),
 		gtScratch: make(map[model.ObjectID]struct{}),

@@ -94,48 +94,44 @@ func (w *Workload) Record(steps int) *Trace {
 	return t
 }
 
-// Player replays a trace step by step over a fresh copy of the recorded
-// population.
-type Player struct {
-	trace   *Trace
-	Objects []*model.MovingObject
-	step    int
-}
-
-// NewPlayer returns a player positioned before the first step.
-func NewPlayer(t *Trace) *Player {
-	p := &Player{trace: t}
-	for _, oi := range t.Objects {
-		p.Objects = append(p.Objects, &model.MovingObject{
+// FromTrace returns a workload over a fresh copy of the trace's recorded
+// population, with no queries. Its PerturbStep plays the recorded steps in
+// order and changes no velocity once they run out; BounceAtBorders does
+// nothing, because a trace carries no universe of discourse and its steps
+// already hold every bounce. So Step replays the recorded trajectories
+// bit-for-bit. Object i must have ID i+1, as in a generated workload (the
+// simulator indexes objects by ID−1); any other trace is an error.
+func FromTrace(tr *Trace) (*Workload, error) {
+	w := &Workload{
+		cfg:    Config{NumObjects: len(tr.Objects), StepSeconds: tr.StepSeconds},
+		replay: tr,
+	}
+	for i, oi := range tr.Objects {
+		if oi.ID != model.ObjectID(i+1) {
+			return nil, fmt.Errorf("workload: trace object %d has ID %d, want %d", i, oi.ID, i+1)
+		}
+		w.Objects = append(w.Objects, &model.MovingObject{
 			ID: oi.ID, Pos: oi.Pos, Vel: oi.Vel, MaxVel: oi.MaxVel,
 			Props: model.Props{Key: oi.PropsKey},
 		})
 	}
-	return p
+	return w, nil
 }
 
-// Done reports whether every recorded step has been replayed.
-func (p *Player) Done() bool { return p.step >= len(p.trace.Steps) }
-
-// Step applies the next recorded step: scripted velocity changes, then
-// motion. It returns the indices of objects whose velocity changed, or
-// false when the trace is exhausted.
-func (p *Player) Step() ([]uint32, bool) {
-	if p.Done() {
-		return nil, false
+// replayStep applies the next recorded step's velocity changes and returns
+// the indices they touched; past the last recorded step it changes nothing.
+func (w *Workload) replayStep() []int {
+	if w.played >= len(w.replay.Steps) {
+		return nil
 	}
-	st := p.trace.Steps[p.step]
-	p.step++
-	changed := make([]uint32, 0, len(st.Changes))
+	st := w.replay.Steps[w.played]
+	w.played++
+	changed := make([]int, 0, len(st.Changes))
 	for _, ch := range st.Changes {
-		p.Objects[ch.Index].Vel = ch.Vel
-		changed = append(changed, ch.Index)
+		w.Objects[ch.Index].Vel = ch.Vel
+		changed = append(changed, int(ch.Index))
 	}
-	dt := model.FromSeconds(p.trace.StepSeconds)
-	for _, o := range p.Objects {
-		o.Move(dt)
-	}
-	return changed, true
+	return changed
 }
 
 // Write serializes the trace. The format is little-endian binary:

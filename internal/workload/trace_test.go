@@ -23,16 +23,26 @@ func recordedWorkload(t *testing.T, steps int) (*Trace, *Workload) {
 	return w.Record(steps), w
 }
 
+// replayed returns a FromTrace workload over tr with every recorded step
+// played.
+func replayed(t *testing.T, tr *Trace) *Workload {
+	t.Helper()
+	w, err := FromTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range tr.Steps {
+		w.Step()
+	}
+	return w
+}
+
 // TestReplayReproducesTrajectories: replaying a trace lands every object on
-// exactly the position the original run produced.
+// exactly the position the original run produced. Past the last recorded
+// step velocities hold, and no step reports a change.
 func TestReplayReproducesTrajectories(t *testing.T) {
 	tr, w := recordedWorkload(t, 50)
-	p := NewPlayer(tr)
-	for !p.Done() {
-		if _, ok := p.Step(); !ok {
-			t.Fatal("Step returned false before Done")
-		}
-	}
+	p := replayed(t, tr)
 	for i, o := range w.Objects {
 		if p.Objects[i].Pos != o.Pos {
 			t.Fatalf("object %d: replay at %v, original at %v", i, p.Objects[i].Pos, o.Pos)
@@ -41,21 +51,47 @@ func TestReplayReproducesTrajectories(t *testing.T) {
 			t.Fatalf("object %d: replay velocity %v, original %v", i, p.Objects[i].Vel, o.Vel)
 		}
 	}
-	if _, ok := p.Step(); ok {
-		t.Fatal("Step after exhaustion returned true")
+	if changed := p.Step(); len(changed) != 0 {
+		t.Fatalf("step after exhaustion changed %v", changed)
+	}
+	for i, o := range w.Objects {
+		if p.Objects[i].Vel != o.Vel {
+			t.Fatalf("object %d: velocity %v after exhaustion, want %v", i, p.Objects[i].Vel, o.Vel)
+		}
 	}
 }
 
-func TestPlayerDoesNotAliasWorkloadObjects(t *testing.T) {
+func TestFromTraceDoesNotAliasTrace(t *testing.T) {
 	tr, _ := recordedWorkload(t, 1)
-	a := NewPlayer(tr)
-	b := NewPlayer(tr)
+	a, errA := FromTrace(tr)
+	b, errB := FromTrace(tr)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	a.Objects[0].Pos = geo.Pt(-999, -999)
 	if b.Objects[0].Pos == geo.Pt(-999, -999) {
-		t.Fatal("players share object state")
+		t.Fatal("replays share object state")
 	}
 	if tr.Objects[0].Pos == geo.Pt(-999, -999) {
-		t.Fatal("player mutates the trace")
+		t.Fatal("replay mutates the trace")
+	}
+}
+
+// TestFromTraceRejectsIDs: a trace whose object IDs are not 1..N in order
+// cannot drive the simulator, which indexes objects by ID−1.
+func TestFromTraceRejectsIDs(t *testing.T) {
+	for name, ids := range map[string][]model.ObjectID{
+		"zero":      {0, 1},
+		"gap":       {1, 3},
+		"unordered": {2, 1},
+	} {
+		tr := &Trace{StepSeconds: 30}
+		for _, id := range ids {
+			tr.Objects = append(tr.Objects, ObjectInit{ID: id})
+		}
+		if _, err := FromTrace(tr); err == nil {
+			t.Errorf("%s: FromTrace accepted IDs %v", name, ids)
+		}
 	}
 }
 
@@ -93,11 +129,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 
 	// Replays of original and round-tripped traces agree.
-	pa, pb := NewPlayer(tr), NewPlayer(back)
-	for !pa.Done() {
-		pa.Step()
-		pb.Step()
-	}
+	pa, pb := replayed(t, tr), replayed(t, back)
 	for i := range pa.Objects {
 		if pa.Objects[i].Pos != pb.Objects[i].Pos {
 			t.Fatalf("object %d diverges after round trip", i)
@@ -237,10 +269,7 @@ func TestRecordCapturesBounces(t *testing.T) {
 	w.Objects[0].Pos = geo.Pt(0, 25)
 
 	tr := w.Record(5)
-	p := NewPlayer(tr)
-	for !p.Done() {
-		p.Step()
-	}
+	p := replayed(t, tr)
 	if p.Objects[0].Pos != w.Objects[0].Pos {
 		t.Fatalf("bounce not replayed: %v vs %v", p.Objects[0].Pos, w.Objects[0].Pos)
 	}
@@ -263,15 +292,7 @@ func TestProtocolOverTraceMatchesLiveRun(t *testing.T) {
 	tr := wRecord.Record(30)
 
 	// Replay the whole scenario.
-	p := NewPlayer(tr)
-	step := 0
-	for !p.Done() {
-		p.Step()
-		step++
-	}
-	if step != 30 {
-		t.Fatalf("replayed %d steps, want 30", step)
-	}
+	p := replayed(t, tr)
 	// End-state results agree between original and replayed populations.
 	for qi, spec := range specs {
 		live := map[model.ObjectID]bool{}

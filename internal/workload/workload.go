@@ -134,6 +134,11 @@ type Workload struct {
 	pauseLeft []int
 	// Gauss-Markov cruising velocities, parallel to Objects.
 	meanVel []geo.Vector
+
+	// replay is the trace a FromTrace workload plays; played counts the
+	// recorded steps applied so far. Nil for a generated workload.
+	replay *Trace
+	played int
 }
 
 // New generates a workload. It panics on nonsensical configurations (zero
@@ -240,8 +245,12 @@ func (w *Workload) RandomizeVelocity(o *model.MovingObject) {
 // vectors; under RandomWaypoint, arrivals pause and departures aim at fresh
 // destinations. It returns the indices of objects whose velocity changed
 // (with possible repetition under RandomWalk, as in the paper's "pick a
-// number of objects at random").
+// number of objects at random"). A FromTrace workload applies its next
+// recorded step instead.
 func (w *Workload) PerturbStep() []int {
+	if w.replay != nil {
+		return w.replayStep()
+	}
 	switch w.cfg.Mobility {
 	case RandomWaypoint:
 		return w.waypointStep()
@@ -352,8 +361,12 @@ func (w *Workload) Destination(i int) (geo.Point, bool) {
 // BounceAtBorders reflects the velocity of objects about to leave the
 // universe of discourse, keeping the population inside (and uniform) over
 // long runs. The reflection is a genuine velocity change, detected by dead
-// reckoning like any other.
+// reckoning like any other. A FromTrace workload does not bounce (see
+// FromTrace).
 func (w *Workload) BounceAtBorders() {
+	if w.replay != nil {
+		return
+	}
 	u := w.cfg.UoD
 	for i, o := range w.Objects {
 		if o.Pos.X <= u.LX && o.Vel.X < 0 || o.Pos.X >= u.HX && o.Vel.X > 0 {

@@ -18,10 +18,12 @@
 // # Layering
 //
 //   - Simulation and experiments: DefaultConfig, Run, Config, Metrics —
-//     the deterministic engine behind the paper's figures.
-//   - Live runtime: NewLiveSystem — a goroutine-per-object runtime where
-//     mobile objects and the server run concurrently and exchange real
-//     messages over channels.
+//     the deterministic engine behind the paper's figures. A scripted
+//     scenario (explicit objects, queries and velocity changes) runs on the
+//     same engine: sim.NewEngineOver over a workload.FromTrace workload.
+//   - Concurrent deployment: internal/remote — a TCP server and device
+//     client exchanging the protocol's messages over the network
+//     (cmd/mobieyes-server, cmd/mobieyes-object).
 //   - Protocol internals: internal/core (server and client state
 //     machines), internal/grid, internal/network, internal/rtree, etc.
 //
@@ -40,7 +42,6 @@ package mobieyes
 
 import (
 	"mobieyes/internal/core"
-	"mobieyes/internal/live"
 	"mobieyes/internal/model"
 	"mobieyes/internal/sim"
 )
@@ -97,7 +98,8 @@ type PolygonRegion = model.PolygonRegion
 type Filter = model.Filter
 
 // ResultEvent is a differential change to a query's result set, delivered
-// by LiveSystem.WatchQuery.
+// to the listener a server's SetResultListener installs — the simulated
+// server's (sim.Engine.Server) or the TCP deployment's (remote.Server).
 type ResultEvent = core.ResultEvent
 
 // DefaultConfig returns the paper's Table 1 defaults.
@@ -105,14 +107,3 @@ func DefaultConfig() Config { return sim.DefaultConfig() }
 
 // Run executes one simulation and returns its metrics.
 func Run(cfg Config) Metrics { return sim.Run(cfg) }
-
-// LiveSystem is the concurrent goroutine-per-object runtime.
-type LiveSystem = live.System
-
-// LiveConfig configures a live system.
-type LiveConfig = live.Config
-
-// NewLiveSystem starts a live MobiEyes system: one goroutine per moving
-// object plus a server goroutine, exchanging protocol messages over
-// channels. Stop it with Close.
-func NewLiveSystem(cfg LiveConfig) *LiveSystem { return live.NewSystem(cfg) }

@@ -1,12 +1,6 @@
 package mobieyes
 
-import (
-	"testing"
-	"time"
-
-	"mobieyes/internal/geo"
-	"mobieyes/internal/model"
-)
+import "testing"
 
 // TestFacadeRun exercises the public simulation API end to end.
 func TestFacadeRun(t *testing.T) {
@@ -52,30 +46,4 @@ func TestFacadeApproaches(t *testing.T) {
 			t.Errorf("%v produced no traffic", a)
 		}
 	}
-}
-
-// TestFacadeLiveSystem exercises the live runtime through the facade.
-func TestFacadeLiveSystem(t *testing.T) {
-	sys := NewLiveSystem(LiveConfig{
-		UoD:          geo.NewRect(0, 0, 50, 50),
-		Alpha:        5,
-		TickInterval: time.Millisecond,
-		TimeScale:    600,
-		Options:      Options{Grouping: true},
-	})
-	defer sys.Close()
-
-	all := model.Filter{Seed: 1, Permille: 1000}
-	sys.AddObject(1, geo.Pt(25, 25), geo.Vec(0, 0), 100, model.Props{Key: 1})
-	sys.AddObject(2, geo.Pt(26, 25), geo.Vec(0, 0), 100, model.Props{Key: 2})
-	qid := sys.InstallQuery(1, model.CircleRegion{R: 3}, all, 100)
-
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(sys.Result(qid)) == 2 {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("live result never converged: %v", sys.Result(qid))
 }
