@@ -3,6 +3,8 @@ package remote
 import (
 	"bufio"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"os"
 	"strconv"
@@ -107,95 +109,98 @@ var adminCommands = [][2]string{
 }
 
 // handleCommand executes one admin command; false ends the session.
-func (a *AdminServer) handleCommand(conn net.Conn, fields []string) bool {
+func (a *AdminServer) handleCommand(w io.Writer, fields []string) bool {
 	if len(fields) == 0 {
 		return true
 	}
 	views := a.srv.Views()
 	for _, v := range views {
 		if v.Word == fields[0] {
-			v.ServeWords(conn, fields[1:])
+			v.ServeWords(w, fields[1:])
 			return true
 		}
 	}
 	switch fields[0] {
 	case "install":
 		if len(fields) != 4 {
-			fmt.Fprintln(conn, "err usage: install <focalOID> <radius> <permille>")
+			fmt.Fprintln(w, "err usage: install <focalOID> <radius> <permille>")
 			return true
 		}
-		focal, err1 := strconv.Atoi(fields[1])
+		focal, err1 := strconv.ParseInt(fields[1], 10, 32)
 		radius, err2 := strconv.ParseFloat(fields[2], 64)
-		permille, err3 := strconv.Atoi(fields[3])
-		if err1 != nil || err2 != nil || err3 != nil || radius <= 0 || permille < 0 || permille > 1000 {
-			fmt.Fprintln(conn, "err bad arguments")
+		permille, err3 := strconv.ParseInt(fields[3], 10, 32)
+		// The containment test compares squared distances with r², so a
+		// radius whose square overflows (NaN, ±Inf, 1e308) is refused too.
+		if err1 != nil || err2 != nil || err3 != nil || focal <= 0 ||
+			!(radius > 0) || math.IsInf(radius*radius, 0) || permille < 0 || permille > 1000 {
+			fmt.Fprintln(w, "err bad arguments")
 			return true
 		}
 		qid := a.srv.InstallQuery(model.ObjectID(focal),
 			model.CircleRegion{R: radius},
 			model.Filter{Seed: uint64(focal)*7919 + 13, Permille: uint32(permille)},
 			1000)
-		fmt.Fprintf(conn, "qid %d\n", qid)
+		fmt.Fprintf(w, "qid %d\n", qid)
 	case "remove":
-		qid, ok := parseQID(conn, fields)
+		qid, ok := parseQID(w, fields)
 		if !ok {
 			return true
 		}
 		a.srv.RemoveQuery(qid)
-		fmt.Fprintln(conn, "ok")
+		fmt.Fprintln(w, "ok")
 	case "result":
-		qid, ok := parseQID(conn, fields)
+		qid, ok := parseQID(w, fields)
 		if !ok {
 			return true
 		}
 		res := a.srv.Result(qid)
-		fmt.Fprintf(conn, "result %d", qid)
+		fmt.Fprintf(w, "result %d", qid)
 		for _, oid := range res {
-			fmt.Fprintf(conn, " %d", oid)
+			fmt.Fprintf(w, " %d", oid)
 		}
-		fmt.Fprintln(conn)
+		fmt.Fprintln(w)
 	case "conns":
-		fmt.Fprintf(conn, "conns %d\n", a.srv.NumConnected())
+		fmt.Fprintf(w, "conns %d\n", a.srv.NumConnected())
 	case "stats":
 		up, down, upB, downB, _ := a.srv.Stats()
-		fmt.Fprintf(conn, "stats %d %d %d %d\n", up, down, upB, downB)
+		fmt.Fprintf(w, "stats %d %d %d %d\n", up, down, upB, downB)
 	case "STATS":
-		a.srv.Metrics().WritePrometheus(conn)
-		fmt.Fprintln(conn, ".")
+		a.srv.Metrics().WritePrometheus(w)
+		fmt.Fprintln(w, ".")
 	case "SUB":
-		a.handleSub(conn, fields[1:])
+		a.handleSub(w, fields[1:])
 	case "snapshot":
 		if len(fields) != 2 {
-			fmt.Fprintln(conn, "err usage: snapshot <path>")
+			fmt.Fprintln(w, "err usage: snapshot <path>")
 			return true
 		}
 		if err := a.writeSnapshot(fields[1]); err != nil {
-			fmt.Fprintf(conn, "err %v\n", err)
+			fmt.Fprintf(w, "err %v\n", err)
 			return true
 		}
-		fmt.Fprintln(conn, "ok")
+		fmt.Fprintln(w, "ok")
 	case "help":
 		for _, c := range adminCommands {
-			fmt.Fprintf(conn, "%-40s %s\n", c[0], c[1])
+			fmt.Fprintf(w, "%-40s %s\n", c[0], c[1])
 		}
-		obs.WriteIndex(conn, views, true)
-		fmt.Fprintln(conn, ".")
+		obs.WriteIndex(w, views, true)
+		fmt.Fprintln(w, ".")
 	case "quit":
 		return false
 	default:
-		fmt.Fprintln(conn, "err unknown command")
+		fmt.Fprintln(w, "err unknown command")
 	}
 	return true
 }
 
-func parseQID(conn net.Conn, fields []string) (model.QueryID, bool) {
+func parseQID(w io.Writer, fields []string) (model.QueryID, bool) {
 	if len(fields) != 2 {
-		fmt.Fprintf(conn, "err usage: %s <qid>\n", fields[0])
+		fmt.Fprintf(w, "err usage: %s <qid>\n", fields[0])
 		return 0, false
 	}
-	qid, err := strconv.Atoi(fields[1])
+	qid, err := strconv.ParseInt(fields[1], 10, 32)
 	if err != nil {
-		fmt.Fprintln(conn, "err bad qid")
+		fmt.Fprintln(w, "err bad qid")
 		return 0, false
 	}
 	return model.QueryID(qid), true
@@ -205,16 +210,16 @@ func parseQID(conn net.Conn, fields []string) (model.QueryID, bool) {
 // all queries for qid 0), then up to n live delta events, "." terminated —
 // the admin-plane twin of the SSE gateway, with the same bounded-buffer
 // eviction protecting the engine from a stalled session.
-func (a *AdminServer) handleSub(conn net.Conn, args []string) {
+func (a *AdminServer) handleSub(w io.Writer, args []string) {
 	tap := a.srv.Stream()
 	if tap == nil {
-		fmt.Fprintln(conn, "err streaming disabled")
+		fmt.Fprintln(w, "err streaming disabled")
 		return
 	}
 	// The leading qid is positional; the rest follow the views' filter rules.
 	f, err := obs.ParseWords(append([]string{"qid"}, args...), []string{"qid", "n"})
 	if err != nil {
-		fmt.Fprintf(conn, "err %v\n", err)
+		fmt.Fprintf(w, "err %v\n", err)
 		return
 	}
 	qid, _ := f.Int("qid")
@@ -226,11 +231,11 @@ func (a *AdminServer) handleSub(conn net.Conn, args []string) {
 	sub, snap := tap.Subscribe(qid, 1024)
 	defer sub.Close()
 	for _, e := range snap {
-		fmt.Fprintf(conn, "snapshot qid %d seq %d members", e.QID, e.Seq)
+		fmt.Fprintf(w, "snapshot qid %d seq %d members", e.QID, e.Seq)
 		for _, oid := range e.Members {
-			fmt.Fprintf(conn, " %d", oid)
+			fmt.Fprintf(w, " %d", oid)
 		}
-		fmt.Fprintln(conn)
+		fmt.Fprintln(w)
 	}
 	for seen := int64(0); seen < n; {
 		select {
@@ -247,18 +252,18 @@ func (a *AdminServer) handleSub(conn net.Conn, args []string) {
 			if ev.Enter {
 				verb = "enter"
 			}
-			if _, err := fmt.Fprintf(conn, "event qid %d seq %d %s %d\n",
+			if _, err := fmt.Fprintf(w, "event qid %d seq %d %s %d\n",
 				ev.QID, ev.Seq, verb, ev.OID); err != nil {
 				return // session gone
 			}
 			seen++
 		}
 		if evicted {
-			fmt.Fprintln(conn, "err evicted")
+			fmt.Fprintln(w, "err evicted")
 			return
 		}
 	}
-	fmt.Fprintln(conn, ".")
+	fmt.Fprintln(w, ".")
 }
 
 func (a *AdminServer) writeSnapshot(path string) error {

@@ -49,10 +49,17 @@ func (e *HelloVersionError) Error() string {
 	return fmt.Sprintf("remote: peer hello is protocol version %d, this build speaks %d", e.Got, HelloVersion)
 }
 
-// WriteFrame writes a length-prefixed payload.
+// errFrameSize reports a payload longer than maxFrame.
+func errFrameSize(n int) error {
+	return fmt.Errorf("remote: frame of %d bytes exceeds limit", n)
+}
+
+// WriteFrame writes a length-prefixed payload. It makes two Write calls, so
+// w should be buffered; an unbuffered writer frames with AppendFrame and
+// writes once.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > maxFrame {
-		return fmt.Errorf("remote: frame of %d bytes exceeds limit", len(payload))
+		return errFrameSize(len(payload))
 	}
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
@@ -63,6 +70,17 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
+// AppendFrame appends payload's frame — the 4-byte little-endian length,
+// then the payload — to dst and returns the extended slice. A payload over
+// the frame limit leaves dst as it was and returns an error.
+func AppendFrame(dst, payload []byte) ([]byte, error) {
+	if len(payload) > maxFrame {
+		return dst, errFrameSize(len(payload))
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...), nil
+}
+
 // ReadFrame reads one length-prefixed payload.
 func ReadFrame(r *bufio.Reader) ([]byte, error) {
 	var hdr [4]byte
@@ -71,7 +89,7 @@ func ReadFrame(r *bufio.Reader) ([]byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n > maxFrame {
-		return nil, fmt.Errorf("remote: frame of %d bytes exceeds limit", n)
+		return nil, errFrameSize(int(n))
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mobieyes/internal/geo"
@@ -79,6 +80,50 @@ func FuzzDecodeFrame(f *testing.F) {
 			if m, err := wire.Decode(payload); err == nil && m == nil {
 				t.Fatal("wire.Decode returned nil message without error")
 			}
+		}
+	})
+}
+
+// FuzzAdminCommand feeds arbitrary text to the admin dispatch of a live
+// server with two honest devices, one command per line as a session reads
+// them. Nothing may panic; every command gets exactly one reply — one line,
+// or a block closed by the "." line — and the backend's invariants hold
+// afterwards. snapshot (writes files), SUB (waits for live events) and quit
+// (ends the session) are skipped.
+func FuzzAdminCommand(f *testing.F) {
+	s := testServer(f)
+	dialObject(f, s, 1, geo.Pt(50, 50), geo.Vec(0, 0))
+	dialObject(f, s, 2, geo.Pt(51, 50), geo.Vec(0, 0))
+	a := &AdminServer{srv: s}
+	for _, seed := range []string{
+		"install 1 3 1000\nresult 1\nremove 1",
+		"install 2 NaN 500", "install 1 1e308 5", "install 4294967297 2 500", "install -5 2 500",
+		"result 4294967297", "remove -1", "conns", "stats", "STATS", "help", "bogus",
+		"events n 3", "latency", "costs oid 1", "history qid 1", "cluster", "nodes 2",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		for _, line := range strings.Split(text, "\n") {
+			fields := strings.Fields(line)
+			if len(fields) == 0 {
+				continue
+			}
+			switch fields[0] {
+			case "snapshot", "SUB", "quit":
+				continue
+			}
+			var out bytes.Buffer
+			if !a.handleCommand(&out, fields) {
+				t.Fatalf("%q ended the session", line)
+			}
+			reply, ok := strings.CutSuffix(out.String(), "\n")
+			if lines := strings.Split(reply, "\n"); !ok || len(lines) > 1 && lines[len(lines)-1] != "." {
+				t.Fatalf("%q: reply %q is neither one line nor a block closed by \".\"", line, out.String())
+			}
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -62,6 +62,8 @@ type Object struct {
 	// any uplinks the client sends in response so the server can chain the
 	// causality across the round trip. Owned by the device goroutine.
 	curTID uint64
+	// wbuf is the device goroutine's framing buffer (writeFrame).
+	wbuf []byte
 }
 
 // objState is the goroutine-owned mutable state.
@@ -108,16 +110,16 @@ func Dial(cfg ObjectConfig) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := WriteFrame(conn, EncodeHello(cfg.OID)); err != nil {
-		conn.Close()
-		return nil, err
-	}
 	o := &Object{
 		cfg:  cfg,
 		conn: conn,
 		ctrl: make(chan func(*objState), 16),
 		done: make(chan struct{}),
 		mail: &objMailbox{signal: make(chan struct{}, 1)},
+	}
+	if err := o.writeFrame(conn, EncodeHello(cfg.OID)); err != nil {
+		conn.Close()
+		return nil, err
 	}
 	g := grid.New(cfg.UoD, cfg.Alpha)
 	o.client = core.NewClient(g, cfg.Options, objUplink{o}, cfg.OID, cfg.Props, cfg.MaxVel, cfg.Pos)
@@ -136,7 +138,20 @@ type objUplink struct{ o *Object }
 func (u objUplink) Send(m msg.Message) {
 	// Write errors surface on the read side as a disconnect; the device
 	// keeps functioning locally.
-	_ = WriteFrame(u.o.conn, wire.EncodeTraced(m, u.o.curTID))
+	_ = u.o.writeFrame(u.o.conn, wire.EncodeTraced(m, u.o.curTID))
+}
+
+// writeFrame frames payload into the device's scratch buffer and writes it
+// to conn in one call. Only the device goroutine writes (Dial before it
+// starts), so the buffer needs no lock.
+func (o *Object) writeFrame(conn net.Conn, payload []byte) error {
+	buf, err := AppendFrame(o.wbuf[:0], payload)
+	if err != nil {
+		return err
+	}
+	o.wbuf = buf
+	_, err = conn.Write(buf)
+	return err
 }
 
 // connLost is the mailbox sentinel a dying read loop leaves behind so the
@@ -237,7 +252,7 @@ func (o *Object) redial(st *objState) {
 		}
 		conn, err := net.Dial("tcp", o.cfg.Addr)
 		if err == nil {
-			if err = WriteFrame(conn, EncodeHello(o.cfg.OID)); err == nil {
+			if err = o.writeFrame(conn, EncodeHello(o.cfg.OID)); err == nil {
 				o.conn = conn
 				o.wg.Add(1)
 				go o.readLoop(conn)

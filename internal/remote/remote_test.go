@@ -3,9 +3,12 @@ package remote
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,12 +17,13 @@ import (
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
+	"mobieyes/internal/obs"
 	"mobieyes/internal/wire"
 )
 
 var acceptAll = model.Filter{Seed: 1, Permille: 1000}
 
-func testServer(t *testing.T) *Server {
+func testServer(t testing.TB) *Server {
 	t.Helper()
 	s, err := ListenAndServe(ServerConfig{
 		Addr:  "127.0.0.1:0",
@@ -33,7 +37,7 @@ func testServer(t *testing.T) *Server {
 	return s
 }
 
-func dialObject(t *testing.T, s *Server, oid model.ObjectID, pos geo.Point, vel geo.Vector) *Object {
+func dialObject(t testing.TB, s *Server, oid model.ObjectID, pos geo.Point, vel geo.Vector) *Object {
 	t.Helper()
 	o, err := Dial(ObjectConfig{
 		Addr:  s.Addr().String(),
@@ -488,6 +492,185 @@ func TestAdminServer(t *testing.T) {
 		if got := a.cmd(t, bad); len(got) < 3 || got[:3] != "err" {
 			t.Errorf("%q reply = %q, want err", bad, got)
 		}
+	}
+}
+
+// TestAdminRejectsBadArguments: install and the qid commands range-check
+// their numbers instead of wrapping them into int32, and install refuses a
+// non-positive focal and a radius that is not positive with a finite square.
+func TestAdminRejectsBadArguments(t *testing.T) {
+	s := testServer(t)
+	a := &AdminServer{srv: s}
+	for _, tc := range []struct{ line, want string }{
+		{"install 1 NaN 500", "err bad arguments"},
+		{"install 1 +Inf 500", "err bad arguments"},
+		{"install 1 -Inf 500", "err bad arguments"},
+		{"install 1 1e308 500", "err bad arguments"},
+		{"install 1 0 500", "err bad arguments"},
+		{"install 1 -3 500", "err bad arguments"},
+		{"install 4294967297 2 500", "err bad arguments"},
+		{"install 2147483648 2 500", "err bad arguments"},
+		{"install -5 2 500", "err bad arguments"},
+		{"install 0 2 500", "err bad arguments"},
+		{"install 1 2 1001", "err bad arguments"},
+		{"install 1 2 -1", "err bad arguments"},
+		{"install 1 2 4294967796", "err bad arguments"},
+		{"result 4294967297", "err bad qid"},
+		{"remove -2147483649", "err bad qid"},
+		{"install 2147483647 2 0", "qid 1"},
+		{"result 1", "result 1"},
+		{"remove 1", "ok"},
+	} {
+		var out bytes.Buffer
+		a.handleCommand(&out, strings.Fields(tc.line))
+		if got := strings.TrimSuffix(out.String(), "\n"); got != tc.want {
+			t.Errorf("%q → %q, want %q", tc.line, got, tc.want)
+		}
+	}
+	if n := s.NumQueries(); n != 0 {
+		t.Errorf("%d queries installed, want 0", n)
+	}
+}
+
+// countingConn is the far end of an outbox: it keeps what is written, counts
+// the Write calls and the largest buffer capacity handed to one, and fails
+// the failAt-th Write (never when 0). Only Write and Close are implemented.
+type countingConn struct {
+	net.Conn
+	mu      sync.Mutex
+	data    bytes.Buffer
+	writes  int
+	maxCap  int
+	failAt  int
+	closed  bool
+	written chan struct{} // poked after every Write
+}
+
+func newCountingConn(failAt int) *countingConn {
+	return &countingConn{failAt: failAt, written: make(chan struct{}, 1)}
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer func() {
+		c.mu.Unlock()
+		select {
+		case c.written <- struct{}{}:
+		default:
+		}
+	}()
+	c.writes++
+	c.maxCap = max(c.maxCap, cap(p))
+	if c.writes == c.failAt {
+		return 0, errors.New("write failed")
+	}
+	return c.data.Write(p)
+}
+
+func (c *countingConn) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	return nil
+}
+
+// TestOutboxCoalescesWrites: a backlog queued before the writer runs goes
+// out in one Write per 64 KiB, in queue order, with the counters advanced by
+// exactly its frames and bytes; the writer's buffer stays within 64 KiB plus
+// one frame however large the backlog; and a failed Write closes the
+// connection and the outbox without counting the lost batch.
+func TestOutboxCoalescesWrites(t *testing.T) {
+	// drain queues frames, starts the writer, waits until want bytes are
+	// written (or the outbox closes), and stops it.
+	drain := func(c *countingConn, frames [][]byte, want int) (*outbox, *remoteObs) {
+		t.Helper()
+		om := newRemoteObs(obs.NewRegistry())
+		o := newOutbox(c, om)
+		for _, f := range frames {
+			o.send(f)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go o.run(&wg)
+		deadline := time.After(5 * time.Second)
+		for {
+			c.mu.Lock()
+			done := c.data.Len() >= want || c.closed
+			c.mu.Unlock()
+			if done {
+				break
+			}
+			select {
+			case <-c.written:
+			case <-deadline:
+				t.Fatal("writer stalled")
+			}
+		}
+		o.close()
+		wg.Wait()
+		return o, om
+	}
+	frameSet := func(n, size int) (frames [][]byte, total, largest int) {
+		for i := range n {
+			f := bytes.Repeat([]byte{byte(i)}, size+(i*131)%size)
+			frames = append(frames, f)
+			total += 4 + len(f)
+			largest = max(largest, len(f))
+		}
+		return frames, total, largest
+	}
+
+	frames, total, _ := frameSet(100, 800)
+	c := newCountingConn(0)
+	_, om := drain(c, frames, total)
+	if limit := (total + maxWrite - 1) / maxWrite; c.writes > limit {
+		t.Errorf("%d frames (%d bytes) took %d writes, want at most %d", len(frames), total, c.writes, limit)
+	}
+	br := bufio.NewReader(&c.data)
+	for i, want := range frames {
+		got, err := ReadFrame(br)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: read %d bytes (err %v), want %d bytes of %d", i, len(got), err, len(want), byte(i))
+		}
+	}
+	if n, b := om.framesOut.Value(), om.bytesOut.Value(); n != 100 || b != int64(total) {
+		t.Errorf("counters: %d frames %d bytes, want 100 frames %d bytes", n, b, total)
+	}
+
+	// A 1 MiB backlog: the buffer must not grow with it.
+	frames, total, largest := frameSet(1500, 500)
+	if total < 1<<20 {
+		t.Fatalf("backlog of %d bytes, want 1 MiB", total)
+	}
+	c = newCountingConn(0)
+	drain(c, frames, total)
+	if c.data.Len() != total {
+		t.Fatalf("wrote %d bytes, want %d", c.data.Len(), total)
+	}
+	if limit := maxWrite + 4 + largest; c.maxCap > limit {
+		t.Errorf("writer buffer reached %d bytes, want at most %d", c.maxCap, limit)
+	}
+	if limit := (total + maxWrite - 1) / maxWrite; c.writes > limit {
+		t.Errorf("%d bytes took %d writes, want at most %d", total, c.writes, limit)
+	}
+
+	// A failing Write closes the connection and the outbox; the lost batch is
+	// not counted and later sends are dropped.
+	frames, total, _ = frameSet(10, 100)
+	c = newCountingConn(1)
+	o, om := drain(c, frames, total)
+	if !c.closed {
+		t.Error("connection left open after a failed write")
+	}
+	if n, b := om.framesOut.Value(), om.bytesOut.Value(); n != 0 || b != 0 {
+		t.Errorf("counters after a failed write: %d frames %d bytes, want 0", n, b)
+	}
+	o.send([]byte{1, 2, 3})
+	o.mu.Lock()
+	queued, closed := len(o.queue), o.closed
+	o.mu.Unlock()
+	if queued != 0 || !closed {
+		t.Errorf("after a failed write: outbox closed %v, %d frames queued by a later send", closed, queued)
 	}
 }
 

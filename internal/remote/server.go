@@ -750,9 +750,16 @@ func (d serverDownlink) UnicastTraced(oid model.ObjectID, m msg.Message, tid tra
 	c.out.send(frame)
 }
 
+// maxWrite bounds one conn.Write of the outbox: a backlog goes out in
+// chunks of this size, so the writer's buffer stays within maxWrite plus
+// one frame however far the connection falls behind.
+const maxWrite = 64 << 10
+
 // outbox serializes writes to one connection without ever blocking the
 // core loop: frames queue in memory and a dedicated writer goroutine drains
-// them.
+// them. Each wakeup takes the whole queue, frames it into one buffer and
+// writes it at once — one syscall per wakeup (per maxWrite bytes), not two
+// per frame — with no timer: a queue is written the moment it is drained.
 type outbox struct {
 	conn   net.Conn
 	om     *remoteObs
@@ -760,6 +767,8 @@ type outbox struct {
 	queue  [][]byte
 	signal chan struct{}
 	closed bool
+
+	buf []byte // writer-owned: the framed bytes of the batch being written
 }
 
 func newOutbox(conn net.Conn, om *remoteObs) *outbox {
@@ -790,8 +799,13 @@ func (o *outbox) close() {
 	}
 }
 
+// run is the connection's writer. It swaps the whole queue out per
+// iteration — the drained slice, cleared, becomes the next queue — and
+// writes it as one batch. A write error closes the connection and the
+// outbox.
 func (o *outbox) run(wg *sync.WaitGroup) {
 	defer wg.Done()
+	var batch [][]byte
 	for range o.signal {
 		for {
 			o.mu.Lock()
@@ -803,18 +817,65 @@ func (o *outbox) run(wg *sync.WaitGroup) {
 				o.mu.Unlock()
 				break
 			}
-			frame := o.queue[0]
-			o.queue = o.queue[1:]
+			batch, o.queue = o.queue, batch[:0]
 			o.mu.Unlock()
-			if err := WriteFrame(o.conn, frame); err != nil {
+			err := o.write(batch)
+			clear(batch) // drop the frames; the slice is the next queue
+			if err != nil {
 				o.conn.Close()
 				o.mu.Lock()
 				o.closed = true
 				o.mu.Unlock()
 				return
 			}
-			o.om.framesOut.Add(1)
-			o.om.bytesOut.Add(int64(4 + len(frame)))
 		}
 	}
+}
+
+// write frames batch into o.buf and writes it: every full maxWrite chunk as
+// soon as it fills, the rest once the batch is framed. The frame and byte
+// counters advance by the whole batch once its last write succeeds.
+func (o *outbox) write(batch [][]byte) error {
+	var nbytes int64
+	for _, frame := range batch {
+		o.reserve(4 + len(frame))
+		var err error
+		if o.buf, err = AppendFrame(o.buf, frame); err != nil {
+			return err
+		}
+		nbytes += int64(4 + len(frame))
+		if len(o.buf) >= maxWrite {
+			full := len(o.buf) - len(o.buf)%maxWrite
+			for off := 0; off < full; off += maxWrite {
+				if _, err := o.conn.Write(o.buf[off : off+maxWrite]); err != nil {
+					return err
+				}
+			}
+			o.buf = o.buf[:copy(o.buf, o.buf[full:])]
+		}
+	}
+	if len(o.buf) > 0 {
+		if _, err := o.conn.Write(o.buf); err != nil {
+			return err
+		}
+		o.buf = o.buf[:0]
+	}
+	if cap(o.buf) > 2*maxWrite {
+		o.buf = nil // a frame larger than maxWrite grew it; do not keep that
+	}
+	o.om.framesOut.Add(int64(len(batch)))
+	o.om.bytesOut.Add(nbytes)
+	return nil
+}
+
+// reserve makes room for n more bytes in o.buf. It grows the buffer by
+// doubling, but never past what the current chunk needs once maxWrite is
+// reached, so append's own growth cannot carry it beyond maxWrite plus one
+// frame.
+func (o *outbox) reserve(n int) {
+	need := len(o.buf) + n
+	if need <= cap(o.buf) {
+		return
+	}
+	o.buf = append(make([]byte, 0, max(need, min(2*cap(o.buf), maxWrite))), o.buf...)
 }
