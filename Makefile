@@ -35,15 +35,16 @@ race:
 # so trace propagation stays race-clean on the faulty transport — plus a
 # short fuzz smoke of the wire codec and the remote frame reader (the two
 # trust boundaries for peer-supplied bytes), of the mobility-trace file
-# reader, of the debug views' filter parser (admin words and URL queries),
-# and of the admin command dispatch on a live server. CI runs this next to
-# the race gate.
+# reader, of snapshot restore (serial and a 2-node router), of the debug
+# views' filter parser (admin words and URL queries), and of the admin
+# command dispatch on a live server. CI runs this next to the race gate.
 simtest:
 	$(GO) test -race -count=1 ./internal/simtest/
 	$(GO) test -run '^$$' -fuzz '^FuzzWire$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdminCommand$$' -fuzztime 10s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzViewArgs$$' -fuzztime 10s ./internal/obs/
 
 # Cluster gate: the differential oracle (serial vs the router over

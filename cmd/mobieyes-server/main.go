@@ -59,7 +59,7 @@ func main() {
 		alpha    = flag.Float64("alpha", 5, "grid cell side length")
 		lazy     = flag.Bool("lazy", false, "lazy query propagation")
 		grouping = flag.Bool("grouping", false, "query grouping")
-		restore  = flag.String("restore", "", "restore query state from a snapshot file")
+		restore  = flag.String("restore", "", "restore query state from a snapshot file (with -cluster router, into workers that hold no rows)")
 		shards   = flag.Int("shards", 0, "in-process router nodes of the default backend (0 = GOMAXPROCS); they share the server's fate, so they are not journaled")
 		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /healthz, /readyz, pprof and the /debug/ views on this address (empty = off)")
 		traceSz  = flag.Int("trace-events", 0, "causal-tracing flight recorder size in events (0 = off); exposed on /debug/events and the admin TRACE command")
@@ -162,9 +162,6 @@ func main() {
 		addrs := strings.Split(*workers, ",")
 		if *workers == "" || len(addrs) == 0 {
 			fatal(fmt.Errorf("-cluster router needs -workers host:port,…"))
-		}
-		if *restore != "" {
-			fatal(fmt.Errorf("-restore is not supported with -cluster router: workers own the table state"))
 		}
 		cfg.Backend = func(g *grid.Grid, opts core.Options, down core.Downlink) (core.ServerAPI, error) {
 			cs, rns, err := cluster.NewRouter(g, opts, down, addrs)

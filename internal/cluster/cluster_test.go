@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 
 	"mobieyes/internal/core"
@@ -190,6 +191,69 @@ func TestWireClusterMatchesSerial(t *testing.T) {
 		if err := <-errc; err != nil {
 			t.Errorf("worker serve: %v", err)
 		}
+	}
+}
+
+// TestRouterRestoresOverTCPWorkers: a router over two TCP workers restores
+// a serial server's snapshot — each focal slice travels to the worker that
+// owns its cell as an admin Handoff frame — passes CheckInvariants and
+// re-snapshots byte-identically. A second router over the same workers,
+// which still hold those rows, is refused.
+func TestRouterRestoresOverTCPWorkers(t *testing.T) {
+	g := testGrid()
+	ser := core.NewServer(g, core.Options{}, &sinkDown{})
+	drive(ser, g)
+	ser.InstallQueryUntil(42, model.CircleRegion{R: 2}, model.Filter{}, 15, 999) // stays pending
+	var snap bytes.Buffer
+	if err := ser.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		w := NewWorker(WorkerConfig{UoD: geo.NewRect(0, 0, 100, 100), Alpha: 5.0})
+		go w.Serve(ln)
+		addrs = append(addrs, ln.Addr().String())
+	}
+	cs, _, err := NewRouter(g, core.Options{}, &sinkDown{}, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatalf("restore over TCP workers: %v", err)
+	}
+	if err := cs.CheckInvariants(); err != nil {
+		t.Errorf("restored router invariants: %v", err)
+	}
+	for _, sp := range cs.Spans() {
+		if sp.Focals == 0 {
+			t.Errorf("node %d restored no focal rows — weak test (spans %+v)", sp.Node, cs.Spans())
+		}
+	}
+	var again bytes.Buffer
+	if err := cs.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap.Bytes(), again.Bytes()) {
+		t.Errorf("re-snapshot differs: %d bytes restored, %d written back", snap.Len(), again.Len())
+	}
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The workers outlived their router and still hold its rows.
+	cs2, _, err := NewRouter(g, core.Options{}, &sinkDown{}, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs2.Close()
+	if err := cs2.Restore(bytes.NewReader(snap.Bytes())); err == nil || !strings.Contains(err.Error(), "already holds") {
+		t.Fatalf("restore over workers holding rows: error %v, want a refusal", err)
 	}
 }
 

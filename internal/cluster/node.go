@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"time"
@@ -328,23 +327,16 @@ func (rn *RemoteNode) ExtractFocal(oid model.ObjectID, admin bool, tid trace.ID)
 	return rn.op(opExtractFocal, p.b, tid)
 }
 
-// sliceOID recovers the focal's ID from an encoded focal slice for the
-// Handoff frame's metadata: version u16, then the object ID at offset 2
-// (the layout encodeFocalSlice pins under focal-slice version 1).
-func sliceOID(slice []byte) model.ObjectID {
-	if len(slice) >= 6 && binary.LittleEndian.Uint16(slice) == 1 {
-		return model.ObjectID(binary.LittleEndian.Uint32(slice[2:]))
-	}
-	return 0
-}
-
 func (rn *RemoteNode) InjectFocal(slice []byte, st model.MotionState, cell grid.CellID, relocate, admin bool, tid trace.ID) error {
 	rn.seq++
 	seq := rn.seq
 	if admin {
 		seq |= adminSeqBit
 	}
-	h := msg.Handoff{Seq: seq, OID: sliceOID(slice), Relocate: relocate, State: st, Cell: cell, Slice: slice}
+	// The Handoff frame's OID is metadata; a malformed slice carries 0 and
+	// fails the worker's decode.
+	oid, _ := core.FocalSliceOID(slice)
+	h := msg.Handoff{Seq: seq, OID: oid, Relocate: relocate, State: st, Cell: cell, Slice: slice}
 	reply, err := rn.exchange(h, tid)
 	if err != nil {
 		return err

@@ -37,8 +37,9 @@ import (
 // ahead of any reply frame. Version 3 added crash recovery: routers pull
 // focal-slice checkpoint deltas with CheckpointRequest, answered by
 // NodeCheckpoint, and journal them for replay after an ungraceful worker
-// death (DESIGN.md §15).
-const ProtoVersion = uint16(3)
+// death (DESIGN.md §15). Version 4 changed the opSnapshotData reply to the
+// node's focal section of a snapshot, so a router can restore over workers.
+const ProtoVersion = uint16(4)
 
 // VersionError reports a NodeHello handshake refused for speaking a
 // different cluster protocol version.

@@ -48,8 +48,11 @@ func FocalSliceOID(b []byte) (model.ObjectID, error) {
 	if len(b) < 6 || binary.LittleEndian.Uint16(b) != focalSliceVersion {
 		return 0, fmt.Errorf("core: focal slice: truncated or unsupported header")
 	}
-	return model.ObjectID(binary.LittleEndian.Uint32(b[2:])), nil
+	return sliceOID(b), nil
 }
+
+// sliceOID is FocalSliceOID for a slice whose header is known to be intact.
+func sliceOID(b []byte) model.ObjectID { return model.ObjectID(binary.LittleEndian.Uint32(b[2:])) }
 
 // CheckpointDelta builds the node's checkpoint delta from the wrapped
 // server's dirty set: a slice for every marked focal still in the FOT, a
@@ -266,10 +269,11 @@ func (cs *ClusterServer) crashLocked(i int, tid trace.ID) {
 
 // replayJournalLocked re-injects node i's journaled focal slices into the
 // nodes that now own their cells, flipping the routing tables exactly like
-// a handoff's phase two. Injection is admin (charge-free: the slices never
-// crossed the wireless medium again) and relocate=false (the slices carry
-// the monitoring regions current at the watermark), so replay sends
-// nothing and the restored tables are byte-identical to the checkpoint.
+// a handoff's phase two. Injection (injectSliceLocked, shared with Restore)
+// is admin (charge-free: the slices never crossed the wireless medium
+// again) and relocate=false (the slices carry the monitoring regions
+// current at the watermark), so replay sends nothing and the restored
+// tables are byte-identical to the checkpoint.
 func (cs *ClusterServer) replayJournalLocked(i int, tid trace.ID) {
 	j := &cs.journal[i]
 	oids := make([]model.ObjectID, 0, len(j.slices))
@@ -287,18 +291,9 @@ func (cs *ClusterServer) replayJournalLocked(i int, tid trace.ID) {
 		if ni, ok := cs.focalNode[oid]; !ok || ni != i {
 			continue
 		}
-		slice := j.slices[oid]
-		rec, st, cell, err := decodeFocalSlice(slice)
+		di, err := cs.injectSliceLocked(j.slices[oid], tid)
 		if err != nil {
 			panic(fmt.Sprintf("core: recovery replay of focal %d from node %d journal: %v", oid, i, err))
-		}
-		di := cs.nodeOf(cell)
-		if err := cs.nodes[di].InjectFocal(slice, st, cell, false, true, tid); err != nil {
-			panic(fmt.Sprintf("core: recovery inject of focal %d into node %d: %v", oid, di, err))
-		}
-		cs.focalNode[oid] = di
-		for _, qid := range rec.fe.queries {
-			cs.queryNode[qid] = di
 		}
 		if cs.rec != nil {
 			cs.rec.Event(tid, trace.KindMigrate, "router", int64(oid), 0, fmt.Sprintf("node%d -> node%d (recovery)", i, di))

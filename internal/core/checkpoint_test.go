@@ -385,8 +385,15 @@ func TestCheckpointDeltaPerMutationKind(t *testing.T) {
 			}
 		}, false},
 		{"snapshot restore of a query", 80, none, func(n *NodeServer) {
-			n.srv.restoreQuery(snapQuery{state: msg.QueryState{QID: 180, Focal: 80, State: state(30, 30),
-				Region: model.CircleRegion{R: 2}, Filter: matchAll, FocalMaxVel: 100}})
+			// RestoreServer's per-slice step: a relocate-free injectFocal.
+			other := NewNodeServer(g, Options{}, nullDown{})
+			other.UpsertFocal(80, state(30, 30), 0)
+			other.CompleteInstall(180, query(180, 80), 100, 0, 0)
+			rec, st, cell, err := decodeFocalSlice(other.srv.encodeFocalState(80))
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			n.srv.injectFocal(rec, st, cell, false)
 		}, false},
 		// The router's journal never held this oid: the Removed entry is a
 		// delete of nothing there.

@@ -49,8 +49,8 @@ type ClusterServer struct {
 	down  Downlink
 	nodes []NodeHandle
 	// local mirrors nodes for in-process NodeServers (nil per remote node);
-	// tracing, accounting, result listeners and restore need direct engine
-	// access and degrade gracefully over the wire.
+	// tracing, accounting and result listeners need direct engine access
+	// and degrade gracefully over the wire.
 	local []*NodeServer
 
 	// spanLo/spanHi assign each node the dense cell indices [lo, hi); the
@@ -525,6 +525,11 @@ func (cs *ClusterServer) RemoveQuery(qid model.QueryID) bool {
 func (cs *ClusterServer) removeQueryLocked(qid model.QueryID, tid trace.ID) bool {
 	ni, ok := cs.queryNode[qid]
 	if !ok {
+		// A pending install is dropped, exactly like the serial server.
+		if dropPending(cs.pending, qid) {
+			delete(cs.pendingExp, qid)
+			return true
+		}
 		return false
 	}
 	removed, focal, stillFocal := cs.nodes[ni].RemoveQuery(qid, tid)
@@ -549,9 +554,6 @@ func (cs *ClusterServer) ExpireQueries(now model.Time) []model.QueryID {
 	}
 	for qid, exp := range cs.pendingExp {
 		if exp <= now {
-			// Pending past its deadline: forget the expiry; if the install
-			// ever completes the query runs unbounded, like the serial server.
-			delete(cs.pendingExp, qid)
 			expired = append(expired, qid)
 		}
 	}
@@ -1140,84 +1142,85 @@ func (cs *ClusterServer) Instrument(reg *obs.Registry) {
 	}
 }
 
-// Snapshot serializes the router's durable state in the same MOBS format
-// as the serial server — snapshots move freely between the two
-// implementations and across node counts.
+// Snapshot serializes the router's durable state in the same format as the
+// serial server — snapshots move freely between the two implementations and
+// across node counts: each live node contributes its focal section, and the
+// router merges them by oid under its own header and pending table.
 func (cs *ClusterServer) Snapshot(w io.Writer) error {
 	cs.mu.Lock()
-	d := snapData{nextQID: model.QueryID(cs.qidCounter) + 1}
+	var focals [][]byte
 	for i, nd := range cs.nodes {
 		if !cs.live[i] {
 			continue
 		}
-		raw, err := nd.SnapshotData()
+		section, err := nd.SnapshotData()
 		if err != nil {
 			cs.mu.Unlock()
 			return err
 		}
-		sd, err := readSnapshot(bytes.NewReader(raw))
+		part, err := splitFocalSection(section)
 		if err != nil {
 			cs.mu.Unlock()
-			return err
+			return fmt.Errorf("core: node %d snapshot data: %w", i, err)
 		}
-		d.queries = append(d.queries, sd.queries...)
+		focals = append(focals, part...)
 	}
-	slices.SortFunc(d.queries, func(a, b snapQuery) int { return cmp.Compare(a.state.QID, b.state.QID) })
-	var pendingFocals []model.ObjectID
-	for focal := range cs.pending {
-		pendingFocals = append(pendingFocals, focal)
-	}
-	sortOIDs(pendingFocals)
-	for _, focal := range pendingFocals {
-		for _, p := range cs.pending[focal] {
-			d.pending = append(d.pending, snapPending{
-				qid:    p.qid,
-				query:  p.query,
-				maxVel: p.maxVel,
-				expiry: cs.pendingExp[p.qid],
-			})
-		}
-	}
+	slices.SortFunc(focals, func(a, b []byte) int { return cmp.Compare(sliceOID(a), sliceOID(b)) })
+	b := appendSnapshot(nil, model.QueryID(cs.qidCounter)+1, cs.pending, cs.pendingExp, focals)
 	cs.mu.Unlock()
-	return writeSnapshot(w, d)
+	_, err := w.Write(b)
+	return err
 }
 
-// Restore loads a snapshot written by any implementation into a freshly
-// constructed router over in-process nodes. Each restored query lands on
-// the node whose span owns its focal object's current cell; pending
-// installations re-issue their FocalInfoRequests through the downlink.
+// Restore loads a snapshot written by any implementation into a router
+// whose nodes hold no rows — in-process or TCP workers alike. Each focal
+// slice goes to the node owning its cell exactly as crash replay sends a
+// journaled one (injectSliceLocked); pending installations re-issue their
+// FocalInfoRequests through the downlink. A node that still holds rows — a
+// worker that outlived its router — makes Restore refuse.
 func (cs *ClusterServer) Restore(r io.Reader) error {
-	d, err := readSnapshot(r)
+	snap, err := readSnapshot(cs.g, r)
 	if err != nil {
 		return err
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	cs.qidCounter = int64(d.nextQID) - 1
-	for _, q := range d.queries {
-		ni := cs.nodeOf(cs.g.CellOf(q.state.State.Pos))
-		if cs.local[ni] == nil {
-			return fmt.Errorf("core: restore needs in-process nodes: node %d is remote", ni)
+	for i, nd := range cs.nodes {
+		if n := len(nd.FocalIDs()); cs.live[i] && n > 0 {
+			return fmt.Errorf("core: restore refused: node %d already holds %d focal rows", i, n)
 		}
-		cs.local[ni].srv.restoreQuery(q)
-		cs.focalNode[q.state.Focal] = ni
-		cs.queryNode[q.state.QID] = ni
 	}
-	for _, p := range d.pending {
-		focal := p.query.Focal
-		cs.pending[focal] = append(cs.pending[focal], pendingInstall{
-			qid:    p.qid,
-			query:  p.query,
-			maxVel: p.maxVel,
-		})
-		if p.expiry != 0 {
-			cs.pendingExp[p.qid] = p.expiry
+	cs.qidCounter = int64(snap.nextQID) - 1
+	for _, f := range snap.focals {
+		if _, err := cs.injectSliceLocked(f, 0); err != nil {
+			return err
 		}
-		if len(cs.pending[focal]) == 1 {
-			cs.unicast(focal, msg.FocalInfoRequest{OID: focal}, 0)
-		}
+	}
+	for _, focal := range restorePending(snap.pending, cs.pending, cs.pendingExp) {
+		cs.unicast(focal, msg.FocalInfoRequest{OID: focal}, 0)
 	}
 	return nil
+}
+
+// injectSliceLocked installs an encoded focal slice on the node owning its
+// cell — admin (charge-free) and relocate=false, so the node's rows are
+// byte-identical to the slice and nothing is sent — and points the routing
+// tables at that node. Crash replay and Restore both land rows this way.
+// cs.mu held.
+func (cs *ClusterServer) injectSliceLocked(slice []byte, tid trace.ID) (int, error) {
+	rec, st, cell, err := decodeFocalSlice(slice)
+	if err != nil {
+		return 0, err
+	}
+	di := cs.nodeOf(cell)
+	if err := cs.nodes[di].InjectFocal(slice, st, cell, false, true, tid); err != nil {
+		return 0, fmt.Errorf("core: inject of focal %d into node %d: %w", rec.oid, di, err)
+	}
+	cs.focalNode[rec.oid] = di
+	for _, qid := range rec.fe.queries {
+		cs.queryNode[qid] = di
+	}
+	return di, nil
 }
 
 // CheckInvariants validates every node's internal consistency plus the

@@ -85,69 +85,84 @@ func encodeFocalSlice(rec focalRecord) []byte {
 
 func sortOIDs(ids []model.ObjectID) { slices.Sort(ids) }
 
+// cursor reads the little-endian encodings of focal slices and snapshots.
+// Reading past the end sets a sticky error and yields zeros.
+type cursor struct {
+	b   []byte
+	off int
+	err error
+}
+
+func (c *cursor) take(n int) []byte {
+	if c.err == nil && n > len(c.b)-c.off {
+		c.err = errors.New("core: truncated encoding")
+	}
+	if c.err != nil {
+		return make([]byte, 8)
+	}
+	v := c.b[c.off : c.off+n]
+	c.off += n
+	return v
+}
+
+func (c *cursor) u32() uint32   { return binary.LittleEndian.Uint32(c.take(4)) }
+func (c *cursor) f64() float64  { return math.Float64frombits(binary.LittleEndian.Uint64(c.take(8))) }
+func (c *cursor) chunk() []byte { return c.take(int(c.u32())) }
+
+// decodeQueryRecord decodes one query record of a focal slice or a
+// snapshot's pending table: a wire QueryInstall holding exactly one query.
+func decodeQueryRecord(raw []byte) (msg.QueryState, error) {
+	m, err := wire.Decode(raw)
+	if err != nil {
+		return msg.QueryState{}, err
+	}
+	qi, ok := m.(msg.QueryInstall)
+	if !ok || len(qi.Queries) != 1 {
+		return msg.QueryState{}, errors.New("core: malformed query record")
+	}
+	return qi.Queries[0], nil
+}
+
 // decodeFocalSlice parses an encoded focal slice back into a detached focal
 // record plus the motion state and grid cell it was extracted at. The
 // record is ready for injectFocal.
 func decodeFocalSlice(b []byte) (focalRecord, model.MotionState, grid.CellID, error) {
-	var rec focalRecord
-	le := binary.LittleEndian
-	off := 0
 	fail := func(what string) (focalRecord, model.MotionState, grid.CellID, error) {
 		return focalRecord{}, model.MotionState{}, grid.CellID{}, fmt.Errorf("core: focal slice: %s", what)
 	}
-	need := func(n int) bool { return off+n <= len(b) }
-	u16 := func() uint16 { v := le.Uint16(b[off:]); off += 2; return v }
-	u32 := func() uint32 { v := le.Uint32(b[off:]); off += 4; return v }
-	f64 := func() float64 { v := math.Float64frombits(le.Uint64(b[off:])); off += 8; return v }
-	if !need(focalSliceHeaderLen) {
+	if len(b) < focalSliceHeaderLen {
 		return fail("truncated header")
 	}
-	if v := u16(); v != focalSliceVersion {
+	c := cursor{b: b}
+	if v := binary.LittleEndian.Uint16(c.take(2)); v != focalSliceVersion {
 		return fail(fmt.Sprintf("unsupported version %d", v))
 	}
-	rec.oid = model.ObjectID(u32())
+	rec := focalRecord{oid: model.ObjectID(c.u32())}
 	var st model.MotionState
-	st.Pos = geo.Pt(f64(), f64())
-	st.Vel = geo.Vec(f64(), f64())
-	st.Tm = model.Time(f64())
-	maxVel := f64()
-	cell := grid.CellID{Col: int(int32(u32())), Row: int(int32(u32()))}
-	n := int(u32())
-	if n > (len(b)-off)/4 {
+	st.Pos = geo.Pt(c.f64(), c.f64())
+	st.Vel = geo.Vec(c.f64(), c.f64())
+	st.Tm = model.Time(c.f64())
+	maxVel := c.f64()
+	cell := grid.CellID{Col: int(int32(c.u32())), Row: int(int32(c.u32()))}
+	n := int(c.u32())
+	if n > (len(b)-c.off)/4 {
 		return fail("implausible query count")
 	}
 	fe := &fotEntry{state: st, maxVel: maxVel, currCell: cell}
 	rec.fe = fe
 	rec.entries = make([]*sqtEntry, 0, n)
 	for i := 0; i < n; i++ {
-		if !need(4) {
+		raw, expiry, nRes := c.chunk(), model.Time(c.f64()), int(c.u32())
+		if c.err != nil || nRes > (len(b)-c.off)/4 {
 			return fail("truncated query record")
 		}
-		encLen := int(u32())
-		if encLen > len(b)-off {
-			return fail("truncated query state")
-		}
-		m, err := wire.Decode(b[off : off+encLen])
-		off += encLen
+		qs, err := decodeQueryRecord(raw)
 		if err != nil {
 			return focalRecord{}, model.MotionState{}, grid.CellID{}, err
 		}
-		qi, ok := m.(msg.QueryInstall)
-		if !ok || len(qi.Queries) != 1 {
-			return fail("malformed query record")
-		}
-		qs := qi.Queries[0]
-		if !need(8 + 4) {
-			return fail("truncated result set")
-		}
-		expiry := model.Time(f64())
-		nRes := int(u32())
-		if nRes > (len(b)-off)/4 {
-			return fail("implausible result count")
-		}
 		result := make(map[model.ObjectID]struct{}, nRes)
 		for j := 0; j < nRes; j++ {
-			result[model.ObjectID(u32())] = struct{}{}
+			result[model.ObjectID(c.u32())] = struct{}{}
 		}
 		fe.queries = append(fe.queries, qs.QID)
 		rec.entries = append(rec.entries, &sqtEntry{
@@ -158,7 +173,7 @@ func decodeFocalSlice(b []byte) (focalRecord, model.MotionState, grid.CellID, er
 			expiry:    expiry,
 		})
 	}
-	if off != len(b) {
+	if c.off != len(b) {
 		return fail("trailing bytes")
 	}
 	return rec, st, cell, nil

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
@@ -66,6 +64,9 @@ type NodeHandle interface {
 	// crash is recoverable — DESIGN.md §15); since must equal the node's
 	// current sequence or the exchange errors.
 	CheckpointDelta(since uint64) (CheckpointDelta, error)
+	// SnapshotData returns the node's focal section of a snapshot: every
+	// FOT row's focal slice, ascending by oid, exactly the bytes the serial
+	// server writes for those rows; the router merges the sections.
 	SnapshotData() ([]byte, error)
 	CheckInvariants() error
 	Close() error
@@ -244,14 +245,7 @@ func (n *NodeServer) NearbyQueries(cell grid.CellID) []model.QueryID {
 	return n.srv.NearbyQueries(cell)
 }
 
-func (n *NodeServer) FocalIDs() []model.ObjectID {
-	out := make([]model.ObjectID, 0, len(n.srv.fot))
-	for oid := range n.srv.fot {
-		out = append(out, oid)
-	}
-	sortOIDs(out)
-	return out
-}
+func (n *NodeServer) FocalIDs() []model.ObjectID { return n.srv.focalIDs() }
 
 func (n *NodeServer) FocalCell(oid model.ObjectID) (grid.CellID, bool) {
 	fe, ok := n.srv.fot[oid]
@@ -264,11 +258,7 @@ func (n *NodeServer) FocalCell(oid model.ObjectID) (grid.CellID, bool) {
 func (n *NodeServer) Ops() int64 { return n.srv.Ops() }
 
 func (n *NodeServer) SnapshotData() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := writeSnapshot(&buf, n.srv.snapshotData()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return appendFocalSection(nil, n.srv.focalSlices()), nil
 }
 
 func (n *NodeServer) CheckInvariants() error { return n.srv.CheckInvariants() }

@@ -280,6 +280,12 @@ func (s *Server) completeInstall(qid model.QueryID, q model.Query, focalMaxVel f
 func (s *Server) RemoveQuery(qid model.QueryID) bool {
 	e, ok := s.sqt[qid]
 	if !ok {
+		// A query still waiting on its focal leaves the pending table, so a
+		// late FocalInfoResponse no longer installs it.
+		if dropPending(s.pending, qid) {
+			delete(s.expiries, qid)
+			return true
+		}
 		return false
 	}
 	root := s.beginRoot(e.query.Focal, qid, "RemoveQuery")
@@ -554,6 +560,9 @@ func (s *Server) OnDepartureReport(m msg.DepartureReport) {
 		delete(s.fot, m.OID)
 		s.markDirty(m.OID)
 	}
+	for _, p := range s.pending[m.OID] {
+		delete(s.expiries, p.qid)
+	}
 	delete(s.pending, m.OID)
 	s.ops.Add(1)
 }
@@ -772,6 +781,36 @@ func rqiSearch(list []*sqtEntry, qid model.QueryID) (int, bool) {
 func (s *Server) chargeRQI(n int) {
 	s.ops.Add(int64(n))
 	s.acct.Compute(cost.UnitRQITouch, int64(n))
+}
+
+// dropPending removes qid's installation from a pending table, reporting
+// whether it was there. A pending table holds one row per focal the server
+// is still waiting to hear from, so the scan is short.
+func dropPending(pending map[model.ObjectID][]pendingInstall, qid model.QueryID) bool {
+	for focal, ps := range pending {
+		for i, p := range ps {
+			if p.qid != qid {
+				continue
+			}
+			if len(ps) == 1 {
+				delete(pending, focal)
+			} else {
+				pending[focal] = slices.Delete(ps, i, i+1)
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// focalIDs returns the oids of every FOT row, ascending.
+func (s *Server) focalIDs() []model.ObjectID {
+	out := make([]model.ObjectID, 0, len(s.fot))
+	for oid := range s.fot {
+		out = append(out, oid)
+	}
+	sortOIDs(out)
+	return out
 }
 
 func insertSortedQID(qs []model.QueryID, qid model.QueryID) []model.QueryID {

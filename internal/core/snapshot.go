@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,315 +14,263 @@ import (
 	"mobieyes/internal/wire"
 )
 
-// Snapshot format identifiers.
+// A snapshot (MOBS v2, DESIGN.md §13 "Snapshots") is the magic, a u16
+// version and the u32 query-ID counter; then the pending installations —
+// u32 n, each u32 qid, u32 focal, u32 length + wire QueryInstall (identity,
+// region, filter), f64 max velocity, f64 expiry — ascending by focal, then
+// in arrival order; then the focal section — u32 n, then n × (u32 length +
+// focal slice), ascending by oid, one slice per FOT row. The slices are the
+// handoff encoding, so every installed query travels inside its focal's
+// slice with its monitoring region, expiry and result set. All integers are
+// little-endian.
 const (
 	snapshotMagic   = "MOBS"
-	snapshotVersion = uint16(1)
+	snapshotVersion = uint16(2)
 )
-
-// snapQuery is one installed query in a snapshot: the wire QueryState
-// carries everything describing the query (identity, focal motion state,
-// region, filter, monitoring region).
-type snapQuery struct {
-	state  msg.QueryState
-	expiry model.Time
-	result []model.ObjectID // sorted
-}
 
 // snapPending is one installation still waiting on a FocalInfoRequest.
 type snapPending struct {
-	qid    model.QueryID
-	query  model.Query
-	maxVel float64
+	pendingInstall
 	expiry model.Time
 }
 
-// snapData is the durable state shared by both server implementations.
-type snapData struct {
-	nextQID model.QueryID
-	queries []snapQuery // ascending by QID
-	pending []snapPending
-}
-
-// writeSnapshot serializes d in the stable MOBS format.
-func writeSnapshot(w io.Writer, d snapData) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
-	}
+// appendSnapshot appends a whole snapshot: header, the pending table with
+// the expiries recorded for it, and the focal section of focals.
+func appendSnapshot(b []byte, nextQID model.QueryID, pending map[model.ObjectID][]pendingInstall, expiries map[model.QueryID]model.Time, focals [][]byte) []byte {
 	le := binary.LittleEndian
-	writeU16 := func(v uint16) { var b [2]byte; le.PutUint16(b[:], v); bw.Write(b[:]) }
-	writeU32 := func(v uint32) { var b [4]byte; le.PutUint32(b[:], v); bw.Write(b[:]) }
-	writeU64 := func(v uint64) { var b [8]byte; le.PutUint64(b[:], v); bw.Write(b[:]) }
-	writeF := func(v float64) { writeU64(math.Float64bits(v)) }
-	writeBytes := func(b []byte) {
-		writeU32(uint32(len(b)))
-		bw.Write(b)
-	}
-
-	writeU16(snapshotVersion)
-	writeU32(uint32(d.nextQID))
-
-	writeU32(uint32(len(d.queries)))
-	for _, q := range d.queries {
-		writeBytes(wire.Encode(msg.QueryInstall{Queries: []msg.QueryState{q.state}}))
-		writeF(float64(q.expiry))
-		writeU32(uint32(len(q.result)))
-		for _, oid := range q.result {
-			writeU32(uint32(oid))
-		}
-	}
-
-	writeU32(uint32(len(d.pending)))
-	for _, p := range d.pending {
-		writeU32(uint32(p.qid))
-		writeU32(uint32(p.query.Focal))
-		writeBytes(wire.Encode(msg.QueryInstall{Queries: []msg.QueryState{{
-			QID:    p.qid,
-			Focal:  p.query.Focal,
-			Region: p.query.Region,
-			Filter: p.query.Filter,
-		}}}))
-		writeF(p.maxVel)
-		writeF(float64(p.expiry))
-	}
-	return bw.Flush()
-}
-
-// readSnapshot parses the MOBS format back into records.
-func readSnapshot(r io.Reader) (snapData, error) {
-	var d snapData
-	br := bufio.NewReader(r)
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return d, fmt.Errorf("core: reading snapshot magic: %w", err)
-	}
-	if string(head) != snapshotMagic {
-		return d, errors.New("core: not a server snapshot")
-	}
-	le := binary.LittleEndian
-	readU16 := func() (uint16, error) {
-		var b [2]byte
-		_, err := io.ReadFull(br, b[:])
-		return le.Uint16(b[:]), err
-	}
-	readU32 := func() (uint32, error) {
-		var b [4]byte
-		_, err := io.ReadFull(br, b[:])
-		return le.Uint32(b[:]), err
-	}
-	readF := func() (float64, error) {
-		var b [8]byte
-		_, err := io.ReadFull(br, b[:])
-		return math.Float64frombits(le.Uint64(b[:])), err
-	}
-	readBytes := func() ([]byte, error) {
-		n, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		if n > 1<<20 {
-			return nil, fmt.Errorf("core: implausible snapshot chunk of %d bytes", n)
-		}
-		b := make([]byte, n)
-		_, err = io.ReadFull(br, b)
-		return b, err
-	}
-	readQueryState := func() (msg.QueryState, error) {
-		raw, err := readBytes()
-		if err != nil {
-			return msg.QueryState{}, err
-		}
-		m, err := wire.Decode(raw)
-		if err != nil {
-			return msg.QueryState{}, err
-		}
-		qi, ok := m.(msg.QueryInstall)
-		if !ok || len(qi.Queries) != 1 {
-			return msg.QueryState{}, errors.New("core: malformed query record in snapshot")
-		}
-		return qi.Queries[0], nil
-	}
-
-	ver, err := readU16()
-	if err != nil {
-		return d, err
-	}
-	if ver != snapshotVersion {
-		return d, fmt.Errorf("core: unsupported snapshot version %d", ver)
-	}
-	nextQID, err := readU32()
-	if err != nil {
-		return d, err
-	}
-	d.nextQID = model.QueryID(nextQID)
-
-	nQueries, err := readU32()
-	if err != nil {
-		return d, err
-	}
-	for i := uint32(0); i < nQueries; i++ {
-		var q snapQuery
-		q.state, err = readQueryState()
-		if err != nil {
-			return d, fmt.Errorf("core: snapshot query %d: %w", i, err)
-		}
-		expiry, err := readF()
-		if err != nil {
-			return d, err
-		}
-		q.expiry = model.Time(expiry)
-		nRes, err := readU32()
-		if err != nil {
-			return d, err
-		}
-		q.result = make([]model.ObjectID, 0, nRes)
-		for j := uint32(0); j < nRes; j++ {
-			oid, err := readU32()
-			if err != nil {
-				return d, err
-			}
-			q.result = append(q.result, model.ObjectID(oid))
-		}
-		d.queries = append(d.queries, q)
-	}
-
-	nPending, err := readU32()
-	if err != nil {
-		return d, err
-	}
-	for i := uint32(0); i < nPending; i++ {
-		var p snapPending
-		qidRaw, err := readU32()
-		if err != nil {
-			return d, err
-		}
-		focalRaw, err := readU32()
-		if err != nil {
-			return d, err
-		}
-		qs, err := readQueryState()
-		if err != nil {
-			return d, err
-		}
-		p.maxVel, err = readF()
-		if err != nil {
-			return d, err
-		}
-		expiry, err := readF()
-		if err != nil {
-			return d, err
-		}
-		p.qid = model.QueryID(qidRaw)
-		p.expiry = model.Time(expiry)
-		focal := model.ObjectID(focalRaw)
-		p.query = model.Query{ID: p.qid, Focal: focal, Region: qs.Region, Filter: qs.Filter}
-		d.pending = append(d.pending, p)
-	}
-	return d, nil
-}
-
-// snapshotData collects the server's durable state as records. Queries are
-// ascending by QID, pending installs ascending by focal then arrival order.
-func (s *Server) snapshotData() snapData {
-	d := snapData{nextQID: s.nextQID}
-	for _, qid := range s.QueryIDs() {
-		e := s.sqt[qid]
-		d.queries = append(d.queries, snapQuery{
-			state:  e.wireState(),
-			expiry: e.expiry,
-			result: s.Result(qid),
-		})
-	}
-	var pendingFocals []model.ObjectID
-	for focal := range s.pending {
+	b = append(b, snapshotMagic...)
+	b = le.AppendUint16(b, snapshotVersion)
+	b = le.AppendUint32(b, uint32(nextQID))
+	pendingFocals := make([]model.ObjectID, 0, len(pending))
+	n := 0
+	for focal, ps := range pending {
 		pendingFocals = append(pendingFocals, focal)
+		n += len(ps)
 	}
 	sortOIDs(pendingFocals)
+	b = le.AppendUint32(b, uint32(n))
 	for _, focal := range pendingFocals {
-		for _, p := range s.pending[focal] {
-			d.pending = append(d.pending, snapPending{
-				qid:    p.qid,
-				query:  p.query,
-				maxVel: p.maxVel,
-				expiry: s.expiries[p.qid],
-			})
+		for _, p := range pending[focal] {
+			b = appendPendingRecord(b, snapPending{p, expiries[p.qid]})
 		}
 	}
-	return d
+	return appendFocalSection(b, focals)
 }
 
-// Snapshot serializes the server's durable state: every installed query
-// (identity, focal motion state, region, filter, monitoring region, expiry)
-// and its current result set, plus the query-ID counter. The reverse query
-// index and FOT are reconstructed on restore.
-//
-// A restored server resumes mediating exactly where the old one stopped —
-// moving objects keep their LQTs and notice nothing. Pending installations
-// (waiting on a FocalInfoRequest) are re-issued on restore.
+func appendPendingRecord(b []byte, p snapPending) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, uint32(p.qid))
+	b = le.AppendUint32(b, uint32(p.query.Focal))
+	enc := wire.Encode(msg.QueryInstall{Queries: []msg.QueryState{{
+		QID:    p.qid,
+		Focal:  p.query.Focal,
+		Region: p.query.Region,
+		Filter: p.query.Filter,
+	}}})
+	b = le.AppendUint32(b, uint32(len(enc)))
+	b = append(b, enc...)
+	b = le.AppendUint64(b, math.Float64bits(p.maxVel))
+	return le.AppendUint64(b, math.Float64bits(float64(p.expiry)))
+}
+
+// appendFocalSection appends the focal section holding focals, which must
+// be ascending by oid. A node's section is its NodeHandle.SnapshotData.
+func appendFocalSection(b []byte, focals [][]byte) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, uint32(len(focals)))
+	for _, f := range focals {
+		b = le.AppendUint32(b, uint32(len(f)))
+		b = append(b, f...)
+	}
+	return b
+}
+
+// focalSlices encodes every FOT row of s, ascending by oid.
+func (s *Server) focalSlices() [][]byte {
+	oids := s.focalIDs()
+	out := make([][]byte, len(oids))
+	for i, oid := range oids {
+		out[i] = s.encodeFocalState(oid)
+	}
+	return out
+}
+
+// Snapshot serializes the server's durable state: the query-ID counter,
+// the pending installations and every FOT row as a focal slice, which
+// carries the row's queries (identity, region, filter, monitoring region,
+// expiry) and their result sets. A server restored from it resumes
+// mediating exactly where this one stopped — the moving objects keep their
+// LQTs and notice nothing; pending installations re-issue their
+// FocalInfoRequests.
 func (s *Server) Snapshot(w io.Writer) error {
-	return writeSnapshot(w, s.snapshotData())
+	_, err := w.Write(appendSnapshot(nil, s.nextQID, s.pending, s.expiries, s.focalSlices()))
+	return err
 }
 
-// restoreQuery rebuilds one installed query's rows in s's FOT, SQT and RQI
-// without any messaging: the moving objects still hold their LQTs.
-func (s *Server) restoreQuery(q snapQuery) {
-	qs := q.state
-	fe, ok := s.fot[qs.Focal]
-	if !ok {
-		fe = &fotEntry{state: qs.State, currCell: s.g.CellOf(qs.State.Pos)}
-		s.fot[qs.Focal] = fe
-	}
-	if qs.FocalMaxVel > fe.maxVel {
-		fe.maxVel = qs.FocalMaxVel
-	}
-	fe.queries = insertSortedQID(fe.queries, qs.QID)
-	s.markDirty(qs.Focal)
-	result := make(map[model.ObjectID]struct{}, len(q.result))
-	for _, oid := range q.result {
-		result[oid] = struct{}{}
-	}
-	e := &sqtEntry{
-		query:     model.Query{ID: qs.QID, Focal: qs.Focal, Region: qs.Region, Filter: qs.Filter},
-		fe:        fe,
-		currCell:  fe.currCell,
-		monRegion: qs.MonRegion,
-		result:    result,
-		expiry:    q.expiry,
-	}
-	s.sqt[qs.QID] = e
-	s.chargeRQI(s.rqiAdd(e, qs.MonRegion))
-	if q.expiry != 0 {
-		s.expiries[qs.QID] = q.expiry
-	}
+// snapshot is a decoded, validated snapshot.
+type snapshot struct {
+	nextQID model.QueryID
+	pending []snapPending
+	focals  [][]byte // focal slices, ascending by oid
 }
 
-// RestoreServer rebuilds a server from a snapshot. The grid and options
-// must match the snapshotting server's deployment. Pending installations
-// re-issue their FocalInfoRequests through down.
+// splitFocalSection splits a focal section into its slices.
+func splitFocalSection(b []byte) ([][]byte, error) {
+	c := cursor{b: b}
+	n := int(c.u32())
+	if n > len(b)/4 {
+		return nil, errors.New("core: implausible focal count in snapshot")
+	}
+	out := make([][]byte, 0, n)
+	for i := 0; i < n && c.err == nil; i++ {
+		f := c.chunk()
+		if c.err == nil && len(f) < focalSliceHeaderLen {
+			return nil, errors.New("core: truncated focal slice in snapshot")
+		}
+		out = append(out, f)
+	}
+	if c.err == nil && c.off != len(b) {
+		return nil, errors.New("core: trailing bytes after snapshot")
+	}
+	return out, c.err
+}
+
+// readSnapshot reads a snapshot for grid g. A snapshot is outside input,
+// so it is accepted only if restoring it builds tables that pass
+// CheckInvariants and re-snapshot to the same bytes: cells and monitoring
+// regions lie on g, oids strictly ascend, qids (pending ones included) are
+// unique and below the counter, and each record is the canonical encoding
+// of what it decodes to — query records agree with their focal row, results
+// are sorted and unrepeated.
+func readSnapshot(g *grid.Grid, r io.Reader) (snapshot, error) {
+	var snap snapshot
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return snap, fmt.Errorf("core: reading snapshot: %w", err)
+	}
+	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
+		return snap, errors.New("core: not a server snapshot")
+	}
+	c := cursor{b: data, off: len(snapshotMagic)}
+	if v := binary.LittleEndian.Uint16(c.take(2)); c.err == nil && v != snapshotVersion {
+		return snap, fmt.Errorf("core: unsupported snapshot version %d", v)
+	}
+	snap.nextQID = model.QueryID(c.u32())
+	if c.err == nil && snap.nextQID < 1 {
+		return snap, fmt.Errorf("core: snapshot query counter %d is not positive", snap.nextQID)
+	}
+	seen := make(map[model.QueryID]bool)
+	checkQID := func(qid model.QueryID) error {
+		if qid < 1 || qid >= snap.nextQID {
+			return fmt.Errorf("core: snapshot query %d outside [1, %d)", qid, snap.nextQID)
+		}
+		if seen[qid] {
+			return fmt.Errorf("core: snapshot holds query %d twice", qid)
+		}
+		seen[qid] = true
+		return nil
+	}
+
+	nPending := c.u32()
+	for i := uint32(0); i < nPending && c.err == nil; i++ {
+		start := c.off
+		qid, focal := model.QueryID(c.u32()), model.ObjectID(c.u32())
+		raw := c.chunk()
+		maxVel, expiry := c.f64(), model.Time(c.f64())
+		if c.err != nil {
+			break
+		}
+		qs, err := decodeQueryRecord(raw)
+		if err != nil {
+			return snap, fmt.Errorf("core: snapshot pending install %d: %w", qid, err)
+		}
+		p := snapPending{pendingInstall{qid, model.Query{ID: qid, Focal: focal, Region: qs.Region, Filter: qs.Filter}, maxVel}, expiry}
+		if p.expiry == 0 {
+			p.expiry = 0 // the tables keep no zero expiry, so −0 would come back as +0
+		}
+		if !bytes.Equal(appendPendingRecord(nil, p), data[start:c.off]) {
+			return snap, fmt.Errorf("core: snapshot pending install %d is not in canonical form", qid)
+		}
+		if k := len(snap.pending); k > 0 && focal < snap.pending[k-1].query.Focal {
+			return snap, errors.New("core: snapshot pending installs not ascending by focal")
+		}
+		if err := checkQID(qid); err != nil {
+			return snap, err
+		}
+		snap.pending = append(snap.pending, p)
+	}
+	if c.err != nil {
+		return snap, c.err
+	}
+
+	if snap.focals, err = splitFocalSection(data[c.off:]); err != nil {
+		return snap, err
+	}
+	for i, f := range snap.focals {
+		rec, _, cell, err := decodeFocalSlice(f)
+		if err != nil {
+			return snap, fmt.Errorf("core: snapshot focal %d: %w", i, err)
+		}
+		if i > 0 && rec.oid <= sliceOID(snap.focals[i-1]) {
+			return snap, fmt.Errorf("core: snapshot focal %d: oids not strictly ascending", rec.oid)
+		}
+		if !g.Valid(cell) {
+			return snap, fmt.Errorf("core: snapshot focal %d: %v is off the grid", rec.oid, cell)
+		}
+		for j, e := range rec.entries {
+			if j > 0 && e.query.ID <= rec.entries[j-1].query.ID {
+				return snap, fmt.Errorf("core: snapshot focal %d: queries not strictly ascending", rec.oid)
+			}
+			if !g.Valid(e.monRegion.Min) || !g.Valid(e.monRegion.Max) {
+				return snap, fmt.Errorf("core: snapshot query %d: monitoring region %v is off the grid", e.query.ID, e.monRegion)
+			}
+			if err := checkQID(e.query.ID); err != nil {
+				return snap, err
+			}
+		}
+		if !bytes.Equal(encodeFocalSlice(rec), f) {
+			return snap, fmt.Errorf("core: snapshot focal %d is not in canonical form", rec.oid)
+		}
+	}
+	return snap, nil
+}
+
+// restorePending refills a pending table and its expiries from snapshot
+// records and returns the focals whose FocalInfoRequest must be re-issued,
+// in record order.
+func restorePending(recs []snapPending, pending map[model.ObjectID][]pendingInstall, expiries map[model.QueryID]model.Time) []model.ObjectID {
+	var ask []model.ObjectID
+	for _, p := range recs {
+		focal := p.query.Focal
+		if len(pending[focal]) == 0 {
+			ask = append(ask, focal)
+		}
+		pending[focal] = append(pending[focal], p.pendingInstall)
+		if p.expiry != 0 {
+			expiries[p.qid] = p.expiry
+		}
+	}
+	return ask
+}
+
+// RestoreServer rebuilds a server from a snapshot written by any server
+// implementation. The grid and options must match the snapshotting
+// deployment. Each focal slice is injected exactly as crash replay injects
+// a journaled one — same monitoring regions, nothing sent, nothing charged
+// — and pending installations re-issue their FocalInfoRequests through down.
 func RestoreServer(g *grid.Grid, opts Options, down Downlink, r io.Reader) (*Server, error) {
-	d, err := readSnapshot(r)
+	snap, err := readSnapshot(g, r)
 	if err != nil {
 		return nil, err
 	}
 	s := NewServer(g, opts, down)
-	s.nextQID = d.nextQID
-	for _, q := range d.queries {
-		s.restoreQuery(q)
+	s.nextQID = snap.nextQID
+	for _, f := range snap.focals {
+		rec, st, cell, _ := decodeFocalSlice(f) // readSnapshot decoded it already
+		s.injectFocal(rec, st, cell, false)
 	}
-	for _, p := range d.pending {
-		focal := p.query.Focal
-		s.pending[focal] = append(s.pending[focal], pendingInstall{
-			qid:    p.qid,
-			query:  p.query,
-			maxVel: p.maxVel,
-		})
-		if p.expiry != 0 {
-			s.expiries[p.qid] = p.expiry
-		}
-		if len(s.pending[focal]) == 1 {
-			s.unicast(focal, msg.FocalInfoRequest{OID: focal})
-		}
+	for _, focal := range restorePending(snap.pending, s.pending, s.expiries) {
+		s.unicast(focal, msg.FocalInfoRequest{OID: focal})
 	}
 	return s, nil
 }

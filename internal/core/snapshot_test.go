@@ -2,11 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"mobieyes/internal/geo"
+	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
+	"mobieyes/internal/msg"
 )
 
 // TestSnapshotRestoreMidRun is the fault-tolerance property: snapshot the
@@ -151,4 +157,208 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 			t.Errorf("%s: restore accepted invalid snapshot", name)
 		}
 	}
+}
+
+// testSlice encodes a focal row at cell holding the given queries, each
+// with monitoring region mon and results res.
+func testSlice(oid model.ObjectID, maxVel float64, cell grid.CellID, mon grid.CellRange, res []model.ObjectID, qids ...model.QueryID) []byte {
+	fe := &fotEntry{state: model.MotionState{Pos: geo.Pt(52, 52), Vel: geo.Vec(1, 2), Tm: 3}, maxVel: maxVel, currCell: cell, queries: qids}
+	rec := focalRecord{oid: oid, fe: fe}
+	for _, qid := range qids {
+		result := make(map[model.ObjectID]struct{})
+		for _, o := range res {
+			result[o] = struct{}{}
+		}
+		rec.entries = append(rec.entries, &sqtEntry{
+			query:     model.Query{ID: qid, Focal: oid, Region: model.CircleRegion{R: 3}, Filter: matchAll},
+			monRegion: mon,
+			result:    result,
+		})
+	}
+	return encodeFocalSlice(rec)
+}
+
+// restoreEverywhere restores data into a serial server and into a 2-node
+// router of each rendering, returning each backend's error.
+func restoreEverywhere(data []byte) (map[string]ServerAPI, map[string]error) {
+	servers, errs := map[string]ServerAPI{}, map[string]error{}
+	s, err := RestoreServer(smallGrid(), Options{}, nullDown{}, bytes.NewReader(data))
+	servers["serial"], errs["serial"] = s, err
+	for _, r := range routerRenderings {
+		cs := r.new(smallGrid(), Options{}, nullDown{}, 2)
+		servers[r.name], errs[r.name] = cs, cs.Restore(bytes.NewReader(data))
+	}
+	return servers, errs
+}
+
+// TestRestoreValidates: a snapshot is outside input. Each case below
+// restored without error in the previous format, or would have (an
+// int32-spanning monitoring region loops ~2⁶² times in rqiEdit), and left
+// tables that CheckInvariants rejects or that reuse a query ID. Serial and
+// router restore refuse every one; the well-formed baseline passes.
+func TestRestoreValidates(t *testing.T) {
+	cell := grid.CellID{Col: 10, Row: 10}
+	mon := grid.CellRange{Min: grid.CellID{Col: 9, Row: 9}, Max: grid.CellID{Col: 11, Row: 11}}
+	res := []model.ObjectID{3, 7}
+	ok := testSlice(1, 100, cell, mon, res, 1)
+	snap := func(next model.QueryID, pending map[model.ObjectID][]pendingInstall, focals ...[]byte) []byte {
+		return appendSnapshot(nil, next, pending, nil, focals)
+	}
+	// splice joins one slice's header to another's query records.
+	splice := func(head, body []byte) []byte {
+		return append(append([]byte(nil), head[:focalSliceHeaderLen]...), body[focalSliceHeaderLen:]...)
+	}
+	withResults := func(a, b uint32) []byte {
+		f := append([]byte(nil), ok...)
+		binary.LittleEndian.PutUint32(f[len(f)-8:], a)
+		binary.LittleEndian.PutUint32(f[len(f)-4:], b)
+		return f
+	}
+	pendingOn := func(focal model.ObjectID, qid model.QueryID) map[model.ObjectID][]pendingInstall {
+		q := model.Query{ID: qid, Focal: focal, Region: model.CircleRegion{R: 2}, Filter: matchAll}
+		return map[model.ObjectID][]pendingInstall{focal: {{qid, q, 50}}}
+	}
+	v1 := snap(2, nil, ok)
+	binary.LittleEndian.PutUint16(v1[4:], 1)
+
+	if _, errs := restoreEverywhere(snap(3, pendingOn(9, 2), ok)); errs["serial"] != nil || errs["nodes"] != nil || errs["shards"] != nil {
+		t.Fatalf("well-formed baseline refused: %v", errs)
+	}
+	for _, c := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"version 1", "unsupported snapshot version 1", v1},
+		{"counter at an installed qid", "outside [1, 1)", snap(1, nil, ok)},
+		{"counter at a pending qid", "outside [1, 2)", snap(2, pendingOn(9, 2), ok)},
+		{"zero counter", "not positive", snap(0, nil)},
+		{"duplicate qid across focals", "query 1 twice", snap(2, nil, ok, testSlice(2, 100, cell, mon, nil, 1))},
+		{"duplicate qid in the pending table", "query 1 twice", snap(2, pendingOn(9, 1), ok)},
+		{"oids descending", "not strictly ascending", snap(3, nil, testSlice(2, 100, cell, mon, nil, 2), ok)},
+		{"oid repeated", "not strictly ascending", snap(3, nil, ok, testSlice(1, 100, cell, mon, nil, 2))},
+		{"queries descending", "queries not strictly ascending", snap(3, nil, testSlice(1, 100, cell, mon, nil, 2, 1))},
+		{"off-grid cell", "off the grid", snap(2, nil, testSlice(1, 100, grid.CellID{Col: 20, Row: 0}, mon, nil, 1))},
+		{"off-grid monitoring region", "off the grid", snap(2, nil, testSlice(1, 100, cell,
+			grid.CellRange{Min: grid.CellID{Col: -1, Row: 0}, Max: grid.CellID{Col: 3, Row: 3}}, nil, 1))},
+		{"int32-spanning monitoring region", "off the grid", snap(2, nil, testSlice(1, 100, cell,
+			grid.CellRange{Min: grid.CellID{Col: math.MinInt32, Row: math.MinInt32}, Max: grid.CellID{Col: math.MaxInt32, Row: math.MaxInt32}}, nil, 1))},
+		{"record max velocity differs from the row", "canonical", snap(2, nil, splice(ok, testSlice(1, 200, cell, mon, res, 1)))},
+		{"record focal differs from the row", "canonical", snap(2, nil, splice(ok, testSlice(2, 100, cell, mon, res, 1)))},
+		{"results unsorted", "canonical", snap(2, nil, withResults(7, 3))},
+		{"results repeated", "canonical", snap(2, nil, withResults(3, 3))},
+		{"trailing bytes", "trailing bytes", append(snap(2, nil, ok), 0)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, errs := restoreEverywhere(c.data)
+			for backend, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s: restore error %v, want one containing %q", backend, err, c.want)
+				}
+			}
+		})
+	}
+}
+
+// TestPendingInstallDropped: removing or expiring a query whose focal has
+// not answered its FocalInfoRequest yet drops the pending install, so the
+// late FocalInfoResponse installs only the focal's other pending query, and
+// a departure drops the pending installs' expiries with them — on the
+// serial server and on both router renderings.
+func TestPendingInstallDropped(t *testing.T) {
+	backends := map[string]func() ServerAPI{
+		"serial": func() ServerAPI { return NewServer(smallGrid(), Options{}, nullDown{}) },
+	}
+	for _, r := range routerRenderings {
+		backends[r.name] = func() ServerAPI { return r.new(smallGrid(), Options{}, nullDown{}, 2) }
+	}
+	for _, c := range []struct {
+		name     string
+		drop     func(t *testing.T, s ServerAPI, qid model.QueryID)
+		siblings bool // the focal's other pending install survives
+	}{
+		{"expire", func(t *testing.T, s ServerAPI, qid model.QueryID) {
+			if got := s.ExpireQueries(model.FromSeconds(90)); !slices.Equal(got, []model.QueryID{qid}) {
+				t.Errorf("ExpireQueries = %v, want [%d]", got, qid)
+			}
+		}, true},
+		{"remove", func(t *testing.T, s ServerAPI, qid model.QueryID) {
+			if !s.RemoveQuery(qid) {
+				t.Error("RemoveQuery of a pending query = false")
+			}
+			if s.RemoveQuery(qid) {
+				t.Error("second RemoveQuery of the same query = true")
+			}
+		}, true},
+		{"depart", func(t *testing.T, s ServerAPI, qid model.QueryID) {
+			s.HandleUplink(msg.DepartureReport{OID: 1})
+		}, false},
+	} {
+		for name, newBackend := range backends {
+			t.Run(c.name+"/"+name, func(t *testing.T) {
+				s := newBackend()
+				qid := s.InstallQueryUntil(1, model.CircleRegion{R: 3}, matchAll, 100, model.FromSeconds(60))
+				sibling := s.InstallQuery(1, model.CircleRegion{R: 2}, matchAll, 100)
+				c.drop(t, s, qid)
+				s.HandleUplink(msg.FocalInfoResponse{OID: 1, Pos: geo.Pt(50, 50), Tm: model.FromSeconds(100)})
+				if _, installed := s.Query(qid); installed {
+					t.Errorf("dropped query %d installed", qid)
+				}
+				if _, installed := s.Query(sibling); installed != c.siblings {
+					t.Errorf("sibling query %d installed = %v, want %v", sibling, installed, c.siblings)
+				}
+				if got := s.ExpireQueries(model.FromSeconds(1e6)); len(got) != 0 {
+					t.Errorf("a later sweep expired %v", got)
+				}
+				if err := s.CheckInvariants(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+}
+
+// FuzzRestore: no input panics a restore, serial and a 2-node router agree
+// on whether to accept it, and an accepted snapshot yields tables that pass
+// CheckInvariants and re-snapshot byte-identically.
+func FuzzRestore(f *testing.F) {
+	h := newHarness(smallGrid(), Options{})
+	runScenario(h)
+	h.server.InstallQueryUntil(99, model.CircleRegion{R: 2}, matchAll, 50, model.FromSeconds(9999))
+	var buf bytes.Buffer
+	if err := h.server.Snapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	var empty bytes.Buffer
+	NewServer(smallGrid(), Options{}, nullDown{}).Snapshot(&empty)
+	f.Add(empty.Bytes())
+	mon := grid.CellRange{Min: grid.CellID{Col: 9, Row: 9}, Max: grid.CellID{Col: 11, Row: 11}}
+	f.Add(appendSnapshot(nil, 4, nil, nil, [][]byte{
+		testSlice(1, 100, grid.CellID{Col: 10, Row: 10}, mon, []model.ObjectID{3, 7}, 1, 2),
+		testSlice(5, 100, grid.CellID{Col: 2, Row: 19}, mon, nil),
+	}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		servers, errs := restoreEverywhere(data)
+		serialErr := errs["serial"]
+		for backend, err := range errs {
+			if (err == nil) != (serialErr == nil) {
+				t.Fatalf("serial restore error %v, %s restore error %v", serialErr, backend, err)
+			}
+		}
+		if serialErr != nil {
+			return
+		}
+		for backend, s := range servers {
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("%s: accepted snapshot fails invariants: %v", backend, err)
+			}
+			var again bytes.Buffer
+			if err := s.Snapshot(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), data) {
+				t.Fatalf("%s: re-snapshot differs from the accepted input", backend)
+			}
+		}
+	})
 }

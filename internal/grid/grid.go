@@ -70,23 +70,23 @@ func (g *Grid) NumCells() int { return g.cols * g.rows }
 // objects that drift slightly past the boundary (floating point, or bounce
 // handling in the workload) still resolve to a valid cell.
 func (g *Grid) CellOf(p geo.Point) CellID {
-	col := int(math.Floor((p.X - g.uod.LX) / g.alpha))
-	row := int(math.Floor((p.Y - g.uod.LY) / g.alpha))
-	return g.clamp(CellID{col, row})
+	return CellID{g.band(p.X-g.uod.LX, g.cols), g.band(p.Y-g.uod.LY, g.rows)}
 }
 
-func (g *Grid) clamp(c CellID) CellID {
-	if c.Col < 0 {
-		c.Col = 0
-	} else if c.Col >= g.cols {
-		c.Col = g.cols - 1
+// band maps an offset from the UoD's low edge to the index of the row or
+// column of cells containing it, clamped to [0, n). It clamps in float and
+// converts last: Go leaves the int conversion of an out-of-range float
+// implementation-defined (amd64 yields math.MinInt64), which sent huge and
+// infinite offsets to band 0. NaN lands in band 0.
+func (g *Grid) band(off float64, n int) int {
+	f := math.Floor(off / g.alpha)
+	switch {
+	case f >= float64(n-1):
+		return n - 1
+	case f > 0:
+		return int(f)
 	}
-	if c.Row < 0 {
-		c.Row = 0
-	} else if c.Row >= g.rows {
-		c.Row = g.rows - 1
-	}
-	return c
+	return 0
 }
 
 // Valid reports whether c addresses a cell inside the grid.
@@ -119,7 +119,12 @@ func (g *Grid) CellAt(idx int) CellID {
 // query region can reach while the focal object stays inside rc.
 func (g *Grid) BoundingBox(rc CellID, r float64) geo.Rect {
 	cr := g.CellRect(rc)
-	return geo.NewRect(cr.LX-r, cr.LY-r, g.alpha+2*r, g.alpha+2*r)
+	b := geo.NewRect(cr.LX-r, cr.LY-r, g.alpha+2*r, g.alpha+2*r)
+	if math.IsInf(r, 1) {
+		// The high edges came out as −∞ + ∞ = NaN; the box reaches everywhere.
+		b.HX, b.HY = r, r
+	}
+	return b
 }
 
 // CellRange is a rectangular span of grid cells, inclusive on both ends.
@@ -185,16 +190,12 @@ func (cr CellRange) String() string {
 // CellsIntersecting returns the range of cells whose rectangles intersect r,
 // clipped to the grid.
 func (g *Grid) CellsIntersecting(r geo.Rect) CellRange {
-	minCol := int(math.Floor((r.LX - g.uod.LX) / g.alpha))
-	minRow := int(math.Floor((r.LY - g.uod.LY) / g.alpha))
-	maxCol := int(math.Floor((r.HX - g.uod.LX) / g.alpha))
-	maxRow := int(math.Floor((r.HY - g.uod.LY) / g.alpha))
 	// A rect whose high edge lies exactly on a cell boundary still
 	// intersects the next cell (closed intervals), so only pull back when
 	// the computed index exceeds the grid.
 	return CellRange{
-		Min: g.clamp(CellID{minCol, minRow}),
-		Max: g.clamp(CellID{maxCol, maxRow}),
+		Min: CellID{g.band(r.LX-g.uod.LX, g.cols), g.band(r.LY-g.uod.LY, g.rows)},
+		Max: CellID{g.band(r.HX-g.uod.LX, g.cols), g.band(r.HY-g.uod.LY, g.rows)},
 	}
 }
 

@@ -74,6 +74,56 @@ func TestCellOf(t *testing.T) {
 	}
 }
 
+// TestHugeAndInfiniteInputsClamp: positions and radii far past the UoD clamp
+// to the border like any other outside value. Converting the float index to
+// int before clamping sent 1e30 and ±Inf to cell 0 on amd64.
+func TestHugeAndInfiniteInputsClamp(t *testing.T) {
+	g := testGrid()
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		p    geo.Point
+		want CellID
+	}{
+		{geo.Pt(1e30, 1e30), CellID{19, 19}},
+		{geo.Pt(-1e30, -1e30), CellID{0, 0}},
+		{geo.Pt(1e30, -1e30), CellID{19, 0}},
+		{geo.Pt(inf, inf), CellID{19, 19}},
+		{geo.Pt(-inf, -inf), CellID{0, 0}},
+		{geo.Pt(-inf, inf), CellID{0, 19}},
+	} {
+		if got := g.CellOf(c.p); got != c.want {
+			t.Errorf("CellOf(%v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+	whole := CellRange{Min: CellID{0, 0}, Max: CellID{19, 19}}
+	for _, c := range []struct {
+		r    float64
+		want CellRange
+	}{
+		{3, CellRange{Min: CellID{9, 9}, Max: CellID{11, 11}}},
+		{1e17, whole},
+		{1e30, whole},
+		{inf, whole},
+	} {
+		if got := g.MonitoringRegion(CellID{10, 10}, c.r); got != c.want {
+			t.Errorf("MonitoringRegion(cell(10,10), %v) = %v, want %v", c.r, got, c.want)
+		}
+	}
+	// Offsets whose index fits an int map exactly as convert-then-clamp did.
+	clampInt := func(v, n int) int { return min(max(v, 0), n-1) }
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 100000; i++ {
+		p := geo.Pt((rng.Float64()-0.5)*1e6, (rng.Float64()-0.5)*300)
+		want := CellID{
+			clampInt(int(math.Floor(p.X/5)), 20),
+			clampInt(int(math.Floor(p.Y/5)), 20),
+		}
+		if got := g.CellOf(p); got != want {
+			t.Fatalf("CellOf(%v) = %v, convert-then-clamp gave %v", p, got, want)
+		}
+	}
+}
+
 func TestCellOfNonZeroOrigin(t *testing.T) {
 	g := New(geo.NewRect(-50, -50, 100, 100), 10)
 	if got := g.CellOf(geo.Pt(-50, -50)); got != (CellID{0, 0}) {

@@ -3,6 +3,7 @@ package remote
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -49,7 +50,7 @@ type ServerConfig struct {
 	// grid and downlink instead of the built-in in-process routers — the
 	// hook the cluster-router entrypoint uses to route over TCP worker
 	// processes (internal/cluster). Shards and ClusterNodes are ignored
-	// when set; ListenAndRestore does not support it.
+	// when set.
 	Backend func(g *grid.Grid, opts core.Options, down core.Downlink) (core.ServerAPI, error)
 	// Metrics is the registry transport and backend metrics attach to,
 	// typically shared with an obs.HTTPServer. Nil means the server keeps
@@ -164,28 +165,43 @@ func ListenAndServe(cfg ServerConfig) (*Server, error) {
 // non-nil only when a cfg.Backend factory fails (e.g. a cluster router that
 // cannot reach its workers); the built-in backends cannot fail.
 func Serve(cfg ServerConfig, ln net.Listener) (*Server, error) {
+	return serve(cfg, ln, nil)
+}
+
+// serve starts a server on ln, first restoring the backend from snapshot
+// when it is non-nil.
+func serve(cfg ServerConfig, ln net.Listener, snapshot io.Reader) (*Server, error) {
 	s := newServer(cfg, ln)
-	if cfg.Backend != nil {
-		backend, err := cfg.Backend(s.g, cfg.Options, serverDownlink{s})
-		if err != nil {
-			ln.Close()
-			return nil, err
+	backend, err := s.buildBackend()
+	if err == nil && snapshot != nil {
+		// The built-in backends and the TCP cluster router are all routers.
+		cs, ok := backend.(*core.ClusterServer)
+		if !ok {
+			err = fmt.Errorf("remote: a %T backend cannot restore a snapshot", backend)
+		} else if err = cs.Restore(snapshot); err != nil {
+			cs.Close() // a TCP router releases its workers for the next router
 		}
-		s.backend = backend
-	} else {
-		s.backend = s.builtinBackend()
 	}
+	if err != nil {
+		ln.Close()
+		return nil, err
+	}
+	s.backend = backend
 	s.wire()
 	return s, nil
 }
 
-// builtinBackend is the in-process router cfg selects: journaled worker
-// nodes with ClusterNodes, fate-sharing shards otherwise.
-func (s *Server) builtinBackend() *core.ClusterServer {
-	if s.cfg.ClusterNodes > 0 {
-		return core.NewClusterServer(s.g, s.cfg.Options, serverDownlink{s}, s.cfg.ClusterNodes)
+// buildBackend builds cfg.Backend, or else the in-process router cfg
+// selects: journaled worker nodes with ClusterNodes, fate-sharing shards
+// otherwise.
+func (s *Server) buildBackend() (core.ServerAPI, error) {
+	if s.cfg.Backend != nil {
+		return s.cfg.Backend(s.g, s.cfg.Options, serverDownlink{s})
 	}
-	return core.NewShardedServer(s.g, s.cfg.Options, serverDownlink{s}, s.cfg.Shards)
+	if s.cfg.ClusterNodes > 0 {
+		return core.NewClusterServer(s.g, s.cfg.Options, serverDownlink{s}, s.cfg.ClusterNodes), nil
+	}
+	return core.NewShardedServer(s.g, s.cfg.Options, serverDownlink{s}, s.cfg.Shards), nil
 }
 
 // wire attaches the configured observers to the freshly built backend and
@@ -440,22 +456,15 @@ func (s *Server) Snapshot(w io.Writer) error {
 }
 
 // ListenAndRestore starts a server whose query state is restored from a
-// snapshot. Connected objects resume being tracked as they reconnect and
-// report.
+// snapshot — into the built-in router, or into cfg.Backend's, whose workers
+// must then hold no rows. Connected objects resume being tracked as they
+// reconnect and report.
 func ListenAndRestore(cfg ServerConfig, snapshot io.Reader) (*Server, error) {
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
-	s := newServer(cfg, ln)
-	backend := s.builtinBackend()
-	if err := backend.Restore(snapshot); err != nil {
-		ln.Close()
-		return nil, err
-	}
-	s.backend = backend
-	s.wire()
-	return s, nil
+	return serve(cfg, ln, snapshot)
 }
 
 // Costs returns the attached cost accountant, or nil when accounting is off.

@@ -31,14 +31,14 @@ func TestBehaviourDigest(t *testing.T) {
 		opts core.Options
 		want string
 	}{
-		{"EQP/Δ=0", core.Options{}, "e891cd8162acd176"},
-		{"EQP/Δ=0.01", core.Options{DeadReckoningThreshold: dr}, "ad8346e650ff6cf7"},
-		{"LQP", core.Options{Mode: core.LazyPropagation, DeadReckoningThreshold: dr}, "c83f066fa0abf319"},
-		{"SafePeriod", core.Options{SafePeriod: true}, "177661f38384b815"},
-		{"Predictive", core.Options{Predictive: true}, "16d912a6e8fffd0e"},
-		{"Grouping", core.Options{Grouping: true}, "64e1b2d242dc0382"},
-		{"LQP+SafePeriod+Grouping", core.Options{Mode: core.LazyPropagation, DeadReckoningThreshold: dr, SafePeriod: true, Grouping: true}, "95f0bdab4ec5f5ab"},
-		{"Default", DefaultConfig().Core, "ad8346e650ff6cf7"},
+		{"EQP/Δ=0", core.Options{}, "3c09d8b3a4fcfcc8"},
+		{"EQP/Δ=0.01", core.Options{DeadReckoningThreshold: dr}, "2c2938799da28a08"},
+		{"LQP", core.Options{Mode: core.LazyPropagation, DeadReckoningThreshold: dr}, "19c7804402ed1fa5"},
+		{"SafePeriod", core.Options{SafePeriod: true}, "0d6b0d71665c1be3"},
+		{"Predictive", core.Options{Predictive: true}, "d3cad3265f7ea41f"},
+		{"Grouping", core.Options{Grouping: true}, "6098be0be08cd048"},
+		{"LQP+SafePeriod+Grouping", core.Options{Mode: core.LazyPropagation, DeadReckoningThreshold: dr, SafePeriod: true, Grouping: true}, "906b493cd8433798"},
+		{"Default", DefaultConfig().Core, "2c2938799da28a08"},
 	}
 	for _, col := range columns {
 		t.Run(col.name, func(t *testing.T) {

@@ -3,20 +3,23 @@
 # `mobieyes-server -cluster worker` processes and a `-cluster router` over
 # them with tracing and costs on, probed over HTTP (/debug/,
 # /debug/cluster?format=json, /debug/events?n=5) and over the admin port
-# (install, help, HEALTH) with a bash /dev/tcp redirect. Fails on any
-# non-200 answer or empty body; stops all three processes on exit.
+# (install, help, HEALTH) with a bash /dev/tcp redirect. Two objects then
+# fill the query's result, the router takes an admin `snapshot`, every
+# process is killed, and fresh workers plus `-cluster router -restore` must
+# answer `result 1` exactly as before. Fails on any non-200 answer, empty
+# body or changed result; stops every process on exit.
 #
 #   scripts/cluster_smoke.sh        # needs 127.0.0.1 ports 7181-7185 free
 set -euo pipefail
 
 dir=$(mktemp -d)
 pids=()
-cleanup() {
+stop() {
 	for p in "${pids[@]}"; do kill "$p" 2>/dev/null || true; done
 	wait 2>/dev/null || true
-	rm -rf "$dir"
+	pids=()
 }
-trap cleanup EXIT
+trap 'stop; rm -rf "$dir"' EXIT
 
 # waitlog FILE TEXT: wait up to 10 s for a started process to log TEXT.
 waitlog() {
@@ -29,26 +32,40 @@ waitlog() {
 	return 1
 }
 
-go build -o "$dir/mobieyes-server" ./cmd/mobieyes-server
-for port in 7181 7182; do
-	"$dir/mobieyes-server" -cluster worker -addr 127.0.0.1:$port >"$dir/w$port.log" 2>&1 &
-	pids+=($!)
-	waitlog "$dir/w$port.log" "cluster worker on"
-done
-"$dir/mobieyes-server" -cluster router -workers 127.0.0.1:7181,127.0.0.1:7182 \
-	-addr 127.0.0.1:7183 -admin 127.0.0.1:7184 -metrics-addr 127.0.0.1:7185 \
-	-trace-events 4096 -costs >"$dir/router.log" 2>&1 &
-pids+=($!)
-waitlog "$dir/router.log" "objects on"
+# admin CMD...: send each command to the router's admin port, then quit;
+# prints the replies.
+admin() {
+	exec 3<>/dev/tcp/127.0.0.1/7184
+	printf '%s\n' "$@" quit >&3
+	cat <&3
+	exec 3<&-
+}
 
-exec 3<>/dev/tcp/127.0.0.1/7184
-printf 'install 1 3 1000\nhelp\nHEALTH\nquit\n' >&3
-admin=$(cat <&3)
-exec 3<&-
+# start_cluster [ROUTER_ARGS...]: two fresh workers, then the router. The
+# old logs go first, so waitlog cannot match a previous run's line.
+start_cluster() {
+	rm -f "$dir"/w*.log "$dir/router.log"
+	for port in 7181 7182; do
+		"$dir/mobieyes-server" -cluster worker -addr 127.0.0.1:$port >"$dir/w$port.log" 2>&1 &
+		pids+=($!)
+		waitlog "$dir/w$port.log" "cluster worker on"
+	done
+	"$dir/mobieyes-server" -cluster router -workers 127.0.0.1:7181,127.0.0.1:7182 \
+		-addr 127.0.0.1:7183 -admin 127.0.0.1:7184 -metrics-addr 127.0.0.1:7185 \
+		-trace-events 4096 -costs "$@" >"$dir/router.log" 2>&1 &
+	pids+=($!)
+	waitlog "$dir/router.log" "objects on"
+}
+
+go build -o "$dir/mobieyes-server" ./cmd/mobieyes-server
+go build -o "$dir/mobieyes-object" ./cmd/mobieyes-object
+start_cluster
+
+reply=$(admin 'install 1 3 1000' help HEALTH)
 for want in "qid 1" "TRACE" "health "; do
-	if ! grep -q "$want" <<<"$admin"; then
+	if ! grep -q "$want" <<<"$reply"; then
 		echo "cluster_smoke: admin reply lacks '$want':" >&2
-		echo "$admin" >&2
+		echo "$reply" >&2
 		exit 1
 	fi
 done
@@ -63,4 +80,36 @@ for path in /debug/ "/debug/cluster?format=json" "/debug/events?n=5"; do
 	echo "$body"
 done
 echo "== admin"
-echo "$admin"
+echo "$reply"
+
+# Snapshot and restore: two objects join the query, the router writes a
+# snapshot, and a new cluster restored from it must hold the same result.
+for spec in "1 50" "2 51"; do
+	set -- $spec
+	"$dir/mobieyes-object" -addr 127.0.0.1:7183 -oid "$1" -x "$2" -y 50 >"$dir/o$1.log" 2>&1 &
+	pids+=($!)
+done
+before=
+for _ in $(seq 100); do
+	before=$(admin 'result 1')
+	[ "$before" = "result 1 1 2" ] && break
+	sleep 0.1
+done
+if [ "$before" != "result 1 1 2" ]; then
+	echo "cluster_smoke: result before the snapshot is '$before', want 'result 1 1 2'" >&2
+	exit 1
+fi
+if [ "$(admin "snapshot $dir/snap.mobs")" != ok ]; then
+	echo "cluster_smoke: admin snapshot failed" >&2
+	exit 1
+fi
+stop
+start_cluster -restore "$dir/snap.mobs"
+after=$(admin 'result 1')
+echo "== restore"
+echo "before: $before"
+echo "after:  $after"
+if [ "$after" != "$before" ]; then
+	echo "cluster_smoke: restored cluster answers '$after', want '$before'" >&2
+	exit 1
+fi
