@@ -11,8 +11,13 @@ import (
 	"testing"
 
 	"mobieyes/internal/grid"
+	"mobieyes/internal/history"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
+	"mobieyes/internal/obs"
+	"mobieyes/internal/obs/cost"
+	"mobieyes/internal/obs/stream"
+	"mobieyes/internal/obs/trace"
 )
 
 // allocSink is a downlink that keeps only the last message, so what
@@ -22,8 +27,36 @@ type allocSink struct{ last msg.Message }
 func (d *allocSink) Broadcast(_ grid.CellRange, m msg.Message) { d.last = m }
 func (d *allocSink) Unicast(_ model.ObjectID, m msg.Message)   { d.last = m }
 
+// observeAll attaches every observer the public API offers — metrics, a
+// trace ring, a cost accountant, and a result listener feeding a stream tap
+// with one subscriber and a history store — and returns the subscriber's
+// drain, which the measured ops call like a gateway would; it returns the
+// number of result events taken.
+func observeAll(s ServerAPI, g *grid.Grid) (drain func() int) {
+	s.Instrument(obs.NewRegistry())
+	s.SetTracer(trace.NewRecorder(256))
+	acct := cost.New()
+	acct.Configure(g.NumCells(), 0, 2)
+	s.SetAccountant(acct)
+	tap, hist := stream.NewTap(), history.NewStore(0)
+	hist.SetCostHook(acct.HistoryAppend)
+	tap.SetSink(func(qid int64, seq uint64, oid int64, enter bool) {
+		hist.AppendResult(0, qid, seq, oid, enter)
+	})
+	sub, _ := tap.Subscribe(stream.Firehose, 1024)
+	s.SetResultListener(func(ev ResultEvent) { tap.Publish(int64(ev.QID), int64(ev.OID), ev.Entered) })
+	return func() int {
+		evs, _ := sub.Drain()
+		return len(evs)
+	}
+}
+
 // TestCellChangeAllocationBudget pins the allocations of the two cell-change
-// paths on the serial server and through the router. A non-focal report
+// paths and of a containment flip on the serial server and through the
+// router, each with no observer and with every observer attached. The
+// observed column has the same budget: in steady state the trace ring, the
+// cost tallies, the stream tap and its subscriber's buffers allocate
+// nothing per op (the history store's segments amortize to zero). A non-focal report
 // shipping k fresh queries costs three: the report boxed into msg.Message at
 // the call, the exact-size output slice and the QueryInstall boxed into
 // msg.Message; the router pays a fourth only when, as here, both spans
@@ -32,7 +65,8 @@ func (d *allocSink) Unicast(_ model.ObjectID, m msg.Message)   { d.last = m }
 // and the boxed QueryInstall) — the RQI itself only moves rows between
 // posting lists that have already grown. Re-introducing a temporary (the
 // fresh []QueryID of the map representation, a result slice per node in the
-// router) breaks the budget.
+// router) breaks the budget. A containment report costs the boxed report;
+// the result row it flips has already grown.
 func TestCellChangeAllocationBudget(t *testing.T) {
 	g := smallGrid()
 	// Two nodes split the grid at row 10; cell (10,10) sees queries of focals
@@ -43,54 +77,95 @@ func TestCellChangeAllocationBudget(t *testing.T) {
 		name            string
 		new             func(Downlink) ServerAPI
 		nonFocal, focal float64
+		containment     float64
 	}{
-		{"serial", func(d Downlink) ServerAPI { return NewServer(g, Options{}, d) }, 3, 1 + 2*focalQueries},
-		{"router", func(d Downlink) ServerAPI { return NewShardedServer(g, Options{}, d, 2) }, 4, 1 + 2*focalQueries},
+		{"serial", func(d Downlink) ServerAPI { return NewServer(g, Options{}, d) }, 3, 1 + 2*focalQueries, 1},
+		{"router", func(d Downlink) ServerAPI { return NewShardedServer(g, Options{}, d, 2) }, 4, 1 + 2*focalQueries, 1},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sink := &allocSink{}
-			s := tc.new(sink)
-			install := func(oid model.ObjectID, at grid.CellID, radius float64) {
-				s.InstallQuery(oid, model.CircleRegion{R: radius}, matchAll, 100)
-				s.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: cellCenter(g, at)})
+		for _, observed := range []bool{false, true} {
+			name, drain := tc.name, func() int { return 0 }
+			if observed {
+				name += "_observed"
 			}
-			for i := 0; i < 4; i++ {
-				install(model.ObjectID(1+i), grid.CellID{Col: 8 + i, Row: 9}, 6)
-				install(model.ObjectID(11+i), grid.CellID{Col: 8 + i, Row: 11}, 6)
-			}
-			fresh := s.NearbyQueries(next)
-			if len(fresh) != 8 || len(s.NearbyQueries(prev)) != 0 {
-				t.Fatalf("RQI(next) = %v, RQI(prev) = %v: want 8 fresh queries from both spans", fresh, s.NearbyQueries(prev))
-			}
-			report := msg.CellChangeReport{OID: 900, PrevCell: prev, NewCell: next, Pos: cellCenter(g, next)}
-			got := testing.AllocsPerRun(200, func() { s.HandleUplink(report) })
-			if qi, ok := sink.last.(msg.QueryInstall); !ok || !slices.Equal(qidsOf(qi.Queries), fresh) {
-				t.Fatalf("shipped %v, want QueryInstall of %v", sink.last, fresh)
-			}
-			if got > tc.nonFocal {
-				t.Errorf("non-focal cell change shipping %d queries: %v allocations, budget %v", len(fresh), got, tc.nonFocal)
-			}
+			t.Run(name, func(t *testing.T) {
+				sink := &allocSink{}
+				s := tc.new(sink)
+				if observed {
+					drain = observeAll(s, g)
+				}
+				install := func(oid model.ObjectID, at grid.CellID, radius float64) {
+					s.InstallQuery(oid, model.CircleRegion{R: radius}, matchAll, 100)
+					s.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: cellCenter(g, at)})
+				}
+				for i := 0; i < 4; i++ {
+					install(model.ObjectID(1+i), grid.CellID{Col: 8 + i, Row: 9}, 6)
+					install(model.ObjectID(11+i), grid.CellID{Col: 8 + i, Row: 11}, 6)
+				}
+				fresh := s.NearbyQueries(next)
+				if len(fresh) != 8 || len(s.NearbyQueries(prev)) != 0 {
+					t.Fatalf("RQI(next) = %v, RQI(prev) = %v: want 8 fresh queries from both spans", fresh, s.NearbyQueries(prev))
+				}
+				report := msg.CellChangeReport{OID: 900, PrevCell: prev, NewCell: next, Pos: cellCenter(g, next)}
+				got := testing.AllocsPerRun(200, func() {
+					s.HandleUplink(report)
+					drain()
+				})
+				if qi, ok := sink.last.(msg.QueryInstall); !ok || !slices.Equal(qidsOf(qi.Queries), fresh) {
+					t.Fatalf("shipped %v, want QueryInstall of %v", sink.last, fresh)
+				}
+				if got > tc.nonFocal {
+					t.Errorf("non-focal cell change shipping %d queries: %v allocations, budget %v", len(fresh), got, tc.nonFocal)
+				}
 
-			// A focal with three queries shuttling between two cells of one span.
-			const focal = model.ObjectID(800)
-			a, b := grid.CellID{Col: 4, Row: 4}, grid.CellID{Col: 5, Row: 4}
-			for i := 0; i < focalQueries; i++ {
-				install(focal, a, 2+3*float64(i))
-			}
-			there := msg.CellChangeReport{OID: focal, PrevCell: a, NewCell: b, Pos: cellCenter(g, b)}
-			back := msg.CellChangeReport{OID: focal, PrevCell: b, NewCell: a, Pos: cellCenter(g, a)}
-			s.HandleUplink(there) // grow the posting lists of both regions once
-			s.HandleUplink(back)
-			got = testing.AllocsPerRun(200, func() {
-				s.HandleUplink(there)
+				// A focal with three queries shuttling between two cells of one span.
+				const focal = model.ObjectID(800)
+				a, b := grid.CellID{Col: 4, Row: 4}, grid.CellID{Col: 5, Row: 4}
+				for i := 0; i < focalQueries; i++ {
+					install(focal, a, 2+3*float64(i))
+				}
+				there := msg.CellChangeReport{OID: focal, PrevCell: a, NewCell: b, Pos: cellCenter(g, b)}
+				back := msg.CellChangeReport{OID: focal, PrevCell: b, NewCell: a, Pos: cellCenter(g, a)}
+				s.HandleUplink(there) // grow the posting lists of both regions once
 				s.HandleUplink(back)
-			}) / 2
-			if got > tc.focal {
-				t.Errorf("in-span focal cell change over %d queries: %v allocations, budget %v", focalQueries, got, tc.focal)
-			}
-			if err := s.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
+				got = testing.AllocsPerRun(200, func() {
+					s.HandleUplink(there)
+					s.HandleUplink(back)
+					drain()
+				}) / 2
+				if got > tc.focal {
+					t.Errorf("in-span focal cell change over %d queries: %v allocations, budget %v", focalQueries, got, tc.focal)
+				}
+
+				// Object 900 entering and leaving the result of a query whose
+				// region covers its cell: two result events per run.
+				q := fresh[0]
+				enter := msg.ContainmentReport{OID: 900, QID: q, IsTarget: true}
+				leave := msg.ContainmentReport{OID: 900, QID: q}
+				s.HandleUplink(enter) // grow the result row once
+				if r := s.Result(q); !slices.Equal(r, []model.ObjectID{900}) {
+					t.Fatalf("result of %d after enter = %v, want [900]", q, r)
+				}
+				s.HandleUplink(leave)
+				drain()
+				drained := 0
+				got = testing.AllocsPerRun(200, func() {
+					s.HandleUplink(enter)
+					s.HandleUplink(leave)
+					drained += drain()
+				}) / 2
+				if r := s.Result(q); len(r) != 0 {
+					t.Fatalf("result of %d after leave = %v", q, r)
+				}
+				if observed && drained != 2*201 {
+					t.Fatalf("subscriber drained %d result events, want %d", drained, 2*201)
+				}
+				if got > tc.containment {
+					t.Errorf("containment flip: %v allocations, budget %v", got, tc.containment)
+				}
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

@@ -577,30 +577,32 @@ func (cs *ClusterServer) HandleUplinkTraced(m msg.Message, tid trace.ID) {
 	// saturation signal for the serialized router tier.
 	cs.inflight.Add(1)
 	defer cs.inflight.Add(-1)
-	if cs.acct != nil {
+	lat := cs.obsm.uplinkLatency()
+	var start time.Time
+	if cs.acct != nil || cs.rec != nil || lat != nil {
+		// One TraceRef and one clock read per op, as on the serial server.
 		oid, qid := TraceRef(m)
-		sz := m.Size()
-		if oid != 0 {
-			cs.acct.ObjectUp(oid, sz)
+		if cs.acct != nil {
+			sz := m.Size()
+			if oid != 0 {
+				cs.acct.ObjectUp(oid, sz)
+			}
+			if qid != 0 {
+				cs.acct.QueryUp(qid, sz)
+			}
 		}
-		if qid != 0 {
-			cs.acct.QueryUp(qid, sz)
+		if cs.rec != nil || lat != nil {
+			start = time.Now()
 		}
-	}
-	if cs.rec != nil {
-		if tid == 0 {
-			tid = cs.rec.NextID()
+		if cs.rec != nil {
+			if tid == 0 {
+				tid = cs.rec.NextID()
+			}
+			cs.rec.Record(ingressEvent(start, tid, "router", oid, qid, m))
 		}
-		oid, qid := TraceRef(m)
-		cs.rec.Event(tid, trace.KindIngress, "router", oid, qid, m.Kind().String())
-	}
-	if o := cs.obsm; o != nil && o.uplinkLat != nil {
-		start := time.Now()
-		cs.dispatchUplink(m, tid)
-		o.uplinkLat.observe(m.Kind(), start)
-		return
 	}
 	cs.dispatchUplink(m, tid)
+	lat.observe(m.Kind(), start)
 }
 
 func (cs *ClusterServer) dispatchUplink(m msg.Message, tid trace.ID) {

@@ -65,6 +65,15 @@ func (kl *kindLatency) observe(k msg.Kind, start time.Time) {
 	kl.hists[k].Observe(time.Since(start).Seconds())
 }
 
+// uplinkLatency returns the uplink-latency histograms, or nil when o is nil
+// or carries none.
+func (o *serverObs) uplinkLatency() *kindLatency {
+	if o == nil {
+		return nil
+	}
+	return o.uplinkLat
+}
+
 // serverObs is the optional instrumentation of one serial Server (standalone
 // or as a router node). When nil — the default — the server is completely
 // uninstrumented beyond its always-on ops and uplink counters, and the

@@ -581,34 +581,38 @@ func (s *Server) HandleUplink(m msg.Message) { s.HandleUplinkTraced(m, 0) }
 // result flips) is tagged with the resulting ID.
 func (s *Server) HandleUplinkTraced(m msg.Message, tid trace.ID) {
 	s.upl.Add(1)
-	if s.acct != nil {
-		// Per-entity uplink attribution (protocol-level model bytes): charge
-		// the object the message is about and the query it targets, if any.
+	lat := s.obsm.uplinkLatency()
+	var start time.Time
+	if s.acct != nil || s.rec != nil || lat != nil {
+		// One TraceRef and one clock read per op, shared by the per-entity
+		// charge, the ingress event and the latency histogram.
 		oid, qid := TraceRef(m)
-		sz := m.Size()
-		if oid != 0 {
-			s.acct.ObjectUp(int64(oid), sz)
+		if s.acct != nil {
+			// Per-entity uplink attribution (protocol-level model bytes):
+			// charge the object the message is about and the query it
+			// targets, if any.
+			sz := m.Size()
+			if oid != 0 {
+				s.acct.ObjectUp(oid, sz)
+			}
+			if qid != 0 {
+				s.acct.QueryUp(qid, sz)
+			}
 		}
-		if qid != 0 {
-			s.acct.QueryUp(int64(qid), sz)
+		if s.rec != nil || lat != nil {
+			start = time.Now()
 		}
-	}
-	if s.rec != nil {
-		if tid == 0 {
-			tid = s.rec.NextID()
+		if s.rec != nil {
+			if tid == 0 {
+				tid = s.rec.NextID()
+			}
+			s.rec.Record(ingressEvent(start, tid, s.actor, oid, qid, m))
 		}
-		oid, qid := TraceRef(m)
-		s.rec.Event(tid, trace.KindIngress, s.actor, oid, qid, m.Kind().String())
 	}
 	prev := s.curTrace
 	s.curTrace = tid
-	if o := s.obsm; o != nil && o.uplinkLat != nil {
-		start := time.Now()
-		s.dispatchUplink(m)
-		o.uplinkLat.observe(m.Kind(), start)
-	} else {
-		s.dispatchUplink(m)
-	}
+	s.dispatchUplink(m)
+	lat.observe(m.Kind(), start)
 	s.curTrace = prev
 	s.syncTableGauges()
 }

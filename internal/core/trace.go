@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
@@ -60,6 +62,20 @@ func TraceRef(m msg.Message) (oid, qid int64) {
 		return int64(mm.Focal), 0
 	}
 	return 0, 0
+}
+
+// ingressEvent is the event that opens an uplink's trace, stamped with the
+// clock read its handler shares with the uplink-latency histogram.
+func ingressEvent(at time.Time, tid trace.ID, actor string, oid, qid int64, m msg.Message) trace.Event {
+	return trace.Event{
+		Nanos: at.UnixNano(),
+		Trace: tid,
+		Kind:  trace.KindIngress,
+		Actor: actor,
+		OID:   oid,
+		QID:   qid,
+		Note:  m.Kind().String(),
+	}
 }
 
 // SetTracer attaches a flight recorder; every table mutation, broadcast,

@@ -26,6 +26,8 @@ func BenchmarkCostComputeDisabled(b *testing.B) {
 	}
 }
 
+// BenchmarkCostUplinkEnabled is one global-ledger charge: two atomic adds,
+// 0 allocs/op (TestChargesDoNotAllocate holds every charge there).
 func BenchmarkCostUplinkEnabled(b *testing.B) {
 	a := New()
 	b.ReportAllocs()
@@ -60,7 +62,8 @@ func BenchmarkCostCellUpEnabled(b *testing.B) {
 	}
 }
 
-// Map-backed scope on the hit path (tally already exists).
+// Per-ID scope on the hit path (tally already exists): one atomic chunk
+// load, no lock, no map probe, 0 allocs/op.
 func BenchmarkCostQueryUpEnabled(b *testing.B) {
 	a := New()
 	a.QueryUp(1, 30)

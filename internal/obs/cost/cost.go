@@ -39,7 +39,10 @@
 package cost
 
 import (
+	"cmp"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mobieyes/internal/msg"
 	"mobieyes/internal/obs"
@@ -278,10 +281,9 @@ type Accountant struct {
 	cells    []Tally
 	stations []Tally
 
-	mu      sync.RWMutex // guards queries, objects, mode
-	queries map[int64]*Tally
-	objects map[int64]*Tally
-	mode    string
+	queries tallyIndex
+	objects tallyIndex
+	mode    atomic.Pointer[string]
 
 	q quality
 
@@ -299,14 +301,149 @@ type Accountant struct {
 	}
 }
 
+// Per-ID tallies (queries, objects) live in a dense index: IDs in
+// [0, denseIDs) map straight to a slot of a lazily allocated chunk, found
+// with one atomic load. Engine IDs are small and consecutive, so the charge
+// path takes no lock and probes no map. IDs outside that range — a hostile
+// device may send any int64 — go to a locked sparse overflow; an ID lives
+// in exactly one of the two.
+const (
+	chunkBits = 10
+	chunkLen  = 1 << chunkBits
+	denseIDs  = 1 << 22
+)
+
+// idTally is a Tally plus whether the ID has been charged since the last
+// Reset, so snapshots list exactly the charged IDs (a zero-copy downlink
+// charges without moving a counter).
+type idTally struct {
+	Tally
+	charged atomic.Bool
+}
+
+type tallyChunk [chunkLen]idTally
+
+// tallyIndex maps int64 IDs to their tallies, creating on first charge.
+type tallyIndex struct {
+	dense [denseIDs / chunkLen]atomic.Pointer[tallyChunk]
+	// chunks bounds the scans: every allocated chunk index is below it.
+	chunks atomic.Int64
+
+	mu     sync.Mutex // guards chunk creation and sparse
+	sparse map[int64]*idTally
+}
+
+// charge returns id's tally, marked charged.
+func (x *tallyIndex) charge(id int64) *Tally {
+	var t *idTally
+	if uint64(id) < denseIDs {
+		c := x.dense[id>>chunkBits].Load()
+		if c == nil {
+			c = x.newChunk(id)
+		}
+		t = &c[id&(chunkLen-1)]
+	} else {
+		t = x.sparseTally(id)
+	}
+	if !t.charged.Load() {
+		t.charged.Store(true)
+	}
+	return &t.Tally
+}
+
+func (x *tallyIndex) newChunk(id int64) *tallyChunk {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	c := x.dense[id>>chunkBits].Load()
+	if c == nil {
+		c = new(tallyChunk)
+		x.dense[id>>chunkBits].Store(c)
+		x.chunks.Store(max(x.chunks.Load(), id>>chunkBits+1))
+	}
+	return c
+}
+
+func (x *tallyIndex) sparseTally(id int64) *idTally {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	t := x.sparse[id]
+	if t == nil {
+		if x.sparse == nil {
+			x.sparse = make(map[int64]*idTally)
+		}
+		t = &idTally{}
+		x.sparse[id] = t
+	}
+	return t
+}
+
+// lookup returns id's tally snapshot; ok is false when id was never
+// charged.
+func (x *tallyIndex) lookup(id int64) (TallySnap, bool) {
+	var t *idTally
+	if uint64(id) < denseIDs {
+		if c := x.dense[id>>chunkBits].Load(); c != nil {
+			t = &c[id&(chunkLen-1)]
+		}
+	} else {
+		x.mu.Lock()
+		t = x.sparse[id]
+		x.mu.Unlock()
+	}
+	if t == nil || !t.charged.Load() {
+		return TallySnap{}, false
+	}
+	return t.snap(id), true
+}
+
+// snapAll returns every charged ID's snapshot in ascending ID order:
+// negative sparse IDs, then the dense range, then large sparse IDs.
+func (x *tallyIndex) snapAll() []TallySnap {
+	x.mu.Lock()
+	var sparse []TallySnap
+	for id, t := range x.sparse {
+		if t.charged.Load() {
+			sparse = append(sparse, t.snap(id))
+		}
+	}
+	x.mu.Unlock()
+	sort.Slice(sparse, func(i, j int) bool { return sparse[i].ID < sparse[j].ID })
+	neg, _ := sort.Find(len(sparse), func(i int) int { return cmp.Compare(0, sparse[i].ID) })
+	out := append(make([]TallySnap, 0, len(sparse)), sparse[:neg]...)
+	for ci := range x.chunks.Load() {
+		c := x.dense[ci].Load()
+		if c == nil {
+			continue
+		}
+		for i := range c {
+			if c[i].charged.Load() {
+				out = append(out, c[i].snap(int64(ci)<<chunkBits|int64(i)))
+			}
+		}
+	}
+	return append(out, sparse[neg:]...)
+}
+
+// reset zeroes every tally in place and forgets every ID. Race-clean
+// against concurrent charges; a charge that overlaps the reset may survive
+// it, as with any reset of live counters.
+func (x *tallyIndex) reset() {
+	for ci := range x.chunks.Load() {
+		if c := x.dense[ci].Load(); c != nil {
+			for i := range c {
+				c[i].charged.Store(false)
+				c[i].reset()
+			}
+		}
+	}
+	x.mu.Lock()
+	x.sparse = nil
+	x.mu.Unlock()
+}
+
 // New returns an enabled accountant. Call Configure before use to size the
 // per-node/cell/station scopes (unscoped accounting works without it).
-func New() *Accountant {
-	return &Accountant{
-		queries: make(map[int64]*Tally),
-		objects: make(map[int64]*Tally),
-	}
-}
+func New() *Accountant { return &Accountant{} }
 
 // Configure (re)allocates the fixed per-node (router nodes: in-process
 // shards or cluster workers), per-cell and per-station scopes. Zero or
@@ -339,9 +476,7 @@ func (a *Accountant) SetMode(mode string) {
 	if a == nil {
 		return
 	}
-	a.mu.Lock()
-	a.mode = mode
-	a.mu.Unlock()
+	a.mode.Store(&mode)
 }
 
 // Mode returns the recorded propagation mode label.
@@ -349,9 +484,10 @@ func (a *Accountant) Mode() string {
 	if a == nil {
 		return ""
 	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.mode
+	if m := a.mode.Load(); m != nil {
+		return *m
+	}
+	return ""
 }
 
 // Uplink charges one uplink message of kind k and the given wire bytes to
@@ -434,49 +570,13 @@ func (a *Accountant) StationDown(station int32, bytes int) {
 	a.stations[station].down(int64(bytes), 1)
 }
 
-// queryTally returns the get-or-create tally for qid.
-func (a *Accountant) queryTally(qid int64) *Tally {
-	a.mu.RLock()
-	t := a.queries[qid]
-	a.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	a.mu.Lock()
-	t = a.queries[qid]
-	if t == nil {
-		t = &Tally{}
-		a.queries[qid] = t
-	}
-	a.mu.Unlock()
-	return t
-}
-
-// objectTally returns the get-or-create tally for oid.
-func (a *Accountant) objectTally(oid int64) *Tally {
-	a.mu.RLock()
-	t := a.objects[oid]
-	a.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	a.mu.Lock()
-	t = a.objects[oid]
-	if t == nil {
-		t = &Tally{}
-		a.objects[oid] = t
-	}
-	a.mu.Unlock()
-	return t
-}
-
 // QueryUp charges one uplink concerning query qid (protocol-level wire
 // size).
 func (a *Accountant) QueryUp(qid int64, bytes int) {
 	if a == nil {
 		return
 	}
-	a.queryTally(qid).up(int64(bytes))
+	a.queries.charge(qid).up(int64(bytes))
 }
 
 // QueryDown charges one downlink concerning query qid, sent as copies
@@ -485,7 +585,7 @@ func (a *Accountant) QueryDown(qid int64, bytes, copies int) {
 	if a == nil {
 		return
 	}
-	a.queryTally(qid).down(int64(bytes), int64(copies))
+	a.queries.charge(qid).down(int64(bytes), int64(copies))
 }
 
 // ObjectUp charges one uplink sent by (or concerning) object oid.
@@ -493,7 +593,7 @@ func (a *Accountant) ObjectUp(oid int64, bytes int) {
 	if a == nil {
 		return
 	}
-	a.objectTally(oid).up(int64(bytes))
+	a.objects.charge(oid).up(int64(bytes))
 }
 
 // ObjectDown charges one downlink concerning object oid, sent as copies
@@ -502,7 +602,7 @@ func (a *Accountant) ObjectDown(oid int64, bytes, copies int) {
 	if a == nil {
 		return
 	}
-	a.objectTally(oid).down(int64(bytes), int64(copies))
+	a.objects.charge(oid).down(int64(bytes), int64(copies))
 }
 
 // Compute charges n computation units of kind u to the global ledger.
@@ -585,9 +685,6 @@ func (a *Accountant) Nodes() []LedgerSnap {
 	return out
 }
 
-// Reset zeroes every ledger, tally and quality instrument in place,
-// preserving registry registrations and configured scope sizes. Intended
-// for quiescent points (e.g. after warmup), like network.Meter.Reset.
 // GatewayEgress charges one SSE write of the given byte length to the
 // stream-gateway egress meter. Called by the gateway at the encode
 // boundary; nil-safe, so it can be installed unconditionally as a cost
@@ -611,6 +708,10 @@ func (a *Accountant) HistoryAppend(bytes int) {
 	a.egress.historyBytes.Add(int64(bytes))
 }
 
+// Reset zeroes every ledger, tally and quality instrument in place,
+// preserving registry registrations and configured scope sizes. Intended
+// for quiescent points (e.g. after warmup), like network.Meter.Reset; it is
+// race-clean against concurrent charges, which may or may not survive it.
 func (a *Accountant) Reset() {
 	if a == nil {
 		return
@@ -630,10 +731,8 @@ func (a *Accountant) Reset() {
 	for i := range a.stations {
 		a.stations[i].reset()
 	}
-	a.mu.Lock()
-	a.queries = make(map[int64]*Tally)
-	a.objects = make(map[int64]*Tally)
-	a.mu.Unlock()
+	a.queries.reset()
+	a.objects.reset()
 	a.q.precision.Set(0)
 	a.q.recall.Set(0)
 	zero(&a.q.tp)

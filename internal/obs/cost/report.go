@@ -139,8 +139,8 @@ func (a *Accountant) Snapshot() Snapshot {
 			s.Stations = append(s.Stations, a.stations[i].snap(int64(i)))
 		}
 	}
-	s.Queries = snapMap(a, false)
-	s.Objects = snapMap(a, true)
+	s.Queries = a.queries.snapAll()
+	s.Objects = a.objects.snapAll()
 	if q := a.qualityReport(); q.TP != 0 || q.FP != 0 || q.FN != 0 || q.StaleCount != 0 {
 		s.Quality = &q
 	}
@@ -153,31 +153,6 @@ func (a *Accountant) Snapshot() Snapshot {
 		s.Egress = &e
 	}
 	return s
-}
-
-// snapMap snapshots one of the accountant's per-ID tally maps (queries, or
-// objects when objects is true). The map field is read under the lock:
-// Reset replaces the maps wholesale, so a caller-evaluated argument would
-// race with a concurrent Reset.
-func snapMap(a *Accountant, objects bool) []TallySnap {
-	a.mu.RLock()
-	m := a.queries
-	if objects {
-		m = a.objects
-	}
-	ids := make([]int64, 0, len(m))
-	tallies := make([]*Tally, 0, len(m))
-	for id, t := range m {
-		ids = append(ids, id)
-		tallies = append(tallies, t)
-	}
-	a.mu.RUnlock()
-	out := make([]TallySnap, len(ids))
-	for i := range ids {
-		out[i] = tallies[i].snap(ids[i])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 func (a *Accountant) qualityReport() QualityReport {
@@ -236,13 +211,7 @@ func (a *Accountant) QuerySnap(qid int64) (TallySnap, bool) {
 	if a == nil {
 		return TallySnap{}, false
 	}
-	a.mu.RLock()
-	t := a.queries[qid]
-	a.mu.RUnlock()
-	if t == nil {
-		return TallySnap{}, false
-	}
-	return t.snap(qid), true
+	return a.queries.lookup(qid)
 }
 
 // ObjectSnap returns the tally snapshot for one object ID.
@@ -250,13 +219,7 @@ func (a *Accountant) ObjectSnap(oid int64) (TallySnap, bool) {
 	if a == nil {
 		return TallySnap{}, false
 	}
-	a.mu.RLock()
-	t := a.objects[oid]
-	a.mu.RUnlock()
-	if t == nil {
-		return TallySnap{}, false
-	}
-	return t.snap(oid), true
+	return a.objects.lookup(oid)
 }
 
 // WriteText renders the snapshot as a human-readable report: the global

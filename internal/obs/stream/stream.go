@@ -10,10 +10,11 @@
 // by construction, and a client can detect loss by watching for a hole.
 //
 // Back-pressure never reaches the engine: Publish does constant work per
-// subscriber (append to a bounded buffer, non-blocking signal) and performs
-// no I/O. A subscriber whose buffer is full is evicted on the spot — its
-// buffered events are dropped, it is unsubscribed, and its next Drain
-// reports the eviction so the client can reconnect and re-snapshot.
+// subscriber (append to a bounded buffer, and a non-blocking signal only
+// when that buffer was empty), allocates nothing in steady state, and
+// performs no I/O. A subscriber whose buffer is full is evicted on the
+// spot — its buffered events are dropped, it is unsubscribed, and its next
+// Drain reports the eviction so the client can reconnect and re-snapshot.
 //
 // The same event stream can be teed into the append-only history store
 // (internal/history) via SetSink; the sink runs under the tap mutex so the
@@ -21,7 +22,8 @@
 package stream
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"mobieyes/internal/obs"
@@ -52,20 +54,24 @@ type SnapshotEntry struct {
 
 // queryState is a query's mirrored result set and its change counter. An
 // entry persists after the result empties (and after query removal) so
-// sequence numbers never restart within a tap's lifetime; the map is
-// bounded by the number of queries ever seen, which matches the engine's
-// own query-ID space.
+// sequence numbers never restart within a tap's lifetime. The members are
+// an unordered slice: an enter appends, a leave swap-deletes. Publish is
+// fed a differential stream — an enter for a non-member, a leave for a
+// member — which is what every backend's result listener emits.
 type queryState struct {
 	seq     uint64
-	members map[int64]struct{}
+	members []int64
 }
 
 // Tap is the fan-out hub. A nil *Tap is a valid, disabled tap on which
 // Publish and SetSink are no-ops.
 type Tap struct {
-	mu      sync.Mutex
-	queries map[int64]*queryState
-	subs    map[*Sub]struct{}
+	mu sync.Mutex
+	// queries is indexed by qid, which engines allocate densely from 1;
+	// any other qid (negative, or beyond maxDenseQID) lives in sparse.
+	queries []*queryState
+	sparse  map[int64]*queryState
+	subs    []*Sub
 	sink    func(qid int64, seq uint64, oid int64, enter bool)
 
 	published obs.Counter // events published by the engine
@@ -74,13 +80,13 @@ type Tap struct {
 	evictions obs.Counter // subscribers evicted
 }
 
+// maxDenseQID bounds the qid-indexed slice. Engine qids are int32 and a
+// restored snapshot may start the counter anywhere in that range, so a
+// large qid costs one map entry rather than a slice up to it.
+const maxDenseQID = 1 << 20
+
 // NewTap returns an empty tap.
-func NewTap() *Tap {
-	return &Tap{
-		queries: make(map[int64]*queryState),
-		subs:    make(map[*Sub]struct{}),
-	}
-}
+func NewTap() *Tap { return &Tap{} }
 
 // SetSink installs the history tee, invoked under the tap mutex for every
 // published event in global sequence order. The sink must be fast and must
@@ -94,6 +100,34 @@ func (t *Tap) SetSink(fn func(qid int64, seq uint64, oid int64, enter bool)) {
 	t.mu.Unlock()
 }
 
+// stateLocked returns qid's state, or nil if the tap has never seen qid.
+func (t *Tap) stateLocked(qid int64) *queryState {
+	if qid >= 0 && qid < int64(len(t.queries)) {
+		return t.queries[qid]
+	}
+	return t.sparse[qid]
+}
+
+// ensureLocked returns qid's state, creating it on first publish.
+func (t *Tap) ensureLocked(qid int64) *queryState {
+	if qs := t.stateLocked(qid); qs != nil {
+		return qs
+	}
+	qs := &queryState{}
+	if qid >= 0 && qid < maxDenseQID {
+		if qid >= int64(len(t.queries)) {
+			t.queries = append(t.queries, make([]*queryState, int(qid)+1-len(t.queries))...)
+		}
+		t.queries[qid] = qs
+	} else {
+		if t.sparse == nil {
+			t.sparse = make(map[int64]*queryState)
+		}
+		t.sparse[qid] = qs
+	}
+	return qs
+}
+
 // Publish records one result transition and fans it out. This is the engine
 // hot-path entry: bounded work per subscriber, no blocking, no I/O.
 func (t *Tap) Publish(qid, oid int64, enter bool) {
@@ -101,21 +135,21 @@ func (t *Tap) Publish(qid, oid int64, enter bool) {
 		return
 	}
 	t.mu.Lock()
-	qs := t.queries[qid]
-	if qs == nil {
-		qs = &queryState{members: make(map[int64]struct{})}
-		t.queries[qid] = qs
-	}
+	qs := t.ensureLocked(qid)
 	qs.seq++
 	if enter {
-		qs.members[oid] = struct{}{}
-	} else {
-		delete(qs.members, oid)
+		qs.members = append(qs.members, oid)
+	} else if i := slices.Index(qs.members, oid); i >= 0 {
+		last := len(qs.members) - 1
+		qs.members[i] = qs.members[last]
+		qs.members = qs.members[:last]
 	}
 	ev := Event{QID: qid, Seq: qs.seq, OID: oid, Enter: enter}
 	t.published.Add(1)
-	for sub := range t.subs {
+	for i := 0; i < len(t.subs); {
+		sub := t.subs[i]
 		if sub.qid != Firehose && sub.qid != qid {
+			i++
 			continue
 		}
 		if len(sub.buf) >= sub.cap {
@@ -125,19 +159,32 @@ func (t *Tap) Publish(qid, oid int64, enter bool) {
 			t.dropped.Add(int64(len(sub.buf)) + 1)
 			t.evictions.Add(1)
 			sub.evicted = true
-			sub.buf = nil
-			delete(t.subs, sub)
+			sub.buf, sub.spare = nil, nil
+			t.removeLocked(i)
 			sub.signal()
 			continue
 		}
 		sub.buf = append(sub.buf, ev)
 		t.fanned.Add(1)
-		sub.signal()
+		if len(sub.buf) == 1 {
+			// Only the empty → non-empty edge needs a wakeup: a drainer
+			// that has not drained yet will take this event with the rest.
+			sub.signal()
+		}
+		i++
 	}
 	if t.sink != nil {
 		t.sink(qid, qs.seq, oid, enter)
 	}
 	t.mu.Unlock()
+}
+
+// removeLocked swap-deletes t.subs[i].
+func (t *Tap) removeLocked(i int) {
+	last := len(t.subs) - 1
+	t.subs[i] = t.subs[last]
+	t.subs[last] = nil
+	t.subs = t.subs[:last]
 }
 
 // Subscribe registers a subscriber for qid's events (Firehose = all
@@ -155,31 +202,30 @@ func (t *Tap) Subscribe(qid int64, bufCap int) (*Sub, []SnapshotEntry) {
 	defer t.mu.Unlock()
 	var snap []SnapshotEntry
 	if qid == Firehose {
-		qids := make([]int64, 0, len(t.queries))
-		for id := range t.queries {
-			qids = append(qids, id)
+		for id, qs := range t.queries {
+			if qs != nil {
+				snap = append(snap, snapshotEntry(int64(id), qs))
+			}
 		}
-		sort.Slice(qids, func(i, j int) bool { return qids[i] < qids[j] })
-		for _, id := range qids {
-			snap = append(snap, snapshotEntryLocked(id, t.queries[id]))
+		for id, qs := range t.sparse {
+			snap = append(snap, snapshotEntry(id, qs))
 		}
+		slices.SortFunc(snap, func(a, b SnapshotEntry) int { return cmp.Compare(a.QID, b.QID) })
 	} else {
-		snap = append(snap, snapshotEntryLocked(qid, t.queries[qid]))
+		snap = append(snap, snapshotEntry(qid, t.stateLocked(qid)))
 	}
-	t.subs[sub] = struct{}{}
+	t.subs = append(t.subs, sub)
 	return sub, snap
 }
 
-func snapshotEntryLocked(qid int64, qs *queryState) SnapshotEntry {
+func snapshotEntry(qid int64, qs *queryState) SnapshotEntry {
 	e := SnapshotEntry{QID: qid, Members: []int64{}}
 	if qs == nil {
 		return e
 	}
 	e.Seq = qs.seq
-	for oid := range qs.members {
-		e.Members = append(e.Members, oid)
-	}
-	sort.Slice(e.Members, func(i, j int) bool { return e.Members[i] < e.Members[j] })
+	e.Members = append(e.Members, qs.members...)
+	slices.Sort(e.Members)
 	return e
 }
 
@@ -191,7 +237,7 @@ func (t *Tap) Result(qid int64) ([]int64, uint64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := snapshotEntryLocked(qid, t.queries[qid])
+	e := snapshotEntry(qid, t.stateLocked(qid))
 	return e.Members, e.Seq
 }
 
@@ -241,15 +287,18 @@ func (t *Tap) Instrument(reg *obs.Registry) {
 		"Subscribers evicted for falling behind.", &t.evictions)
 }
 
-// Sub is one subscription. Drain from a single goroutine; the buffer itself
-// is guarded by the tap mutex.
+// Sub is one subscription. Drain from a single goroutine; the buffers
+// themselves are guarded by the tap mutex.
 type Sub struct {
 	tap *Tap
 	qid int64
 	cap int
 
-	// Guarded by tap.mu.
+	// Guarded by tap.mu. Publish appends to buf; Drain hands buf out and
+	// takes spare, the slice the previous Drain handed out, as the next
+	// buf — so a steadily drained subscriber allocates nothing.
 	buf     []Event
+	spare   []Event
 	evicted bool
 
 	ready chan struct{}
@@ -264,8 +313,9 @@ func (s *Sub) signal() {
 }
 
 // Ready returns a channel that receives after events are buffered (or the
-// subscription is evicted). One receipt may cover many events: drain after
-// each.
+// subscription is evicted). One receipt may cover many events, and a
+// receipt may find nothing new when an earlier Drain already took the
+// events: drain after each.
 func (s *Sub) Ready() <-chan struct{} { return s.ready }
 
 // QID returns the subscribed query ID (Firehose for all-queries).
@@ -274,11 +324,12 @@ func (s *Sub) QID() int64 { return s.qid }
 // Drain returns and clears the buffered events, plus whether the
 // subscription has been evicted for falling behind. After evicted=true no
 // further events will arrive; reconnect (re-Subscribe) for a fresh
-// snapshot.
+// snapshot. The returned slice is valid until the next Drain, which reuses
+// its storage: copy any events that must outlive it.
 func (s *Sub) Drain() ([]Event, bool) {
 	s.tap.mu.Lock()
 	evs := s.buf
-	s.buf = nil
+	s.buf, s.spare = s.spare[:0], evs
 	evicted := s.evicted
 	s.tap.mu.Unlock()
 	return evs, evicted
@@ -287,6 +338,8 @@ func (s *Sub) Drain() ([]Event, bool) {
 // Close unsubscribes. Idempotent; safe after eviction.
 func (s *Sub) Close() {
 	s.tap.mu.Lock()
-	delete(s.tap.subs, s)
+	if i := slices.Index(s.tap.subs, s); i >= 0 {
+		s.tap.removeLocked(i)
+	}
 	s.tap.mu.Unlock()
 }

@@ -2,11 +2,11 @@
 // recorder for the MobiEyes protocol path. Components record Events — each
 // tagged with a trace ID minted at an ingress point (an uplink frame
 // arriving, an API call installing a query) and propagated through the
-// system alongside the work it caused — into a fixed-size, lock-free ring
-// buffer. When something goes wrong, the ring holds the recent past: the
-// causal chain from "velocity report arrived" through "FOT refreshed" and
-// "monitoring region broadcast" to "result flipped", reconstructable per
-// object, per query, or per trace.
+// system alongside the work it caused — into a fixed-size ring of
+// preallocated slots. When something goes wrong, the ring holds the recent
+// past: the causal chain from "velocity report arrived" through "FOT
+// refreshed" and "monitoring region broadcast" to "result flipped",
+// reconstructable per object, per query, or per trace.
 //
 // Design constraints (see DESIGN.md §11):
 //
@@ -14,10 +14,12 @@
 //     a nil *Recorder costs one branch (~1–2 ns), matching the nil-metrics
 //     idiom of internal/obs, so tracing can compile into the hot uplink
 //     path permanently and be turned on by configuration.
-//   - Recording must be cheap and concurrency-safe: one atomic counter
-//     bump and one atomic pointer store per event, no locks, no blocking.
-//     Writers never wait for readers; readers get a consistent (if
-//     slightly torn across slots) view of the recent past.
+//   - Recording must be cheap and concurrency-safe: no allocation, one
+//     atomic counter bump and one uncontended per-slot lock per event.
+//     A writer waits only for someone else on its own slot (a reader
+//     copying it, or a writer a full lap of the ring behind); readers copy
+//     one slot at a time, so every event they return is whole, though the
+//     set may be torn across slots.
 //   - Bounded memory. The ring overwrites the oldest events; Recorded()
 //     minus Cap() tells how much history has been lost.
 //
@@ -30,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -131,14 +134,29 @@ func (e Event) String() string {
 	return s
 }
 
-// Recorder is the flight recorder: a power-of-two ring of atomically
-// published events. All methods are safe for concurrent use, and all are
-// no-ops (or return zero values) on a nil receiver.
+// Recorder is the flight recorder: a power-of-two ring of preallocated
+// event slots. All methods are safe for concurrent use, and all are no-ops
+// (or return zero values) on a nil receiver.
 type Recorder struct {
 	mask  uint64
-	seq   atomic.Uint64 // total events ever recorded
-	ids   atomic.Uint64 // last minted trace ID
-	slots []atomic.Pointer[Event]
+	slots []slot
+	// seq and ids are bumped by every issuer; each gets its own cache line
+	// so neither bump invalidates the other or the read-only fields above.
+	_   [cacheLine]byte
+	seq atomic.Uint64 // total events ever recorded
+	_   [cacheLine - 8]byte
+	ids atomic.Uint64 // last minted trace ID
+	_   [cacheLine - 8]byte
+}
+
+// cacheLine is the padding unit that keeps the two counters apart.
+const cacheLine = 64
+
+// slot is one ring position. The lock makes a copy in or out whole; ev.Seq
+// is 0 while the slot has never been written.
+type slot struct {
+	mu sync.Mutex
+	ev Event
 }
 
 // DefaultSize is the ring capacity NewRecorder uses for size <= 0.
@@ -154,7 +172,7 @@ func NewRecorder(size int) *Recorder {
 	for n < size {
 		n <<= 1
 	}
-	return &Recorder{mask: uint64(n - 1), slots: make([]atomic.Pointer[Event], n)}
+	return &Recorder{mask: uint64(n - 1), slots: make([]slot, n)}
 }
 
 // Cap returns the ring capacity (0 for nil).
@@ -182,14 +200,15 @@ func (r *Recorder) NextID() ID {
 	return ID(r.ids.Add(1))
 }
 
-// Event records one event. This is the hot path: on a nil recorder it is a
-// single branch; enabled it is one allocation, one atomic add and one
-// atomic store.
+// Event records one event stamped with the current wall clock. This is the
+// hot path: on a nil recorder it is a single branch; enabled it is one
+// clock read, one atomic add and one uncontended slot lock — no
+// allocation.
 func (r *Recorder) Event(tid ID, k Kind, actor string, oid, qid int64, note string) {
 	if r == nil {
 		return
 	}
-	e := &Event{
+	r.put(&Event{
 		Nanos: time.Now().UnixNano(),
 		Trace: tid,
 		Kind:  k,
@@ -197,19 +216,18 @@ func (r *Recorder) Event(tid ID, k Kind, actor string, oid, qid int64, note stri
 		OID:   oid,
 		QID:   qid,
 		Note:  note,
-	}
-	e.Seq = r.seq.Add(1)
-	r.slots[e.Seq&r.mask].Store(e)
+	})
 }
 
-// Record merges one externally recorded event into the ring: the event's
-// trace ID, kind, actor, entities, note and original wall-clock timestamp
-// are preserved, but it is assigned a fresh local sequence number. This is
-// how the cluster telemetry plane stitches worker flight-recorder batches
-// into the router's ring — trace IDs are minted at the router and ride the
-// wire, so merged chains line up by ID; workers ship their events ahead of
-// each op reply, so merge order tracks causal order. A zero Nanos is
-// stamped with the local clock.
+// Record stores an event whose timestamp the caller already holds: the
+// event's trace ID, kind, actor, entities, note and wall-clock timestamp
+// are kept, and it is assigned a fresh local sequence number. Ingress
+// points use it to share one clock read between the ingress event and
+// their latency histogram. The cluster telemetry plane uses it to stitch
+// worker flight-recorder batches into the router's ring — trace IDs are
+// minted at the router and ride the wire, so merged chains line up by ID;
+// workers ship their events ahead of each op reply, so merge order tracks
+// causal order. A zero Nanos is stamped with the local clock.
 func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
@@ -217,9 +235,36 @@ func (r *Recorder) Record(e Event) {
 	if e.Nanos == 0 {
 		e.Nanos = time.Now().UnixNano()
 	}
-	ce := &e
-	ce.Seq = r.seq.Add(1)
-	r.slots[ce.Seq&r.mask].Store(ce)
+	r.put(&e)
+}
+
+// put assigns e the next sequence number and copies it into its slot. A
+// writer delayed by a full lap of the ring finds a newer event there and
+// drops its own: the newest Seq wins, so the last Cap sequence numbers are
+// what the ring holds once writers finish.
+func (r *Recorder) put(e *Event) {
+	e.Seq = r.seq.Add(1)
+	r.store(e)
+}
+
+// store copies an already sequenced event into its slot unless the slot
+// holds a newer one.
+func (r *Recorder) store(e *Event) {
+	s := &r.slots[e.Seq&r.mask]
+	s.mu.Lock()
+	if e.Seq > s.ev.Seq {
+		s.ev = *e
+	}
+	s.mu.Unlock()
+}
+
+// load copies slot i out whole; ok is false for a never-written slot.
+func (r *Recorder) load(i int) (e Event, ok bool) {
+	s := &r.slots[i]
+	s.mu.Lock()
+	e = s.ev
+	s.mu.Unlock()
+	return e, e.Seq != 0
 }
 
 // Filter selects events. Zero values mean "any"; Limit > 0 keeps only the
@@ -253,17 +298,16 @@ func (f Filter) match(e *Event) bool {
 }
 
 // Events returns the matching events currently in the ring, ascending by
-// sequence number. The scan is lock-free: events recorded concurrently may
-// or may not appear, exactly like any live scrape.
+// sequence number. The scan copies one slot at a time: events recorded
+// concurrently may or may not appear, exactly like any live scrape.
 func (r *Recorder) Events(f Filter) []Event {
 	if r == nil {
 		return nil
 	}
 	out := make([]Event, 0, 64)
 	for i := range r.slots {
-		e := r.slots[i].Load()
-		if e != nil && f.match(e) {
-			out = append(out, *e)
+		if e, ok := r.load(i); ok && f.match(&e) {
+			out = append(out, e)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
@@ -287,18 +331,19 @@ func (r *Recorder) Causal(oid, qid int64) []Event {
 	}
 	// Pass 1: the trace IDs of every chain touching the entity.
 	tids := make(map[ID]struct{})
-	all := make([]*Event, 0, len(r.slots))
+	all := make([]Event, 0, len(r.slots))
 	for i := range r.slots {
-		if e := r.slots[i].Load(); e != nil {
+		if e, ok := r.load(i); ok {
 			all = append(all, e)
-			if e.Trace != 0 && mentions(e) {
+			if e.Trace != 0 && mentions(&e) {
 				tids[e.Trace] = struct{}{}
 			}
 		}
 	}
 	// Pass 2: whole chains plus untraced direct mentions.
 	var out []Event
-	for _, e := range all {
+	for i := range all {
+		e := &all[i]
 		if _, chained := tids[e.Trace]; (e.Trace != 0 && chained) || mentions(e) {
 			out = append(out, *e)
 		}

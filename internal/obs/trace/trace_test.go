@@ -154,7 +154,7 @@ func TestKindJSON(t *testing.T) {
 }
 
 // TestConcurrentRecordAndScan exercises writers racing readers; run under
-// -race this validates the lock-free ring.
+// -race this validates the slot-locked ring.
 func TestConcurrentRecordAndScan(t *testing.T) {
 	r := NewRecorder(256)
 	var wg sync.WaitGroup

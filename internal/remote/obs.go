@@ -34,7 +34,7 @@ const (
 	helpBytesOut        = "Bytes written to objects, length prefixes included."
 	helpDecodeErrors    = "Received frames that failed protocol decoding."
 	helpVersionRejects  = "Handshakes refused for a mismatched protocol version."
-	helpRejectedFrames  = "Decoded frames refused before dispatch (not an uplink kind, or a cell change off the grid)."
+	helpRejectedFrames  = "Decoded frames refused before dispatch, by reason: kind (not an uplink kind) or cell (a cell change off the grid)."
 	helpUplinkSecondsRm = "Uplink dispatch latency into the backend, in seconds."
 	helpBroadcastConns  = "Connections addressed per downlink broadcast."
 	helpPendingUni      = "Unicast frames queued for not-yet-connected objects."
@@ -51,7 +51,9 @@ type remoteObs struct {
 	bytesOut       *obs.Counter
 	decodeErrors   *obs.Counter
 	versionRejects *obs.Counter
-	rejectedFrames *obs.Counter
+	// rejected counts refused frames by reject reason (index 0, admitted,
+	// is unused).
+	rejected [numRejectReasons]*obs.Counter
 	// uplinkLat is indexed by message kind; only uplink kinds are populated
 	// (downlink kinds never arrive on the uplink path).
 	uplinkLat       [msg.NumKinds]*obs.Histogram
@@ -67,8 +69,10 @@ func newRemoteObs(reg *obs.Registry) *remoteObs {
 		bytesOut:        reg.Counter(metricBytesOut, helpBytesOut),
 		decodeErrors:    reg.Counter(metricDecodeErrors, helpDecodeErrors),
 		versionRejects:  reg.Counter(metricVersionRejects, helpVersionRejects),
-		rejectedFrames:  reg.Counter(metricRejectedFrames, helpRejectedFrames),
 		broadcastFanout: reg.Histogram(metricBroadcastConns, helpBroadcastConns, obs.SizeBuckets),
+	}
+	for r := rejectKind; r < numRejectReasons; r++ {
+		o.rejected[r] = reg.Counter(metricRejectedFrames, helpRejectedFrames, "reason", rejectReasonNames[r])
 	}
 	for k := msg.Kind(0); int(k) < msg.NumKinds; k++ {
 		if k.Uplink() {

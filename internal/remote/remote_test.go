@@ -274,8 +274,20 @@ func TestRemoteRejectsInadmissibleFrames(t *testing.T) {
 			t.Errorf("%+v: connection kept", m)
 		}
 	}
-	if got := s.om.rejectedFrames.Value(); got != 3 {
-		t.Errorf("rejected frames = %d, want 3", got)
+	for r, want := range map[rejectReason]int64{rejectKind: 1, rejectCell: 2} {
+		if got := s.om.rejected[r].Value(); got != want {
+			t.Errorf("rejected frames{reason=%q} = %d, want %d", rejectReasonNames[r], got, want)
+		}
+	}
+	var exposition strings.Builder
+	s.reg.WritePrometheus(&exposition)
+	for _, want := range []string{
+		metricRejectedFrames + `{reason="kind"} 1`,
+		metricRejectedFrames + `{reason="cell"} 2`,
+	} {
+		if !strings.Contains(exposition.String(), want) {
+			t.Errorf("exposition lacks %q", want)
+		}
 	}
 	rejoin := msg.CellChangeReport{OID: 44, PrevCell: grid.CellID{Col: -1, Row: -1}, NewCell: onGrid, Pos: pos}
 	if !kept(44, rejoin) {

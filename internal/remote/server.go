@@ -608,8 +608,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			sc.out.send(messageFrame(msg.Pong{Token: p.Token}))
 			continue
 		}
-		if !s.admit(m) {
-			s.om.rejectedFrames.Add(1)
+		if r := s.admit(m); r != admitted {
+			s.om.rejected[r].Add(1)
 			break // protocol violation: drop the connection
 		}
 		s.recordUplinkWire(m.Kind(), 4+len(payload))
@@ -677,21 +677,37 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.backend.HandleUplink(msg.DepartureReport{OID: oid})
 }
 
-// admit reports whether a decoded uplink may reach the backend, whose
+// rejectReason is why admit refused a frame; it labels
+// mobieyes_remote_rejected_frames_total.
+type rejectReason uint8
+
+const (
+	admitted   rejectReason = iota
+	rejectKind              // not one of the six uplink kinds
+	rejectCell              // a cell change whose NewCell is off the grid
+	numRejectReasons
+)
+
+var rejectReasonNames = [numRejectReasons]string{"", "kind", "cell"}
+
+// admit decides whether a decoded uplink may reach the backend, whose
 // dispatch panics on anything else: one of the six MobiEyes uplink kinds,
 // and for a cell change a NewCell on the grid. An off-grid PrevCell stays
 // legal — it marks a join or rejoin. The sender's OID is not checked against
 // the session's Hello: a client may multiplex several objects over one
 // connection.
-func (s *Server) admit(m msg.Message) bool {
+func (s *Server) admit(m msg.Message) rejectReason {
 	switch v := m.(type) {
 	case msg.CellChangeReport:
-		return s.g.Valid(v.NewCell)
+		if !s.g.Valid(v.NewCell) {
+			return rejectCell
+		}
+		return admitted
 	case msg.VelocityReport, msg.ContainmentReport, msg.GroupContainmentReport,
 		msg.FocalInfoResponse, msg.DepartureReport:
-		return true
+		return admitted
 	}
-	return false
+	return rejectKind
 }
 
 // graceDeparture fires when an abruptly disconnected object's grace period
