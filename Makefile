@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt test race check simtest cluster crash stream bench bench-smoke bench-pair report staticcheck
+.PHONY: build vet fmt test race check simtest cluster crash stream bench bench-smoke bench-pair report staticcheck loc
 
 # Optional deeper linting: runs only when staticcheck is installed, so the
 # gate works on minimal toolchains (CI installs it).
@@ -24,9 +24,13 @@ fmt:
 test:
 	$(GO) test ./...
 
-# The router, the concurrent engine drain (and the set cover it calls from
-# several goroutines), the remote transport and the metrics registry are the
-# packages with real concurrency; run them under -race.
+# Non-test Go lines in the repo: the size figure simplicity changes report.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1
+
+# The router, the simulator's parallel client phases (Config.Parallelism),
+# the set cover's concurrent-use test, the remote transport and the metrics
+# registry are the packages with real concurrency; run them under -race.
 race:
 	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/network/... ./internal/remote/... ./internal/obs/... ./internal/cluster/... ./internal/history/...
 

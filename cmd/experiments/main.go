@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-exp all|table1|fig1..fig13|report] [-steps N] [-warmup N]
-//	            [-scalediv D] [-seed S] [-csv DIR] [-shards N]
+//	            [-scalediv D] [-seed S] [-csv DIR]
 //	            [-metrics-addr :7072] [-report-dir DIR]
 //
 // With -exp all (the default) every experiment runs in paper order. The
@@ -39,7 +39,6 @@ func main() {
 		scalediv = flag.Int("scalediv", 1, "divide population sizes and area by this factor")
 		seed     = flag.Int64("seed", 1, "workload random seed")
 		csvDir   = flag.String("csv", "", "also write each figure as CSV into this directory")
-		shards   = flag.Int("shards", 0, "server shards for MobiEyes runs (0/1 = serial server, >1 = the router over N in-process nodes with a concurrent drain)")
 		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /healthz and pprof on this address while experiments run (empty = off)")
 		traceSz  = flag.Int("trace-events", 0, "causal-tracing flight recorder size in events (0 = off); requires -metrics-addr, exposed on /debug/events")
 		repDir   = flag.String("report-dir", "results", "directory for -exp report artifacts (empty = stdout only)")
@@ -54,7 +53,6 @@ func main() {
 		Warmup:   *warmup,
 		ScaleDiv: *scalediv,
 		Seed:     *seed,
-		Shards:   *shards,
 	}
 	if *traceSz > 0 {
 		opts.Trace = evtrace.NewRecorder(*traceSz)

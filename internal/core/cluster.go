@@ -649,17 +649,19 @@ func (cs *ClusterServer) onContainmentReport(m msg.ContainmentReport, tid trace.
 }
 
 func (cs *ClusterServer) onGroupContainmentReport(m msg.GroupContainmentReport, tid trace.ID) {
-	// All queries of a group share a focal object and therefore a node, so
-	// the whole bitmap resolves in one place.
-	for _, qid := range m.QIDs {
-		if ni, ok := cs.queryNode[qid]; ok {
-			cs.nUpl[ni].Add(1)
-			cs.acctNodeUplink(ni, m.Kind(), m.Size())
-			cs.nodes[ni].GroupContainmentReport(m, tid)
-			return
-		}
+	// A group is keyed by its focal (§4.1), and a focal's queries live on
+	// its node, so the whole bitmap resolves there.
+	ni, ok := cs.focalNode[m.Focal]
+	if ok && slices.ContainsFunc(m.QIDs, func(qid model.QueryID) bool {
+		qn, known := cs.queryNode[qid]
+		return known && qn == ni
+	}) {
+		cs.nUpl[ni].Add(1)
+		cs.acctNodeUplink(ni, m.Kind(), m.Size())
+		cs.nodes[ni].GroupContainmentReport(m, tid)
+		return
 	}
-	cs.acctNodeUplink(-1, m.Kind(), m.Size()) // no query resolvable: charge the router ledger
+	cs.acctNodeUplink(-1, m.Kind(), m.Size()) // no query on the focal's node: charge the router ledger
 }
 
 func (cs *ClusterServer) onFocalInfoResponse(m msg.FocalInfoResponse, tid trace.ID) {

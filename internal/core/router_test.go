@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
+	"mobieyes/internal/obs"
 )
 
 // routerRenderings are the two in-process node sets the one router runs
@@ -118,6 +120,45 @@ func TestSortedAccessors(t *testing.T) {
 			}
 			if !sawMulti {
 				t.Error("no cell had more than one nearby query — weak test")
+			}
+		})
+	}
+}
+
+// TestRouterInstrumentedSeries: an instrumented router exports per-node and
+// router-scope series on both renderings, and the per-node uplink
+// breakdown agrees with the traffic the scenario sent.
+func TestRouterInstrumentedSeries(t *testing.T) {
+	for _, r := range routerRenderings {
+		t.Run(r.name, func(t *testing.T) {
+			g := smallGrid()
+			var cs *ClusterServer
+			h := newHarnessOver(g, Options{}, func(down Downlink) ServerAPI {
+				cs = r.new(g, Options{}, down, 4)
+				return cs
+			})
+			reg := obs.NewRegistry()
+			cs.Instrument(reg)
+			runScenario(h)
+
+			var text strings.Builder
+			reg.WritePrometheus(&text)
+			for _, want := range []string{
+				`mobieyes_server_ops_total{node="0"}`,
+				`mobieyes_server_ops_total{node="router"}`,
+				`mobieyes_server_fot_size{node="3"}`,
+				"mobieyes_server_migrations_total",
+			} {
+				if !strings.Contains(text.String(), want) {
+					t.Errorf("exposition missing %s", want)
+				}
+			}
+			var uplinks int64
+			for _, v := range cs.UplinksByNode() {
+				uplinks += v
+			}
+			if uplinks == 0 {
+				t.Error("no per-node uplinks recorded")
 			}
 		})
 	}

@@ -521,11 +521,12 @@ func (s *Server) OnContainmentReport(m msg.ContainmentReport) {
 }
 
 // OnGroupContainmentReport applies a grouped result update: one bitmap bit
-// per query in the group (§4.1).
+// per query in the group (§4.1). A group is keyed by its focal object, so a
+// listed query with another focal is ignored.
 func (s *Server) OnGroupContainmentReport(m msg.GroupContainmentReport) {
 	for i, qid := range m.QIDs {
 		e, ok := s.sqt[qid]
-		if !ok {
+		if !ok || e.query.Focal != m.Focal {
 			continue
 		}
 		if m.Bitmap.Get(i) {

@@ -41,12 +41,6 @@ type RunOpts struct {
 	// smoke-test setting.
 	ScaleDiv int
 	Seed     int64
-	// Shards selects the server implementation for the MobiEyes runs:
-	// 0 or 1 = the serial deterministic server, >1 = the router over that
-	// many in-process nodes with a concurrent uplink drain (see sim.Config
-	// .ServerShards). Results are equivalent; the router serializes
-	// dispatch, so wall-clock server load does not improve.
-	Shards int
 	// Metrics, when non-nil, instruments every engine the experiments
 	// build against this registry (see sim.Config.Metrics) — useful with
 	// obs.ListenAndServe to watch a long sweep live over /metrics.
@@ -84,7 +78,6 @@ func (o RunOpts) base() sim.Config {
 	cfg.NumQueries /= d
 	cfg.VelocityChangesPerStep /= d
 	cfg.AreaSqMiles /= float64(d)
-	cfg.ServerShards = o.Shards
 	cfg.Metrics = o.Metrics
 	cfg.Trace = o.Trace
 	return cfg

@@ -25,7 +25,6 @@ type RunReport struct {
 	Warmup   int    `json:"warmup"`
 	ScaleDiv int    `json:"scale_div"`
 	Seed     int64  `json:"seed"`
-	Shards   int    `json:"shards"`
 
 	// Modes compares eager and lazy query propagation at identical
 	// workloads: full global ledgers plus precision/recall/staleness.
@@ -131,7 +130,6 @@ func BuildRunReport(o RunOpts) RunReport {
 		Warmup:   o.Warmup,
 		ScaleDiv: o.ScaleDiv,
 		Seed:     o.Seed,
-		Shards:   o.Shards,
 	}
 
 	// EQP vs LQP with answer-quality gauges on.
@@ -263,8 +261,8 @@ func (r RunReport) WriteJSON(w io.Writer) error {
 // WriteText renders the report for humans.
 func (r RunReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "# %s\n", r.Title)
-	fmt.Fprintf(w, "steps=%d warmup=%d scalediv=%d seed=%d shards=%d\n\n",
-		r.Steps, r.Warmup, r.ScaleDiv, r.Seed, r.Shards)
+	fmt.Fprintf(w, "steps=%d warmup=%d scalediv=%d seed=%d\n\n",
+		r.Steps, r.Warmup, r.ScaleDiv, r.Seed)
 
 	fmt.Fprintf(w, "## EQP vs LQP\n")
 	fmt.Fprintf(w, "%-5s %10s %10s %12s %12s %10s %9s %9s %11s\n",

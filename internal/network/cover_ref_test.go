@@ -209,8 +209,8 @@ func TestCoverAllocations(t *testing.T) {
 }
 
 // TestCoverConcurrent: Cover is safe to call from several goroutines at once
-// (with ServerShards > 1 the simulator's uplink drain broadcasts from several)
-// and returns what a serial call returns.
+// (a Deployment is read-only once built) and returns what a serial call
+// returns.
 func TestCoverConcurrent(t *testing.T) {
 	g, d := coverDeployment(316.2, 5, 10)
 	rng := rand.New(rand.NewSource(9))

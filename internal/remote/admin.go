@@ -97,7 +97,7 @@ func (a *AdminServer) serveSession(conn net.Conn) {
 // them before the debug views.
 var adminCommands = [][2]string{
 	{"install <focalOID> <radius> <permille>", "install a circular query → qid <id>"},
-	{"remove <qid>", "remove a query → ok"},
+	{"remove <qid>", "remove a query → ok (err unknown qid if none)"},
 	{"result <qid>", "a query's result → result <id> <oid…>"},
 	{"conns", "connected objects → conns <n>"},
 	{"stats", "traffic totals → stats <up> <down> <upB> <downB>"},
@@ -146,8 +146,11 @@ func (a *AdminServer) handleCommand(w io.Writer, fields []string) bool {
 		if !ok {
 			return true
 		}
-		a.srv.RemoveQuery(qid)
-		fmt.Fprintln(w, "ok")
+		if a.srv.RemoveQuery(qid) {
+			fmt.Fprintln(w, "ok")
+		} else {
+			fmt.Fprintln(w, "err unknown qid")
+		}
 	case "result":
 		qid, ok := parseQID(w, fields)
 		if !ok {

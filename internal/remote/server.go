@@ -400,12 +400,14 @@ func (s *Server) InstallQueryUntil(focal model.ObjectID, region model.Region, fi
 	return qid
 }
 
-// RemoveQuery uninstalls a query.
-func (s *Server) RemoveQuery(qid model.QueryID) {
-	s.backend.RemoveQuery(qid)
-	if s.hist != nil {
+// RemoveQuery uninstalls a query, installed or pending, and reports
+// whether there was one; only a removal is logged to the history store.
+func (s *Server) RemoveQuery(qid model.QueryID) bool {
+	removed := s.backend.RemoveQuery(qid)
+	if removed && s.hist != nil {
 		s.hist.AppendQueryRemove(float64(nowHours()), int64(qid))
 	}
+	return removed
 }
 
 // NumQueries returns the number of installed queries.

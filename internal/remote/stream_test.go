@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"testing"
@@ -296,3 +297,45 @@ func TestAdminSubHist(t *testing.T) {
 }
 
 func itoa(n int64) string { return strconv.FormatInt(n, 10) }
+
+// TestAdminRemoveUnknownQIDKeepsHistory: admin remove answers an unknown or
+// already-removed qid with one err line and logs no QueryRemove mark for
+// it; a real removal answers ok and logs exactly one.
+func TestAdminRemoveUnknownQIDKeepsHistory(t *testing.T) {
+	st := history.NewStore(1 << 20)
+	s, err := ListenAndServe(ServerConfig{
+		Addr:    "127.0.0.1:0",
+		UoD:     geo.NewRect(0, 0, 100, 100),
+		Alpha:   5,
+		History: st,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	a := &AdminServer{srv: s}
+	run := func(line string) string {
+		var out bytes.Buffer
+		a.handleCommand(&out, strings.Fields(line))
+		return out.String()
+	}
+	if got := run("install 1 3 1000"); got != "qid 1\n" { // pending: focal 1 is not connected
+		t.Fatalf("install → %q", got)
+	}
+	for _, tc := range []struct {
+		line, want string
+		marks      int
+	}{
+		{"remove 7", "err unknown qid\n", 0},
+		{"remove 1", "ok\n", 1},
+		{"remove 1", "err unknown qid\n", 0},
+	} {
+		before := len(st.All())
+		if got := run(tc.line); got != tc.want {
+			t.Errorf("%q → %q, want %q", tc.line, got, tc.want)
+		}
+		if got := len(st.All()) - before; got != tc.marks {
+			t.Errorf("%q appended %d history records, want %d", tc.line, got, tc.marks)
+		}
+	}
+}

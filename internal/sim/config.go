@@ -98,17 +98,6 @@ type Config struct {
 	// meaningful only in serial mode.
 	Parallelism int
 
-	// ServerShards selects the server implementation. 0 or 1 runs the
-	// serial core.Server with the deterministic one-message-at-a-time
-	// drain. >1 runs the core.ClusterServer router over that many
-	// in-process, un-journaled nodes (core.NewShardedServer) and feeds it
-	// each step's uplink batch from that many worker goroutines; the
-	// router serializes dispatch, so query results are equivalent to the
-	// serial engine's, but message ordering (and therefore exact
-	// message/byte counts under races) is unspecified. Ignored by the
-	// centralized baselines.
-	ServerShards int
-
 	// Metrics, when non-nil, instruments the engine and its server against
 	// this registry: per-step engine latency, drain batch sizes, and all
 	// server-layer metrics (see internal/obs and DESIGN.md §9). Metrics are
@@ -210,8 +199,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: Steps and Warmup must be non-negative, got %d/%d", c.Steps, c.Warmup)
 	case c.Core.DeadReckoningThreshold < 0:
 		return fmt.Errorf("sim: DeadReckoningThreshold must be non-negative, got %v", c.Core.DeadReckoningThreshold)
-	case c.ServerShards < 0:
-		return fmt.Errorf("sim: ServerShards must be non-negative, got %d", c.ServerShards)
 	case c.MeasureQuality && c.Costs == nil:
 		return fmt.Errorf("sim: MeasureQuality requires a Costs accountant")
 	}

@@ -64,14 +64,13 @@ func TestEngineCostTransportIdentity(t *testing.T) {
 }
 
 // TestEngineCostParallelAndShardedIdentity runs the parallel-client engine
-// over the router (ServerShards) with accounting and checks the same meter
-// identity, plus the node-sum invariant at the engine level: all uplinks
-// flow through the router, so the node ledgers plus the router ledger must
-// account for exactly the global uplink count.
+// with accounting and checks the same meter identity: uplinks buffered by
+// parallel client phases are charged at the ordered merge, exactly once.
+// (The router's node-sum identity is checked by the core router tests and
+// the simtest lockstep sweeps.)
 func TestEngineCostParallelAndShardedIdentity(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Parallelism = 4
-	cfg.ServerShards = 4
 	cfg.Costs = cost.New()
 	m := NewEngine(cfg).Run()
 
@@ -79,13 +78,6 @@ func TestEngineCostParallelAndShardedIdentity(t *testing.T) {
 	if g.UplinkMsgs() != m.UplinkMsgs || g.DownlinkMsgs() != m.DownlinkMsgs {
 		t.Errorf("global ledger %d up/%d down, meter %d/%d",
 			g.UplinkMsgs(), g.DownlinkMsgs(), m.UplinkMsgs, m.DownlinkMsgs)
-	}
-	dispatched := cfg.Costs.Router().UplinkMsgs()
-	for _, s := range cfg.Costs.Nodes() {
-		dispatched += s.UplinkMsgs()
-	}
-	if dispatched != g.UplinkMsgs() {
-		t.Errorf("node+router uplinks %d, transport charged %d", dispatched, g.UplinkMsgs())
 	}
 }
 

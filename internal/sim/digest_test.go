@@ -20,25 +20,27 @@ import (
 // measured steps. The digests were computed before the set-cover, broadcast
 // and LQT representations were last rewritten, so a representation change
 // that alters any message, delivery or evaluation fails here — including in
-// the approximate modes (Δ > 0, LQP) that VerifyExact cannot judge.
-//
-// Serial engine only: with ServerShards > 1 message order is unspecified
-// (see Config.ServerShards), so two runs need not hash alike.
+// the approximate modes (Δ > 0, LQP) that VerifyExact cannot judge. A
+// column with Parallelism set must hash like its serial twin: parallel
+// client phases merge their uplinks in object order.
 func TestBehaviourDigest(t *testing.T) {
 	const dr = 0.01 // DefaultConfig's dead-reckoning threshold
+	lqpAll := core.Options{Mode: core.LazyPropagation, DeadReckoningThreshold: dr, SafePeriod: true, Grouping: true}
 	columns := []struct {
 		name string
 		opts core.Options
+		par  int
 		want string
 	}{
-		{"EQP/Δ=0", core.Options{}, "3c09d8b3a4fcfcc8"},
-		{"EQP/Δ=0.01", core.Options{DeadReckoningThreshold: dr}, "2c2938799da28a08"},
-		{"LQP", core.Options{Mode: core.LazyPropagation, DeadReckoningThreshold: dr}, "19c7804402ed1fa5"},
-		{"SafePeriod", core.Options{SafePeriod: true}, "0d6b0d71665c1be3"},
-		{"Predictive", core.Options{Predictive: true}, "d3cad3265f7ea41f"},
-		{"Grouping", core.Options{Grouping: true}, "6098be0be08cd048"},
-		{"LQP+SafePeriod+Grouping", core.Options{Mode: core.LazyPropagation, DeadReckoningThreshold: dr, SafePeriod: true, Grouping: true}, "906b493cd8433798"},
-		{"Default", DefaultConfig().Core, "2c2938799da28a08"},
+		{"EQP/Δ=0", core.Options{}, 0, "3c09d8b3a4fcfcc8"},
+		{"EQP/Δ=0.01", core.Options{DeadReckoningThreshold: dr}, 0, "2c2938799da28a08"},
+		{"LQP", core.Options{Mode: core.LazyPropagation, DeadReckoningThreshold: dr}, 0, "19c7804402ed1fa5"},
+		{"SafePeriod", core.Options{SafePeriod: true}, 0, "0d6b0d71665c1be3"},
+		{"Predictive", core.Options{Predictive: true}, 0, "d3cad3265f7ea41f"},
+		{"Grouping", core.Options{Grouping: true}, 0, "6098be0be08cd048"},
+		{"LQP+SafePeriod+Grouping", lqpAll, 0, "906b493cd8433798"},
+		{"LQP+SafePeriod+Grouping/Parallelism=4", lqpAll, 4, "906b493cd8433798"},
+		{"Default", DefaultConfig().Core, 0, "2c2938799da28a08"},
 	}
 	for _, col := range columns {
 		t.Run(col.name, func(t *testing.T) {
@@ -50,6 +52,7 @@ func TestBehaviourDigest(t *testing.T) {
 			cfg.Seed = 1
 			cfg.Warmup, cfg.Steps = 3, 40
 			cfg.Core = col.opts
+			cfg.Parallelism = col.par
 			if got := behaviourDigest(t, NewEngine(cfg)); got != col.want {
 				t.Errorf("digest %s, want %s", got, col.want)
 			}
@@ -106,9 +109,7 @@ func TestBroadcastCellUnion(t *testing.T) {
 				}
 			}
 		}
-		e.downMu.Lock()
 		got := e.cellUnion(stations)
-		e.downMu.Unlock()
 		if !slices.Equal(got, want) {
 			t.Fatalf("region %v, stations %v: cells %v, want %v", region, stations, got, want)
 		}

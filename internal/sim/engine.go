@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mobieyes/internal/core"
@@ -33,7 +32,7 @@ type Engine struct {
 	g     *grid.Grid
 	dep   *network.Deployment
 	w     *workload.Workload
-	srv   core.ServerAPI
+	srv   *core.Server
 	cls   []*core.Client
 	bkt   *buckets
 	meter network.Meter
@@ -45,12 +44,7 @@ type Engine struct {
 
 	qids []model.QueryID // installed queries, parallel to w.Queries
 
-	// transport queues (drained between phases). downMu guards downQueue,
-	// the meter's downlink counters and the broadcast cell stamps: with
-	// ServerShards the drain processes uplink batches across goroutines, so
-	// the downlink sink must accept concurrent senders. (Serial runs pay one
-	// uncontended lock.)
-	downMu    sync.Mutex
+	// transport queues (drained between phases).
 	upQueue   []upEntry
 	downQueue []engineDown
 	// cellStamp[ci] == cellEpoch marks cell ci as already in the union being
@@ -145,11 +139,7 @@ func NewEngineOver(cfg Config, w *workload.Workload) *Engine {
 		cellStamp: make([]uint32, g.NumCells()),
 		gtScratch: make(map[model.ObjectID]struct{}),
 	}
-	if cfg.ServerShards > 1 {
-		e.srv = core.NewShardedServer(g, cfg.Core, engineDownlink{e}, cfg.ServerShards)
-	} else {
-		e.srv = core.NewServer(g, cfg.Core, engineDownlink{e})
-	}
+	e.srv = core.NewServer(g, cfg.Core, engineDownlink{e})
 	if cfg.Metrics != nil {
 		e.obsm = newEngineObs(cfg.Metrics)
 		e.srv.Instrument(cfg.Metrics)
@@ -159,11 +149,7 @@ func NewEngineOver(cfg Config, w *workload.Workload) *Engine {
 	}
 	if cfg.Costs != nil {
 		e.acct = cfg.Costs
-		shards := 0
-		if cfg.ServerShards > 1 {
-			shards = cfg.ServerShards
-		}
-		e.acct.Configure(g.NumCells(), e.dep.NumStations(), shards)
+		e.acct.Configure(g.NumCells(), e.dep.NumStations(), 0)
 		e.srv.SetAccountant(e.acct)
 		e.dep.SetAccountant(e.acct)
 		if cfg.Metrics != nil {
@@ -250,10 +236,8 @@ func (e *Engine) samplePositions() {
 // Grid returns the engine's grid (for inspection and tests).
 func (e *Engine) Grid() *grid.Grid { return e.g }
 
-// Server returns the MobiEyes server under simulation — the serial
-// core.Server by default, the core.ClusterServer router when
-// Config.ServerShards selects it. Both satisfy core.ServerAPI.
-func (e *Engine) Server() core.ServerAPI { return e.srv }
+// Server returns the MobiEyes server under simulation.
+func (e *Engine) Server() *core.Server { return e.srv }
 
 // Clients returns the per-object protocol clients.
 func (e *Engine) Clients() []*core.Client { return e.cls }
@@ -278,16 +262,13 @@ func (d engineDownlink) Broadcast(region grid.CellRange, m msg.Message) {
 func (d engineDownlink) BroadcastTraced(region grid.CellRange, m msg.Message, tid trace.ID) {
 	e := d.e
 	stations := e.dep.Cover(region)
-	e.downMu.Lock()
 	cells := e.cellUnion(stations)
 	e.meter.RecordDownlink(m, len(stations))
 	e.downQueue = append(e.downQueue, engineDown{target: -1, cells: cells, m: m, tid: tid})
-	e.downMu.Unlock()
 	if e.acct != nil {
 		// Transport-level attribution: one transmission per relaying base
 		// station in the global ledger, one delivery per station and per
-		// reached cell in the scoped tallies. Atomic counters, so this is
-		// safe outside downMu.
+		// reached cell in the scoped tallies.
 		size := m.Size()
 		e.acct.Downlink(m.Kind(), size, len(stations))
 		for _, sid := range stations {
@@ -301,8 +282,7 @@ func (d engineDownlink) BroadcastTraced(region grid.CellRange, m msg.Message, ti
 
 // cellUnion returns the cells the stations reach, each once, in first-seen
 // order: station order, then each station's cell order. A cell is taken when
-// its stamp is not yet this broadcast's epoch. The caller holds downMu, which
-// guards the stamps.
+// its stamp is not yet this broadcast's epoch.
 func (e *Engine) cellUnion(stations []network.StationID) []int32 {
 	e.cellEpoch++
 	if e.cellEpoch == 0 { // wrapped: no stamp may match a future epoch
@@ -343,10 +323,8 @@ func (d engineDownlink) UnicastTraced(oid model.ObjectID, m msg.Message, tid tra
 			e.acct.CellDown(int32(e.g.CellIndex(e.g.CellOf(pos))), size)
 		}
 	}
-	e.downMu.Lock()
 	e.meter.RecordDownlink(m, 1)
 	e.downQueue = append(e.downQueue, engineDown{target: oid, m: m, tid: tid})
-	e.downMu.Unlock()
 }
 
 // engineUplink implements core.Uplink for one object.
@@ -384,27 +362,16 @@ func (e *Engine) acctUplink(i int, m msg.Message) {
 
 // drain processes queued uplinks (timed as server work) and delivers queued
 // downlinks (which may enqueue more uplinks) until both queues are empty.
-// With ServerShards the queued uplinks are handled as concurrent
-// batches (see handleUplinkBatch); delivery to clients stays serial either
-// way, so client state is only ever touched from one goroutine here.
 func (e *Engine) drain() {
-	concurrent := e.cfg.ServerShards > 1
 	uplinks := 0
 	for len(e.upQueue) > 0 || len(e.downQueue) > 0 {
 		e.obsm.syncQueueDepths(len(e.upQueue), len(e.downQueue))
 		if len(e.upQueue) > 0 {
 			start := time.Now()
-			if concurrent {
-				batch := e.upQueue
-				e.upQueue = nil
-				uplinks += len(batch)
-				e.handleUplinkBatch(batch)
-			} else {
-				ent := e.upQueue[0]
-				e.upQueue = e.upQueue[1:]
-				uplinks++
-				e.srv.HandleUplinkTraced(ent.m, ent.tid)
-			}
+			ent := e.upQueue[0]
+			e.upQueue = e.upQueue[1:]
+			uplinks++
+			e.srv.HandleUplinkTraced(ent.m, ent.tid)
 			if e.measuring {
 				e.serverNanos += time.Since(start).Nanoseconds()
 			}
@@ -418,35 +385,6 @@ func (e *Engine) drain() {
 	if o := e.obsm; o != nil {
 		o.drainBatch.Observe(float64(uplinks))
 	}
-}
-
-// handleUplinkBatch feeds a batch of uplink messages to the
-// concurrency-safe router across ServerShards worker goroutines. Tiny
-// batches are handled inline — goroutine startup would dominate.
-func (e *Engine) handleUplinkBatch(batch []upEntry) {
-	workers := e.cfg.ServerShards
-	if len(batch) < 2*workers {
-		for _, ent := range batch {
-			e.srv.HandleUplinkTraced(ent.m, ent.tid)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(batch) {
-					return
-				}
-				e.srv.HandleUplinkTraced(batch[i].m, batch[i].tid)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func (e *Engine) deliver(q engineDown) {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"mobieyes/internal/core"
 	"mobieyes/internal/obs"
 )
 
@@ -54,10 +53,10 @@ func TestInstrumentedSerialDeterminism(t *testing.T) {
 }
 
 // TestScrapeWhileSerialEngineRuns keeps a live /metrics-style scrape loop
-// running while the serial (unsharded) engine steps — the cmd/experiments
-// -metrics-addr wiring with -shards 0. Under -race this pins that serial
-// instrumentation is scrape-safe: the table gauges are atomics the engine
-// goroutine refreshes, never scrape-time reads of the server's own tables.
+// running while the engine steps — the cmd/experiments -metrics-addr
+// wiring. Under -race this pins that serial instrumentation is
+// scrape-safe: the table gauges are atomics the engine goroutine refreshes,
+// never scrape-time reads of the server's own tables.
 func TestScrapeWhileSerialEngineRuns(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Metrics = obs.NewRegistry()
@@ -100,64 +99,5 @@ func TestScrapeWhileSerialEngineRuns(t *testing.T) {
 		if _, ok := snap[key]; !ok {
 			t.Errorf("snapshot missing serial table gauge %s", key)
 		}
-	}
-}
-
-// TestInstrumentedShardedEquivalence re-runs the serial-vs-router
-// equivalence acceptance check with both engines instrumented, and checks
-// the router's registry carries per-node series.
-func TestInstrumentedShardedEquivalence(t *testing.T) {
-	serialCfg := smallConfig()
-	serialCfg.Core = core.Options{}
-	serialCfg.Metrics = obs.NewRegistry()
-	shardedCfg := smallConfig()
-	shardedCfg.Core = core.Options{}
-	shardedCfg.ServerShards = 4
-	shardedCfg.Metrics = obs.NewRegistry()
-
-	serial := NewEngine(serialCfg)
-	sharded := NewEngine(shardedCfg)
-	for step := 0; step < 10; step++ {
-		serial.Step()
-		sharded.Step()
-		if err := sharded.VerifyExact(); err != nil {
-			t.Fatalf("sharded step %d: %v", step, err)
-		}
-		for _, qid := range serial.Server().QueryIDs() {
-			ra, rb := serial.Server().Result(qid), sharded.Server().Result(qid)
-			if len(ra) != len(rb) {
-				t.Fatalf("step %d query %d: %v vs %v", step, qid, ra, rb)
-			}
-			for i := range ra {
-				if ra[i] != rb[i] {
-					t.Fatalf("step %d query %d: %v vs %v", step, qid, ra, rb)
-				}
-			}
-		}
-	}
-
-	var text strings.Builder
-	shardedCfg.Metrics.WritePrometheus(&text)
-	expo := text.String()
-	for _, want := range []string{
-		`mobieyes_server_ops_total{node="0"}`,
-		`mobieyes_server_ops_total{node="router"}`,
-		`mobieyes_server_fot_size{node="3"}`,
-		"mobieyes_server_migrations_total",
-		"mobieyes_sim_steps_total 10",
-	} {
-		if !strings.Contains(expo, want) {
-			t.Errorf("sharded exposition missing %s", want)
-		}
-	}
-
-	// The per-node breakdown accessors agree with the registry's totals.
-	cs := sharded.Server().(*core.ClusterServer)
-	var uplinks int64
-	for _, v := range cs.UplinksByNode() {
-		uplinks += v
-	}
-	if uplinks == 0 {
-		t.Error("no per-node uplinks recorded")
 	}
 }

@@ -404,7 +404,6 @@ func TestConfigValidate(t *testing.T) {
 		"nmo":     func(c *Config) { c.VelocityChangesPerStep = -1 },
 		"steps":   func(c *Config) { c.Steps = -1 },
 		"delta":   func(c *Config) { c.Core.DeadReckoningThreshold = -0.5 },
-		"shards":  func(c *Config) { c.ServerShards = -1 },
 	}
 	for name, mutate := range mutations {
 		cfg := DefaultConfig()

@@ -9,33 +9,29 @@ import (
 // TestTracedEngineDeterminism: attaching a flight recorder must not change
 // the engine's behavior — tracing is measurement only, like Metrics.
 func TestTracedEngineDeterminism(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		plainCfg := smallConfig()
-		plainCfg.ServerShards = shards
-		tracedCfg := smallConfig()
-		tracedCfg.ServerShards = shards
-		tracedCfg.Trace = trace.NewRecorder(1024)
+	plainCfg := smallConfig()
+	tracedCfg := smallConfig()
+	tracedCfg.Trace = trace.NewRecorder(1024)
 
-		plain := NewEngine(plainCfg)
-		traced := NewEngine(tracedCfg)
-		for step := 0; step < 8; step++ {
-			plain.Step()
-			traced.Step()
-			for _, qid := range plain.Server().QueryIDs() {
-				ra, rb := plain.Server().Result(qid), traced.Server().Result(qid)
-				if len(ra) != len(rb) {
-					t.Fatalf("shards=%d step %d query %d: results diverged", shards, step, qid)
-				}
-				for i := range ra {
-					if ra[i] != rb[i] {
-						t.Fatalf("shards=%d step %d query %d: results diverged", shards, step, qid)
-					}
+	plain := NewEngine(plainCfg)
+	traced := NewEngine(tracedCfg)
+	for step := 0; step < 8; step++ {
+		plain.Step()
+		traced.Step()
+		for _, qid := range plain.Server().QueryIDs() {
+			ra, rb := plain.Server().Result(qid), traced.Server().Result(qid)
+			if len(ra) != len(rb) {
+				t.Fatalf("step %d query %d: results diverged", step, qid)
+			}
+			for i := range ra {
+				if ra[i] != rb[i] {
+					t.Fatalf("step %d query %d: results diverged", step, qid)
 				}
 			}
 		}
-		if tracedCfg.Trace.Recorded() == 0 {
-			t.Fatalf("shards=%d: traced engine recorded no events", shards)
-		}
+	}
+	if tracedCfg.Trace.Recorded() == 0 {
+		t.Fatal("traced engine recorded no events")
 	}
 }
 
