@@ -27,11 +27,11 @@ func benchServer(b *testing.B, opts Options, n int) (*Server, *grid.Grid) {
 	s := NewServer(g, opts, nullDown{})
 	for i := 0; i < n; i++ {
 		oid := model.ObjectID(i + 1)
+		s.InstallQuery(oid, model.CircleRegion{R: 3}, model.Filter{Seed: uint64(i), Permille: 750}, 250)
 		s.OnFocalInfoResponse(msg.FocalInfoResponse{
 			OID: oid,
 			Pos: geo.Pt(float64(i%300)+5, float64((i*7)%300)+5),
 		})
-		s.InstallQuery(oid, model.CircleRegion{R: 3}, model.Filter{Seed: uint64(i), Permille: 750}, 250)
 	}
 	return s, g
 }
@@ -88,8 +88,8 @@ func BenchmarkServerContainmentReport(b *testing.B) {
 func benchBackend(srv ServerAPI, nQueries int) {
 	for i := 0; i < nQueries; i++ {
 		oid := model.ObjectID(i + 1)
-		srv.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: benchPos(i)})
 		srv.InstallQuery(oid, model.CircleRegion{R: 3}, model.Filter{Seed: uint64(i), Permille: 750}, 250)
+		srv.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: benchPos(i)})
 	}
 }
 

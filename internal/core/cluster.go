@@ -665,6 +665,11 @@ func (cs *ClusterServer) onGroupContainmentReport(m msg.GroupContainmentReport, 
 }
 
 func (cs *ClusterServer) onFocalInfoResponse(m msg.FocalInfoResponse, tid trace.ID) {
+	if _, focal := cs.focalNode[m.OID]; !focal && len(cs.pending[m.OID]) == 0 {
+		// Stale, like the serial server: nothing to complete or refresh.
+		cs.acctNodeUplink(-1, m.Kind(), m.Size()) // stale drop: charge the router ledger
+		return
+	}
 	ni := cs.nodeOf(cs.g.CellOf(m.Pos))
 	cs.nUpl[ni].Add(1)
 	cs.acctNodeUplink(ni, m.Kind(), m.Size())
@@ -1281,9 +1286,19 @@ func (cs *ClusterServer) CheckInvariants() error {
 			return fmt.Errorf("core: focal %d routed to node %d which does not own it", oid, ni)
 		}
 	}
+	// Every routed focal has a routed query, as every node's FOT row lists
+	// one (checked per node above).
+	routedFocal := make(map[model.ObjectID]bool, len(cs.focalNode))
 	for qid, ni := range cs.queryNode {
-		if _, ok := cs.nodes[ni].Query(qid); !ok {
+		q, ok := cs.nodes[ni].Query(qid)
+		if !ok {
 			return fmt.Errorf("core: query %d routed to node %d which does not own it", qid, ni)
+		}
+		routedFocal[q.Focal] = true
+	}
+	for oid := range cs.focalNode {
+		if !routedFocal[oid] {
+			return fmt.Errorf("core: focal %d is routed but none of its queries is", oid)
 		}
 	}
 	for qid := range cs.pendingExp {

@@ -191,8 +191,8 @@ func TestClusterRebalance(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		oid := model.ObjectID(i + 1)
 		pos := geo.Pt(float64(i%10)*9+3, 72+float64(i%5)*5)
-		cs.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: pos})
 		cs.InstallQuery(oid, model.CircleRegion{R: 3}, matchAll, 100)
+		cs.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: pos})
 	}
 	var before bytes.Buffer
 	if err := cs.Snapshot(&before); err != nil {

@@ -134,8 +134,8 @@ func TestCostConcurrentNodeAttribution(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		oid := model.ObjectID(i + 1)
 		pos := geo.Pt(float64(5+i*11), float64(5+i*7))
-		ss.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: pos})
 		ss.InstallQuery(oid, model.CircleRegion{R: 3}, matchAll, 200)
+		ss.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: pos})
 	}
 	base := int64(8) // the FocalInfoResponses above
 

@@ -194,8 +194,8 @@ func routerConcurrentStress(t *testing.T, newRouter func(*grid.Grid, Options, Do
 	for w := 0; w < workers; w++ {
 		for k := 0; k < 4; k++ {
 			oid := model.ObjectID(w*objsPerWorker + k + 1)
-			cs.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: startPos(w, k)})
 			seedQids = append(seedQids, cs.InstallQuery(oid, model.CircleRegion{R: 8}, matchAll, 150))
+			cs.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: startPos(w, k)})
 		}
 	}
 
@@ -317,8 +317,8 @@ func routerSpanBoundaryStorm(t *testing.T, newRouter func(*grid.Grid, Options, D
 			if k < 2 {
 				seedQids = append(seedQids, model.QueryID(len(seedQids)+1))
 				setup = append(setup, func(s ServerAPI) {
-					s.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: center(start)})
 					s.InstallQuery(oid, model.CircleRegion{R: 6}, matchAll, 120)
+					s.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: center(start)})
 				})
 			}
 		}

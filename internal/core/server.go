@@ -212,8 +212,14 @@ func (s *Server) ExpireQueries(now model.Time) []model.QueryID {
 }
 
 // OnFocalInfoResponse receives a prospective focal object's motion state
-// and completes any pending installations for it.
+// and completes any pending installations for it. A response with nothing
+// to complete and no FOT row to refresh is stale — the installs it answers
+// were removed, expired or departed since — and is ignored: a row without
+// queries would let a later install complete from its old state.
 func (s *Server) OnFocalInfoResponse(m msg.FocalInfoResponse) {
+	if _, focal := s.fot[m.OID]; !focal && len(s.pending[m.OID]) == 0 {
+		return
+	}
 	s.upsertFocal(m.OID, model.MotionState{Pos: m.Pos, Vel: m.Vel, Tm: m.Tm})
 	for _, p := range s.pending[m.OID] {
 		s.completeInstall(p.qid, p.query, p.maxVel)
@@ -882,8 +888,13 @@ func (s *Server) CheckInvariants() error {
 	if entries != s.rqiCount {
 		return fmt.Errorf("core: incremental RQI entry count %d, actual %d", s.rqiCount, entries)
 	}
-	// FOT ↔ SQT agreement.
+	// FOT ↔ SQT agreement. A focal's row lives exactly as long as it has a
+	// query: removing the last one deletes it, and a stale FocalInfoResponse
+	// creates none.
 	for oid, fe := range s.fot {
+		if len(fe.queries) == 0 {
+			return fmt.Errorf("core: focal %d has a FOT row but no query", oid)
+		}
 		for _, qid := range fe.queries {
 			e, ok := s.sqt[qid]
 			if !ok {

@@ -217,6 +217,10 @@ func readSnapshot(g *grid.Grid, r io.Reader) (snapshot, error) {
 		if !g.Valid(cell) {
 			return snap, fmt.Errorf("core: snapshot focal %d: %v is off the grid", rec.oid, cell)
 		}
+		if len(rec.entries) == 0 {
+			// A FOT row lives only as long as its queries (CheckInvariants).
+			return snap, fmt.Errorf("core: snapshot focal %d lists no query", rec.oid)
+		}
 		for j, e := range rec.entries {
 			if j > 0 && e.query.ID <= rec.entries[j-1].query.ID {
 				return snap, fmt.Errorf("core: snapshot focal %d: queries not strictly ascending", rec.oid)

@@ -237,6 +237,7 @@ func TestRestoreValidates(t *testing.T) {
 		{"oids descending", "not strictly ascending", snap(3, nil, testSlice(2, 100, cell, mon, nil, 2), ok)},
 		{"oid repeated", "not strictly ascending", snap(3, nil, ok, testSlice(1, 100, cell, mon, nil, 2))},
 		{"queries descending", "queries not strictly ascending", snap(3, nil, testSlice(1, 100, cell, mon, nil, 2, 1))},
+		{"focal without a query", "lists no query", snap(2, nil, ok, testSlice(2, 100, cell, mon, nil))},
 		{"off-grid cell", "off the grid", snap(2, nil, testSlice(1, 100, grid.CellID{Col: 20, Row: 0}, mon, nil, 1))},
 		{"off-grid monitoring region", "off the grid", snap(2, nil, testSlice(1, 100, cell,
 			grid.CellRange{Min: grid.CellID{Col: -1, Row: 0}, Max: grid.CellID{Col: 3, Row: 3}}, nil, 1))},
@@ -317,6 +318,49 @@ func TestPendingInstallDropped(t *testing.T) {
 	}
 }
 
+// TestStaleFocalInfoResponseIgnored: a FocalInfoResponse answering an
+// install that was removed before it arrived finds nothing to complete and
+// no FOT row to refresh, so it must create none. Otherwise a later install
+// on the same focal completes at once from the stale motion state, without
+// a FocalInfoRequest, behind a row that listed no query — on the serial
+// server and on both router renderings.
+func TestStaleFocalInfoResponseIgnored(t *testing.T) {
+	harnesses := map[string]func() *harness{
+		"serial":  func() *harness { return newHarness(smallGrid(), Options{}) },
+		"sharded": func() *harness { return newShardedHarness(smallGrid(), Options{}, 2) },
+		"cluster": func() *harness { return newClusterHarness(smallGrid(), Options{}, 2) },
+	}
+	for name, newH := range harnesses {
+		t.Run(name, func(t *testing.T) {
+			h := newH()
+			s := h.server
+			first := s.InstallQuery(5, model.CircleRegion{R: 3}, matchAll, 100)
+			s.RemoveQuery(first)
+			s.HandleUplink(msg.FocalInfoResponse{OID: 5, Pos: geo.Pt(20, 20), Tm: 1})
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("after the stale response: %v", err)
+			}
+			second := s.InstallQuery(5, model.CircleRegion{R: 3}, matchAll, 100)
+			if n := s.NumQueries(); n != 0 {
+				t.Fatalf("the second install completed from the stale response: %d queries installed", n)
+			}
+			if n := h.downCount[msg.KindFocalInfoRequest]; n != 2 {
+				t.Errorf("%d FocalInfoRequests sent, want one per install", n)
+			}
+			s.HandleUplink(msg.FocalInfoResponse{OID: 5, Pos: geo.Pt(70, 70), Tm: 2})
+			if _, ok := s.Query(second); !ok {
+				t.Fatal("the fresh response did not complete the second install")
+			}
+			if got := s.NearbyQueries(smallGrid().CellOf(geo.Pt(70, 70))); !slices.Contains(got, second) {
+				t.Errorf("the query is not monitored around the fresh position: nearby %v", got)
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 // FuzzRestore: no input panics a restore, serial and a 2-node router agree
 // on whether to accept it, and an accepted snapshot yields tables that pass
 // CheckInvariants and re-snapshot byte-identically.
@@ -336,6 +380,10 @@ func FuzzRestore(f *testing.F) {
 	f.Add(appendSnapshot(nil, 4, nil, nil, [][]byte{
 		testSlice(1, 100, grid.CellID{Col: 10, Row: 10}, mon, []model.ObjectID{3, 7}, 1, 2),
 		testSlice(5, 100, grid.CellID{Col: 2, Row: 19}, mon, nil),
+	}))
+	f.Add(appendSnapshot(nil, 4, nil, nil, [][]byte{
+		testSlice(1, 100, grid.CellID{Col: 10, Row: 10}, mon, []model.ObjectID{3, 7}, 1, 2),
+		testSlice(5, 100, grid.CellID{Col: 2, Row: 19}, mon, nil, 3),
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		servers, errs := restoreEverywhere(data)

@@ -25,6 +25,7 @@ const (
 	metricUplinkSecondsRm = "mobieyes_remote_uplink_seconds"
 	metricBroadcastConns  = "mobieyes_remote_broadcast_fanout"
 	metricPendingUni      = "mobieyes_remote_pending_unicasts"
+	metricDroppedUni      = "mobieyes_remote_dropped_unicasts_total"
 
 	helpConnections     = "Currently connected moving objects."
 	helpConnects        = "Completed object handshakes (including reconnects)."
@@ -37,7 +38,8 @@ const (
 	helpRejectedFrames  = "Decoded frames refused before dispatch, by reason: kind (not an uplink kind) or cell (a cell change off the grid)."
 	helpUplinkSecondsRm = "Uplink dispatch latency into the backend, in seconds."
 	helpBroadcastConns  = "Connections addressed per downlink broadcast."
-	helpPendingUni      = "Unicast frames queued for not-yet-connected objects."
+	helpPendingUni      = "FocalNotify frames parked for objects that are not connected (at most one each)."
+	helpDroppedUni      = "Unicasts dropped because their object was not connected, by kind; a parked FocalNotify replaced by a newer one counts here too."
 )
 
 // remoteObs holds the transport-layer metrics of one Server. The remote
@@ -58,6 +60,9 @@ type remoteObs struct {
 	// (downlink kinds never arrive on the uplink path).
 	uplinkLat       [msg.NumKinds]*obs.Histogram
 	broadcastFanout *obs.Histogram
+	// droppedUni counts unicasts dropped for absent objects, indexed by
+	// message kind; only the three kinds the backends unicast are populated.
+	droppedUni [msg.NumKinds]*obs.Counter
 }
 
 func newRemoteObs(reg *obs.Registry) *remoteObs {
@@ -79,6 +84,9 @@ func newRemoteObs(reg *obs.Registry) *remoteObs {
 			o.uplinkLat[k] = reg.Histogram(metricUplinkSecondsRm, helpUplinkSecondsRm, obs.LatencyBuckets, "kind", k.String())
 		}
 	}
+	for _, k := range []msg.Kind{msg.KindQueryInstall, msg.KindFocalNotify, msg.KindFocalInfoRequest} {
+		o.droppedUni[k] = reg.Counter(metricDroppedUni, helpDroppedUni, "kind", k.String())
+	}
 	return o
 }
 
@@ -97,11 +105,7 @@ func (s *Server) instrument() {
 	s.reg.GaugeFunc(metricPendingUni, helpPendingUni, func() float64 {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		n := 0
-		for _, q := range s.pendingUni {
-			n += len(q)
-		}
-		return float64(n)
+		return float64(len(s.parked))
 	})
 	s.backend.Instrument(s.reg)
 }

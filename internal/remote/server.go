@@ -127,17 +127,16 @@ type Server struct {
 
 	mu    sync.RWMutex
 	conns map[model.ObjectID]*serverConn
-	// pendingUni holds unicast frames for objects that are not connected
-	// yet (or are between reconnects); flushed at handshake. Bounded per
-	// object so a never-connecting ID cannot grow memory.
-	pendingUni map[model.ObjectID][][]byte
+	// parked holds the newest FocalNotify frame addressed to each object
+	// that is not connected (yet, or between reconnects), handed to its
+	// next session at the handshake. It is the one unicast a join cannot
+	// re-derive; every other unicast to an absent object is dropped
+	// (UnicastTraced), so this holds at most one frame per focal object.
+	parked map[model.ObjectID][]byte
 	// graceTimers holds the pending deferred-departure timer of each
 	// abruptly disconnected object (only with DisconnectGrace > 0).
 	graceTimers map[model.ObjectID]*time.Timer
 }
-
-// maxPendingUnicasts bounds the per-object queue of undeliverable frames.
-const maxPendingUnicasts = 64
 
 // serverConn is one connected moving object.
 type serverConn struct {
@@ -301,7 +300,7 @@ func newServer(cfg ServerConfig, ln net.Listener) *Server {
 		done:        make(chan struct{}),
 		reg:         reg,
 		conns:       make(map[model.ObjectID]*serverConn),
-		pendingUni:  make(map[model.ObjectID][][]byte),
+		parked:      make(map[model.ObjectID][]byte),
 		graceTimers: make(map[model.ObjectID]*time.Timer),
 	}
 }
@@ -579,16 +578,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.graceTimers, oid)
 	}
 	s.conns[oid] = sc
-	queued := s.pendingUni[oid]
-	delete(s.pendingUni, oid)
+	// Hand over the FocalNotify parked while the object was away — a query
+	// on it installed or its last one removed — ahead of anything sent once
+	// the session is visible: queueing it under s.mu means no unicast
+	// through conns can overtake it. The rest of what the object missed its
+	// join or Resync re-derives (UnicastTraced).
+	if frame, ok := s.parked[oid]; ok {
+		delete(s.parked, oid)
+		sc.out.send(frame)
+	}
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go sc.out.run(&s.wg)
-	// Deliver unicasts that arrived before the object connected (typically
-	// the FocalInfoRequest of an install racing the handshake).
-	for _, frame := range queued {
-		sc.out.send(frame)
-	}
 
 	sawBye := false
 	for {
@@ -639,9 +640,9 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	s.mu.Lock()
 	if sawBye {
-		// A departed object's queued unicasts are void; a later rejoin is a
-		// fresh arrival and must not receive them.
-		delete(s.pendingUni, oid)
+		// A departed object's parked frame is void; a later rejoin is a
+		// fresh arrival and must not receive it.
+		delete(s.parked, oid)
 	}
 	replaced := false
 	if s.conns[oid] == sc {
@@ -676,7 +677,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		return
 	}
-	s.backend.HandleUplink(msg.DepartureReport{OID: oid})
+	s.depart(oid)
 }
 
 // rejectReason is why admit refused a frame; it labels
@@ -723,13 +724,22 @@ func (s *Server) graceDeparture(oid model.ObjectID) {
 	s.mu.Lock()
 	delete(s.graceTimers, oid)
 	_, back := s.conns[oid]
-	if !back {
-		delete(s.pendingUni, oid)
-	}
 	s.mu.Unlock()
 	if !back {
-		s.backend.HandleUplink(msg.DepartureReport{OID: oid})
+		s.depart(oid)
 	}
+}
+
+// depart synthesizes the DepartureReport of an object that vanished, then
+// discards what the departure parked for it — the FocalNotify removing its
+// last query — so a departed object holds no frame.
+func (s *Server) depart(oid model.ObjectID) {
+	s.backend.HandleUplink(msg.DepartureReport{OID: oid})
+	s.mu.Lock()
+	if _, back := s.conns[oid]; !back {
+		delete(s.parked, oid)
+	}
+	s.mu.Unlock()
 }
 
 // serverDownlink fans server messages out to connections. Broadcasts go to
@@ -760,21 +770,52 @@ func (d serverDownlink) Unicast(oid model.ObjectID, m msg.Message) {
 	d.UnicastTraced(oid, m, 0)
 }
 
+// UnicastTraced sends m to oid's connection. An object that is not
+// connected misses it, as an object out of its base station's reach would
+// (§2), except a FocalNotify, which is parked. Its next session opens with a
+// join or Resync CellChangeReport whose PrevCell is invalid, and the backend
+// answers that report with every query of its cell (covering a QueryInstall)
+// and completes installs pending on it from the motion state the report
+// carries (covering a FocalInfoRequest). Nothing re-sends whether the object
+// is focal, so the newest FocalNotify waits for the handshake. A dropped
+// frame is never encoded, but it is metered as sent: the traffic ledger
+// counts what the backend sent, not what a device received.
 func (d serverDownlink) UnicastTraced(oid model.ObjectID, m msg.Message, tid trace.ID) {
-	frame := wire.EncodeTraced(m, uint64(tid))
-	d.s.recordDownlinkWire(m.Kind(), 4+len(frame), 1)
-	d.s.mu.Lock()
-	c := d.s.conns[oid]
-	if c == nil {
-		q := d.s.pendingUni[oid]
-		if len(q) < maxPendingUnicasts {
-			d.s.pendingUni[oid] = append(q, frame)
-		}
-		d.s.mu.Unlock()
+	s := d.s
+	s.mu.RLock()
+	c := s.conns[oid]
+	s.mu.RUnlock()
+	k := m.Kind()
+	if c == nil && k != msg.KindFocalNotify {
+		s.recordDownlinkWire(k, 4+wire.EncodedSize(m, uint64(tid)), 1)
+		s.om.droppedUni[k].Add(1)
 		return
 	}
-	d.s.mu.Unlock()
+	frame := wire.EncodeTraced(m, uint64(tid))
+	s.recordDownlinkWire(k, 4+len(frame), 1)
+	if c == nil {
+		if c = s.park(oid, frame); c == nil {
+			return
+		}
+	}
 	c.out.send(frame)
+}
+
+// park holds frame, a FocalNotify, for oid's next session, replacing (and
+// counting as dropped) an older one: hasMQ follows the newest notification.
+// If oid connected since the caller looked, park returns that connection
+// instead, and the caller sends the frame there.
+func (s *Server) park(oid model.ObjectID, frame []byte) *serverConn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c := s.conns[oid]; c != nil {
+		return c
+	}
+	if _, ok := s.parked[oid]; ok {
+		s.om.droppedUni[msg.KindFocalNotify].Add(1)
+	}
+	s.parked[oid] = frame
+	return nil
 }
 
 // maxWrite bounds one conn.Write of the outbox: a backlog goes out in

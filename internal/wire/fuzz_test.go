@@ -11,8 +11,8 @@ import (
 // FuzzWire feeds arbitrary bytes to Decode. Two properties must hold:
 // Decode never panics (it is the trust boundary for everything a peer
 // sends), and any payload it accepts is canonical — re-encoding the
-// decoded message reproduces the input bytes exactly, and the message's
-// Size matches. Canonicity is what makes the protocol's byte accounting
+// decoded message reproduces the input bytes exactly, and its EncodedSize
+// matches. Canonicity is what makes the protocol's byte accounting
 // (network.Meter) and the simulation harness's frame relays trustworthy.
 func FuzzWire(f *testing.F) {
 	rng := rand.New(rand.NewSource(99))
@@ -46,12 +46,10 @@ func FuzzWire(f *testing.F) {
 		if err != nil {
 			return
 		}
-		wantSize := m.Size()
-		if tid != 0 {
-			wantSize += TraceOverhead
-		}
-		if wantSize != len(data) {
-			t.Fatalf("decoded %T (tid %d) accounts for %d bytes, wire payload is %d bytes", m, tid, wantSize, len(data))
+		// EncodedSize is what a transport meters for a frame it drops
+		// unencoded, so it must account for the payload exactly.
+		if size := EncodedSize(m, tid); size != len(data) {
+			t.Fatalf("decoded %T (tid %d) accounts for %d bytes, wire payload is %d bytes", m, tid, size, len(data))
 		}
 		// The src/dst header words (bytes 8–16) are routing fields owned by
 		// the transport layer; Decode ignores them and Encode zeroes them.

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"mobieyes/internal/msg"
 )
 
 // Traced frames (TracedVersion) must round-trip the trace ID, interoperate
@@ -46,6 +48,27 @@ func TestEncodeTracedZeroIsPlain(t *testing.T) {
 	for _, m := range sampleMessages(rng) {
 		if !bytes.Equal(EncodeTraced(m, 0), Encode(m)) {
 			t.Fatalf("EncodeTraced(%T, 0) differs from Encode", m)
+		}
+	}
+}
+
+// TestEncodedSizeMatchesEncoding: the size a transport meters for a frame it
+// drops without encoding equals the encoded frame's length, for every
+// downlink kind, plain and traced.
+func TestEncodedSizeMatchesEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	seen := map[msg.Kind]bool{}
+	for _, m := range sampleMessages(rng) {
+		for _, tid := range []uint64{0, 1, 1<<64 - 1} {
+			if got, want := EncodedSize(m, tid), len(EncodeTraced(m, tid)); got != want {
+				t.Fatalf("EncodedSize(%T, %d) = %d, encoded frame is %d bytes", m, tid, got, want)
+			}
+		}
+		seen[m.Kind()] = true
+	}
+	for k := msg.KindPing + 1; !k.Node(); k++ {
+		if !seen[k] {
+			t.Errorf("no sample message of downlink kind %v", k)
 		}
 	}
 }

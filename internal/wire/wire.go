@@ -282,17 +282,26 @@ func (d *decoder) queryState() msg.QueryState {
 // Encode serializes m. The result is exactly m.Size() bytes.
 func Encode(m msg.Message) []byte { return EncodeTraced(m, 0) }
 
+// EncodedSize is len(EncodeTraced(m, tid)) without encoding: m.Size(),
+// plus TraceOverhead when tid is nonzero. A transport that meters a frame it
+// then drops uses it, so the meter cannot tell the two apart.
+func EncodedSize(m msg.Message, tid uint64) int {
+	if tid != 0 {
+		return m.Size() + TraceOverhead
+	}
+	return m.Size()
+}
+
 // EncodeTraced serializes m, carrying tid when it is nonzero: the frame is
 // emitted as TracedVersion with the trace ID after the header, and the
 // declared length grows by TraceOverhead. tid == 0 produces the plain
 // Version encoding, byte-identical to Encode — untraced peers are
 // unaffected, and Decode (which skips the trace ID) accepts both.
 func EncodeTraced(m msg.Message, tid uint64) []byte {
-	size := m.Size()
+	size := EncodedSize(m, tid)
 	ver := Version
 	if tid != 0 {
 		ver = TracedVersion
-		size += TraceOverhead
 	}
 	e := &encoder{b: make([]byte, 0, size)}
 	// Header: magic(2) version(1) kind(1) length(4) src(4) dst(4) = 16.
