@@ -178,13 +178,7 @@ func (cs *ClusterServer) CrashNode(i int) error {
 	if !cs.live[i] {
 		return fmt.Errorf("core: node %d is already dead", i)
 	}
-	liveCount := 0
-	for _, l := range cs.live {
-		if l {
-			liveCount++
-		}
-	}
-	if liveCount == 1 {
+	if cs.liveCount() == 1 {
 		return fmt.Errorf("core: cannot crash the last live node")
 	}
 	if _, ok := cs.nodes[i].(fateSharingNode); ok {
@@ -232,33 +226,13 @@ func (cs *ClusterServer) crashLocked(i int, tid trace.ID) {
 	for qid, ni := range cs.queryNode {
 		if ni == i {
 			delete(cs.queryNode, qid)
-			delete(cs.pendingExp, qid)
 		}
 	}
 	// The fence reassigned *every* span boundary, not just the dead node's:
 	// survivors' focals whose cells landed in another node's new span are now
 	// misplaced and must migrate, exactly as after a rebalance. (Replay above
 	// already injected the dead node's focals at their post-fence owners.)
-	type move struct {
-		si, di int
-		oid    model.ObjectID
-	}
-	var moves []move
-	for si, nd := range cs.nodes {
-		if !cs.live[si] {
-			continue
-		}
-		for _, oid := range nd.FocalIDs() {
-			cell, ok := nd.FocalCell(oid)
-			if !ok {
-				continue
-			}
-			if want := cs.nodeOf(cell); want != si {
-				moves = append(moves, move{si: si, di: want, oid: oid})
-			}
-		}
-	}
-	for _, mv := range moves {
+	for _, mv := range cs.misplacedLocked() {
 		if err := cs.adminHandoff(mv.si, mv.di, mv.oid); err != nil {
 			panic(fmt.Sprintf("core: recovery migration of focal %d from node %d to node %d: %v", mv.oid, mv.si, mv.di, err))
 		}

@@ -22,7 +22,7 @@ import (
 )
 
 // ClusterServer is the one concurrent MobiEyes server: a router tier that
-// owns query lifecycle and message routing, over N nodes each holding the
+// owns the query book and message routing, over N nodes each holding the
 // FOT, SQT and RQI rows of the focal objects whose current grid cell falls
 // in that node's assigned cell range. Nodes are driven through the
 // NodeHandle surface, so the same router runs over in-process NodeServers
@@ -61,10 +61,6 @@ type ClusterServer struct {
 	epoch          uint64
 	onAssign       func(epoch uint64, node, lo, hi int)
 
-	// qidCounter holds the last assigned query identifier (1-based sequence,
-	// matching the serial server).
-	qidCounter int64
-
 	// ops counts router-level operations; upl counts uplinks handled outside
 	// any node (departures); migrations counts cross-node focal handoffs;
 	// nUpl counts uplinks dispatched to each node.
@@ -94,13 +90,13 @@ type ClusterServer struct {
 	probe func(node int) error
 
 	// mu serializes all routing and node dispatch. focalNode/queryNode map
-	// ownership, pending holds installations waiting on a FocalInfoRequest
-	// (queries exist only at the router until their focal object is located).
-	mu         sync.Mutex
-	focalNode  map[model.ObjectID]int
-	queryNode  map[model.QueryID]int
-	pending    map[model.ObjectID][]pendingInstall
-	pendingExp map[model.QueryID]model.Time
+	// ownership; book mints qids and holds the installs waiting on a
+	// FocalInfoRequest (queries exist only at the router until their focal
+	// object is located).
+	mu        sync.Mutex
+	focalNode map[model.ObjectID]int
+	queryNode map[model.QueryID]int
+	book      queryBook
 
 	// journal holds each node's last checkpoint (focal slices keyed by oid),
 	// replayed into the survivors when the node crashes without a drain.
@@ -190,8 +186,7 @@ func newClusterServer(g *grid.Grid, opts Options, down Downlink, handles []NodeH
 		nUpl:       make([]*obs.Counter, len(handles)),
 		focalNode:  make(map[model.ObjectID]int),
 		queryNode:  make(map[model.QueryID]int),
-		pending:    make(map[model.ObjectID][]pendingInstall),
-		pendingExp: make(map[model.QueryID]model.Time),
+		book:       newQueryBook(),
 
 		journal:           make([]nodeJournal, len(handles)),
 		armedHandoffCrash: -1,
@@ -477,21 +472,17 @@ func (cs *ClusterServer) unicast(oid model.ObjectID, m msg.Message, tid trace.ID
 	cs.down.Unicast(oid, m)
 }
 
-// InstallQuery starts installation of a moving query (§3.3), exactly like
-// the serial server but routed to the node owning the focal object.
+// InstallQuery starts installation of a moving query (§3.3), routed to the
+// node owning the focal object.
 func (cs *ClusterServer) InstallQuery(focal model.ObjectID, region model.Region, filter model.Filter, focalMaxVel float64) model.QueryID {
-	return cs.install(focal, region, filter, focalMaxVel, 0)
+	return cs.InstallQueryUntil(focal, region, filter, focalMaxVel, 0)
 }
 
-// InstallQueryUntil installs a query that expires at the given time.
+// InstallQueryUntil installs a query that expires at the given time; a
+// zero expiry means none.
 func (cs *ClusterServer) InstallQueryUntil(focal model.ObjectID, region model.Region, filter model.Filter, focalMaxVel float64, expiry model.Time) model.QueryID {
-	return cs.install(focal, region, filter, focalMaxVel, expiry)
-}
-
-func (cs *ClusterServer) install(focal model.ObjectID, region model.Region, filter model.Filter, focalMaxVel float64, expiry model.Time) model.QueryID {
 	cs.mu.Lock()
-	cs.qidCounter++
-	qid := model.QueryID(cs.qidCounter)
+	qid := cs.book.mint()
 	tid := cs.mintRoot(focal, qid, "InstallQuery")
 	q := model.Query{ID: qid, Focal: focal, Region: region, Filter: filter}
 	if ni, ok := cs.focalNode[focal]; ok {
@@ -501,11 +492,7 @@ func (cs *ClusterServer) install(focal model.ObjectID, region model.Region, filt
 		return qid
 	}
 	// §3.3 step 3: the focal object is unknown — request its motion state.
-	cs.pending[focal] = append(cs.pending[focal], pendingInstall{qid, q, focalMaxVel})
-	if expiry != 0 {
-		cs.pendingExp[qid] = expiry
-	}
-	first := len(cs.pending[focal]) == 1
+	first := cs.book.park(pendingInstall{qid, q, focalMaxVel}, expiry)
 	cs.mu.Unlock()
 	cs.ops.Add(1)
 	if first {
@@ -525,12 +512,7 @@ func (cs *ClusterServer) RemoveQuery(qid model.QueryID) bool {
 func (cs *ClusterServer) removeQueryLocked(qid model.QueryID, tid trace.ID) bool {
 	ni, ok := cs.queryNode[qid]
 	if !ok {
-		// A pending install is dropped, exactly like the serial server.
-		if dropPending(cs.pending, qid) {
-			delete(cs.pendingExp, qid)
-			return true
-		}
-		return false
+		return cs.book.drop(qid)
 	}
 	removed, focal, stillFocal := cs.nodes[ni].RemoveQuery(qid, tid)
 	delete(cs.queryNode, qid)
@@ -541,7 +523,7 @@ func (cs *ClusterServer) removeQueryLocked(qid model.QueryID, tid trace.ID) bool
 }
 
 // ExpireQueries removes every query whose expiry has passed and returns the
-// removed identifiers (sorted), like the serial server.
+// removed identifiers (sorted).
 func (cs *ClusterServer) ExpireQueries(now model.Time) []model.QueryID {
 	tid := cs.mintRoot(0, 0, "ExpireQueries")
 	cs.mu.Lock()
@@ -552,11 +534,7 @@ func (cs *ClusterServer) ExpireQueries(now model.Time) []model.QueryID {
 			expired = append(expired, nd.DueExpiries(now)...)
 		}
 	}
-	for qid, exp := range cs.pendingExp {
-		if exp <= now {
-			expired = append(expired, qid)
-		}
-	}
+	expired = append(expired, cs.book.due(now)...)
 	slices.Sort(expired)
 	for _, qid := range expired {
 		cs.removeQueryLocked(qid, tid)
@@ -580,26 +558,7 @@ func (cs *ClusterServer) HandleUplinkTraced(m msg.Message, tid trace.ID) {
 	lat := cs.obsm.uplinkLatency()
 	var start time.Time
 	if cs.acct != nil || cs.rec != nil || lat != nil {
-		// One TraceRef and one clock read per op, as on the serial server.
-		oid, qid := TraceRef(m)
-		if cs.acct != nil {
-			sz := m.Size()
-			if oid != 0 {
-				cs.acct.ObjectUp(oid, sz)
-			}
-			if qid != 0 {
-				cs.acct.QueryUp(qid, sz)
-			}
-		}
-		if cs.rec != nil || lat != nil {
-			start = time.Now()
-		}
-		if cs.rec != nil {
-			if tid == 0 {
-				tid = cs.rec.NextID()
-			}
-			cs.rec.Record(ingressEvent(start, tid, "router", oid, qid, m))
-		}
+		tid, start = uplinkIngress(m, tid, "router", cs.acct, cs.rec, lat)
 	}
 	cs.dispatchUplink(m, tid)
 	lat.observe(m.Kind(), start)
@@ -665,8 +624,8 @@ func (cs *ClusterServer) onGroupContainmentReport(m msg.GroupContainmentReport, 
 }
 
 func (cs *ClusterServer) onFocalInfoResponse(m msg.FocalInfoResponse, tid trace.ID) {
-	if _, focal := cs.focalNode[m.OID]; !focal && len(cs.pending[m.OID]) == 0 {
-		// Stale, like the serial server: nothing to complete or refresh.
+	if _, focal := cs.focalNode[m.OID]; !focal && !cs.book.waiting(m.OID) {
+		// Stale: nothing to complete or refresh.
 		cs.acctNodeUplink(-1, m.Kind(), m.Size()) // stale drop: charge the router ledger
 		return
 	}
@@ -688,19 +647,10 @@ func (cs *ClusterServer) applyFocalInfo(oid model.ObjectID, st model.MotionState
 		cs.nodes[di].UpsertFocal(oid, st, tid)
 		cs.focalNode[oid] = di
 	}
-	if len(cs.pending[oid]) == 0 {
-		return
-	}
-	for _, p := range cs.pending[oid] {
-		var exp model.Time
-		if e, ok := cs.pendingExp[p.qid]; ok {
-			exp = e
-			delete(cs.pendingExp, p.qid)
-		}
-		cs.nodes[di].CompleteInstall(p.qid, p.query, p.maxVel, exp, tid)
+	for _, p := range cs.book.take(oid) {
+		cs.nodes[di].CompleteInstall(p.qid, p.query, p.maxVel, p.expiry, tid)
 		cs.queryNode[p.qid] = di
 	}
-	delete(cs.pending, oid)
 }
 
 // handoff runs the two-phase cross-node focal transfer and flips the
@@ -764,7 +714,7 @@ func (cs *ClusterServer) onCellChangeReport(m msg.CellChangeReport, tid trace.ID
 			}
 		}
 	}
-	if len(cs.pending[m.OID]) > 0 {
+	if cs.book.waiting(m.OID) {
 		// The report carries the object's motion state; complete pending
 		// installs from it (the FocalInfoRequest may have been lost).
 		cs.applyFocalInfo(m.OID, st, tid)
@@ -828,10 +778,7 @@ func (cs *ClusterServer) onDepartureReport(m msg.DepartureReport, tid trace.ID) 
 		}
 		delete(cs.focalNode, m.OID)
 	}
-	for _, p := range cs.pending[m.OID] {
-		delete(cs.pendingExp, p.qid)
-	}
-	delete(cs.pending, m.OID)
+	cs.book.depart(m.OID)
 	cs.ops.Add(1)
 }
 
@@ -850,13 +797,7 @@ func (cs *ClusterServer) KillNode(i int) error {
 	if !cs.live[i] {
 		return fmt.Errorf("core: node %d is already dead", i)
 	}
-	liveCount := 0
-	for _, l := range cs.live {
-		if l {
-			liveCount++
-		}
-	}
-	if liveCount == 1 {
+	if cs.liveCount() == 1 {
 		return fmt.Errorf("core: cannot kill the last live node")
 	}
 	cs.live[i] = false
@@ -879,23 +820,7 @@ func (cs *ClusterServer) Rebalance() (int, error) {
 
 func (cs *ClusterServer) rebalanceLocked() error {
 	cs.computeSpans()
-	type move struct {
-		si, di int
-		oid    model.ObjectID
-	}
-	var moves []move
-	for i, nd := range cs.nodes {
-		for _, oid := range nd.FocalIDs() {
-			cell, ok := nd.FocalCell(oid)
-			if !ok {
-				continue
-			}
-			if want := cs.nodeOf(cell); want != i {
-				moves = append(moves, move{si: i, di: want, oid: oid})
-			}
-		}
-	}
-	for _, mv := range moves {
+	for _, mv := range cs.misplacedLocked() {
 		if err := cs.adminHandoff(mv.si, mv.di, mv.oid); err != nil {
 			return err
 		}
@@ -904,6 +829,29 @@ func (cs *ClusterServer) rebalanceLocked() error {
 	// against the fresh span assignment.
 	cs.telemetryRoundLocked(false)
 	return nil
+}
+
+// focalMove is one focal's admin handoff from node si to node di.
+type focalMove struct {
+	si, di int
+	oid    model.ObjectID
+}
+
+// misplacedLocked lists the focals whose cell lies in another node's span
+// — every focal a dead node still holds included — ascending by node and
+// then oid. cs.mu held.
+func (cs *ClusterServer) misplacedLocked() []focalMove {
+	var moves []focalMove
+	for i, nd := range cs.nodes {
+		for _, oid := range nd.FocalIDs() {
+			if cell, ok := nd.FocalCell(oid); ok {
+				if want := cs.nodeOf(cell); want != i {
+					moves = append(moves, focalMove{si: i, di: want, oid: oid})
+				}
+			}
+		}
+	}
+	return moves
 }
 
 // adminHandoff moves a focal between nodes without touching the protocol
@@ -1118,11 +1066,10 @@ func (cs *ClusterServer) Instrument(reg *obs.Registry) {
 	reg.RegisterCounter(metricUplinks, helpUplinks, cs.upl, "node", "router")
 	reg.RegisterCounter(metricMigrations, helpMigrations, cs.migrations)
 	cs.obsm = &serverObs{uplinkLat: newKindLatency(reg, metricUplinkSeconds, helpUplinkSeconds)}
-	reg.GaugeFunc(metricPending, helpPending, func() float64 {
-		cs.mu.Lock()
-		defer cs.mu.Unlock()
-		return float64(len(cs.pending))
-	})
+	cs.mu.Lock()
+	cs.book.gauge = reg.Gauge(metricPending, helpPending)
+	cs.book.publish()
+	cs.mu.Unlock()
 	reg.GaugeFunc(metricInflight, helpInflight, func() float64 {
 		return float64(cs.inflight.Load())
 	})
@@ -1154,7 +1101,7 @@ func (cs *ClusterServer) Instrument(reg *obs.Registry) {
 // Snapshot serializes the router's durable state in the same format as the
 // serial server — snapshots move freely between the two implementations and
 // across node counts: each live node contributes its focal section, and the
-// router merges them by oid under its own header and pending table.
+// router merges them by oid under the header and pending section of its book.
 func (cs *ClusterServer) Snapshot(w io.Writer) error {
 	cs.mu.Lock()
 	var focals [][]byte
@@ -1175,7 +1122,7 @@ func (cs *ClusterServer) Snapshot(w io.Writer) error {
 		focals = append(focals, part...)
 	}
 	slices.SortFunc(focals, func(a, b []byte) int { return cmp.Compare(sliceOID(a), sliceOID(b)) })
-	b := appendSnapshot(nil, model.QueryID(cs.qidCounter)+1, cs.pending, cs.pendingExp, focals)
+	b := appendSnapshot(nil, &cs.book, focals)
 	cs.mu.Unlock()
 	_, err := w.Write(b)
 	return err
@@ -1199,13 +1146,12 @@ func (cs *ClusterServer) Restore(r io.Reader) error {
 			return fmt.Errorf("core: restore refused: node %d already holds %d focal rows", i, n)
 		}
 	}
-	cs.qidCounter = int64(snap.nextQID) - 1
 	for _, f := range snap.focals {
 		if _, err := cs.injectSliceLocked(f, 0); err != nil {
 			return err
 		}
 	}
-	for _, focal := range restorePending(snap.pending, cs.pending, cs.pendingExp) {
+	for _, focal := range cs.book.restore(snap.nextQID, snap.pending) {
 		cs.unicast(focal, msg.FocalInfoRequest{OID: focal}, 0)
 	}
 	return nil
@@ -1235,8 +1181,8 @@ func (cs *ClusterServer) injectSliceLocked(slice []byte, tid trace.ID) (int, err
 // CheckInvariants validates every node's internal consistency plus the
 // cluster invariants: routing tables agree with node contents in both
 // directions, each focal row lives in the node whose span owns its current
-// cell, live spans partition the grid, dead nodes are empty, pending
-// expiries refer to pending queries, and every difference between a node's
+// cell, live spans partition the grid, dead nodes are empty, the query book
+// is consistent with the routed queries, and every difference between a node's
 // tables and its checkpoint journal is in the node's dirty set. Intended for
 // tests and debugging.
 func (cs *ClusterServer) CheckInvariants() error {
@@ -1301,18 +1247,8 @@ func (cs *ClusterServer) CheckInvariants() error {
 			return fmt.Errorf("core: focal %d is routed but none of its queries is", oid)
 		}
 	}
-	for qid := range cs.pendingExp {
-		found := false
-		for _, ps := range cs.pending {
-			for _, p := range ps {
-				if p.qid == qid {
-					found = true
-				}
-			}
-		}
-		if !found {
-			return fmt.Errorf("core: pending expiry recorded for non-pending query %d", qid)
-		}
+	if err := cs.book.check(func(qid model.QueryID) bool { _, ok := cs.queryNode[qid]; return ok }); err != nil {
+		return err
 	}
 	// Checkpoint mark-site completeness: on an in-process node that has been
 	// pulled, whatever the journal and the tables disagree on must be marked

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mobieyes/internal/geo"
+	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
+	"mobieyes/internal/msg"
 )
 
 // TestProtocolFuzz drives the full protocol through randomized operation
@@ -149,4 +154,187 @@ func (h *harness) fuzzGroundTruth(qid model.QueryID, present map[model.ObjectID]
 		}
 	}
 	return out
+}
+
+// Query-lifecycle fuzz operations: one opcode byte and two argument bytes
+// each (see FuzzQueryLifecycle).
+const (
+	opInstall         = iota // focal 1+a%4, radius 1+b%4
+	opInstallUntil           // focal 1+a%4, expiry lifecycleExpiries[b%4]
+	opRemove                 // qid 1+a%8
+	opExpire                 // now lifecycleNows[a%4]
+	opFocalInfo              // oid 1+a%4 at lifecyclePositions[b%4]
+	opCellChange             // oid 1+a%6 enters lifecyclePositions[b%4]; a join when b&4, else from lifecyclePositions[(b>>3)%4]
+	opDepart                 // oid 1+a%6
+	opSnapshotRestore        // every backend is replaced by a restore of its snapshot
+	opGroupReport            // oid 5+a%2, focal 1+b%4, qids 1+(a>>1)%8 and 1+(b>>2)%8, both bits set
+	opContainment            // oid 5+a%2, qid 1+b%8, target when b&8
+	numLifecycleOps
+)
+
+var (
+	lifecycleExpiries  = [4]model.Time{0, model.FromSeconds(10), model.FromSeconds(20), model.FromSeconds(40)}
+	lifecycleNows      = [4]model.Time{1, model.FromSeconds(15), model.FromSeconds(30), model.FromSeconds(1e6)}
+	lifecyclePositions = [4]geo.Point{geo.Pt(20, 25), geo.Pt(20, 75), geo.Pt(80, 30), geo.Pt(60, 90)}
+)
+
+// lifecycleOps encodes a sequence of FuzzQueryLifecycle operations.
+func lifecycleOps(ops ...[3]byte) []byte {
+	var b []byte
+	for _, op := range ops {
+		b = append(b, op[:]...)
+	}
+	return b
+}
+
+// FuzzQueryLifecycle decodes bytes into installs (with and without an
+// expiry, zero included), removals, expiry sweeps, focal-info responses
+// (stale ones included), joining and moving cell changes, departures,
+// group and single containment reports and snapshot → restore, and runs
+// them on the serial server and on both 2-node router renderings. After
+// every operation the three must have returned the same values and agree
+// on QueryIDs, NumQueries, every Query and Result, and their snapshots byte
+// for byte, and each must pass CheckInvariants. The seeds replay the
+// lifecycle bugs found in the two servers' former copies of this code.
+func FuzzQueryLifecycle(f *testing.F) {
+	for _, seed := range [][]byte{
+		// A pending install survived its removal, and its expiry.
+		lifecycleOps([3]byte{opInstall, 0, 0}, [3]byte{opRemove, 0, 0}, [3]byte{opFocalInfo, 0, 0}),
+		lifecycleOps([3]byte{opInstallUntil, 0, 1}, [3]byte{opExpire, 1, 0}, [3]byte{opFocalInfo, 0, 0}),
+		// A pending install's expiry survived its focal's departure.
+		lifecycleOps([3]byte{opInstallUntil, 0, 1}, [3]byte{opDepart, 0, 0}, [3]byte{opExpire, 3, 0}),
+		// A group report listing another focal's query.
+		lifecycleOps([3]byte{opInstall, 0, 0}, [3]byte{opFocalInfo, 0, 0}, [3]byte{opInstall, 1, 0}, [3]byte{opFocalInfo, 1, 1},
+			[3]byte{opGroupReport, 0, 4}, [3]byte{opGroupReport, 2, 0}),
+		// A stale FocalInfoResponse left a FOT row with no query.
+		lifecycleOps([3]byte{opInstall, 0, 0}, [3]byte{opRemove, 0, 0}, [3]byte{opFocalInfo, 0, 0}, [3]byte{opInstall, 0, 0},
+			[3]byte{opFocalInfo, 0, 1}),
+		// A zero expiry expired at the next sweep on the serial server.
+		lifecycleOps([3]byte{opInstall, 0, 0}, [3]byte{opFocalInfo, 0, 0}, [3]byte{opInstallUntil, 0, 0},
+			[3]byte{opInstallUntil, 1, 0}, [3]byte{opExpire, 0, 0}),
+		// Pending installs across a snapshot, a handoff and a rejoin.
+		lifecycleOps([3]byte{opInstallUntil, 0, 2}, [3]byte{opInstall, 1, 1}, [3]byte{opSnapshotRestore, 0, 0},
+			[3]byte{opCellChange, 0, 4}, [3]byte{opFocalInfo, 1, 1}, [3]byte{opCellChange, 1, 8}, [3]byte{opContainment, 0, 9},
+			[3]byte{opExpire, 2, 0}),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxOps = 48
+		if len(data) > 3*maxOps {
+			data = data[:3*maxOps]
+		}
+		g := smallGrid()
+		names := []string{"serial"}
+		servers := []ServerAPI{NewServer(g, Options{}, nullDown{})}
+		for _, r := range routerRenderings {
+			names = append(names, r.name)
+			servers = append(servers, r.new(g, Options{}, nullDown{}, 2))
+		}
+		var maxQID model.QueryID
+		for i := 0; i+3 <= len(data); i += 3 {
+			op, a, b := data[i]%numLifecycleOps, data[i+1], data[i+2]
+			tm := model.FromSeconds(float64(i))
+			if op == opSnapshotRestore {
+				var buf bytes.Buffer
+				if err := servers[0].Snapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				s, err := RestoreServer(g, Options{}, nullDown{}, bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatalf("op %d: serial restore: %v", i/3, err)
+				}
+				servers[0] = s
+				for k, r := range routerRenderings {
+					cs := r.new(g, Options{}, nullDown{}, 2)
+					if err := cs.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+						t.Fatalf("op %d: %s restore: %v", i/3, r.name, err)
+					}
+					servers[k+1] = cs
+				}
+			}
+			got := make([]string, len(servers))
+			for k, s := range servers {
+				switch op {
+				case opInstall:
+					got[k] = fmt.Sprint(s.InstallQuery(model.ObjectID(1+a%4), model.CircleRegion{R: float64(1 + b%4)}, matchAll, 100))
+				case opInstallUntil:
+					got[k] = fmt.Sprint(s.InstallQueryUntil(model.ObjectID(1+a%4), model.CircleRegion{R: 2}, matchAll, 100, lifecycleExpiries[b%4]))
+				case opRemove:
+					got[k] = fmt.Sprint(s.RemoveQuery(model.QueryID(1 + a%8)))
+				case opExpire:
+					got[k] = fmt.Sprint(s.ExpireQueries(lifecycleNows[a%4]))
+				case opFocalInfo:
+					s.HandleUplink(msg.FocalInfoResponse{OID: model.ObjectID(1 + a%4), Pos: lifecyclePositions[b%4], Tm: tm})
+				case opCellChange:
+					pos := lifecyclePositions[b%4]
+					prev := grid.CellID{Col: -1, Row: -1}
+					if b&4 == 0 {
+						prev = g.CellOf(lifecyclePositions[(b>>3)%4])
+					}
+					s.HandleUplink(msg.CellChangeReport{OID: model.ObjectID(1 + a%6), PrevCell: prev, NewCell: g.CellOf(pos), Pos: pos, Tm: tm})
+				case opDepart:
+					s.HandleUplink(msg.DepartureReport{OID: model.ObjectID(1 + a%6)})
+				case opGroupReport:
+					bits := msg.NewBitmap(2)
+					bits.Set(0, true)
+					bits.Set(1, true)
+					s.HandleUplink(msg.GroupContainmentReport{OID: model.ObjectID(5 + a%2), Focal: model.ObjectID(1 + b%4),
+						QIDs: []model.QueryID{model.QueryID(1 + (a>>1)%8), model.QueryID(1 + (b>>2)%8)}, Bitmap: bits})
+				case opContainment:
+					s.HandleUplink(msg.ContainmentReport{OID: model.ObjectID(5 + a%2), QID: model.QueryID(1 + b%8), IsTarget: b&8 != 0})
+				}
+			}
+			if op == opInstall || op == opInstallUntil {
+				maxQID++
+			}
+			compareLifecycle(t, fmt.Sprintf("op %d (%d %d %d)", i/3, op, a, b), names, servers, got, maxQID)
+		}
+	})
+}
+
+// compareLifecycle fails t unless every server returned what the serial
+// server (servers[0]) did, agrees with it on every query and snapshot byte,
+// and passes CheckInvariants.
+func compareLifecycle(t *testing.T, step string, names []string, servers []ServerAPI, got []string, maxQID model.QueryID) {
+	t.Helper()
+	var want bytes.Buffer
+	if err := servers[0].Snapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	ref := servers[0]
+	for k, s := range servers {
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %s: %v", step, names[k], err)
+		}
+		if k == 0 {
+			continue
+		}
+		if got[k] != got[0] {
+			t.Fatalf("%s: %s returned %s, serial %s", step, names[k], got[k], got[0])
+		}
+		if n, m := s.NumQueries(), ref.NumQueries(); n != m {
+			t.Fatalf("%s: %s has %d queries, serial %d", step, names[k], n, m)
+		}
+		if ids, ref := s.QueryIDs(), ref.QueryIDs(); !slices.Equal(ids, ref) {
+			t.Fatalf("%s: %s QueryIDs %v, serial %v", step, names[k], ids, ref)
+		}
+		for qid := model.QueryID(1); qid <= maxQID; qid++ {
+			q, ok := s.Query(qid)
+			rq, rok := ref.Query(qid)
+			if ok != rok || q != rq {
+				t.Fatalf("%s: %s Query(%d) = %v %v, serial %v %v", step, names[k], qid, q, ok, rq, rok)
+			}
+			if res, rres := s.Result(qid), ref.Result(qid); !slices.Equal(res, rres) {
+				t.Fatalf("%s: %s Result(%d) = %v, serial %v", step, names[k], qid, res, rres)
+			}
+		}
+		var snap bytes.Buffer
+		if err := s.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snap.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: %s snapshot differs from the serial server's", step, names[k])
+		}
+	}
 }

@@ -192,7 +192,7 @@ type focalRecord struct {
 }
 
 // extractFocal detaches oid's FOT row and every bound query from s's tables
-// (SQT, RQI, expiries) without emitting any messages or charging any cost:
+// (SQT, RQI) without emitting any messages or charging any cost:
 // moving rows between nodes is not a protocol event. The caller must know oid
 // is present and re-inject the record elsewhere with injectFocal.
 func (s *Server) extractFocal(oid model.ObjectID) focalRecord {
@@ -202,7 +202,6 @@ func (s *Server) extractFocal(oid model.ObjectID) focalRecord {
 		e := s.sqt[qid]
 		s.rqiRemove(e, e.monRegion)
 		delete(s.sqt, qid)
-		delete(s.expiries, qid)
 		rec.entries = append(rec.entries, e)
 	}
 	delete(s.fot, oid)
@@ -228,9 +227,6 @@ func (s *Server) injectFocal(rec focalRecord, st model.MotionState, cell grid.Ce
 		e.fe = fe
 		e.currCell = cell
 		s.sqt[qid] = e
-		if e.expiry != 0 {
-			s.expiries[qid] = e.expiry
-		}
 		s.rqiAdd(e, e.monRegion)
 	}
 	if relocate {

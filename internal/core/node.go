@@ -110,34 +110,23 @@ func (n *NodeServer) SetTracer(rec *trace.Recorder, actor string) {
 func (n *NodeServer) Underlying() *Server { return n.srv }
 
 func (n *NodeServer) CompleteInstall(qid model.QueryID, q model.Query, maxVel float64, expiry model.Time, tid trace.ID) {
-	n.run(tid, func(s *Server) {
-		if expiry != 0 {
-			s.expiries[qid] = expiry
-		}
-		s.completeInstall(qid, q, maxVel)
-	})
+	n.run(tid, func(s *Server) { s.completeInstall(qid, q, maxVel, expiry) })
 }
 
 func (n *NodeServer) RemoveQuery(qid model.QueryID, tid trace.ID) (removed bool, focal model.ObjectID, stillFocal bool) {
 	n.run(tid, func(s *Server) {
-		if e, installed := s.sqt[qid]; installed {
-			focal = e.query.Focal
+		e, installed := s.sqt[qid]
+		if !installed {
+			return
 		}
-		removed = s.RemoveQuery(qid)
+		focal, removed = e.query.Focal, true
+		s.removeQuery(e)
 		_, stillFocal = s.fot[focal]
 	})
 	return removed, focal, stillFocal
 }
 
-func (n *NodeServer) DueExpiries(now model.Time) []model.QueryID {
-	var due []model.QueryID
-	for qid, exp := range n.srv.expiries {
-		if exp <= now {
-			due = append(due, qid)
-		}
-	}
-	return due
-}
+func (n *NodeServer) DueExpiries(now model.Time) []model.QueryID { return n.srv.dueInstalled(now) }
 
 func (n *NodeServer) UpsertFocal(oid model.ObjectID, st model.MotionState, tid trace.ID) {
 	n.run(tid, func(s *Server) { s.upsertFocal(oid, st) })
@@ -168,30 +157,12 @@ func (n *NodeServer) ClearResults(oid model.ObjectID, tid trace.ID) {
 }
 
 func (n *NodeServer) DepartSweep(oid model.ObjectID, tid trace.ID) {
-	n.run(tid, func(s *Server) {
-		for qid, e := range s.sqt {
-			if _, in := e.result[oid]; in {
-				delete(e.result, oid)
-				s.notifyResult(qid, oid, false)
-			}
-		}
-	})
+	n.run(tid, func(s *Server) { s.departSweep(oid) })
 }
 
 func (n *NodeServer) DepartFocal(oid model.ObjectID, tid trace.ID) []model.QueryID {
 	var qids []model.QueryID
-	n.run(tid, func(s *Server) {
-		fe, ok := s.fot[oid]
-		if !ok {
-			return
-		}
-		qids = append(qids, fe.queries...)
-		for _, qid := range qids {
-			s.RemoveQuery(qid)
-		}
-		delete(s.fot, oid)
-		s.markDirty(oid)
-	})
+	n.run(tid, func(s *Server) { qids = s.departFocal(oid) })
 	return qids
 }
 

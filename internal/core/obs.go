@@ -87,11 +87,11 @@ type serverObs struct {
 	broadcastCells *obs.Histogram
 	// Table-size gauges of a standalone serial Server, published by
 	// syncTableGauges from the owning goroutine; a router's nodes publish
-	// scrape-time closures under the router lock instead.
+	// scrape-time closures under the router lock instead. The
+	// pending-installs gauge belongs to the query book (queryBook.publish).
 	fotSize    *obs.Gauge
 	sqtSize    *obs.Gauge
 	rqiEntries *obs.Gauge
-	pending    *obs.Gauge
 }
 
 // Instrument attaches the server's metrics to reg: the ops and uplink
@@ -116,8 +116,9 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		fotSize:        reg.Gauge(metricFOTSize, helpFOTSize),
 		sqtSize:        reg.Gauge(metricSQTSize, helpSQTSize),
 		rqiEntries:     reg.Gauge(metricRQIEntries, helpRQIEntries),
-		pending:        reg.Gauge(metricPending, helpPending),
 	}
+	s.book.gauge = reg.Gauge(metricPending, helpPending)
+	s.book.publish()
 	s.syncTableGauges()
 }
 
@@ -133,7 +134,6 @@ func (s *Server) syncTableGauges() {
 	o.fotSize.Set(float64(len(s.fot)))
 	o.sqtSize.Set(float64(len(s.sqt)))
 	o.rqiEntries.Set(float64(s.rqiCount))
-	o.pending.Set(float64(len(s.pending)))
 }
 
 // broadcast sends m to region through the downlink, recording broadcast

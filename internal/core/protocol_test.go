@@ -938,9 +938,9 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	if err := srv.CheckInvariants(); err != nil {
 		t.Fatalf("repair not recognized: %v", err)
 	}
-	// Corrupt the expiries table.
-	srv.expiries[9999] = 1
+	// Corrupt the book: an expiry for a query that is not pending.
+	srv.book.expiry[9999] = 1
 	if err := h.server.CheckInvariants(); err == nil {
-		t.Fatal("stray expiry not detected")
+		t.Fatal("stray pending expiry not detected")
 	}
 }

@@ -41,14 +41,6 @@ type sqtEntry struct {
 	expiry model.Time
 }
 
-// pendingInstall is a query whose focal object's motion state has been
-// requested but not yet received (§3.3 step 3).
-type pendingInstall struct {
-	qid    model.QueryID
-	query  model.Query
-	maxVel float64
-}
-
 // Server is the MobiEyes server: a mediator between moving objects that
 // tracks significant position changes of focal objects and relays them to
 // the monitoring regions of the affected queries.
@@ -66,11 +58,9 @@ type Server struct {
 	// rqiCount tracks the total number of (cell, query) entries across rqi,
 	// maintained incrementally by rqiEdit so reporting it is O(1).
 	rqiCount int
-	pending  map[model.ObjectID][]pendingInstall
-	// expiries holds the deadline of duration-bound queries (pending ones
-	// included; completion copies it into the SQT entry).
-	expiries map[model.QueryID]model.Time
-	nextQID  model.QueryID
+	// book holds the qid counter and the installs pending on a
+	// FocalInfoRequest; it stays empty on a router node.
+	book queryBook
 
 	// dirty holds the focal oids whose encoded slice (encodeFocalState) may
 	// have changed since the last NodeServer.CheckpointDelta pull — marked
@@ -117,17 +107,15 @@ type Server struct {
 // NewServer returns a MobiEyes server over grid g, sending through down.
 func NewServer(g *grid.Grid, opts Options, down Downlink) *Server {
 	return &Server{
-		g:        g,
-		opts:     opts,
-		down:     down,
-		fot:      make(map[model.ObjectID]*fotEntry),
-		sqt:      make(map[model.QueryID]*sqtEntry),
-		rqi:      make([][]*sqtEntry, g.NumCells()),
-		pending:  make(map[model.ObjectID][]pendingInstall),
-		expiries: make(map[model.QueryID]model.Time),
-		nextQID:  1,
-		ops:      obs.NewCounter(),
-		upl:      obs.NewCounter(),
+		g:    g,
+		opts: opts,
+		down: down,
+		fot:  make(map[model.ObjectID]*fotEntry),
+		sqt:  make(map[model.QueryID]*sqtEntry),
+		rqi:  make([][]*sqtEntry, g.NumCells()),
+		book: newQueryBook(),
+		ops:  obs.NewCounter(),
+		upl:  obs.NewCounter(),
 	}
 }
 
@@ -158,36 +146,28 @@ func (s *Server) markDirty(oid model.ObjectID) {
 // asynchronously once the focal object answers the server's
 // FocalInfoRequest.
 func (s *Server) InstallQuery(focal model.ObjectID, region model.Region, filter model.Filter, focalMaxVel float64) model.QueryID {
-	qid := s.nextQID
-	s.nextQID++
-	root := s.beginRoot(focal, qid, "InstallQuery")
-	defer s.endRoot(root)
-	q := model.Query{ID: qid, Focal: focal, Region: region, Filter: filter}
-	if _, ok := s.fot[focal]; ok {
-		s.completeInstall(qid, q, focalMaxVel)
-		s.syncTableGauges()
-		return qid
-	}
-	// §3.3 step 3: the focal object is unknown — request its motion state.
-	s.pending[focal] = append(s.pending[focal], pendingInstall{qid, q, focalMaxVel})
-	if len(s.pending[focal]) == 1 {
-		s.unicast(focal, msg.FocalInfoRequest{OID: focal})
-	}
-	s.ops.Add(1)
-	s.syncTableGauges()
-	return qid
+	return s.InstallQueryUntil(focal, region, filter, focalMaxVel, 0)
 }
 
 // InstallQueryUntil installs a query that expires at the given time — the
 // duration-bound form of the paper's motivating examples ("give me … during
-// the next 2 hours"). ExpireQueries removes it once the deadline passes.
+// the next 2 hours"). ExpireQueries removes it once the deadline passes; a
+// zero expiry means none, as for InstallQuery.
 func (s *Server) InstallQueryUntil(focal model.ObjectID, region model.Region, filter model.Filter, focalMaxVel float64, expiry model.Time) model.QueryID {
-	qid := s.InstallQuery(focal, region, filter, focalMaxVel)
-	s.expiries[qid] = expiry
-	if e, ok := s.sqt[qid]; ok {
-		e.expiry = expiry
-		s.markDirty(focal)
+	qid := s.book.mint()
+	root := s.beginRoot(focal, qid, "InstallQuery")
+	defer s.endRoot(root)
+	q := model.Query{ID: qid, Focal: focal, Region: region, Filter: filter}
+	if _, ok := s.fot[focal]; ok {
+		s.completeInstall(qid, q, focalMaxVel, expiry)
+		s.syncTableGauges()
+		return qid
 	}
+	// §3.3 step 3: the focal object is unknown — request its motion state.
+	if s.book.park(pendingInstall{qid, q, focalMaxVel}, expiry) {
+		s.unicast(focal, msg.FocalInfoRequest{OID: focal})
+	}
+	s.ops.Add(1)
 	return qid
 }
 
@@ -197,18 +177,24 @@ func (s *Server) InstallQueryUntil(focal model.ObjectID, region model.Region, fi
 func (s *Server) ExpireQueries(now model.Time) []model.QueryID {
 	root := s.beginRoot(0, 0, "ExpireQueries")
 	defer s.endRoot(root)
-	var expired []model.QueryID
-	for qid, exp := range s.expiries {
-		if exp <= now {
-			expired = append(expired, qid)
-		}
-	}
+	expired := append(s.dueInstalled(now), s.book.due(now)...)
 	slices.Sort(expired)
 	for _, qid := range expired {
-		delete(s.expiries, qid)
 		s.RemoveQuery(qid)
 	}
 	return expired
+}
+
+// dueInstalled returns the installed queries whose expiry is set and at or
+// before now, unsorted.
+func (s *Server) dueInstalled(now model.Time) []model.QueryID {
+	var due []model.QueryID
+	for qid, e := range s.sqt {
+		if e.expiry != 0 && e.expiry <= now {
+			due = append(due, qid)
+		}
+	}
+	return due
 }
 
 // OnFocalInfoResponse receives a prospective focal object's motion state
@@ -217,14 +203,13 @@ func (s *Server) ExpireQueries(now model.Time) []model.QueryID {
 // were removed, expired or departed since — and is ignored: a row without
 // queries would let a later install complete from its old state.
 func (s *Server) OnFocalInfoResponse(m msg.FocalInfoResponse) {
-	if _, focal := s.fot[m.OID]; !focal && len(s.pending[m.OID]) == 0 {
+	if _, focal := s.fot[m.OID]; !focal && !s.book.waiting(m.OID) {
 		return
 	}
 	s.upsertFocal(m.OID, model.MotionState{Pos: m.Pos, Vel: m.Vel, Tm: m.Tm})
-	for _, p := range s.pending[m.OID] {
-		s.completeInstall(p.qid, p.query, p.maxVel)
+	for _, p := range s.book.take(m.OID) {
+		s.completeInstall(p.qid, p.query, p.maxVel, p.expiry)
 	}
-	delete(s.pending, m.OID)
 }
 
 // upsertFocal creates or refreshes the FOT entry for oid from a reported
@@ -245,10 +230,10 @@ func (s *Server) upsertFocal(oid model.ObjectID, st model.MotionState) *fotEntry
 	return fe
 }
 
-// completeInstall performs §3.3 steps 2 and 4: create the SQT entry, index
-// it in the RQI, notify the focal object, and broadcast the query to its
-// monitoring region.
-func (s *Server) completeInstall(qid model.QueryID, q model.Query, focalMaxVel float64) {
+// completeInstall performs §3.3 steps 2 and 4: create the SQT entry (with
+// its expiry; zero means none), index it in the RQI, notify the focal
+// object, and broadcast the query to its monitoring region.
+func (s *Server) completeInstall(qid model.QueryID, q model.Query, focalMaxVel float64, expiry model.Time) {
 	fe := s.fot[q.Focal]
 	if focalMaxVel > fe.maxVel {
 		fe.maxVel = focalMaxVel
@@ -264,7 +249,7 @@ func (s *Server) completeInstall(qid model.QueryID, q model.Query, focalMaxVel f
 		currCell:  currCell,
 		monRegion: monRegion,
 		result:    make(map[model.ObjectID]struct{}),
-		expiry:    s.expiries[qid],
+		expiry:    expiry,
 	}
 	s.sqt[qid] = e
 	s.chargeRQI(s.rqiAdd(e, monRegion))
@@ -286,20 +271,23 @@ func (s *Server) completeInstall(qid model.QueryID, q model.Query, focalMaxVel f
 func (s *Server) RemoveQuery(qid model.QueryID) bool {
 	e, ok := s.sqt[qid]
 	if !ok {
-		// A query still waiting on its focal leaves the pending table, so a
-		// late FocalInfoResponse no longer installs it.
-		if dropPending(s.pending, qid) {
-			delete(s.expiries, qid)
-			return true
-		}
-		return false
+		// A query still waiting on its focal leaves the book, so a late
+		// FocalInfoResponse no longer installs it.
+		return s.book.drop(qid)
 	}
+	s.removeQuery(e)
+	return true
+}
+
+// removeQuery uninstalls the installed query e — RemoveQuery without the
+// book, which is all a router node runs.
+func (s *Server) removeQuery(e *sqtEntry) {
+	qid := e.query.ID
 	root := s.beginRoot(e.query.Focal, qid, "RemoveQuery")
 	defer s.endRoot(root)
 	for _, oid := range s.Result(qid) {
 		s.notifyResult(qid, oid, false)
 	}
-	delete(s.expiries, qid)
 	s.chargeRQI(s.rqiRemove(e, e.monRegion))
 	delete(s.sqt, qid)
 	fe := s.fot[e.query.Focal]
@@ -314,7 +302,6 @@ func (s *Server) RemoveQuery(qid model.QueryID) bool {
 	s.ops.Add(3)
 	s.acct.Compute(cost.UnitTableOp, 1)
 	s.syncTableGauges()
-	return true
 }
 
 // OnVelocityReport handles a focal object's significant velocity-vector
@@ -404,7 +391,7 @@ func (s *Server) OnCellChangeReport(m msg.CellChangeReport) {
 	// The report carries the object's motion state; if installs are pending
 	// on this object (its FocalInfoRequest may have been lost in transit),
 	// complete them from the piggybacked state.
-	if len(s.pending[m.OID]) > 0 {
+	if s.book.waiting(m.OID) {
 		s.OnFocalInfoResponse(msg.FocalInfoResponse{OID: m.OID, Pos: m.Pos, Vel: m.Vel, Tm: m.Tm})
 	}
 	s.focalCellChange(m.OID, model.MotionState{Pos: m.Pos, Vel: m.Vel, Tm: m.Tm}, m.NewCell)
@@ -418,13 +405,35 @@ func (s *Server) OnCellChangeReport(m msg.CellChangeReport) {
 // clearObjectFromResults drops oid from every query result, with leave
 // notifications — the server side of the rejoin handshake.
 func (s *Server) clearObjectFromResults(oid model.ObjectID) {
+	s.departSweep(oid)
+	s.ops.Add(1)
+}
+
+// departSweep drops oid from every query result, with leave notifications.
+func (s *Server) departSweep(oid model.ObjectID) {
 	for qid, e := range s.sqt {
 		if _, in := e.result[oid]; in {
 			delete(e.result, oid)
 			s.notifyResult(qid, oid, false)
 		}
 	}
-	s.ops.Add(1)
+}
+
+// departFocal removes every query oid is the focal of, and its FOT row, and
+// returns the removed qids.
+func (s *Server) departFocal(oid model.ObjectID) []model.QueryID {
+	fe, ok := s.fot[oid]
+	if !ok {
+		return nil
+	}
+	// removeQuery mutates fe.queries; iterate over a copy.
+	qids := slices.Clone(fe.queries)
+	for _, qid := range qids {
+		s.removeQuery(s.sqt[qid])
+	}
+	delete(s.fot, oid)
+	s.markDirty(oid)
+	return qids
 }
 
 // focalCellChange applies a focal object's move to newCell: the FOT row is
@@ -553,24 +562,9 @@ func (s *Server) OnGroupContainmentReport(m msg.GroupContainmentReport) {
 // from every query result (with leave notifications) and every query it was
 // focal of is removed.
 func (s *Server) OnDepartureReport(m msg.DepartureReport) {
-	for qid, e := range s.sqt {
-		if _, in := e.result[m.OID]; in {
-			delete(e.result, m.OID)
-			s.notifyResult(qid, m.OID, false)
-		}
-	}
-	if fe, ok := s.fot[m.OID]; ok {
-		// RemoveQuery mutates fe.queries; iterate over a copy.
-		for _, qid := range append([]model.QueryID(nil), fe.queries...) {
-			s.RemoveQuery(qid)
-		}
-		delete(s.fot, m.OID)
-		s.markDirty(m.OID)
-	}
-	for _, p := range s.pending[m.OID] {
-		delete(s.expiries, p.qid)
-	}
-	delete(s.pending, m.OID)
+	s.departSweep(m.OID)
+	s.departFocal(m.OID)
+	s.book.depart(m.OID)
 	s.ops.Add(1)
 }
 
@@ -591,30 +585,7 @@ func (s *Server) HandleUplinkTraced(m msg.Message, tid trace.ID) {
 	lat := s.obsm.uplinkLatency()
 	var start time.Time
 	if s.acct != nil || s.rec != nil || lat != nil {
-		// One TraceRef and one clock read per op, shared by the per-entity
-		// charge, the ingress event and the latency histogram.
-		oid, qid := TraceRef(m)
-		if s.acct != nil {
-			// Per-entity uplink attribution (protocol-level model bytes):
-			// charge the object the message is about and the query it
-			// targets, if any.
-			sz := m.Size()
-			if oid != 0 {
-				s.acct.ObjectUp(oid, sz)
-			}
-			if qid != 0 {
-				s.acct.QueryUp(qid, sz)
-			}
-		}
-		if s.rec != nil || lat != nil {
-			start = time.Now()
-		}
-		if s.rec != nil {
-			if tid == 0 {
-				tid = s.rec.NextID()
-			}
-			s.rec.Record(ingressEvent(start, tid, s.actor, oid, qid, m))
-		}
+		tid, start = uplinkIngress(m, tid, s.actor, s.acct, s.rec, lat)
 	}
 	prev := s.curTrace
 	s.curTrace = tid
@@ -794,26 +765,6 @@ func (s *Server) chargeRQI(n int) {
 	s.acct.Compute(cost.UnitRQITouch, int64(n))
 }
 
-// dropPending removes qid's installation from a pending table, reporting
-// whether it was there. A pending table holds one row per focal the server
-// is still waiting to hear from, so the scan is short.
-func dropPending(pending map[model.ObjectID][]pendingInstall, qid model.QueryID) bool {
-	for focal, ps := range pending {
-		for i, p := range ps {
-			if p.qid != qid {
-				continue
-			}
-			if len(ps) == 1 {
-				delete(pending, focal)
-			} else {
-				pending[focal] = slices.Delete(ps, i, i+1)
-			}
-			return true
-		}
-	}
-	return false
-}
-
 // focalIDs returns the oids of every FOT row, ascending.
 func (s *Server) focalIDs() []model.ObjectID {
 	out := make([]model.ObjectID, 0, len(s.fot))
@@ -840,8 +791,8 @@ func removeSortedQID(qs []model.QueryID, qid model.QueryID) []model.QueryID {
 // entry is indexed in exactly the RQI cells of its monitoring region, every
 // posting list is strictly ascending and holds the live SQT rows themselves,
 // every SQT row points at its focal's live FOT row, every focal-object record
-// lists exactly its live queries, and expiry bookkeeping matches the SQT. It
-// returns the first violation found, or nil. Intended for tests and
+// lists exactly its live queries, and the query book is consistent with the
+// SQT. It returns the first violation found, or nil. Intended for tests and
 // debugging; it walks every table.
 func (s *Server) CheckInvariants() error {
 	// RQI ↔ SQT agreement.
@@ -851,6 +802,9 @@ func (s *Server) CheckInvariants() error {
 		}
 		if e.fe == nil || e.fe != s.fot[e.query.Focal] {
 			return fmt.Errorf("core: query %d does not point at the FOT row of its focal %d", qid, e.query.Focal)
+		}
+		if !slices.Contains(e.fe.queries, qid) {
+			return fmt.Errorf("core: query %d not listed under its focal %d", qid, e.query.Focal)
 		}
 		missing := false
 		e.monRegion.ForEach(func(c grid.CellID) {
@@ -905,38 +859,5 @@ func (s *Server) CheckInvariants() error {
 			}
 		}
 	}
-	for qid, e := range s.sqt {
-		fe, ok := s.fot[e.query.Focal]
-		if !ok {
-			return fmt.Errorf("core: query %d has no FOT entry for focal %d", qid, e.query.Focal)
-		}
-		found := false
-		for _, q := range fe.queries {
-			if q == qid {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("core: query %d not listed under its focal %d", qid, e.query.Focal)
-		}
-	}
-	// Expiry bookkeeping: every expiry refers to a live or pending query.
-	for qid := range s.expiries {
-		if _, ok := s.sqt[qid]; ok {
-			continue
-		}
-		pendingFound := false
-		for _, ps := range s.pending {
-			for _, p := range ps {
-				if p.qid == qid {
-					pendingFound = true
-				}
-			}
-		}
-		if !pendingFound {
-			return fmt.Errorf("core: expiry recorded for unknown query %d", qid)
-		}
-	}
-	return nil
+	return s.book.check(func(qid model.QueryID) bool { _, ok := s.sqt[qid]; return ok })
 }

@@ -28,36 +28,22 @@ const (
 	snapshotVersion = uint16(2)
 )
 
-// snapPending is one installation still waiting on a FocalInfoRequest.
-type snapPending struct {
-	pendingInstall
-	expiry model.Time
-}
-
-// appendSnapshot appends a whole snapshot: header, the pending table with
-// the expiries recorded for it, and the focal section of focals.
-func appendSnapshot(b []byte, nextQID model.QueryID, pending map[model.ObjectID][]pendingInstall, expiries map[model.QueryID]model.Time, focals [][]byte) []byte {
+// appendSnapshot appends a whole snapshot: header and pending section from
+// the query book, then the focal section of focals.
+func appendSnapshot(b []byte, book *queryBook, focals [][]byte) []byte {
 	le := binary.LittleEndian
 	b = append(b, snapshotMagic...)
 	b = le.AppendUint16(b, snapshotVersion)
-	b = le.AppendUint32(b, uint32(nextQID))
-	pendingFocals := make([]model.ObjectID, 0, len(pending))
-	n := 0
-	for focal, ps := range pending {
-		pendingFocals = append(pendingFocals, focal)
-		n += len(ps)
-	}
-	sortOIDs(pendingFocals)
-	b = le.AppendUint32(b, uint32(n))
-	for _, focal := range pendingFocals {
-		for _, p := range pending[focal] {
-			b = appendPendingRecord(b, snapPending{p, expiries[p.qid]})
-		}
+	b = le.AppendUint32(b, uint32(book.next))
+	recs := book.records()
+	b = le.AppendUint32(b, uint32(len(recs)))
+	for _, p := range recs {
+		b = appendPendingRecord(b, p)
 	}
 	return appendFocalSection(b, focals)
 }
 
-func appendPendingRecord(b []byte, p snapPending) []byte {
+func appendPendingRecord(b []byte, p bookedInstall) []byte {
 	le := binary.LittleEndian
 	b = le.AppendUint32(b, uint32(p.qid))
 	b = le.AppendUint32(b, uint32(p.query.Focal))
@@ -103,14 +89,14 @@ func (s *Server) focalSlices() [][]byte {
 // LQTs and notice nothing; pending installations re-issue their
 // FocalInfoRequests.
 func (s *Server) Snapshot(w io.Writer) error {
-	_, err := w.Write(appendSnapshot(nil, s.nextQID, s.pending, s.expiries, s.focalSlices()))
+	_, err := w.Write(appendSnapshot(nil, &s.book, s.focalSlices()))
 	return err
 }
 
 // snapshot is a decoded, validated snapshot.
 type snapshot struct {
 	nextQID model.QueryID
-	pending []snapPending
+	pending []bookedInstall
 	focals  [][]byte // focal slices, ascending by oid
 }
 
@@ -184,9 +170,9 @@ func readSnapshot(g *grid.Grid, r io.Reader) (snapshot, error) {
 		if err != nil {
 			return snap, fmt.Errorf("core: snapshot pending install %d: %w", qid, err)
 		}
-		p := snapPending{pendingInstall{qid, model.Query{ID: qid, Focal: focal, Region: qs.Region, Filter: qs.Filter}, maxVel}, expiry}
+		p := bookedInstall{pendingInstall{qid, model.Query{ID: qid, Focal: focal, Region: qs.Region, Filter: qs.Filter}, maxVel}, expiry}
 		if p.expiry == 0 {
-			p.expiry = 0 // the tables keep no zero expiry, so −0 would come back as +0
+			p.expiry = 0 // the book keeps no zero expiry, so −0 would come back as +0
 		}
 		if !bytes.Equal(appendPendingRecord(nil, p), data[start:c.off]) {
 			return snap, fmt.Errorf("core: snapshot pending install %d is not in canonical form", qid)
@@ -239,24 +225,6 @@ func readSnapshot(g *grid.Grid, r io.Reader) (snapshot, error) {
 	return snap, nil
 }
 
-// restorePending refills a pending table and its expiries from snapshot
-// records and returns the focals whose FocalInfoRequest must be re-issued,
-// in record order.
-func restorePending(recs []snapPending, pending map[model.ObjectID][]pendingInstall, expiries map[model.QueryID]model.Time) []model.ObjectID {
-	var ask []model.ObjectID
-	for _, p := range recs {
-		focal := p.query.Focal
-		if len(pending[focal]) == 0 {
-			ask = append(ask, focal)
-		}
-		pending[focal] = append(pending[focal], p.pendingInstall)
-		if p.expiry != 0 {
-			expiries[p.qid] = p.expiry
-		}
-	}
-	return ask
-}
-
 // RestoreServer rebuilds a server from a snapshot written by any server
 // implementation. The grid and options must match the snapshotting
 // deployment. Each focal slice is injected exactly as crash replay injects
@@ -268,12 +236,11 @@ func RestoreServer(g *grid.Grid, opts Options, down Downlink, r io.Reader) (*Ser
 		return nil, err
 	}
 	s := NewServer(g, opts, down)
-	s.nextQID = snap.nextQID
 	for _, f := range snap.focals {
 		rec, st, cell, _ := decodeFocalSlice(f) // readSnapshot decoded it already
 		s.injectFocal(rec, st, cell, false)
 	}
-	for _, focal := range restorePending(snap.pending, s.pending, s.expiries) {
+	for _, focal := range s.book.restore(snap.nextQID, snap.pending) {
 		s.unicast(focal, msg.FocalInfoRequest{OID: focal})
 	}
 	return s, nil

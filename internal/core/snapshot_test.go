@@ -13,6 +13,7 @@ import (
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
+	"mobieyes/internal/obs"
 )
 
 // TestSnapshotRestoreMidRun is the fault-tolerance property: snapshot the
@@ -202,7 +203,7 @@ func TestRestoreValidates(t *testing.T) {
 	res := []model.ObjectID{3, 7}
 	ok := testSlice(1, 100, cell, mon, res, 1)
 	snap := func(next model.QueryID, pending map[model.ObjectID][]pendingInstall, focals ...[]byte) []byte {
-		return appendSnapshot(nil, next, pending, nil, focals)
+		return appendSnapshot(nil, &queryBook{next: next, pending: pending}, focals)
 	}
 	// splice joins one slice's header to another's query records.
 	splice := func(head, body []byte) []byte {
@@ -266,12 +267,7 @@ func TestRestoreValidates(t *testing.T) {
 // a departure drops the pending installs' expiries with them — on the
 // serial server and on both router renderings.
 func TestPendingInstallDropped(t *testing.T) {
-	backends := map[string]func() ServerAPI{
-		"serial": func() ServerAPI { return NewServer(smallGrid(), Options{}, nullDown{}) },
-	}
-	for _, r := range routerRenderings {
-		backends[r.name] = func() ServerAPI { return r.new(smallGrid(), Options{}, nullDown{}, 2) }
-	}
+	backends := lifecycleBackends()
 	for _, c := range []struct {
 		name     string
 		drop     func(t *testing.T, s ServerAPI, qid model.QueryID)
@@ -315,6 +311,85 @@ func TestPendingInstallDropped(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// lifecycleBackends builds the serial server and a 2-node router of each
+// rendering on smallGrid, by name.
+func lifecycleBackends() map[string]func() ServerAPI {
+	backends := map[string]func() ServerAPI{
+		"serial": func() ServerAPI { return NewServer(smallGrid(), Options{}, nullDown{}) },
+	}
+	for _, r := range routerRenderings {
+		backends[r.name] = func() ServerAPI { return r.new(smallGrid(), Options{}, nullDown{}, 2) }
+	}
+	return backends
+}
+
+// TestZeroExpiryNeverExpires: InstallQueryUntil with a zero expiry installs
+// a query without one, as InstallQuery does — whether it installs at once
+// or waits on its focal — on the serial server and on both router
+// renderings. The serial server used to expire both at the next sweep.
+func TestZeroExpiryNeverExpires(t *testing.T) {
+	for name, newBackend := range lifecycleBackends() {
+		t.Run(name, func(t *testing.T) {
+			s := newBackend()
+			s.InstallQuery(1, model.CircleRegion{R: 3}, matchAll, 100)
+			s.HandleUplink(msg.FocalInfoResponse{OID: 1, Pos: geo.Pt(50, 50)})
+			installed := s.InstallQueryUntil(1, model.CircleRegion{R: 2}, matchAll, 100, 0)
+			pending := s.InstallQueryUntil(2, model.CircleRegion{R: 2}, matchAll, 100, 0)
+			for _, now := range []model.Time{1, model.FromSeconds(1e6)} {
+				if got := s.ExpireQueries(now); len(got) != 0 {
+					t.Errorf("ExpireQueries(%v) = %v, want none", now, got)
+				}
+			}
+			if _, ok := s.Query(installed); !ok {
+				t.Errorf("query %d was uninstalled", installed)
+			}
+			s.HandleUplink(msg.FocalInfoResponse{OID: 2, Pos: geo.Pt(20, 20)})
+			if _, ok := s.Query(pending); !ok {
+				t.Errorf("pending query %d did not install", pending)
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestPendingGaugeTracksBook: the pending-installs gauge reads the number
+// of installs waiting on a focal after every change — install, remove,
+// expiry, completion and departure — on the serial server and on both
+// router renderings. The serial server's used to keep its value across a
+// remove or an expiry of a pending install.
+func TestPendingGaugeTracksBook(t *testing.T) {
+	for name, newBackend := range lifecycleBackends() {
+		t.Run(name, func(t *testing.T) {
+			s := newBackend()
+			reg := obs.NewRegistry()
+			s.Instrument(reg)
+			expect := func(step string, want float64) {
+				t.Helper()
+				if got := reg.Snapshot()[metricPending]; got != want {
+					t.Errorf("after %s: %s = %v, want %v", step, metricPending, got, want)
+				}
+			}
+			expect("instrumenting", 0)
+			qid := s.InstallQuery(1, model.CircleRegion{R: 3}, matchAll, 100)
+			expect("an install", 1)
+			s.RemoveQuery(qid)
+			expect("its removal", 0)
+			s.InstallQueryUntil(1, model.CircleRegion{R: 3}, matchAll, 100, model.FromSeconds(60))
+			s.InstallQuery(1, model.CircleRegion{R: 2}, matchAll, 100)
+			expect("two installs on one focal", 2)
+			s.ExpireQueries(model.FromSeconds(90))
+			expect("an expiry", 1)
+			s.HandleUplink(msg.FocalInfoResponse{OID: 1, Pos: geo.Pt(50, 50)})
+			expect("completion", 0)
+			s.InstallQuery(2, model.CircleRegion{R: 3}, matchAll, 100)
+			s.HandleUplink(msg.DepartureReport{OID: 2})
+			expect("a departure", 0)
+		})
 	}
 }
 
@@ -377,11 +452,11 @@ func FuzzRestore(f *testing.F) {
 	NewServer(smallGrid(), Options{}, nullDown{}).Snapshot(&empty)
 	f.Add(empty.Bytes())
 	mon := grid.CellRange{Min: grid.CellID{Col: 9, Row: 9}, Max: grid.CellID{Col: 11, Row: 11}}
-	f.Add(appendSnapshot(nil, 4, nil, nil, [][]byte{
+	f.Add(appendSnapshot(nil, &queryBook{next: 4}, [][]byte{
 		testSlice(1, 100, grid.CellID{Col: 10, Row: 10}, mon, []model.ObjectID{3, 7}, 1, 2),
 		testSlice(5, 100, grid.CellID{Col: 2, Row: 19}, mon, nil),
 	}))
-	f.Add(appendSnapshot(nil, 4, nil, nil, [][]byte{
+	f.Add(appendSnapshot(nil, &queryBook{next: 4}, [][]byte{
 		testSlice(1, 100, grid.CellID{Col: 10, Row: 10}, mon, []model.ObjectID{3, 7}, 1, 2),
 		testSlice(5, 100, grid.CellID{Col: 2, Row: 19}, mon, nil, 3),
 	}))

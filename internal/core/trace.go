@@ -6,6 +6,7 @@ import (
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
+	"mobieyes/internal/obs/cost"
 	"mobieyes/internal/obs/trace"
 )
 
@@ -64,18 +65,44 @@ func TraceRef(m msg.Message) (oid, qid int64) {
 	return 0, 0
 }
 
-// ingressEvent is the event that opens an uplink's trace, stamped with the
-// clock read its handler shares with the uplink-latency histogram.
-func ingressEvent(at time.Time, tid trace.ID, actor string, oid, qid int64, m msg.Message) trace.Event {
-	return trace.Event{
-		Nanos: at.UnixNano(),
-		Trace: tid,
-		Kind:  trace.KindIngress,
-		Actor: actor,
-		OID:   oid,
-		QID:   qid,
-		Note:  m.Kind().String(),
+// uplinkIngress is the uplink ingress prelude of both servers, run when
+// accounting, tracing or latency timing is on: one TraceRef and one clock
+// read per op, shared by the per-entity uplink charge, the ingress event
+// and the latency histogram. It returns the uplink's trace ID — minted when
+// tid is zero and a recorder is attached — and its start time, zero when
+// neither rec nor lat needs one.
+func uplinkIngress(m msg.Message, tid trace.ID, actor string, acct *cost.Accountant, rec *trace.Recorder, lat *kindLatency) (trace.ID, time.Time) {
+	oid, qid := TraceRef(m)
+	if acct != nil {
+		// Per-entity uplink attribution (protocol-level model bytes): charge
+		// the object the message is about and the query it targets, if any.
+		sz := m.Size()
+		if oid != 0 {
+			acct.ObjectUp(oid, sz)
+		}
+		if qid != 0 {
+			acct.QueryUp(qid, sz)
+		}
 	}
+	var start time.Time
+	if rec != nil || lat != nil {
+		start = time.Now()
+	}
+	if rec != nil {
+		if tid == 0 {
+			tid = rec.NextID()
+		}
+		rec.Record(trace.Event{
+			Nanos: start.UnixNano(),
+			Trace: tid,
+			Kind:  trace.KindIngress,
+			Actor: actor,
+			OID:   oid,
+			QID:   qid,
+			Note:  m.Kind().String(),
+		})
+	}
+	return tid, start
 }
 
 // SetTracer attaches a flight recorder; every table mutation, broadcast,
