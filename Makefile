@@ -40,7 +40,8 @@ race:
 # short fuzz smoke of the wire codec and the remote frame reader (the two
 # trust boundaries for peer-supplied bytes), of the mobility-trace file
 # reader, of snapshot restore (serial and a 2-node router), of the query
-# lifecycle (serial against both 2-node router renderings), of the debug
+# lifecycle (serial against both 2-node router renderings), of the ops and
+# handoffs a cluster worker accepts from its router port, of the debug
 # views' filter parser (admin words and URL queries), and of the admin
 # command dispatch on a live server. The remote handshake tests (what an
 # object misses while away and what its next session delivers) run twenty
@@ -55,6 +56,7 @@ simtest:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryLifecycle$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkerOps$$' -fuzztime 10s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzViewArgs$$' -fuzztime 10s ./internal/obs/
 
 # Cluster gate: the differential oracle (serial vs the router over

@@ -196,14 +196,15 @@ func (rn *RemoteNode) op(code uint8, data []byte, tid trace.ID) ([]byte, error) 
 }
 
 // mustOp runs an exchange for the NodeHandle methods that cannot surface an
-// error; failures stick on the handle.
-func (rn *RemoteNode) mustOp(code uint8, data []byte, tid trace.ID) *pread {
+// error and returns a reader over the reply; failures stick on the handle,
+// and the reader then yields zero values.
+func (rn *RemoteNode) mustOp(code uint8, data []byte, tid trace.ID) *wire.Reader {
 	out, err := rn.op(code, data, tid)
 	if err != nil {
 		rn.fail(err)
-		return &pread{err: err}
 	}
-	return &pread{b: out}
+	r := wire.NewReader(out)
+	return &r
 }
 
 // Heartbeat runs one synchronous liveness probe. The worker answers with a
@@ -246,33 +247,30 @@ func (rn *RemoteNode) Assign(epoch uint64, lo, hi int) {
 }
 
 func (rn *RemoteNode) CompleteInstall(qid model.QueryID, q model.Query, maxVel float64, expiry model.Time, tid trace.ID) {
-	var p pbuf
-	p.f64(float64(expiry))
-	p.queryStates([]msg.QueryState{queryToState(q, maxVel)})
-	rn.mustOp(opCompleteInstall, p.b, tid)
+	var w wire.Writer
+	w.Time(expiry)
+	writeQueryStates(&w, []msg.QueryState{queryToState(q, maxVel)})
+	rn.mustOp(opCompleteInstall, w.Bytes(), tid)
 }
 
 func (rn *RemoteNode) RemoveQuery(qid model.QueryID, tid trace.ID) (removed bool, focal model.ObjectID, stillFocal bool) {
-	var p pbuf
-	p.qid(qid)
-	out := rn.mustOp(opRemoveQuery, p.b, tid)
-	removed = out.bool()
-	focal = out.oid()
-	stillFocal = out.bool()
-	return removed, focal, stillFocal
+	var w wire.Writer
+	w.QID(qid)
+	out := rn.mustOp(opRemoveQuery, w.Bytes(), tid)
+	return out.Bool(), out.OID(), out.Bool()
 }
 
 func (rn *RemoteNode) DueExpiries(now model.Time) []model.QueryID {
-	var p pbuf
-	p.f64(float64(now))
-	return rn.mustOp(opDueExpiries, p.b, 0).qidList()
+	var w wire.Writer
+	w.Time(now)
+	return readIDs[model.QueryID](rn.mustOp(opDueExpiries, w.Bytes(), 0))
 }
 
 func (rn *RemoteNode) UpsertFocal(oid model.ObjectID, st model.MotionState, tid trace.ID) {
-	var p pbuf
-	p.oid(oid)
-	p.motion(st)
-	rn.mustOp(opUpsertFocal, p.b, tid)
+	var w wire.Writer
+	w.OID(oid)
+	w.MotionState(st)
+	rn.mustOp(opUpsertFocal, w.Bytes(), tid)
 }
 
 func (rn *RemoteNode) VelocityReport(m msg.VelocityReport, tid trace.ID) {
@@ -288,43 +286,41 @@ func (rn *RemoteNode) GroupContainmentReport(m msg.GroupContainmentReport, tid t
 }
 
 func (rn *RemoteNode) FocalCellChange(oid model.ObjectID, st model.MotionState, newCell grid.CellID, tid trace.ID) {
-	var p pbuf
-	p.oid(oid)
-	p.motion(st)
-	p.cell(newCell)
-	rn.mustOp(opFocalCellChange, p.b, tid)
+	var w wire.Writer
+	w.OID(oid)
+	w.MotionState(st)
+	w.Cell(newCell)
+	rn.mustOp(opFocalCellChange, w.Bytes(), tid)
 }
 
 func (rn *RemoteNode) FreshQueryStates(dst []msg.QueryState, prevCell, newCell grid.CellID) []msg.QueryState {
-	var p pbuf
-	p.cell(prevCell)
-	p.cell(newCell)
-	return append(dst, rn.mustOp(opFreshQueryStates, p.b, 0).queryStates()...)
+	var w wire.Writer
+	w.Cell(prevCell)
+	w.Cell(newCell)
+	qss, err := decodeQueryStates(rn.mustOp(opFreshQueryStates, w.Bytes(), 0).Blob())
+	if err != nil {
+		rn.fail(fmt.Errorf("FreshQueryStates reply: %w", err))
+	}
+	return append(dst, qss...)
 }
 
 func (rn *RemoteNode) ClearResults(oid model.ObjectID, tid trace.ID) {
-	var p pbuf
-	p.oid(oid)
-	rn.mustOp(opClearResults, p.b, tid)
+	rn.mustOp(opClearResults, oidPayload(oid), tid)
 }
 
 func (rn *RemoteNode) DepartSweep(oid model.ObjectID, tid trace.ID) {
-	var p pbuf
-	p.oid(oid)
-	rn.mustOp(opDepartSweep, p.b, tid)
+	rn.mustOp(opDepartSweep, oidPayload(oid), tid)
 }
 
 func (rn *RemoteNode) DepartFocal(oid model.ObjectID, tid trace.ID) []model.QueryID {
-	var p pbuf
-	p.oid(oid)
-	return rn.mustOp(opDepartFocal, p.b, tid).qidList()
+	return readIDs[model.QueryID](rn.mustOp(opDepartFocal, oidPayload(oid), tid))
 }
 
 func (rn *RemoteNode) ExtractFocal(oid model.ObjectID, admin bool, tid trace.ID) ([]byte, error) {
-	var p pbuf
-	p.oid(oid)
-	p.bool(admin)
-	return rn.op(opExtractFocal, p.b, tid)
+	var w wire.Writer
+	w.OID(oid)
+	w.Bool(admin)
+	return rn.op(opExtractFocal, w.Bytes(), tid)
 }
 
 func (rn *RemoteNode) InjectFocal(slice []byte, st model.MotionState, cell grid.CellID, relocate, admin bool, tid trace.ID) error {
@@ -358,33 +354,27 @@ func (rn *RemoteNode) InjectFocal(slice []byte, st model.MotionState, cell grid.
 }
 
 func (rn *RemoteNode) Result(qid model.QueryID) []model.ObjectID {
-	var p pbuf
-	p.qid(qid)
-	return rn.mustOp(opResult, p.b, 0).oidList()
+	return readIDs[model.ObjectID](rn.mustOp(opResult, qidPayload(qid), 0))
 }
 
 func (rn *RemoteNode) ResultContains(qid model.QueryID, oid model.ObjectID) bool {
-	var p pbuf
-	p.qid(qid)
-	p.oid(oid)
-	return rn.mustOp(opResultContains, p.b, 0).bool()
+	var w wire.Writer
+	w.QID(qid)
+	w.OID(oid)
+	return rn.mustOp(opResultContains, w.Bytes(), 0).Bool()
 }
 
 func (rn *RemoteNode) ResultSize(qid model.QueryID) int {
-	var p pbuf
-	p.qid(qid)
-	return int(rn.mustOp(opResultSize, p.b, 0).u32())
+	return int(rn.mustOp(opResultSize, qidPayload(qid), 0).U32())
 }
 
 func (rn *RemoteNode) Query(qid model.QueryID) (model.Query, bool) {
-	var p pbuf
-	p.qid(qid)
-	out := rn.mustOp(opQuery, p.b, 0)
-	if !out.bool() {
+	out := rn.mustOp(opQuery, qidPayload(qid), 0)
+	if !out.Bool() {
 		return model.Query{}, false
 	}
-	qss := out.queryStates()
-	if out.err != nil || len(qss) != 1 {
+	qss, err := decodeQueryStates(out.Blob())
+	if err != nil || len(qss) != 1 {
 		return model.Query{}, false
 	}
 	q, _ := stateToQuery(qss[0])
@@ -392,45 +382,41 @@ func (rn *RemoteNode) Query(qid model.QueryID) (model.Query, bool) {
 }
 
 func (rn *RemoteNode) MonRegion(qid model.QueryID) (grid.CellRange, bool) {
-	var p pbuf
-	p.qid(qid)
-	out := rn.mustOp(opMonRegion, p.b, 0)
-	if !out.bool() {
+	out := rn.mustOp(opMonRegion, qidPayload(qid), 0)
+	if !out.Bool() {
 		return grid.CellRange{}, false
 	}
-	return grid.CellRange{Min: out.cell(), Max: out.cell()}, out.err == nil
+	return out.CellRange(), out.Err() == nil
 }
 
 func (rn *RemoteNode) NumQueries() int {
-	return int(rn.mustOp(opNumQueries, nil, 0).u32())
+	return int(rn.mustOp(opNumQueries, nil, 0).U32())
 }
 
 func (rn *RemoteNode) QueryIDs() []model.QueryID {
-	return rn.mustOp(opQueryIDs, nil, 0).qidList()
+	return readIDs[model.QueryID](rn.mustOp(opQueryIDs, nil, 0))
 }
 
 func (rn *RemoteNode) NearbyQueries(cell grid.CellID) []model.QueryID {
-	var p pbuf
-	p.cell(cell)
-	return rn.mustOp(opNearbyQueries, p.b, 0).qidList()
+	var w wire.Writer
+	w.Cell(cell)
+	return readIDs[model.QueryID](rn.mustOp(opNearbyQueries, w.Bytes(), 0))
 }
 
 func (rn *RemoteNode) FocalIDs() []model.ObjectID {
-	return rn.mustOp(opFocalIDs, nil, 0).oidList()
+	return readIDs[model.ObjectID](rn.mustOp(opFocalIDs, nil, 0))
 }
 
 func (rn *RemoteNode) FocalCell(oid model.ObjectID) (grid.CellID, bool) {
-	var p pbuf
-	p.oid(oid)
-	out := rn.mustOp(opFocalCell, p.b, 0)
-	if !out.bool() {
+	out := rn.mustOp(opFocalCell, oidPayload(oid), 0)
+	if !out.Bool() {
 		return grid.CellID{}, false
 	}
-	return out.cell(), out.err == nil
+	return out.Cell(), out.Err() == nil
 }
 
 func (rn *RemoteNode) Ops() int64 {
-	return int64(rn.mustOp(opOps, nil, 0).u64())
+	return int64(rn.mustOp(opOps, nil, 0).U64())
 }
 
 // CheckpointDelta pulls the worker's focal-slice changes since the last

@@ -18,12 +18,8 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
-	"mobieyes/internal/geo"
-	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
 	"mobieyes/internal/wire"
@@ -98,197 +94,59 @@ const (
 // sequence numbers never reach.
 const adminSeqBit = uint64(1) << 63
 
-// pbuf builds little-endian op payloads, mirroring the focal-slice codec.
-type pbuf struct{ b []byte }
+// Op payloads are written and read with wire.Writer/wire.Reader. Two shapes
+// are not primitives of their own: ID lists (a u32 count, then a u32 per
+// ID) and query states, which travel as one embedded wire QueryInstall
+// frame.
 
-func (p *pbuf) u8(v uint8)    { p.b = append(p.b, v) }
-func (p *pbuf) u16(v uint16)  { p.b = binary.LittleEndian.AppendUint16(p.b, v) }
-func (p *pbuf) u32(v uint32)  { p.b = binary.LittleEndian.AppendUint32(p.b, v) }
-func (p *pbuf) u64(v uint64)  { p.b = binary.LittleEndian.AppendUint64(p.b, v) }
-func (p *pbuf) f64(v float64) { p.u64(math.Float64bits(v)) }
-func (p *pbuf) bool(v bool) {
-	if v {
-		p.u8(1)
-	} else {
-		p.u8(0)
-	}
-}
-func (p *pbuf) oid(v model.ObjectID) { p.u32(uint32(v)) }
-func (p *pbuf) qid(v model.QueryID)  { p.u32(uint32(v)) }
-func (p *pbuf) cell(c grid.CellID) {
-	p.u32(uint32(int32(c.Col)))
-	p.u32(uint32(int32(c.Row)))
-}
-func (p *pbuf) motion(st model.MotionState) {
-	p.f64(st.Pos.X)
-	p.f64(st.Pos.Y)
-	p.f64(st.Vel.X)
-	p.f64(st.Vel.Y)
-	p.f64(float64(st.Tm))
-}
-func (p *pbuf) qids(ids []model.QueryID) {
-	p.u32(uint32(len(ids)))
+func writeIDs[T ~int32](w *wire.Writer, ids []T) {
+	w.U32(uint32(len(ids)))
 	for _, id := range ids {
-		p.qid(id)
-	}
-}
-func (p *pbuf) oids(ids []model.ObjectID) {
-	p.u32(uint32(len(ids)))
-	for _, id := range ids {
-		p.oid(id)
+		w.U32(uint32(id))
 	}
 }
 
-// blob appends a length-prefixed byte string.
-func (p *pbuf) blob(b []byte) {
-	p.u32(uint32(len(b)))
-	p.b = append(p.b, b...)
-}
-
-// queryStates appends the states as one embedded wire QueryInstall frame.
-func (p *pbuf) queryStates(qss []msg.QueryState) {
-	p.blob(wire.Encode(msg.QueryInstall{Queries: qss}))
-}
-
-// pread consumes little-endian op payloads with sticky error handling.
-type pread struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (p *pread) fail(what string) {
-	if p.err == nil {
-		p.err = fmt.Errorf("cluster: op payload: %s", what)
-	}
-}
-
-func (p *pread) need(n int) bool {
-	if p.err != nil {
-		return false
-	}
-	if p.off+n > len(p.b) {
-		p.fail("truncated")
-		return false
-	}
-	return true
-}
-
-func (p *pread) u8() uint8 {
-	if !p.need(1) {
-		return 0
-	}
-	v := p.b[p.off]
-	p.off++
-	return v
-}
-
-func (p *pread) u16() uint16 {
-	if !p.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(p.b[p.off:])
-	p.off += 2
-	return v
-}
-
-func (p *pread) u32() uint32 {
-	if !p.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(p.b[p.off:])
-	p.off += 4
-	return v
-}
-
-func (p *pread) u64() uint64 {
-	if !p.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(p.b[p.off:])
-	p.off += 8
-	return v
-}
-
-func (p *pread) f64() float64        { return math.Float64frombits(p.u64()) }
-func (p *pread) bool() bool          { return p.u8() != 0 }
-func (p *pread) oid() model.ObjectID { return model.ObjectID(p.u32()) }
-func (p *pread) qid() model.QueryID  { return model.QueryID(p.u32()) }
-
-func (p *pread) cell() grid.CellID {
-	return grid.CellID{Col: int(int32(p.u32())), Row: int(int32(p.u32()))}
-}
-
-func (p *pread) motion() model.MotionState {
-	var st model.MotionState
-	st.Pos = geo.Pt(p.f64(), p.f64())
-	st.Vel = geo.Vec(p.f64(), p.f64())
-	st.Tm = model.Time(p.f64())
-	return st
-}
-
-func (p *pread) qidList() []model.QueryID {
-	n := int(p.u32())
-	if p.err != nil || n > (len(p.b)-p.off)/4 {
-		p.fail("implausible query-id count")
+// readIDs reads an ID list; a count the payload cannot hold is a short read.
+func readIDs[T ~int32](r *wire.Reader) []T {
+	raw := r.Raw(4 * int(r.U32()))
+	if r.Err() != nil {
 		return nil
 	}
-	out := make([]model.QueryID, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, p.qid())
+	ids := make([]T, len(raw)/4)
+	rr := wire.NewReader(raw)
+	for i := range ids {
+		ids[i] = T(rr.U32())
 	}
-	return out
+	return ids
 }
 
-func (p *pread) oidList() []model.ObjectID {
-	n := int(p.u32())
-	if p.err != nil || n > (len(p.b)-p.off)/4 {
-		p.fail("implausible object-id count")
-		return nil
-	}
-	out := make([]model.ObjectID, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, p.oid())
-	}
-	return out
+func oidPayload(oid model.ObjectID) []byte {
+	var w wire.Writer
+	w.OID(oid)
+	return w.Bytes()
 }
 
-func (p *pread) blob() []byte {
-	n := int(p.u32())
-	if p.err != nil || n > len(p.b)-p.off {
-		p.fail("implausible blob length")
-		return nil
-	}
-	v := p.b[p.off : p.off+n]
-	p.off += n
-	return v
+func qidPayload(qid model.QueryID) []byte {
+	var w wire.Writer
+	w.QID(qid)
+	return w.Bytes()
 }
 
-// queryStates consumes one embedded wire QueryInstall frame.
-func (p *pread) queryStates() []msg.QueryState {
-	b := p.blob()
-	if p.err != nil {
-		return nil
-	}
-	m, err := wire.Decode(b)
+func writeQueryStates(w *wire.Writer, qss []msg.QueryState) {
+	w.Blob(wire.Encode(msg.QueryInstall{Queries: qss}))
+}
+
+// decodeQueryStates decodes the embedded QueryInstall frame raw.
+func decodeQueryStates(raw []byte) ([]msg.QueryState, error) {
+	m, err := wire.Decode(raw)
 	if err != nil {
-		p.err = err
-		return nil
+		return nil, err
 	}
 	qi, ok := m.(msg.QueryInstall)
 	if !ok {
-		p.fail("embedded frame is not a QueryInstall")
-		return nil
+		return nil, fmt.Errorf("embedded %v frame, want QueryInstall", m.Kind())
 	}
-	return qi.Queries
-}
-
-// done reports any decode error, also failing on trailing bytes.
-func (p *pread) done() error {
-	if p.err == nil && p.off != len(p.b) {
-		p.fail("trailing bytes")
-	}
-	return p.err
+	return qi.Queries, nil
 }
 
 // queryToState packs a model.Query plus its focal max velocity into the one

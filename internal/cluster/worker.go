@@ -207,12 +207,7 @@ func (w *Worker) ServeConn(conn net.Conn) error {
 				return err
 			}
 		case msg.Handoff:
-			admin := mm.Seq&adminSeqBit != 0
-			injErr := w.node.InjectFocal(mm.Slice, mm.State, mm.Cell, mm.Relocate, admin, trace.ID(tid))
-			w.coll.NoteOp()
-			// A handoff changes which node owns a focal — the edge the
-			// router's watchdog wants telemetry for promptly.
-			w.coll.MarkEdge()
+			injErr := w.inject(mm, trace.ID(tid))
 			var done msg.Message = msg.HandoffAck{Seq: mm.Seq, OID: mm.OID}
 			if injErr != nil {
 				done = msg.NodeOpDone{Seq: mm.Seq, Code: opError, Data: []byte(injErr.Error())}
@@ -230,6 +225,17 @@ func (w *Worker) ServeConn(conn net.Conn) error {
 			return nil
 		}
 	}
+}
+
+// inject installs a Handoff frame's focal slice; the node refuses a slice
+// that would corrupt it (core.NodeServer.InjectFocal).
+func (w *Worker) inject(h msg.Handoff, tid trace.ID) error {
+	err := w.node.InjectFocal(h.Slice, h.State, h.Cell, h.Relocate, h.Seq&adminSeqBit != 0, tid)
+	w.coll.NoteOp()
+	// A handoff changes which node owns a focal — the edge the router's
+	// watchdog wants telemetry for promptly.
+	w.coll.MarkEdge()
+	return err
 }
 
 // opReply builds the NodeOpDone for an applied op.
@@ -268,41 +274,60 @@ func (w *Worker) shipTelemetry(bw *bufio.Writer, force bool) error {
 	return remote.WriteFrame(bw, wire.Encode(msg.NodeTelemetry{Node: w.id, Seq: seq, Payload: payload}))
 }
 
-// apply decodes and executes one opcode against the hosted node.
+// apply decodes and executes one opcode against the hosted node. It
+// refuses, with the node untouched, a payload that does not decode to the
+// op's arguments and an op that would corrupt the node's tables: the router
+// never sends one, but the worker port is open to any peer.
 func (w *Worker) apply(code uint8, data []byte, tid trace.ID) ([]byte, error) {
-	in := &pread{b: data}
-	var out pbuf
+	in := wire.NewReader(data)
+	var out wire.Writer
 	n := w.node
+	// args checks that the payload held exactly the arguments read.
+	args := func() error {
+		if err := in.Done(); err != nil {
+			return fmt.Errorf("cluster: op %d payload: %w", code, err)
+		}
+		return nil
+	}
 	switch code {
 	case opCompleteInstall:
-		expiry := model.Time(in.f64())
-		qss := in.queryStates()
-		if err := in.done(); err != nil {
+		expiry, raw := in.Time(), in.Blob()
+		if err := args(); err != nil {
 			return nil, err
+		}
+		qss, err := decodeQueryStates(raw)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: CompleteInstall: %w", err)
 		}
 		if len(qss) != 1 {
 			return nil, fmt.Errorf("cluster: CompleteInstall carries %d query states", len(qss))
 		}
 		q, maxVel := stateToQuery(qss[0])
+		if _, ok := n.FocalCell(q.Focal); !ok {
+			return nil, fmt.Errorf("cluster: CompleteInstall of query %d: focal %d is not held", q.ID, q.Focal)
+		}
+		if _, ok := n.Query(q.ID); ok {
+			return nil, fmt.Errorf("cluster: CompleteInstall of query %d: already installed", q.ID)
+		}
 		n.CompleteInstall(q.ID, q, maxVel, expiry, tid)
 	case opRemoveQuery:
-		qid := in.qid()
-		if err := in.done(); err != nil {
+		qid := in.QID()
+		if err := args(); err != nil {
 			return nil, err
 		}
 		removed, focal, stillFocal := n.RemoveQuery(qid, tid)
-		out.bool(removed)
-		out.oid(focal)
-		out.bool(stillFocal)
+		out.Bool(removed)
+		out.OID(focal)
+		out.Bool(stillFocal)
 	case opDueExpiries:
-		now := model.Time(in.f64())
-		if err := in.done(); err != nil {
+		now := in.Time()
+		if err := args(); err != nil {
 			return nil, err
 		}
-		out.qids(n.DueExpiries(now))
+		writeIDs(&out, n.DueExpiries(now))
 	case opUpsertFocal:
-		oid, st := in.oid(), in.motion()
-		if err := in.done(); err != nil {
+		oid, st := in.OID(), in.MotionState()
+		if err := args(); err != nil {
 			return nil, err
 		}
 		n.UpsertFocal(oid, st, tid)
@@ -322,143 +347,104 @@ func (w *Worker) apply(code uint8, data []byte, tid trace.ID) ([]byte, error) {
 			return nil, fmt.Errorf("cluster: op %d carries %v", code, m.Kind())
 		}
 	case opFocalCellChange:
-		oid, st, cell := in.oid(), in.motion(), in.cell()
-		if err := in.done(); err != nil {
+		oid, st, cell := in.OID(), in.MotionState(), in.Cell()
+		if err := args(); err != nil {
 			return nil, err
+		}
+		if !w.g.Valid(cell) {
+			return nil, fmt.Errorf("cluster: FocalCellChange of focal %d to %v: off the grid", oid, cell)
 		}
 		n.FocalCellChange(oid, st, cell, tid)
 	case opFreshQueryStates:
-		prev, next := in.cell(), in.cell()
-		if err := in.done(); err != nil {
+		prev, next := in.Cell(), in.Cell()
+		if err := args(); err != nil {
 			return nil, err
 		}
-		out.queryStates(n.FreshQueryStates(nil, prev, next))
-	case opClearResults:
-		oid := in.oid()
-		if err := in.done(); err != nil {
+		writeQueryStates(&out, n.FreshQueryStates(nil, prev, next))
+	case opClearResults, opDepartSweep, opDepartFocal, opFocalCell:
+		oid := in.OID()
+		if err := args(); err != nil {
 			return nil, err
 		}
-		n.ClearResults(oid, tid)
-	case opDepartSweep:
-		oid := in.oid()
-		if err := in.done(); err != nil {
-			return nil, err
+		switch code {
+		case opClearResults:
+			n.ClearResults(oid, tid)
+		case opDepartSweep:
+			n.DepartSweep(oid, tid)
+		case opDepartFocal:
+			writeIDs(&out, n.DepartFocal(oid, tid))
+		case opFocalCell:
+			cell, ok := n.FocalCell(oid)
+			out.Bool(ok)
+			if ok {
+				out.Cell(cell)
+			}
 		}
-		n.DepartSweep(oid, tid)
-	case opDepartFocal:
-		oid := in.oid()
-		if err := in.done(); err != nil {
-			return nil, err
-		}
-		out.qids(n.DepartFocal(oid, tid))
 	case opExtractFocal:
-		oid, admin := in.oid(), in.bool()
-		if err := in.done(); err != nil {
+		oid, admin := in.OID(), in.Bool()
+		if err := args(); err != nil {
 			return nil, err
 		}
-		slice, err := n.ExtractFocal(oid, admin, tid)
-		if err != nil {
+		return n.ExtractFocal(oid, admin, tid)
+	case opResult, opResultSize, opQuery, opMonRegion:
+		qid := in.QID()
+		if err := args(); err != nil {
 			return nil, err
 		}
-		return slice, nil
-	case opResult:
-		qid := in.qid()
-		if err := in.done(); err != nil {
-			return nil, err
+		switch code {
+		case opResult:
+			writeIDs(&out, n.Result(qid))
+		case opResultSize:
+			out.U32(uint32(n.ResultSize(qid)))
+		case opQuery:
+			q, ok := n.Query(qid)
+			out.Bool(ok)
+			if ok {
+				writeQueryStates(&out, []msg.QueryState{queryToState(q, 0)})
+			}
+		case opMonRegion:
+			mr, ok := n.MonRegion(qid)
+			out.Bool(ok)
+			if ok {
+				out.CellRange(mr)
+			}
 		}
-		out.oids(n.Result(qid))
 	case opResultContains:
-		qid, oid := in.qid(), in.oid()
-		if err := in.done(); err != nil {
+		qid, oid := in.QID(), in.OID()
+		if err := args(); err != nil {
 			return nil, err
 		}
-		out.bool(n.ResultContains(qid, oid))
-	case opResultSize:
-		qid := in.qid()
-		if err := in.done(); err != nil {
-			return nil, err
-		}
-		out.u32(uint32(n.ResultSize(qid)))
-	case opQuery:
-		qid := in.qid()
-		if err := in.done(); err != nil {
-			return nil, err
-		}
-		q, ok := n.Query(qid)
-		out.bool(ok)
-		if ok {
-			out.queryStates([]msg.QueryState{queryToState(q, 0)})
-		}
-	case opMonRegion:
-		qid := in.qid()
-		if err := in.done(); err != nil {
-			return nil, err
-		}
-		mr, ok := n.MonRegion(qid)
-		out.bool(ok)
-		if ok {
-			out.cell(mr.Min)
-			out.cell(mr.Max)
-		}
-	case opNumQueries:
-		if err := in.done(); err != nil {
-			return nil, err
-		}
-		out.u32(uint32(n.NumQueries()))
-	case opQueryIDs:
-		if err := in.done(); err != nil {
-			return nil, err
-		}
-		out.qids(n.QueryIDs())
+		out.Bool(n.ResultContains(qid, oid))
 	case opNearbyQueries:
-		cell := in.cell()
-		if err := in.done(); err != nil {
+		cell := in.Cell()
+		if err := args(); err != nil {
 			return nil, err
 		}
-		out.qids(n.NearbyQueries(cell))
-	case opFocalIDs:
-		if err := in.done(); err != nil {
+		writeIDs(&out, n.NearbyQueries(cell))
+	case opNumQueries, opQueryIDs, opFocalIDs, opOps, opSnapshotData, opCheckInvariants, opClose:
+		if err := args(); err != nil {
 			return nil, err
 		}
-		out.oids(n.FocalIDs())
-	case opFocalCell:
-		oid := in.oid()
-		if err := in.done(); err != nil {
-			return nil, err
-		}
-		cell, ok := n.FocalCell(oid)
-		out.bool(ok)
-		if ok {
-			out.cell(cell)
-		}
-	case opOps:
-		if err := in.done(); err != nil {
-			return nil, err
-		}
-		out.u64(uint64(n.Ops()))
-	case opSnapshotData:
-		if err := in.done(); err != nil {
-			return nil, err
-		}
-		return n.SnapshotData()
-	case opCheckInvariants:
-		if err := in.done(); err != nil {
-			return nil, err
-		}
-		if err := n.CheckInvariants(); err != nil {
-			return nil, err
-		}
-	case opClose:
-		if err := in.done(); err != nil {
-			return nil, err
-		}
-		if err := n.Close(); err != nil {
-			return nil, err
+		switch code {
+		case opNumQueries:
+			out.U32(uint32(n.NumQueries()))
+		case opQueryIDs:
+			writeIDs(&out, n.QueryIDs())
+		case opFocalIDs:
+			writeIDs(&out, n.FocalIDs())
+		case opOps:
+			out.U64(uint64(n.Ops()))
+		case opSnapshotData:
+			return n.SnapshotData()
+		case opCheckInvariants:
+			return nil, n.CheckInvariants()
+		case opClose:
+			return nil, n.Close()
 		}
 	default:
 		return nil, fmt.Errorf("cluster: unknown opcode %d", code)
 	}
-	return out.b, nil
+	return out.Bytes(), nil
 }
 
 // captureDown buffers the node engine's downlink sends as NodeDownlink

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
-	"mobieyes/internal/geo"
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
@@ -38,23 +35,15 @@ func encodeFocalSlice(rec focalRecord) []byte {
 		size += 4 + qi.Size() + 8 + 4 + 4*len(e.result)
 		maxRes = max(maxRes, len(e.result))
 	}
-	b := make([]byte, 0, size)
+	w := wire.NewWriter(make([]byte, 0, size))
 	res := make([]model.ObjectID, 0, maxRes)
 	states := make([]msg.QueryState, 1)
-	le := binary.LittleEndian
-	u32 := func(v uint32) { b = le.AppendUint32(b, v) }
-	f64 := func(v float64) { b = le.AppendUint64(b, math.Float64bits(v)) }
-	b = le.AppendUint16(b, focalSliceVersion)
-	u32(uint32(rec.oid))
-	f64(fe.state.Pos.X)
-	f64(fe.state.Pos.Y)
-	f64(fe.state.Vel.X)
-	f64(fe.state.Vel.Y)
-	f64(float64(fe.state.Tm))
-	f64(fe.maxVel)
-	u32(uint32(int32(fe.currCell.Col)))
-	u32(uint32(int32(fe.currCell.Row)))
-	u32(uint32(len(fe.queries)))
+	w.U16(focalSliceVersion)
+	w.OID(rec.oid)
+	w.MotionState(fe.state)
+	w.F64(fe.maxVel)
+	w.Cell(fe.currCell)
+	w.U32(uint32(len(fe.queries)))
 	for i, qid := range fe.queries {
 		e := rec.entries[i]
 		states[0] = msg.QueryState{
@@ -66,48 +55,22 @@ func encodeFocalSlice(rec focalRecord) []byte {
 			MonRegion:   e.monRegion,
 			FocalMaxVel: fe.maxVel,
 		}
-		enc := wire.Encode(msg.QueryInstall{Queries: states})
-		u32(uint32(len(enc)))
-		b = append(b, enc...)
-		f64(float64(e.expiry))
+		w.Blob(wire.Encode(msg.QueryInstall{Queries: states}))
+		w.Time(e.expiry)
 		res = res[:0]
 		for oid := range e.result {
 			res = append(res, oid)
 		}
 		sortOIDs(res)
-		u32(uint32(len(res)))
+		w.U32(uint32(len(res)))
 		for _, oid := range res {
-			u32(uint32(oid))
+			w.OID(oid)
 		}
 	}
-	return b
+	return w.Bytes()
 }
 
 func sortOIDs(ids []model.ObjectID) { slices.Sort(ids) }
-
-// cursor reads the little-endian encodings of focal slices and snapshots.
-// Reading past the end sets a sticky error and yields zeros.
-type cursor struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *cursor) take(n int) []byte {
-	if c.err == nil && n > len(c.b)-c.off {
-		c.err = errors.New("core: truncated encoding")
-	}
-	if c.err != nil {
-		return make([]byte, 8)
-	}
-	v := c.b[c.off : c.off+n]
-	c.off += n
-	return v
-}
-
-func (c *cursor) u32() uint32   { return binary.LittleEndian.Uint32(c.take(4)) }
-func (c *cursor) f64() float64  { return math.Float64frombits(binary.LittleEndian.Uint64(c.take(8))) }
-func (c *cursor) chunk() []byte { return c.take(int(c.u32())) }
 
 // decodeQueryRecord decodes one query record of a focal slice or a
 // snapshot's pending table: a wire QueryInstall holding exactly one query.
@@ -124,59 +87,78 @@ func decodeQueryRecord(raw []byte) (msg.QueryState, error) {
 }
 
 // decodeFocalSlice parses an encoded focal slice back into a detached focal
-// record plus the motion state and grid cell it was extracted at. The
-// record is ready for injectFocal.
+// record plus the motion state and grid cell it was extracted at. Every
+// query is bound to the row's oid, whatever its record names (a canonical
+// slice names the same one). The record is ready for injectFocal once
+// checkFocalRecord accepts it.
 func decodeFocalSlice(b []byte) (focalRecord, model.MotionState, grid.CellID, error) {
-	fail := func(what string) (focalRecord, model.MotionState, grid.CellID, error) {
-		return focalRecord{}, model.MotionState{}, grid.CellID{}, fmt.Errorf("core: focal slice: %s", what)
+	fail := func(err error) (focalRecord, model.MotionState, grid.CellID, error) {
+		return focalRecord{}, model.MotionState{}, grid.CellID{}, fmt.Errorf("core: focal slice: %w", err)
 	}
-	if len(b) < focalSliceHeaderLen {
-		return fail("truncated header")
+	r := wire.NewReader(b)
+	if v := r.U16(); r.Err() == nil && v != focalSliceVersion {
+		return fail(fmt.Errorf("unsupported version %d", v))
 	}
-	c := cursor{b: b}
-	if v := binary.LittleEndian.Uint16(c.take(2)); v != focalSliceVersion {
-		return fail(fmt.Sprintf("unsupported version %d", v))
+	rec := focalRecord{oid: r.OID()}
+	st := r.MotionState()
+	fe := &fotEntry{state: st, maxVel: r.F64(), currCell: r.Cell()}
+	n := int(r.U32())
+	if n > len(r.Rest())/4 {
+		return fail(wire.ErrTruncated)
 	}
-	rec := focalRecord{oid: model.ObjectID(c.u32())}
-	var st model.MotionState
-	st.Pos = geo.Pt(c.f64(), c.f64())
-	st.Vel = geo.Vec(c.f64(), c.f64())
-	st.Tm = model.Time(c.f64())
-	maxVel := c.f64()
-	cell := grid.CellID{Col: int(int32(c.u32())), Row: int(int32(c.u32()))}
-	n := int(c.u32())
-	if n > (len(b)-c.off)/4 {
-		return fail("implausible query count")
-	}
-	fe := &fotEntry{state: st, maxVel: maxVel, currCell: cell}
 	rec.fe = fe
 	rec.entries = make([]*sqtEntry, 0, n)
-	for i := 0; i < n; i++ {
-		raw, expiry, nRes := c.chunk(), model.Time(c.f64()), int(c.u32())
-		if c.err != nil || nRes > (len(b)-c.off)/4 {
-			return fail("truncated query record")
+	for i := 0; i < n && r.Err() == nil; i++ {
+		raw, expiry := r.Blob(), r.Time()
+		results := r.Raw(4 * int(r.U32()))
+		if r.Err() != nil {
+			break
 		}
 		qs, err := decodeQueryRecord(raw)
 		if err != nil {
-			return focalRecord{}, model.MotionState{}, grid.CellID{}, err
+			return fail(err)
 		}
-		result := make(map[model.ObjectID]struct{}, nRes)
-		for j := 0; j < nRes; j++ {
-			result[model.ObjectID(c.u32())] = struct{}{}
+		rr := wire.NewReader(results)
+		result := make(map[model.ObjectID]struct{}, len(results)/4)
+		for range len(results) / 4 {
+			result[rr.OID()] = struct{}{}
 		}
 		fe.queries = append(fe.queries, qs.QID)
 		rec.entries = append(rec.entries, &sqtEntry{
-			query:     model.Query{ID: qs.QID, Focal: qs.Focal, Region: qs.Region, Filter: qs.Filter},
-			currCell:  cell,
+			query:     model.Query{ID: qs.QID, Focal: rec.oid, Region: qs.Region, Filter: qs.Filter},
+			currCell:  fe.currCell,
 			monRegion: qs.MonRegion,
 			result:    result,
 			expiry:    expiry,
 		})
 	}
-	if c.off != len(b) {
-		return fail("trailing bytes")
+	if err := r.Done(); err != nil {
+		return fail(err)
 	}
-	return rec, st, cell, nil
+	return rec, st, fe.currCell, nil
+}
+
+// checkFocalRecord refuses a decoded focal slice that would corrupt the
+// tables of a server on g: its cell and every monitoring region lie on g,
+// it lists at least one query (a FOT row lives only as long as its
+// queries), and its qids strictly ascend. Snapshot restore and handoff
+// injection both run it.
+func checkFocalRecord(g *grid.Grid, rec focalRecord) error {
+	if !g.Valid(rec.fe.currCell) {
+		return fmt.Errorf("focal %d: %v is off the grid", rec.oid, rec.fe.currCell)
+	}
+	if len(rec.entries) == 0 {
+		return fmt.Errorf("focal %d lists no query", rec.oid)
+	}
+	for j, e := range rec.entries {
+		if j > 0 && e.query.ID <= rec.entries[j-1].query.ID {
+			return fmt.Errorf("focal %d: queries not strictly ascending", rec.oid)
+		}
+		if !g.Valid(e.monRegion.Min) || !g.Valid(e.monRegion.Max) {
+			return fmt.Errorf("query %d: monitoring region %v is off the grid", e.query.ID, e.monRegion)
+		}
+	}
+	return nil
 }
 
 var errNoFocal = errors.New("core: node does not own that focal object")

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
 	"mobieyes/internal/obs/trace"
+	"mobieyes/internal/wire"
 )
 
 // NodeHandle is the operation surface a cluster router drives a worker node
@@ -177,14 +180,40 @@ func (n *NodeServer) ExtractFocal(oid model.ObjectID, admin bool, tid trace.ID) 
 	return slice, nil
 }
 
+// InjectFocal refuses, before touching a table, a slice that fails
+// checkFocalRecord, a target cell off the grid, and a focal or query the
+// node already holds: the slice is a peer's bytes, and any of these would
+// leave tables CheckInvariants rejects.
 func (n *NodeServer) InjectFocal(slice []byte, st model.MotionState, cell grid.CellID, relocate, admin bool, tid trace.ID) error {
 	rec, _, _, err := decodeFocalSlice(slice)
 	if err != nil {
 		return err
 	}
+	if err := n.checkInject(rec, cell); err != nil {
+		return fmt.Errorf("core: focal slice: %w", err)
+	}
 	restore := n.suspendCharges(admin)
 	n.run(tid, func(s *Server) { s.injectFocal(rec, st, cell, relocate) })
 	restore()
+	return nil
+}
+
+func (n *NodeServer) checkInject(rec focalRecord, cell grid.CellID) error {
+	s := n.srv
+	if err := checkFocalRecord(s.g, rec); err != nil {
+		return err
+	}
+	if !s.g.Valid(cell) {
+		return fmt.Errorf("focal %d: target %v is off the grid", rec.oid, cell)
+	}
+	if _, ok := s.fot[rec.oid]; ok {
+		return fmt.Errorf("focal %d is already held", rec.oid)
+	}
+	for _, qid := range rec.fe.queries {
+		if _, ok := s.sqt[qid]; ok {
+			return fmt.Errorf("query %d is already held", qid)
+		}
+	}
 	return nil
 }
 
@@ -229,7 +258,9 @@ func (n *NodeServer) FocalCell(oid model.ObjectID) (grid.CellID, bool) {
 func (n *NodeServer) Ops() int64 { return n.srv.Ops() }
 
 func (n *NodeServer) SnapshotData() ([]byte, error) {
-	return appendFocalSection(nil, n.srv.focalSlices()), nil
+	var w wire.Writer
+	writeFocalSection(&w, n.srv.focalSlices())
+	return w.Bytes(), nil
 }
 
 func (n *NodeServer) CheckInvariants() error { return n.srv.CheckInvariants() }

@@ -791,9 +791,10 @@ func removeSortedQID(qs []model.QueryID, qid model.QueryID) []model.QueryID {
 // entry is indexed in exactly the RQI cells of its monitoring region, every
 // posting list is strictly ascending and holds the live SQT rows themselves,
 // every SQT row points at its focal's live FOT row, every focal-object record
-// lists exactly its live queries, and the query book is consistent with the
-// SQT. It returns the first violation found, or nil. Intended for tests and
-// debugging; it walks every table.
+// lists exactly its live queries, every FOT cell and monitoring region lies
+// on the grid, and the query book is consistent with the SQT. It returns the
+// first violation found, or nil. Intended for tests and debugging; it walks
+// every table.
 func (s *Server) CheckInvariants() error {
 	// RQI ↔ SQT agreement.
 	for qid, e := range s.sqt {
@@ -806,11 +807,11 @@ func (s *Server) CheckInvariants() error {
 		if !slices.Contains(e.fe.queries, qid) {
 			return fmt.Errorf("core: query %d not listed under its focal %d", qid, e.query.Focal)
 		}
+		if !s.g.Valid(e.monRegion.Min) || !s.g.Valid(e.monRegion.Max) {
+			return fmt.Errorf("core: query %d: monitoring region %v is off the grid", qid, e.monRegion)
+		}
 		missing := false
 		e.monRegion.ForEach(func(c grid.CellID) {
-			if !s.g.Valid(c) {
-				return
-			}
 			if _, ok := rqiSearch(s.rqi[s.g.CellIndex(c)], qid); !ok {
 				missing = true
 			}
@@ -848,6 +849,9 @@ func (s *Server) CheckInvariants() error {
 	for oid, fe := range s.fot {
 		if len(fe.queries) == 0 {
 			return fmt.Errorf("core: focal %d has a FOT row but no query", oid)
+		}
+		if !s.g.Valid(fe.currCell) {
+			return fmt.Errorf("core: focal %d: %v is off the grid", oid, fe.currCell)
 		}
 		for _, qid := range fe.queries {
 			e, ok := s.sqt[qid]

@@ -2,11 +2,9 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
@@ -31,44 +29,39 @@ const (
 // appendSnapshot appends a whole snapshot: header and pending section from
 // the query book, then the focal section of focals.
 func appendSnapshot(b []byte, book *queryBook, focals [][]byte) []byte {
-	le := binary.LittleEndian
-	b = append(b, snapshotMagic...)
-	b = le.AppendUint16(b, snapshotVersion)
-	b = le.AppendUint32(b, uint32(book.next))
+	w := wire.NewWriter(b)
+	w.Raw([]byte(snapshotMagic))
+	w.U16(snapshotVersion)
+	w.QID(book.next)
 	recs := book.records()
-	b = le.AppendUint32(b, uint32(len(recs)))
+	w.U32(uint32(len(recs)))
 	for _, p := range recs {
-		b = appendPendingRecord(b, p)
+		writePendingRecord(&w, p)
 	}
-	return appendFocalSection(b, focals)
+	writeFocalSection(&w, focals)
+	return w.Bytes()
 }
 
-func appendPendingRecord(b []byte, p bookedInstall) []byte {
-	le := binary.LittleEndian
-	b = le.AppendUint32(b, uint32(p.qid))
-	b = le.AppendUint32(b, uint32(p.query.Focal))
-	enc := wire.Encode(msg.QueryInstall{Queries: []msg.QueryState{{
+func writePendingRecord(w *wire.Writer, p bookedInstall) {
+	w.QID(p.qid)
+	w.OID(p.query.Focal)
+	w.Blob(wire.Encode(msg.QueryInstall{Queries: []msg.QueryState{{
 		QID:    p.qid,
 		Focal:  p.query.Focal,
 		Region: p.query.Region,
 		Filter: p.query.Filter,
-	}}})
-	b = le.AppendUint32(b, uint32(len(enc)))
-	b = append(b, enc...)
-	b = le.AppendUint64(b, math.Float64bits(p.maxVel))
-	return le.AppendUint64(b, math.Float64bits(float64(p.expiry)))
+	}}}))
+	w.F64(p.maxVel)
+	w.Time(p.expiry)
 }
 
-// appendFocalSection appends the focal section holding focals, which must
-// be ascending by oid. A node's section is its NodeHandle.SnapshotData.
-func appendFocalSection(b []byte, focals [][]byte) []byte {
-	le := binary.LittleEndian
-	b = le.AppendUint32(b, uint32(len(focals)))
+// writeFocalSection writes the focal section holding focals, which must be
+// ascending by oid. A node's section is its NodeHandle.SnapshotData.
+func writeFocalSection(w *wire.Writer, focals [][]byte) {
+	w.U32(uint32(len(focals)))
 	for _, f := range focals {
-		b = le.AppendUint32(b, uint32(len(f)))
-		b = append(b, f...)
+		w.Blob(f)
 	}
-	return b
 }
 
 // focalSlices encodes every FOT row of s, ascending by oid.
@@ -102,32 +95,32 @@ type snapshot struct {
 
 // splitFocalSection splits a focal section into its slices.
 func splitFocalSection(b []byte) ([][]byte, error) {
-	c := cursor{b: b}
-	n := int(c.u32())
+	r := wire.NewReader(b)
+	n := int(r.U32())
 	if n > len(b)/4 {
 		return nil, errors.New("core: implausible focal count in snapshot")
 	}
 	out := make([][]byte, 0, n)
-	for i := 0; i < n && c.err == nil; i++ {
-		f := c.chunk()
-		if c.err == nil && len(f) < focalSliceHeaderLen {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		f := r.Blob()
+		if r.Err() == nil && len(f) < focalSliceHeaderLen {
 			return nil, errors.New("core: truncated focal slice in snapshot")
 		}
 		out = append(out, f)
 	}
-	if c.err == nil && c.off != len(b) {
-		return nil, errors.New("core: trailing bytes after snapshot")
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("core: snapshot focal section: %w", err)
 	}
-	return out, c.err
+	return out, nil
 }
 
 // readSnapshot reads a snapshot for grid g. A snapshot is outside input,
 // so it is accepted only if restoring it builds tables that pass
-// CheckInvariants and re-snapshot to the same bytes: cells and monitoring
-// regions lie on g, oids strictly ascend, qids (pending ones included) are
-// unique and below the counter, and each record is the canonical encoding
-// of what it decodes to — query records agree with their focal row, results
-// are sorted and unrepeated.
+// CheckInvariants and re-snapshot to the same bytes: every focal slice
+// passes checkFocalRecord, oids strictly ascend, qids (pending ones
+// included) are unique and below the counter, and each record is the
+// canonical encoding of what it decodes to — query records agree with their
+// focal row, results are sorted and unrepeated.
 func readSnapshot(g *grid.Grid, r io.Reader) (snapshot, error) {
 	var snap snapshot
 	data, err := io.ReadAll(r)
@@ -137,12 +130,12 @@ func readSnapshot(g *grid.Grid, r io.Reader) (snapshot, error) {
 	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
 		return snap, errors.New("core: not a server snapshot")
 	}
-	c := cursor{b: data, off: len(snapshotMagic)}
-	if v := binary.LittleEndian.Uint16(c.take(2)); c.err == nil && v != snapshotVersion {
+	c := wire.NewReader(data[len(snapshotMagic):])
+	if v := c.U16(); c.Err() == nil && v != snapshotVersion {
 		return snap, fmt.Errorf("core: unsupported snapshot version %d", v)
 	}
-	snap.nextQID = model.QueryID(c.u32())
-	if c.err == nil && snap.nextQID < 1 {
+	snap.nextQID = c.QID()
+	if c.Err() == nil && snap.nextQID < 1 {
 		return snap, fmt.Errorf("core: snapshot query counter %d is not positive", snap.nextQID)
 	}
 	seen := make(map[model.QueryID]bool)
@@ -157,13 +150,13 @@ func readSnapshot(g *grid.Grid, r io.Reader) (snapshot, error) {
 		return nil
 	}
 
-	nPending := c.u32()
-	for i := uint32(0); i < nPending && c.err == nil; i++ {
-		start := c.off
-		qid, focal := model.QueryID(c.u32()), model.ObjectID(c.u32())
-		raw := c.chunk()
-		maxVel, expiry := c.f64(), model.Time(c.f64())
-		if c.err != nil {
+	nPending := c.U32()
+	for i := uint32(0); i < nPending && c.Err() == nil; i++ {
+		start := c.Rest()
+		qid, focal := c.QID(), c.OID()
+		raw := c.Blob()
+		maxVel, expiry := c.F64(), c.Time()
+		if c.Err() != nil {
 			break
 		}
 		qs, err := decodeQueryRecord(raw)
@@ -174,7 +167,9 @@ func readSnapshot(g *grid.Grid, r io.Reader) (snapshot, error) {
 		if p.expiry == 0 {
 			p.expiry = 0 // the book keeps no zero expiry, so −0 would come back as +0
 		}
-		if !bytes.Equal(appendPendingRecord(nil, p), data[start:c.off]) {
+		var canon wire.Writer
+		writePendingRecord(&canon, p)
+		if !bytes.Equal(canon.Bytes(), start[:len(start)-len(c.Rest())]) {
 			return snap, fmt.Errorf("core: snapshot pending install %d is not in canonical form", qid)
 		}
 		if k := len(snap.pending); k > 0 && focal < snap.pending[k-1].query.Focal {
@@ -185,35 +180,25 @@ func readSnapshot(g *grid.Grid, r io.Reader) (snapshot, error) {
 		}
 		snap.pending = append(snap.pending, p)
 	}
-	if c.err != nil {
-		return snap, c.err
+	if err := c.Err(); err != nil {
+		return snap, fmt.Errorf("core: snapshot: %w", err)
 	}
 
-	if snap.focals, err = splitFocalSection(data[c.off:]); err != nil {
+	if snap.focals, err = splitFocalSection(c.Rest()); err != nil {
 		return snap, err
 	}
 	for i, f := range snap.focals {
-		rec, _, cell, err := decodeFocalSlice(f)
+		rec, _, _, err := decodeFocalSlice(f)
 		if err != nil {
 			return snap, fmt.Errorf("core: snapshot focal %d: %w", i, err)
 		}
 		if i > 0 && rec.oid <= sliceOID(snap.focals[i-1]) {
 			return snap, fmt.Errorf("core: snapshot focal %d: oids not strictly ascending", rec.oid)
 		}
-		if !g.Valid(cell) {
-			return snap, fmt.Errorf("core: snapshot focal %d: %v is off the grid", rec.oid, cell)
+		if err := checkFocalRecord(g, rec); err != nil {
+			return snap, fmt.Errorf("core: snapshot %w", err)
 		}
-		if len(rec.entries) == 0 {
-			// A FOT row lives only as long as its queries (CheckInvariants).
-			return snap, fmt.Errorf("core: snapshot focal %d lists no query", rec.oid)
-		}
-		for j, e := range rec.entries {
-			if j > 0 && e.query.ID <= rec.entries[j-1].query.ID {
-				return snap, fmt.Errorf("core: snapshot focal %d: queries not strictly ascending", rec.oid)
-			}
-			if !g.Valid(e.monRegion.Min) || !g.Valid(e.monRegion.Max) {
-				return snap, fmt.Errorf("core: snapshot query %d: monitoring region %v is off the grid", e.query.ID, e.monRegion)
-			}
+		for _, e := range rec.entries {
 			if err := checkQID(e.query.ID); err != nil {
 				return snap, err
 			}

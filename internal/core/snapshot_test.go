@@ -261,6 +261,52 @@ func TestRestoreValidates(t *testing.T) {
 	}
 }
 
+// TestInjectValidates: a Handoff frame's slice is a peer's bytes, like a
+// snapshot. Each case below was injected without error and left tables
+// that CheckInvariants rejects, that reuse a held oid or qid, or (the
+// int32-spanning region) that loop ~2⁶² times in rqiEdit. InjectFocal
+// refuses every one with the node's tables untouched.
+func TestInjectValidates(t *testing.T) {
+	cell := grid.CellID{Col: 10, Row: 10}
+	mon := grid.CellRange{Min: grid.CellID{Col: 9, Row: 9}, Max: grid.CellID{Col: 11, Row: 11}}
+	held := testSlice(1, 100, cell, mon, []model.ObjectID{3, 7}, 1)
+	for _, c := range []struct {
+		name, want string
+		slice      []byte
+		at         grid.CellID
+	}{
+		{"off-grid cell", "off the grid", testSlice(2, 100, grid.CellID{Col: 500, Row: 500},
+			grid.CellRange{Min: grid.CellID{Col: -3, Row: -3}, Max: grid.CellID{Col: 30, Row: 30}}, nil, 2), cell},
+		{"off-grid monitoring region", "off the grid", testSlice(2, 100, cell,
+			grid.CellRange{Min: grid.CellID{Col: -3, Row: -3}, Max: grid.CellID{Col: 30, Row: 30}}, nil, 2), cell},
+		{"off-grid target cell", "off the grid", testSlice(2, 100, cell, mon, nil, 2), grid.CellID{Col: 20, Row: 3}},
+		{"focal without a query", "lists no query", testSlice(2, 100, cell, mon, nil), cell},
+		{"queries descending", "queries not strictly ascending", testSlice(2, 100, cell, mon, nil, 3, 2), cell},
+		{"oid already held", "already held", testSlice(1, 100, cell, mon, nil, 2), cell},
+		{"qid already held", "already held", testSlice(2, 100, cell, mon, nil, 1), cell},
+		{"int32-spanning monitoring region", "off the grid", testSlice(2, 100, cell,
+			grid.CellRange{Min: grid.CellID{Col: math.MinInt32, Row: math.MinInt32}, Max: grid.CellID{Col: math.MaxInt32, Row: math.MaxInt32}}, nil, 2), cell},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := NewNodeServer(smallGrid(), Options{}, nullDown{})
+			if err := n.InjectFocal(held, model.MotionState{}, cell, false, false, 0); err != nil {
+				t.Fatalf("well-formed slice refused: %v", err)
+			}
+			before, _ := n.SnapshotData()
+			err := n.InjectFocal(c.slice, model.MotionState{}, c.at, false, false, 0)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("inject error %v, want one containing %q", err, c.want)
+			}
+			if after, _ := n.SnapshotData(); !bytes.Equal(before, after) {
+				t.Error("a refused inject changed the node's tables")
+			}
+			if err := n.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 // TestPendingInstallDropped: removing or expiring a query whose focal has
 // not answered its FocalInfoRequest yet drops the pending install, so the
 // late FocalInfoResponse installs only the focal's other pending query, and

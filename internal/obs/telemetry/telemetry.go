@@ -36,7 +36,6 @@
 package telemetry
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -45,6 +44,7 @@ import (
 	"mobieyes/internal/obs"
 	"mobieyes/internal/obs/cost"
 	"mobieyes/internal/obs/trace"
+	"mobieyes/internal/wire"
 )
 
 // batchVersion is the payload format version carried in every encoded
@@ -99,83 +99,20 @@ func SpanDigest(epoch uint64, lo, hi uint32) uint64 {
 }
 
 // ---------------------------------------------------------------------------
-// Payload codec. Little-endian, length-prefixed strings (u16), bounded
-// counts. The payload travels inside a msg.NodeTelemetry frame whose outer
-// codec already enforces framing; this codec enforces internal shape.
+// Payload codec: wire.Writer/wire.Reader primitives, strings as a u16
+// length and the bytes, counts as u16 bounded by the payload size. The
+// payload travels inside a msg.NodeTelemetry frame whose outer codec
+// already enforces framing; this codec enforces internal shape.
 
-type benc struct{ b []byte }
-
-func (e *benc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *benc) u16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *benc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *benc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *benc) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *benc) str(s string) {
+func writeStr(w *wire.Writer, s string) {
 	if len(s) > math.MaxUint16 {
 		s = s[:math.MaxUint16]
 	}
-	e.u16(uint16(len(s)))
-	e.b = append(e.b, s...)
+	w.U16(uint16(len(s)))
+	w.Raw([]byte(s))
 }
 
-type bdec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *bdec) need(n int) bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off+n > len(d.b) {
-		d.err = errors.New("telemetry: truncated batch")
-		return false
-	}
-	return true
-}
-
-func (d *bdec) u8() uint8 {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *bdec) u16() uint16 {
-	if !d.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *bdec) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *bdec) i64() int64   { return int64(d.u64()) }
-func (d *bdec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *bdec) str() string {
-	n := int(d.u16())
-	if !d.need(n) {
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
+func readStr(r *wire.Reader) string { return string(r.Raw(int(r.U16()))) }
 
 // EncodeBatch serializes a batch. An empty batch (no metrics, costs or
 // events) encodes to nil — callers must not ship it (the wire codec rejects
@@ -184,104 +121,94 @@ func EncodeBatch(b *Batch) []byte {
 	if b == nil || (len(b.Metrics) == 0 && len(b.Costs) == 0 && len(b.Events) == 0) {
 		return nil
 	}
-	e := &benc{b: make([]byte, 0, 256)}
-	e.u8(batchVersion)
-	e.u16(uint16(len(b.Metrics)))
+	w := wire.NewWriter(make([]byte, 0, 256))
+	w.U8(batchVersion)
+	w.U16(uint16(len(b.Metrics)))
 	for _, p := range b.Metrics {
-		var kind uint8
-		if p.Counter {
-			kind = 1
-		}
-		e.u8(kind)
-		e.str(p.Name)
-		e.str(p.Help)
-		e.u8(uint8(len(p.Labels)))
+		w.Bool(p.Counter)
+		writeStr(&w, p.Name)
+		writeStr(&w, p.Help)
+		w.U8(uint8(len(p.Labels)))
 		for _, l := range p.Labels {
-			e.str(l)
+			writeStr(&w, l)
 		}
-		e.f64(p.Value)
+		w.F64(p.Value)
 	}
-	e.u16(uint16(len(b.Costs)))
+	w.U16(uint16(len(b.Costs)))
 	for _, c := range b.Costs {
-		e.u8(c.Axis)
-		e.u8(c.Index)
-		e.i64(c.Value)
+		w.U8(c.Axis)
+		w.U8(c.Index)
+		w.U64(uint64(c.Value))
 	}
-	e.u16(uint16(len(b.Events)))
+	w.U16(uint16(len(b.Events)))
 	for _, ev := range b.Events {
-		e.u64(uint64(ev.Trace))
-		e.i64(ev.Nanos)
-		e.u8(uint8(ev.Kind))
-		e.str(ev.Actor)
-		e.i64(ev.OID)
-		e.i64(ev.QID)
-		e.str(ev.Note)
+		w.U64(uint64(ev.Trace))
+		w.U64(uint64(ev.Nanos))
+		w.U8(uint8(ev.Kind))
+		writeStr(&w, ev.Actor)
+		w.U64(uint64(ev.OID))
+		w.U64(uint64(ev.QID))
+		writeStr(&w, ev.Note)
 	}
-	return e.b
+	return w.Bytes()
 }
 
 // DecodeBatch parses a telemetry payload. It never panics on hostile input:
-// every count is bounded against the remaining bytes before allocation.
+// every count is bounded against the payload size before allocation.
 func DecodeBatch(p []byte) (*Batch, error) {
-	d := &bdec{b: p}
-	if v := d.u8(); d.err == nil && v != batchVersion {
+	d := wire.NewReader(p)
+	if v := d.U8(); d.Err() == nil && v != batchVersion {
 		return nil, fmt.Errorf("telemetry: batch version %d, want %d", v, batchVersion)
 	}
 	var b Batch
-	nm := int(d.u16())
+	nm := int(d.U16())
 	if nm > len(p) { // each metric entry is ≥ 1 byte
 		return nil, errors.New("telemetry: metric count exceeds payload")
 	}
-	for i := 0; i < nm && d.err == nil; i++ {
+	for i := 0; i < nm && d.Err() == nil; i++ {
 		var sp obs.SeriesPoint
-		sp.Counter = d.u8() == 1
-		sp.Name = d.str()
-		sp.Help = d.str()
-		nl := int(d.u8())
+		sp.Counter = d.U8() == 1
+		sp.Name = readStr(&d)
+		sp.Help = readStr(&d)
+		nl := int(d.U8())
 		if nl%2 != 0 {
-			if d.err == nil {
-				d.err = errors.New("telemetry: odd label count")
-			}
-			break
+			return nil, errors.New("telemetry: odd label count")
 		}
-		for j := 0; j < nl && d.err == nil; j++ {
-			sp.Labels = append(sp.Labels, d.str())
+		for j := 0; j < nl && d.Err() == nil; j++ {
+			sp.Labels = append(sp.Labels, readStr(&d))
 		}
-		sp.Value = d.f64()
+		sp.Value = d.F64()
 		b.Metrics = append(b.Metrics, sp)
 	}
-	nc := int(d.u16())
+	nc := int(d.U16())
 	if nc > len(p) {
 		return nil, errors.New("telemetry: cost count exceeds payload")
 	}
-	for i := 0; i < nc && d.err == nil; i++ {
-		c := CostEntry{Axis: d.u8(), Index: d.u8(), Value: d.i64()}
-		if d.err == nil && c.Axis > axisCompute {
-			d.err = fmt.Errorf("telemetry: unknown cost axis %d", c.Axis)
+	for i := 0; i < nc && d.Err() == nil; i++ {
+		c := CostEntry{Axis: d.U8(), Index: d.U8(), Value: int64(d.U64())}
+		if d.Err() == nil && c.Axis > axisCompute {
+			return nil, fmt.Errorf("telemetry: unknown cost axis %d", c.Axis)
 		}
 		b.Costs = append(b.Costs, c)
 	}
-	ne := int(d.u16())
+	ne := int(d.U16())
 	if ne > len(p) {
 		return nil, errors.New("telemetry: event count exceeds payload")
 	}
-	for i := 0; i < ne && d.err == nil; i++ {
+	for i := 0; i < ne && d.Err() == nil; i++ {
 		ev := trace.Event{
-			Trace: trace.ID(d.u64()),
-			Nanos: d.i64(),
-			Kind:  trace.Kind(d.u8()),
-			Actor: d.str(),
-			OID:   d.i64(),
-			QID:   d.i64(),
-			Note:  d.str(),
+			Trace: trace.ID(d.U64()),
+			Nanos: int64(d.U64()),
+			Kind:  trace.Kind(d.U8()),
+			Actor: readStr(&d),
+			OID:   int64(d.U64()),
+			QID:   int64(d.U64()),
+			Note:  readStr(&d),
 		}
 		b.Events = append(b.Events, ev)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(p) {
-		return nil, fmt.Errorf("telemetry: %d trailing bytes", len(p)-d.off)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("telemetry: %w", err)
 	}
 	return &b, nil
 }

@@ -8,6 +8,13 @@
 // source and destination object IDs) followed by the payload fields in
 // little-endian order, sized per the constants in internal/msg. Regions
 // encode as a one-byte shape tag plus two float64 parameters.
+//
+// Writer and Reader are the primitives the message bodies are written and
+// read with, and the repo's one binary codec: the formats that travel
+// inside messages or beside them — cluster op payloads (internal/cluster),
+// focal slices and snapshots (internal/core), telemetry batches
+// (internal/obs/telemetry) — are written and read with the same pair, and
+// wrap its errors with their own package prefix.
 package wire
 
 import (
@@ -59,88 +66,136 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("wire: unsupported version %d (speaking %d/%d)", e.Got, Version, TracedVersion)
 }
 
-// encoder appends primitive values to a buffer.
-type encoder struct{ b []byte }
+// Writer appends the little-endian primitives of every MobiEyes binary
+// encoding to a buffer: the message bodies below, and the formats that
+// embed them (cluster op payloads, focal slices, snapshots, telemetry
+// batches). The zero Writer starts an empty buffer.
+type Writer struct{ b []byte }
 
-func (e *encoder) u8(v uint8)    { e.b = append(e.b, v) }
-func (e *encoder) u16(v uint16)  { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *encoder) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *encoder) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *encoder) boolByte(v bool) {
+// NewWriter returns a Writer appending to buf.
+func NewWriter(buf []byte) Writer { return Writer{b: buf} }
+
+// Bytes returns the buffer written so far.
+func (e *Writer) Bytes() []byte { return e.b }
+
+// Raw appends b as is, with no length prefix.
+func (e *Writer) Raw(b []byte) { e.b = append(e.b, b...) }
+
+func (e *Writer) U8(v uint8)    { e.b = append(e.b, v) }
+func (e *Writer) U16(v uint16)  { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
+func (e *Writer) U32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
+func (e *Writer) U64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
+func (e *Writer) F64(v float64) { e.U64(math.Float64bits(v)) }
+func (e *Writer) Bool(v bool) {
 	if v {
-		e.u8(1)
+		e.U8(1)
 	} else {
-		e.u8(0)
+		e.U8(0)
 	}
 }
-func (e *encoder) point(p geo.Point)          { e.f64(p.X); e.f64(p.Y) }
-func (e *encoder) vector(v geo.Vector)        { e.f64(v.X); e.f64(v.Y) }
-func (e *encoder) time(t model.Time)          { e.f64(float64(t)) }
-func (e *encoder) oid(id model.ObjectID)      { e.u32(uint32(id)) }
-func (e *encoder) qid(id model.QueryID)       { e.u32(uint32(id)) }
-func (e *encoder) cell(c grid.CellID)         { e.u32(uint32(int32(c.Col))); e.u32(uint32(int32(c.Row))) }
-func (e *encoder) cellRange(r grid.CellRange) { e.cell(r.Min); e.cell(r.Max) }
-func (e *encoder) filter(f model.Filter) {
-	e.u64(f.Seed)
-	e.u32(f.Permille)
+func (e *Writer) Point(p geo.Point)          { e.F64(p.X); e.F64(p.Y) }
+func (e *Writer) Vector(v geo.Vector)        { e.F64(v.X); e.F64(v.Y) }
+func (e *Writer) Time(t model.Time)          { e.F64(float64(t)) }
+func (e *Writer) OID(id model.ObjectID)      { e.U32(uint32(id)) }
+func (e *Writer) QID(id model.QueryID)       { e.U32(uint32(id)) }
+func (e *Writer) Cell(c grid.CellID)         { e.U32(uint32(int32(c.Col))); e.U32(uint32(int32(c.Row))) }
+func (e *Writer) CellRange(r grid.CellRange) { e.Cell(r.Min); e.Cell(r.Max) }
+func (e *Writer) Filter(f model.Filter) {
+	e.U64(f.Seed)
+	e.U32(f.Permille)
 }
 
-// bytes appends a u32 length prefix and the raw payload.
-func (e *encoder) bytes(b []byte) {
-	e.u32(uint32(len(b)))
-	e.b = append(e.b, b...)
+// Blob appends a u32 length prefix and the raw payload.
+func (e *Writer) Blob(b []byte) {
+	e.U32(uint32(len(b)))
+	e.Raw(b)
 }
 
-func (e *encoder) region(r model.Region) {
+func (e *Writer) Region(r model.Region) {
 	switch rr := r.(type) {
 	case model.CircleRegion:
-		e.u8(regionCircle)
-		e.f64(rr.R)
-		e.f64(0)
+		e.U8(regionCircle)
+		e.F64(rr.R)
+		e.F64(0)
 	case model.RectRegion:
-		e.u8(regionRect)
-		e.f64(rr.W)
-		e.f64(rr.H)
+		e.U8(regionRect)
+		e.F64(rr.W)
+		e.F64(rr.H)
 	case model.PolygonRegion:
-		e.u8(regionPolygon)
-		e.u16(uint16(len(rr.Vertices)))
+		e.U8(regionPolygon)
+		e.U16(uint16(len(rr.Vertices)))
 		for _, v := range rr.Vertices {
-			e.point(v)
+			e.Point(v)
 		}
 	default:
 		// Unknown shapes degrade to their enclosing circle: every consumer
 		// of a Region can work with that soundly.
-		e.u8(regionCircle)
-		e.f64(r.EnclosingRadius())
-		e.f64(0)
+		e.U8(regionCircle)
+		e.F64(r.EnclosingRadius())
+		e.F64(0)
 	}
 }
 
-func (e *encoder) motionState(s model.MotionState) {
-	e.point(s.Pos)
-	e.vector(s.Vel)
-	e.time(s.Tm)
+func (e *Writer) MotionState(s model.MotionState) {
+	e.Point(s.Pos)
+	e.Vector(s.Vel)
+	e.Time(s.Tm)
 }
 
-func (e *encoder) queryState(qs msg.QueryState) {
-	e.qid(qs.QID)
-	e.oid(qs.Focal)
-	e.motionState(qs.State)
-	e.region(qs.Region)
-	e.filter(qs.Filter)
-	e.cellRange(qs.MonRegion)
-	e.f64(qs.FocalMaxVel)
+func (e *Writer) QueryState(qs msg.QueryState) {
+	e.QID(qs.QID)
+	e.OID(qs.Focal)
+	e.MotionState(qs.State)
+	e.Region(qs.Region)
+	e.Filter(qs.Filter)
+	e.CellRange(qs.MonRegion)
+	e.F64(qs.FocalMaxVel)
 }
 
-// decoder consumes primitive values from a buffer.
-type decoder struct {
+// Reader consumes what a Writer appended. The first short read or invalid
+// value sets a sticky error; every later read yields zero, so a caller
+// reads a whole record and checks Err (or Done) once.
+type Reader struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (d *decoder) need(n int) bool {
+// NewReader returns a Reader over b.
+func NewReader(b []byte) Reader { return Reader{b: b} }
+
+// Err reports the sticky error, if any.
+func (d *Reader) Err() error { return d.err }
+
+// Done reports the sticky error, or an error if bytes remain unread.
+func (d *Reader) Done() error {
+	if d.err == nil && d.off != len(d.b) {
+		d.err = fmt.Errorf("wire: %d trailing bytes", len(d.b)-d.off)
+	}
+	return d.err
+}
+
+// Rest returns the unread bytes without consuming them.
+func (d *Reader) Rest() []byte { return d.b[d.off:] }
+
+// Raw consumes n bytes and returns them; the result aliases the buffer.
+func (d *Reader) Raw(n int) []byte {
+	if n < 0 || !d.need(n) {
+		if d.err == nil {
+			d.err = ErrTruncated
+		}
+		return nil
+	}
+	v := d.b[d.off : d.off+n : d.off+n]
+	d.off += n
+	return v
+}
+
+// Blob consumes a u32 length prefix and that many bytes; the result aliases
+// the buffer. Message decoding copies instead (see bytes).
+func (d *Reader) Blob() []byte { return d.Raw(int(d.U32())) }
+
+func (d *Reader) need(n int) bool {
 	if d.err != nil {
 		return false
 	}
@@ -151,7 +206,7 @@ func (d *decoder) need(n int) bool {
 	return true
 }
 
-func (d *decoder) u8() uint8 {
+func (d *Reader) U8() uint8 {
 	if !d.need(1) {
 		return 0
 	}
@@ -160,7 +215,7 @@ func (d *decoder) u8() uint8 {
 	return v
 }
 
-func (d *decoder) u16() uint16 {
+func (d *Reader) U16() uint16 {
 	if !d.need(2) {
 		return 0
 	}
@@ -169,7 +224,7 @@ func (d *decoder) u16() uint16 {
 	return v
 }
 
-func (d *decoder) u32() uint32 {
+func (d *Reader) U32() uint32 {
 	if !d.need(4) {
 		return 0
 	}
@@ -178,7 +233,7 @@ func (d *decoder) u32() uint32 {
 	return v
 }
 
-func (d *decoder) u64() uint64 {
+func (d *Reader) U64() uint64 {
 	if !d.need(8) {
 		return 0
 	}
@@ -187,37 +242,37 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *decoder) boolByte() bool {
+func (d *Reader) F64() float64 { return math.Float64frombits(d.U64()) }
+func (d *Reader) Bool() bool {
 	// Strict: only 0 and 1 are valid, so every accepted payload has
 	// exactly one encoding (found by FuzzWire's canonicity property).
-	b := d.u8()
+	b := d.U8()
 	if b > 1 && d.err == nil {
 		d.err = fmt.Errorf("wire: invalid bool byte %#02x", b)
 	}
 	return b == 1
 }
-func (d *decoder) point() geo.Point { return geo.Pt(d.f64(), d.f64()) }
-func (d *decoder) vector() geo.Vector {
-	return geo.Vec(d.f64(), d.f64())
+func (d *Reader) Point() geo.Point { return geo.Pt(d.F64(), d.F64()) }
+func (d *Reader) Vector() geo.Vector {
+	return geo.Vec(d.F64(), d.F64())
 }
-func (d *decoder) time() model.Time    { return model.Time(d.f64()) }
-func (d *decoder) oid() model.ObjectID { return model.ObjectID(d.u32()) }
-func (d *decoder) qid() model.QueryID  { return model.QueryID(d.u32()) }
-func (d *decoder) cell() grid.CellID {
-	return grid.CellID{Col: int(int32(d.u32())), Row: int(int32(d.u32()))}
+func (d *Reader) Time() model.Time    { return model.Time(d.F64()) }
+func (d *Reader) OID() model.ObjectID { return model.ObjectID(d.U32()) }
+func (d *Reader) QID() model.QueryID  { return model.QueryID(d.U32()) }
+func (d *Reader) Cell() grid.CellID {
+	return grid.CellID{Col: int(int32(d.U32())), Row: int(int32(d.U32()))}
 }
-func (d *decoder) cellRange() grid.CellRange {
-	return grid.CellRange{Min: d.cell(), Max: d.cell()}
+func (d *Reader) CellRange() grid.CellRange {
+	return grid.CellRange{Min: d.Cell(), Max: d.Cell()}
 }
-func (d *decoder) filter() model.Filter {
-	return model.Filter{Seed: d.u64(), Permille: d.u32()}
+func (d *Reader) Filter() model.Filter {
+	return model.Filter{Seed: d.U64(), Permille: d.U32()}
 }
 
 // bytes consumes a u32 length prefix and that many raw bytes. Zero length
 // decodes to nil so the round trip stays canonical.
-func (d *decoder) bytes() []byte {
-	n := int(d.u32())
+func (d *Reader) bytes() []byte {
+	n := int(d.U32())
 	if n == 0 || !d.need(n) {
 		return nil
 	}
@@ -227,23 +282,22 @@ func (d *decoder) bytes() []byte {
 	return b
 }
 
-// regionOrPolygon decodes a region including the variable-length polygon
-// form.
-func (d *decoder) regionVar() model.Region {
-	tag := d.u8()
+// Region decodes a region including the variable-length polygon form.
+func (d *Reader) Region() model.Region {
+	tag := d.U8()
 	switch tag {
 	case regionCircle:
-		a := d.f64()
+		a := d.F64()
 		// The second word is padding (circles use one parameter, rects two);
 		// it must be zero so the encoding stays canonical.
-		if pad := d.u64(); pad != 0 && d.err == nil {
+		if pad := d.U64(); pad != 0 && d.err == nil {
 			d.err = fmt.Errorf("wire: nonzero circle padding %#x", pad)
 		}
 		return model.CircleRegion{R: a}
 	case regionRect:
-		return model.RectRegion{W: d.f64(), H: d.f64()}
+		return model.RectRegion{W: d.F64(), H: d.F64()}
 	case regionPolygon:
-		n := int(d.u16())
+		n := int(d.U16())
 		if n < 3 || !d.need(n*16) {
 			if d.err == nil {
 				d.err = fmt.Errorf("wire: polygon with %d vertices", n)
@@ -252,7 +306,7 @@ func (d *decoder) regionVar() model.Region {
 		}
 		vs := make([]geo.Point, n)
 		for i := range vs {
-			vs[i] = d.point()
+			vs[i] = d.Point()
 		}
 		return model.PolygonRegion{Vertices: vs}
 	default:
@@ -263,19 +317,19 @@ func (d *decoder) regionVar() model.Region {
 	}
 }
 
-func (d *decoder) motionState() model.MotionState {
-	return model.MotionState{Pos: d.point(), Vel: d.vector(), Tm: d.time()}
+func (d *Reader) MotionState() model.MotionState {
+	return model.MotionState{Pos: d.Point(), Vel: d.Vector(), Tm: d.Time()}
 }
 
-func (d *decoder) queryState() msg.QueryState {
+func (d *Reader) QueryState() msg.QueryState {
 	return msg.QueryState{
-		QID:         d.qid(),
-		Focal:       d.oid(),
-		State:       d.motionState(),
-		Region:      d.regionVar(),
-		Filter:      d.filter(),
-		MonRegion:   d.cellRange(),
-		FocalMaxVel: d.f64(),
+		QID:         d.QID(),
+		Focal:       d.OID(),
+		State:       d.MotionState(),
+		Region:      d.Region(),
+		Filter:      d.Filter(),
+		MonRegion:   d.CellRange(),
+		FocalMaxVel: d.F64(),
 	}
 }
 
@@ -303,144 +357,144 @@ func EncodeTraced(m msg.Message, tid uint64) []byte {
 	if tid != 0 {
 		ver = TracedVersion
 	}
-	e := &encoder{b: make([]byte, 0, size)}
+	e := &Writer{b: make([]byte, 0, size)}
 	// Header: magic(2) version(1) kind(1) length(4) src(4) dst(4) = 16.
-	e.u16(Magic)
-	e.u8(ver)
-	e.u8(uint8(m.Kind()))
-	e.u32(uint32(size))
-	e.u32(0) // src, assigned by the transport layer when needed
-	e.u32(0) // dst
+	e.U16(Magic)
+	e.U8(ver)
+	e.U8(uint8(m.Kind()))
+	e.U32(uint32(size))
+	e.U32(0) // src, assigned by the transport layer when needed
+	e.U32(0) // dst
 	if tid != 0 {
-		e.u64(tid)
+		e.U64(tid)
 	}
 	encodeBody(e, m)
 	return e.b
 }
 
-func encodeBody(e *encoder, m msg.Message) {
+func encodeBody(e *Writer, m msg.Message) {
 	switch mm := m.(type) {
 	case msg.PositionReport:
-		e.oid(mm.OID)
-		e.point(mm.Pos)
-		e.time(mm.Tm)
+		e.OID(mm.OID)
+		e.Point(mm.Pos)
+		e.Time(mm.Tm)
 	case msg.VelocityReport:
-		e.oid(mm.OID)
-		e.point(mm.Pos)
-		e.vector(mm.Vel)
-		e.time(mm.Tm)
+		e.OID(mm.OID)
+		e.Point(mm.Pos)
+		e.Vector(mm.Vel)
+		e.Time(mm.Tm)
 	case msg.CellChangeReport:
-		e.oid(mm.OID)
-		e.cell(mm.PrevCell)
-		e.cell(mm.NewCell)
-		e.point(mm.Pos)
-		e.vector(mm.Vel)
-		e.time(mm.Tm)
+		e.OID(mm.OID)
+		e.Cell(mm.PrevCell)
+		e.Cell(mm.NewCell)
+		e.Point(mm.Pos)
+		e.Vector(mm.Vel)
+		e.Time(mm.Tm)
 	case msg.ContainmentReport:
-		e.oid(mm.OID)
-		e.qid(mm.QID)
-		e.boolByte(mm.IsTarget)
+		e.OID(mm.OID)
+		e.QID(mm.QID)
+		e.Bool(mm.IsTarget)
 	case msg.GroupContainmentReport:
-		e.oid(mm.OID)
-		e.oid(mm.Focal)
-		e.u16(uint16(len(mm.QIDs)))
+		e.OID(mm.OID)
+		e.OID(mm.Focal)
+		e.U16(uint16(len(mm.QIDs)))
 		for _, q := range mm.QIDs {
-			e.qid(q)
+			e.QID(q)
 		}
 		e.b = append(e.b, mm.Bitmap.Bytes()...)
 	case msg.FocalInfoResponse:
-		e.oid(mm.OID)
-		e.point(mm.Pos)
-		e.vector(mm.Vel)
-		e.time(mm.Tm)
+		e.OID(mm.OID)
+		e.Point(mm.Pos)
+		e.Vector(mm.Vel)
+		e.Time(mm.Tm)
 	case msg.DepartureReport:
-		e.oid(mm.OID)
+		e.OID(mm.OID)
 	case msg.Ping:
-		e.u64(mm.Token)
+		e.U64(mm.Token)
 	case msg.Pong:
-		e.u64(mm.Token)
+		e.U64(mm.Token)
 	case msg.QueryInstall:
-		e.u16(uint16(len(mm.Queries)))
+		e.U16(uint16(len(mm.Queries)))
 		for _, qs := range mm.Queries {
-			e.queryState(qs)
+			e.QueryState(qs)
 		}
 	case msg.QueryRemove:
-		e.u16(uint16(len(mm.QIDs)))
+		e.U16(uint16(len(mm.QIDs)))
 		for _, q := range mm.QIDs {
-			e.qid(q)
+			e.QID(q)
 		}
 	case msg.VelocityChange:
-		e.oid(mm.Focal)
-		e.motionState(mm.State)
-		e.u16(uint16(len(mm.Queries)))
+		e.OID(mm.Focal)
+		e.MotionState(mm.State)
+		e.U16(uint16(len(mm.Queries)))
 		for _, qs := range mm.Queries {
-			e.queryState(qs)
+			e.QueryState(qs)
 		}
 	case msg.FocalNotify:
-		e.oid(mm.OID)
-		e.qid(mm.QID)
-		e.boolByte(mm.Install)
+		e.OID(mm.OID)
+		e.QID(mm.QID)
+		e.Bool(mm.Install)
 	case msg.FocalInfoRequest:
-		e.oid(mm.OID)
+		e.OID(mm.OID)
 	case msg.NodeHello:
-		e.u32(mm.Node)
-		e.u16(mm.Proto)
+		e.U32(mm.Node)
+		e.U16(mm.Proto)
 	case msg.NodeHeartbeat:
-		e.u32(mm.Node)
-		e.u64(mm.Seq)
+		e.U32(mm.Node)
+		e.U64(mm.Seq)
 	case msg.AssignRange:
-		e.u64(mm.Epoch)
-		e.u32(mm.Node)
-		e.u32(mm.Lo)
-		e.u32(mm.Hi)
+		e.U64(mm.Epoch)
+		e.U32(mm.Node)
+		e.U32(mm.Lo)
+		e.U32(mm.Hi)
 	case msg.Handoff:
-		e.u64(mm.Seq)
-		e.oid(mm.OID)
-		e.boolByte(mm.Relocate)
-		e.motionState(mm.State)
-		e.cell(mm.Cell)
-		e.bytes(mm.Slice)
+		e.U64(mm.Seq)
+		e.OID(mm.OID)
+		e.Bool(mm.Relocate)
+		e.MotionState(mm.State)
+		e.Cell(mm.Cell)
+		e.Blob(mm.Slice)
 	case msg.HandoffAck:
-		e.u64(mm.Seq)
-		e.oid(mm.OID)
+		e.U64(mm.Seq)
+		e.OID(mm.OID)
 	case msg.NodeOp:
-		e.u64(mm.Seq)
-		e.u8(mm.Code)
-		e.bytes(mm.Data)
+		e.U64(mm.Seq)
+		e.U8(mm.Code)
+		e.Blob(mm.Data)
 	case msg.NodeOpDone:
-		e.u64(mm.Seq)
-		e.u8(mm.Code)
-		e.bytes(mm.Data)
+		e.U64(mm.Seq)
+		e.U8(mm.Code)
+		e.Blob(mm.Data)
 	case msg.NodeDownlink:
-		e.boolByte(mm.Broadcast)
-		e.cellRange(mm.Region)
-		e.oid(mm.Target)
-		e.bytes(mm.Inner)
+		e.Bool(mm.Broadcast)
+		e.CellRange(mm.Region)
+		e.OID(mm.Target)
+		e.Blob(mm.Inner)
 	case msg.NodeTelemetry:
-		e.u32(mm.Node)
-		e.u64(mm.Seq)
-		e.bytes(mm.Payload)
+		e.U32(mm.Node)
+		e.U64(mm.Seq)
+		e.Blob(mm.Payload)
 	case msg.NodeStatus:
-		e.u32(mm.Node)
-		e.u64(mm.Seq)
-		e.u64(mm.Epoch)
-		e.u32(mm.Lo)
-		e.u32(mm.Hi)
-		e.u64(mm.Digest)
-		e.u64(mm.Ops)
+		e.U32(mm.Node)
+		e.U64(mm.Seq)
+		e.U64(mm.Epoch)
+		e.U32(mm.Lo)
+		e.U32(mm.Hi)
+		e.U64(mm.Digest)
+		e.U64(mm.Ops)
 	case msg.CheckpointRequest:
-		e.u32(mm.Node)
-		e.u64(mm.Since)
+		e.U32(mm.Node)
+		e.U64(mm.Since)
 	case msg.NodeCheckpoint:
-		e.u32(mm.Node)
-		e.u64(mm.Seq)
-		e.u32(uint32(len(mm.Removed)))
+		e.U32(mm.Node)
+		e.U64(mm.Seq)
+		e.U32(uint32(len(mm.Removed)))
 		for _, oid := range mm.Removed {
-			e.u32(oid)
+			e.U32(oid)
 		}
-		e.u32(uint32(len(mm.Slices)))
+		e.U32(uint32(len(mm.Slices)))
 		for _, s := range mm.Slices {
-			e.bytes(s)
+			e.Blob(s)
 		}
 	default:
 		panic(fmt.Sprintf("wire: cannot encode %T", m))
@@ -458,21 +512,21 @@ func Decode(b []byte) (msg.Message, error) {
 // DecodeTraced parses one message plus its trace ID: 0 for a plain Version
 // frame, the carried nonzero ID for a TracedVersion frame.
 func DecodeTraced(b []byte) (msg.Message, uint64, error) {
-	d := &decoder{b: b}
-	if magic := d.u16(); magic != Magic && d.err == nil {
+	d := &Reader{b: b}
+	if magic := d.U16(); magic != Magic && d.err == nil {
 		return nil, 0, fmt.Errorf("wire: bad magic %#04x", magic)
 	}
-	ver := d.u8()
+	ver := d.U8()
 	if ver != Version && ver != TracedVersion && d.err == nil {
 		return nil, 0, &VersionError{Got: ver}
 	}
-	kind := msg.Kind(d.u8())
-	length := d.u32()
-	d.u32() // src
-	d.u32() // dst
+	kind := msg.Kind(d.U8())
+	length := d.U32()
+	d.U32() // src
+	d.U32() // dst
 	var tid uint64
 	if ver == TracedVersion {
-		tid = d.u64()
+		tid = d.U64()
 		if tid == 0 && d.err == nil {
 			return nil, 0, errors.New("wire: traced frame with zero trace ID")
 		}
@@ -490,105 +544,105 @@ func DecodeTraced(b []byte) (msg.Message, uint64, error) {
 	return m, tid, nil
 }
 
-func decodeBody(d *decoder, kind msg.Kind) (msg.Message, error) {
+func decodeBody(d *Reader, kind msg.Kind) (msg.Message, error) {
 	b := d.b
 	var m msg.Message
 	switch kind {
 	case msg.KindPositionReport:
-		m = msg.PositionReport{OID: d.oid(), Pos: d.point(), Tm: d.time()}
+		m = msg.PositionReport{OID: d.OID(), Pos: d.Point(), Tm: d.Time()}
 	case msg.KindVelocityReport:
-		m = msg.VelocityReport{OID: d.oid(), Pos: d.point(), Vel: d.vector(), Tm: d.time()}
+		m = msg.VelocityReport{OID: d.OID(), Pos: d.Point(), Vel: d.Vector(), Tm: d.Time()}
 	case msg.KindCellChangeReport:
 		m = msg.CellChangeReport{
-			OID: d.oid(), PrevCell: d.cell(), NewCell: d.cell(),
-			Pos: d.point(), Vel: d.vector(), Tm: d.time(),
+			OID: d.OID(), PrevCell: d.Cell(), NewCell: d.Cell(),
+			Pos: d.Point(), Vel: d.Vector(), Tm: d.Time(),
 		}
 	case msg.KindContainmentReport:
-		m = msg.ContainmentReport{OID: d.oid(), QID: d.qid(), IsTarget: d.boolByte()}
+		m = msg.ContainmentReport{OID: d.OID(), QID: d.QID(), IsTarget: d.Bool()}
 	case msg.KindGroupContainmentReport:
-		g := msg.GroupContainmentReport{OID: d.oid(), Focal: d.oid()}
-		n := int(d.u16())
+		g := msg.GroupContainmentReport{OID: d.OID(), Focal: d.OID()}
+		n := int(d.U16())
 		if n > (len(b)-d.off)/4 {
 			return nil, ErrTruncated
 		}
 		g.QIDs = make([]model.QueryID, n)
 		for i := range g.QIDs {
-			g.QIDs[i] = d.qid()
+			g.QIDs[i] = d.QID()
 		}
 		bm := msg.NewBitmap(n)
 		raw := bm.Bytes()
 		for i := range raw {
-			raw[i] = d.u8()
+			raw[i] = d.U8()
 		}
 		g.Bitmap = bm
 		m = g
 	case msg.KindFocalInfoResponse:
-		m = msg.FocalInfoResponse{OID: d.oid(), Pos: d.point(), Vel: d.vector(), Tm: d.time()}
+		m = msg.FocalInfoResponse{OID: d.OID(), Pos: d.Point(), Vel: d.Vector(), Tm: d.Time()}
 	case msg.KindDepartureReport:
-		m = msg.DepartureReport{OID: d.oid()}
+		m = msg.DepartureReport{OID: d.OID()}
 	case msg.KindPing:
-		m = msg.Ping{Token: d.u64()}
+		m = msg.Ping{Token: d.U64()}
 	case msg.KindPong:
-		m = msg.Pong{Token: d.u64()}
+		m = msg.Pong{Token: d.U64()}
 	case msg.KindQueryInstall:
-		n := int(d.u16())
+		n := int(d.U16())
 		if n > (len(b)-d.off)/4 {
 			return nil, ErrTruncated
 		}
 		qi := msg.QueryInstall{Queries: make([]msg.QueryState, n)}
 		for i := range qi.Queries {
-			qi.Queries[i] = d.queryState()
+			qi.Queries[i] = d.QueryState()
 		}
 		m = qi
 	case msg.KindQueryRemove:
-		n := int(d.u16())
+		n := int(d.U16())
 		if n > (len(b)-d.off)/4 {
 			return nil, ErrTruncated
 		}
 		qr := msg.QueryRemove{QIDs: make([]model.QueryID, n)}
 		for i := range qr.QIDs {
-			qr.QIDs[i] = d.qid()
+			qr.QIDs[i] = d.QID()
 		}
 		m = qr
 	case msg.KindVelocityChange:
-		vc := msg.VelocityChange{Focal: d.oid(), State: d.motionState()}
-		n := int(d.u16())
+		vc := msg.VelocityChange{Focal: d.OID(), State: d.MotionState()}
+		n := int(d.U16())
 		if n > (len(b)-d.off)/4 {
 			return nil, ErrTruncated
 		}
 		vc.Queries = make([]msg.QueryState, n)
 		for i := range vc.Queries {
-			vc.Queries[i] = d.queryState()
+			vc.Queries[i] = d.QueryState()
 		}
 		if len(vc.Queries) == 0 {
 			vc.Queries = nil
 		}
 		m = vc
 	case msg.KindFocalNotify:
-		m = msg.FocalNotify{OID: d.oid(), QID: d.qid(), Install: d.boolByte()}
+		m = msg.FocalNotify{OID: d.OID(), QID: d.QID(), Install: d.Bool()}
 	case msg.KindFocalInfoRequest:
-		m = msg.FocalInfoRequest{OID: d.oid()}
+		m = msg.FocalInfoRequest{OID: d.OID()}
 	case msg.KindNodeHello:
-		m = msg.NodeHello{Node: d.u32(), Proto: d.u16()}
+		m = msg.NodeHello{Node: d.U32(), Proto: d.U16()}
 	case msg.KindNodeHeartbeat:
-		m = msg.NodeHeartbeat{Node: d.u32(), Seq: d.u64()}
+		m = msg.NodeHeartbeat{Node: d.U32(), Seq: d.U64()}
 	case msg.KindAssignRange:
-		m = msg.AssignRange{Epoch: d.u64(), Node: d.u32(), Lo: d.u32(), Hi: d.u32()}
+		m = msg.AssignRange{Epoch: d.U64(), Node: d.U32(), Lo: d.U32(), Hi: d.U32()}
 	case msg.KindHandoff:
 		m = msg.Handoff{
-			Seq: d.u64(), OID: d.oid(), Relocate: d.boolByte(),
-			State: d.motionState(), Cell: d.cell(), Slice: d.bytes(),
+			Seq: d.U64(), OID: d.OID(), Relocate: d.Bool(),
+			State: d.MotionState(), Cell: d.Cell(), Slice: d.bytes(),
 		}
 	case msg.KindHandoffAck:
-		m = msg.HandoffAck{Seq: d.u64(), OID: d.oid()}
+		m = msg.HandoffAck{Seq: d.U64(), OID: d.OID()}
 	case msg.KindNodeOp:
-		m = msg.NodeOp{Seq: d.u64(), Code: d.u8(), Data: d.bytes()}
+		m = msg.NodeOp{Seq: d.U64(), Code: d.U8(), Data: d.bytes()}
 	case msg.KindNodeOpDone:
-		m = msg.NodeOpDone{Seq: d.u64(), Code: d.u8(), Data: d.bytes()}
+		m = msg.NodeOpDone{Seq: d.U64(), Code: d.U8(), Data: d.bytes()}
 	case msg.KindNodeDownlink:
 		nd := msg.NodeDownlink{
-			Broadcast: d.boolByte(), Region: d.cellRange(),
-			Target: d.oid(), Inner: d.bytes(),
+			Broadcast: d.Bool(), Region: d.CellRange(),
+			Target: d.OID(), Inner: d.bytes(),
 		}
 		// Canonical addressing: broadcasts carry no unicast target, unicasts
 		// carry no region — so every accepted frame has one encoding.
@@ -602,7 +656,7 @@ func decodeBody(d *decoder, kind msg.Kind) (msg.Message, error) {
 		}
 		m = nd
 	case msg.KindNodeTelemetry:
-		nt := msg.NodeTelemetry{Node: d.u32(), Seq: d.u64(), Payload: d.bytes()}
+		nt := msg.NodeTelemetry{Node: d.U32(), Seq: d.U64(), Payload: d.bytes()}
 		// A telemetry frame exists only to carry a batch: an empty payload is
 		// non-canonical (the worker would simply not send the frame).
 		if d.err == nil && len(nt.Payload) == 0 {
@@ -611,21 +665,21 @@ func decodeBody(d *decoder, kind msg.Kind) (msg.Message, error) {
 		m = nt
 	case msg.KindNodeStatus:
 		m = msg.NodeStatus{
-			Node: d.u32(), Seq: d.u64(), Epoch: d.u64(),
-			Lo: d.u32(), Hi: d.u32(), Digest: d.u64(), Ops: d.u64(),
+			Node: d.U32(), Seq: d.U64(), Epoch: d.U64(),
+			Lo: d.U32(), Hi: d.U32(), Digest: d.U64(), Ops: d.U64(),
 		}
 	case msg.KindCheckpointRequest:
-		m = msg.CheckpointRequest{Node: d.u32(), Since: d.u64()}
+		m = msg.CheckpointRequest{Node: d.U32(), Since: d.U64()}
 	case msg.KindNodeCheckpoint:
-		nc := msg.NodeCheckpoint{Node: d.u32(), Seq: d.u64()}
-		n := int(d.u32())
+		nc := msg.NodeCheckpoint{Node: d.U32(), Seq: d.U64()}
+		n := int(d.U32())
 		if n > (len(b)-d.off)/4 {
 			return nil, ErrTruncated
 		}
 		if n > 0 {
 			nc.Removed = make([]uint32, n)
 			for i := range nc.Removed {
-				nc.Removed[i] = d.u32()
+				nc.Removed[i] = d.U32()
 				// Strictly ascending: one canonical encoding per removal set,
 				// and the journal can apply deletions without a sort.
 				if d.err == nil && i > 0 && nc.Removed[i] <= nc.Removed[i-1] {
@@ -633,7 +687,7 @@ func decodeBody(d *decoder, kind msg.Kind) (msg.Message, error) {
 				}
 			}
 		}
-		k := int(d.u32())
+		k := int(d.U32())
 		if k > (len(b)-d.off)/4 {
 			return nil, ErrTruncated
 		}
@@ -652,11 +706,8 @@ func decodeBody(d *decoder, kind msg.Kind) (msg.Message, error) {
 	default:
 		return nil, fmt.Errorf("wire: unknown message kind %d", kind)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes", len(b)-d.off)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
