@@ -75,8 +75,10 @@ cluster:
 # mid-handoff kills, double kills, kills at rebalance edges) plus the
 # checkpoint/replay unit and teeth tests, under the race detector. On
 # failure the sweep shrinks the first violation to a minimal repro and, when
-# CRASH_REPRO_OUT names a file, writes it there (CI uploads it).
+# CRASH_REPRO_OUT names a file, writes it there (CI uploads it). The -list
+# line fails the gate when -run no longer matches the handoff-barrier test.
 crash:
+	$(GO) test -list 'Checkpoint' ./internal/core/ | grep -qx TestCheckpointBarrierAfterInOpWrites
 	$(GO) test -race -count=1 -run 'Crash|Checkpoint|Recovery' ./internal/simtest/ ./internal/core/ ./internal/cluster/ ./internal/obs/telemetry/
 
 # Stream & history gate: snapshot-then-delta gap-freeness across the serial

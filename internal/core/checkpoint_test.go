@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mobieyes/internal/geo"
+	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
 )
@@ -257,19 +258,36 @@ func TestCrashSuppressedReplayLosesState(t *testing.T) {
 	}
 }
 
-// TestCrashStaleWatermarkKeepsInvariants: with no explicit Checkpoint, the
-// journal holds only what the handoff-entry barriers captured — a stale
-// watermark. A crash must still recover cleanly: stale shadows of focals
-// that migrated away are skipped, whatever is journaled for focals the
-// dead node still owned is restored, and invariants hold throughout.
+// TestCrashStaleWatermarkKeepsInvariants: with the journal one checkpoint
+// behind — traffic, including a handoff, after the last pull — a crash must
+// still recover cleanly: stale shadows of focals that migrated away are
+// skipped, whatever is journaled for focals the dead node still owned is
+// restored, and invariants hold throughout.
 func TestCrashStaleWatermarkKeepsInvariants(t *testing.T) {
 	cluster := newClusterHarness(smallGrid(), Options{}, 3)
 	runScenario(cluster)
 	cs := cluster.server.(*ClusterServer)
-	if cs.Migrations() == 0 {
-		t.Fatal("scenario produced no handoffs — no barrier checkpoints to go stale")
+	if err := cs.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	if err := cs.CrashNode(1); err != nil {
+	// Step until a journaled focal has handed off away from its node (or
+	// departed): that node's journal then holds a stale shadow.
+	victim := -1
+	for step := 0; step < 10 && victim < 0; step++ {
+		cluster.keepInside()
+		cluster.step(model.FromSeconds(30))
+		for i := range cs.nodes {
+			for oid := range cs.journal[i].slices {
+				if ni, ok := cs.focalNode[oid]; !ok || ni != i {
+					victim = i
+				}
+			}
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no handoff after the watermark — no stale shadow to skip")
+	}
+	if err := cs.CrashNode(victim); err != nil {
 		t.Fatalf("CrashNode: %v", err)
 	}
 	if err := cs.CheckInvariants(); err != nil {
@@ -536,4 +554,122 @@ func TestCheckInvariantsCatchesMissedMark(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(true, "FOT delete once checkpointed")
+}
+
+// TestCheckpointBarrierAfterInOpWrites pins when a handoff journals its
+// source first: only after the uplink being dispatched has written node rows
+// (a rejoin's ClearResults sweep, or completed pending installs). Two nodes
+// on smallGrid split it at row 10. Focal Y (row 2, node 0) has a radius-40
+// query whose result holds X, itself a focal, at row 9 (node 0); X then
+// crosses into row 10 (node 1).
+func TestCheckpointBarrierAfterInOpWrites(t *testing.T) {
+	const (
+		y = model.ObjectID(1)
+		x = model.ObjectID(2)
+	)
+	g := smallGrid()
+	xFrom, xTo := geo.Pt(50, 47), geo.Pt(50, 52)
+	setup := func(t *testing.T) (*Server, *ClusterServer, []ServerAPI, model.QueryID) {
+		t.Helper()
+		serial := NewServer(g, Options{}, nullDown{})
+		cs := NewClusterServer(g, Options{}, nullDown{}, 2)
+		servers := []ServerAPI{serial, cs}
+		var qY model.QueryID
+		for _, s := range servers {
+			qY = s.InstallQuery(y, model.CircleRegion{R: 40}, matchAll, 100)
+			s.HandleUplink(msg.FocalInfoResponse{OID: y, Pos: geo.Pt(50, 12)})
+			s.InstallQuery(x, model.CircleRegion{R: 1}, matchAll, 100)
+			s.HandleUplink(msg.FocalInfoResponse{OID: x, Pos: xFrom})
+			s.HandleUplink(msg.ContainmentReport{OID: x, QID: qY, IsTarget: true})
+		}
+		if ni := cs.focalNode[x]; ni != 0 || cs.nodeOf(g.CellOf(xTo)) != 1 {
+			t.Fatalf("X on node %d, its target cell on node %d; want 0 -> 1", ni, cs.nodeOf(g.CellOf(xTo)))
+		}
+		if !idsEqual(cs.Result(qY), []model.ObjectID{x}) {
+			t.Fatalf("setup: result(qY) = %v, want [%d]", cs.Result(qY), x)
+		}
+		return serial, cs, servers, qY
+	}
+	apply := func(servers []ServerAPI, m msg.Message) {
+		for _, s := range servers {
+			s.HandleUplink(m)
+		}
+	}
+	// recovered checks that node 0 crashed inside the handoff and that the
+	// recovered router matches the serial server exactly.
+	recovered := func(t *testing.T, serial *Server, cs *ClusterServer, qY model.QueryID) {
+		t.Helper()
+		if cs.Spans()[0].Live {
+			t.Fatal("the armed handoff crash did not fire")
+		}
+		if got, want := cs.Result(qY), serial.Result(qY); !idsEqual(got, want) {
+			t.Errorf("result(qY) = %v, serial %v", got, want)
+		}
+		var a, b bytes.Buffer
+		if err := serial.Snapshot(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.Snapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Error("recovered snapshot differs from the serial server's")
+		}
+		if err := cs.CheckInvariants(); err != nil {
+			t.Errorf("invariants after recovery: %v", err)
+		}
+	}
+	rejoin := msg.CellChangeReport{OID: x, PrevCell: grid.CellID{Col: -1, Row: -1}, NewCell: g.CellOf(xTo), Pos: xTo}
+	crossing := msg.CellChangeReport{OID: x, PrevCell: g.CellOf(xFrom), NewCell: g.CellOf(xTo), Pos: xTo, Tm: 1}
+	velocity := msg.VelocityReport{OID: y, Pos: geo.Pt(51, 12), Vel: geo.Vec(1, 0), Tm: 1}
+
+	t.Run("rejoin journals the source", func(t *testing.T) {
+		// The sweep drops X from Y's result on node 0 before the extract:
+		// only a pull carries that into the journal a crash replays.
+		serial, cs, servers, qY := setup(t)
+		if err := cs.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		_, seq := cs.JournalSize(0)
+		apply(servers, rejoin)
+		if _, after := cs.JournalSize(0); after == seq {
+			t.Errorf("rejoin handoff left node 0's journal at seq %d", seq)
+		}
+
+		serial, cs, servers, qY = setup(t)
+		if err := cs.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		cs.ArmCrashOnHandoff(0)
+		apply(servers, rejoin)
+		recovered(t, serial, cs, qY)
+	})
+	t.Run("plain crossing skips the pull", func(t *testing.T) {
+		_, cs, servers, _ := setup(t)
+		if err := cs.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		apply(servers, velocity)
+		_, seq := cs.JournalSize(0)
+		apply(servers, crossing)
+		if cs.Migrations() != 1 {
+			t.Fatalf("migrations = %d, want 1", cs.Migrations())
+		}
+		if _, after := cs.JournalSize(0); after != seq {
+			t.Errorf("plain crossing pulled node 0's checkpoint: seq %d -> %d", seq, after)
+		}
+	})
+	t.Run("plain crossing recovers", func(t *testing.T) {
+		serial, cs, servers, qY := setup(t)
+		if err := cs.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		apply(servers, velocity)
+		if err := cs.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		cs.ArmCrashOnHandoff(0)
+		apply(servers, crossing)
+		recovered(t, serial, cs, qY)
+	})
 }

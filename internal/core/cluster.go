@@ -130,10 +130,10 @@ func NewClusterServer(g *grid.Grid, opts Options, down Downlink, n int) *Cluster
 
 // NewShardedServer returns the router over in-process nodes that share its
 // process and fate — what -shards N runs; shards <= 0 selects GOMAXPROCS.
-// Such a node cannot die without the router, so it is not journaled: the
-// handoff checkpoint barrier cost engine_mix +13 % live heap and +50 %
-// set-up time for a recovery path that cannot fire (DESIGN.md §13), and
-// CrashNode refuses these nodes. The name, and UplinksByShard below, are
+// Such a node cannot die without the router, so it is not journaled:
+// CrashNode refuses these nodes, and a handoff that pulls (one after a
+// rejoin sweep or completed installs, DESIGN.md §15) copies nothing into a
+// journal no recovery could use. The name, and UplinksByShard below, are
 // kept only because the frozen benchmark/ calls them.
 func NewShardedServer(g *grid.Grid, opts Options, down Downlink, shards int) *ClusterServer {
 	if shards <= 0 {
@@ -632,17 +632,18 @@ func (cs *ClusterServer) onFocalInfoResponse(m msg.FocalInfoResponse, tid trace.
 	ni := cs.nodeOf(cs.g.CellOf(m.Pos))
 	cs.nUpl[ni].Add(1)
 	cs.acctNodeUplink(ni, m.Kind(), m.Size())
-	cs.applyFocalInfo(m.OID, model.MotionState{Pos: m.Pos, Vel: m.Vel, Tm: m.Tm}, tid)
+	cs.applyFocalInfo(m.OID, model.MotionState{Pos: m.Pos, Vel: m.Vel, Tm: m.Tm}, false, tid)
 }
 
 // applyFocalInfo refreshes oid's FOT row from a reported motion state —
 // handing it off when the reported cell belongs to another node's span —
-// and completes pending installations.
-func (cs *ClusterServer) applyFocalInfo(oid model.ObjectID, st model.MotionState, tid trace.ID) {
+// and completes pending installations. wrote says whether the uplink being
+// dispatched has already written node rows (see handoff).
+func (cs *ClusterServer) applyFocalInfo(oid model.ObjectID, st model.MotionState, wrote bool, tid trace.ID) {
 	cell := cs.g.CellOf(st.Pos)
 	di := cs.nodeOf(cell)
 	if si, known := cs.focalNode[oid]; known && si != di {
-		cs.handoff(si, di, oid, st, cell, false, tid)
+		cs.handoff(si, di, oid, st, cell, false, wrote, tid)
 	} else {
 		cs.nodes[di].UpsertFocal(oid, st, tid)
 		cs.focalNode[oid] = di
@@ -659,15 +660,21 @@ func (cs *ClusterServer) applyFocalInfo(oid model.ObjectID, st model.MotionState
 // then repoint focalNode/queryNode. relocate selects the §3.5 monitoring-
 // region recomputation on the destination, exactly like the serial server's
 // in-table relocation.
-func (cs *ClusterServer) handoff(si, di int, oid model.ObjectID, st model.MotionState, cell grid.CellID, relocate bool, tid trace.ID) {
+//
+// wrote says whether the uplink being dispatched has already written node
+// rows before this extract (a rejoin's ClearResults sweep, or completed
+// pending installs). Only then does the source's checkpoint get pulled
+// first: otherwise the journal as of the last pull plus the slice in hand
+// is already the source at this instant, so a crash between the two phases
+// loses what any crash loses — writes since the last pull (DESIGN.md §15).
+func (cs *ClusterServer) handoff(si, di int, oid model.ObjectID, st model.MotionState, cell grid.CellID, relocate, wrote bool, tid trace.ID) {
 	if cs.rec != nil {
 		cs.rec.Event(tid, trace.KindMigrate, "router", int64(oid), 0, fmt.Sprintf("node%d -> node%d", si, di))
 	}
-	// Checkpoint barrier: journal the source's rows before the destructive
-	// extract, so a crash between the two phases loses nothing — the slice
-	// in hand and the journal agree byte-for-byte at this instant. A failed
-	// pull leaves the journal at its previous watermark (see DESIGN.md §15).
-	_ = cs.checkpointNodeLocked(si)
+	if wrote {
+		// A failed pull leaves the journal at its previous watermark.
+		_ = cs.checkpointNodeLocked(si)
+	}
 	slice, err := cs.nodes[si].ExtractFocal(oid, false, tid)
 	if err != nil {
 		panic(fmt.Sprintf("core: handoff extract of focal %d from node %d: %v", oid, si, err))
@@ -705,7 +712,10 @@ func (cs *ClusterServer) handoff(si, di int, oid model.ObjectID, st model.Motion
 
 func (cs *ClusterServer) onCellChangeReport(m msg.CellChangeReport, tid trace.ID) {
 	st := model.MotionState{Pos: m.Pos, Vel: m.Vel, Tm: m.Tm}
-	if !cs.g.Valid(m.PrevCell) {
+	// wrote: whether this uplink has written node rows before a handoff
+	// below, which then journals its source first (see handoff).
+	wrote := !cs.g.Valid(m.PrevCell)
+	if wrote {
 		// (Re)join: drop stale result entries across every node before the
 		// object re-reports, exactly like the serial server.
 		for i, nd := range cs.nodes {
@@ -717,20 +727,21 @@ func (cs *ClusterServer) onCellChangeReport(m msg.CellChangeReport, tid trace.ID
 	if cs.book.waiting(m.OID) {
 		// The report carries the object's motion state; complete pending
 		// installs from it (the FocalInfoRequest may have been lost).
-		cs.applyFocalInfo(m.OID, st, tid)
+		cs.applyFocalInfo(m.OID, st, wrote, tid)
+		wrote = true
 	}
 	ni := cs.nodeOf(m.NewCell)
 	cs.nUpl[ni].Add(1)
 	cs.acctNodeUplink(ni, m.Kind(), m.Size())
-	cs.focalCellChange(m.OID, st, m.NewCell, tid)
+	cs.focalCellChange(m.OID, st, m.NewCell, wrote, tid)
 	cs.sendNewNearbyQueries(m.OID, m.PrevCell, m.NewCell, tid)
 	cs.ops.Add(1)
 }
 
 // focalCellChange routes a focal object's cell crossing: node-local when
 // the new cell stays in the owner's span, otherwise a cross-node handoff
-// with monitoring-region relocation on the destination.
-func (cs *ClusterServer) focalCellChange(oid model.ObjectID, st model.MotionState, newCell grid.CellID, tid trace.ID) {
+// with monitoring-region relocation on the destination. wrote is handoff's.
+func (cs *ClusterServer) focalCellChange(oid model.ObjectID, st model.MotionState, newCell grid.CellID, wrote bool, tid trace.ID) {
 	si, ok := cs.focalNode[oid]
 	if !ok {
 		return // not focal: nothing to relocate
@@ -740,7 +751,7 @@ func (cs *ClusterServer) focalCellChange(oid model.ObjectID, st model.MotionStat
 		cs.nodes[si].FocalCellChange(oid, st, newCell, tid)
 		return
 	}
-	cs.handoff(si, di, oid, st, newCell, true, tid)
+	cs.handoff(si, di, oid, st, newCell, true, wrote, tid)
 }
 
 // sendNewNearbyQueries unions RQI(newCell) \ RQI(prevCell) across nodes and

@@ -238,16 +238,22 @@ func TestRemoteRejectsInadmissibleFrames(t *testing.T) {
 
 	// kept handshakes as oid, sends m and then a Ping, and reports whether
 	// the Pong came back — false when the server dropped the connection.
+	// The three frames go out in one write: the server closes on a rejected
+	// frame, so a later write could fail with EPIPE.
 	kept := func(oid model.ObjectID, m msg.Message) bool {
 		conn, err := net.Dial("tcp", s.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
+		var buf []byte
 		for _, frame := range [][]byte{EncodeHello(oid), messageFrame(m), messageFrame(msg.Ping{Token: 7})} {
-			if err := WriteFrame(conn, frame); err != nil {
+			if buf, err = AppendFrame(buf, frame); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if _, err := conn.Write(buf); err != nil {
+			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(3 * time.Second))
 		br := bufio.NewReader(conn)
