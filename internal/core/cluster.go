@@ -44,9 +44,9 @@ import (
 // tables — no result entry is lost or duplicated, which the differential
 // snapshot oracle verifies byte-for-byte. See DESIGN.md §13.
 type ClusterServer struct {
+	sendPath
 	g     *grid.Grid
 	opts  Options
-	down  Downlink
 	nodes []NodeHandle
 	// local mirrors nodes for in-process NodeServers (nil per remote node);
 	// tracing, accounting and result listeners need direct engine access
@@ -77,10 +77,7 @@ type ClusterServer struct {
 	// kept separate from migrations, which tracks protocol handoffs.
 	migrationsAdminDone int
 
-	obsm  *serverObs
-	rec   *trace.Recorder
-	tdown TracedDownlink
-	acct  *cost.Accountant
+	obsm *serverObs
 
 	// tel is the cluster telemetry plane (nil when disabled); probe runs one
 	// synchronous heartbeat exchange with a node — the TCP tier installs
@@ -92,11 +89,14 @@ type ClusterServer struct {
 	// mu serializes all routing and node dispatch. focalNode/queryNode map
 	// ownership; book mints qids and holds the installs waiting on a
 	// FocalInfoRequest (queries exist only at the router until their focal
-	// object is located).
+	// object is located). freshBuf is the scratch the cross-node
+	// RQI(new) ∖ RQI(prev) union is collected in and lent to the downlink
+	// (DESIGN.md §13).
 	mu        sync.Mutex
 	focalNode map[model.ObjectID]int
 	queryNode map[model.QueryID]int
 	book      queryBook
+	freshBuf  []msg.QueryState
 
 	// journal holds each node's last checkpoint (focal slices keyed by oid),
 	// replayed into the survivors when the node crashes without a drain.
@@ -172,9 +172,9 @@ func NewClusterServerOver(g *grid.Grid, opts Options, down Downlink, handles []N
 
 func newClusterServer(g *grid.Grid, opts Options, down Downlink, handles []NodeHandle, local []*NodeServer) *ClusterServer {
 	cs := &ClusterServer{
+		sendPath:   sendPath{down: down},
 		g:          g,
 		opts:       opts,
-		down:       down,
 		nodes:      handles,
 		local:      local,
 		spanLo:     make([]int, len(handles)),
@@ -451,27 +451,6 @@ func (cs *ClusterServer) mintRoot(oid model.ObjectID, qid model.QueryID, note st
 	return tid
 }
 
-// unicast is the router-level unicast funnel (sends outside any node).
-func (cs *ClusterServer) unicast(oid model.ObjectID, m msg.Message, tid trace.ID) {
-	if cs.acct != nil {
-		_, qid := TraceRef(m)
-		sz := m.Size()
-		cs.acct.ObjectDown(int64(oid), sz, 1)
-		if qid != 0 {
-			cs.acct.QueryDown(qid, sz, 1)
-		}
-	}
-	if cs.rec != nil {
-		_, qid := TraceRef(m)
-		cs.rec.Event(tid, trace.KindUnicast, "router", int64(oid), qid, m.Kind().String())
-		if cs.tdown != nil {
-			cs.tdown.UnicastTraced(oid, m, tid)
-			return
-		}
-	}
-	cs.down.Unicast(oid, m)
-}
-
 // InstallQuery starts installation of a moving query (§3.3), routed to the
 // node owning the focal object.
 func (cs *ClusterServer) InstallQuery(focal model.ObjectID, region model.Region, filter model.Filter, focalMaxVel float64) model.QueryID {
@@ -496,7 +475,7 @@ func (cs *ClusterServer) InstallQueryUntil(focal model.ObjectID, region model.Re
 	cs.mu.Unlock()
 	cs.ops.Add(1)
 	if first {
-		cs.unicast(focal, msg.FocalInfoRequest{OID: focal}, tid)
+		cs.unicastAs("router", tid, focal, msg.FocalInfoRequest{OID: focal})
 	}
 	return qid
 }
@@ -756,22 +735,28 @@ func (cs *ClusterServer) focalCellChange(oid model.ObjectID, st model.MotionStat
 
 // sendNewNearbyQueries unions RQI(newCell) \ RQI(prevCell) across nodes and
 // ships the result to the object, ascending by query ID exactly like the
-// serial server.
+// serial server. The union is built in cs.freshBuf and lent to the downlink.
 func (cs *ClusterServer) sendNewNearbyQueries(oid model.ObjectID, prevCell, newCell grid.CellID, tid trace.ID) {
-	var fresh []msg.QueryState
+	fresh, runs := cs.freshBuf[:0], 0
 	for i, nd := range cs.nodes {
 		if cs.live[i] {
-			fresh = nd.FreshQueryStates(fresh, prevCell, newCell)
+			n := len(fresh)
+			if fresh = nd.FreshQueryStates(fresh, prevCell, newCell); len(fresh) > n {
+				runs++
+			}
 		}
 	}
+	cs.freshBuf = fresh
 	if len(fresh) == 0 {
 		return
 	}
 	// Each node appended an ascending run and a query lives on one node, so
 	// this is already ordered unless several nodes contributed (cells near a
 	// span boundary) — and then nearly so.
-	slices.SortFunc(fresh, func(a, b msg.QueryState) int { return cmp.Compare(a.QID, b.QID) })
-	cs.unicast(oid, msg.QueryInstall{Queries: fresh}, tid)
+	if runs > 1 {
+		slices.SortFunc(fresh, func(a, b msg.QueryState) int { return cmp.Compare(a.QID, b.QID) })
+	}
+	cs.unicastAs("router", tid, oid, msg.QueryInstall{Queries: fresh})
 	cs.ops.Add(1)
 }
 
@@ -1163,7 +1148,7 @@ func (cs *ClusterServer) Restore(r io.Reader) error {
 		}
 	}
 	for _, focal := range cs.book.restore(snap.nextQID, snap.pending) {
-		cs.unicast(focal, msg.FocalInfoRequest{OID: focal}, 0)
+		cs.unicastAs("router", 0, focal, msg.FocalInfoRequest{OID: focal})
 	}
 	return nil
 }

@@ -82,6 +82,13 @@ type Options struct {
 // Downlink is the server's transport: broadcasts reach every object under
 // the base stations covering the region (the receiver decides relevance);
 // unicasts reach one object.
+//
+// The server lends each message: m, and the slices it holds, are valid only
+// for the duration of the Broadcast or Unicast call (and of the Traced forms
+// of TracedDownlink). The state lists of QueryInstall and VelocityChange live
+// in scratch the server overwrites on its next send. A downlink that encodes
+// or sizes m during the call needs nothing more; one that keeps m past the
+// call — to queue it for later delivery — keeps msg.Retain(m) instead.
 type Downlink interface {
 	Broadcast(region grid.CellRange, m msg.Message)
 	Unicast(oid model.ObjectID, m msg.Message)

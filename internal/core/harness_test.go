@@ -75,16 +75,18 @@ func (h *harness) addObject(oid model.ObjectID, pos geo.Point, vel geo.Vector, m
 	h.clients = append(h.clients, c)
 }
 
+// harnessDown queues each send for flushDown, so it keeps msg.Retain of the
+// lent message.
 type harnessDown struct{ h *harness }
 
 func (d harnessDown) Broadcast(region grid.CellRange, m msg.Message) {
 	d.h.downCount[m.Kind()]++
-	d.h.downQueue = append(d.h.downQueue, queuedDown{target: -1, m: m})
+	d.h.downQueue = append(d.h.downQueue, queuedDown{target: -1, m: msg.Retain(m)})
 }
 
 func (d harnessDown) Unicast(oid model.ObjectID, m msg.Message) {
 	d.h.downCount[m.Kind()]++
-	d.h.downQueue = append(d.h.downQueue, queuedDown{target: oid, m: m})
+	d.h.downQueue = append(d.h.downQueue, queuedDown{target: oid, m: msg.Retain(m)})
 }
 
 type harnessUp struct {

@@ -91,13 +91,7 @@ func TestFreshQueryStatesMatchesBruteForce(t *testing.T) {
 		installSpread(h)
 		for _, mv := range cellMoves {
 			t.Run(name+"/"+mv.name, func(t *testing.T) {
-				var want []model.QueryID
-				prev := h.server.NearbyQueries(mv.prev)
-				for _, qid := range h.server.NearbyQueries(mv.new) {
-					if !slices.Contains(prev, qid) {
-						want = append(want, qid)
-					}
-				}
+				want := bruteFresh(h.server, mv.prev, mv.new)
 				if srv, ok := h.server.(*Server); ok {
 					if got := qidsOf(srv.freshQueryStates(nil, mv.prev, mv.new)); !slices.Equal(got, want) {
 						t.Errorf("freshQueryStates = %v, want %v", got, want)
@@ -110,6 +104,52 @@ func TestFreshQueryStatesMatchesBruteForce(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// bruteFresh is NearbyQueries(next) ∖ NearbyQueries(prev), ascending.
+func bruteFresh(s ServerAPI, prev, next grid.CellID) []model.QueryID {
+	var out []model.QueryID
+	seen := s.NearbyQueries(prev)
+	for _, qid := range s.NearbyQueries(next) {
+		if !slices.Contains(seen, qid) {
+			out = append(out, qid)
+		}
+	}
+	return out
+}
+
+// TestKeptSendsOutliveTheLend: the server lends every state list it sends
+// from scratch it reuses (see Downlink), so a downlink that keeps messages
+// keeps msg.Retain copies — the harness's does. Queued unflushed across a
+// run of cell changes, send k must still carry its own queries after sends
+// k+1… have shipped different ones through the same scratch.
+func TestKeptSendsOutliveTheLend(t *testing.T) {
+	const mover = model.ObjectID(1000) // never focal
+	for name, h := range rqiServers() {
+		t.Run(name, func(t *testing.T) {
+			installSpread(h)
+			h.downQueue = nil
+			var want [][]model.QueryID
+			for _, mv := range cellMoves {
+				if w := bruteFresh(h.server, mv.prev, mv.new); len(w) > 0 {
+					want = append(want, w)
+				}
+				h.server.HandleUplink(msg.CellChangeReport{OID: mover, PrevCell: mv.prev, NewCell: mv.new, Pos: cellCenter(h.g, mv.new)})
+			}
+			var got [][]model.QueryID
+			for _, q := range h.downQueue {
+				if qi, ok := q.m.(msg.QueryInstall); ok && q.target == mover {
+					got = append(got, qidsOf(qi.Queries))
+				}
+			}
+			if len(want) < 2 || slices.Equal(want[0], want[1]) {
+				t.Fatalf("want %v: need two different consecutive sends", want)
+			}
+			if !slices.EqualFunc(got, want, slices.Equal) {
+				t.Errorf("kept sends carry %v, want %v", got, want)
+			}
+		})
 	}
 }
 

@@ -45,9 +45,9 @@ type sqtEntry struct {
 // tracks significant position changes of focal objects and relays them to
 // the monitoring regions of the affected queries.
 type Server struct {
+	sendPath
 	g    *grid.Grid
 	opts Options
-	down Downlink
 
 	fot map[model.ObjectID]*fotEntry
 	sqt map[model.QueryID]*sqtEntry
@@ -86,36 +86,37 @@ type Server struct {
 	// broadcast metrics), attached by Instrument; nil means uninstrumented.
 	obsm *serverObs
 
-	// Causal tracing (see internal/obs/trace and DESIGN.md §11). rec is the
-	// flight recorder attached by SetTracer (nil = off); actor names this
-	// server in events ("server", or "nodeN" under the router); tdown
-	// caches the downlink's TracedDownlink extension, if any. curTrace is
+	// Causal tracing (see internal/obs/trace and DESIGN.md §11): sendPath's
+	// rec is the flight recorder attached by SetTracer; actor names this
+	// server in events ("server", or "nodeN" under the router). curTrace is
 	// the trace ID of the dispatch in flight; owned by the single dispatch
-	// goroutine (or the router lock when running as a node).
-	rec      *trace.Recorder
+	// goroutine (or the router lock when running as a node). sendPath's
+	// acct is the cost accountant attached by SetAccountant: table work and
+	// RQI touches are charged as computation units, and the broadcast and
+	// unicast funnels attribute traffic per query/object (DESIGN.md §12).
 	actor    string
-	tdown    TracedDownlink
 	curTrace trace.ID
 
-	// acct is the cost accountant attached by SetAccountant (nil = off):
-	// table work and RQI touches are charged as computation units, and the
-	// broadcast/unicast funnels attribute traffic per query/object. See
-	// internal/obs/cost and DESIGN.md §12.
-	acct *cost.Accountant
+	// freshBuf is the scratch every QueryInstall and LQP VelocityChange
+	// state list is built in: the downlink borrows it for the duration of
+	// one send (see Downlink), so a send allocates no list. No two sends
+	// overlap, so one buffer serves them all. Owned, like curTrace, by
+	// whoever serializes dispatch.
+	freshBuf []msg.QueryState
 }
 
 // NewServer returns a MobiEyes server over grid g, sending through down.
 func NewServer(g *grid.Grid, opts Options, down Downlink) *Server {
 	return &Server{
-		g:    g,
-		opts: opts,
-		down: down,
-		fot:  make(map[model.ObjectID]*fotEntry),
-		sqt:  make(map[model.QueryID]*sqtEntry),
-		rqi:  make([][]*sqtEntry, g.NumCells()),
-		book: newQueryBook(),
-		ops:  obs.NewCounter(),
-		upl:  obs.NewCounter(),
+		sendPath: sendPath{down: down},
+		g:        g,
+		opts:     opts,
+		fot:      make(map[model.ObjectID]*fotEntry),
+		sqt:      make(map[model.QueryID]*sqtEntry),
+		rqi:      make([][]*sqtEntry, g.NumCells()),
+		book:     newQueryBook(),
+		ops:      obs.NewCounter(),
+		upl:      obs.NewCounter(),
 	}
 }
 
@@ -258,9 +259,7 @@ func (s *Server) completeInstall(qid model.QueryID, q model.Query, focalMaxVel f
 	// Tell the object it is now focal (sets hasMQ)…
 	s.unicast(q.Focal, msg.FocalNotify{OID: q.Focal, QID: qid, Install: true})
 	// …and ship the query to every object in the monitoring region.
-	s.broadcast(monRegion, msg.QueryInstall{
-		Queries: []msg.QueryState{e.wireState()},
-	})
+	s.broadcast(monRegion, msg.QueryInstall{Queries: s.lendState(e)})
 	s.ops.Add(3)
 	s.acct.Compute(cost.UnitTableOp, 1)
 }
@@ -350,9 +349,11 @@ func (s *Server) broadcastVelocityChange(focal model.ObjectID, fe *fotEntry, qid
 	if s.opts.Mode == LazyPropagation {
 		// §3.5: expand the notification with region and filter so objects
 		// that changed cells silently can self-install.
+		states := s.freshBuf[:0]
 		for _, qid := range qids {
-			vc.Queries = append(vc.Queries, s.sqt[qid].wireState())
+			states = append(states, s.sqt[qid].wireState())
 		}
+		s.freshBuf, vc.Queries = states, states
 	}
 	s.broadcast(region, vc)
 	s.ops.Add(1)
@@ -465,28 +466,33 @@ func (s *Server) relocateQuery(e *sqtEntry, newCell grid.CellID) {
 		e.monRegion = newRegion
 		s.ev(trace.KindTable, e.query.Focal, e.query.ID, "RQI relocate")
 	}
-	s.broadcast(oldRegion.Union(newRegion), msg.QueryInstall{
-		Queries: []msg.QueryState{e.wireState()},
-	})
+	s.broadcast(oldRegion.Union(newRegion), msg.QueryInstall{Queries: s.lendState(e)})
 	s.ops.Add(2)
 	s.acct.Compute(cost.UnitTableOp, 1)
 }
 
 // sendNewNearbyQueries computes RQI(newCell) \ RQI(prevCell) and sends those
-// queries to the object one-to-one.
+// queries to the object one-to-one, in the lent s.freshBuf.
 func (s *Server) sendNewNearbyQueries(oid model.ObjectID, prevCell, newCell grid.CellID) {
-	fresh := s.freshQueryStates(nil, prevCell, newCell)
-	if len(fresh) == 0 {
+	s.freshBuf = s.freshQueryStates(s.freshBuf[:0], prevCell, newCell)
+	if len(s.freshBuf) == 0 {
 		return
 	}
-	s.unicast(oid, msg.QueryInstall{Queries: fresh})
+	s.unicast(oid, msg.QueryInstall{Queries: s.freshBuf})
 	s.ops.Add(1)
+}
+
+// lendState returns e's wire state as a one-element list in s.freshBuf,
+// for a send that lends it (see Downlink).
+func (s *Server) lendState(e *sqtEntry) []msg.QueryState {
+	s.freshBuf = append(s.freshBuf[:0], e.wireState())
+	return s.freshBuf
 }
 
 // freshQueryStates appends to dst the wire states of RQI(newCell) \
 // RQI(prevCell), ascending by query ID — the queries an object entering
-// newCell from prevCell has not seen yet — growing dst at most once, to the
-// exact size. The router collects this across nodes.
+// newCell from prevCell has not seen yet. The router collects this across
+// nodes.
 //
 // A row of RQI(newCell) is in RQI(prevCell) exactly when its monitoring
 // region contains prevCell (the RQI ↔ SQT agreement CheckInvariants
@@ -496,19 +502,8 @@ func (s *Server) freshQueryStates(dst []msg.QueryState, prevCell, newCell grid.C
 	if !s.g.Valid(newCell) {
 		return dst
 	}
-	list := s.rqi[s.g.CellIndex(newCell)]
 	rejoin := !s.g.Valid(prevCell)
-	n := 0
-	for _, e := range list {
-		if rejoin || !e.monRegion.Contains(prevCell) {
-			n++
-		}
-	}
-	if n == 0 {
-		return dst
-	}
-	dst = slices.Grow(dst, n)
-	for _, e := range list {
+	for _, e := range s.rqi[s.g.CellIndex(newCell)] {
 		if rejoin || !e.monRegion.Contains(prevCell) {
 			dst = append(dst, e.wireState())
 		}

@@ -147,23 +147,39 @@ func (s *Server) endRoot(root bool) {
 // unicast funnels every server unicast so it can be recorded and, when the
 // transport supports it, tagged with the causing trace ID.
 func (s *Server) unicast(oid model.ObjectID, m msg.Message) {
-	if s.acct != nil {
-		// Unicasts are charged to the receiving object; query-scoped kinds
-		// (FocalNotify, QueryInstall) also charge the query.
+	s.unicastAs(s.actor, s.curTrace, oid, m)
+}
+
+// sendPath is what both servers send through: the downlink, its traced
+// extension (set by SetTracer when the downlink implements it), the flight
+// recorder (nil = off) and the cost accountant (nil = off).
+type sendPath struct {
+	down  Downlink
+	tdown TracedDownlink
+	rec   *trace.Recorder
+	acct  *cost.Accountant
+}
+
+// unicastAs is the one unicast funnel: the send is charged to the receiving
+// object — and, for query-scoped kinds (FocalNotify, QueryInstall), to the
+// query — recorded as actor's under tid, and handed to the transport, traced
+// when tracing is on and the transport can carry tid.
+func (p *sendPath) unicastAs(actor string, tid trace.ID, oid model.ObjectID, m msg.Message) {
+	if p.acct != nil {
 		_, qid := TraceRef(m)
 		sz := m.Size()
-		s.acct.ObjectDown(int64(oid), sz, 1)
+		p.acct.ObjectDown(int64(oid), sz, 1)
 		if qid != 0 {
-			s.acct.QueryDown(qid, sz, 1)
+			p.acct.QueryDown(qid, sz, 1)
 		}
 	}
-	if s.rec != nil {
+	if p.rec != nil {
 		_, qid := TraceRef(m)
-		s.rec.Event(s.curTrace, trace.KindUnicast, s.actor, int64(oid), qid, m.Kind().String())
-		if s.tdown != nil {
-			s.tdown.UnicastTraced(oid, m, s.curTrace)
+		p.rec.Event(tid, trace.KindUnicast, actor, int64(oid), qid, m.Kind().String())
+		if p.tdown != nil {
+			p.tdown.UnicastTraced(oid, m, tid)
 			return
 		}
 	}
-	s.down.Unicast(oid, m)
+	p.down.Unicast(oid, m)
 }

@@ -14,6 +14,8 @@
 package msg
 
 import (
+	"slices"
+
 	"mobieyes/internal/geo"
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
@@ -276,6 +278,27 @@ func (m QueryInstall) Size() int {
 		n += qs.wireSize()
 	}
 	return n
+}
+
+// Retain returns m with the state list of a QueryInstall or VelocityChange
+// copied, so the result stays valid after the scratch m was built in is
+// reused — what a downlink that keeps a lent message past the send stores
+// (see core.Downlink). Every other kind, and a message with no states (an
+// EQP VelocityChange), is returned unchanged, without a new allocation.
+func Retain(m Message) Message {
+	switch mm := m.(type) {
+	case QueryInstall:
+		if len(mm.Queries) > 0 {
+			mm.Queries = slices.Clone(mm.Queries)
+			return mm
+		}
+	case VelocityChange:
+		if len(mm.Queries) > 0 {
+			mm.Queries = slices.Clone(mm.Queries)
+			return mm
+		}
+	}
+	return m
 }
 
 // QueryRemove tells objects to drop queries from their LQTs (uninstall).

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mobieyes/internal/model"
@@ -212,5 +213,57 @@ func TestDepartureReportShape(t *testing.T) {
 	}
 	if m.Size() != HeaderSize+IDSize {
 		t.Errorf("Size = %d", m.Size())
+	}
+}
+
+// TestRetainCopiesLentStateLists: after Retain, overwriting or appending to
+// the source's state list — what a server does to the scratch it lent —
+// leaves the copy as it was, for both kinds that carry one; every other kind
+// comes back unchanged.
+func TestRetainCopiesLentStateLists(t *testing.T) {
+	scratch := make([]QueryState, 2, 4)
+	scratch[0] = QueryState{QID: 1, Focal: 7, Region: model.CircleRegion{R: 3}}
+	scratch[1] = QueryState{QID: 2, Focal: 7, Region: model.CircleRegion{R: 5}}
+	want := []QueryState{scratch[0], scratch[1]}
+	for _, lent := range []Message{
+		QueryInstall{Queries: scratch},
+		VelocityChange{Focal: 7, Queries: scratch},
+	} {
+		kept := Retain(lent)
+		scratch[0] = QueryState{QID: 9}
+		_ = append(scratch[:1], QueryState{QID: 10})
+		var got []QueryState
+		switch k := kept.(type) {
+		case QueryInstall:
+			got = k.Queries
+		case VelocityChange:
+			got = k.Queries
+			if k.Focal != 7 {
+				t.Errorf("VelocityChange focal %d after Retain, want 7", k.Focal)
+			}
+		default:
+			t.Fatalf("Retain(%v) returned %v", lent.Kind(), kept.Kind())
+		}
+		if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+			t.Errorf("%v kept %v after the scratch was reused, want %v", lent.Kind(), got, want)
+		}
+		scratch[0], scratch[1] = want[0], want[1]
+	}
+	eqp := Message(VelocityChange{Focal: 3})
+	if allocs := testing.AllocsPerRun(10, func() { eqp = Retain(eqp) }); allocs != 0 {
+		t.Errorf("Retain of an EQP VelocityChange allocates %v times, want 0", allocs)
+	}
+	if vc := eqp.(VelocityChange); vc.Focal != 3 || vc.Queries != nil {
+		t.Errorf("Retain changed an EQP VelocityChange: %+v", vc)
+	}
+	for _, m := range []Message{
+		QueryRemove{QIDs: []model.QueryID{4}},
+		FocalNotify{OID: 3, QID: 4, Install: true},
+		FocalInfoRequest{OID: 3},
+		CellChangeReport{OID: 3},
+	} {
+		if got := Retain(m); !reflect.DeepEqual(got, m) {
+			t.Errorf("Retain(%#v) = %#v, want it unchanged", m, got)
+		}
 	}
 }

@@ -39,13 +39,15 @@ type queuedDown struct {
 	m      msg.Message
 }
 
+// hDown queues each send for delivery after the op, so it keeps msg.Retain
+// of the lent message.
 type hDown struct{ h *harness }
 
 func (d hDown) Broadcast(_ grid.CellRange, m msg.Message) {
-	d.h.queue = append(d.h.queue, queuedDown{target: -1, m: m})
+	d.h.queue = append(d.h.queue, queuedDown{target: -1, m: msg.Retain(m)})
 }
 func (d hDown) Unicast(oid model.ObjectID, m msg.Message) {
-	d.h.queue = append(d.h.queue, queuedDown{target: oid, m: m})
+	d.h.queue = append(d.h.queue, queuedDown{target: oid, m: msg.Retain(m)})
 }
 
 type hUp struct{ h *harness }

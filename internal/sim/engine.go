@@ -250,7 +250,8 @@ func (e *Engine) Now() model.Time { return e.now }
 
 // engineDownlink implements core.Downlink (and core.TracedDownlink, so a
 // traced server can hand over the causing trace ID) with metered,
-// cell-granular delivery.
+// cell-granular delivery. Delivery happens after the send returns, so the
+// queue keeps msg.Retain of each lent message.
 type engineDownlink struct{ e *Engine }
 
 var _ core.TracedDownlink = engineDownlink{}
@@ -264,7 +265,7 @@ func (d engineDownlink) BroadcastTraced(region grid.CellRange, m msg.Message, ti
 	stations := e.dep.Cover(region)
 	cells := e.cellUnion(stations)
 	e.meter.RecordDownlink(m, len(stations))
-	e.downQueue = append(e.downQueue, engineDown{target: -1, cells: cells, m: m, tid: tid})
+	e.downQueue = append(e.downQueue, engineDown{target: -1, cells: cells, m: msg.Retain(m), tid: tid})
 	if e.acct != nil {
 		// Transport-level attribution: one transmission per relaying base
 		// station in the global ledger, one delivery per station and per
@@ -324,7 +325,7 @@ func (d engineDownlink) UnicastTraced(oid model.ObjectID, m msg.Message, tid tra
 		}
 	}
 	e.meter.RecordDownlink(m, 1)
-	e.downQueue = append(e.downQueue, engineDown{target: oid, m: m, tid: tid})
+	e.downQueue = append(e.downQueue, engineDown{target: oid, m: msg.Retain(m), tid: tid})
 }
 
 // engineUplink implements core.Uplink for one object.

@@ -121,6 +121,8 @@ func (ls *localSystem) tracer() *trace.Recorder { return ls.rec }
 
 func (ls *localSystem) name() string { return ls.label }
 
+// localDown queues each send for flush, so it keeps msg.Retain of the lent
+// message.
 type localDown struct{ ls *localSystem }
 
 var _ core.TracedDownlink = localDown{}
@@ -142,7 +144,7 @@ func (d localDown) BroadcastTraced(region grid.CellRange, m msg.Message, tid tra
 		return
 	}
 	d.ls.acct.Downlink(m.Kind(), m.Size(), 1)
-	d.ls.queue = append(d.ls.queue, queuedDown{target: -1, m: m, tid: tid})
+	d.ls.queue = append(d.ls.queue, queuedDown{target: -1, m: msg.Retain(m), tid: tid})
 }
 
 func (d localDown) Unicast(oid model.ObjectID, m msg.Message) {
@@ -151,7 +153,7 @@ func (d localDown) Unicast(oid model.ObjectID, m msg.Message) {
 
 func (d localDown) UnicastTraced(oid model.ObjectID, m msg.Message, tid trace.ID) {
 	d.ls.acct.Downlink(m.Kind(), m.Size(), 1)
-	d.ls.queue = append(d.ls.queue, queuedDown{target: oid, m: m, tid: tid})
+	d.ls.queue = append(d.ls.queue, queuedDown{target: oid, m: msg.Retain(m), tid: tid})
 }
 
 // flush delivers queued downlinks in FIFO order until quiescent;

@@ -13,8 +13,14 @@
 #   bash benchmark/run.sh --workload w --seed i --seconds s --trace 0
 # on both sides, parent first on odd seeds and change first on even ones, and
 # prints one markdown row per workload x end-to-end metric: parent median and
-# IQR, change median, wins/ties, BENCHMARK.json's bound and a verdict
-# ("unresolved" where the parent's own IQR exceeds the bound). Exits non-zero
+# IQR, change median and IQR, wins/ties, BENCHMARK.json's bound and a verdict.
+# "better (disjoint)" / "WORSE (disjoint)" mean every change run beat / lost
+# to every parent run, given at least 4 pairs (with fewer, two identical
+# sides separate that completely in more than 1 run in 20: 2/C(2n,n)); a
+# disjoint "WORSE" beyond the bound reads "WORSE beyond bound". Otherwise
+# "unresolved" where the parent's own IQR exceeds the bound, and "better"
+# only over at least 10 pairs, 9 in 10 won, by more than the parent's IQR
+# (with one pair the IQR is 0 and any difference would pass). Exits non-zero
 # if a run fails, reports failed ops or is not correct.
 set -euo pipefail
 
@@ -108,7 +114,7 @@ done
 
 echo "parent \`$parent_ref\`, change \`$change_ref\`: $pairs alternating pairs of \`bash benchmark/run.sh --workload w --seed i --seconds $seconds --trace 0\`, i = 1..$pairs"
 echo
-echo "| workload | metric | parent median [IQR] | change median | change | wins/ties/pairs | bound | verdict |"
+echo "| workload | metric | parent median [IQR] | change median [IQR] | change | wins/ties/pairs | bound | verdict |"
 echo "|---|---|---|---|---|---|---|---|"
 for w in $workloads; do
 	for m in $metrics; do
@@ -122,13 +128,20 @@ for w in $workloads; do
 			END {
 				n = NR; sorted(p, ps, n); sorted(c, cs, n)
 				pm = q(ps, n, 0.5); cm = q(cs, n, 0.5); iqr = q(ps, n, 0.75) - q(ps, n, 0.25)
+				ciqr = q(cs, n, 0.75) - q(cs, n, 0.25)
 				rel = pm != 0 ? (cm - pm) / pm : 0
 				worse = better == "higher" ? -rel : rel
-				if (pm != 0 && iqr / pm > bound) verdict = "unresolved"
+				# Disjoint: the worst change run beats the best parent run (up),
+				# or the best change run loses to the worst parent run (down).
+				up = better == "higher" ? cs[1] > ps[n] : cs[n] < ps[1]
+				down = better == "higher" ? cs[n] < ps[1] : cs[1] > ps[n]
+				if (n >= 4 && up) verdict = "better (disjoint)"
+				else if (n >= 4 && down) verdict = worse > bound ? "WORSE beyond bound" : "WORSE (disjoint)"
+				else if (pm != 0 && iqr / pm > bound) verdict = "unresolved"
 				else if (worse > bound) verdict = "WORSE beyond bound"
-				else if (worse < 0 && (cm - pm) * (cm - pm) > iqr * iqr && wins * 10 >= 9 * n) verdict = "better"
+				else if (n >= 10 && worse < 0 && (cm - pm) * (cm - pm) > iqr * iqr && wins * 10 >= 9 * n) verdict = "better"
 				else verdict = "within bound"
-				printf "| %s | %s | %.6g [%.3g] | %.6g | %+.1f %% | %d/%d/%d | %s | %s |\n", w, m, pm, iqr, cm, 100 * rel, wins, ties, n, bound, verdict
+				printf "| %s | %s | %.6g [%.3g] | %.6g [%.3g] | %+.1f %% | %d/%d/%d | %s | %s |\n", w, m, pm, iqr, cm, ciqr, 100 * rel, wins, ties, n, bound, verdict
 			}'
 	done
 done
