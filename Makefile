@@ -40,10 +40,10 @@ race:
 # short fuzz smoke of the wire codec and the remote frame reader (the two
 # trust boundaries for peer-supplied bytes), of the mobility-trace file
 # reader, of snapshot restore (serial and a 2-node router), of the query
-# lifecycle (serial against both 2-node router renderings), of the ops and
-# handoffs a cluster worker accepts from its router port, of the debug
-# views' filter parser (admin words and URL queries), and of the admin
-# command dispatch on a live server. The remote handshake tests (what an
+# lifecycle (serial against a 2-node router), of the ops and handoffs a
+# cluster worker accepts from its router port, of the debug views' filter
+# parser (admin words and URL queries), and of the admin command dispatch
+# on a live server. The remote handshake tests (what an
 # object misses while away and what its next session delivers) run twenty
 # times under -race, so a reordering that shows once in twenty runs fails
 # here instead of merging as a flake. CI runs this next to the race gate.
@@ -60,12 +60,12 @@ simtest:
 	$(GO) test -run '^$$' -fuzz '^FuzzViewArgs$$' -fuzztime 10s ./internal/obs/
 
 # Cluster gate: the differential oracle (serial vs the router over
-# journaled and un-journaled nodes, byte-identical snapshots and cost
-# ledgers) over the seeded sweeps — including node kill, cell-range
-# rebalancing and cross-node handoff under injected frame faults — plus the
-# wire-tier cluster package itself, all under the race detector. The -list
-# line fails the gate when the -run pattern no longer matches the sweep, so
-# a rename cannot make the gate pass vacuously.
+# in-process nodes, byte-identical snapshots and cost ledgers) over the
+# seeded sweeps — including node kill, cell-range rebalancing and
+# cross-node handoff under injected frame faults — plus the wire-tier
+# cluster package itself, all under the race detector. The -list line
+# fails the gate when the -run pattern no longer matches the sweep, so a
+# rename cannot make the gate pass vacuously.
 cluster:
 	$(GO) test -race -list 'Cluster' ./internal/simtest/ | grep -qx TestClusterLockstepSweep
 	$(GO) test -race -count=1 -run 'Cluster' ./internal/simtest/
@@ -81,12 +81,12 @@ crash:
 	$(GO) test -list 'Checkpoint' ./internal/core/ | grep -qx TestCheckpointBarrierAfterInOpWrites
 	$(GO) test -race -count=1 -run 'Crash|Checkpoint|Recovery' ./internal/simtest/ ./internal/core/ ./internal/cluster/ ./internal/obs/telemetry/
 
-# Stream & history gate: snapshot-then-delta gap-freeness across the serial
-# server and both router renderings, slow-consumer eviction under a
-# deliberately stalled reader, the history log codec and bounded store, the
-# remote SSE/admin wiring, and the simtest replay oracle (log vs
-# live-subscription ground truth), under the race detector (see
-# internal/obs/stream, internal/history, DESIGN.md §17).
+# Stream & history gate: snapshot-then-delta gap-freeness and ground truth
+# across the serial server and the router over four and over three nodes,
+# slow-consumer eviction under a deliberately stalled reader, the history
+# log codec and bounded store, the remote SSE/admin wiring, and the
+# simtest replay oracle (log vs live-subscription ground truth), under the
+# race detector (see internal/obs/stream, internal/history, DESIGN.md §17).
 stream:
 	$(GO) test -race -count=1 ./internal/obs/stream/ ./internal/history/
 	$(GO) test -race -count=1 -run 'Stream|History|AdminSubHist|Gateway' ./internal/remote/ ./internal/simtest/

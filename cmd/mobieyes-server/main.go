@@ -8,19 +8,20 @@
 //	                [-area SQMILES] [-alpha MILES] [-lazy] [-grouping]
 //	                [-trace-events N] [-costs] [-stream] [-history-bytes N]
 //	                [-mutex-profile-fraction N] [-block-profile-rate NS]
+//	                [-shards N] [-auto-recover=false]
 //	                [-cluster router -workers host:port,… | -cluster worker]
-//	                [-cluster-nodes N] [-auto-recover=false]
 //
 // Cluster deployment: `-cluster worker` runs one bare worker node on -addr
 // instead of an object server; `-cluster router` makes this process the
 // cluster's router tier, owning query lifecycle and routing uplinks to the
 // workers named by -workers (matching grid and protocol flags). A worker's
 // -metrics-addr, -trace-events and -costs serve its own events and costs
-// views, and its telemetry ships to the router either way. `-cluster-nodes
-// N` runs router plus N worker nodes inside this process — the clustered
-// topology without the TCP hops. The router checkpoints worker focal state
-// every telemetry round and, with -auto-recover (the default), fences and
-// replays a worker that misses its heartbeat deadline (DESIGN.md §15).
+// views, and its telemetry ships to the router either way. The router
+// checkpoints worker focal state every telemetry round and, with
+// -auto-recover (the default), fences and replays a worker that misses its
+// heartbeat deadline (DESIGN.md §15). Without -cluster, the server runs the
+// same router over -shards worker nodes inside this process — the
+// clustered topology without the TCP hops.
 //
 // The admin port takes one command per line; `help` lists them. The
 // metrics address serves /metrics, /debug/vars, /healthz, /readyz, pprof,
@@ -60,7 +61,7 @@ func main() {
 		lazy     = flag.Bool("lazy", false, "lazy query propagation")
 		grouping = flag.Bool("grouping", false, "query grouping")
 		restore  = flag.String("restore", "", "restore query state from a snapshot file (with -cluster router, into workers that hold no rows)")
-		shards   = flag.Int("shards", 0, "in-process router nodes of the default backend (0 = GOMAXPROCS); they share the server's fate, so they are not journaled")
+		shards   = flag.Int("shards", 0, "in-process worker nodes the router spreads the grid over (0 = GOMAXPROCS; ignored with -cluster)")
 		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /healthz, /readyz, pprof and the /debug/ views on this address (empty = off)")
 		traceSz  = flag.Int("trace-events", 0, "causal-tracing flight recorder size in events (0 = off); exposed on /debug/events and the admin TRACE command")
 		costs    = flag.Bool("costs", false, "attribute protocol costs per message kind, node, cell, query and object; exposed on /debug/costs and the admin COSTS command")
@@ -68,7 +69,6 @@ func main() {
 		histSz   = flag.Int("history-bytes", 0, "record result transitions and position samples into an append-only in-memory log bounded to N bytes (0 = off); /debug/history and the admin HIST command")
 		role     = flag.String("cluster", "", `cluster role: "router" (route over -workers) or "worker" (serve one node on -addr)`)
 		workers  = flag.String("workers", "", "comma-separated worker addresses for -cluster router")
-		nodes    = flag.Int("cluster-nodes", 0, "run the router over N journaled in-process worker nodes instead of -shards (ignored with -cluster)")
 		autoRec  = flag.Bool("auto-recover", true, "with -cluster router: fence and replay a worker that misses its heartbeat deadline (checkpointed crash recovery, DESIGN.md §15)")
 		mutexPF  = flag.Int("mutex-profile-fraction", 0, "sample 1/N mutex contention events on /debug/pprof/mutex (0 = leave off, -1 = disable)")
 		blockPR  = flag.Int("block-profile-rate", 0, "sample blocking events lasting ≥ N ns on /debug/pprof/block (0 = leave off, -1 = disable)")
@@ -144,17 +144,16 @@ func main() {
 	}
 
 	cfg := remote.ServerConfig{
-		Addr:         *addr,
-		UoD:          uod,
-		Alpha:        *alpha,
-		Options:      opts,
-		Shards:       *shards,
-		ClusterNodes: *nodes,
-		Metrics:      reg,
-		Trace:        rec,
-		Costs:        acct,
-		Stream:       tap,
-		History:      hist,
+		Addr:    *addr,
+		UoD:     uod,
+		Alpha:   *alpha,
+		Options: opts,
+		Shards:  *shards,
+		Metrics: reg,
+		Trace:   rec,
+		Costs:   acct,
+		Stream:  tap,
+		History: hist,
 	}
 	switch *role {
 	case "":

@@ -103,7 +103,7 @@ func TestCellChangeAllocationBudget(t *testing.T) {
 		lqpVelocity     float64
 	}{
 		{"serial", func(o Options, d Downlink) ServerAPI { return NewServer(g, o, d) }, 2, 1 + focalQueries, 1, 1 + focalQueries},
-		{"router", func(o Options, d Downlink) ServerAPI { return NewShardedServer(g, o, d, 2) }, 2, 1 + focalQueries, 1, 1 + focalQueries},
+		{"router", func(o Options, d Downlink) ServerAPI { return NewClusterServer(g, o, d, 2) }, 2, 1 + focalQueries, 1, 1 + focalQueries},
 	} {
 		for _, observed := range []bool{false, true} {
 			name, drain := tc.name, func() int { return 0 }

@@ -12,9 +12,8 @@ import (
 )
 
 // ServerAPI is the server-side surface of the MobiEyes protocol, implemented
-// by the serial Server and by the router-over-nodes ClusterServer, whatever
-// its nodes are (in-process shards, in-process journaled workers, remote
-// worker processes). Engines and transports program against this interface
+// by the serial Server and by the router-over-nodes ClusterServer, whether
+// its nodes are in-process or remote worker processes. Engines and transports program against this interface
 // so the implementations are interchangeable; the router is additionally
 // safe for concurrent use by multiple goroutines.
 type ServerAPI interface {

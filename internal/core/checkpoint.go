@@ -168,7 +168,8 @@ func (cs *ClusterServer) JournalSize(i int) (slices int, seq uint64) {
 // slices are replayed into the surviving owners. Everything at or before
 // the last checkpoint watermark — rows, monitoring regions, result sets —
 // resumes exactly; anything newer is gone until the objects' next uplinks
-// re-derive it. Crashing the last live node is refused.
+// re-derive it. Any node can crash, in-process or remote: every node is
+// journaled. Crashing the last live node is refused.
 func (cs *ClusterServer) CrashNode(i int) error {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -180,9 +181,6 @@ func (cs *ClusterServer) CrashNode(i int) error {
 	}
 	if cs.liveCount() == 1 {
 		return fmt.Errorf("core: cannot crash the last live node")
-	}
-	if _, ok := cs.nodes[i].(fateSharingNode); ok {
-		return fmt.Errorf("core: node %d shares the router's process and is not journaled; it cannot crash alone", i)
 	}
 	cs.crashLocked(i, 0)
 	return nil

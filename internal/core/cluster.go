@@ -26,10 +26,10 @@ import (
 // FOT, SQT and RQI rows of the focal objects whose current grid cell falls
 // in that node's assigned cell range. Nodes are driven through the
 // NodeHandle surface, so the same router runs over in-process NodeServers
-// (journaled workers, NewClusterServer; fate-sharing shards,
-// NewShardedServer — both held byte-identical to the serial server by the
+// (NewClusterServer, held byte-identical to the serial server by the
 // differential oracle) and over internal/cluster RemoteNodes speaking the
-// wire protocol to worker processes.
+// wire protocol to worker processes. Every node is journaled, in process or
+// not, so any node can crash and recover (CrashNode).
 //
 // Nodes own contiguous cell ranges (spans) so a node's working set is
 // spatially local and rebalancing moves a boundary rather than rehashing
@@ -112,48 +112,25 @@ type ClusterServer struct {
 }
 
 // NewClusterServer returns a cluster router over n in-process worker nodes;
-// n <= 0 selects 2. The downlink carries both router-level sends
+// n <= 0 selects GOMAXPROCS. The downlink carries both router-level sends
 // (FocalInfoRequest, cross-node QueryInstall unions) and node-level sends.
 func NewClusterServer(g *grid.Grid, opts Options, down Downlink, n int) *ClusterServer {
 	if n <= 0 {
-		n = 2
+		n = runtime.GOMAXPROCS(0)
 	}
 	handles := make([]NodeHandle, n)
 	local := make([]*NodeServer, n)
 	for i := range handles {
-		ns := NewNodeServer(g, opts, down)
-		handles[i] = ns
-		local[i] = ns
-	}
-	return newClusterServer(g, opts, down, handles, local)
-}
-
-// NewShardedServer returns the router over in-process nodes that share its
-// process and fate — what -shards N runs; shards <= 0 selects GOMAXPROCS.
-// Such a node cannot die without the router, so it is not journaled:
-// CrashNode refuses these nodes, and a handoff that pulls (one after a
-// rejoin sweep or completed installs, DESIGN.md §15) copies nothing into a
-// journal no recovery could use. The name, and UplinksByShard below, are
-// kept only because the frozen benchmark/ calls them.
-func NewShardedServer(g *grid.Grid, opts Options, down Downlink, shards int) *ClusterServer {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	handles := make([]NodeHandle, shards)
-	local := make([]*NodeServer, shards)
-	for i := range handles {
 		local[i] = NewNodeServer(g, opts, down)
-		handles[i] = fateSharingNode{local[i]}
+		handles[i] = local[i]
 	}
 	return newClusterServer(g, opts, down, handles, local)
 }
 
-// fateSharingNode is an in-process node that is never journaled: its
-// checkpoint delta is always empty, so the router's journal stays at (0, 0).
-type fateSharingNode struct{ *NodeServer }
-
-func (fateSharingNode) CheckpointDelta(since uint64) (CheckpointDelta, error) {
-	return CheckpointDelta{Seq: since}, nil
+// NewShardedServer is NewClusterServer under the name the frozen benchmark/
+// calls, as is UplinksByShard below.
+func NewShardedServer(g *grid.Grid, opts Options, down Downlink, shards int) *ClusterServer {
+	return NewClusterServer(g, opts, down, shards)
 }
 
 // NewClusterServerOver returns a cluster router over caller-provided node
@@ -889,114 +866,85 @@ func (cs *ClusterServer) SetResultListener(fn func(ResultEvent)) {
 	}
 }
 
-// Result returns the current result set of a query as a sorted slice.
-func (cs *ClusterServer) Result(qid model.QueryID) []model.ObjectID {
+// atQueryNode calls method on the node that owns qid, under the router
+// lock, and returns zero when no node owns it.
+func atQueryNode[T any](cs *ClusterServer, qid model.QueryID, zero T, method func(NodeHandle) T) T {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	ni, ok := cs.queryNode[qid]
 	if !ok {
-		return nil
+		return zero
 	}
-	return cs.nodes[ni].Result(qid)
+	return method(cs.nodes[ni])
+}
+
+// foldLive folds f over the live nodes, in index order, under the router
+// lock.
+func foldLive[T any](cs *ClusterServer, acc T, f func(T, NodeHandle) T) T {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	for i, nd := range cs.nodes {
+		if cs.live[i] {
+			acc = f(acc, nd)
+		}
+	}
+	return acc
+}
+
+// Result returns the current result set of a query as a sorted slice.
+func (cs *ClusterServer) Result(qid model.QueryID) []model.ObjectID {
+	return atQueryNode(cs, qid, nil, func(n NodeHandle) []model.ObjectID { return n.Result(qid) })
 }
 
 // ResultContains reports whether oid is currently in qid's result.
 func (cs *ClusterServer) ResultContains(qid model.QueryID, oid model.ObjectID) bool {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	ni, ok := cs.queryNode[qid]
-	if !ok {
-		return false
-	}
-	return cs.nodes[ni].ResultContains(qid, oid)
+	return atQueryNode(cs, qid, false, func(n NodeHandle) bool { return n.ResultContains(qid, oid) })
 }
 
 // ResultSize returns |result| for a query (0 for unknown queries).
 func (cs *ClusterServer) ResultSize(qid model.QueryID) int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	ni, ok := cs.queryNode[qid]
-	if !ok {
-		return 0
-	}
-	return cs.nodes[ni].ResultSize(qid)
+	return atQueryNode(cs, qid, 0, func(n NodeHandle) int { return n.ResultSize(qid) })
 }
 
 // Query returns the descriptor of an installed query.
-func (cs *ClusterServer) Query(qid model.QueryID) (model.Query, bool) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	ni, ok := cs.queryNode[qid]
-	if !ok {
-		return model.Query{}, false
-	}
-	return cs.nodes[ni].Query(qid)
+func (cs *ClusterServer) Query(qid model.QueryID) (q model.Query, ok bool) {
+	ok = atQueryNode(cs, qid, false, func(n NodeHandle) bool { q, ok = n.Query(qid); return ok })
+	return q, ok
 }
 
 // MonRegion returns the current monitoring region of a query.
-func (cs *ClusterServer) MonRegion(qid model.QueryID) (grid.CellRange, bool) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	ni, ok := cs.queryNode[qid]
-	if !ok {
-		return grid.CellRange{}, false
-	}
-	return cs.nodes[ni].MonRegion(qid)
+func (cs *ClusterServer) MonRegion(qid model.QueryID) (r grid.CellRange, ok bool) {
+	ok = atQueryNode(cs, qid, false, func(n NodeHandle) bool { r, ok = n.MonRegion(qid); return ok })
+	return r, ok
 }
 
 // NumQueries returns the number of installed queries across all nodes.
 func (cs *ClusterServer) NumQueries() int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	n := 0
-	for i, nd := range cs.nodes {
-		if cs.live[i] {
-			n += nd.NumQueries()
-		}
-	}
-	return n
+	return foldLive(cs, 0, func(n int, nd NodeHandle) int { return n + nd.NumQueries() })
 }
 
 // QueryIDs returns all installed query IDs across nodes, ascending.
 func (cs *ClusterServer) QueryIDs() []model.QueryID {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	var out []model.QueryID
-	for i, nd := range cs.nodes {
-		if cs.live[i] {
-			out = append(out, nd.QueryIDs()...)
-		}
-	}
+	out := foldLive(cs, nil, func(out []model.QueryID, nd NodeHandle) []model.QueryID {
+		return append(out, nd.QueryIDs()...)
+	})
 	slices.Sort(out)
 	return out
 }
 
 // NearbyQueries returns RQI(cell) unioned across nodes, ascending.
 func (cs *ClusterServer) NearbyQueries(cell grid.CellID) []model.QueryID {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	var out []model.QueryID
-	for i, nd := range cs.nodes {
-		if cs.live[i] {
-			out = append(out, nd.NearbyQueries(cell)...)
-		}
-	}
+	out := foldLive(cs, nil, func(out []model.QueryID, nd NodeHandle) []model.QueryID {
+		return append(out, nd.NearbyQueries(cell)...)
+	})
 	slices.Sort(out)
 	return out
 }
 
 // Ops returns the cumulative operation count: router dispatches plus every
-// node's table work.
+// live node's table work.
 func (cs *ClusterServer) Ops() int64 {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	n := cs.ops.Value()
-	for i, nd := range cs.nodes {
-		if cs.live[i] {
-			n += nd.Ops()
-		}
-	}
-	return n
+	return foldLive(cs, cs.ops.Value(), func(n int64, nd NodeHandle) int64 { return n + nd.Ops() })
 }
 
 // Migrations returns the cumulative number of protocol-driven cross-node

@@ -64,7 +64,7 @@ func totalUplinks(h *harness) int64 {
 func TestCostNodeSumIdentity(t *testing.T) {
 	// 8 nodes over 20 rows: spans end mid-row, so the scenario's short
 	// trips cross node boundaries in both directions.
-	h := newShardedHarness(smallGrid(), Options{}, 8)
+	h := newClusterHarness(smallGrid(), Options{}, 8)
 	a := cost.New()
 	a.Configure(smallGrid().NumCells(), 0, 8)
 	runCostScenario(h, a)
@@ -99,12 +99,12 @@ func TestCostNodeSumIdentity(t *testing.T) {
 // and per-object tallies: attribution must not depend on which
 // implementation (or which node) handled a message.
 func TestCostSerialRouterEntityParity(t *testing.T) {
-	serial, sharded := newHarness(smallGrid(), Options{}), newShardedHarness(smallGrid(), Options{}, 4)
+	serial, router := newHarness(smallGrid(), Options{}), newClusterHarness(smallGrid(), Options{}, 4)
 	sa, ha := cost.New(), cost.New()
 	sa.Configure(smallGrid().NumCells(), 0, 0)
 	ha.Configure(smallGrid().NumCells(), 0, 4)
 	runCostScenario(serial, sa)
-	runCostScenario(sharded, ha)
+	runCostScenario(router, ha)
 
 	ss, hs := sa.Snapshot(), ha.Snapshot()
 	if !reflect.DeepEqual(ss.Queries, hs.Queries) {
@@ -125,17 +125,17 @@ func TestCostSerialRouterEntityParity(t *testing.T) {
 // proves attribution involves no unsynchronized state.
 func TestCostConcurrentNodeAttribution(t *testing.T) {
 	g := smallGrid()
-	ss := NewShardedServer(g, Options{}, nullDown{}, 4)
+	cs := NewClusterServer(g, Options{}, nullDown{}, 4)
 	a := cost.New()
 	a.Configure(g.NumCells(), 0, 4)
-	ss.SetAccountant(a)
+	cs.SetAccountant(a)
 
 	// Install queries on a spread of focal objects so reports resolve.
 	for i := 0; i < 8; i++ {
 		oid := model.ObjectID(i + 1)
 		pos := geo.Pt(float64(5+i*11), float64(5+i*7))
-		ss.InstallQuery(oid, model.CircleRegion{R: 3}, matchAll, 200)
-		ss.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: pos})
+		cs.InstallQuery(oid, model.CircleRegion{R: 3}, matchAll, 200)
+		cs.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: pos})
 	}
 	base := int64(8) // the FocalInfoResponses above
 
@@ -164,11 +164,11 @@ func TestCostConcurrentNodeAttribution(t *testing.T) {
 				pos := geo.Pt(float64(5+(w*13+i)%90), float64(5+(w*29+i)%90))
 				switch i % 3 {
 				case 0:
-					ss.HandleUplink(msg.VelocityReport{OID: oid, Pos: pos})
+					cs.HandleUplink(msg.VelocityReport{OID: oid, Pos: pos})
 				case 1:
-					ss.HandleUplink(msg.ContainmentReport{OID: oid, QID: model.QueryID(1 + i%10), IsTarget: i%2 == 0})
+					cs.HandleUplink(msg.ContainmentReport{OID: oid, QID: model.QueryID(1 + i%10), IsTarget: i%2 == 0})
 				default: // stale: unknown focal → router ledger
-					ss.HandleUplink(msg.VelocityReport{OID: 999, Pos: pos})
+					cs.HandleUplink(msg.VelocityReport{OID: 999, Pos: pos})
 				}
 			}
 		}(w)
@@ -184,7 +184,7 @@ func TestCostConcurrentNodeAttribution(t *testing.T) {
 	if want := base + workers*perWorker; got != want {
 		t.Errorf("node+router uplink msgs = %d, want %d", got, want)
 	}
-	if err := ss.CheckInvariants(); err != nil {
+	if err := cs.CheckInvariants(); err != nil {
 		t.Errorf("invariants after concurrent run: %v", err)
 	}
 }

@@ -191,10 +191,10 @@ func lifecycleOps(ops ...[3]byte) []byte {
 // expiry, zero included), removals, expiry sweeps, focal-info responses
 // (stale ones included), joining and moving cell changes, departures,
 // group and single containment reports and snapshot → restore, and runs
-// them on the serial server and on both 2-node router renderings. After
-// every operation the three must have returned the same values and agree
-// on QueryIDs, NumQueries, every Query and Result, and their snapshots byte
-// for byte, and each must pass CheckInvariants. The seeds replay the
+// them on the serial server and on a 2-node router. After every operation
+// the two must have returned the same values and agree on QueryIDs,
+// NumQueries, every Query and Result, and their snapshots byte for byte,
+// and each must pass CheckInvariants. The seeds replay the
 // lifecycle bugs found in the two servers' former copies of this code.
 func FuzzQueryLifecycle(f *testing.F) {
 	for _, seed := range [][]byte{
@@ -225,12 +225,8 @@ func FuzzQueryLifecycle(f *testing.F) {
 			data = data[:3*maxOps]
 		}
 		g := smallGrid()
-		names := []string{"serial"}
-		servers := []ServerAPI{NewServer(g, Options{}, nullDown{})}
-		for _, r := range routerRenderings {
-			names = append(names, r.name)
-			servers = append(servers, r.new(g, Options{}, nullDown{}, 2))
-		}
+		names := []string{"serial", "router"}
+		servers := []ServerAPI{NewServer(g, Options{}, nullDown{}), NewClusterServer(g, Options{}, nullDown{}, 2)}
 		var maxQID model.QueryID
 		for i := 0; i+3 <= len(data); i += 3 {
 			op, a, b := data[i]%numLifecycleOps, data[i+1], data[i+2]
@@ -244,14 +240,11 @@ func FuzzQueryLifecycle(f *testing.F) {
 				if err != nil {
 					t.Fatalf("op %d: serial restore: %v", i/3, err)
 				}
-				servers[0] = s
-				for k, r := range routerRenderings {
-					cs := r.new(g, Options{}, nullDown{}, 2)
-					if err := cs.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-						t.Fatalf("op %d: %s restore: %v", i/3, r.name, err)
-					}
-					servers[k+1] = cs
+				cs := NewClusterServer(g, Options{}, nullDown{}, 2)
+				if err := cs.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+					t.Fatalf("op %d: router restore: %v", i/3, err)
 				}
+				servers[0], servers[1] = s, cs
 			}
 			got := make([]string, len(servers))
 			for k, s := range servers {

@@ -44,7 +44,7 @@ func cellCenter(g *grid.Grid, c grid.CellID) geo.Point {
 func rqiServers() map[string]*harness {
 	return map[string]*harness{
 		"serial": newHarness(smallGrid(), Options{}),
-		"router": newShardedHarness(smallGrid(), Options{}, 2),
+		"router": newClusterHarness(smallGrid(), Options{}, 2),
 	}
 }
 

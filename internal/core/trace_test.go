@@ -124,7 +124,7 @@ func TestSerialServerTracing(t *testing.T) {
 }
 
 func TestRouterTracingAndMigration(t *testing.T) {
-	h := newShardedHarness(smallGrid(), Options{}, 4)
+	h := newClusterHarness(smallGrid(), Options{}, 4)
 	rec := trace.NewRecorder(4096)
 	h.server.SetTracer(rec)
 	// A focal object moving fast enough to cross cells (and with 4 spans of

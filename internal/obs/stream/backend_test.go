@@ -2,8 +2,9 @@ package stream_test
 
 // Backend tests: the tap fed from core.ServerAPI.SetResultListener must
 // deliver snapshot-then-delta streams that match the engine's result sets
-// exactly, identically across the serial server and the router over
-// un-journaled ("sharded") and journaled ("cluster") in-process nodes.
+// exactly, identically across the serial server and the router over four
+// and over three in-process nodes, and the engine's result sets must match
+// brute-force ground truth.
 
 import (
 	"fmt"
@@ -54,19 +55,15 @@ type hUp struct{ h *harness }
 
 func (u hUp) Send(m msg.Message) { u.h.srv.HandleUplink(m) }
 
-func newHarness(t *testing.T, backend string) *harness {
-	t.Helper()
+// newHarness builds the harness over the router with nodes in-process
+// nodes, or over the serial server for nodes == 0.
+func newHarness(nodes int) *harness {
 	h := &harness{byOID: map[model.ObjectID]int{}}
 	h.g = grid.New(geo.NewRect(0, 0, 100, 100), 5)
-	switch backend {
-	case "serial":
+	if nodes > 0 {
+		h.srv = core.NewClusterServer(h.g, h.opts, hDown{h}, nodes)
+	} else {
 		h.srv = core.NewServer(h.g, h.opts, hDown{h})
-	case "sharded":
-		h.srv = core.NewShardedServer(h.g, h.opts, hDown{h}, 4)
-	case "cluster":
-		h.srv = core.NewClusterServer(h.g, h.opts, hDown{h}, 3)
-	default:
-		t.Fatalf("unknown backend %q", backend)
 	}
 	return h
 }
@@ -184,6 +181,25 @@ func (v *subscriberView) set(qid int64) []int64 {
 	return out
 }
 
+// groundTruth is qid's exact result by brute force over the objects'
+// positions, which every backend must hold at a quiescent point: the
+// harness runs eager propagation with Δ = 0.
+func (h *harness) groundTruth(qid model.QueryID) []int64 {
+	q, ok := h.srv.Query(qid)
+	if !ok {
+		return nil
+	}
+	focal := h.objs[h.byOID[q.Focal]].Pos
+	var out []int64
+	for _, o := range h.objs {
+		if q.Filter.Matches(o.Props) && q.Region.Contains(focal, o.Pos) {
+			out = append(out, int64(o.ID))
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 func engineSet(srv core.ServerAPI, qid model.QueryID) []int64 {
 	var out []int64
 	for _, oid := range srv.Result(qid) {
@@ -205,30 +221,51 @@ func eq(a, b []int64) bool {
 	return true
 }
 
-// TestSnapshotThenDeltaBackends runs the same scripted workload on all
-// three backends: subscribers attach mid-run (firehose and per-query),
-// integrate their delta streams, and must converge to the engine's exact
-// result sets at every quiescent point with contiguous sequence numbers
-// throughout.
+// TestSnapshotThenDeltaBackends runs the same scripted workload on every
+// backend: subscribers attach mid-run (firehose and per-query), integrate
+// their delta streams, and must converge to the engine's exact result sets
+// at every quiescent point with contiguous sequence numbers throughout;
+// the engine's result sets must equal ground truth there too. Each step's
+// cell crossings queue several state-carrying QueryInstalls with different
+// query sets before the harness delivers any, so a downlink that kept the
+// server's lent messages without copying them would install the wrong
+// queries on the clients and miss ground truth.
 func TestSnapshotThenDeltaBackends(t *testing.T) {
-	for _, backend := range []string{"serial", "sharded", "cluster"} {
+	for _, nodes := range []int{0, 4, 3} {
+		backend := "serial"
+		if nodes > 0 {
+			backend = fmt.Sprintf("nodes=%d", nodes)
+		}
 		t.Run(backend, func(t *testing.T) {
-			h := newHarness(t, backend)
+			h := newHarness(nodes)
 			tap := stream.NewTap()
 			h.srv.SetResultListener(func(ev core.ResultEvent) {
 				tap.Publish(int64(ev.QID), int64(ev.OID), ev.Entered)
 			})
 
-			// A ring of objects around two focals; queries see churn as
-			// the ring rotates through the regions.
-			h.addObject(1, geo.Pt(30, 50), geo.Vec(0, 0), 200, 11)
-			h.addObject(2, geo.Pt(70, 50), geo.Vec(0, 0), 200, 22)
-			for i := 3; i <= 12; i++ {
-				x := 10 + float64(i*7%80)
-				h.addObject(model.ObjectID(i), geo.Pt(x, 48), geo.Vec(150, 0), 200, uint64(i))
+			// Two rows of stationary focals, one query each, and movers
+			// sweeping both rows east and west through the queries'
+			// monitoring regions.
+			var qids []model.QueryID
+			for i, y := range []float64{30, 70} {
+				for j, x := range []float64{20, 50, 80} {
+					oid := model.ObjectID(3*i + j + 1)
+					h.addObject(oid, geo.Pt(x, y), geo.Vec(0, 0), 200, uint64(oid))
+				}
 			}
-			q1 := h.install(1, 6, 200)
-			q2 := h.install(2, 6, 200)
+			for i := 7; i <= 30; i++ {
+				y := 28 + float64(i%3)*2 + float64(i%2)*40
+				x := 20 + float64(i*13%60)
+				vx := 150.0
+				if i%4 < 2 {
+					vx = -vx
+				}
+				h.addObject(model.ObjectID(i), geo.Pt(x, y), geo.Vec(vx, 0), 200, uint64(i))
+			}
+			for oid := model.ObjectID(1); oid <= 6; oid++ {
+				qids = append(qids, h.install(oid, 4+float64(oid%3), 200))
+			}
+			q1 := qids[0]
 			h.step(model.FromSeconds(30))
 			h.step(model.FromSeconds(30))
 
@@ -260,10 +297,15 @@ func TestSnapshotThenDeltaBackends(t *testing.T) {
 						t.Fatalf("per-query sub saw qid %d", ev.QID)
 					}
 				}
-				for _, qid := range []model.QueryID{q1, q2} {
-					if got, want := fire.set(int64(qid)), engineSet(h.srv, qid); !eq(got, want) {
+				for _, qid := range qids {
+					engine := engineSet(h.srv, qid)
+					if got := fire.set(int64(qid)); !eq(got, engine) {
 						t.Fatalf("%s step %d qid %d: stream view %v != engine %v",
-							backend, s, qid, got, want)
+							backend, s, qid, got, engine)
+					}
+					if want := h.groundTruth(qid); !eq(engine, want) {
+						t.Fatalf("%s step %d qid %d: engine %v != ground truth %v",
+							backend, s, qid, engine, want)
 					}
 				}
 				if got, want := v1.set(int64(q1)), engineSet(h.srv, q1); !eq(got, want) {
@@ -295,7 +337,7 @@ func TestSnapshotThenDeltaBackends(t *testing.T) {
 // after a firehose subscriber connected streams from seq 1 with no
 // snapshot entry.
 func TestLateQueryReachesFirehose(t *testing.T) {
-	h := newHarness(t, "serial")
+	h := newHarness(0)
 	tap := stream.NewTap()
 	h.srv.SetResultListener(func(ev core.ResultEvent) {
 		tap.Publish(int64(ev.QID), int64(ev.OID), ev.Entered)

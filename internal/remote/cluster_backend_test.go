@@ -13,21 +13,20 @@ import (
 	"mobieyes/internal/obs/trace"
 )
 
-// TestAdminAgainstClusteredBackend runs the full admin surface over a
-// clustered deployment: ClusterNodes selects the router-plus-workers
-// backend, and STATS, COSTS, TRACE and `nodes` must all aggregate per-node
-// answers through the router — the observability satellite of the cluster
-// tier.
+// TestAdminAgainstClusteredBackend runs the full admin surface over the
+// router with two in-process worker nodes: STATS, COSTS, TRACE and `nodes`
+// must all aggregate per-node answers through the router — the
+// observability satellite of the cluster tier.
 func TestAdminAgainstClusteredBackend(t *testing.T) {
 	rec := trace.NewRecorder(4096)
 	acct := cost.New()
 	s, err := ListenAndServe(ServerConfig{
-		Addr:         "127.0.0.1:0",
-		UoD:          geo.NewRect(0, 0, 100, 100),
-		Alpha:        5,
-		ClusterNodes: 2,
-		Costs:        acct,
-		Trace:        rec,
+		Addr:   "127.0.0.1:0",
+		UoD:    geo.NewRect(0, 0, 100, 100),
+		Alpha:  5,
+		Shards: 2,
+		Costs:  acct,
+		Trace:  rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +110,10 @@ func TestAdminAgainstClusteredBackend(t *testing.T) {
 // nodes) while devices connect only to the router-fronted server.
 func TestClusteredBackendServesObjects(t *testing.T) {
 	s, err := ListenAndServe(ServerConfig{
-		Addr:         "127.0.0.1:0",
-		UoD:          geo.NewRect(0, 0, 100, 100),
-		Alpha:        5,
-		ClusterNodes: 3,
+		Addr:   "127.0.0.1:0",
+		UoD:    geo.NewRect(0, 0, 100, 100),
+		Alpha:  5,
+		Shards: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,21 +36,13 @@ type ServerConfig struct {
 	Options core.Options
 	// Shards is the number of in-process nodes the default backend's
 	// router (core.ClusterServer) spreads the grid over; 0 defaults to
-	// GOMAXPROCS. These nodes share the server's fate, so they are not
-	// journaled (core.NewShardedServer). Every connection goroutine
-	// dispatches its uplinks straight into the router, which is safe for
-	// concurrent use. Ignored when ClusterNodes is set.
+	// GOMAXPROCS. Every connection goroutine dispatches its uplinks
+	// straight into the router, which is safe for concurrent use.
 	Shards int
-	// ClusterNodes > 0 runs the same router over that many in-process
-	// worker nodes with the full crash-recovery machinery — checkpoint
-	// journal, epoch fence, replay (core.NewClusterServer) — the
-	// single-process rendering of the TCP cluster tier.
-	ClusterNodes int
 	// Backend, when non-nil, constructs the query engine over the server's
-	// grid and downlink instead of the built-in in-process routers — the
+	// grid and downlink instead of the built-in in-process router — the
 	// hook the cluster-router entrypoint uses to route over TCP worker
-	// processes (internal/cluster). Shards and ClusterNodes are ignored
-	// when set.
+	// processes (internal/cluster). Shards is ignored when set.
 	Backend func(g *grid.Grid, opts core.Options, down core.Downlink) (core.ServerAPI, error)
 	// Metrics is the registry transport and backend metrics attach to,
 	// typically shared with an obs.HTTPServer. Nil means the server keeps
@@ -190,17 +182,13 @@ func serve(cfg ServerConfig, ln net.Listener, snapshot io.Reader) (*Server, erro
 	return s, nil
 }
 
-// buildBackend builds cfg.Backend, or else the in-process router cfg
-// selects: journaled worker nodes with ClusterNodes, fate-sharing shards
-// otherwise.
+// buildBackend builds cfg.Backend, or else the router over cfg.Shards
+// in-process nodes.
 func (s *Server) buildBackend() (core.ServerAPI, error) {
 	if s.cfg.Backend != nil {
 		return s.cfg.Backend(s.g, s.cfg.Options, serverDownlink{s})
 	}
-	if s.cfg.ClusterNodes > 0 {
-		return core.NewClusterServer(s.g, s.cfg.Options, serverDownlink{s}, s.cfg.ClusterNodes), nil
-	}
-	return core.NewShardedServer(s.g, s.cfg.Options, serverDownlink{s}, s.cfg.Shards), nil
+	return core.NewClusterServer(s.g, s.cfg.Options, serverDownlink{s}, s.cfg.Shards), nil
 }
 
 // wire attaches the configured observers to the freshly built backend and

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,19 +16,19 @@ import (
 	"mobieyes/internal/obs/stream"
 )
 
-func testStreamServer(t *testing.T, clusterNodes int) (*Server, *stream.Tap, *history.Store, *cost.Accountant) {
+func testStreamServer(t *testing.T, shards int) (*Server, *stream.Tap, *history.Store, *cost.Accountant) {
 	t.Helper()
 	tap := stream.NewTap()
 	st := history.NewStore(1 << 20)
 	acct := cost.New()
 	s, err := ListenAndServe(ServerConfig{
-		Addr:         "127.0.0.1:0",
-		UoD:          geo.NewRect(0, 0, 100, 100),
-		Alpha:        5,
-		ClusterNodes: clusterNodes,
-		Stream:       tap,
-		History:      st,
-		Costs:        acct,
+		Addr:    "127.0.0.1:0",
+		UoD:     geo.NewRect(0, 0, 100, 100),
+		Alpha:   5,
+		Shards:  shards,
+		Stream:  tap,
+		History: st,
+		Costs:   acct,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,14 +41,11 @@ func testStreamServer(t *testing.T, clusterNodes int) (*Server, *stream.Tap, *hi
 // the tap streams gap-free sequenced deltas that match the engine's result
 // set, the history store records the same transitions plus query lifecycle
 // and position samples, and every history byte is charged to the egress
-// meter. Runs on the sharded and the (router-side tap) clustered backends.
+// meter. Runs on the default node count (GOMAXPROCS) and on two nodes.
 func TestRemoteStreamAndHistory(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		nodes int
-	}{{"sharded", 0}, {"cluster", 2}} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, tap, st, acct := testStreamServer(t, tc.nodes)
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, tap, st, acct := testStreamServer(t, shards)
 
 			// An application listener must still work alongside the tap.
 			userEvents := make(chan core.ResultEvent, 256)

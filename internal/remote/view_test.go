@@ -118,7 +118,7 @@ func TestViewTransportParity(t *testing.T) {
 	acct := cost.New()
 	s, err := ListenAndServe(ServerConfig{
 		Addr: "127.0.0.1:0", UoD: geo.NewRect(0, 0, 100, 100), Alpha: 5,
-		ClusterNodes: 2, Metrics: reg, Trace: rec, Costs: acct,
+		Shards: 2, Metrics: reg, Trace: rec, Costs: acct,
 		Stream: stream.NewTap(), History: history.NewStore(1 << 20),
 	})
 	if err != nil {

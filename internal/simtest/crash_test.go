@@ -22,14 +22,15 @@ import (
 // exactness-resumes guarantee.
 func crashScenario(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed * 7919))
+	numObjects := 30 + rng.Intn(16)
+	rng.Intn(3) // unused draw, kept so each seed runs the schedule it always has
 	sc := Scenario{
 		Name:       fmt.Sprintf("crash-%d", seed),
 		Seed:       seed,
-		NumObjects: 30 + rng.Intn(16),
+		NumObjects: numObjects,
 		NumSpecs:   10,
 		Opts:       variants[int(seed)%len(variants)],
 		Mobility:   mobilities[int(seed)%len(mobilities)],
-		Shards:     2 + rng.Intn(3),
 		// 3–4 nodes, so a double kill still leaves survivors to replay into.
 		Nodes: 3 + rng.Intn(2),
 		Costs: true,

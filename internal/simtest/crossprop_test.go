@@ -41,8 +41,8 @@ func runCrossProp(t *testing.T, seed int64) {
 	g := grid.New(wl.Config().UoD, alphaMiles)
 	dt := model.FromSeconds(wl.Config().StepSeconds)
 
-	eqp := newLocalSystem("eqp", g, core.Options{Mode: core.EagerPropagation}, wl.Objects, 0, 0, 0, false)
-	lqp := newLocalSystem("lqp", g, core.Options{Mode: core.LazyPropagation}, wl.Objects, 0, 0, 0, false)
+	eqp := newLocalSystem("eqp", g, core.Options{Mode: core.EagerPropagation}, wl.Objects, 0, 0, false)
+	lqp := newLocalSystem("lqp", g, core.Options{Mode: core.LazyPropagation}, wl.Objects, 0, 0, false)
 	engines := []*localSystem{eqp, lqp}
 
 	var now model.Time

@@ -22,7 +22,7 @@ func faultScenario(seed int64) Scenario {
 		NumSpecs:   10,
 		Opts:       variants[faultVariants[int(seed)%len(faultVariants)]],
 		Mobility:   mobilities[int(seed)%len(mobilities)],
-		Shards:     2 + rng.Intn(4),
+		Nodes:      2 + rng.Intn(4),
 		Remote:     true,
 	}
 	start, end := 6, 13

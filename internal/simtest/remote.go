@@ -126,7 +126,7 @@ type remoteSystem struct {
 // suspected deadlock.
 const settleTimeout = 10 * time.Second
 
-func newRemoteSystem(label string, uod geo.Rect, alpha float64, opts core.Options, objs []*model.MovingObject, shards, nodes int, plan *FaultPlan, traced bool) *remoteSystem {
+func newRemoteSystem(label string, uod geo.Rect, alpha float64, opts core.Options, objs []*model.MovingObject, nodes int, plan *FaultPlan, traced bool) *remoteSystem {
 	rs := &remoteSystem{
 		label:  label,
 		g:      grid.New(uod, alpha),
@@ -142,15 +142,14 @@ func newRemoteSystem(label string, uod geo.Rect, alpha float64, opts core.Option
 	if traced {
 		rs.rec = trace.NewRecorder(trace.DefaultSize)
 	}
-	// The built-in backends cannot fail; the error path exists only for
+	// The built-in backend cannot fail; the error path exists only for
 	// Backend factories, which the harness never configures.
 	rs.srv, _ = remote.Serve(remote.ServerConfig{
-		UoD:          uod,
-		Alpha:        alpha,
-		Options:      opts,
-		Shards:       shards,
-		ClusterNodes: nodes,
-		Trace:        rs.rec,
+		UoD:     uod,
+		Alpha:   alpha,
+		Options: opts,
+		Shards:  nodes,
+		Trace:   rs.rec,
 		// Killed connections must not depart their objects: the harness
 		// reconnects them within the scenario, never after a minute.
 		DisconnectGrace: time.Minute,

@@ -26,8 +26,7 @@ var mobilities = []workload.MobilityModel{
 	workload.RandomWalk, workload.RandomWaypoint, workload.GaussMarkov,
 }
 
-// localScenario builds a fault-free serial-vs-router scenario for a seed
-// (the router over Shards un-journaled nodes).
+// localScenario builds a fault-free serial-vs-router scenario for a seed.
 func localScenario(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed))
 	sc := Scenario{
@@ -36,7 +35,7 @@ func localScenario(seed int64) Scenario {
 		NumSpecs:   12,
 		Opts:       variants[int(seed)%len(variants)],
 		Mobility:   mobilities[int(seed)%len(mobilities)],
-		Shards:     2 + rng.Intn(6),
+		Nodes:      2 + rng.Intn(6),
 	}
 	sc.Ops = Generate(rng, GenConfig{
 		Ops:         16 + rng.Intn(10),
@@ -77,7 +76,7 @@ func remoteScenario(seed int64) Scenario {
 		NumSpecs:   10,
 		Opts:       variants[int(seed)%len(variants)],
 		Mobility:   mobilities[int(seed)%len(mobilities)],
-		Shards:     2 + rng.Intn(4),
+		Nodes:      2 + rng.Intn(4),
 		Remote:     true,
 	}
 	sc.Ops = Generate(rng, GenConfig{

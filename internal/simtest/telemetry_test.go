@@ -21,7 +21,7 @@ func telemetrySystem(t *testing.T, seed int64, nodes int) (*localSystem, *core.C
 	sc := Scenario{Seed: seed, NumObjects: 40, NumSpecs: 10}
 	wl := workload.New(sc.workloadConfig())
 	g := grid.New(wl.Config().UoD, alphaMiles)
-	ls := newLocalSystem("router", g, core.Options{}, wl.Objects, 0, nodes, 0, false)
+	ls := newLocalSystem("router", g, core.Options{}, wl.Objects, nodes, 0, false)
 	acct := cost.New()
 	acct.Configure(0, 0, nodes)
 	ls.attachCosts(acct)
