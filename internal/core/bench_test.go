@@ -70,6 +70,31 @@ func BenchmarkServerCellChange(b *testing.B) {
 	}
 }
 
+// BenchmarkServerCellChangeDiagonal measures the §3.5 focal path on the
+// geometry of benchmark/gen.go: queries of radius 1.5α, so 5×5-cell
+// monitoring regions, and each focal moving one cell diagonally from where
+// it is — there and back on alternate visits — so every relocation leaves 9
+// cells and enters 9. (BenchmarkServerCellChange's focals jump to unrelated
+// cells: its 3×3 regions are re-indexed whole, 9 + 9 cells.)
+func BenchmarkServerCellChangeDiagonal(b *testing.B) {
+	const n = 1000
+	g := grid.New(geo.NewRect(0, 0, 316, 316), 5)
+	s := NewServer(g, Options{}, nullDown{})
+	for i := 0; i < n; i++ {
+		oid := model.ObjectID(i + 1)
+		s.InstallQuery(oid, model.CircleRegion{R: 7.5}, model.Filter{Seed: uint64(i), Permille: 750}, 250)
+		s.OnFocalInfoResponse(msg.FocalInfoResponse{OID: oid, Pos: geo.Pt(float64(i%300)+5, float64((i*7)%300)+5)})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		oid := model.ObjectID(i%n + 1)
+		prev := s.fot[oid].currCell
+		step := 1 - 2*(i/n%2)
+		next := grid.CellID{Col: prev.Col + step, Row: prev.Row + step}
+		s.OnCellChangeReport(msg.CellChangeReport{OID: oid, PrevCell: prev, NewCell: next, Pos: cellCenter(g, next)})
+	}
+}
+
 // BenchmarkServerContainmentReport measures the §3.6 differential result
 // update.
 func BenchmarkServerContainmentReport(b *testing.B) {

@@ -11,6 +11,7 @@ import (
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
+	"mobieyes/internal/wire"
 )
 
 // TestProtocolFuzz drives the full protocol through randomized operation
@@ -194,8 +195,10 @@ func lifecycleOps(ops ...[3]byte) []byte {
 // them on the serial server and on a 2-node router. After every operation
 // the two must have returned the same values and agree on QueryIDs,
 // NumQueries, every Query and Result, and their snapshots byte for byte,
-// and each must pass CheckInvariants. The seeds replay the
-// lifecycle bugs found in the two servers' former copies of this code.
+// and each must pass CheckInvariants; every QueryInstall either sent during
+// the operation must match the other's in order, target and wire bytes. The
+// seeds replay the lifecycle bugs found in the two servers' former copies of
+// this code.
 func FuzzQueryLifecycle(f *testing.F) {
 	for _, seed := range [][]byte{
 		// A pending install survived its removal, and its expiry.
@@ -226,7 +229,8 @@ func FuzzQueryLifecycle(f *testing.F) {
 		}
 		g := smallGrid()
 		names := []string{"serial", "router"}
-		servers := []ServerAPI{NewServer(g, Options{}, nullDown{}), NewClusterServer(g, Options{}, nullDown{}, 2)}
+		logs := []*installLog{{}, {}}
+		servers := []ServerAPI{NewServer(g, Options{}, logs[0]), NewClusterServer(g, Options{}, logs[1], 2)}
 		var maxQID model.QueryID
 		for i := 0; i+3 <= len(data); i += 3 {
 			op, a, b := data[i]%numLifecycleOps, data[i+1], data[i+2]
@@ -236,11 +240,11 @@ func FuzzQueryLifecycle(f *testing.F) {
 				if err := servers[0].Snapshot(&buf); err != nil {
 					t.Fatal(err)
 				}
-				s, err := RestoreServer(g, Options{}, nullDown{}, bytes.NewReader(buf.Bytes()))
+				s, err := RestoreServer(g, Options{}, logs[0], bytes.NewReader(buf.Bytes()))
 				if err != nil {
 					t.Fatalf("op %d: serial restore: %v", i/3, err)
 				}
-				cs := NewClusterServer(g, Options{}, nullDown{}, 2)
+				cs := NewClusterServer(g, Options{}, logs[1], 2)
 				if err := cs.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 					t.Fatalf("op %d: router restore: %v", i/3, err)
 				}
@@ -281,9 +285,28 @@ func FuzzQueryLifecycle(f *testing.F) {
 			if op == opInstall || op == opInstallUntil {
 				maxQID++
 			}
-			compareLifecycle(t, fmt.Sprintf("op %d (%d %d %d)", i/3, op, a, b), names, servers, got, maxQID)
+			step := fmt.Sprintf("op %d (%d %d %d)", i/3, op, a, b)
+			compareLifecycle(t, step, names, servers, got, maxQID)
+			if !slices.Equal(logs[1].sends, logs[0].sends) {
+				t.Fatalf("%s: router sent QueryInstalls\n%v\nserial\n%v", step, logs[1].sends, logs[0].sends)
+			}
+			logs[0].sends, logs[1].sends = logs[0].sends[:0], logs[1].sends[:0]
 		}
 	})
+}
+
+// installLog is a downlink that records every QueryInstall as its target and
+// wire bytes, encoded during the call: the server lends the state list only
+// for the call (see Downlink).
+type installLog struct{ sends []string }
+
+func (l *installLog) Broadcast(region grid.CellRange, m msg.Message) { l.keep(region.String(), m) }
+func (l *installLog) Unicast(oid model.ObjectID, m msg.Message)      { l.keep(fmt.Sprint("oid ", oid), m) }
+
+func (l *installLog) keep(to string, m msg.Message) {
+	if m.Kind() == msg.KindQueryInstall {
+		l.sends = append(l.sends, fmt.Sprintf("%s %x", to, wire.Encode(m)))
+	}
 }
 
 // compareLifecycle fails t unless every server returned what the serial

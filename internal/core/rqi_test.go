@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -17,10 +18,7 @@ import (
 // 10. As an object's cell change they exercise RQI(new) ∖ RQI(prev); as a
 // focal's they exercise delta relocation, several of them across the span
 // boundary.
-var cellMoves = []struct {
-	name      string
-	prev, new grid.CellID
-}{
+var cellMoves = []cellMove{
 	{"adjacent east", grid.CellID{Col: 9, Row: 9}, grid.CellID{Col: 10, Row: 9}},
 	{"adjacent north across the span boundary", grid.CellID{Col: 10, Row: 9}, grid.CellID{Col: 10, Row: 10}},
 	{"adjacent south across the span boundary", grid.CellID{Col: 10, Row: 10}, grid.CellID{Col: 10, Row: 9}},
@@ -34,17 +32,24 @@ var cellMoves = []struct {
 	{"along a clamped border", grid.CellID{Col: 19, Row: 8}, grid.CellID{Col: 19, Row: 11}},
 }
 
+type cellMove struct {
+	name      string
+	prev, new grid.CellID
+}
+
 func cellCenter(g *grid.Grid, c grid.CellID) geo.Point {
 	r := g.CellRect(c)
 	return geo.Pt(r.LX+g.Alpha()/2, r.LY+g.Alpha()/2)
 }
 
-// rqiServers are the two servers every RQI test runs on: the serial server
-// and the router over two nodes, whose spans split smallGrid at row 10.
+// rqiServers are the servers every RQI test runs on: the serial server and
+// the router over two nodes, whose spans split smallGrid at row 10, built
+// through each of its constructors.
 func rqiServers() map[string]*harness {
 	return map[string]*harness{
 		"serial": newHarness(smallGrid(), Options{}),
 		"router": newClusterHarness(smallGrid(), Options{}, 2),
+		"shards": newShardedHarness(smallGrid(), Options{}, 2),
 	}
 }
 
@@ -117,6 +122,101 @@ func bruteFresh(s ServerAPI, prev, next grid.CellID) []model.QueryID {
 		}
 	}
 	return out
+}
+
+// TestFreshQueryStatesAfterChurn: RQI edits keep no order, so removals
+// (swap-delete), relocations and a cross-node handoff (appends) leave posting
+// lists out of query-ID order — and each server's freshQueryStates run (each
+// node's, on the router) must still be its part of NearbyQueries(new) ∖
+// NearbyQueries(prev), ascending, what a non-focal cell change ships must be
+// all of it, ascending, and NearbyQueries itself must be ascending.
+func TestFreshQueryStatesAfterChurn(t *testing.T) {
+	const mover, focal = model.ObjectID(1000), model.ObjectID(500)
+	for name, h := range rqiServers() {
+		t.Run(name, func(t *testing.T) {
+			installSpread(h)
+			h.addObject(focal, cellCenter(h.g, grid.CellID{Col: 9, Row: 8}), geo.Vec(0, 0), 100, 1)
+			for _, r := range []float64{0.5, 4, 11} {
+				h.install(focal, r, matchAll, 100)
+			}
+			for _, qid := range []model.QueryID{2, 8, 15, 16, 21, 27} {
+				h.server.RemoveQuery(qid)
+			}
+			// Older focals move after newer queries were indexed, so their
+			// rows land behind higher query IDs.
+			for _, oid := range []model.ObjectID{7, 14, 22} {
+				prev := h.g.CellOf(h.objs[h.byOID[oid]].Pos)
+				next := grid.CellID{Col: prev.Col + 1, Row: prev.Row + 1}
+				h.server.HandleUplink(msg.CellChangeReport{OID: oid, PrevCell: prev, NewCell: next, Pos: cellCenter(h.g, next)})
+			}
+			// The focal crosses the span boundary between rows 9 and 10.
+			for _, mv := range [][2]grid.CellID{{{Col: 9, Row: 8}, {Col: 9, Row: 9}}, {{Col: 9, Row: 9}, {Col: 10, Row: 10}}} {
+				h.server.HandleUplink(msg.CellChangeReport{OID: focal, PrevCell: mv[0], NewCell: mv[1], Pos: cellCenter(h.g, mv[1])})
+			}
+			if cs, ok := h.server.(*ClusterServer); ok && cs.Migrations() == 0 {
+				t.Fatal("the focal's crossing made no handoff")
+			}
+			servers := churnServers(h.server)
+			if !slices.ContainsFunc(servers, rqiScrambled) {
+				t.Fatal("churn left every posting list in query-ID order")
+			}
+			if err := h.server.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+
+			moves := slices.Clone(cellMoves)
+			for idx := 0; idx < h.g.NumCells(); idx++ {
+				c := h.g.CellAt(idx)
+				if got := h.server.NearbyQueries(c); !slices.IsSorted(got) {
+					t.Fatalf("NearbyQueries(%v) = %v, not ascending", c, got)
+				}
+				// A rejoin ships the cell's whole posting list.
+				moves = append(moves, cellMove{"rejoin", grid.CellID{Col: -1, Row: -1}, c})
+			}
+			for _, mv := range moves {
+				want := bruteFresh(h.server, mv.prev, mv.new)
+				for i, srv := range servers {
+					part := slices.DeleteFunc(slices.Clone(want), func(qid model.QueryID) bool { return srv.sqt[qid] == nil })
+					if got := qidsOf(srv.freshQueryStates(nil, mv.prev, mv.new)); !slices.Equal(got, part) {
+						t.Fatalf("%s into %v: server %d freshQueryStates = %v, want %v", mv.name, mv.new, i, got, part)
+					}
+				}
+				// Reading a list sorts it in place, so the uplink gets the
+				// list reversed.
+				for _, srv := range servers {
+					if h.g.Valid(mv.new) {
+						slices.Reverse(srv.rqi[h.g.CellIndex(mv.new)])
+					}
+				}
+				h.downQueue = nil
+				h.server.HandleUplink(msg.CellChangeReport{OID: mover, PrevCell: mv.prev, NewCell: mv.new, Pos: cellCenter(h.g, mv.new)})
+				if got := lastQueryInstallTo(h, mover); !slices.Equal(got, want) {
+					t.Fatalf("%s into %v: shipped %v, want %v", mv.name, mv.new, got, want)
+				}
+			}
+		})
+	}
+}
+
+// churnServers returns the table-holding servers behind s: s itself, or the
+// router's in-process nodes.
+func churnServers(s ServerAPI) []*Server {
+	if cs, ok := s.(*ClusterServer); ok {
+		var out []*Server
+		for _, n := range cs.local {
+			out = append(out, n.srv)
+		}
+		return out
+	}
+	return []*Server{s.(*Server)}
+}
+
+// rqiScrambled reports whether some posting list of s is out of query-ID
+// order.
+func rqiScrambled(s *Server) bool {
+	return slices.ContainsFunc(s.rqi, func(list []*sqtEntry) bool {
+		return !slices.IsSortedFunc(list, func(a, b *sqtEntry) int { return cmp.Compare(a.query.ID, b.query.ID) })
+	})
 }
 
 // TestKeptSendsOutliveTheLend: the server lends every state list it sends
@@ -240,8 +340,8 @@ func rqiMatchesRebuild(s ServerAPI, g *grid.Grid) error {
 
 // TestCheckInvariantsCatchesStaleIndexRows: the posting lists hold SQT rows
 // and the SQT rows hold FOT rows by pointer, so CheckInvariants must fail on
-// a list out of order, on a list holding a copy of a row, and on a row whose
-// focal pointer is not the live FOT row.
+// a row listed twice in one cell, on a list holding a copy of a row, and on a
+// row whose focal pointer is not the live FOT row.
 func TestCheckInvariantsCatchesStaleIndexRows(t *testing.T) {
 	setup := func() (*Server, *sqtEntry, *[]*sqtEntry) {
 		h := newHarness(smallGrid(), Options{})
@@ -258,11 +358,17 @@ func TestCheckInvariantsCatchesStaleIndexRows(t *testing.T) {
 		}
 		return srv, srv.sqt[qid], list
 	}
-	t.Run("order", func(t *testing.T) {
-		srv, _, list := setup()
-		slices.Reverse(*list)
+	t.Run("duplicate", func(t *testing.T) {
+		// An add of a row the list already holds, as a caller breaking
+		// rqiEdit's "absent" precondition would make it: the incremental
+		// count agrees, and every cell still lists the row.
+		srv, e, _ := setup()
+		c := srv.g.CellOf(geo.Pt(50, 50))
+		if srv.rqiAdd(e, grid.CellRange{Min: c, Max: c}) != 1 {
+			t.Fatal("the add changed no list")
+		}
 		if srv.CheckInvariants() == nil {
-			t.Error("descending posting list not detected")
+			t.Error("row listed twice in one posting list not detected")
 		}
 	})
 	t.Run("stale SQT row", func(t *testing.T) {

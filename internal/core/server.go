@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -53,7 +52,8 @@ type Server struct {
 	sqt map[model.QueryID]*sqtEntry
 	// rqi is the reverse query index, indexed by grid cell index: per cell,
 	// the posting list of the SQT rows whose monitoring region contains the
-	// cell, ascending by query ID (DESIGN.md §13).
+	// cell. Edits leave a list unordered; freshQueryStates puts a list back
+	// in query-ID order when it reads it (DESIGN.md §13).
 	rqi [][]*sqtEntry
 	// rqiCount tracks the total number of (cell, query) entries across rqi,
 	// maintained incrementally by rqiEdit so reporting it is O(1).
@@ -497,18 +497,34 @@ func (s *Server) lendState(e *sqtEntry) []msg.QueryState {
 // A row of RQI(newCell) is in RQI(prevCell) exactly when its monitoring
 // region contains prevCell (the RQI ↔ SQT agreement CheckInvariants
 // enforces), so the difference is one pass over one posting list; an invalid
-// prevCell (a rejoin) is in no cell's list.
+// prevCell (a rejoin) is in no cell's list. The list is sorted in place
+// first, so the pass runs in query-ID order.
 func (s *Server) freshQueryStates(dst []msg.QueryState, prevCell, newCell grid.CellID) []msg.QueryState {
 	if !s.g.Valid(newCell) {
 		return dst
 	}
 	rejoin := !s.g.Valid(prevCell)
-	for _, e := range s.rqi[s.g.CellIndex(newCell)] {
+	list := s.rqi[s.g.CellIndex(newCell)]
+	sortRows(list)
+	for _, e := range list {
 		if rejoin || !e.monRegion.Contains(prevCell) {
 			dst = append(dst, e.wireState())
 		}
 	}
 	return dst
+}
+
+// sortRows insertion-sorts rows ascending by query ID: rows already in
+// order cost one comparison each, and a row an edit put out of place costs
+// one move per row it passes.
+func sortRows(rows []*sqtEntry) {
+	for i := 1; i < len(rows); i++ {
+		e, j := rows[i], i
+		for ; j > 0 && rows[j-1].query.ID > e.query.ID; j-- {
+			rows[j] = rows[j-1]
+		}
+		rows[j] = e
+	}
 }
 
 // OnContainmentReport applies a differential result update (§3.6).
@@ -682,6 +698,7 @@ func (s *Server) NearbyQueries(cell grid.CellID) []model.QueryID {
 	for i, e := range list {
 		out[i] = e.query.ID
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -717,8 +734,11 @@ func (s *Server) rqiMove(e *sqtEntry, from, to grid.CellRange) int {
 	return s.rqiEdit(e, from, to, false) + s.rqiEdit(e, to, from, true)
 }
 
-// rqiEdit inserts e into (add) or deletes it from the posting list of every
-// valid cell of in ∖ out, and returns how many lists changed.
+// rqiEdit adds e to (add) or deletes it from the posting list of every
+// valid cell of in ∖ out, and returns how many lists changed. An edit keeps
+// no order: an add appends, because every caller adds a row that is absent —
+// a fresh or decoded row, or one moving into to ∖ from — and a delete finds
+// the row by identity and fills its slot with the list's last.
 func (s *Server) rqiEdit(e *sqtEntry, in, out grid.CellRange, add bool) int {
 	changed := 0
 	for row := in.Min.Row; row <= in.Max.Row; row++ {
@@ -728,27 +748,21 @@ func (s *Server) rqiEdit(e *sqtEntry, in, out grid.CellRange, add bool) int {
 				continue
 			}
 			list := &s.rqi[s.g.CellIndex(c)]
-			i, found := rqiSearch(*list, e.query.ID)
-			switch {
-			case add && !found:
-				*list = slices.Insert(*list, i, e)
+			if add {
+				*list = append(*list, e)
 				s.rqiCount++
 				changed++
-			case !add && found:
-				*list = slices.Delete(*list, i, i+1)
+			} else if i := slices.Index(*list, e); i >= 0 {
+				last := len(*list) - 1
+				(*list)[i] = (*list)[last]
+				(*list)[last] = nil
+				*list = (*list)[:last]
 				s.rqiCount--
 				changed++
 			}
 		}
 	}
 	return changed
-}
-
-// rqiSearch finds qid's position in a posting list.
-func rqiSearch(list []*sqtEntry, qid model.QueryID) (int, bool) {
-	return slices.BinarySearchFunc(list, qid, func(e *sqtEntry, qid model.QueryID) int {
-		return cmp.Compare(e.query.ID, qid)
-	})
 }
 
 // chargeRQI charges n RQI touches to the ops counter and the cost ledger. A
@@ -783,15 +797,19 @@ func removeSortedQID(qs []model.QueryID, qid model.QueryID) []model.QueryID {
 }
 
 // CheckInvariants validates the server's internal consistency: every SQT
-// entry is indexed in exactly the RQI cells of its monitoring region, every
-// posting list is strictly ascending and holds the live SQT rows themselves,
+// entry is indexed exactly once in each RQI cell of its monitoring region and
+// nowhere else, every posting list holds the live SQT rows themselves,
 // every SQT row points at its focal's live FOT row, every focal-object record
 // lists exactly its live queries, every FOT cell and monitoring region lies
 // on the grid, and the query book is consistent with the SQT. It returns the
 // first violation found, or nil. Intended for tests and debugging; it walks
 // every table.
 func (s *Server) CheckInvariants() error {
-	// RQI ↔ SQT agreement.
+	// RQI ↔ SQT agreement: every row sits in each cell of its monitoring
+	// region, every listed row is live and inside its region, and the lists
+	// hold as many entries as the regions have cells — so no row is listed
+	// twice.
+	want := 0
 	for qid, e := range s.sqt {
 		if e.query.ID != qid {
 			return fmt.Errorf("core: SQT row %d carries query ID %d", qid, e.query.ID)
@@ -807,22 +825,20 @@ func (s *Server) CheckInvariants() error {
 		}
 		missing := false
 		e.monRegion.ForEach(func(c grid.CellID) {
-			if _, ok := rqiSearch(s.rqi[s.g.CellIndex(c)], qid); !ok {
+			if !slices.Contains(s.rqi[s.g.CellIndex(c)], e) {
 				missing = true
 			}
 		})
 		if missing {
 			return fmt.Errorf("core: query %d missing from RQI cells of its monitoring region", qid)
 		}
+		want += e.monRegion.NumCells()
 	}
 	entries := 0
 	for idx, list := range s.rqi {
 		entries += len(list)
-		for i, e := range list {
+		for _, e := range list {
 			qid := e.query.ID
-			if i > 0 && list[i-1].query.ID >= qid {
-				return fmt.Errorf("core: RQI cell %d posting list not strictly ascending at query %d", idx, qid)
-			}
 			live, ok := s.sqt[qid]
 			if !ok {
 				return fmt.Errorf("core: RQI cell %d lists unknown query %d", idx, qid)
@@ -837,6 +853,9 @@ func (s *Server) CheckInvariants() error {
 	}
 	if entries != s.rqiCount {
 		return fmt.Errorf("core: incremental RQI entry count %d, actual %d", s.rqiCount, entries)
+	}
+	if entries != want {
+		return fmt.Errorf("core: RQI holds %d entries, the monitoring regions cover %d cells: a row is listed twice", entries, want)
 	}
 	// FOT ↔ SQT agreement. A focal's row lives exactly as long as it has a
 	// query: removing the last one deletes it, and a stale FocalInfoResponse

@@ -54,16 +54,20 @@ func errFrameSize(n int) error {
 	return fmt.Errorf("remote: frame of %d bytes exceeds limit", n)
 }
 
-// WriteFrame writes a length-prefixed payload. It makes two Write calls, so
-// w should be buffered; an unbuffered writer frames with AppendFrame and
-// writes once.
+// WriteFrame writes a length-prefixed payload in two Write calls, so w
+// should be buffered; an unbuffered writer frames with AppendFrame and
+// writes once. The header is appended to w's AvailableBuffer when w has one
+// (*bufio.Writer, *bytes.Buffer), so framing into such a writer allocates
+// nothing while it has room.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > maxFrame {
 		return errFrameSize(len(payload))
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	var b []byte
+	if aw, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		b = aw.AvailableBuffer()
+	}
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(b, uint32(len(payload)))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -81,13 +85,19 @@ func AppendFrame(dst, payload []byte) ([]byte, error) {
 	return append(dst, payload...), nil
 }
 
-// ReadFrame reads one length-prefixed payload.
+// ReadFrame reads one length-prefixed payload; the payload is its one
+// allocation. A stream that ends inside the length prefix returns
+// io.ErrUnexpectedEOF, as one that ends inside the payload does.
 func ReadFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
+	_, _ = r.Discard(4) // cannot fail: Peek returned the 4 bytes
 	if n > maxFrame {
 		return nil, errFrameSize(int(n))
 	}
