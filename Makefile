@@ -87,7 +87,10 @@ crash:
 # log codec and bounded store, the remote SSE/admin wiring, and the
 # simtest replay oracle (log vs live-subscription ground truth), under the
 # race detector (see internal/obs/stream, internal/history, DESIGN.md §17).
+# The -list line fails the gate when -run no longer matches the remote
+# stream-and-history test.
 stream:
+	$(GO) test -list 'Stream|History|AdminSubHist|Gateway' ./internal/remote/ | grep -qx TestRemoteStreamAndHistory
 	$(GO) test -race -count=1 ./internal/obs/stream/ ./internal/history/
 	$(GO) test -race -count=1 -run 'Stream|History|AdminSubHist|Gateway' ./internal/remote/ ./internal/simtest/
 

@@ -98,6 +98,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mobieyes: unknown mobility %q\n", *mobility)
 		os.Exit(2)
 	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "mobieyes: %v\n", err)
+		os.Exit(2)
+	}
 
 	start := time.Now()
 	var m sim.Metrics

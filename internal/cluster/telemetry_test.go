@@ -418,7 +418,7 @@ type accountedAPI struct {
 }
 
 func (a accountedAPI) HandleUplink(m msg.Message) {
-	a.acct.Uplink(m.Kind(), m.Size())
+	a.acct.Traffic().ChargeUplink(m.Kind(), m.Size())
 	a.ServerAPI.HandleUplink(m)
 }
 

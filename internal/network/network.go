@@ -1,9 +1,9 @@
 // Package network models the wireless infrastructure of the MobiEyes system
 // (§2.2): a set of base stations whose circular coverage areas jointly cover
-// the universe of discourse, the grid-cell-to-base-station mapping Bmap, the
-// minimal-broadcast set cover the server uses to reach a monitoring region,
-// and the message/byte meters behind every messaging-cost experiment
-// (Figs. 4–8).
+// the universe of discourse, the grid-cell-to-base-station mapping Bmap, and
+// the minimal-broadcast set cover the server uses to reach a monitoring
+// region. The transports meter messages and bytes on the medium in a
+// cost.Ledger (internal/obs/cost).
 //
 // The deployment follows the paper's alen parameter ("base station side
 // length"): stations sit on a square lattice with spacing alen, each
@@ -18,7 +18,6 @@ import (
 
 	"mobieyes/internal/geo"
 	"mobieyes/internal/grid"
-	"mobieyes/internal/msg"
 	"mobieyes/internal/obs/cost"
 )
 
@@ -293,113 +292,4 @@ func (d *Deployment) needed(sid StationID, rc grid.CellRange, kept, rest []Stati
 // Covers reports whether station id's coverage contains point p.
 func (d *Deployment) Covers(id StationID, p geo.Point) bool {
 	return d.stations[id].Contains(p)
-}
-
-// Meter counts messages and bytes on the wireless medium, split by
-// direction and message kind. A broadcast relayed through k base stations
-// counts as k downlink messages, matching the paper's accounting ("the
-// total number of messages sent on the wireless medium per second").
-type Meter struct {
-	upCount   [msg.NumKinds]int64
-	downCount [msg.NumKinds]int64
-	upBytes   [msg.NumKinds]int64
-	downBytes [msg.NumKinds]int64
-}
-
-// RecordUplink counts one uplink message.
-func (m *Meter) RecordUplink(mm msg.Message) {
-	k := mm.Kind()
-	m.upCount[k]++
-	m.upBytes[k] += int64(mm.Size())
-}
-
-// RecordDownlink counts a downlink message sent as copies transmissions
-// (one per base station involved; 1 for a one-to-one message).
-func (m *Meter) RecordDownlink(mm msg.Message, copies int) {
-	k := mm.Kind()
-	m.downCount[k] += int64(copies)
-	m.downBytes[k] += int64(copies * mm.Size())
-}
-
-// RecordUplinkWire counts one uplink message of kind k with its observed
-// on-the-wire size — header and framing included — for transports that know
-// the exact encoded length, where the protocol-level Size model would
-// undercount.
-func (m *Meter) RecordUplinkWire(k msg.Kind, wireBytes int) {
-	m.upCount[k]++
-	m.upBytes[k] += int64(wireBytes)
-}
-
-// RecordDownlinkWire counts a downlink message of kind k sent as copies
-// transmissions of wireBytes each, as observed at the wire.
-func (m *Meter) RecordDownlinkWire(k msg.Kind, wireBytes, copies int) {
-	m.downCount[k] += int64(copies)
-	m.downBytes[k] += int64(copies * wireBytes)
-}
-
-// UplinkMessages returns the total uplink message count.
-func (m *Meter) UplinkMessages() int64 { return sum(m.upCount[:]) }
-
-// DownlinkMessages returns the total downlink message count.
-func (m *Meter) DownlinkMessages() int64 { return sum(m.downCount[:]) }
-
-// TotalMessages returns all messages sent on the wireless medium.
-func (m *Meter) TotalMessages() int64 { return m.UplinkMessages() + m.DownlinkMessages() }
-
-// UplinkBytes returns the total uplink bytes.
-func (m *Meter) UplinkBytes() int64 { return sum(m.upBytes[:]) }
-
-// DownlinkBytes returns the total downlink bytes.
-func (m *Meter) DownlinkBytes() int64 { return sum(m.downBytes[:]) }
-
-// CountByKind returns the message count for one kind (both directions).
-func (m *Meter) CountByKind(k msg.Kind) int64 { return m.upCount[k] + m.downCount[k] }
-
-// KindStats is the per-message-kind traffic record of a Meter.
-type KindStats struct {
-	Kind          msg.Kind
-	UplinkMsgs    int64
-	DownlinkMsgs  int64
-	UplinkBytes   int64
-	DownlinkBytes int64
-}
-
-// Snapshot returns per-kind statistics for every kind with any traffic,
-// ordered by kind.
-func (m *Meter) Snapshot() []KindStats {
-	var out []KindStats
-	for k := 0; k < msg.NumKinds; k++ {
-		if m.upCount[k] == 0 && m.downCount[k] == 0 {
-			continue
-		}
-		out = append(out, KindStats{
-			Kind:          msg.Kind(k),
-			UplinkMsgs:    m.upCount[k],
-			DownlinkMsgs:  m.downCount[k],
-			UplinkBytes:   m.upBytes[k],
-			DownlinkBytes: m.downBytes[k],
-		})
-	}
-	return out
-}
-
-// Reset zeroes all counters.
-func (m *Meter) Reset() { *m = Meter{} }
-
-// AddTo accumulates m into dst.
-func (m *Meter) AddTo(dst *Meter) {
-	for k := 0; k < msg.NumKinds; k++ {
-		dst.upCount[k] += m.upCount[k]
-		dst.downCount[k] += m.downCount[k]
-		dst.upBytes[k] += m.upBytes[k]
-		dst.downBytes[k] += m.downBytes[k]
-	}
-}
-
-func sum(xs []int64) int64 {
-	var t int64
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }

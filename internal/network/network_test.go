@@ -4,11 +4,13 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"mobieyes/internal/geo"
 	"mobieyes/internal/grid"
 	"mobieyes/internal/msg"
+	"mobieyes/internal/obs/cost"
 )
 
 func testGrid() *grid.Grid {
@@ -196,45 +198,75 @@ func TestCoverEmptyRegionOutsideGrid(t *testing.T) {
 	}
 }
 
+// TestMeterCounts pins how traffic on the medium is metered: a broadcast to
+// a monitoring region goes out once per base station of its cover, so it
+// counts len(cover) downlink messages of len(cover) times the bytes.
 func TestMeterCounts(t *testing.T) {
-	var m Meter
+	g := testGrid()
+	d := NewDeployment(g, 10)
+	cover := d.Cover(grid.CellRange{Min: grid.CellID{Col: 4, Row: 4}, Max: grid.CellID{Col: 9, Row: 9}})
+	if len(cover) < 2 {
+		t.Fatalf("cover of %d stations; want a multi-station broadcast", len(cover))
+	}
+
+	var m cost.Ledger
 	up := msg.VelocityReport{}
 	down := msg.VelocityChange{}
-	m.RecordUplink(up)
-	m.RecordUplink(up)
-	m.RecordDownlink(down, 3) // broadcast through 3 stations
+	m.ChargeUplink(up.Kind(), up.Size())
+	m.ChargeUplink(up.Kind(), up.Size())
+	m.ChargeDownlink(down.Kind(), down.Size(), len(cover))
 
-	if m.UplinkMessages() != 2 {
-		t.Errorf("UplinkMessages = %d", m.UplinkMessages())
+	s := m.Snap()
+	if s.UplinkMsgs() != 2 {
+		t.Errorf("UplinkMsgs = %d", s.UplinkMsgs())
 	}
-	if m.DownlinkMessages() != 3 {
-		t.Errorf("DownlinkMessages = %d", m.DownlinkMessages())
+	if s.DownlinkMsgs() != int64(len(cover)) {
+		t.Errorf("DownlinkMsgs = %d, want %d", s.DownlinkMsgs(), len(cover))
 	}
-	if m.TotalMessages() != 5 {
-		t.Errorf("TotalMessages = %d", m.TotalMessages())
+	if s.UplinkMsgs()+s.DownlinkMsgs() != int64(2+len(cover)) {
+		t.Errorf("total messages = %d", s.UplinkMsgs()+s.DownlinkMsgs())
 	}
-	if m.UplinkBytes() != int64(2*up.Size()) {
-		t.Errorf("UplinkBytes = %d", m.UplinkBytes())
+	if s.UplinkBytes() != int64(2*up.Size()) {
+		t.Errorf("UplinkBytes = %d", s.UplinkBytes())
 	}
-	if m.DownlinkBytes() != int64(3*down.Size()) {
-		t.Errorf("DownlinkBytes = %d", m.DownlinkBytes())
+	if s.DownlinkBytes() != int64(len(cover)*down.Size()) {
+		t.Errorf("DownlinkBytes = %d", s.DownlinkBytes())
 	}
-	if m.CountByKind(msg.KindVelocityReport) != 2 {
-		t.Errorf("CountByKind = %d", m.CountByKind(msg.KindVelocityReport))
+	if n := s.UpMsgs[msg.KindVelocityReport] + s.DownMsgs[msg.KindVelocityReport]; n != 2 {
+		t.Errorf("VelocityReport count = %d", n)
 	}
 }
 
+// TestMeterResetAdd checks that traffic charged from concurrent workers into
+// one ledger adds up (the parallel phase's uplinks need no merge step), and
+// that Reset leaves no residue.
 func TestMeterResetAdd(t *testing.T) {
-	var a, b Meter
-	a.RecordUplink(msg.PositionReport{})
-	a.RecordDownlink(msg.QueryRemove{}, 2)
-	a.AddTo(&b)
-	a.AddTo(&b)
-	if b.TotalMessages() != 2*a.TotalMessages() {
-		t.Errorf("AddTo: %d, want %d", b.TotalMessages(), 2*a.TotalMessages())
+	charge := func(l *cost.Ledger) {
+		p, r := msg.PositionReport{}, msg.QueryRemove{}
+		l.ChargeUplink(p.Kind(), p.Size())
+		l.ChargeDownlink(r.Kind(), r.Size(), 2)
+	}
+	var a, b cost.Ledger
+	charge(&a)
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			charge(&b)
+		}()
+	}
+	wg.Wait()
+
+	sa, sb := a.Snap(), b.Snap()
+	if got, want := sb.UplinkMsgs()+sb.DownlinkMsgs(), 2*(sa.UplinkMsgs()+sa.DownlinkMsgs()); got != want {
+		t.Errorf("concurrent charges: %d messages, want %d", got, want)
+	}
+	if got, want := sb.UplinkBytes()+sb.DownlinkBytes(), 2*(sa.UplinkBytes()+sa.DownlinkBytes()); got != want {
+		t.Errorf("concurrent charges: %d bytes, want %d", got, want)
 	}
 	a.Reset()
-	if a.TotalMessages() != 0 || a.UplinkBytes() != 0 || a.DownlinkBytes() != 0 {
+	if s := a.Snap(); s.UplinkMsgs()+s.DownlinkMsgs() != 0 || s.UplinkBytes() != 0 || s.DownlinkBytes() != 0 {
 		t.Error("Reset left residue")
 	}
 }

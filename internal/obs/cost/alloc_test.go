@@ -17,7 +17,7 @@ func TestChargesDoNotAllocate(t *testing.T) {
 	a.ObjectUp(9, 30)
 	a.QueryUp(3, 30)
 	if got := testing.AllocsPerRun(1000, func() {
-		a.Uplink(msg.KindVelocityReport, 30)
+		a.Traffic().ChargeUplink(msg.KindVelocityReport, 30)
 		a.NodeUplink(1, msg.KindVelocityReport, 30)
 		a.CellUp(3, 30)
 		a.ObjectUp(9, 30)

@@ -10,14 +10,6 @@ import (
 // is off: a single nil check, required to stay ≤ ~5 ns/op (see ISSUE 5 /
 // BENCH_PR5.json).
 
-func BenchmarkCostUplinkDisabled(b *testing.B) {
-	var a *Accountant
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a.Uplink(msg.KindVelocityReport, 30)
-	}
-}
-
 func BenchmarkCostComputeDisabled(b *testing.B) {
 	var a *Accountant
 	b.ReportAllocs()
@@ -26,21 +18,21 @@ func BenchmarkCostComputeDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkCostUplinkEnabled is one global-ledger charge: two atomic adds,
-// 0 allocs/op (TestChargesDoNotAllocate holds every charge there).
+// BenchmarkCostUplinkEnabled is one transport-ledger charge: two atomic
+// adds, 0 allocs/op (TestChargesDoNotAllocate holds every charge there).
 func BenchmarkCostUplinkEnabled(b *testing.B) {
-	a := New()
+	l := New().Traffic()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.Uplink(msg.KindVelocityReport, 30)
+		l.ChargeUplink(msg.KindVelocityReport, 30)
 	}
 }
 
 func BenchmarkCostDownlinkEnabled(b *testing.B) {
-	a := New()
+	l := New().Traffic()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.Downlink(msg.KindVelocityChange, 50, 3)
+		l.ChargeDownlink(msg.KindVelocityChange, 50, 3)
 	}
 }
 

@@ -10,7 +10,8 @@
 //
 //   - The global ledger is filled exactly once per message, at the transport
 //     boundary: the simulated medium (internal/sim) or the frame codec
-//     (internal/remote, bytes-on-wire including the length prefix). A
+//     (internal/remote, bytes-on-wire including the length prefix). It is
+//     the transport's only traffic ledger (Accountant.Traffic). A
 //     broadcast relayed through k base stations counts as k downlink
 //     messages, matching the paper's wireless-medium accounting.
 //   - Per-node ledgers are filled at the router's dispatch points,
@@ -33,9 +34,10 @@
 //
 // Everything is nil-safe: every method on a nil *Accountant is a no-op
 // costing ~1–2 ns (one nil check), so instrumented code needs no "is
-// accounting on?" branches and pays nothing when accounting is off. Enabled
-// sites are one or two atomic adds. All methods are safe for concurrent use
-// after Configure.
+// accounting on?" branches and pays nothing when accounting is off. The
+// exception is Traffic, which returns a private ledger, since a transport
+// meters its traffic either way. Enabled sites are one or two atomic adds.
+// All methods are safe for concurrent use after Configure.
 package cost
 
 import (
@@ -94,6 +96,11 @@ func (u Unit) String() string {
 // A Ledger tallies messages and wire bytes by direction and message kind,
 // plus computation units. All fields are atomic counters; the zero value is
 // ready to use and safe for concurrent use.
+//
+// A transport meters its traffic in exactly one Ledger (see
+// Accountant.Traffic): the paper's "messages sent on the wireless medium",
+// where a broadcast relayed through k base stations counts as k downlink
+// messages.
 type Ledger struct {
 	upMsgs    [msg.NumKinds]obs.Counter
 	upBytes   [msg.NumKinds]obs.Counter
@@ -102,14 +109,17 @@ type Ledger struct {
 	compute   [NumUnits]obs.Counter
 }
 
-func (l *Ledger) uplink(k msg.Kind, bytes int64) {
+// ChargeUplink charges one uplink message of kind k and its wire bytes.
+func (l *Ledger) ChargeUplink(k msg.Kind, bytes int) {
 	l.upMsgs[k].Add(1)
-	l.upBytes[k].Add(bytes)
+	l.upBytes[k].Add(int64(bytes))
 }
 
-func (l *Ledger) downlink(k msg.Kind, bytes, copies int64) {
-	l.downMsgs[k].Add(copies)
-	l.downBytes[k].Add(bytes * copies)
+// ChargeDownlink charges a downlink message of kind k and wire size bytes
+// sent as copies transmissions (one per base station; 1 for a unicast).
+func (l *Ledger) ChargeDownlink(k msg.Kind, bytes, copies int) {
+	l.downMsgs[k].Add(int64(copies))
+	l.downBytes[k].Add(int64(bytes * copies))
 }
 
 // UplinkMsgs returns the ledger's total uplink message count.
@@ -161,8 +171,36 @@ func (s LedgerSnap) DownlinkBytes() int64 { return sumInt64(s.DownBytes[:]) }
 // ComputeUnits returns the snapshot's tally for one computation unit.
 func (s LedgerSnap) ComputeUnits(u Unit) int64 { return s.Compute[u] }
 
-// snap copies the ledger's counters.
-func (l *Ledger) snap() LedgerSnap {
+// KindStats is one message kind's row of a traffic ledger.
+type KindStats struct {
+	Kind          msg.Kind
+	UplinkMsgs    int64
+	DownlinkMsgs  int64
+	UplinkBytes   int64
+	DownlinkBytes int64
+}
+
+// ByKind returns one row for every kind with any traffic, ordered by kind
+// (nil when there is none).
+func (s LedgerSnap) ByKind() []KindStats {
+	var out []KindStats
+	for k := 0; k < msg.NumKinds; k++ {
+		if s.UpMsgs[k] == 0 && s.DownMsgs[k] == 0 {
+			continue
+		}
+		out = append(out, KindStats{
+			Kind:          msg.Kind(k),
+			UplinkMsgs:    s.UpMsgs[k],
+			DownlinkMsgs:  s.DownMsgs[k],
+			UplinkBytes:   s.UpBytes[k],
+			DownlinkBytes: s.DownBytes[k],
+		})
+	}
+	return out
+}
+
+// Snap returns a point-in-time copy of the ledger's counters.
+func (l *Ledger) Snap() LedgerSnap {
 	var s LedgerSnap
 	for k := 0; k < msg.NumKinds; k++ {
 		s.UpMsgs[k] = l.upMsgs[k].Value()
@@ -176,9 +214,9 @@ func (l *Ledger) snap() LedgerSnap {
 	return s
 }
 
-// reset zeroes the ledger in place (counters keep their identity so registry
+// Reset zeroes the ledger in place (counters keep their identity so registry
 // registrations survive). Intended for quiescent points, not concurrent use.
-func (l *Ledger) reset() {
+func (l *Ledger) Reset() {
 	for k := 0; k < msg.NumKinds; k++ {
 		zero(&l.upMsgs[k])
 		zero(&l.upBytes[k])
@@ -490,23 +528,15 @@ func (a *Accountant) Mode() string {
 	return ""
 }
 
-// Uplink charges one uplink message of kind k and the given wire bytes to
-// the global ledger. Called at the transport boundary only.
-func (a *Accountant) Uplink(k msg.Kind, bytes int) {
+// Traffic returns the global transport ledger, which the transport charges
+// exactly once per message; Global snapshots it. On a nil accountant it
+// returns a new private ledger, so a transport meters its traffic in the
+// same structure whether or not accounting is on.
+func (a *Accountant) Traffic() *Ledger {
 	if a == nil {
-		return
+		return new(Ledger)
 	}
-	a.global.uplink(k, int64(bytes))
-}
-
-// Downlink charges a downlink message sent as copies transmissions (one per
-// base station; 1 for a unicast) to the global ledger. Called at the
-// transport boundary only.
-func (a *Accountant) Downlink(k msg.Kind, bytes, copies int) {
-	if a == nil {
-		return
-	}
-	a.global.downlink(k, int64(bytes), int64(copies))
+	return &a.global
 }
 
 // NodeUplink charges one uplink to the node that processed it. An index
@@ -518,10 +548,10 @@ func (a *Accountant) NodeUplink(node int, k msg.Kind, bytes int) {
 		return
 	}
 	if node < 0 || node >= len(a.nodes) {
-		a.router.uplink(k, int64(bytes))
+		a.router.ChargeUplink(k, bytes)
 		return
 	}
-	a.nodes[node].uplink(k, int64(bytes))
+	a.nodes[node].ChargeUplink(k, bytes)
 }
 
 // CellUp charges one uplink's bytes to the sender's grid cell. Out-of-range
@@ -661,7 +691,7 @@ func (a *Accountant) Global() LedgerSnap {
 	if a == nil {
 		return LedgerSnap{}
 	}
-	return a.global.snap()
+	return a.global.Snap()
 }
 
 // Router returns a snapshot of the router ledger (stale drops and
@@ -670,7 +700,7 @@ func (a *Accountant) Router() LedgerSnap {
 	if a == nil {
 		return LedgerSnap{}
 	}
-	return a.router.snap()
+	return a.router.Snap()
 }
 
 // Nodes returns snapshots of the per-node ledgers.
@@ -680,7 +710,7 @@ func (a *Accountant) Nodes() []LedgerSnap {
 	}
 	out := make([]LedgerSnap, len(a.nodes))
 	for i := range a.nodes {
-		out[i] = a.nodes[i].snap()
+		out[i] = a.nodes[i].Snap()
 	}
 	return out
 }
@@ -710,7 +740,7 @@ func (a *Accountant) HistoryAppend(bytes int) {
 
 // Reset zeroes every ledger, tally and quality instrument in place,
 // preserving registry registrations and configured scope sizes. Intended
-// for quiescent points (e.g. after warmup), like network.Meter.Reset; it is
+// for quiescent points (e.g. after warmup), like Ledger.Reset; it is
 // race-clean against concurrent charges, which may or may not survive it.
 func (a *Accountant) Reset() {
 	if a == nil {
@@ -720,10 +750,10 @@ func (a *Accountant) Reset() {
 	zero(&a.egress.gatewayBytes)
 	zero(&a.egress.historyAppends)
 	zero(&a.egress.historyBytes)
-	a.global.reset()
-	a.router.reset()
+	a.global.Reset()
+	a.router.Reset()
 	for i := range a.nodes {
-		a.nodes[i].reset()
+		a.nodes[i].Reset()
 	}
 	for i := range a.cells {
 		a.cells[i].reset()

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,13 +11,21 @@ import (
 )
 
 // TestNilAccountant pins the disabled path: every method on a nil
-// accountant is a no-op that neither panics nor allocates state.
+// accountant is a no-op that neither panics nor allocates state, except
+// Traffic, which hands out a private ledger.
 func TestNilAccountant(t *testing.T) {
 	var a *Accountant
 	a.Configure(10, 4, 2)
 	a.SetMode("EQP")
-	a.Uplink(msg.KindVelocityReport, 32)
-	a.Downlink(msg.KindVelocityChange, 64, 3)
+	l := a.Traffic()
+	l.ChargeUplink(msg.KindVelocityReport, 32)
+	l.ChargeDownlink(msg.KindVelocityChange, 64, 3)
+	if s := l.Snap(); s.UplinkMsgs() != 1 || s.DownlinkMsgs() != 3 {
+		t.Errorf("private ledger counted %d up / %d down, want 1/3", s.UplinkMsgs(), s.DownlinkMsgs())
+	}
+	if a.Traffic() == l {
+		t.Error("nil accountant handed out one shared ledger")
+	}
 	a.NodeUplink(1, msg.KindVelocityReport, 32)
 	a.CellUp(3, 32)
 	a.CellDown(3, 64)
@@ -44,14 +53,45 @@ func TestNilAccountant(t *testing.T) {
 	}
 }
 
+// TestLedgerTraffic pins the transport ledger's counting: a broadcast
+// relayed through k stations counts k messages of k times the bytes, ByKind
+// lists the kinds with traffic in kind order, and Reset leaves no residue.
+func TestLedgerTraffic(t *testing.T) {
+	var l Ledger
+	up, down := msg.VelocityReport{}, msg.VelocityChange{}
+	l.ChargeUplink(up.Kind(), up.Size())
+	l.ChargeUplink(up.Kind(), up.Size())
+	l.ChargeDownlink(down.Kind(), down.Size(), 3) // broadcast through 3 stations
+
+	s := l.Snap()
+	if s.UplinkMsgs() != 2 || s.DownlinkMsgs() != 3 {
+		t.Errorf("messages %d up / %d down, want 2/3", s.UplinkMsgs(), s.DownlinkMsgs())
+	}
+	if s.UplinkBytes() != int64(2*up.Size()) || s.DownlinkBytes() != int64(3*down.Size()) {
+		t.Errorf("bytes %d up / %d down", s.UplinkBytes(), s.DownlinkBytes())
+	}
+	want := []KindStats{
+		{Kind: msg.KindVelocityReport, UplinkMsgs: 2, UplinkBytes: int64(2 * up.Size())},
+		{Kind: msg.KindVelocityChange, DownlinkMsgs: 3, DownlinkBytes: int64(3 * down.Size())},
+	}
+	if got := s.ByKind(); !slices.Equal(got, want) {
+		t.Errorf("ByKind = %+v, want %+v", got, want)
+	}
+
+	l.Reset()
+	if s := l.Snap(); s != (LedgerSnap{}) || s.ByKind() != nil {
+		t.Errorf("Reset left residue: %+v", s)
+	}
+}
+
 func TestGlobalAttribution(t *testing.T) {
 	a := New()
 	a.Configure(100, 9, 4)
 	a.SetMode("LQP")
-	a.Uplink(msg.KindVelocityReport, 30)
-	a.Uplink(msg.KindVelocityReport, 30)
-	a.Uplink(msg.KindCellChangeReport, 40)
-	a.Downlink(msg.KindVelocityChange, 50, 3) // broadcast via 3 stations
+	a.Traffic().ChargeUplink(msg.KindVelocityReport, 30)
+	a.Traffic().ChargeUplink(msg.KindVelocityReport, 30)
+	a.Traffic().ChargeUplink(msg.KindCellChangeReport, 40)
+	a.Traffic().ChargeDownlink(msg.KindVelocityChange, 50, 3) // broadcast via 3 stations
 
 	g := a.Global()
 	if got := g.UpMsgs[msg.KindVelocityReport]; got != 2 {
@@ -89,7 +129,7 @@ func TestNodeRouterIdentity(t *testing.T) {
 	nodeIdx := []int{0, 1, 2, -1, 1, 99, 0} // -1 and 99 → router
 	for i, sh := range nodeIdx {
 		k := kinds[i%len(kinds)]
-		a.Uplink(k, 30)
+		a.Traffic().ChargeUplink(k, 30)
 		a.NodeUplink(sh, k, 30)
 	}
 	var nodeSum int64
@@ -210,7 +250,7 @@ func TestReset(t *testing.T) {
 	a := New()
 	a.Configure(4, 2, 2)
 	a.SetMode("EQP")
-	a.Uplink(msg.KindPositionReport, 26)
+	a.Traffic().ChargeUplink(msg.KindPositionReport, 26)
 	a.NodeUplink(1, msg.KindPositionReport, 26)
 	a.NodeUplink(-1, msg.KindPositionReport, 26)
 	a.CellUp(1, 26)
@@ -259,8 +299,8 @@ func TestScrapeDuringUpdate(t *testing.T) {
 				default:
 				}
 				k := msg.Kind(i % msg.NumKinds)
-				a.Uplink(k, 30)
-				a.Downlink(k, 40, 2)
+				a.Traffic().ChargeUplink(k, 30)
+				a.Traffic().ChargeDownlink(k, 40, 2)
 				a.NodeUplink(i%5-1, k, 30)
 				a.CellUp(int32(i%64), 30)
 				a.StationDown(int32(i%8), 40)
@@ -325,9 +365,9 @@ func TestWriteText(t *testing.T) {
 	a := New()
 	a.Configure(4, 2, 2)
 	a.SetMode("EQP")
-	a.Uplink(msg.KindVelocityReport, 30)
+	a.Traffic().ChargeUplink(msg.KindVelocityReport, 30)
 	a.NodeUplink(0, msg.KindVelocityReport, 30)
-	a.Downlink(msg.KindVelocityChange, 50, 2)
+	a.Traffic().ChargeDownlink(msg.KindVelocityChange, 50, 2)
 	a.StationDown(1, 50)
 	a.Compute(UnitSetCover, 1)
 	a.QualityStep(9, 1, 0)

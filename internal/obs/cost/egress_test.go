@@ -13,7 +13,7 @@ import (
 // ledger-identity oracle is unaffected by subscriptions.
 func TestEgressBoundary(t *testing.T) {
 	a := New()
-	before := a.global.snap()
+	before := a.global.Snap()
 
 	a.GatewayEgress(120)
 	a.GatewayEgress(80)
@@ -29,7 +29,7 @@ func TestEgressBoundary(t *testing.T) {
 	if *s.Egress != want {
 		t.Fatalf("egress = %+v, want %+v", *s.Egress, want)
 	}
-	if after := a.global.snap(); after != before {
+	if after := a.global.Snap(); after != before {
 		t.Fatalf("egress charges leaked into the global transport ledger:\n%+v ->\n%+v", before, after)
 	}
 

@@ -40,8 +40,8 @@ func populated() *Accountant {
 	a := New()
 	a.Configure(16, 4, 2)
 	a.SetMode("EQP")
-	a.Uplink(msg.KindVelocityReport, 30)
-	a.Downlink(msg.KindVelocityChange, 50, 2)
+	a.Traffic().ChargeUplink(msg.KindVelocityReport, 30)
+	a.Traffic().ChargeDownlink(msg.KindVelocityChange, 50, 2)
 	a.CellUp(3, 30)
 	a.StationDown(1, 50)
 	a.QueryUp(7, 30)

@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"text/tabwriter"
-
-	"mobieyes/internal/msg"
 )
 
 // KindRow is the per-message-kind traffic row of a ledger report.
@@ -37,21 +35,19 @@ type LedgerReport struct {
 
 // Report converts the snapshot to its JSON-friendly form.
 func (s LedgerSnap) Report() LedgerReport {
-	var r LedgerReport
-	for k := 0; k < msg.NumKinds; k++ {
-		r.UpMsgs += s.UpMsgs[k]
-		r.UpBytes += s.UpBytes[k]
-		r.DownMsgs += s.DownMsgs[k]
-		r.DownBytes += s.DownBytes[k]
-		if s.UpMsgs[k] == 0 && s.DownMsgs[k] == 0 {
-			continue
-		}
+	r := LedgerReport{
+		UpMsgs:    s.UplinkMsgs(),
+		UpBytes:   s.UplinkBytes(),
+		DownMsgs:  s.DownlinkMsgs(),
+		DownBytes: s.DownlinkBytes(),
+	}
+	for _, ks := range s.ByKind() {
 		r.Kinds = append(r.Kinds, KindRow{
-			Kind:      msg.Kind(k).String(),
-			UpMsgs:    s.UpMsgs[k],
-			UpBytes:   s.UpBytes[k],
-			DownMsgs:  s.DownMsgs[k],
-			DownBytes: s.DownBytes[k],
+			Kind:      ks.Kind.String(),
+			UpMsgs:    ks.UplinkMsgs,
+			UpBytes:   ks.UplinkBytes,
+			DownMsgs:  ks.DownlinkMsgs,
+			DownBytes: ks.DownlinkBytes,
 		})
 	}
 	for u := 0; u < NumUnits; u++ {
@@ -121,13 +117,13 @@ func (a *Accountant) Snapshot() Snapshot {
 		return s
 	}
 	s.Mode = a.Mode()
-	s.Global = a.global.snap().Report()
-	if r := a.router.snap(); r != (LedgerSnap{}) {
+	s.Global = a.global.Snap().Report()
+	if r := a.router.Snap(); r != (LedgerSnap{}) {
 		rep := r.Report()
 		s.Router = &rep
 	}
 	for i := range a.nodes {
-		s.Nodes = append(s.Nodes, a.nodes[i].snap().Report())
+		s.Nodes = append(s.Nodes, a.nodes[i].Snap().Report())
 	}
 	for i := range a.cells {
 		if !a.cells[i].zeroValued() {

@@ -85,7 +85,7 @@ func BenchmarkCollectHeartbeat(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctr.Add(1)
-		acct.Uplink(msg.KindVelocityReport, 64)
+		acct.Traffic().ChargeUplink(msg.KindVelocityReport, 64)
 		if _, p := c.Collect(true); p == nil {
 			b.Fatal("nothing shipped")
 		}
@@ -112,7 +112,7 @@ func BenchmarkWatchdogRound(b *testing.B) {
 	acct.Configure(0, 0, 4)
 	for n := 0; n < 4; n++ {
 		for k := 0; k < 4; k++ {
-			acct.Uplink(msg.Kind(k), 64)
+			acct.Traffic().ChargeUplink(msg.Kind(k), 64)
 			acct.NodeUplink(n, msg.Kind(k), 64)
 		}
 	}

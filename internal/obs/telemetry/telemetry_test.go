@@ -163,7 +163,7 @@ func TestCollectorDeltas(t *testing.T) {
 	rec := trace.NewRecorder(16)
 	ctr := reg.Counter("a_total", "a")
 	ctr.Add(5)
-	acct.Uplink(msg.KindVelocityReport, 100)
+	acct.Traffic().ChargeUplink(msg.KindVelocityReport, 100)
 	rec.Event(rec.NextID(), trace.KindIngress, "node0", 1, 0, "first")
 
 	c := NewCollector(reg, acct, rec)
@@ -368,9 +368,9 @@ func TestWatchdogLedgerIdentity(t *testing.T) {
 	v := healthyView()
 
 	// Balanced: every global uplink charge matched by a node (or router) one.
-	acct.Uplink(msg.KindVelocityReport, 40)
+	acct.Traffic().ChargeUplink(msg.KindVelocityReport, 40)
 	acct.NodeUplink(0, msg.KindVelocityReport, 40)
-	acct.Uplink(msg.KindCellChangeReport, 60)
+	acct.Traffic().ChargeUplink(msg.KindCellChangeReport, 60)
 	acct.NodeUplink(-1, msg.KindCellChangeReport, 60) // router-handled
 	if alerts := p.Round(v); len(alerts) != 0 {
 		t.Fatalf("balanced ledgers raised alerts: %v", alerts)
@@ -390,7 +390,7 @@ func TestWatchdogLedgerIdentity(t *testing.T) {
 	}
 
 	// Repair the skew: the alert resolves.
-	acct.Uplink(msg.KindContainmentReport, 30)
+	acct.Traffic().ChargeUplink(msg.KindContainmentReport, 30)
 	if alerts := p.Round(v); len(alerts) != 0 {
 		t.Fatalf("repaired ledger still alerting: %v", alerts)
 	}

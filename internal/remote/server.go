@@ -16,7 +16,6 @@ import (
 	"mobieyes/internal/history"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
-	"mobieyes/internal/network"
 	"mobieyes/internal/obs"
 	"mobieyes/internal/obs/cost"
 	"mobieyes/internal/obs/stream"
@@ -114,8 +113,9 @@ type Server struct {
 	reg *obs.Registry
 	om  *remoteObs
 
-	meterMu sync.Mutex
-	meter   network.Meter
+	// traffic meters every protocol frame once, at the codec boundary:
+	// Costs' global ledger, or a private one without it.
+	traffic *cost.Ledger
 
 	mu    sync.RWMutex
 	conns map[model.ObjectID]*serverConn
@@ -287,6 +287,7 @@ func newServer(cfg ServerConfig, ln net.Listener) *Server {
 		lat:         lat,
 		done:        make(chan struct{}),
 		reg:         reg,
+		traffic:     cfg.Costs.Traffic(),
 		conns:       make(map[model.ObjectID]*serverConn),
 		parked:      make(map[model.ObjectID][]byte),
 		graceTimers: make(map[model.ObjectID]*time.Timer),
@@ -470,33 +471,17 @@ func (s *Server) ExpireQueries(now model.Time) []model.QueryID {
 	return expired
 }
 
-// Stats returns a snapshot of the traffic counters: message and byte totals
-// per direction plus the per-kind breakdown. Bytes are on-the-wire sizes
-// (encoded frame plus length prefix), matching the frames_in/out byte
-// metrics. A broadcast counts once (the TCP fabric has one logical downlink
-// per object; per-connection fan-out is visible in the frame metrics).
-func (s *Server) Stats() (uplinkMsgs, downlinkMsgs, uplinkBytes, downlinkBytes int64, byKind []network.KindStats) {
-	s.meterMu.Lock()
-	defer s.meterMu.Unlock()
-	return s.meter.UplinkMessages(), s.meter.DownlinkMessages(),
-		s.meter.UplinkBytes(), s.meter.DownlinkBytes(), s.meter.Snapshot()
-}
-
-// recordUplinkWire counts one decoded uplink frame with its observed wire
-// size — the codec boundary is the single place uplink traffic is metered,
-// so message counts and byte counts can never disagree with the wire.
-func (s *Server) recordUplinkWire(k msg.Kind, wireBytes int) {
-	s.meterMu.Lock()
-	s.meter.RecordUplinkWire(k, wireBytes)
-	s.meterMu.Unlock()
-	s.acct.Uplink(k, wireBytes)
-}
-
-func (s *Server) recordDownlinkWire(k msg.Kind, wireBytes, copies int) {
-	s.meterMu.Lock()
-	s.meter.RecordDownlinkWire(k, wireBytes, copies)
-	s.meterMu.Unlock()
-	s.acct.Downlink(k, wireBytes, copies)
+// Stats reads the traffic ledger: message and byte totals per direction
+// plus the per-kind breakdown. It is the same ledger as Costs().Global()
+// when accounting is on. Bytes are on-the-wire sizes (encoded frame plus
+// length prefix), matching the frames_in/out byte metrics. A broadcast
+// counts once (the TCP fabric has one logical downlink per object;
+// per-connection fan-out is visible in the frame metrics). The counters
+// are read one by one, so a snapshot taken under load may split a message
+// between its count and its bytes.
+func (s *Server) Stats() (uplinkMsgs, downlinkMsgs, uplinkBytes, downlinkBytes int64, byKind []cost.KindStats) {
+	t := s.traffic.Snap()
+	return t.UplinkMsgs(), t.DownlinkMsgs(), t.UplinkBytes(), t.DownlinkBytes(), t.ByKind()
 }
 
 // NumConnected returns the number of connected objects.
@@ -603,7 +588,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.om.rejected[r].Add(1)
 			break // protocol violation: drop the connection
 		}
-		s.recordUplinkWire(m.Kind(), 4+len(payload))
+		// The codec boundary is the one place uplink traffic is metered.
+		s.traffic.ChargeUplink(m.Kind(), 4+len(payload))
 		if s.hist != nil {
 			// Tee position-bearing uplinks into the replay store so a
 			// recorded log can reconstruct visible state, not just result
@@ -745,7 +731,7 @@ func (d serverDownlink) Broadcast(region grid.CellRange, m msg.Message) {
 
 func (d serverDownlink) BroadcastTraced(region grid.CellRange, m msg.Message, tid trace.ID) {
 	frame := wire.EncodeTraced(m, uint64(tid))
-	d.s.recordDownlinkWire(m.Kind(), 4+len(frame), 1)
+	d.s.traffic.ChargeDownlink(m.Kind(), 4+len(frame), 1)
 	d.s.mu.RLock()
 	defer d.s.mu.RUnlock()
 	d.s.om.broadcastFanout.Observe(float64(len(d.s.conns)))
@@ -775,12 +761,12 @@ func (d serverDownlink) UnicastTraced(oid model.ObjectID, m msg.Message, tid tra
 	s.mu.RUnlock()
 	k := m.Kind()
 	if c == nil && k != msg.KindFocalNotify {
-		s.recordDownlinkWire(k, 4+wire.EncodedSize(m, uint64(tid)), 1)
+		s.traffic.ChargeDownlink(k, 4+wire.EncodedSize(m, uint64(tid)), 1)
 		s.om.droppedUni[k].Add(1)
 		return
 	}
 	frame := wire.EncodeTraced(m, uint64(tid))
-	s.recordDownlinkWire(k, 4+len(frame), 1)
+	s.traffic.ChargeDownlink(k, 4+len(frame), 1)
 	if c == nil {
 		if c = s.park(oid, frame); c == nil {
 			return

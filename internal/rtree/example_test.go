@@ -19,29 +19,3 @@ func ExampleTree_Search() {
 	// Output:
 	// 2 items in [0,3]×[0,3]
 }
-
-// ExampleTree_Nearest finds the two nearest neighbors of a query point.
-func ExampleTree_Nearest() {
-	tr := rtree.New()
-	for i := 1; i <= 10; i++ {
-		tr.Insert(rtree.Item{ID: int64(i), Box: geo.NewRect(float64(i), 0, 0, 0)})
-	}
-	for _, it := range tr.Nearest(geo.Pt(3.4, 0), 2) {
-		fmt.Println("id", it.ID)
-	}
-	// Output:
-	// id 3
-	// id 4
-}
-
-// ExampleBulkLoad packs a sorted dataset directly into a tree.
-func ExampleBulkLoad() {
-	items := make([]rtree.Item, 1000)
-	for i := range items {
-		items[i] = rtree.Item{ID: int64(i), Box: geo.NewRect(float64(i%100), float64(i/100), 1, 1)}
-	}
-	tr := rtree.BulkLoad(items)
-	fmt.Println("items:", tr.Len())
-	// Output:
-	// items: 1000
-}

@@ -368,28 +368,6 @@ func searchNode(n *node, query geo.Rect, dst []int64) []int64 {
 	return dst
 }
 
-// SearchFunc visits every item whose rectangle intersects query. Returning
-// false from fn stops the search early.
-func (t *Tree) SearchFunc(query geo.Rect, fn func(Item) bool) {
-	searchFuncNode(t.root, query, fn)
-}
-
-func searchFuncNode(n *node, query geo.Rect, fn func(Item) bool) bool {
-	for i := range n.entries {
-		if !n.entries[i].box.Intersects(query) {
-			continue
-		}
-		if n.leaf {
-			if !fn(Item{ID: n.entries[i].id, Box: n.entries[i].box}) {
-				return false
-			}
-		} else if !searchFuncNode(n.entries[i].child, query, fn) {
-			return false
-		}
-	}
-	return true
-}
-
 // Delete removes one occurrence of the item (matched by ID and rectangle).
 // It returns true if an item was removed. Underfull nodes are condensed:
 // their remaining entries are reinserted, per the classic R-tree deletion

@@ -293,31 +293,6 @@ func TestRandomizedMixedOps(t *testing.T) {
 	}
 }
 
-func TestSearchFunc(t *testing.T) {
-	tr := New()
-	for i := 0; i < 50; i++ {
-		tr.Insert(Item{ID: int64(i), Box: geo.NewRect(float64(i), 0, 0.5, 0.5)})
-	}
-	var seen []int64
-	tr.SearchFunc(geo.NewRect(0, 0, 10, 1), func(it Item) bool {
-		seen = append(seen, it.ID)
-		return true
-	})
-	if len(seen) != 11 { // items 0..10 intersect [0,10]
-		t.Fatalf("visited %d items, want 11", len(seen))
-	}
-
-	// Early termination.
-	count := 0
-	tr.SearchFunc(geo.NewRect(0, 0, 49, 1), func(it Item) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Fatalf("early-terminated search visited %d, want 5", count)
-	}
-}
-
 func TestDuplicateIDs(t *testing.T) {
 	tr := New()
 	box := geo.NewRect(1, 1, 1, 1)

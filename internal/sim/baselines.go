@@ -8,7 +8,7 @@ import (
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
-	"mobieyes/internal/network"
+	"mobieyes/internal/obs/cost"
 	"mobieyes/internal/power"
 	"mobieyes/internal/workload"
 )
@@ -40,7 +40,7 @@ type BaselineEngine struct {
 	// rectangles within each step.
 	isFocal []bool
 
-	meter    network.Meter
+	traffic  cost.Ledger // Config.Costs is not attached to a baseline
 	accounts []*power.Account
 	now      model.Time
 
@@ -106,7 +106,7 @@ func NewBaselineEngine(cfg Config) *BaselineEngine {
 	for i, o := range e.w.Objects {
 		e.ingest(i, o, true)
 	}
-	e.meter.Reset()
+	e.traffic.Reset()
 	for _, a := range e.accounts {
 		a.Reset()
 	}
@@ -125,10 +125,8 @@ func (e *BaselineEngine) ingest(i int, o *model.MovingObject, initial bool) {
 		if !initial && !e.lastRelayed[i].NeedsRelay(o.Pos, e.now, e.cfg.Core.DeadReckoningThreshold) {
 			return
 		}
-		m := msg.VelocityReport{OID: o.ID, Pos: o.Pos, Vel: o.Vel, Tm: e.now}
 		if !initial {
-			e.meter.RecordUplink(m)
-			e.accounts[i].Sent(m.Size())
+			e.send(i, msg.VelocityReport{OID: o.ID, Pos: o.Pos, Vel: o.Vel, Tm: e.now})
 		}
 		e.lastRelayed[i] = model.MotionState{Pos: o.Pos, Vel: o.Vel, Tm: e.now}
 		start := time.Now()
@@ -138,10 +136,8 @@ func (e *BaselineEngine) ingest(i int, o *model.MovingObject, initial bool) {
 		if !initial && o.Pos == e.lastPos[i] {
 			return
 		}
-		m := msg.PositionReport{OID: o.ID, Pos: o.Pos, Tm: e.now}
 		if !initial {
-			e.meter.RecordUplink(m)
-			e.accounts[i].Sent(m.Size())
+			e.send(i, msg.PositionReport{OID: o.ID, Pos: o.Pos, Tm: e.now})
 		}
 		e.lastPos[i] = o.Pos
 		start := time.Now()
@@ -155,6 +151,13 @@ func (e *BaselineEngine) ingest(i int, o *model.MovingObject, initial bool) {
 		}
 		e.timeServer(start)
 	}
+}
+
+// send meters object i's report on the traffic ledger and its radio.
+func (e *BaselineEngine) send(i int, m msg.Message) {
+	size := m.Size()
+	e.traffic.ChargeUplink(m.Kind(), size)
+	e.accounts[i].Sent(size)
 }
 
 func (e *BaselineEngine) timeServer(start time.Time) {
@@ -257,7 +260,7 @@ func (e *BaselineEngine) Run() Metrics {
 	for i := 0; i < e.cfg.Warmup; i++ {
 		e.Step()
 	}
-	e.meter.Reset()
+	e.traffic.Reset()
 	for _, a := range e.accounts {
 		a.Reset()
 	}
@@ -267,17 +270,11 @@ func (e *BaselineEngine) Run() Metrics {
 	}
 	e.measuring = false
 
-	m := Metrics{
-		Approach:      e.cfg.Approach,
-		Steps:         e.stepsSeen,
-		Seconds:       float64(e.stepsSeen) * e.cfg.StepSeconds,
-		UplinkMsgs:    e.meter.UplinkMessages(),
-		DownlinkMsgs:  e.meter.DownlinkMessages(),
-		UplinkBytes:   e.meter.UplinkBytes(),
-		DownlinkBytes: e.meter.DownlinkBytes(),
-		ServerNanos:   e.serverNanos,
-		ByKind:        e.meter.Snapshot(),
-	}
+	m := trafficMetrics(e.traffic.Snap())
+	m.Approach = e.cfg.Approach
+	m.Steps = e.stepsSeen
+	m.Seconds = float64(e.stepsSeen) * e.cfg.StepSeconds
+	m.ServerNanos = e.serverNanos
 	if e.errSamples > 0 {
 		m.AvgError = e.errTotal / float64(e.errSamples)
 	}

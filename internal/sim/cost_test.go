@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"mobieyes/internal/core"
@@ -78,6 +79,33 @@ func TestEngineCostParallelAndShardedIdentity(t *testing.T) {
 	if g.UplinkMsgs() != m.UplinkMsgs || g.DownlinkMsgs() != m.DownlinkMsgs {
 		t.Errorf("global ledger %d up/%d down, meter %d/%d",
 			g.UplinkMsgs(), g.DownlinkMsgs(), m.UplinkMsgs, m.DownlinkMsgs)
+	}
+}
+
+// TestEngineTrafficWithoutAccountant: attaching an accountant must not
+// change what the engine meters. Without one the engine charges a private
+// traffic ledger, with one the accountant's global ledger; the same seeded
+// run must meter the same messages and bytes, kind by kind, either way —
+// serially and with parallel client phases.
+func TestEngineTrafficWithoutAccountant(t *testing.T) {
+	for _, par := range []int{0, 4} {
+		cfg := smallConfig()
+		cfg.Parallelism = par
+		bare := NewEngine(cfg).Run()
+		cfg.Costs = cost.New()
+		acct := NewEngine(cfg).Run()
+		if bare.UplinkMsgs == 0 || bare.DownlinkMsgs == 0 {
+			t.Fatalf("parallelism %d: no accountant, %d up / %d down metered", par, bare.UplinkMsgs, bare.DownlinkMsgs)
+		}
+		if bare.UplinkMsgs != acct.UplinkMsgs || bare.UplinkBytes != acct.UplinkBytes ||
+			bare.DownlinkMsgs != acct.DownlinkMsgs || bare.DownlinkBytes != acct.DownlinkBytes {
+			t.Errorf("parallelism %d: without accountant %d/%d B up, %d/%d B down; with %d/%d B up, %d/%d B down",
+				par, bare.UplinkMsgs, bare.UplinkBytes, bare.DownlinkMsgs, bare.DownlinkBytes,
+				acct.UplinkMsgs, acct.UplinkBytes, acct.DownlinkMsgs, acct.DownlinkBytes)
+		}
+		if !slices.Equal(bare.ByKind, acct.ByKind) {
+			t.Errorf("parallelism %d: per-kind traffic %+v without accountant, %+v with", par, bare.ByKind, acct.ByKind)
+		}
 	}
 }
 

@@ -28,19 +28,21 @@ import (
 // cell-resolution version of circle containment, identical for all
 // approaches and deterministic).
 type Engine struct {
-	cfg   Config
-	g     *grid.Grid
-	dep   *network.Deployment
-	w     *workload.Workload
-	srv   *core.Server
-	cls   []*core.Client
-	bkt   *buckets
-	meter network.Meter
-	now   model.Time
-	obsm  *engineObs       // nil unless Config.Metrics set
-	acct  *cost.Accountant // nil unless Config.Costs set; nil-safe methods
-	tap   *stream.Tap      // nil unless Config.Stream or Config.ResultLog set
-	hist  *history.Store   // nil unless Config.ResultLog set
+	cfg  Config
+	g    *grid.Grid
+	dep  *network.Deployment
+	w    *workload.Workload
+	srv  *core.Server
+	cls  []*core.Client
+	bkt  *buckets
+	now  model.Time
+	obsm *engineObs       // nil unless Config.Metrics set
+	acct *cost.Accountant // nil unless Config.Costs set; nil-safe methods
+	tap  *stream.Tap      // nil unless Config.Stream or Config.ResultLog set
+	hist *history.Store   // nil unless Config.ResultLog set
+	// traffic meters every message once: Config.Costs' global ledger, or a
+	// private one without it.
+	traffic *cost.Ledger
 
 	qids []model.QueryID // installed queries, parallel to w.Queries
 
@@ -136,6 +138,7 @@ func NewEngineOver(cfg Config, w *workload.Workload) *Engine {
 		dep:       network.NewDeployment(g, cfg.Alen),
 		w:         w,
 		bkt:       newBuckets(g),
+		traffic:   cfg.Costs.Traffic(),
 		cellStamp: make([]uint32, g.NumCells()),
 		gtScratch: make(map[model.ObjectID]struct{}),
 	}
@@ -196,19 +199,25 @@ func NewEngineOver(cfg Config, w *workload.Workload) *Engine {
 
 	// Install all queries; message exchange during installation is not
 	// metered as steady-state traffic (the paper measures the running
-	// system), so reset the meter afterwards.
+	// system), so reset the meters afterwards.
 	for _, spec := range e.w.Queries {
 		focal := e.w.Objects[int(spec.Focal)-1]
 		qid := e.timedInstall(spec, focal.MaxVel)
 		e.qids = append(e.qids, qid)
 	}
 	e.drain()
-	e.meter.Reset()
+	e.resetMeters()
+	return e
+}
+
+// resetMeters zeroes the traffic ledger, the accountant and the radio
+// accounts at a quiescent point, so only what follows is measured.
+func (e *Engine) resetMeters() {
+	e.traffic.Reset()
 	e.acct.Reset()
 	for _, a := range e.accounts {
 		a.Reset()
 	}
-	return e
 }
 
 func (e *Engine) timedInstall(spec workload.QuerySpec, focalMaxVel float64) model.QueryID {
@@ -264,14 +273,12 @@ func (d engineDownlink) BroadcastTraced(region grid.CellRange, m msg.Message, ti
 	e := d.e
 	stations := e.dep.Cover(region)
 	cells := e.cellUnion(stations)
-	e.meter.RecordDownlink(m, len(stations))
+	// One transmission per relaying base station in the traffic ledger.
+	size := m.Size()
+	e.traffic.ChargeDownlink(m.Kind(), size, len(stations))
 	e.downQueue = append(e.downQueue, engineDown{target: -1, cells: cells, m: msg.Retain(m), tid: tid})
 	if e.acct != nil {
-		// Transport-level attribution: one transmission per relaying base
-		// station in the global ledger, one delivery per station and per
-		// reached cell in the scoped tallies.
-		size := m.Size()
-		e.acct.Downlink(m.Kind(), size, len(stations))
+		// Scoped attribution: one delivery per station and per reached cell.
 		for _, sid := range stations {
 			e.acct.StationDown(int32(sid), size)
 		}
@@ -312,19 +319,16 @@ func (d engineDownlink) Unicast(oid model.ObjectID, m msg.Message) {
 
 func (d engineDownlink) UnicastTraced(oid model.ObjectID, m msg.Message, tid trace.ID) {
 	e := d.e
-	if e.acct != nil {
+	size := m.Size()
+	e.traffic.ChargeDownlink(m.Kind(), size, 1)
+	if i := int(oid) - 1; e.acct != nil && i >= 0 && i < len(e.w.Objects) {
 		// One-to-one delivery through the station covering the recipient's
 		// position (positions are stable while messages flow: motion is a
 		// separate serial phase).
-		size := m.Size()
-		e.acct.Downlink(m.Kind(), size, 1)
-		if i := int(oid) - 1; i >= 0 && i < len(e.w.Objects) {
-			pos := e.w.Objects[i].Pos
-			e.acct.StationDown(int32(e.dep.StationOf(pos)), size)
-			e.acct.CellDown(int32(e.g.CellIndex(e.g.CellOf(pos))), size)
-		}
+		pos := e.w.Objects[i].Pos
+		e.acct.StationDown(int32(e.dep.StationOf(pos)), size)
+		e.acct.CellDown(int32(e.g.CellIndex(e.g.CellOf(pos))), size)
 	}
-	e.meter.RecordDownlink(m, 1)
 	e.downQueue = append(e.downQueue, engineDown{target: oid, m: msg.Retain(m), tid: tid})
 }
 
@@ -342,23 +346,22 @@ func (u engineUplink) Send(m msg.Message) {
 		e.clientUp[u.i] = append(e.clientUp[u.i], m)
 		return
 	}
-	e.meter.RecordUplink(m)
-	e.acctUplink(u.i, m)
-	e.accounts[u.i].Sent(m.Size())
-	e.upQueue = append(e.upQueue, upEntry{m: m, tid: e.deliverTID})
+	e.sendUplink(u.i, m, e.deliverTID)
 }
 
-// acctUplink charges one uplink from object index i at the transport: the
-// global ledger plus the sender's cell and uplink base station.
-func (e *Engine) acctUplink(i int, m msg.Message) {
-	if e.acct == nil {
-		return
-	}
+// sendUplink meters one uplink from object index i at the transport — the
+// traffic ledger, the sender's radio account, and with accounting on its
+// cell and uplink base station — and queues it for the server.
+func (e *Engine) sendUplink(i int, m msg.Message, tid trace.ID) {
 	size := m.Size()
-	e.acct.Uplink(m.Kind(), size)
-	pos := e.w.Objects[i].Pos
-	e.acct.StationUp(int32(e.dep.StationOf(pos)), size)
-	e.acct.CellUp(int32(e.g.CellIndex(e.g.CellOf(pos))), size)
+	e.traffic.ChargeUplink(m.Kind(), size)
+	e.accounts[i].Sent(size)
+	if e.acct != nil {
+		pos := e.w.Objects[i].Pos
+		e.acct.StationUp(int32(e.dep.StationOf(pos)), size)
+		e.acct.CellUp(int32(e.g.CellIndex(e.g.CellOf(pos))), size)
+	}
+	e.upQueue = append(e.upQueue, upEntry{m: m, tid: tid})
 }
 
 // drain processes queued uplinks (timed as server work) and delivers queued
@@ -486,12 +489,13 @@ func (e *Engine) Step() {
 			e.measureQuality()
 		}
 		if e.collectHistory {
+			t := e.traffic.Snap()
 			rec := StepRecord{
 				Step:          e.stepsSeen,
-				UplinkMsgs:    e.meter.UplinkMessages() - e.lastUp,
-				DownlinkMsgs:  e.meter.DownlinkMessages() - e.lastDown,
-				UplinkBytes:   e.meter.UplinkBytes() - e.lastUpBytes,
-				DownlinkBytes: e.meter.DownlinkBytes() - e.lastDownBytes,
+				UplinkMsgs:    t.UplinkMsgs() - e.lastUp,
+				DownlinkMsgs:  t.DownlinkMsgs() - e.lastDown,
+				UplinkBytes:   t.UplinkBytes() - e.lastUpBytes,
+				DownlinkBytes: t.DownlinkBytes() - e.lastDownBytes,
 				AvgLQTSize:    float64(stepLQT) / float64(len(e.cls)),
 				ServerNanos:   e.serverNanos - e.lastServerNs,
 			}
@@ -499,10 +503,10 @@ func (e *Engine) Step() {
 				rec.Error = (e.errTotal - stepErrBefore) / float64(n)
 			}
 			e.history = append(e.history, rec)
-			e.lastUp = e.meter.UplinkMessages()
-			e.lastDown = e.meter.DownlinkMessages()
-			e.lastUpBytes = e.meter.UplinkBytes()
-			e.lastDownBytes = e.meter.DownlinkBytes()
+			e.lastUp = t.UplinkMsgs()
+			e.lastDown = t.DownlinkMsgs()
+			e.lastUpBytes = t.UplinkBytes()
+			e.lastDownBytes = t.DownlinkBytes()
 			e.lastServerNs = e.serverNanos
 		}
 	}
@@ -561,10 +565,7 @@ func (e *Engine) forEachClient(fn func(i int, c *core.Client)) {
 	// Tick-driven uplinks start fresh traces, so their tid is zero.
 	for i := range e.clientUp {
 		for _, m := range e.clientUp[i] {
-			e.meter.RecordUplink(m)
-			e.acctUplink(i, m)
-			e.accounts[i].Sent(m.Size())
-			e.upQueue = append(e.upQueue, upEntry{m: m})
+			e.sendUplink(i, m, 0)
 		}
 		e.clientUp[i] = e.clientUp[i][:0]
 	}
@@ -651,11 +652,7 @@ func (e *Engine) Run() Metrics {
 	for i := 0; i < e.cfg.Warmup; i++ {
 		e.Step()
 	}
-	e.meter.Reset()
-	e.acct.Reset()
-	for _, a := range e.accounts {
-		a.Reset()
-	}
+	e.resetMeters()
 	e.measuring = true
 	for i := 0; i < e.cfg.Steps; i++ {
 		e.Step()
@@ -665,19 +662,13 @@ func (e *Engine) Run() Metrics {
 }
 
 func (e *Engine) metrics() Metrics {
-	m := Metrics{
-		Approach:      MobiEyes,
-		Steps:         e.stepsSeen,
-		Seconds:       float64(e.stepsSeen) * e.cfg.StepSeconds,
-		UplinkMsgs:    e.meter.UplinkMessages(),
-		DownlinkMsgs:  e.meter.DownlinkMessages(),
-		UplinkBytes:   e.meter.UplinkBytes(),
-		DownlinkBytes: e.meter.DownlinkBytes(),
-		ServerNanos:   e.serverNanos,
-		ClientNanos:   e.clientNanos,
-		ServerOps:     e.srv.Ops(),
-		ByKind:        e.meter.Snapshot(),
-	}
+	m := trafficMetrics(e.traffic.Snap())
+	m.Approach = MobiEyes
+	m.Steps = e.stepsSeen
+	m.Seconds = float64(e.stepsSeen) * e.cfg.StepSeconds
+	m.ServerNanos = e.serverNanos
+	m.ClientNanos = e.clientNanos
+	m.ServerOps = e.srv.Ops()
 	if e.lqtSamples > 0 {
 		m.AvgLQTSize = float64(e.lqtTotal) / float64(e.lqtSamples)
 	}

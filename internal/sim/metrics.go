@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"mobieyes/internal/msg"
-	"mobieyes/internal/network"
+	"mobieyes/internal/obs/cost"
 )
 
 // Metrics aggregates everything the paper's figures report, over the
@@ -41,7 +41,19 @@ type Metrics struct {
 
 	// ByKind breaks the traffic down per message kind (kinds with any
 	// traffic only, ordered by kind).
-	ByKind []network.KindStats
+	ByKind []cost.KindStats
+}
+
+// trafficMetrics returns Metrics with the traffic fields read from a
+// transport's ledger.
+func trafficMetrics(t cost.LedgerSnap) Metrics {
+	return Metrics{
+		UplinkMsgs:    t.UplinkMsgs(),
+		DownlinkMsgs:  t.DownlinkMsgs(),
+		UplinkBytes:   t.UplinkBytes(),
+		DownlinkBytes: t.DownlinkBytes(),
+		ByKind:        t.ByKind(),
+	}
 }
 
 // KindCount returns the total message count (both directions) for one kind.

@@ -77,7 +77,7 @@ func sameBehaviour(a, b *Engine) error {
 			return fmt.Errorf("query %d: result %v vs %v", qid, ra, rb)
 		}
 	}
-	if ka, kb := a.meter.Snapshot(), b.meter.Snapshot(); !slices.Equal(ka, kb) {
+	if ka, kb := a.traffic.Snap().ByKind(), b.traffic.Snap().ByKind(); !slices.Equal(ka, kb) {
 		return fmt.Errorf("traffic %+v vs %+v", ka, kb)
 	}
 	var sa, sb bytes.Buffer

@@ -64,10 +64,12 @@ type localSystem struct {
 	deliverTID trace.ID
 
 	// acct is this system's cost accountant (Scenario.Costs); nil otherwise.
-	// Uplinks and downlinks are charged at the queued transport, so two
+	// traffic is its global ledger, or a private one without it. Uplinks
+	// and downlinks are charged there at the queued transport, so two
 	// systems running the same schedule must produce identical global
 	// ledgers — the ledger oracle.
-	acct *cost.Accountant
+	acct    *cost.Accountant
+	traffic *cost.Ledger
 }
 
 type queuedDown struct {
@@ -99,6 +101,7 @@ func newLocalSystemOver(label string, g *grid.Grid, opts core.Options, objs []*m
 		objs:             objs,
 		clients:          make([]*core.Client, len(objs)),
 		active:           make(map[model.ObjectID]bool),
+		traffic:          new(cost.Ledger),
 		dropNthBroadcast: dropNth,
 	}
 	ls.srv = newServer(localDown{ls})
@@ -115,6 +118,7 @@ func newLocalSystemOver(label string, g *grid.Grid, opts core.Options, objs []*m
 // attaches fresh clients) — for compute units. Call before the first join.
 func (ls *localSystem) attachCosts(a *cost.Accountant) {
 	ls.acct = a
+	ls.traffic = a.Traffic()
 	ls.srv.SetAccountant(a)
 }
 
@@ -144,7 +148,7 @@ func (d localDown) BroadcastTraced(region grid.CellRange, m msg.Message, tid tra
 		}
 		return
 	}
-	d.ls.acct.Downlink(m.Kind(), m.Size(), 1)
+	d.ls.traffic.ChargeDownlink(m.Kind(), m.Size(), 1)
 	d.ls.queue = append(d.ls.queue, queuedDown{target: -1, m: msg.Retain(m), tid: tid})
 }
 
@@ -153,7 +157,7 @@ func (d localDown) Unicast(oid model.ObjectID, m msg.Message) {
 }
 
 func (d localDown) UnicastTraced(oid model.ObjectID, m msg.Message, tid trace.ID) {
-	d.ls.acct.Downlink(m.Kind(), m.Size(), 1)
+	d.ls.traffic.ChargeDownlink(m.Kind(), m.Size(), 1)
 	d.ls.queue = append(d.ls.queue, queuedDown{target: oid, m: msg.Retain(m), tid: tid})
 }
 
@@ -208,7 +212,7 @@ func (ls *localSystem) depart(oid model.ObjectID, now model.Time) error {
 type localUp struct{ ls *localSystem }
 
 func (u localUp) Send(m msg.Message) {
-	u.ls.acct.Uplink(m.Kind(), m.Size())
+	u.ls.traffic.ChargeUplink(m.Kind(), m.Size())
 	u.ls.srv.HandleUplinkTraced(m, u.ls.deliverTID)
 }
 

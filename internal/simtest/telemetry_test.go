@@ -115,7 +115,7 @@ func TestWatchdogCatchesLedgerSkew(t *testing.T) {
 		t.Errorf("Ready() = %s,%v, want failing,false", s, ok)
 	}
 
-	acct.Uplink(msg.KindVelocityReport, 10) // balance the books
+	acct.Traffic().ChargeUplink(msg.KindVelocityReport, 10) // balance the books
 	if alerts := cs.TelemetryRound(); len(alerts) != 0 {
 		t.Fatalf("balanced ledger still alerting: %v", alerts)
 	}

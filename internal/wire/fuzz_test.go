@@ -12,8 +12,9 @@ import (
 // Decode never panics (it is the trust boundary for everything a peer
 // sends), and any payload it accepts is canonical — re-encoding the
 // decoded message reproduces the input bytes exactly, and its EncodedSize
-// matches. Canonicity is what makes the protocol's byte accounting
-// (network.Meter) and the simulation harness's frame relays trustworthy.
+// matches. Canonicity is what makes the protocol's byte accounting (the
+// transports' cost.Ledger) and the simulation harness's frame relays
+// trustworthy.
 func FuzzWire(f *testing.F) {
 	rng := rand.New(rand.NewSource(99))
 	for i, m := range sampleMessages(rng) {
