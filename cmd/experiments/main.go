@@ -9,7 +9,9 @@
 //
 // With -exp all (the default) every experiment runs in paper order. The
 // -scalediv flag divides the population sizes and area by D for quick
-// shape checks (1 = full paper scale). With -csv, each figure is also
+// shape checks (1 = full paper scale). Options that leave no valid
+// simulation (D < 1, a D that leaves no objects, negative step counts)
+// exit 2 before any experiment runs. With -csv, each figure is also
 // written as DIR/<fig>.csv.
 //
 // -exp report builds the structured cost & accuracy report instead (§5
@@ -53,6 +55,14 @@ func main() {
 		Warmup:   *warmup,
 		ScaleDiv: *scalediv,
 		Seed:     *seed,
+	}
+	if *scalediv < 1 {
+		fmt.Fprintln(os.Stderr, "experiments: -scalediv must be at least 1")
+		os.Exit(2)
+	}
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
 	}
 	if *traceSz > 0 {
 		opts.Trace = evtrace.NewRecorder(*traceSz)

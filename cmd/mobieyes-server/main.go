@@ -8,7 +8,7 @@
 //	                [-area SQMILES] [-alpha MILES] [-lazy] [-grouping]
 //	                [-trace-events N] [-costs] [-stream] [-history-bytes N]
 //	                [-mutex-profile-fraction N] [-block-profile-rate NS]
-//	                [-shards N] [-auto-recover=false]
+//	                [-auto-recover=false]
 //	                [-cluster router -workers host:port,… | -cluster worker]
 //
 // Cluster deployment: `-cluster worker` runs one bare worker node on -addr
@@ -19,9 +19,7 @@
 // views, and its telemetry ships to the router either way. The router
 // checkpoints worker focal state every telemetry round and, with
 // -auto-recover (the default), fences and replays a worker that misses its
-// heartbeat deadline (DESIGN.md §15). Without -cluster, the server runs the
-// same router over -shards worker nodes inside this process — the
-// clustered topology without the TCP hops.
+// heartbeat deadline (DESIGN.md §15).
 //
 // The admin port takes one command per line; `help` lists them. The
 // metrics address serves /metrics, /debug/vars, /healthz, /readyz, pprof,
@@ -61,7 +59,6 @@ func main() {
 		lazy     = flag.Bool("lazy", false, "lazy query propagation")
 		grouping = flag.Bool("grouping", false, "query grouping")
 		restore  = flag.String("restore", "", "restore query state from a snapshot file (with -cluster router, into workers that hold no rows)")
-		shards   = flag.Int("shards", 0, "in-process worker nodes the router spreads the grid over (0 = GOMAXPROCS; ignored with -cluster)")
 		metrics  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /healthz, /readyz, pprof and the /debug/ views on this address (empty = off)")
 		traceSz  = flag.Int("trace-events", 0, "causal-tracing flight recorder size in events (0 = off); exposed on /debug/events and the admin TRACE command")
 		costs    = flag.Bool("costs", false, "attribute protocol costs per message kind, node, cell, query and object; exposed on /debug/costs and the admin COSTS command")
@@ -148,7 +145,6 @@ func main() {
 		UoD:     uod,
 		Alpha:   *alpha,
 		Options: opts,
-		Shards:  *shards,
 		Metrics: reg,
 		Trace:   rec,
 		Costs:   acct,
@@ -162,7 +158,7 @@ func main() {
 		if *workers == "" || len(addrs) == 0 {
 			fatal(fmt.Errorf("-cluster router needs -workers host:port,…"))
 		}
-		cfg.Backend = func(g *grid.Grid, opts core.Options, down core.Downlink) (core.ServerAPI, error) {
+		cfg.Backend = func(g *grid.Grid, opts core.Options, down core.Downlink) (*core.ClusterServer, error) {
 			cs, rns, err := cluster.NewRouter(g, opts, down, addrs)
 			if err != nil {
 				return nil, err

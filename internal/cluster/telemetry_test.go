@@ -344,7 +344,7 @@ func TestAdminPartialAnswersWhenWorkerDies(t *testing.T) {
 		Metrics: reg,
 		Trace:   rec,
 		Costs:   acct,
-		Backend: func(g *grid.Grid, opts core.Options, down core.Downlink) (core.ServerAPI, error) {
+		Backend: func(g *grid.Grid, opts core.Options, down core.Downlink) (*core.ClusterServer, error) {
 			var rns []*RemoteNode
 			var berr error
 			cs, rns, berr = NewRouter(g, opts, down, addrs)

@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -111,13 +110,10 @@ type ClusterServer struct {
 	autoRecover bool
 }
 
-// NewClusterServer returns a cluster router over n in-process worker nodes;
-// n <= 0 selects GOMAXPROCS. The downlink carries both router-level sends
-// (FocalInfoRequest, cross-node QueryInstall unions) and node-level sends.
+// NewClusterServer returns a cluster router over n ≥ 1 in-process worker
+// nodes. The downlink carries both router-level sends (FocalInfoRequest,
+// cross-node QueryInstall unions) and node-level sends.
 func NewClusterServer(g *grid.Grid, opts Options, down Downlink, n int) *ClusterServer {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
 	handles := make([]NodeHandle, n)
 	local := make([]*NodeServer, n)
 	for i := range handles {

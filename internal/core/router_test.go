@@ -442,8 +442,8 @@ func routerSpanBoundaryStorm(t *testing.T, newRouter func(*grid.Grid, Options, D
 }
 
 // TestShardedServerCrashRecovery: the nodes NewShardedServer builds (what
-// -shards N and the benchmark run) are journaled like any other, so one can
-// crash alone. After the scripted scenario and a checkpoint — the zero-loss
+// the benchmark runs) are journaled like any other, so one can crash
+// alone. After the scripted scenario and a checkpoint — the zero-loss
 // watermark — crashing the node with the most journaled focals replays them
 // into the survivors, and the router's snapshot must equal the serial
 // replay's byte for byte.

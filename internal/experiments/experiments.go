@@ -67,6 +67,13 @@ func (o RunOpts) normalize() RunOpts {
 	return o
 }
 
+// Validate reports the first error in the base configuration every
+// experiment starts from (see sim.Config.Validate), or nil: a negative step
+// count, or a scale divisor that leaves no objects.
+func (o RunOpts) Validate() error {
+	return o.normalize().base().Validate()
+}
+
 // base builds a sim.Config at the paper's defaults adjusted by o.
 func (o RunOpts) base() sim.Config {
 	cfg := sim.DefaultConfig()

@@ -35,7 +35,7 @@ func (s Snapshot) WriteText(w io.Writer) error {
 
 // View is the cluster telemetry view (/debug/cluster, admin HEALTH): the
 // plane's Snapshot — health, per-node telemetry state and active alerts.
-// A nil plane (serial or -shards mode) is disabled.
+// A nil plane (any server but a -cluster router) is disabled.
 func (p *Plane) View() obs.View {
 	return obs.View{
 		Name: "cluster", Path: "/debug/cluster", Word: "HEALTH",

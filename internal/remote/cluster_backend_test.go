@@ -8,10 +8,21 @@ import (
 
 	"mobieyes/internal/core"
 	"mobieyes/internal/geo"
+	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
+	"mobieyes/internal/obs"
 	"mobieyes/internal/obs/cost"
 	"mobieyes/internal/obs/trace"
 )
+
+// nodesBackend is a ServerConfig.Backend that puts the router over n
+// in-process nodes behind the transport, so cross-node handoff stays
+// covered over TCP.
+func nodesBackend(n int) func(*grid.Grid, core.Options, core.Downlink) (*core.ClusterServer, error) {
+	return func(g *grid.Grid, opts core.Options, down core.Downlink) (*core.ClusterServer, error) {
+		return core.NewClusterServer(g, opts, down, n), nil
+	}
+}
 
 // TestAdminAgainstClusteredBackend runs the full admin surface over the
 // router with two in-process worker nodes: STATS, COSTS, TRACE and `nodes`
@@ -21,20 +32,17 @@ func TestAdminAgainstClusteredBackend(t *testing.T) {
 	rec := trace.NewRecorder(4096)
 	acct := cost.New()
 	s, err := ListenAndServe(ServerConfig{
-		Addr:   "127.0.0.1:0",
-		UoD:    geo.NewRect(0, 0, 100, 100),
-		Alpha:  5,
-		Shards: 2,
-		Costs:  acct,
-		Trace:  rec,
+		Addr:    "127.0.0.1:0",
+		UoD:     geo.NewRect(0, 0, 100, 100),
+		Alpha:   5,
+		Backend: nodesBackend(2),
+		Costs:   acct,
+		Trace:   rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	if _, ok := s.backend.(*core.ClusterServer); !ok {
-		t.Fatalf("backend is %T, want *core.ClusterServer", s.backend)
-	}
 	admin, err := ServeAdmin("127.0.0.1:0", s)
 	if err != nil {
 		t.Fatal(err)
@@ -104,27 +112,15 @@ func TestAdminAgainstClusteredBackend(t *testing.T) {
 	}
 }
 
-// TestClusteredBackendServesObjects is the transport-level sanity check
-// that a clustered backend behind the remote server tracks a moving focal:
-// queries follow the focal object across cells (and so across worker
-// nodes) while devices connect only to the router-fronted server.
-func TestClusteredBackendServesObjects(t *testing.T) {
-	s, err := ListenAndServe(ServerConfig{
-		Addr:   "127.0.0.1:0",
-		UoD:    geo.NewRect(0, 0, 100, 100),
-		Alpha:  5,
-		Shards: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-
-	// A focal crossing most of the UoD south-to-north visits several node
-	// spans; the target rides along so the result stays stable.
-	focal := dialObject(t, s, 7, geo.Pt(50, 5), geo.Vec(0, 40))
-	target := dialObject(t, s, 8, geo.Pt(51, 5), geo.Vec(0, 40))
-	_, _ = focal, target
+// driveNorth installs a query on a focal with a target beside it, both
+// standing still near the south edge so the focal is placed before it
+// moves, then drives both north at 25 mi/s for 3 s (to y ≈ 80, over every
+// span boundary of up to four nodes) and stops them. The target must still
+// be in the result afterwards, and the router's invariants must hold.
+func driveNorth(t *testing.T, s *Server) {
+	t.Helper()
+	focal := dialObject(t, s, 7, geo.Pt(50, 5), geo.Vec(0, 0))
+	target := dialObject(t, s, 8, geo.Pt(51, 5), geo.Vec(0, 0))
 	if !waitFor(t, 2*time.Second, func() bool { return s.NumConnected() == 2 }) {
 		t.Fatal("objects never connected")
 	}
@@ -132,15 +128,66 @@ func TestClusteredBackendServesObjects(t *testing.T) {
 	if !waitFor(t, 3*time.Second, func() bool { return len(s.Result(qid)) == 2 }) {
 		t.Fatalf("result never converged: %v", s.Result(qid))
 	}
-	cs := s.backend.(*core.ClusterServer)
-	if !waitFor(t, 5*time.Second, func() bool { return cs.Migrations() > 0 }) {
-		t.Logf("focal crossed no node boundary (spans %+v); migrations untested here", cs.Spans())
-	}
-	if !s.backend.ResultContains(qid, 8) {
+	north, still := geo.Vec(0, 25*3600), geo.Vec(0, 0)
+	focal.SetVelocity(north)
+	target.SetVelocity(north)
+	time.Sleep(3 * time.Second)
+	focal.SetVelocity(still)
+	target.SetVelocity(still)
+	if !waitFor(t, 3*time.Second, func() bool { return s.backend.ResultContains(qid, 8) }) {
 		t.Errorf("result = %v, want it to contain target 8", s.Result(qid))
 	}
 	if err := s.backend.CheckInvariants(); err != nil {
 		t.Errorf("invariants: %v", err)
+	}
+}
+
+// TestClusteredBackendServesObjects is the transport-level check that the
+// router over several in-process nodes behind the remote server tracks a
+// moving focal: the query follows the focal across cells and across node
+// spans (cross-node handoffs) while devices connect only to the server.
+func TestClusteredBackendServesObjects(t *testing.T) {
+	s, err := ListenAndServe(ServerConfig{
+		Addr:    "127.0.0.1:0",
+		UoD:     geo.NewRect(0, 0, 100, 100),
+		Alpha:   5,
+		Backend: nodesBackend(3),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	driveNorth(t, s)
+	if s.backend.Migrations() == 0 {
+		t.Errorf("focal crossed no node boundary (spans %+v)", s.backend.Spans())
+	}
+}
+
+// TestDefaultBackendIsOneNode pins the built-in backend: the router over a
+// single in-process node whatever Shards says (the benchmark sets it to the
+// CPU count). The nodes view lists one node, and the same drive that
+// migrates the focal behind several nodes never migrates it.
+func TestDefaultBackendIsOneNode(t *testing.T) {
+	s, err := ListenAndServe(ServerConfig{
+		Addr:   "127.0.0.1:0",
+		UoD:    geo.NewRect(0, 0, 100, 100),
+		Alpha:  5,
+		Shards: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	body, err := nodesView(s.backend).Get(obs.Args{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(body.(Nodes).Nodes); n != 1 {
+		t.Fatalf("nodes view lists %d nodes, want 1", n)
+	}
+	driveNorth(t, s)
+	if m := s.backend.Migrations(); m != 0 {
+		t.Errorf("%d migrations behind the one-node default", m)
 	}
 }
 

@@ -118,14 +118,13 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 // cluster, nodes — served by the admin port and, via obs.ListenAndServe, a
 // metrics endpoint. A view whose backing is off answers disabled.
 func (s *Server) Views() []obs.View {
-	cs, _ := s.backend.(*core.ClusterServer)
 	return []obs.View{
 		obs.EventsView(s.rec),
 		s.lat.View(),
 		s.acct.View(),
 		s.hist.View(),
 		s.Telemetry().View(),
-		nodesView(cs),
+		nodesView(s.backend),
 	}
 }
 
@@ -157,16 +156,12 @@ func (n Nodes) WriteText(w io.Writer) error {
 	return p.Err
 }
 
-// nodesView is the router's span view (/debug/nodes, admin nodes); nil cs —
-// a custom non-router Backend — is disabled.
+// nodesView is the router's span view (/debug/nodes, admin nodes).
 func nodesView(cs *core.ClusterServer) obs.View {
 	return obs.View{
 		Name: "nodes", Path: "/debug/nodes", Word: "nodes",
 		Doc: "the router's span epoch, per-node cell spans and table sizes",
 		Get: func(obs.Args) (obs.Body, error) {
-			if cs == nil {
-				return nil, obs.Disabled("clustering")
-			}
 			return Nodes{Epoch: cs.Epoch(), Nodes: cs.Spans()}, nil
 		},
 	}

@@ -3,7 +3,6 @@ package remote
 import (
 	"bufio"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -33,16 +32,13 @@ type ServerConfig struct {
 	Alpha float64
 	// Options selects the protocol variant.
 	Options core.Options
-	// Shards is the number of in-process nodes the default backend's
-	// router (core.ClusterServer) spreads the grid over; 0 defaults to
-	// GOMAXPROCS. Every connection goroutine dispatches its uplinks
-	// straight into the router, which is safe for concurrent use.
+	// Deprecated: Shards is ignored; the built-in backend is the router
+	// over one in-process node (DESIGN.md §13).
 	Shards int
-	// Backend, when non-nil, constructs the query engine over the server's
-	// grid and downlink instead of the built-in in-process router — the
-	// hook the cluster-router entrypoint uses to route over TCP worker
-	// processes (internal/cluster). Shards is ignored when set.
-	Backend func(g *grid.Grid, opts core.Options, down core.Downlink) (core.ServerAPI, error)
+	// Backend, when non-nil, builds the router over the server's grid and
+	// downlink in place of the built-in one: the hook the cluster-router
+	// entrypoint uses to route over TCP worker processes (internal/cluster).
+	Backend func(g *grid.Grid, opts core.Options, down core.Downlink) (*core.ClusterServer, error)
 	// Metrics is the registry transport and backend metrics attach to,
 	// typically shared with an obs.HTTPServer. Nil means the server keeps
 	// a private registry, still reachable via Metrics() and the admin
@@ -67,9 +63,9 @@ type ServerConfig struct {
 	// (internal/obs/stream, DESIGN.md §17): the server installs a result
 	// listener that publishes every differential result event into it,
 	// composing with any listener installed later via SetResultListener.
-	// The tap sits on the server tier, so with the clustered backend it is
-	// router-side and one gateway covers the whole cluster's in-process
-	// nodes. Exposed via Stream() and the admin SUB command.
+	// The tap sits on the server tier, router-side, so one gateway covers
+	// every node behind the router. Exposed via Stream() and the admin SUB
+	// command.
 	Stream *stream.Tap
 	// History, when non-nil, is the append-only replay store
 	// (internal/history): the server tees result transitions (sequenced
@@ -95,7 +91,7 @@ type Server struct {
 	g   *grid.Grid
 	ln  net.Listener
 
-	backend core.ServerAPI // a *core.ClusterServer unless cfg.Backend built something else
+	backend *core.ClusterServer
 	rec     *trace.Recorder
 	lat     *obs.LatencyView // per-stage latency over rec; nil without tracing
 	acct    *cost.Accountant // nil-safe; charged at the frame codec boundary
@@ -154,7 +150,7 @@ func ListenAndServe(cfg ServerConfig) (*Server, error) {
 // including in-memory ones — the deterministic simulation harness serves
 // over net.Pipe connections this way. cfg.Addr is ignored. The error is
 // non-nil only when a cfg.Backend factory fails (e.g. a cluster router that
-// cannot reach its workers); the built-in backends cannot fail.
+// cannot reach its workers); the built-in backend cannot fail.
 func Serve(cfg ServerConfig, ln net.Listener) (*Server, error) {
 	return serve(cfg, ln, nil)
 }
@@ -165,12 +161,8 @@ func serve(cfg ServerConfig, ln net.Listener, snapshot io.Reader) (*Server, erro
 	s := newServer(cfg, ln)
 	backend, err := s.buildBackend()
 	if err == nil && snapshot != nil {
-		// The built-in backends and the TCP cluster router are all routers.
-		cs, ok := backend.(*core.ClusterServer)
-		if !ok {
-			err = fmt.Errorf("remote: a %T backend cannot restore a snapshot", backend)
-		} else if err = cs.Restore(snapshot); err != nil {
-			cs.Close() // a TCP router releases its workers for the next router
+		if err = backend.Restore(snapshot); err != nil {
+			backend.Close() // a TCP router releases its workers for the next router
 		}
 	}
 	if err != nil {
@@ -182,13 +174,13 @@ func serve(cfg ServerConfig, ln net.Listener, snapshot io.Reader) (*Server, erro
 	return s, nil
 }
 
-// buildBackend builds cfg.Backend, or else the router over cfg.Shards
-// in-process nodes.
-func (s *Server) buildBackend() (core.ServerAPI, error) {
+// buildBackend builds cfg.Backend, or else the router over one in-process
+// node.
+func (s *Server) buildBackend() (*core.ClusterServer, error) {
 	if s.cfg.Backend != nil {
 		return s.cfg.Backend(s.g, s.cfg.Options, serverDownlink{s})
 	}
-	return core.NewClusterServer(s.g, s.cfg.Options, serverDownlink{s}, s.cfg.Shards), nil
+	return core.NewClusterServer(s.g, s.cfg.Options, serverDownlink{s}, 1), nil
 }
 
 // wire attaches the configured observers to the freshly built backend and
@@ -211,11 +203,7 @@ func (s *Server) wireCosts() {
 		return
 	}
 	s.acct = s.cfg.Costs
-	nodes := 0
-	if b, ok := s.backend.(*core.ClusterServer); ok {
-		nodes = b.NumNodes()
-	}
-	s.acct.Configure(s.g.NumCells(), 0, nodes)
+	s.acct.Configure(s.g.NumCells(), 0, s.backend.NumNodes())
 	s.acct.Instrument(s.reg)
 	s.backend.SetAccountant(s.acct)
 }
@@ -345,9 +333,7 @@ func (s *Server) expiryLoop() {
 		case <-expiry.C:
 			s.ExpireQueries(nowHours())
 			if s.Telemetry() != nil {
-				if cs, ok := s.backend.(*core.ClusterServer); ok {
-					cs.TelemetryRound()
-				}
+				s.backend.TelemetryRound()
 			}
 		}
 	}
@@ -362,9 +348,7 @@ func (s *Server) SetTelemetry(p *telemetry.Plane) {
 	s.mu.Lock()
 	s.tel = p
 	s.mu.Unlock()
-	if cs, ok := s.backend.(*core.ClusterServer); ok {
-		cs.SetTelemetry(p)
-	}
+	s.backend.SetTelemetry(p)
 }
 
 // Telemetry returns the attached telemetry plane, or nil.

@@ -21,15 +21,18 @@ func testStreamServer(t *testing.T, shards int) (*Server, *stream.Tap, *history.
 	tap := stream.NewTap()
 	st := history.NewStore(1 << 20)
 	acct := cost.New()
-	s, err := ListenAndServe(ServerConfig{
+	cfg := ServerConfig{
 		Addr:    "127.0.0.1:0",
 		UoD:     geo.NewRect(0, 0, 100, 100),
 		Alpha:   5,
-		Shards:  shards,
 		Stream:  tap,
 		History: st,
 		Costs:   acct,
-	})
+	}
+	if shards > 0 {
+		cfg.Backend = nodesBackend(shards)
+	}
+	s, err := ListenAndServe(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func testStreamServer(t *testing.T, shards int) (*Server, *stream.Tap, *history.
 // the tap streams gap-free sequenced deltas that match the engine's result
 // set, the history store records the same transitions plus query lifecycle
 // and position samples, and every history byte is charged to the egress
-// meter. Runs on the default node count (GOMAXPROCS) and on two nodes.
+// meter. Runs on the built-in one-node backend (shards=0) and on two nodes.
 func TestRemoteStreamAndHistory(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

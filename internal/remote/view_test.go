@@ -15,9 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"mobieyes/internal/core"
 	"mobieyes/internal/geo"
-	"mobieyes/internal/grid"
 	"mobieyes/internal/history"
 	"mobieyes/internal/model"
 	"mobieyes/internal/obs"
@@ -118,7 +116,7 @@ func TestViewTransportParity(t *testing.T) {
 	acct := cost.New()
 	s, err := ListenAndServe(ServerConfig{
 		Addr: "127.0.0.1:0", UoD: geo.NewRect(0, 0, 100, 100), Alpha: 5,
-		Shards: 2, Metrics: reg, Trace: rec, Costs: acct,
+		Backend: nodesBackend(2), Metrics: reg, Trace: rec, Costs: acct,
 		Stream: stream.NewTap(), History: history.NewStore(1 << 20),
 	})
 	if err != nil {
@@ -233,20 +231,21 @@ func TestViewTransportParity(t *testing.T) {
 		}
 	}
 
-	// Every backing off — a custom serial backend is not a router — and
-	// every view answers disabled, alike on both transports.
-	off, err := ListenAndServe(ServerConfig{
-		Addr: "127.0.0.1:0", UoD: geo.NewRect(0, 0, 100, 100), Alpha: 5,
-		Backend: func(g *grid.Grid, opts core.Options, down core.Downlink) (core.ServerAPI, error) {
-			return core.NewServer(g, opts, down), nil
-		},
-	})
+	// Every observer off, and every view but nodes answers disabled, alike
+	// on both transports; the router always has nodes to list.
+	off, err := ListenAndServe(ServerConfig{Addr: "127.0.0.1:0", UoD: geo.NewRect(0, 0, 100, 100), Alpha: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(off.Close)
 	oc := newViewClient(t, off, obs.NewRegistry())
 	for _, v := range off.Views() {
+		if v.Name == "nodes" {
+			if got, ok := oc.same(v, nil); !ok || !strings.Contains(got, "node 0 live") {
+				t.Errorf("nodes on a default server: admin %q", got)
+			}
+			continue
+		}
 		code, body := oc.get(v.Path)
 		if got := oc.ask(v.Word); code != http.StatusNotFound || !strings.HasSuffix(body, " disabled\n") ||
 			got != "err "+strings.TrimSuffix(body, "\n") {

@@ -120,15 +120,15 @@ type Config struct {
 	// DESIGN.md §12). The engine calls Configure on it and resets it at the
 	// same quiescent points as the message meter (after installation and
 	// after warmup), so ledgers describe measured steady-state traffic.
-	// Like Metrics, accounting is measurement only. MobiEyes only; the
-	// centralized baselines ignore it.
+	// Like Metrics, accounting is measurement only. MobiEyes only: a
+	// baseline never attaches it, so Validate rejects it there.
 	Costs *cost.Accountant
 
 	// MeasureQuality compares query results against brute-force ground
 	// truth every measured step and feeds Costs with answer-quality
 	// samples: per-step precision/recall and a staleness histogram counting
 	// how many steps each wrong (qid, oid) pair stayed wrong. Requires
-	// Costs; costs extra time like MeasureError.
+	// Costs, so MobiEyes only; costs extra time like MeasureError.
 	MeasureQuality bool
 
 	// Stream, when non-nil, attaches a live result tap to the engine: every
@@ -201,6 +201,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: DeadReckoningThreshold must be non-negative, got %v", c.Core.DeadReckoningThreshold)
 	case c.MeasureQuality && c.Costs == nil:
 		return fmt.Errorf("sim: MeasureQuality requires a Costs accountant")
+	case c.Approach != MobiEyes && (c.Costs != nil || c.MeasureQuality):
+		return fmt.Errorf("sim: Costs and MeasureQuality need the MobiEyes approach, got %v", c.Approach)
 	}
 	return nil
 }

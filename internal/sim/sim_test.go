@@ -6,6 +6,7 @@ import (
 	"mobieyes/internal/core"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
+	"mobieyes/internal/obs/cost"
 	"mobieyes/internal/workload"
 )
 
@@ -404,6 +405,7 @@ func TestConfigValidate(t *testing.T) {
 		"nmo":     func(c *Config) { c.VelocityChangesPerStep = -1 },
 		"steps":   func(c *Config) { c.Steps = -1 },
 		"delta":   func(c *Config) { c.Core.DeadReckoningThreshold = -0.5 },
+		"costs":   func(c *Config) { c.Approach, c.Costs = Naive, cost.New() },
 	}
 	for name, mutate := range mutations {
 		cfg := DefaultConfig()

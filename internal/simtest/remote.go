@@ -142,14 +142,16 @@ func newRemoteSystem(label string, uod geo.Rect, alpha float64, opts core.Option
 	if traced {
 		rs.rec = trace.NewRecorder(trace.DefaultSize)
 	}
-	// The built-in backend cannot fail; the error path exists only for
-	// Backend factories, which the harness never configures.
+	// An in-process router cannot fail to build; the error path exists
+	// only for factories that dial worker processes.
 	rs.srv, _ = remote.Serve(remote.ServerConfig{
 		UoD:     uod,
 		Alpha:   alpha,
 		Options: opts,
-		Shards:  nodes,
-		Trace:   rs.rec,
+		Backend: func(g *grid.Grid, opts core.Options, down core.Downlink) (*core.ClusterServer, error) {
+			return core.NewClusterServer(g, opts, down, nodes), nil
+		},
+		Trace: rs.rec,
 		// Killed connections must not depart their objects: the harness
 		// reconnects them within the scenario, never after a minute.
 		DisconnectGrace: time.Minute,

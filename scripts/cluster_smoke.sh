@@ -6,8 +6,11 @@
 # (install, help, HEALTH) with a bash /dev/tcp redirect. Two objects then
 # fill the query's result, the router takes an admin `snapshot`, every
 # process is killed, and fresh workers plus `-cluster router -restore` must
-# answer `result 1` exactly as before. Fails on any non-200 answer, empty
-# body or changed result; stops every process on exit.
+# answer `result 1` exactly as before. Last, the plain server (no -cluster:
+# the router over one in-process node) restores the same snapshot, must
+# answer `result 1` alike, and its `nodes` view must list one node. Fails on
+# any non-200 answer, empty body, changed result or wrong node count; stops
+# every process on exit.
 #
 #   scripts/cluster_smoke.sh        # needs 127.0.0.1 ports 7181-7185 free
 set -euo pipefail
@@ -24,7 +27,7 @@ trap 'stop; rm -rf "$dir"' EXIT
 # waitlog FILE TEXT: wait up to 10 s for a started process to log TEXT.
 waitlog() {
 	for _ in $(seq 100); do
-		grep -q "$2" "$1" && return 0
+		grep -qs "$2" "$1" && return 0
 		sleep 0.1
 	done
 	echo "cluster_smoke: timed out waiting for '$2' in $1:" >&2
@@ -111,5 +114,25 @@ echo "before: $before"
 echo "after:  $after"
 if [ "$after" != "$before" ]; then
 	echo "cluster_smoke: restored cluster answers '$after', want '$before'" >&2
+	exit 1
+fi
+
+# The same snapshot restored into the plain server.
+stop
+"$dir/mobieyes-server" -addr 127.0.0.1:7183 -admin 127.0.0.1:7184 \
+	-restore "$dir/snap.mobs" >"$dir/plain.log" 2>&1 &
+pids+=($!)
+waitlog "$dir/plain.log" "objects on"
+plain=$(admin 'result 1')
+nodes=$(admin nodes)
+echo "== plain server"
+echo "result: $plain"
+echo "$nodes"
+if [ "$plain" != "$before" ]; then
+	echo "cluster_smoke: restored plain server answers '$plain', want '$before'" >&2
+	exit 1
+fi
+if [ "$(grep -c '^node ' <<<"$nodes")" -ne 1 ]; then
+	echo "cluster_smoke: plain server's nodes view does not list exactly one node" >&2
 	exit 1
 fi
