@@ -103,10 +103,11 @@ func main() {
 		reg = obs.NewRegistry()
 	}
 	gw.Instrument(reg)
-	// The router role runs the cluster telemetry plane: workers push metric,
-	// cost and trace deltas over the wire tier; the plane re-exports them
-	// under node="N" labels, stitches the trace timeline, and watches the
-	// cluster invariants (DESIGN.md §14) — the cluster view and /readyz.
+	// The router role runs the cluster telemetry plane: workers push metric
+	// and trace deltas over the wire tier; the plane re-exports them under
+	// node="N" labels, stitches the trace timeline, and watches the cluster
+	// invariants (DESIGN.md §14) — the cluster view and /readyz. It is
+	// attached to the router once, by cluster.WireTelemetry below.
 	var plane *telemetry.Plane
 	if *role == "router" {
 		plane = telemetry.New(telemetry.Config{Metrics: reg, Trace: rec, Costs: acct})
@@ -187,9 +188,6 @@ func main() {
 		fatal(err)
 	}
 	defer srv.Close()
-	if plane != nil {
-		srv.SetTelemetry(plane)
-	}
 
 	if *metrics != "" {
 		ms := startMetrics(*metrics, reg, srv.Views()...)

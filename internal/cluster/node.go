@@ -207,8 +207,9 @@ func (rn *RemoteNode) mustOp(code uint8, data []byte, tid trace.ID) *wire.Reader
 	return &r
 }
 
-// Heartbeat runs one synchronous liveness probe. The worker answers with a
-// NodeStatus (its span epoch, digest and op count), preceded by any pending
+// Heartbeat runs one synchronous liveness probe — the one a router's
+// TelemetryRound finds on every live remote node. The worker answers with a
+// NodeStatus (its span epoch, range and op count), preceded by any pending
 // telemetry; the round-trip time, status and any probe failure feed the
 // telemetry plane's watchdog.
 func (rn *RemoteNode) Heartbeat() error {
@@ -505,7 +506,9 @@ func NewRouter(g *grid.Grid, opts core.Options, down core.Downlink, addrs []stri
 // nodes: pushed NodeTelemetry frames and heartbeat answers flow into p,
 // every node is registered with p's liveness watchdog, and the router's
 // telemetry rounds probe each live node through Heartbeat. Call it once,
-// right after NewRouter, before traffic starts.
+// right after NewRouter, before traffic starts; everything else (the
+// remote server's housekeeping, its cluster view) reads the plane back
+// through ClusterServer.Telemetry.
 func WireTelemetry(cs *core.ClusterServer, rns []*RemoteNode, p *telemetry.Plane) {
 	if p == nil {
 		return
@@ -514,5 +517,4 @@ func WireTelemetry(cs *core.ClusterServer, rns []*RemoteNode, p *telemetry.Plane
 		rn.SetTelemetry(p)
 	}
 	cs.SetTelemetry(p)
-	cs.SetProbe(func(i int) error { return rns[i].Heartbeat() })
 }

@@ -113,8 +113,8 @@ func TestSessionBytesPinned(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"router to worker", tap.out.Bytes(), "3461ed249972e668bfba216c2867a356b91a1abc28833cbf3689310738b48ed7"},
-		{"worker to router", tap.in.Bytes(), "b70f42e27981ea0125c807598f7889f1f10c2804628a35791ce3c6898b0d1fc0"},
+		{"router to worker", tap.out.Bytes(), "ac3a58168272865fd8dd6c051340158a43c23e2f50d5d5756c36286a851c9385"},
+		{"worker to router", tap.in.Bytes(), "be4256ff2ead89c95ab46a44f9297c24787830047a4fd6314970e6ee5dc630cd"},
 	} {
 		sum := sha256.Sum256(c.data)
 		if got := hex.EncodeToString(sum[:]); got != c.want {

@@ -35,7 +35,10 @@ import (
 // NodeCheckpoint, and journal them for replay after an ungraceful worker
 // death (DESIGN.md §15). Version 4 changed the opSnapshotData reply to the
 // node's focal section of a snapshot, so a router can restore over workers.
-const ProtoVersion = uint16(4)
+// Version 5 dropped NodeStatus's span digest (the watchdog compares the
+// epoch and range the status already carries) and the cost section of
+// telemetry batches.
+const ProtoVersion = uint16(5)
 
 // VersionError reports a NodeHello handshake refused for speaking a
 // different cluster protocol version.

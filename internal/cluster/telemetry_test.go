@@ -12,6 +12,7 @@ import (
 	"mobieyes/internal/core"
 	"mobieyes/internal/geo"
 	"mobieyes/internal/grid"
+	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
 	"mobieyes/internal/obs"
 	"mobieyes/internal/obs/cost"
@@ -21,8 +22,9 @@ import (
 )
 
 // newTelemetryCluster assembles a wire cluster whose workers carry their own
-// observability surfaces and push telemetry to a router-side plane: the
-// full DESIGN.md §14 topology over in-memory pipes.
+// observability surfaces and push telemetry to a router-side plane, with the
+// router instrumented on the plane's registry: the full DESIGN.md §14
+// topology over in-memory pipes.
 func newTelemetryCluster(t *testing.T, n int) (*core.ClusterServer, []*RemoteNode, *telemetry.Plane, *obs.Registry, *trace.Recorder) {
 	t.Helper()
 	down := &sinkDown{}
@@ -56,6 +58,7 @@ func newTelemetryCluster(t *testing.T, n int) (*core.ClusterServer, []*RemoteNod
 		rns[sp.Node].Assign(epoch, sp.Lo, sp.Hi)
 	}
 	cs.SetTracer(rec)
+	cs.Instrument(reg)
 	WireTelemetry(cs, rns, plane)
 	return cs, rns, plane, reg, rec
 }
@@ -124,11 +127,12 @@ func TestWireTelemetryStitchAndReexport(t *testing.T) {
 		t.Errorf("trace %d 's chain spans actors %v, want router + a worker", tid, chainActors)
 	}
 
-	// Handoff edges ran evaluation rounds inline and were counted.
+	// Handoff edges ran evaluation rounds inline, and the view reports the
+	// router's own handoff count.
 	snap := plane.Snapshot()
-	if snap.Handoffs == 0 || snap.Rounds <= 1 {
-		t.Errorf("snapshot records %d handoffs over %d rounds, want both > 0 (and rounds > 1)",
-			snap.Handoffs, snap.Rounds)
+	if snap.Handoffs != cs.Migrations() || snap.Rounds <= 1 {
+		t.Errorf("snapshot records %d handoffs over %d rounds, want %d handoffs and rounds > 1",
+			snap.Handoffs, snap.Rounds, cs.Migrations())
 	}
 	if len(snap.Nodes) != 2 {
 		t.Fatalf("snapshot nodes = %+v", snap.Nodes)
@@ -137,6 +141,83 @@ func TestWireTelemetryStitchAndReexport(t *testing.T) {
 		if !ns.Live || !ns.Expected || ns.Batches == 0 || ns.Epoch == 0 {
 			t.Errorf("node %d snapshot incomplete: %+v", ns.Node, ns)
 		}
+	}
+}
+
+// TestWireTelemetryPerNodeSeries checks every per-node number the router
+// shows for a TCP worker: the table-size gauges a worker ships must equal
+// what the router reads from the node itself, and uplinks_total{node} must
+// be the router's own dispatch count.
+func TestWireTelemetryPerNodeSeries(t *testing.T) {
+	cs, _, _, reg, _ := newTelemetryCluster(t, 2)
+	defer cs.Close()
+	g := testGrid()
+	center := func(row int) geo.Point {
+		r := g.CellRect(grid.CellID{Col: 10, Row: row})
+		return geo.Pt((r.LX+r.HX)/2, (r.LY+r.HY)/2)
+	}
+	// Installs and uplinks only, two focals on each side of the span
+	// boundary at row 10; each focal then crosses a cell within its span.
+	for i := 0; i < 4; i++ {
+		oid := model.ObjectID(i + 1)
+		cs.InstallQuery(oid, model.CircleRegion{R: 8}, model.Filter{}, 15)
+		cs.HandleUplink(msg.FocalInfoResponse{OID: oid, Pos: center(2 + 5*i), Vel: geo.Vec(0, 5), Tm: 1})
+	}
+	for tgt := 10; tgt < 30; tgt++ {
+		cs.HandleUplink(msg.ContainmentReport{OID: model.ObjectID(tgt), QID: model.QueryID(tgt%4 + 1), IsTarget: true})
+	}
+	for i := 0; i < 4; i++ {
+		prev, next := grid.CellID{Col: 10, Row: 2 + 5*i}, grid.CellID{Col: 10, Row: 3 + 5*i}
+		cs.HandleUplink(msg.CellChangeReport{OID: model.ObjectID(i + 1), PrevCell: prev, NewCell: next,
+			Pos: center(next.Row), Vel: geo.Vec(0, 5), Tm: 2})
+	}
+	if alerts := cs.TelemetryRound(); len(alerts) != 0 {
+		t.Fatalf("healthy cluster raised alerts: %v", alerts)
+	}
+
+	vars := reg.Snapshot()
+	uplinks := cs.UplinksByNode()
+	for i, sp := range cs.Spans() {
+		if sp.Focals == 0 || uplinks[i] == 0 {
+			t.Fatalf("node %d holds %d focals after %d uplinks — the schedule misses it", i, sp.Focals, uplinks[i])
+		}
+		label := fmt.Sprintf(`{node="%d"}`, i)
+		for _, c := range []struct {
+			name string
+			want any
+		}{
+			{"mobieyes_server_fot_size", float64(sp.Focals)},
+			{"mobieyes_server_sqt_size", float64(sp.Queries)},
+			{"mobieyes_server_uplinks_total", uplinks[i]},
+		} {
+			if got := vars[c.name+label]; got != c.want {
+				t.Errorf("%s%s = %v, want %v", c.name, label, got, c.want)
+			}
+		}
+	}
+}
+
+// TestWireTelemetrySpanRange drives the span check through a real
+// heartbeat: a worker told a range other than the router's, at the current
+// epoch, reports it in its next NodeStatus, and the round raises span-range
+// for that node only; telling it the router's range again clears the alert.
+func TestWireTelemetrySpanRange(t *testing.T) {
+	cs, rns, _, _, _ := newTelemetryCluster(t, 2)
+	defer cs.Close()
+	if alerts := cs.TelemetryRound(); len(alerts) != 0 {
+		t.Fatalf("healthy cluster raised alerts: %v", alerts)
+	}
+
+	epoch, sp := cs.Epoch(), cs.Spans()[1]
+	rns[1].Assign(epoch, sp.Lo+1, sp.Hi)
+	alerts := cs.TelemetryRound()
+	if len(alerts) != 1 || alerts[0].Check != telemetry.CheckSpanRange || alerts[0].Node != 1 {
+		t.Fatalf("alerts after a skewed assignment = %v, want one span-range on node 1", alerts)
+	}
+
+	rns[1].Assign(epoch, sp.Lo, sp.Hi)
+	if alerts := cs.TelemetryRound(); len(alerts) != 0 {
+		t.Fatalf("alerts after the router's range is restored = %v", alerts)
 	}
 }
 
@@ -359,7 +440,6 @@ func TestAdminPartialAnswersWhenWorkerDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	srv.SetTelemetry(plane)
 	adminSrv, err := remote.ServeAdmin("127.0.0.1:0", srv)
 	if err != nil {
 		t.Fatal(err)

@@ -25,10 +25,11 @@ import (
 // payloads are meaningful only over the same tessellation.
 //
 // Metrics, Costs and Trace are the worker's local observability surfaces,
-// all optional. When any is set the worker instruments its hosted engine
-// against them and ships telemetry batches (changed metric series, cost
-// deltas, trace events) back to the router as NodeTelemetry frames — the
-// push half of the cluster telemetry plane (DESIGN.md §14).
+// all optional. The worker instruments its hosted node against them and,
+// when Metrics or Trace is set, ships telemetry batches (changed metric
+// series and trace events) back to the router as NodeTelemetry frames —
+// the push half of the cluster telemetry plane (DESIGN.md §14). Costs
+// stays local: the router keeps every ledger the cluster views read.
 type WorkerConfig struct {
 	UoD   geo.Rect
 	Alpha float64
@@ -65,11 +66,11 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	capt := &captureDown{}
 	g := grid.New(cfg.UoD, cfg.Alpha)
 	w := &Worker{g: g, node: core.NewNodeServer(g, cfg.Opts, capt), capt: capt, rec: cfg.Trace}
-	w.node.Underlying().Instrument(cfg.Metrics)
+	w.node.Instrument(cfg.Metrics)
 	if cfg.Costs != nil {
 		w.node.Underlying().SetAccountant(cfg.Costs)
 	}
-	w.coll = telemetry.NewCollector(cfg.Metrics, cfg.Costs, cfg.Trace)
+	w.coll = telemetry.NewCollector(cfg.Metrics, cfg.Trace)
 	return w
 }
 
@@ -158,8 +159,8 @@ func (w *Worker) ServeConn(conn net.Conn) error {
 		switch mm := m.(type) {
 		case msg.NodeHeartbeat:
 			// A probe always flushes pending telemetry (forced collect),
-			// then answers with the node's status: span epoch + digest so
-			// the router's watchdog can verify assignment agreement, and
+			// then answers with the node's status: span epoch and range so
+			// the router's watchdog can check assignment agreement, and
 			// the op count for liveness progress.
 			if err := w.shipTelemetry(bw, true); err != nil {
 				return err
@@ -167,8 +168,7 @@ func (w *Worker) ServeConn(conn net.Conn) error {
 			status := msg.NodeStatus{
 				Node: w.id, Seq: mm.Seq,
 				Epoch: w.epoch, Lo: uint32(w.lo), Hi: uint32(w.hi),
-				Digest: telemetry.SpanDigest(w.epoch, uint32(w.lo), uint32(w.hi)),
-				Ops:    uint64(w.node.Ops()),
+				Ops: uint64(w.node.Ops()),
 			}
 			if err := remote.WriteFrame(bw, wire.Encode(status)); err != nil {
 				return err

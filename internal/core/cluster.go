@@ -78,12 +78,8 @@ type ClusterServer struct {
 
 	obsm *serverObs
 
-	// tel is the cluster telemetry plane (nil when disabled); probe runs one
-	// synchronous heartbeat exchange with a node — the TCP tier installs
-	// RemoteNode.Heartbeat, the in-process tier needs none (node state is
-	// directly visible).
-	tel   *telemetry.Plane
-	probe func(node int) error
+	// tel is the cluster telemetry plane (nil when disabled).
+	tel *telemetry.Plane
 
 	// mu serializes all routing and node dispatch. focalNode/queryNode map
 	// ownership; book mints qids and holds the installs waiting on a
@@ -197,28 +193,26 @@ func (cs *ClusterServer) SetAssignListener(fn func(epoch uint64, node, lo, hi in
 	cs.onAssign = fn
 }
 
-// SetTelemetry attaches the cluster telemetry plane: handoff and rebalance
-// edges notify it, and TelemetryRound evaluates its invariant watchdog
-// against the router's authoritative span view.
+// SetTelemetry attaches the cluster telemetry plane — its one attach point:
+// handoff, rebalance and recovery edges evaluate its invariant watchdog
+// against the router's authoritative span view, and TelemetryRound also
+// probes every live node first.
 func (cs *ClusterServer) SetTelemetry(p *telemetry.Plane) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	cs.tel = p
 }
 
-// SetProbe installs the per-node heartbeat probe TelemetryRound runs before
-// each watchdog evaluation. The TCP tier installs RemoteNode.Heartbeat here;
-// probe errors are the probe's to report (NoteProbeError) — the round only
-// needs the exchange to have happened.
-func (cs *ClusterServer) SetProbe(fn func(node int) error) {
+// Telemetry returns the attached telemetry plane, or nil.
+func (cs *ClusterServer) Telemetry() *telemetry.Plane {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	cs.probe = fn
+	return cs.tel
 }
 
 // viewLocked builds the watchdog's authoritative cluster view. cs.mu held.
 func (cs *ClusterServer) viewLocked() telemetry.View {
-	v := telemetry.View{Epoch: cs.epoch, Cells: cs.g.NumCells()}
+	v := telemetry.View{Epoch: cs.epoch, Cells: cs.g.NumCells(), Handoffs: cs.migrations.Value()}
 	for i := range cs.nodes {
 		v.Spans = append(v.Spans, telemetry.SpanView{
 			Node: i, Lo: cs.spanLo[i], Hi: cs.spanHi[i], Live: cs.live[i],
@@ -229,8 +223,9 @@ func (cs *ClusterServer) viewLocked() telemetry.View {
 
 // TelemetryRound runs one telemetry round: pull a checkpoint delta from
 // every live node into the router journal (the recovery watermark —
-// DESIGN.md §15), probe every live node (each probe pumps that node's
-// pending telemetry into the plane and reports its heartbeat status), then
+// DESIGN.md §15), probe every live node whose handle has a Heartbeat (each
+// probe pumps that node's pending telemetry into the plane and reports its
+// heartbeat status; in-process nodes need none), then
 // evaluate the invariant watchdog. The remote server's housekeeping loop
 // drives this about once a second; handoff and rebalance edges run
 // evaluation-only rounds inline. Returns the active alerts (nil with no
@@ -291,12 +286,12 @@ func (cs *ClusterServer) telemetryRoundLocked(probe bool) []telemetry.Alert {
 	if cs.tel == nil {
 		return nil
 	}
-	if probe && cs.probe != nil {
-		for i := range cs.nodes {
-			if cs.live[i] {
+	if probe {
+		for i, nd := range cs.nodes {
+			if hb, ok := nd.(interface{ Heartbeat() error }); ok && cs.live[i] {
 				// Probe errors reach the plane via NoteProbeError inside
 				// the probe; the round below raises node-unreachable.
-				_ = cs.probe(i)
+				_ = hb.Heartbeat()
 			}
 		}
 	}
@@ -655,10 +650,9 @@ func (cs *ClusterServer) handoff(si, di int, oid model.ObjectID, st model.Motion
 	for _, qid := range rec.fe.queries {
 		cs.queryNode[qid] = di
 	}
-	// Handoff edge: notify the telemetry plane and evaluate the watchdog
-	// immediately (without probing — over the wire, both nodes' telemetry
-	// already streamed in ahead of the extract/inject acknowledgements).
-	cs.tel.NoteHandoff(si, di)
+	// Handoff edge: evaluate the watchdog immediately (without probing —
+	// over the wire, both nodes' telemetry already streamed in ahead of the
+	// extract/inject acknowledgements).
 	cs.telemetryRoundLocked(false)
 }
 
@@ -995,9 +989,11 @@ func (cs *ClusterServer) Spans() []NodeSpan {
 }
 
 // Instrument attaches the router's metrics to reg: router-level ops and
-// uplink counters (node="router"), per-node counters, broadcast fan-out and
-// table-size gauges for in-process nodes, the handoff counter, and per-kind
-// uplink latency measured at the router.
+// uplink counters (node="router"), the uplinks dispatched to every node
+// (node="i", remote nodes included: the router is the one that counts
+// them), each in-process node's own series (NodeServer.Instrument under
+// node="i"; a remote node's arrive through the telemetry plane), the
+// handoff counter, and per-kind uplink latency measured at the router.
 func (cs *ClusterServer) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -1006,35 +1002,19 @@ func (cs *ClusterServer) Instrument(reg *obs.Registry) {
 	reg.RegisterCounter(metricUplinks, helpUplinks, cs.upl, "node", "router")
 	reg.RegisterCounter(metricMigrations, helpMigrations, cs.migrations)
 	cs.obsm = &serverObs{uplinkLat: newKindLatency(reg, metricUplinkSeconds, helpUplinkSeconds)}
-	cs.mu.Lock()
-	cs.book.gauge = reg.Gauge(metricPending, helpPending)
-	cs.book.publish()
-	cs.mu.Unlock()
 	reg.GaugeFunc(metricInflight, helpInflight, func() float64 {
 		return float64(cs.inflight.Load())
 	})
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	cs.book.gauge = reg.Gauge(metricPending, helpPending)
+	cs.book.publish()
 	for i, ns := range cs.local {
-		if ns == nil {
-			continue
-		}
-		srv := ns.srv
 		label := strconv.Itoa(i)
-		reg.RegisterCounter(metricOps, helpOps, srv.ops, "node", label)
 		reg.RegisterCounter(metricUplinks, helpUplinks, cs.nUpl[i], "node", label)
-		srv.obsm = &serverObs{
-			broadcasts:     reg.Counter(metricBroadcasts, helpBroadcasts, "node", label),
-			broadcastCells: reg.Histogram(metricBroadcastCells, helpBroadcastCells, obs.SizeBuckets, "node", label),
+		if ns != nil {
+			ns.Instrument(reg, "node", label)
 		}
-		locked := func(fn func(*Server) int) func() float64 {
-			return func() float64 {
-				cs.mu.Lock()
-				defer cs.mu.Unlock()
-				return float64(fn(srv))
-			}
-		}
-		reg.GaugeFunc(metricFOTSize, helpFOTSize, locked(func(s *Server) int { return len(s.fot) }), "node", label)
-		reg.GaugeFunc(metricSQTSize, helpSQTSize, locked(func(s *Server) int { return len(s.sqt) }), "node", label)
-		reg.GaugeFunc(metricRQIEntries, helpRQIEntries, locked(func(s *Server) int { return s.rqiCount }), "node", label)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
+	"mobieyes/internal/obs"
 	"mobieyes/internal/obs/trace"
 	"mobieyes/internal/wire"
 )
@@ -93,12 +94,37 @@ func NewNodeServer(g *grid.Grid, opts Options, down Downlink) *NodeServer {
 	return &NodeServer{srv: NewServer(g, opts, down)}
 }
 
-// run invokes fn with the node's dispatch trace set to tid.
+// run invokes fn with the node's dispatch trace set to tid, then refreshes
+// the table-size gauges (a no-op on an uninstrumented node).
 func (n *NodeServer) run(tid trace.ID, fn func(s *Server)) {
 	prev := n.srv.curTrace
 	n.srv.curTrace = tid
 	fn(n.srv)
 	n.srv.curTrace = prev
+	n.srv.syncTableGauges()
+}
+
+// Instrument attaches the node's metrics to reg under labels: its ops
+// counter, broadcast count and cell fan-out, and the FOT/SQT/RQI size
+// gauges, which run refreshes after every op. The router labels an
+// in-process node node="i"; a worker registers its node unlabelled and the
+// router's telemetry plane adds the label on import. Uplinks, their
+// latency and pending installs are the router's to count, not the node's.
+// Safe to call with a nil registry (no-op).
+func (n *NodeServer) Instrument(reg *obs.Registry, labels ...string) {
+	if reg == nil {
+		return
+	}
+	s := n.srv
+	reg.RegisterCounter(metricOps, helpOps, s.ops, labels...)
+	s.obsm = &serverObs{
+		broadcasts:     reg.Counter(metricBroadcasts, helpBroadcasts, labels...),
+		broadcastCells: reg.Histogram(metricBroadcastCells, helpBroadcastCells, obs.SizeBuckets, labels...),
+		fotSize:        reg.Gauge(metricFOTSize, helpFOTSize, labels...),
+		sqtSize:        reg.Gauge(metricSQTSize, helpSQTSize, labels...),
+		rqiEntries:     reg.Gauge(metricRQIEntries, helpRQIEntries, labels...),
+	}
+	s.syncTableGauges()
 }
 
 // SetTracer attaches a flight recorder under the given actor name
@@ -108,8 +134,7 @@ func (n *NodeServer) SetTracer(rec *trace.Recorder, actor string) {
 }
 
 // Underlying exposes the wrapped serial server for host-side wiring
-// (instrumentation, accounting, result listeners) that stays outside the
-// NodeHandle operation surface.
+// (accounting) that stays outside the NodeHandle operation surface.
 func (n *NodeServer) Underlying() *Server { return n.srv }
 
 func (n *NodeServer) CompleteInstall(qid model.QueryID, q model.Query, maxVel float64, expiry model.Time, tid trace.ID) {

@@ -85,10 +85,10 @@ type serverObs struct {
 	uplinkLat      *kindLatency
 	broadcasts     *obs.Counter
 	broadcastCells *obs.Histogram
-	// Table-size gauges of a standalone serial Server, published by
-	// syncTableGauges from the owning goroutine; a router's nodes publish
-	// scrape-time closures under the router lock instead. The
-	// pending-installs gauge belongs to the query book (queryBook.publish).
+	// Table-size gauges, published by syncTableGauges from the owning
+	// goroutine (a standalone Server's entry points, a NodeServer's run).
+	// The pending-installs gauge belongs to the query book
+	// (queryBook.publish).
 	fotSize    *obs.Gauge
 	sqtSize    *obs.Gauge
 	rqiEntries *obs.Gauge
@@ -125,10 +125,10 @@ func (s *Server) Instrument(reg *obs.Registry) {
 // syncTableGauges publishes the current table sizes into the atomic gauges.
 // The owning goroutine calls it after every mutation entry point; all sizes
 // are O(1) reads (RQI entries are tracked incrementally). No-op when the
-// server is uninstrumented or runs as a router node.
+// server is uninstrumented.
 func (s *Server) syncTableGauges() {
 	o := s.obsm
-	if o == nil || o.fotSize == nil {
+	if o == nil {
 		return
 	}
 	o.fotSize.Set(float64(len(s.fot)))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -126,8 +127,9 @@ func TestSortedAccessors(t *testing.T) {
 }
 
 // TestRouterInstrumentedSeries: an instrumented router exports per-node and
-// router-scope series, and the per-node uplink breakdown agrees with the
-// traffic the scenario sent.
+// router-scope series, the per-node uplink breakdown agrees with the
+// traffic the scenario sent, and each node's table gauges and uplink
+// counter read what Spans and UplinksByNode report.
 func TestRouterInstrumentedSeries(t *testing.T) {
 	for _, r := range routerRenderings {
 		t.Run(r.name, func(t *testing.T) { routerInstrumentedSeries(t, r.new) })
@@ -163,6 +165,19 @@ func routerInstrumentedSeries(t *testing.T, newRouter func(*grid.Grid, Options, 
 	}
 	if uplinks == 0 {
 		t.Error("no per-node uplinks recorded")
+	}
+	vars := reg.Snapshot()
+	for i, sp := range cs.Spans() {
+		label := fmt.Sprintf(`{node="%d"}`, i)
+		if got := vars[metricFOTSize+label]; got != float64(sp.Focals) {
+			t.Errorf("%s%s = %v, node holds %d focals", metricFOTSize, label, got, sp.Focals)
+		}
+		if got := vars[metricSQTSize+label]; got != float64(sp.Queries) {
+			t.Errorf("%s%s = %v, node holds %d queries", metricSQTSize, label, got, sp.Queries)
+		}
+		if got := vars[metricUplinks+label]; got != cs.UplinksByNode()[i] {
+			t.Errorf("%s%s = %v, router dispatched %d", metricUplinks, label, got, cs.UplinksByNode()[i])
+		}
 	}
 }
 

@@ -486,11 +486,11 @@ func (m NodeDownlink) Size() int {
 }
 
 // NodeTelemetry pushes one compact telemetry batch from a worker to the
-// router: changed metric series, cost-ledger deltas and trace-event batches,
-// encoded by internal/obs/telemetry (the payload carries its own version
-// byte; the wire codec treats it as opaque). Workers stream these frames
-// ahead of an op reply or a heartbeat answer, exactly like NodeDownlink; an
-// empty payload is non-canonical and rejected by the codec.
+// router: changed metric series and trace events, encoded by
+// internal/obs/telemetry (the payload carries its own version byte; the
+// wire codec treats it as opaque). Workers stream these frames ahead of an
+// op reply or a heartbeat answer, exactly like NodeDownlink; an empty
+// payload is non-canonical and rejected by the codec.
 type NodeTelemetry struct {
 	Node    uint32
 	Seq     uint64 // worker-local telemetry batch counter, strictly increasing
@@ -503,22 +503,21 @@ func (m NodeTelemetry) Size() int {
 }
 
 // NodeStatus is the worker's heartbeat answer: the echoed probe sequence
-// plus the worker's view of its assignment — span epoch, cell range and a
-// digest over (epoch, lo, hi) — so the router's watchdog can verify epoch
-// monotonicity and span agreement without a table op.
+// plus the worker's view of its assignment — span epoch and cell range, in
+// clear — so the router's watchdog can check epoch monotonicity and compare
+// the range with its own span without a table op.
 type NodeStatus struct {
-	Node   uint32
-	Seq    uint64 // echoes the probe's NodeHeartbeat.Seq
-	Epoch  uint64
-	Lo     uint32
-	Hi     uint32
-	Digest uint64
-	Ops    uint64 // worker-side table ops applied so far
+	Node  uint32
+	Seq   uint64 // echoes the probe's NodeHeartbeat.Seq
+	Epoch uint64
+	Lo    uint32
+	Hi    uint32
+	Ops   uint64 // worker-side table ops applied so far
 }
 
 func (NodeStatus) Kind() Kind { return KindNodeStatus }
 func (NodeStatus) Size() int {
-	return HeaderSize + IDSize + 3*ScalarSize + 2*IDSize + ScalarSize
+	return HeaderSize + IDSize + 3*ScalarSize + 2*IDSize
 }
 
 // CheckpointRequest asks a worker for a checkpoint delta of its focal rows:

@@ -10,8 +10,8 @@ import (
 	"mobieyes/internal/obs/trace"
 )
 
-// benchBatch builds a representative batch: a dozen metric series, a handful
-// of changed cost entries, a burst of trace events.
+// benchBatch builds a representative batch: a handful of metric series and a
+// burst of trace events.
 func benchBatch() *Batch {
 	b := &Batch{}
 	names := []string{"mobieyes_uplink_messages_total", "mobieyes_downlink_messages_total",
@@ -21,10 +21,6 @@ func benchBatch() *Batch {
 			Name: n, Help: "bench", Counter: i%2 == 0,
 			Labels: []string{"table", "fot"}, Value: float64(i * 1000),
 		})
-	}
-	for k := 0; k < 6; k++ {
-		b.Costs = append(b.Costs, CostEntry{Axis: axisUpMsgs, Index: uint8(k), Value: int64(k * 17)})
-		b.Costs = append(b.Costs, CostEntry{Axis: axisUpBytes, Index: uint8(k), Value: int64(k * 900)})
 	}
 	for i := 0; i < 32; i++ {
 		b.Events = append(b.Events, trace.Event{
@@ -64,7 +60,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 func BenchmarkCollectIdle(b *testing.B) {
 	reg := obs.NewRegistry()
 	reg.Counter("x_total", "x").Add(1)
-	c := NewCollector(reg, nil, nil)
+	c := NewCollector(reg, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,13 +75,11 @@ func BenchmarkCollectIdle(b *testing.B) {
 func BenchmarkCollectHeartbeat(b *testing.B) {
 	reg := obs.NewRegistry()
 	ctr := reg.Counter("x_total", "x")
-	acct := cost.New()
-	c := NewCollector(reg, acct, nil)
+	c := NewCollector(reg, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctr.Add(1)
-		acct.Traffic().ChargeUplink(msg.KindVelocityReport, 64)
 		if _, p := c.Collect(true); p == nil {
 			b.Fatal("nothing shipped")
 		}
@@ -124,8 +118,7 @@ func BenchmarkWatchdogRound(b *testing.B) {
 		lo, hi := n*100, (n+1)*100
 		v.Spans = append(v.Spans, SpanView{Node: n, Lo: lo, Hi: hi, Live: true})
 		p.ExpectNode(n)
-		p.ApplyStatus(msg.NodeStatus{Node: uint32(n), Epoch: 3, Lo: uint32(lo), Hi: uint32(hi),
-			Digest: SpanDigest(3, uint32(lo), uint32(hi))})
+		p.ApplyStatus(msg.NodeStatus{Node: uint32(n), Epoch: 3, Lo: uint32(lo), Hi: uint32(hi)})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

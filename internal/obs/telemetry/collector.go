@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"mobieyes/internal/obs"
-	"mobieyes/internal/obs/cost"
 	"mobieyes/internal/obs/trace"
 )
 
@@ -18,39 +17,36 @@ const shipEvery = 64
 const maxEventsPerBatch = 256
 
 // A Collector is the worker-side half of the telemetry plane: it watches
-// the worker's registry, accountant and flight recorder and emits delta
+// the worker's registry and flight recorder and emits delta
 // Batches when due. All methods are safe for concurrent use and no-ops on a
 // nil receiver, so the worker's serve loop threads it unconditionally.
 //
 // Delta semantics: metric series ship with absolute values but only when
-// changed since the last ship; cost entries likewise. Trace events ship
+// changed since the last ship. Trace events ship
 // exactly once each, watermarked by the recorder's sequence numbers (events
 // overwritten in the ring before a ship are lost, like any flight-recorder
 // history). A lost batch therefore under-reports traces but self-heals
-// metrics and costs on the next ship.
+// metrics on the next ship.
 type Collector struct {
-	reg  *obs.Registry
-	acct *cost.Accountant
-	rec  *trace.Recorder
+	reg *obs.Registry
+	rec *trace.Recorder
 
-	mu       sync.Mutex
-	seq      uint64 // last shipped batch sequence
-	ops      uint64 // table ops since last ship
-	totalOps uint64 // table ops ever (reported in NodeStatus)
-	edge     bool   // handoff/assign edge since last ship
-	last     map[string]float64
-	lastCost cost.LedgerSnap
-	evMark   uint64 // recorder sequence watermark
+	mu     sync.Mutex
+	seq    uint64 // last shipped batch sequence
+	ops    uint64 // table ops since last ship
+	edge   bool   // handoff/assign edge since last ship
+	last   map[string]float64
+	evMark uint64 // recorder sequence watermark
 }
 
-// NewCollector returns a collector over the worker's observability
-// surfaces; any of them may be nil. Returns nil (a no-op collector) when
-// all three are nil — there would be nothing to ship.
-func NewCollector(reg *obs.Registry, acct *cost.Accountant, rec *trace.Recorder) *Collector {
-	if reg == nil && acct == nil && rec == nil {
+// NewCollector returns a collector over the worker's registry and flight
+// recorder; either may be nil. Returns nil (a no-op collector) when both
+// are nil — there would be nothing to ship.
+func NewCollector(reg *obs.Registry, rec *trace.Recorder) *Collector {
+	if reg == nil && rec == nil {
 		return nil
 	}
-	return &Collector{reg: reg, acct: acct, rec: rec, last: make(map[string]float64)}
+	return &Collector{reg: reg, rec: rec, last: make(map[string]float64)}
 }
 
 // NoteOp records one applied table op; every shipEvery ops make the next
@@ -61,18 +57,7 @@ func (c *Collector) NoteOp() {
 	}
 	c.mu.Lock()
 	c.ops++
-	c.totalOps++
 	c.mu.Unlock()
-}
-
-// Ops returns the total table ops noted (for NodeStatus).
-func (c *Collector) Ops() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.totalOps
 }
 
 // MarkEdge makes the next Collect(false) due regardless of op count — the
@@ -110,12 +95,6 @@ func (c *Collector) Collect(force bool) (uint64, []byte) {
 		}
 		c.last[k] = p.Value
 		b.Metrics = append(b.Metrics, p)
-	}
-	// Changed cost-ledger entries of the worker's global ledger.
-	if c.acct != nil {
-		cur := c.acct.Global()
-		b.Costs = costEntries(c.lastCost, cur)
-		c.lastCost = cur
 	}
 	// Trace events past the watermark, oldest first, bounded per batch.
 	if c.rec != nil {

@@ -36,7 +36,7 @@ const (
 	CheckLedgerIdentity = "ledger-identity"
 	CheckSpanCoverage   = "span-coverage"
 	CheckEpoch          = "epoch-regression"
-	CheckSpanDigest     = "span-digest"
+	CheckSpanRange      = "span-range"
 	CheckHeartbeat      = "heartbeat-stale"
 	CheckUnreachable    = "node-unreachable"
 	CheckUplinkSLO      = "uplink-slo"
@@ -72,10 +72,13 @@ type SpanView struct {
 }
 
 // View is the router's authoritative cluster state for one watchdog round.
+// Handoffs is the router's count of protocol handoffs so far, reported in
+// the cluster view as of the last round.
 type View struct {
-	Epoch uint64
-	Cells int
-	Spans []SpanView
+	Epoch    uint64
+	Cells    int
+	Spans    []SpanView
+	Handoffs int64
 }
 
 // Config configures a Plane. Every field is optional.
@@ -103,11 +106,9 @@ type nodeState struct {
 	epoch    uint64    // last reported span epoch
 	maxEpoch uint64    // high-water epoch (regression detection)
 	lo, hi   uint32
-	digest   uint64
 	ops      uint64
 	rtt      time.Duration
 	probeErr error
-	costs    cost.LedgerSnap // worker-reported ledger (worker-side view)
 	batches  int64
 	events   int64
 }
@@ -142,7 +143,6 @@ type Plane struct {
 	rounds   int64
 	lastView View
 	hasView  bool
-	handoffs int64
 	// recovering marks nodes whose crash-recovery replay is in progress:
 	// their node-scoped critical alerts degrade health instead of failing
 	// it (the router is actively healing, not broken). recoveries counts
@@ -224,8 +224,7 @@ func (p *Plane) ExpectNode(i int) {
 }
 
 // Apply decodes and merges one pushed telemetry batch from a worker:
-// metrics re-export under node="N", cost-ledger merge, trace-batch merge
-// into the router ring.
+// metrics re-export under node="N", trace-batch merge into the router ring.
 func (p *Plane) Apply(node int, seq uint64, payload []byte) error {
 	if p == nil {
 		return nil
@@ -242,7 +241,6 @@ func (p *Plane) Apply(node int, seq uint64, payload []byte) error {
 	st.batches++
 	st.events += int64(len(b.Events))
 	st.probeErr = nil
-	applyCostEntries(&st.costs, b.Costs)
 
 	type counterDelta struct {
 		ctr   *obs.Counter
@@ -315,7 +313,6 @@ func (p *Plane) ApplyStatus(st msg.NodeStatus) {
 		ns.maxEpoch = st.Epoch
 	}
 	ns.lo, ns.hi = st.Lo, st.Hi
-	ns.digest = st.Digest
 	ns.ops = st.Ops
 	ns.probeErr = nil
 }
@@ -341,18 +338,6 @@ func (p *Plane) NoteProbeError(node int, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.node(node).probeErr = err
-}
-
-// NoteHandoff records one cross-node focal handoff edge (the router calls
-// it from the handoff path; the TCP tier's workers additionally mark their
-// collectors so the slice's table events ship promptly).
-func (p *Plane) NoteHandoff(src, dst int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.handoffs++
-	p.mu.Unlock()
 }
 
 // NoteRecoveryStart marks a node's crash recovery as in progress: the
@@ -480,14 +465,11 @@ func (p *Plane) Round(v View) []Alert {
 				fail(CheckEpoch, s.Node, SeverityCritical,
 					fmt.Sprintf("reported epoch %d ahead of router epoch %d", st.epoch, v.Epoch))
 			}
-			// 4. Span digest agreement, only when the node is caught up.
-			if s.Live && st.epoch == v.Epoch {
-				want := SpanDigest(v.Epoch, uint32(s.Lo), uint32(s.Hi))
-				if st.digest != want {
-					fail(CheckSpanDigest, s.Node, SeverityCritical,
-						fmt.Sprintf("span digest %#x, router expects %#x for [%d,%d)@%d",
-							st.digest, want, s.Lo, s.Hi, v.Epoch))
-				}
+			// 4. Span agreement, only when the node is caught up.
+			if s.Live && st.epoch == v.Epoch && (int(st.lo) != s.Lo || int(st.hi) != s.Hi) {
+				fail(CheckSpanRange, s.Node, SeverityCritical,
+					fmt.Sprintf("reports span [%d,%d), router expects [%d,%d) at epoch %d",
+						st.lo, st.hi, s.Lo, s.Hi, v.Epoch))
 			}
 		}
 		// 5. Heartbeat liveness, for live nodes wired over the wire.
@@ -602,21 +584,19 @@ func (p *Plane) Ready() (string, bool) {
 
 // NodeSnapshot is one node's state in the JSON /debug/cluster view.
 type NodeSnapshot struct {
-	Node        int     `json:"node"`
-	Live        bool    `json:"live"`
-	Expected    bool    `json:"expected"`
-	Lo          int     `json:"lo"`
-	Hi          int     `json:"hi"`
-	Epoch       uint64  `json:"epoch"`
-	Ops         uint64  `json:"ops"`
-	Batches     int64   `json:"batches"`
-	Events      int64   `json:"events"`
-	AgeSeconds  float64 `json:"age_seconds"`
-	RTTMillis   float64 `json:"rtt_millis"`
-	UplinkMsgs  int64   `json:"uplink_msgs"`  // worker-reported ledger
-	UplinkBytes int64   `json:"uplink_bytes"` // worker-reported ledger
-	ProbeError  string  `json:"probe_error,omitempty"`
-	Recovering  bool    `json:"recovering,omitempty"`
+	Node       int     `json:"node"`
+	Live       bool    `json:"live"`
+	Expected   bool    `json:"expected"`
+	Lo         int     `json:"lo"`
+	Hi         int     `json:"hi"`
+	Epoch      uint64  `json:"epoch"`
+	Ops        uint64  `json:"ops"`
+	Batches    int64   `json:"batches"`
+	Events     int64   `json:"events"`
+	AgeSeconds float64 `json:"age_seconds"`
+	RTTMillis  float64 `json:"rtt_millis"`
+	ProbeError string  `json:"probe_error,omitempty"`
+	Recovering bool    `json:"recovering,omitempty"`
 }
 
 // Snapshot is the full JSON /debug/cluster view.
@@ -641,7 +621,7 @@ func (p *Plane) Snapshot() Snapshot {
 	s := Snapshot{
 		Health:     p.healthLocked(),
 		Rounds:     p.rounds,
-		Handoffs:   p.handoffs,
+		Handoffs:   p.lastView.Handoffs,
 		Recoveries: p.recoveries,
 		Alerts:     p.activeLocked(),
 	}
@@ -660,8 +640,6 @@ func (p *Plane) Snapshot() Snapshot {
 					ns.AgeSeconds = now.Sub(st.lastSeen).Seconds()
 				}
 				ns.RTTMillis = float64(st.rtt) / float64(time.Millisecond)
-				ns.UplinkMsgs = st.costs.UplinkMsgs()
-				ns.UplinkBytes = st.costs.UplinkBytes()
 				if st.probeErr != nil {
 					ns.ProbeError = st.probeErr.Error()
 				}

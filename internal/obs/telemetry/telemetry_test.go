@@ -24,10 +24,6 @@ func TestBatchRoundTrip(t *testing.T) {
 			{Name: "mobieyes_ops_total", Help: "ops", Counter: true, Value: 42},
 			{Name: "mobieyes_table_rows", Help: "rows", Labels: []string{"table", "fot"}, Value: 7.5},
 		},
-		Costs: []CostEntry{
-			{Axis: axisUpMsgs, Index: uint8(msg.KindVelocityReport), Value: 11},
-			{Axis: axisCompute, Index: 0, Value: 1 << 40},
-		},
 		Events: []trace.Event{
 			{Trace: 9, Nanos: 123456789, Kind: trace.KindTable, Actor: "node1", OID: 3, QID: 4, Note: "fot insert"},
 			{Trace: 9, Nanos: 123456999, Kind: trace.KindBroadcast, Actor: "node1", Note: "region"},
@@ -41,7 +37,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeBatch: %v", err)
 	}
-	if len(got.Metrics) != 2 || len(got.Costs) != 2 || len(got.Events) != 2 {
+	if len(got.Metrics) != 2 || len(got.Events) != 2 {
 		t.Fatalf("round trip lost entries: %+v", got)
 	}
 	if got.Metrics[0].Name != "mobieyes_ops_total" || !got.Metrics[0].Counter || got.Metrics[0].Value != 42 {
@@ -49,9 +45,6 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	if got.Metrics[1].Labels[0] != "table" || got.Metrics[1].Labels[1] != "fot" {
 		t.Errorf("labels lost: %+v", got.Metrics[1])
-	}
-	if got.Costs[1].Value != 1<<40 {
-		t.Errorf("cost value mismatch: %+v", got.Costs[1])
 	}
 	ev := got.Events[0]
 	if ev.Trace != 9 || ev.Nanos != 123456789 || ev.Kind != trace.KindTable ||
@@ -70,7 +63,7 @@ func TestEncodeBatchEmpty(t *testing.T) {
 }
 
 func TestDecodeBatchHostile(t *testing.T) {
-	valid := EncodeBatch(&Batch{Costs: []CostEntry{{Axis: axisUpMsgs, Index: 1, Value: 2}}})
+	valid := EncodeBatch(&Batch{Metrics: []obs.SeriesPoint{{Name: "a_total", Counter: true, Value: 2}}})
 	cases := map[string][]byte{
 		"empty":       nil,
 		"bad version": {99},
@@ -80,8 +73,8 @@ func TestDecodeBatchHostile(t *testing.T) {
 		"metric count": {batchVersion, 0xFF, 0xFF},
 		// one metric with an odd label count
 		"odd labels": {batchVersion, 1, 0, 0 /* kind */, 0, 0 /* name */, 0, 0 /* help */, 3},
-		// one cost entry with an unknown axis
-		"unknown axis": {batchVersion, 0, 0, 1, 0, axisCompute + 1, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		// a version 1 batch: its cost section is no longer understood
+		"version 1": {1, 0, 0, 0, 0, 0, 0},
 	}
 	for name, p := range cases {
 		if _, err := DecodeBatch(p); err == nil {
@@ -90,31 +83,16 @@ func TestDecodeBatchHostile(t *testing.T) {
 	}
 }
 
-func TestSpanDigest(t *testing.T) {
-	a := SpanDigest(3, 0, 100)
-	if a != SpanDigest(3, 0, 100) {
-		t.Fatal("SpanDigest not deterministic")
-	}
-	for _, other := range []uint64{SpanDigest(4, 0, 100), SpanDigest(3, 1, 100), SpanDigest(3, 0, 101)} {
-		if a == other {
-			t.Error("SpanDigest collision on adjacent inputs")
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Collector.
 
 func TestCollectorNil(t *testing.T) {
-	if c := NewCollector(nil, nil, nil); c != nil {
-		t.Fatal("NewCollector(nil,nil,nil) should return nil")
+	if c := NewCollector(nil, nil); c != nil {
+		t.Fatal("NewCollector(nil, nil) should return nil")
 	}
 	var c *Collector
 	c.NoteOp()
 	c.MarkEdge()
-	if c.Ops() != 0 {
-		t.Error("nil collector Ops != 0")
-	}
 	if seq, p := c.Collect(true); seq != 0 || p != nil {
 		t.Error("nil collector shipped a batch")
 	}
@@ -123,7 +101,7 @@ func TestCollectorNil(t *testing.T) {
 func TestCollectorCadence(t *testing.T) {
 	reg := obs.NewRegistry()
 	ctr := reg.Counter("worker_ops_total", "ops")
-	c := NewCollector(reg, nil, nil)
+	c := NewCollector(reg, nil)
 
 	ctr.Add(1)
 	if seq, p := c.Collect(false); p != nil {
@@ -152,21 +130,16 @@ func TestCollectorCadence(t *testing.T) {
 	if _, p := c.Collect(false); p == nil {
 		t.Fatal("op cadence did not make collect due")
 	}
-	if c.Ops() != uint64(shipEvery) {
-		t.Errorf("total ops = %d, want %d", c.Ops(), shipEvery)
-	}
 }
 
 func TestCollectorDeltas(t *testing.T) {
 	reg := obs.NewRegistry()
-	acct := cost.New()
 	rec := trace.NewRecorder(16)
 	ctr := reg.Counter("a_total", "a")
 	ctr.Add(5)
-	acct.Traffic().ChargeUplink(msg.KindVelocityReport, 100)
 	rec.Event(rec.NextID(), trace.KindIngress, "node0", 1, 0, "first")
 
-	c := NewCollector(reg, acct, rec)
+	c := NewCollector(reg, rec)
 	_, p1 := c.Collect(true)
 	b1, err := DecodeBatch(p1)
 	if err != nil {
@@ -178,21 +151,6 @@ func TestCollectorDeltas(t *testing.T) {
 	if len(b1.Events) != 1 || b1.Events[0].Note != "first" {
 		t.Fatalf("first batch events: %+v", b1.Events)
 	}
-	var upMsgs, upBytes bool
-	for _, ce := range b1.Costs {
-		if ce.Index == uint8(msg.KindVelocityReport) {
-			switch ce.Axis {
-			case axisUpMsgs:
-				upMsgs = ce.Value == 1
-			case axisUpBytes:
-				upBytes = ce.Value == 100
-			}
-		}
-	}
-	if !upMsgs || !upBytes {
-		t.Fatalf("first batch costs missing uplink entries: %+v", b1.Costs)
-	}
-
 	// Only the changed series and new events ship in the second batch.
 	ctr.Add(2)
 	reg.Counter("b_total", "b").Add(1)
@@ -212,9 +170,6 @@ func TestCollectorDeltas(t *testing.T) {
 	}
 	if len(b2.Events) != 1 || b2.Events[0].Note != "second" {
 		t.Fatalf("watermark failed, events: %+v", b2.Events)
-	}
-	if len(b2.Costs) != 0 {
-		t.Fatalf("unchanged ledger shipped entries: %+v", b2.Costs)
 	}
 }
 
@@ -240,7 +195,7 @@ func workerBatch(t *testing.T, mutate func(reg *obs.Registry, rec *trace.Recorde
 	reg := obs.NewRegistry()
 	rec := trace.NewRecorder(16)
 	mutate(reg, rec)
-	c := NewCollector(reg, nil, rec)
+	c := NewCollector(reg, rec)
 	_, p := c.Collect(true)
 	if p == nil {
 		t.Fatal("worker batch empty")
@@ -336,8 +291,7 @@ func healthyView() View {
 
 func statusFor(node uint32, v View) msg.NodeStatus {
 	s := v.Spans[node]
-	return msg.NodeStatus{Node: node, Epoch: v.Epoch, Lo: uint32(s.Lo), Hi: uint32(s.Hi),
-		Digest: SpanDigest(v.Epoch, uint32(s.Lo), uint32(s.Hi))}
+	return msg.NodeStatus{Node: node, Epoch: v.Epoch, Lo: uint32(s.Lo), Hi: uint32(s.Hi)}
 }
 
 func TestWatchdogHealthy(t *testing.T) {
@@ -417,23 +371,23 @@ func TestWatchdogSpanCoverage(t *testing.T) {
 	}
 }
 
-func TestWatchdogEpochAndDigest(t *testing.T) {
+func TestWatchdogEpochAndSpanRange(t *testing.T) {
 	p, _, _ := planeForTest(t, newFakeClock())
 	v := healthyView()
 
 	// Node 0 reports a stale epoch after having seen a newer one: regression.
-	p.ApplyStatus(msg.NodeStatus{Node: 0, Epoch: 2, Lo: 0, Hi: 50, Digest: SpanDigest(2, 0, 50)})
-	p.ApplyStatus(msg.NodeStatus{Node: 0, Epoch: 1, Lo: 0, Hi: 50, Digest: SpanDigest(1, 0, 50)})
+	p.ApplyStatus(msg.NodeStatus{Node: 0, Epoch: 2, Lo: 0, Hi: 50})
+	p.ApplyStatus(msg.NodeStatus{Node: 0, Epoch: 1, Lo: 0, Hi: 50})
 	alerts := p.Round(v)
 	if len(alerts) != 1 || alerts[0].Check != CheckEpoch || alerts[0].Node != 0 {
 		t.Fatalf("epoch regression alerts = %v", alerts)
 	}
 
-	// Node 0 caught up but disagrees on the span bounds: digest mismatch.
-	p.ApplyStatus(msg.NodeStatus{Node: 0, Epoch: 2, Lo: 0, Hi: 49, Digest: SpanDigest(2, 0, 49)})
+	// Node 0 caught up but disagrees on the span bounds: range mismatch.
+	p.ApplyStatus(msg.NodeStatus{Node: 0, Epoch: 2, Lo: 0, Hi: 49})
 	alerts = p.Round(v)
-	if len(alerts) != 1 || alerts[0].Check != CheckSpanDigest {
-		t.Fatalf("digest alerts = %v", alerts)
+	if len(alerts) != 1 || alerts[0].Check != CheckSpanRange {
+		t.Fatalf("span-range alerts = %v", alerts)
 	}
 
 	// Agreement clears it.
@@ -594,7 +548,6 @@ func TestNilPlane(t *testing.T) {
 	p.ApplyStatus(msg.NodeStatus{})
 	p.ObserveRTT(0, time.Second)
 	p.NoteProbeError(0, errors.New("x"))
-	p.NoteHandoff(0, 1)
 	if a := p.Round(View{}); a != nil {
 		t.Error("nil plane Round returned alerts")
 	}

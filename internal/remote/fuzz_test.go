@@ -50,7 +50,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	// non-canonical twin, and a heartbeat status answer.
 	f.Add(fuzzStream(hello, wire.Encode(msg.NodeTelemetry{Node: 1, Seq: 3, Payload: []byte{0x01, 0x00}})))
 	f.Add(fuzzStream(hello, wire.Encode(msg.NodeTelemetry{Node: 1, Seq: 3})))
-	f.Add(fuzzStream(hello, wire.Encode(msg.NodeStatus{Node: 1, Seq: 4, Epoch: 2, Lo: 0, Hi: 9, Digest: 0xABCD, Ops: 7})))
+	f.Add(fuzzStream(hello, wire.Encode(msg.NodeStatus{Node: 1, Seq: 4, Epoch: 2, Lo: 0, Hi: 9, Ops: 7})))
 	// Crash-recovery frames: a checkpoint pull, a populated delta, and its
 	// non-canonical twin with an unsorted removal list (must be refused by
 	// the wire decode without poisoning the frame loop).

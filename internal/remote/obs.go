@@ -123,7 +123,7 @@ func (s *Server) Views() []obs.View {
 		s.lat.View(),
 		s.acct.View(),
 		s.hist.View(),
-		s.Telemetry().View(),
+		s.backend.Telemetry().View(),
 		nodesView(s.backend),
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"mobieyes/internal/obs"
 	"mobieyes/internal/obs/cost"
 	"mobieyes/internal/obs/stream"
-	"mobieyes/internal/obs/telemetry"
 	"mobieyes/internal/obs/trace"
 	"mobieyes/internal/wire"
 )
@@ -95,7 +94,6 @@ type Server struct {
 	rec     *trace.Recorder
 	lat     *obs.LatencyView // per-stage latency over rec; nil without tracing
 	acct    *cost.Accountant // nil-safe; charged at the frame codec boundary
-	tel     *telemetry.Plane // cluster telemetry plane, nil unless attached
 	tap     *stream.Tap      // result fan-out tap; nil unless streaming or history is on
 	hist    *history.Store   // append-only replay store; nil unless history is on
 	// userFn is the application listener installed via SetResultListener
@@ -317,11 +315,11 @@ func (s *Server) Close() {
 }
 
 // expiryLoop sweeps duration-bound queries once a second, and — with a
-// telemetry plane attached — runs the periodic telemetry round on the same
-// tick: probe every live node (which pumps the workers' pending telemetry
-// into the plane) and evaluate the invariant watchdog. The router is safe
-// for concurrent use, so the sweep runs alongside the connection
-// goroutines' uplink dispatch.
+// telemetry plane attached to the backend (ClusterServer.SetTelemetry) —
+// runs the periodic telemetry round on the same tick: probe every live
+// node (which pumps the workers' pending telemetry into the plane) and
+// evaluate the invariant watchdog. The router is safe for concurrent use,
+// so the sweep runs alongside the connection goroutines' uplink dispatch.
 func (s *Server) expiryLoop() {
 	defer s.wg.Done()
 	expiry := time.NewTicker(time.Second)
@@ -332,30 +330,11 @@ func (s *Server) expiryLoop() {
 			return
 		case <-expiry.C:
 			s.ExpireQueries(nowHours())
-			if s.Telemetry() != nil {
+			if s.backend.Telemetry() != nil {
 				s.backend.TelemetryRound()
 			}
 		}
 	}
-}
-
-// SetTelemetry attaches a cluster telemetry plane: the housekeeping loop
-// starts driving periodic telemetry rounds through the clustered backend,
-// and the admin HEALTH command reports the plane's watchdog state. Call it
-// once, after Serve, before traffic matters (typically right after
-// constructing the plane and wiring the router's remote nodes to it).
-func (s *Server) SetTelemetry(p *telemetry.Plane) {
-	s.mu.Lock()
-	s.tel = p
-	s.mu.Unlock()
-	s.backend.SetTelemetry(p)
-}
-
-// Telemetry returns the attached telemetry plane, or nil.
-func (s *Server) Telemetry() *telemetry.Plane {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tel
 }
 
 // InstallQuery installs a moving query.

@@ -123,7 +123,7 @@ func TestViewTransportParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	s.SetTelemetry(telemetry.New(telemetry.Config{Metrics: reg, Trace: rec, Costs: acct}))
+	s.backend.SetTelemetry(telemetry.New(telemetry.Config{Metrics: reg, Trace: rec, Costs: acct}))
 	c := newViewClient(t, s, reg)
 
 	o1 := dialObject(t, s, 1, geo.Pt(50, 50), geo.Vec(0, 0))

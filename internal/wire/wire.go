@@ -480,7 +480,6 @@ func encodeBody(e *Writer, m msg.Message) {
 		e.U64(mm.Epoch)
 		e.U32(mm.Lo)
 		e.U32(mm.Hi)
-		e.U64(mm.Digest)
 		e.U64(mm.Ops)
 	case msg.CheckpointRequest:
 		e.U32(mm.Node)
@@ -666,7 +665,7 @@ func decodeBody(d *Reader, kind msg.Kind) (msg.Message, error) {
 	case msg.KindNodeStatus:
 		m = msg.NodeStatus{
 			Node: d.U32(), Seq: d.U64(), Epoch: d.U64(),
-			Lo: d.U32(), Hi: d.U32(), Digest: d.U64(), Ops: d.U64(),
+			Lo: d.U32(), Hi: d.U32(), Ops: d.U64(),
 		}
 	case msg.KindCheckpointRequest:
 		m = msg.CheckpointRequest{Node: d.U32(), Since: d.U64()}

@@ -75,10 +75,7 @@ func sampleMessages(rng *rand.Rand) []msg.Message {
 		},
 		msg.NodeDownlink{Target: 14, Inner: Encode(msg.FocalInfoRequest{OID: 14})},
 		msg.NodeTelemetry{Node: 2, Seq: 17, Payload: []byte{0x01, 0x00, 0x02, 0xFE}},
-		msg.NodeStatus{
-			Node: 2, Seq: rng.Uint64(), Epoch: 5, Lo: 20, Hi: 57,
-			Digest: rng.Uint64(), Ops: 123,
-		},
+		msg.NodeStatus{Node: 2, Seq: rng.Uint64(), Epoch: 5, Lo: 20, Hi: 57, Ops: 123},
 		msg.CheckpointRequest{Node: 1, Since: rng.Uint64()},
 		msg.NodeCheckpoint{Node: 1, Seq: 9}, // empty delta: journal current
 		msg.NodeCheckpoint{

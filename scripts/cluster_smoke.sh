@@ -1,16 +1,20 @@
 #!/usr/bin/env bash
 # Live smoke of a TCP cluster run from the one server binary: two
-# `mobieyes-server -cluster worker` processes and a `-cluster router` over
-# them with tracing and costs on, probed over HTTP (/debug/,
+# `mobieyes-server -cluster worker` processes with tracing on (so each ships
+# telemetry batches to the router) and a `-cluster router` over them with
+# tracing and costs on, probed over HTTP (/debug/,
 # /debug/cluster?format=json, /debug/events?n=5) and over the admin port
 # (install, help, HEALTH) with a bash /dev/tcp redirect. Two objects then
-# fill the query's result, the router takes an admin `snapshot`, every
+# fill the query's result; within 10 s HEALTH must count at least one
+# batch from each worker, and the router's /metrics must show
+# mobieyes_server_fot_size 1 for the node that holds focal 1, a gauge only
+# the worker's batches carry. The router then takes an admin `snapshot`, every
 # process is killed, and fresh workers plus `-cluster router -restore` must
 # answer `result 1` exactly as before. Last, the plain server (no -cluster:
 # the router over one in-process node) restores the same snapshot, must
 # answer `result 1` alike, and its `nodes` view must list one node. Fails on
-# any non-200 answer, empty body, changed result or wrong node count; stops
-# every process on exit.
+# any non-200 answer, empty body, missing batch or gauge, changed result or
+# wrong node count; stops every process on exit.
 #
 #   scripts/cluster_smoke.sh        # needs 127.0.0.1 ports 7181-7185 free
 set -euo pipefail
@@ -49,7 +53,7 @@ admin() {
 start_cluster() {
 	rm -f "$dir"/w*.log "$dir/router.log"
 	for port in 7181 7182; do
-		"$dir/mobieyes-server" -cluster worker -addr 127.0.0.1:$port >"$dir/w$port.log" 2>&1 &
+		"$dir/mobieyes-server" -cluster worker -addr 127.0.0.1:$port -trace-events 1024 >"$dir/w$port.log" 2>&1 &
 		pids+=($!)
 		waitlog "$dir/w$port.log" "cluster worker on"
 	done
@@ -100,6 +104,28 @@ for _ in $(seq 100); do
 done
 if [ "$before" != "result 1 1 2" ]; then
 	echo "cluster_smoke: result before the snapshot is '$before', want 'result 1 1 2'" >&2
+	exit 1
+fi
+
+# Telemetry crosses processes: both workers' batches reach the router, and
+# the focal's node reports its FOT size through them.
+shipped=
+for _ in $(seq 100); do
+	health=$(admin HEALTH)
+	focal=$(admin nodes | sed -n 's/^node \([0-9]*\) .* focals 1 .*/\1/p')
+	metrics=$(curl -fsS http://127.0.0.1:7185/metrics)
+	if [ "$(grep -cE '^node [01] .* batches [1-9]' <<<"$health")" -eq 2 ] && [ -n "$focal" ] &&
+		grep -qx "mobieyes_server_fot_size{node=\"$focal\"} 1" <<<"$metrics"; then
+		shipped=1
+		break
+	fi
+	sleep 0.1
+done
+echo "== telemetry"
+echo "$health"
+grep '^mobieyes_server_fot_size' <<<"$metrics" || true
+if [ -z "$shipped" ]; then
+	echo "cluster_smoke: no batch from both workers, or no fot_size 1 for focal 1's node '$focal', within 10 s" >&2
 	exit 1
 fi
 if [ "$(admin "snapshot $dir/snap.mobs")" != ok ]; then
