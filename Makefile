@@ -43,13 +43,14 @@ race:
 # lifecycle (serial against a 2-node router), of the ops and handoffs a
 # cluster worker accepts from its router port, of the debug views' filter
 # parser (admin words and URL queries), and of the admin command dispatch
-# on a live server. The remote handshake tests (what an
-# object misses while away and what its next session delivers) run twenty
-# times under -race, so a reordering that shows once in twenty runs fails
-# here instead of merging as a flake. CI runs this next to the race gate.
+# on a live server. The remote handshake tests (what an object misses while
+# away and what its next session delivers, in the encoding its hello version
+# names) run twenty times under -race, so a reordering that shows once in
+# twenty runs fails here instead of merging as a flake. CI runs this next to
+# the race gate.
 simtest:
 	$(GO) test -race -count=1 ./internal/simtest/
-	$(GO) test -race -count=20 -run 'Handshake|Resync|Parked' ./internal/remote/
+	$(GO) test -race -count=20 -run 'Handshake|Resync|Parked|Version' ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzWire$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/remote/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdminCommand$$' -fuzztime 10s ./internal/remote/

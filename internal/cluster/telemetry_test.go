@@ -265,7 +265,7 @@ func TestWireTelemetryNodeDeath(t *testing.T) {
 // alert — no focal is lost because the previous round's checkpoint is the
 // watermark and nothing moved since.
 func TestWireAutoRecovery(t *testing.T) {
-	cs, rns, plane, _, _ := newTelemetryCluster(t, 2)
+	cs, rns, plane, reg, _ := newTelemetryCluster(t, 2)
 	defer cs.Close()
 	drive(cs, testGrid())
 
@@ -317,6 +317,18 @@ func TestWireAutoRecovery(t *testing.T) {
 	}
 	if err := cs.CheckInvariants(); err != nil {
 		t.Errorf("invariants after recovery: %v", err)
+	}
+	// The dead worker's shipped table gauges read 0, so the per-node FOT
+	// gauges count each recovered focal once.
+	vars := reg.Snapshot()
+	gauges := 0.0
+	for i := range after {
+		if v, ok := vars[fmt.Sprintf(`mobieyes_server_fot_size{node="%d"}`, i)].(float64); ok {
+			gauges += v
+		}
+	}
+	if gauges != float64(got) {
+		t.Errorf("per-node FOT gauges sum to %v after recovery, Spans hold %d focals", gauges, got)
 	}
 }
 

@@ -201,7 +201,10 @@ func (cs *ClusterServer) crashLocked(i int, tid trace.ID) {
 	// holds its rows (nobody drained it — that is the point), and the
 	// cluster invariants require a dead node to report empty tables.
 	cs.nodes[i] = &crashedNode{reason: fmt.Errorf("core: node %d crashed", i)}
-	if cs.local != nil {
+	if cs.local != nil && cs.local[i] != nil {
+		// Its table gauges go to 0 with it: the replay below moves its rows
+		// into survivors, whose own gauges then count them.
+		cs.local[i].srv.clearTableGauges()
 		cs.local[i] = nil
 	}
 	cs.tel.NoteRecoveryStart(i)

@@ -428,8 +428,20 @@ func (cs *ClusterServer) InstallQuery(focal model.ObjectID, region model.Region,
 // InstallQueryUntil installs a query that expires at the given time; a
 // zero expiry means none.
 func (cs *ClusterServer) InstallQueryUntil(focal model.ObjectID, region model.Region, filter model.Filter, focalMaxVel float64, expiry model.Time) model.QueryID {
+	return cs.InstallQueryNoted(focal, region, filter, focalMaxVel, expiry, nil)
+}
+
+// InstallQueryNoted is InstallQueryUntil that first hands the new query's
+// ID to note, when it is non-nil, under the router's lock and before the
+// install sends anything. A caller that logs installs (the network server's
+// history mark) thereby logs each one ahead of every event it causes. note
+// must not call back into the router.
+func (cs *ClusterServer) InstallQueryNoted(focal model.ObjectID, region model.Region, filter model.Filter, focalMaxVel float64, expiry model.Time, note func(model.QueryID)) model.QueryID {
 	cs.mu.Lock()
 	qid := cs.book.mint()
+	if note != nil {
+		note(qid)
+	}
 	tid := cs.mintRoot(focal, qid, "InstallQuery")
 	q := model.Query{ID: qid, Focal: focal, Region: region, Filter: filter}
 	if ni, ok := cs.focalNode[focal]; ok {

@@ -136,6 +136,16 @@ func (s *Server) syncTableGauges() {
 	o.rqiEntries.Set(float64(s.rqiCount))
 }
 
+// clearTableGauges zeroes the table gauges of a crashed node, whose rows
+// no longer count anywhere. No-op when the server is uninstrumented.
+func (s *Server) clearTableGauges() {
+	if o := s.obsm; o != nil {
+		o.fotSize.Set(0)
+		o.sqtSize.Set(0)
+		o.rqiEntries.Set(0)
+	}
+}
+
 // broadcast sends m to region through the downlink, recording broadcast
 // count and cell fan-out when instrumented. All server-side broadcasts go
 // through here.

@@ -181,6 +181,51 @@ func routerInstrumentedSeries(t *testing.T, newRouter func(*grid.Grid, Options, 
 	}
 }
 
+// TestCrashZeroesTableGauges: a crashed in-process node's FOT/SQT/RQI
+// gauges read 0 once it is fenced, so after the recovery the per-node
+// gauges add up to what Spans reports instead of counting the replayed
+// focals twice.
+func TestCrashZeroesTableGauges(t *testing.T) {
+	g := smallGrid()
+	var cs *ClusterServer
+	h := newHarnessOver(g, Options{}, func(down Downlink) ServerAPI {
+		cs = NewClusterServer(g, Options{}, down, 4)
+		return cs
+	})
+	reg := obs.NewRegistry()
+	cs.Instrument(reg)
+	runScenario(h)
+	victim := -1
+	for _, sp := range cs.Spans() {
+		if sp.Focals > 0 {
+			victim = sp.Node
+		}
+	}
+	if victim < 0 {
+		t.Fatal("scenario left no focal on any node")
+	}
+	if err := cs.CrashNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	vars := reg.Snapshot()
+	var focals, queries int
+	var fot, sqt float64
+	for i, sp := range cs.Spans() {
+		focals += sp.Focals
+		queries += sp.Queries
+		label := fmt.Sprintf(`{node="%d"}`, i)
+		fot += vars[metricFOTSize+label].(float64)
+		sqt += vars[metricSQTSize+label].(float64)
+	}
+	if fot != float64(focals) || sqt != float64(queries) {
+		t.Errorf("after crashing node %d the gauges sum to %v focals and %v queries, Spans to %d and %d",
+			victim, fot, sqt, focals, queries)
+	}
+	if got := vars[metricRQIEntries+fmt.Sprintf(`{node="%d"}`, victim)]; got != 0.0 {
+		t.Errorf("crashed node %d still reports %v RQI entries", victim, got)
+	}
+}
+
 // TestRouterConcurrentStress fires uplink reports at the router from 8
 // goroutines (each owning a disjoint set of objects, like per-connection
 // transports) while queries are installed, removed and expired

@@ -111,6 +111,9 @@ type nodeState struct {
 	probeErr error
 	batches  int64
 	events   int64
+	// gauges holds every gauge series the node shipped, by series key, so
+	// a crash can zero what the dead node no longer holds.
+	gauges map[string]*obs.Gauge
 }
 
 // importedSeries tracks one re-exported worker counter for delta import.
@@ -247,7 +250,6 @@ func (p *Plane) Apply(node int, seq uint64, payload []byte) error {
 		delta int64
 	}
 	var deltas []counterDelta
-	var gauges []obs.SeriesPoint
 	for _, sp := range b.Metrics {
 		if sp.Counter {
 			key := label + "|" + sp.Key()
@@ -265,7 +267,17 @@ func (p *Plane) Apply(node int, seq uint64, payload []byte) error {
 				deltas = append(deltas, counterDelta{is.ctr, int64(d)})
 			}
 		} else {
-			gauges = append(gauges, sp)
+			// Setting a gauge is one atomic store, done under p.mu, where
+			// NoteRecoveryStart zeroes the node's gauges.
+			g, ok := st.gauges[sp.Key()]
+			if !ok {
+				if st.gauges == nil {
+					st.gauges = make(map[string]*obs.Gauge)
+				}
+				g = p.reg.Gauge(sp.Name, sp.Help, nodeLabels(sp.Labels, label)...)
+				st.gauges[sp.Key()] = g
+			}
+			g.Set(sp.Value)
 		}
 	}
 	p.mu.Unlock()
@@ -274,9 +286,6 @@ func (p *Plane) Apply(node int, seq uint64, payload []byte) error {
 	// lock, and GaugeFunc closures (alerts_active) take p.mu at scrape.
 	for _, d := range deltas {
 		d.ctr.Add(d.delta)
-	}
-	for _, sp := range gauges {
-		p.reg.Gauge(sp.Name, sp.Help, nodeLabels(sp.Labels, label)...).Set(sp.Value)
 	}
 	for _, ev := range b.Events {
 		p.rec.Record(ev)
@@ -343,13 +352,21 @@ func (p *Plane) NoteProbeError(node int, err error) {
 // NoteRecoveryStart marks a node's crash recovery as in progress: the
 // router has fenced the dead node and is replaying its journaled focal
 // state into survivors. Until NoteRecoveryDone, node-scoped critical
-// alerts degrade health rather than failing it.
+// alerts degrade health rather than failing it. Every gauge the dead node
+// shipped reads 0 from here on: its tables are replayed into survivors,
+// whose own gauges count them, so keeping its last values would count them
+// twice.
 func (p *Plane) NoteRecoveryStart(node int) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	p.recovering[node] = true
+	if st, ok := p.nodes[node]; ok {
+		for _, g := range st.gauges {
+			g.Set(0)
+		}
+	}
 	p.mu.Unlock()
 }
 

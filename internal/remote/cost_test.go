@@ -62,7 +62,7 @@ func TestRemoteCostWireBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("no pong before deadline: %v", err)
 		}
-		if m, err := wire.Decode(reply); err == nil {
+		if m, _, err := wire.DecodeTraced(reply); err == nil {
 			if _, ok := m.(msg.Pong); ok {
 				break
 			}

@@ -37,8 +37,10 @@ const helloTag = 0x48 // 'H'
 // HelloVersion is the handshake protocol version spoken by this build.
 // Version 1 was the unversioned 5-byte [tag, oid] form; version 2 added the
 // version byte so incompatible peers are refused explicitly instead of
-// misparsed.
-const HelloVersion = 2
+// misparsed; version 3 announces a device that reads compact downlinks
+// (wire.EncodeCompact), which is all the server sends. Uplinks stay legacy
+// frames. The server refuses every other version.
+const HelloVersion = 3
 
 // HelloVersionError reports a handshake from a peer speaking a different
 // protocol version. It is a typed rejection: the session is refused, but the
@@ -133,9 +135,6 @@ func decodeHello(b []byte) (model.ObjectID, error) {
 	}
 	return 0, fmt.Errorf("remote: malformed hello (%d bytes)", len(b))
 }
-
-// messageFrame encodes a protocol message as a frame payload.
-func messageFrame(m msg.Message) []byte { return wire.Encode(m) }
 
 // ControlFrame reports whether a frame payload is transport-control traffic
 // — the handshake hello or a Ping/Pong probe. Fault injectors must pass

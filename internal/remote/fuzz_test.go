@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mobieyes/internal/geo"
+	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
 	"mobieyes/internal/wire"
 )
@@ -63,6 +64,19 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0x10, 0x00, 0x00, 0x00, 0x48})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0x48, 0x01, 0x02})
+	// A version-2 hello (refused since version 3), and compact frames — a
+	// device's downlinks echoed back, an overlong varint and unknown filter
+	// flags — arriving where uplinks belong.
+	hello2 := []byte{0x48, 2, 42, 0, 0, 0}
+	f.Add(fuzzStream(hello2, report, ping))
+	qi := wire.EncodeCompact(msg.QueryInstall{Queries: []msg.QueryState{{
+		QID: 3, Focal: 9, Region: model.CircleRegion{R: 2}, Filter: model.Filter{Seed: 5, Permille: 750},
+	}}}, 0)
+	f.Add(fuzzStream(hello, qi, wire.EncodeCompact(msg.Pong{Token: 1}, 77)))
+	f.Add(fuzzStream(hello, []byte{0xE5, 0xE7, 3, byte(msg.KindFocalNotify), 0x85, 0x00, 0x01, 0x01}))
+	bad := append([]byte(nil), qi...)
+	bad[56] = 0x80 // the filter's flags byte
+	f.Add(fuzzStream(hello, bad))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -77,8 +91,22 @@ func FuzzDecodeFrame(f *testing.F) {
 				_, _ = decodeHello(payload)
 				first = false
 			}
-			if m, err := wire.Decode(payload); err == nil && m == nil {
-				t.Fatal("wire.Decode returned nil message without error")
+			m, tid, err := wire.DecodeTraced(payload)
+			if err != nil {
+				continue
+			}
+			if m == nil {
+				t.Fatal("wire.DecodeTraced returned nil message without error")
+			}
+			// An accepted frame is canonical in the encoding its version
+			// byte names. (Legacy frames may carry nonzero src/dst words,
+			// which the decoder ignores; FuzzWire covers those.)
+			if payload[2] == wire.CompactVersion || payload[2] == wire.CompactTracedVersion {
+				if out := wire.EncodeCompact(m, tid); !bytes.Equal(out, payload) {
+					t.Fatalf("compact %T not canonical:\n in: %x\nout: %x", m, payload, out)
+				}
+			} else if size := wire.EncodedSize(m, tid); size != len(payload) {
+				t.Fatalf("legacy %T accounts for %d bytes, payload is %d", m, size, len(payload))
 			}
 		}
 	})

@@ -161,7 +161,7 @@ func dialRaw(t *testing.T, s *Server, oid model.ObjectID) *rawSession {
 			if err != nil {
 				return
 			}
-			if m, err := wire.Decode(payload); err == nil {
+			if m, _, err := wire.DecodeTraced(payload); err == nil {
 				if p, ok := m.(msg.Pong); ok {
 					r.pongs <- p.Token
 				}

@@ -23,6 +23,9 @@ import (
 
 var acceptAll = model.Filter{Seed: 1, Permille: 1000}
 
+// messageFrame encodes a protocol message as a device's frame payload.
+func messageFrame(m msg.Message) []byte { return wire.Encode(m) }
+
 func testServer(t testing.TB) *Server {
 	t.Helper()
 	s, err := ListenAndServe(ServerConfig{
@@ -262,7 +265,7 @@ func TestRemoteRejectsInadmissibleFrames(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if m, err := wire.Decode(payload); err == nil {
+			if m, _, err := wire.DecodeTraced(payload); err == nil {
 				if _, pong := m.(msg.Pong); pong {
 					return true
 				}
@@ -599,7 +602,10 @@ func (c *countingConn) Close() error {
 // connection and the outbox without counting the lost batch.
 func TestOutboxCoalescesWrites(t *testing.T) {
 	// drain queues frames, starts the writer, waits until want bytes are
-	// written (or the outbox closes), and stops it.
+	// written (or the outbox closes), and stops it. A stall is a lack of
+	// progress — no Write for stallAfter since the previous one — not a slow
+	// drain, so a machine busy with other tests slows the drain down without
+	// failing it, while a writer that stops writing still fails.
 	drain := func(c *countingConn, frames [][]byte, want int) (*outbox, *remoteObs) {
 		t.Helper()
 		om := newRemoteObs(obs.NewRegistry())
@@ -610,18 +616,18 @@ func TestOutboxCoalescesWrites(t *testing.T) {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go o.run(&wg)
-		deadline := time.After(5 * time.Second)
+		const stallAfter = 5 * time.Second
 		for {
 			c.mu.Lock()
-			done := c.data.Len() >= want || c.closed
+			written, done := c.data.Len(), c.data.Len() >= want || c.closed
 			c.mu.Unlock()
 			if done {
 				break
 			}
 			select {
 			case <-c.written:
-			case <-deadline:
-				t.Fatal("writer stalled")
+			case <-time.After(stallAfter):
+				t.Fatalf("writer stalled: no Write for %v with %d of %d bytes written", stallAfter, written, want)
 			}
 		}
 		o.close()
@@ -714,7 +720,7 @@ func TestRemotePingPong(t *testing.T) {
 		if err != nil {
 			t.Fatalf("no pong before deadline: %v", err)
 		}
-		m, err := wire.Decode(payload)
+		m, _, err := wire.DecodeTraced(payload)
 		if err != nil {
 			t.Fatal(err)
 		}

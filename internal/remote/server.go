@@ -241,20 +241,6 @@ func (s *Server) wireStream() {
 	})
 }
 
-// historyQuery records a query installation in the history store. Circle
-// regions record their radius; other shapes record radius 0 (the replay
-// still carries the lifecycle and result timeline).
-func (s *Server) historyQuery(qid model.QueryID, focal model.ObjectID, region model.Region) {
-	if s.hist == nil {
-		return
-	}
-	radius := 0.0
-	if c, ok := region.(model.CircleRegion); ok {
-		radius = c.R
-	}
-	s.hist.AppendQuery(float64(nowHours()), int64(qid), int64(focal), radius)
-}
-
 func newServer(cfg ServerConfig, ln net.Listener) *Server {
 	reg := cfg.Metrics
 	if reg == nil {
@@ -339,16 +325,27 @@ func (s *Server) expiryLoop() {
 
 // InstallQuery installs a moving query.
 func (s *Server) InstallQuery(focal model.ObjectID, region model.Region, filter model.Filter, focalMaxVel float64) model.QueryID {
-	qid := s.backend.InstallQuery(focal, region, filter, focalMaxVel)
-	s.historyQuery(qid, focal, region)
-	return qid
+	return s.InstallQueryUntil(focal, region, filter, focalMaxVel, 0)
 }
 
-// InstallQueryUntil installs a moving query with an expiry time.
+// InstallQueryUntil installs a moving query with an expiry time; zero means
+// none. The history store's query mark is written under the backend's lock
+// before the install's first send, so no event the install causes — a
+// device's fast ContainmentReport, say — can be logged ahead of it.
 func (s *Server) InstallQueryUntil(focal model.ObjectID, region model.Region, filter model.Filter, focalMaxVel float64, expiry model.Time) model.QueryID {
-	qid := s.backend.InstallQueryUntil(focal, region, filter, focalMaxVel, expiry)
-	s.historyQuery(qid, focal, region)
-	return qid
+	var note func(model.QueryID)
+	if s.hist != nil {
+		// A circle records its radius; other shapes record 0 (the replay
+		// still carries the query's lifecycle and result timeline).
+		radius := 0.0
+		if c, ok := region.(model.CircleRegion); ok {
+			radius = c.R
+		}
+		note = func(qid model.QueryID) {
+			s.hist.AppendQuery(float64(nowHours()), int64(qid), int64(focal), radius)
+		}
+	}
+	return s.backend.InstallQueryNoted(focal, region, filter, focalMaxVel, expiry, note)
 }
 
 // RemoveQuery uninstalls a query, installed or pending, and reports
@@ -437,11 +434,13 @@ func (s *Server) ExpireQueries(now model.Time) []model.QueryID {
 // Stats reads the traffic ledger: message and byte totals per direction
 // plus the per-kind breakdown. It is the same ledger as Costs().Global()
 // when accounting is on. Bytes are on-the-wire sizes (encoded frame plus
-// length prefix), matching the frames_in/out byte metrics. A broadcast
-// counts once (the TCP fabric has one logical downlink per object;
-// per-connection fan-out is visible in the frame metrics). The counters
-// are read one by one, so a snapshot taken under load may split a message
-// between its count and its bytes.
+// length prefix), matching the frames_in/out byte metrics: legacy frames
+// up, compact frames (wire.EncodeCompact) down. A unicast dropped for want
+// of a connection is charged as sent, at 4 plus wire.CompactSize. A
+// broadcast counts once (the TCP fabric has one logical downlink per
+// object; per-connection fan-out is visible in the frame metrics). The
+// counters are read one by one, so a snapshot taken under load may split a
+// message between its count and its bytes.
 func (s *Server) Stats() (uplinkMsgs, downlinkMsgs, uplinkBytes, downlinkBytes int64, byKind []cost.KindStats) {
 	t := s.traffic.Snap()
 	return t.UplinkMsgs(), t.DownlinkMsgs(), t.UplinkBytes(), t.DownlinkBytes(), t.ByKind()
@@ -544,7 +543,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Transport-level probe: echo the token after every frame
 			// received before it, and after every downlink already queued.
 			// Never dispatched into the query engine.
-			sc.out.send(messageFrame(msg.Pong{Token: p.Token}))
+			sc.out.send(wire.EncodeCompact(msg.Pong{Token: p.Token}, 0))
 			continue
 		}
 		if r := s.admit(m); r != admitted {
@@ -683,7 +682,7 @@ func (s *Server) depart(oid model.ObjectID) {
 // every connected object (clients self-filter by monitoring region, exactly
 // as under ubiquitous base-station coverage); unicasts to one. It implements
 // core.TracedDownlink so the backend can hand it the causing trace ID, which
-// rides in the frame (wire.TracedVersion) down to the object.
+// rides in the frame (wire.CompactTracedVersion) down to the object.
 type serverDownlink struct{ s *Server }
 
 var _ core.TracedDownlink = serverDownlink{}
@@ -693,7 +692,7 @@ func (d serverDownlink) Broadcast(region grid.CellRange, m msg.Message) {
 }
 
 func (d serverDownlink) BroadcastTraced(region grid.CellRange, m msg.Message, tid trace.ID) {
-	frame := wire.EncodeTraced(m, uint64(tid))
+	frame := wire.EncodeCompact(m, uint64(tid))
 	d.s.traffic.ChargeDownlink(m.Kind(), 4+len(frame), 1)
 	d.s.mu.RLock()
 	defer d.s.mu.RUnlock()
@@ -724,11 +723,11 @@ func (d serverDownlink) UnicastTraced(oid model.ObjectID, m msg.Message, tid tra
 	s.mu.RUnlock()
 	k := m.Kind()
 	if c == nil && k != msg.KindFocalNotify {
-		s.traffic.ChargeDownlink(k, 4+wire.EncodedSize(m, uint64(tid)), 1)
+		s.traffic.ChargeDownlink(k, 4+wire.CompactSize(m, uint64(tid)), 1)
 		s.om.droppedUni[k].Add(1)
 		return
 	}
-	frame := wire.EncodeTraced(m, uint64(tid))
+	frame := wire.EncodeCompact(m, uint64(tid))
 	s.traffic.ChargeDownlink(k, 4+len(frame), 1)
 	if c == nil {
 		if c = s.park(oid, frame); c == nil {

@@ -52,9 +52,9 @@ func TestEncodeTracedZeroIsPlain(t *testing.T) {
 	}
 }
 
-// TestEncodedSizeMatchesEncoding: the size a transport meters for a frame it
-// drops without encoding equals the encoded frame's length, for every
-// downlink kind, plain and traced.
+// TestEncodedSizeMatchesEncoding: the legacy size computed without encoding
+// equals the encoded frame's length, for every downlink kind, plain and
+// traced.
 func TestEncodedSizeMatchesEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	seen := map[msg.Kind]bool{}

@@ -1,13 +1,23 @@
 // Package wire is the binary codec for the MobiEyes protocol messages of
-// internal/msg. Every message encodes to exactly msg.Message.Size() bytes —
-// the same figure the power model charges — so the byte accounting of the
-// simulation is the byte layout of a real deployment (internal/remote sends
-// these frames over TCP).
+// internal/msg. It has two encodings.
 //
-// Layout: a 16-byte header (magic, version, kind, flags, payload length,
-// source and destination object IDs) followed by the payload fields in
-// little-endian order, sized per the constants in internal/msg. Regions
-// encode as a one-byte shape tag plus two float64 parameters.
+// The legacy encoding (Version, and TracedVersion when a trace ID rides
+// along) encodes every message to exactly msg.Message.Size() bytes — the
+// same figure the power model charges — so the byte accounting of the
+// simulation is the byte layout of the protocol. Its layout is a 16-byte
+// header (magic, version, kind, flags, payload length, source and
+// destination object IDs) followed by the payload fields in little-endian
+// order, sized per the constants in internal/msg. Regions encode as a
+// one-byte shape tag plus two float64 parameters. Uplinks, snapshots, focal
+// slices and the cluster protocol use it.
+//
+// The compact encoding (CompactVersion, CompactTracedVersion; compact.go)
+// covers the six downlink kinds only: a 4-byte header, varint IDs, counts
+// and cells, and no padding. The network server (internal/remote) sends it
+// to every device whose hello announces it, and charges every downlink at
+// its compact size. DecodeTraced reads both encodings; Decode, the inverse
+// of Encode, reads the legacy one only, so the formats that embed legacy
+// messages keep exactly one encoding per value.
 //
 // Writer and Reader are the primitives the message bodies are written and
 // read with, and the repo's one binary codec: the formats that travel
@@ -63,7 +73,7 @@ type VersionError struct {
 }
 
 func (e *VersionError) Error() string {
-	return fmt.Sprintf("wire: unsupported version %d (speaking %d/%d)", e.Got, Version, TracedVersion)
+	return fmt.Sprintf("wire: unsupported version %d (speaking %d to %d)", e.Got, Version, CompactTracedVersion)
 }
 
 // Writer appends the little-endian primitives of every MobiEyes binary
@@ -337,8 +347,8 @@ func (d *Reader) QueryState() msg.QueryState {
 func Encode(m msg.Message) []byte { return EncodeTraced(m, 0) }
 
 // EncodedSize is len(EncodeTraced(m, tid)) without encoding: m.Size(),
-// plus TraceOverhead when tid is nonzero. A transport that meters a frame it
-// then drops uses it, so the meter cannot tell the two apart.
+// plus TraceOverhead when tid is nonzero. EncodeTraced sizes its buffer with
+// it; the legacy fuzz and size checks pin it to the encoded length.
 func EncodedSize(m msg.Message, tid uint64) int {
 	if tid != 0 {
 		return m.Size() + TraceOverhead
@@ -500,31 +510,42 @@ func encodeBody(e *Writer, m msg.Message) {
 	}
 }
 
-// Decode parses one message, discarding any trace ID. The buffer must
-// contain the whole message (use the framing in internal/remote for
-// streams).
+// Decode parses one message of the legacy encoding (Version or
+// TracedVersion), discarding any trace ID: the inverse of Encode, and what
+// the formats embedding legacy messages — snapshots, focal slices, cluster
+// payloads — decode with. A compact frame is a *VersionError here. The
+// buffer must contain the whole message (use the framing in internal/remote
+// for streams).
 func Decode(b []byte) (msg.Message, error) {
+	if len(b) > 2 && (b[2] == CompactVersion || b[2] == CompactTracedVersion) {
+		return nil, &VersionError{Got: b[2]}
+	}
 	m, _, err := DecodeTraced(b)
 	return m, err
 }
 
-// DecodeTraced parses one message plus its trace ID: 0 for a plain Version
-// frame, the carried nonzero ID for a TracedVersion frame.
+// DecodeTraced parses one message in either encoding plus its trace ID: 0
+// for a plain Version or CompactVersion frame, the carried nonzero ID for a
+// traced one.
 func DecodeTraced(b []byte) (msg.Message, uint64, error) {
 	d := &Reader{b: b}
 	if magic := d.U16(); magic != Magic && d.err == nil {
 		return nil, 0, fmt.Errorf("wire: bad magic %#04x", magic)
 	}
 	ver := d.U8()
-	if ver != Version && ver != TracedVersion && d.err == nil {
+	compact := ver == CompactVersion || ver == CompactTracedVersion
+	if ver != Version && ver != TracedVersion && !compact && d.err == nil {
 		return nil, 0, &VersionError{Got: ver}
 	}
 	kind := msg.Kind(d.U8())
-	length := d.U32()
-	d.U32() // src
-	d.U32() // dst
+	var length uint32
+	if !compact {
+		length = d.U32()
+		d.U32() // src
+		d.U32() // dst
+	}
 	var tid uint64
-	if ver == TracedVersion {
+	if ver == TracedVersion || ver == CompactTracedVersion {
 		tid = d.U64()
 		if tid == 0 && d.err == nil {
 			return nil, 0, errors.New("wire: traced frame with zero trace ID")
@@ -533,10 +554,15 @@ func DecodeTraced(b []byte) (msg.Message, uint64, error) {
 	if d.err != nil {
 		return nil, 0, d.err
 	}
-	if int(length) != len(b) {
-		return nil, 0, fmt.Errorf("wire: declared length %d, buffer %d", length, len(b))
+	var m msg.Message
+	var err error
+	if compact {
+		m, err = decodeCompactBody(d, kind)
+	} else if int(length) != len(b) {
+		err = fmt.Errorf("wire: declared length %d, buffer %d", length, len(b))
+	} else {
+		m, err = decodeBody(d, kind)
 	}
-	m, err := decodeBody(d, kind)
 	if err != nil {
 		return nil, 0, err
 	}
