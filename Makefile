@@ -14,8 +14,13 @@ staticcheck:
 build:
 	$(GO) build ./...
 
+# go vet, plus one import rule: the protocol state machines read no wall
+# clock (timing an uplink is its transport's job), so no non-test file of
+# internal/core may import time.
 vet:
 	$(GO) vet ./...
+	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/core | grep -qx time; then \
+		echo "internal/core imports time: core must read no wall clock"; exit 1; fi
 
 # Fails when any file is not gofmt-formatted, listing the offenders.
 fmt:

@@ -71,6 +71,12 @@ func main() {
 		blockPR  = flag.Int("block-profile-rate", 0, "sample blocking events lasting ≥ N ns on /debug/pprof/block (0 = leave off, -1 = disable)")
 	)
 	flag.Parse()
+	if *role == "router" && (*streamOn || *histSz > 0) {
+		// Results are published only by in-process nodes; a worker has no
+		// result listener, so the stream and the log would stay empty.
+		fmt.Fprintln(os.Stderr, "mobieyes-server: -stream and -history-bytes are not supported with -cluster router")
+		os.Exit(2)
+	}
 	obs.SetContentionProfiling(*mutexPF, *blockPR)
 
 	var rec *trace.Recorder

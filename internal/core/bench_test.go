@@ -52,8 +52,11 @@ func BenchmarkServerVelocityReport(b *testing.B) {
 	}
 }
 
-// BenchmarkServerCellChange measures the §3.5 focal path: SQT/RQI updates
-// plus the combined-region rebroadcast.
+// BenchmarkServerCellChange measures the §3.5 focal path on jumps: each
+// report moves its focal to a cell derived from the loop index, unrelated
+// to the cell it is in, so both 3×3 monitoring regions are re-indexed
+// whole, 9 + 9 cells, before the combined-region rebroadcast. For the
+// adjacent crossing §3.5 describes, see BenchmarkServerCellChangeDiagonal.
 func BenchmarkServerCellChange(b *testing.B) {
 	s, g := benchServer(b, Options{}, 1000)
 	b.ResetTimer()

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
@@ -75,8 +74,6 @@ type ClusterServer struct {
 	// migrationsAdminDone counts admin (rebalancing/drain) focal moves;
 	// kept separate from migrations, which tracks protocol handoffs.
 	migrationsAdminDone int
-
-	obsm *serverObs
 
 	// tel is the cluster telemetry plane (nil when disabled).
 	tel *telemetry.Plane
@@ -514,13 +511,10 @@ func (cs *ClusterServer) HandleUplinkTraced(m msg.Message, tid trace.ID) {
 	// saturation signal for the serialized router tier.
 	cs.inflight.Add(1)
 	defer cs.inflight.Add(-1)
-	lat := cs.obsm.uplinkLatency()
-	var start time.Time
-	if cs.acct != nil || cs.rec != nil || lat != nil {
-		tid, start = uplinkIngress(m, tid, "router", cs.acct, cs.rec, lat)
+	if cs.acct != nil || cs.rec != nil {
+		tid = uplinkIngress(m, tid, "router", cs.acct, cs.rec)
 	}
 	cs.dispatchUplink(m, tid)
-	lat.observe(m.Kind(), start)
 }
 
 func (cs *ClusterServer) dispatchUplink(m msg.Message, tid trace.ID) {
@@ -857,7 +851,8 @@ func (cs *ClusterServer) adminHandoff(si, di int, oid model.ObjectID) error {
 }
 
 // SetResultListener installs a callback for every result change on the
-// in-process nodes. Remote nodes report results on their own side.
+// in-process nodes. A remote node has no listener, so its result changes
+// reach no callback.
 func (cs *ClusterServer) SetResultListener(fn func(ResultEvent)) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -1004,8 +999,8 @@ func (cs *ClusterServer) Spans() []NodeSpan {
 // uplink counters (node="router"), the uplinks dispatched to every node
 // (node="i", remote nodes included: the router is the one that counts
 // them), each in-process node's own series (NodeServer.Instrument under
-// node="i"; a remote node's arrive through the telemetry plane), the
-// handoff counter, and per-kind uplink latency measured at the router.
+// node="i"; a remote node's arrive through the telemetry plane), and the
+// handoff counter. Uplink latency is the dispatching transport's to time.
 func (cs *ClusterServer) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -1013,7 +1008,6 @@ func (cs *ClusterServer) Instrument(reg *obs.Registry) {
 	reg.RegisterCounter(metricOps, helpOps, cs.ops, "node", "router")
 	reg.RegisterCounter(metricUplinks, helpUplinks, cs.upl, "node", "router")
 	reg.RegisterCounter(metricMigrations, helpMigrations, cs.migrations)
-	cs.obsm = &serverObs{uplinkLat: newKindLatency(reg, metricUplinkSeconds, helpUplinkSeconds)}
 	reg.GaugeFunc(metricInflight, helpInflight, func() float64 {
 		return float64(cs.inflight.Load())
 	})

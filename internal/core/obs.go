@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"mobieyes/internal/grid"
 	"mobieyes/internal/msg"
 	"mobieyes/internal/obs"
@@ -11,12 +9,10 @@ import (
 
 // Metric names of the server layer (scheme mobieyes_<layer>_<name>; see
 // DESIGN.md §9). Under the router, per-node series carry node="N"
-// (node="router" for work done outside any node); latency histograms carry
-// kind="VelocityReport" etc.
+// (node="router" for work done outside any node).
 const (
 	metricOps            = "mobieyes_server_ops_total"
 	metricUplinks        = "mobieyes_server_uplinks_total"
-	metricUplinkSeconds  = "mobieyes_server_uplink_seconds"
 	metricBroadcasts     = "mobieyes_server_broadcasts_total"
 	metricBroadcastCells = "mobieyes_server_broadcast_cells"
 	metricMigrations     = "mobieyes_server_migrations_total"
@@ -28,7 +24,6 @@ const (
 
 	helpOps            = "Elementary server-side operations (table updates, RQI touches, sends)."
 	helpUplinks        = "Uplink messages dispatched."
-	helpUplinkSeconds  = "Uplink message handling latency in seconds."
 	helpBroadcasts     = "Downlink broadcasts issued."
 	helpBroadcastCells = "Grid cells addressed per downlink broadcast."
 	helpMigrations     = "Cross-node focal handoffs."
@@ -39,50 +34,12 @@ const (
 	helpInflight       = "Uplinks currently inside the router's dispatch funnel (0 at quiescence)."
 )
 
-// kindLatency is a per-message-kind set of latency histograms covering the
-// uplink kinds. A nil *kindLatency is a no-op.
-type kindLatency struct {
-	hists [msg.NumKinds]*obs.Histogram
-}
-
-// newKindLatency creates one labeled histogram per uplink kind under name.
-func newKindLatency(reg *obs.Registry, name, help string) *kindLatency {
-	kl := &kindLatency{}
-	for k := msg.Kind(0); int(k) < msg.NumKinds; k++ {
-		if !k.Uplink() {
-			continue
-		}
-		kl.hists[k] = reg.Histogram(name, help, obs.LatencyBuckets, "kind", k.String())
-	}
-	return kl
-}
-
-// observe records the elapsed time since start against the kind's histogram.
-func (kl *kindLatency) observe(k msg.Kind, start time.Time) {
-	if kl == nil {
-		return
-	}
-	kl.hists[k].Observe(time.Since(start).Seconds())
-}
-
-// uplinkLatency returns the uplink-latency histograms, or nil when o is nil
-// or carries none.
-func (o *serverObs) uplinkLatency() *kindLatency {
-	if o == nil {
-		return nil
-	}
-	return o.uplinkLat
-}
-
 // serverObs is the optional instrumentation of one serial Server (standalone
 // or as a router node). When nil — the default — the server is completely
 // uninstrumented beyond its always-on ops and uplink counters, and the
 // deterministic behavior is untouched either way: instrumentation only
-// counts and times, it never alters protocol decisions or message contents.
+// counts, it never alters protocol decisions or message contents.
 type serverObs struct {
-	// uplinkLat times HandleUplink by message kind; the router holds one of
-	// its own, since node handlers are invoked directly.
-	uplinkLat      *kindLatency
 	broadcasts     *obs.Counter
 	broadcastCells *obs.Histogram
 	// Table-size gauges, published by syncTableGauges from the owning
@@ -95,9 +52,8 @@ type serverObs struct {
 }
 
 // Instrument attaches the server's metrics to reg: the ops and uplink
-// counters, per-kind uplink handling latency, broadcast fan-out, and
-// FOT/SQT/RQI table-size gauges. Safe to call with a nil registry (no-op)
-// and idempotent per registry.
+// counters, broadcast fan-out, and FOT/SQT/RQI table-size gauges. Safe to
+// call with a nil registry (no-op) and idempotent per registry.
 //
 // The table gauges are atomics the owning goroutine refreshes after every
 // handled operation (install, remove, uplink dispatch), never scrape-time
@@ -110,7 +66,6 @@ func (s *Server) Instrument(reg *obs.Registry) {
 	reg.RegisterCounter(metricOps, helpOps, s.ops)
 	reg.RegisterCounter(metricUplinks, helpUplinks, s.upl)
 	s.obsm = &serverObs{
-		uplinkLat:      newKindLatency(reg, metricUplinkSeconds, helpUplinkSeconds),
 		broadcasts:     reg.Counter(metricBroadcasts, helpBroadcasts),
 		broadcastCells: reg.Histogram(metricBroadcastCells, helpBroadcastCells, obs.SizeBuckets),
 		fotSize:        reg.Gauge(metricFOTSize, helpFOTSize),

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
@@ -582,8 +581,8 @@ func (s *Server) OnDepartureReport(m msg.DepartureReport) {
 // HandleUplink dispatches any uplink message to its handler. It panics on
 // message kinds the MobiEyes server does not consume (such as the naïve
 // baseline's position reports), which would indicate miswired transports.
-// When instrumented, dispatch is counted and timed per message kind, and the
-// table-size gauges are refreshed afterwards.
+// Every dispatch is counted; when instrumented, the table-size gauges are
+// refreshed afterwards. Timing an uplink is its transport's job.
 func (s *Server) HandleUplink(m msg.Message) { s.HandleUplinkTraced(m, 0) }
 
 // HandleUplinkTraced is HandleUplink with an inbound trace ID: this is the
@@ -593,15 +592,12 @@ func (s *Server) HandleUplink(m msg.Message) { s.HandleUplinkTraced(m, 0) }
 // result flips) is tagged with the resulting ID.
 func (s *Server) HandleUplinkTraced(m msg.Message, tid trace.ID) {
 	s.upl.Add(1)
-	lat := s.obsm.uplinkLatency()
-	var start time.Time
-	if s.acct != nil || s.rec != nil || lat != nil {
-		tid, start = uplinkIngress(m, tid, s.actor, s.acct, s.rec, lat)
+	if s.acct != nil || s.rec != nil {
+		tid = uplinkIngress(m, tid, s.actor, s.acct, s.rec)
 	}
 	prev := s.curTrace
 	s.curTrace = tid
 	s.dispatchUplink(m)
-	lat.observe(m.Kind(), start)
 	s.curTrace = prev
 	s.syncTableGauges()
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
@@ -66,12 +64,11 @@ func TraceRef(m msg.Message) (oid, qid int64) {
 }
 
 // uplinkIngress is the uplink ingress prelude of both servers, run when
-// accounting, tracing or latency timing is on: one TraceRef and one clock
-// read per op, shared by the per-entity uplink charge, the ingress event
-// and the latency histogram. It returns the uplink's trace ID — minted when
-// tid is zero and a recorder is attached — and its start time, zero when
-// neither rec nor lat needs one.
-func uplinkIngress(m msg.Message, tid trace.ID, actor string, acct *cost.Accountant, rec *trace.Recorder, lat *kindLatency) (trace.ID, time.Time) {
+// accounting or tracing is on: one TraceRef per op, shared by the
+// per-entity uplink charge and the ingress event, which the recorder
+// stamps itself. It returns the uplink's trace ID — minted when tid is
+// zero and a recorder is attached.
+func uplinkIngress(m msg.Message, tid trace.ID, actor string, acct *cost.Accountant, rec *trace.Recorder) trace.ID {
 	oid, qid := TraceRef(m)
 	if acct != nil {
 		// Per-entity uplink attribution (protocol-level model bytes): charge
@@ -84,25 +81,13 @@ func uplinkIngress(m msg.Message, tid trace.ID, actor string, acct *cost.Account
 			acct.QueryUp(qid, sz)
 		}
 	}
-	var start time.Time
-	if rec != nil || lat != nil {
-		start = time.Now()
-	}
 	if rec != nil {
 		if tid == 0 {
 			tid = rec.NextID()
 		}
-		rec.Record(trace.Event{
-			Nanos: start.UnixNano(),
-			Trace: tid,
-			Kind:  trace.KindIngress,
-			Actor: actor,
-			OID:   oid,
-			QID:   qid,
-			Note:  m.Kind().String(),
-		})
+		rec.Event(tid, trace.KindIngress, actor, oid, qid, m.Kind().String())
 	}
-	return tid, start
+	return tid
 }
 
 // SetTracer attaches a flight recorder; every table mutation, broadcast,

@@ -221,13 +221,12 @@ func (r *Recorder) Event(tid ID, k Kind, actor string, oid, qid int64, note stri
 
 // Record stores an event whose timestamp the caller already holds: the
 // event's trace ID, kind, actor, entities, note and wall-clock timestamp
-// are kept, and it is assigned a fresh local sequence number. Ingress
-// points use it to share one clock read between the ingress event and
-// their latency histogram. The cluster telemetry plane uses it to stitch
-// worker flight-recorder batches into the router's ring — trace IDs are
-// minted at the router and ride the wire, so merged chains line up by ID;
-// workers ship their events ahead of each op reply, so merge order tracks
-// causal order. A zero Nanos is stamped with the local clock.
+// are kept, and it is assigned a fresh local sequence number. The cluster
+// telemetry plane uses it to stitch worker flight-recorder batches into
+// the router's ring — trace IDs are minted at the router and ride the
+// wire, so merged chains line up by ID; workers ship their events ahead of
+// each op reply, so merge order tracks causal order. A zero Nanos is
+// stamped with the local clock.
 func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return

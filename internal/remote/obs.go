@@ -22,7 +22,7 @@ const (
 	metricDecodeErrors    = "mobieyes_remote_decode_errors_total"
 	metricVersionRejects  = "mobieyes_remote_version_rejects_total"
 	metricRejectedFrames  = "mobieyes_remote_rejected_frames_total"
-	metricUplinkSecondsRm = "mobieyes_remote_uplink_seconds"
+	metricDispatchSeconds = "mobieyes_remote_uplink_seconds"
 	metricBroadcastConns  = "mobieyes_remote_broadcast_fanout"
 	metricPendingUni      = "mobieyes_remote_pending_unicasts"
 	metricDroppedUni      = "mobieyes_remote_dropped_unicasts_total"
@@ -36,7 +36,7 @@ const (
 	helpDecodeErrors    = "Received frames that failed protocol decoding."
 	helpVersionRejects  = "Handshakes refused for a mismatched protocol version."
 	helpRejectedFrames  = "Decoded frames refused before dispatch, by reason: kind (not an uplink kind) or cell (a cell change off the grid)."
-	helpUplinkSecondsRm = "Uplink dispatch latency into the backend, in seconds."
+	helpDispatchSeconds = "Uplink dispatch latency into the backend, in seconds."
 	helpBroadcastConns  = "Connections addressed per downlink broadcast."
 	helpPendingUni      = "FocalNotify frames parked for objects that are not connected (at most one each)."
 	helpDroppedUni      = "Unicasts dropped because their object was not connected, by kind; a parked FocalNotify replaced by a newer one counts here too."
@@ -81,7 +81,7 @@ func newRemoteObs(reg *obs.Registry) *remoteObs {
 	}
 	for k := msg.Kind(0); int(k) < msg.NumKinds; k++ {
 		if k.Uplink() {
-			o.uplinkLat[k] = reg.Histogram(metricUplinkSecondsRm, helpUplinkSecondsRm, obs.LatencyBuckets, "kind", k.String())
+			o.uplinkLat[k] = reg.Histogram(metricDispatchSeconds, helpDispatchSeconds, obs.LatencyBuckets, "kind", k.String())
 		}
 	}
 	for _, k := range []msg.Kind{msg.KindQueryInstall, msg.KindFocalNotify, msg.KindFocalInfoRequest} {

@@ -74,6 +74,28 @@ func TestRemoteMetrics(t *testing.T) {
 			t.Errorf("exposition missing %s", want)
 		}
 	}
+
+	// Each uplink is timed once, where the transport dispatches it: the
+	// per-kind counts add up to the uplinks the server metered and
+	// dispatched, and core keeps no histogram of its own.
+	var timed, dispatched int64
+	if !waitFor(t, 2*time.Second, func() bool {
+		timed = 0
+		dispatched, _, _, _, _ = s.Stats()
+		for key, v := range reg.Snapshot() {
+			if strings.HasPrefix(key, "mobieyes_remote_uplink_seconds{") {
+				timed += v.(map[string]any)["count"].(int64)
+			}
+		}
+		return timed == dispatched
+	}) {
+		t.Errorf("uplinks timed = %d, dispatched = %d", timed, dispatched)
+	}
+	for key := range reg.Snapshot() {
+		if strings.HasPrefix(key, "mobieyes_server_uplink_seconds") {
+			t.Errorf("core still times uplinks: %s", key)
+		}
+	}
 }
 
 // TestRemoteMetricsDefaultRegistry: with no registry configured the server

@@ -62,15 +62,17 @@ type ServerConfig struct {
 	// (internal/obs/stream, DESIGN.md §17): the server installs a result
 	// listener that publishes every differential result event into it,
 	// composing with any listener installed later via SetResultListener.
-	// The tap sits on the server tier, router-side, so one gateway covers
-	// every node behind the router. Exposed via Stream() and the admin SUB
-	// command.
+	// The listener reaches the in-process nodes only: a backend over
+	// remote workers (cluster.NewRouter) publishes nothing, because a
+	// worker has no result listener, so mobieyes-server refuses -stream
+	// with -cluster router. Exposed via Stream() and the admin SUB command.
 	Stream *stream.Tap
 	// History, when non-nil, is the append-only replay store
 	// (internal/history): the server tees result transitions (sequenced
 	// through Stream, or through a private tap when Stream is nil) plus
 	// object position samples from uplinks into it, stamped with
-	// wall-clock hours. Appends are charged to Costs' history egress
+	// wall-clock hours. Its result transitions, like Stream's, come from
+	// in-process nodes only. Appends are charged to Costs' history egress
 	// meter. Exposed by the history view (Views).
 	History *history.Store
 	// DisconnectGrace defers the synthesized DepartureReport after an

@@ -364,8 +364,9 @@ func (e *Engine) sendUplink(i int, m msg.Message, tid trace.ID) {
 	e.upQueue = append(e.upQueue, upEntry{m: m, tid: tid})
 }
 
-// drain processes queued uplinks (timed as server work) and delivers queued
-// downlinks (which may enqueue more uplinks) until both queues are empty.
+// drain processes queued uplinks (timed as server work, and per kind when
+// instrumented) and delivers queued downlinks (which may enqueue more
+// uplinks) until both queues are empty.
 func (e *Engine) drain() {
 	uplinks := 0
 	for len(e.upQueue) > 0 || len(e.downQueue) > 0 {
@@ -376,8 +377,12 @@ func (e *Engine) drain() {
 			e.upQueue = e.upQueue[1:]
 			uplinks++
 			e.srv.HandleUplinkTraced(ent.m, ent.tid)
-			if e.measuring {
-				e.serverNanos += time.Since(start).Nanoseconds()
+			if e.measuring || e.obsm != nil {
+				d := time.Since(start)
+				if e.measuring {
+					e.serverNanos += d.Nanoseconds()
+				}
+				e.obsm.observeUplink(ent.m.Kind(), d)
 			}
 			continue
 		}

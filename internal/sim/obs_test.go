@@ -50,6 +50,17 @@ func TestInstrumentedSerialDeterminism(t *testing.T) {
 	if got := snap["mobieyes_server_ops_total"]; got != plain.Server().Ops() {
 		t.Errorf("registry ops = %v, server ops = %d", got, plain.Server().Ops())
 	}
+	// Every drained uplink is timed exactly once, under its kind.
+	var timed int64
+	for key, v := range snap {
+		if strings.HasPrefix(key, metricUplinkSecs+"{") {
+			timed += v.(map[string]any)["count"].(int64)
+		}
+	}
+	drained, _ := snap[metricDrainBatch].(map[string]any)
+	if timed == 0 || float64(timed) != drained["sum"] {
+		t.Errorf("uplinks timed = %d, drained = %v", timed, drained["sum"])
+	}
 }
 
 // TestScrapeWhileSerialEngineRuns keeps a live /metrics-style scrape loop

@@ -12,9 +12,11 @@
 # process is killed, and fresh workers plus `-cluster router -restore` must
 # answer `result 1` exactly as before. Last, the plain server (no -cluster:
 # the router over one in-process node) restores the same snapshot, must
-# answer `result 1` alike, and its `nodes` view must list one node. Fails on
-# any non-200 answer, empty body, missing batch or gauge, changed result or
-# wrong node count; stops every process on exit.
+# answer `result 1` alike, and its `nodes` view must list one node. First of
+# all, a router asked for `-stream` must exit 2 (a usage error) without
+# dialing its worker: workers publish no result events. Fails on any
+# non-200 answer, empty body, missing batch or gauge, changed result, wrong
+# node count or other exit code; stops every process on exit.
 #
 #   scripts/cluster_smoke.sh        # needs 127.0.0.1 ports 7181-7185 free
 set -euo pipefail
@@ -66,6 +68,15 @@ start_cluster() {
 
 go build -o "$dir/mobieyes-server" ./cmd/mobieyes-server
 go build -o "$dir/mobieyes-object" ./cmd/mobieyes-object
+
+rc=0
+"$dir/mobieyes-server" -cluster router -workers 127.0.0.1:1 -stream 2>"$dir/stream.log" || rc=$?
+if [ "$rc" -ne 2 ]; then
+	echo "cluster_smoke: -cluster router -stream exited $rc, want 2:" >&2
+	cat "$dir/stream.log" >&2
+	exit 1
+fi
+
 start_cluster
 
 reply=$(admin 'install 1 3 1000' help HEALTH)
